@@ -7,7 +7,8 @@ normalizations and Petersson norms from completed L-values.
 """
 
 from .exactalg import (ApproxComplex, Cyclotomic, CyclotomicField, DenseMatrix,
-                       QQ, bernoulli, eigen_kernel, kernel_basis)
+                       PeriodPolyError, QQ, bernoulli, eigen_kernel,
+                       kernel_basis)
 from .cosets import (GAMMA0, GAMMA1, Character, CosetSpace, CuspSet, Mat2,
                      act_coset, build_coset_space, cusp_classes,
                      dirichlet_characters)

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactalg import ApproxComplex, bernoulli, scalar_to_str, scalar_from_str
+from .exactalg import (ApproxComplex, PeriodPolyError, bernoulli, scalar_to_str,
+                       scalar_from_str)
 from .cosets import MAT_I, MAT_S, GAMMA0, build_coset_space
 from .polyspace import PolyVector, pair_braces, build_W_extended
 from .hecke import GroupRingElement, SigmaSpec
 
 
-class AnalyticError(ValueError):
+class AnalyticError(PeriodPolyError):
     pass
 
 
@@ -196,10 +197,6 @@ class NewformData:
         if self.level < 1 or self.weight < 2:
             raise AnalyticError("bad level or weight")
 
-    def require_normalized(self):
-        if self.qseries.coeff(1) != 1:
-            raise AnalyticError("eigenvalue recovery needs a_1 = 1")
-
     def is_cuspidal(self) -> bool:
         return self.qseries.a0 == 0
 
@@ -269,9 +266,6 @@ class LValue:
     s: int
     level: int
     weight: int
-
-    def approx(self) -> ApproxComplex:
-        return ApproxComplex(self.value, self.err)
 
 
 def _tail_bound(k: int, s: float, prefactor: float, beta: float, M: int) -> float:
@@ -402,10 +396,6 @@ def petersson_product(f: NewformData, g: NewformData,
     return sum(vals) / len(vals), results
 
 
-def kappa_parity_valid(k: int, k1: str, k2: str) -> bool:
-    return (k1 != k2) if k % 2 == 0 else (k1 == k2)
-
-
 # ----------------------------------------------------------------------
 # Manin-style eigenvalue recovery
 
@@ -431,15 +421,12 @@ def manin_coefficient(P_plus: PolyVector, t: GroupRingElement, spec: SigmaSpec,
             if hit is None:
                 continue
             l, s = hit
-            p = P_plus.values[l]
-            if s == -1 and w % 2 == 1:
-                p = tuple(-a for a in p)
             # P+(-c_M, a_M)|M evaluated at 0: sum p_i b^i d^(w-i)
             val = 0
-            for i, pi in enumerate(p):
+            for i, pi in enumerate(P_plus.values[l]):
                 if pi:
                     val = val + pi * M.b ** i * M.d ** (w - i)
-            acc = acc + coeff * val
+            acc = acc + (coeff if s ** w == 1 else -coeff) * val
         return acc
     # weight 2
     if xy is None:

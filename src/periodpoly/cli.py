@@ -14,14 +14,14 @@ import json
 import sys
 from fractions import Fraction
 
-from .exactalg import scalar_to_str
+from .exactalg import PeriodPolyError, scalar_to_str
 from .cosets import GAMMA0, GAMMA1, build_coset_space, cusp_classes
 from .polyspace import (build_W, build_W_extended, build_coboundary_and_D,
                         eps_split, w_dimensions, wtilde_dimension)
-from .hecke import (EigenspaceError, HeckeError, InfeasibleSolveError,
-                    common_eigen_polynomial, delta_spec, delta_vee_spec,
-                    hecke_matrix, solve_universal_hecke, theta_spec,
-                    universal_hecke_element, verify_hecke_property)
+from .hecke import (InfeasibleSolveError, common_eigen_polynomial, delta_spec,
+                    delta_vee_spec, hecke_matrix, solve_universal_hecke,
+                    theta_spec, universal_hecke_element,
+                    verify_hecke_property)
 from .analytic import (AnalyticError, NewformData, completed_lvalue,
                        eisenstein_period_demo, eta_product, manin_coefficient,
                        petersson_product)
@@ -74,7 +74,7 @@ def _parse_eigen(items) -> list:
         try:
             p, lam = item.split(":")
             out.append((int(p), Fraction(lam)))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise CliError("eigen data must look like p:lambda, got %r" % item,
                            EXIT_USAGE)
     return out
@@ -205,10 +205,7 @@ def cmd_eigenpoly(args, out):
     plus, minus = eps_split(W)
     sub = plus if args.parity == "plus" else minus
     parity = "+" if args.parity == "plus" else "-"
-    try:
-        P = common_eigen_polynomial(sub, _parse_eigen(args.eigen), parity=parity)
-    except EigenspaceError as exc:
-        raise CliError(str(exc), EXIT_ERROR)
+    P = common_eigen_polynomial(sub, _parse_eigen(args.eigen), parity=parity)
     doc = P.to_json()
     doc["parity"] = parity
     if args.output:
@@ -222,10 +219,7 @@ def cmd_eigenpoly(args, out):
 
 def cmd_lvalue(args, out):
     f = _load_form(args.form)
-    try:
-        lv = completed_lvalue(f, args.s, args.terms)
-    except AnalyticError as exc:
-        raise CliError(str(exc), EXIT_ERROR)
+    lv = completed_lvalue(f, args.s, args.terms)
     _emit({"s": args.s, "level": f.level, "weight": f.weight,
            "value": _cnum(lv.value, lv.err)}, out)
     return EXIT_OK
@@ -244,12 +238,8 @@ def _eigen_polys_for(f: NewformData, eigendata):
 def cmd_petersson(args, out):
     f = _load_form(args.form)
     eigendata = _parse_eigen(args.eigen)
-    try:
-        Pp, Pm = _eigen_polys_for(f, eigendata)
-        value, per_kappa = petersson_product(f, f, (Pp, Pm), (Pp, Pm),
-                                             terms=args.terms)
-    except (AnalyticError, EigenspaceError) as exc:
-        raise CliError(str(exc), EXIT_ERROR)
+    Pp, Pm = _eigen_polys_for(f, eigendata)
+    value, per_kappa = petersson_product(f, f, (Pp, Pm), (Pp, Pm), terms=args.terms)
     _emit({
         "level": f.level, "weight": f.weight,
         "value": _cnum(value),
@@ -273,8 +263,6 @@ def cmd_eigenvalue(args, out):
         Pp = common_eigen_polynomial(plus, _parse_eigen(args.eigen), parity="+")
         t = universal_hecke_element(args.n, args.entry_bound)
         lam = manin_coefficient(Pp, t, delta_spec(GAMMA0, level, args.n), args.n)
-    except (EigenspaceError, AnalyticError) as exc:
-        raise CliError(str(exc), EXIT_ERROR)
     except InfeasibleSolveError as exc:
         raise CliError(str(exc), EXIT_INFEASIBLE)
     _emit({"level": level, "weight": weight, "n": args.n,
@@ -295,10 +283,7 @@ def cmd_gamma02_relations(args, out):
     else:
         raise CliError("weights 10 and 14 need an eigenform data file (--form)",
                        EXIT_USAGE)
-    try:
-        rep = gamma02.extra_relations_check(f, terms=args.terms)
-    except gamma02.Gamma02Error as exc:
-        raise CliError(str(exc), EXIT_ERROR)
+    rep = gamma02.extra_relations_check(f, terms=args.terms)
     doc = {
         "weight": rep["weight"],
         "relations": [{
@@ -418,6 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_space_args(args):
+    if getattr(args, "level", None) is not None and args.level < 1:
+        raise CliError("--level must be >= 1, got %d" % args.level, EXIT_USAGE)
+    if getattr(args, "weight", None) is not None and args.weight < 2:
+        raise CliError("--weight must be >= 2, got %d" % args.weight, EXIT_USAGE)
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     ap = build_parser()
@@ -426,11 +418,12 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_space_args(args)
         return args.func(args, out)
     except CliError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return exc.code
-    except (HeckeError, AnalyticError) as exc:
+    except PeriodPolyError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_ERROR
 

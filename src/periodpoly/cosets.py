@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .exactalg import CyclotomicField, Cyclotomic
+from .exactalg import CyclotomicField, Cyclotomic, PeriodPolyError
 
 GAMMA0 = "gamma0"
 GAMMA1 = "gamma1"
 
 
-class CosetError(ValueError):
+class CosetError(PeriodPolyError):
     pass
 
 
@@ -81,6 +81,17 @@ MAT_U = MAT_T * MAT_S          # (1 -1; 1 0), U^3 = J
 MAT_U2 = MAT_U * MAT_U
 MAT_J = Mat2(-1, 0, 0, -1)
 MAT_EPS = Mat2(-1, 0, 0, 1)
+MAT_SINV = MAT_S.inverse()
+MAT_UINV = MAT_U.inverse()
+MAT_U2INV = MAT_U2.inverse()
+
+# Right actions tabulated on every coset space, by table name.  Right
+# multiplication by eps and conjugation by eps give the same bottom row.
+_TABULATED = (("S", MAT_S), ("T", MAT_T), ("Tinv", MAT_TINV), ("U", MAT_U),
+              ("U2", MAT_U2), ("J", MAT_J), ("eps", MAT_EPS))
+# g^(-1) = h J for the table h: S^(-1) = S J, U^(-1) = U^2 J, U^(-2) = U J
+_INVERSES = (("Sinv", MAT_SINV, "S"), ("Uinv", MAT_UINV, "U2"),
+             ("U2inv", MAT_U2INV, "U"))
 
 
 def _xgcd(a: int, b: int) -> tuple:
@@ -217,7 +228,7 @@ class CosetSpace:
         self._label_pos = {lab: i for i, lab in enumerate(self.labels)}
         self.lifts = tuple(lift_to_sl2z(c, d, N) if N > 1 else MAT_I
                            for (c, d) in self.labels)
-        self.identity_label = self._label_pos[self._normalize(0, 1)[0]]
+        self.identity_label = self._normalize(0, 1)[0]
 
     def _e_normalize(self, c: int, d: int) -> tuple:
         """Section of E_N mod +-1: lexicographically smaller of (c,d), (-c,-d)."""
@@ -230,32 +241,21 @@ class CosetSpace:
         return neg, -1
 
     def _normalize(self, c: int, d: int) -> tuple:
-        """Canonical label data and sign for a bottom row (c, d)."""
-        if self.kind == GAMMA0:
-            p = p1_normalize(self.N, c, d)
-            if p is None:
-                raise CosetError("bottom row (%d, %d) not primitive mod %d" % (c, d, self.N))
-            return p, 1
-        return self._e_normalize(c, d)
+        """Label and sign for a bottom row (c, d); raises if not primitive."""
+        hit = self.label_of_row(c, d)
+        if hit is None:
+            raise CosetError("bottom row (%d, %d) not primitive mod %d" % (c, d, self.N))
+        return hit
 
     def _build_tables(self):
-        self.tables = {}
-        for name, g in (("S", MAT_S), ("T", MAT_T), ("Tinv", MAT_TINV),
-                        ("U", MAT_U), ("U2", MAT_U2), ("J", MAT_J)):
-            self.tables[name] = tuple(self._act_raw(i, g) for i in range(self.size))
-        self.eps_table = tuple(self._eps_raw(i) for i in range(self.size))
-
-    def _act_raw(self, i: int, g: Mat2) -> tuple:
-        c, d = self._bottom_row(i)
-        nc = c * g.a + d * g.c
-        nd = c * g.b + d * g.d
-        lab, sign = self._normalize(nc, nd)
-        return self._label_pos[lab], sign
-
-    def _eps_raw(self, i: int) -> tuple:
-        c, d = self._bottom_row(i)
-        lab, sign = self._normalize(-c, d)
-        return self._label_pos[lab], sign
+        self.tables = {name: tuple(self.act(i, g) for i in range(self.size))
+                       for name, g in _TABULATED}
+        jtab = self.tables["J"]
+        for name, _, h in _INVERSES:
+            # J fixes every label and contributes only its sign
+            self.tables[name] = tuple((l, s * jtab[l][1]) for l, s in self.tables[h])
+        self._table_of = {g: self.tables[name] for name, g in _TABULATED}
+        self._table_of.update((g, self.tables[name]) for name, g, _ in _INVERSES)
 
     def _bottom_row(self, i: int) -> tuple:
         lab = self.labels[i]
@@ -277,18 +277,26 @@ class CosetSpace:
             raise CosetError("bad label %r" % s)
         sep = ":" if self.kind == GAMMA0 else ","
         c, d = (int(t) for t in s[1:-1].split(sep))
-        lab, _ = self._normalize(c, d)
-        return self._label_pos[lab]
+        return self._normalize(c, d)[0]
 
     def act(self, i: int, g: Mat2) -> tuple:
         """Label and sign of (lift of label i) * g for g in SL2(Z)."""
         if abs(g.det()) != 1:
             raise CosetError("action is restricted to |det| = 1")
         c, d = self._bottom_row(i)
-        nc = c * g.a + d * g.c
-        nd = c * g.b + d * g.d
-        lab, sign = self._normalize(nc, nd)
-        return self._label_pos[lab], sign
+        return self._normalize(c * g.a + d * g.c, c * g.b + d * g.d)
+
+    def signed_act(self, i: int, g: Mat2, w: int) -> tuple:
+        """Label of (lift of label i) * g and the weight sign s**w.
+
+        A label carries its lift only up to the sign s; a polynomial vector
+        of weight w reads P(-A) = (-1)^w P(A), so the value at A g is
+        s**w times the value at the returned label.  The generators S, T,
+        U, U^2, J, their inverses and eps are read from the tables.
+        """
+        table = self._table_of.get(g)
+        l, s = self.act(i, g) if table is None else table[i]
+        return l, s ** w
 
     def label_of_row(self, c: int, d: int) -> tuple:
         """Label and sign of the coset with bottom row (c, d); None if absent."""
@@ -303,7 +311,7 @@ class CosetSpace:
         return self._label_pos[lab], sign
 
     def eps_conj(self, i: int) -> tuple:
-        return self.eps_table[i]
+        return self.tables["eps"][i]
 
     def cusp_classes(self) -> CuspSet:
         """Partition of the labels into cusps (T-orbits merged under J)."""
@@ -563,8 +571,6 @@ def _primitive_root(q: int) -> int:
 
 
 def _crt(a1: int, m1: int, a2: int, m2: int) -> int:
-    if m2 == 1:
-        return a1 % m1
     g, x, _ = _xgcd(m1, m2)
     assert g == 1
     return (a1 + (a2 - a1) * x % m2 * m1) % (m1 * m2)
@@ -582,16 +588,9 @@ def _decompose_rec(a: int, gens: list, N: int):
     if not gens:
         return [] if a % N == 1 else None
     g, order = gens[0]
-    ginv = _inv_mod(g, N)
+    ginv = pow(g, -1, N)
     for l in range(order):
         rest = _decompose_rec(a * pow(ginv, l, N) % N, gens[1:], N)
         if rest is not None:
             return [l] + rest
     return None
-
-
-def _inv_mod(a: int, N: int) -> int:
-    g, x, _ = _xgcd(a % N, N)
-    if g != 1:
-        raise CosetError("not invertible")
-    return x % N

@@ -1,11 +1,10 @@
 """Exact scalar arithmetic and dense linear algebra.
 
-Scalars come in three flavours, tagged at run time by the field object that
-owns them: arbitrary-precision rationals (``fractions.Fraction``), elements
-of a cyclotomic field Q(zeta_m) reduced modulo the m-th cyclotomic
-polynomial, and double-precision complex numbers carrying an absolute error
-bound.  Kernels and eigenspace extraction are exact-only; the complex
-variant exists for the numerical layer and is rejected by the eliminators.
+Matrix scalars come in two flavours, tagged at run time by the field object
+that owns them: arbitrary-precision rationals (``fractions.Fraction``) and
+elements of a cyclotomic field Q(zeta_m) reduced modulo the m-th cyclotomic
+polynomial.  Double-precision complex numbers carrying an absolute error
+bound (``ApproxComplex``) serve the numerical layer only.
 """
 
 from __future__ import annotations
@@ -17,7 +16,11 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 
-class ExactAlgebraError(ValueError):
+class PeriodPolyError(ValueError):
+    """Base of every error the library raises on bad input or failed checks."""
+
+
+class ExactAlgebraError(PeriodPolyError):
     pass
 
 
@@ -85,6 +88,54 @@ def _poly_exact_div_int(num: list, den: list) -> list:
     if any(num):
         raise ExactAlgebraError("non-exact polynomial division")
     return q
+
+
+# ----------------------------------------------------------------------
+# dense polynomials over Q, as ascending coefficient lists
+
+def poly_trim(p) -> list:
+    """p without trailing zero coefficients; the zero polynomial is [0]."""
+    p = list(p)
+    while len(p) > 1 and not p[-1]:
+        p.pop()
+    return p
+
+
+def poly_mul(p, q) -> list:
+    """Product; integer inputs give integer coefficients."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def poly_sub(p, q) -> list:
+    n = max(len(p), len(q))
+    p = list(p) + [0] * (n - len(p))
+    q = list(q) + [0] * (n - len(q))
+    return [x - y for x, y in zip(p, q)]
+
+
+def poly_divmod(num, den) -> tuple:
+    """(quotient, remainder), both trimmed, with Fraction coefficients.
+
+    Division is exact over Q even for integer inputs, never float.
+    """
+    num = [Fraction(c) for c in poly_trim(num)]
+    den = poly_trim(den)
+    if len(num) < len(den):
+        return [Fraction(0)], num
+    q = [Fraction(0)] * (len(num) - len(den) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = num[i + len(den) - 1] / den[-1]
+        q[i] = c
+        if c:
+            for j, dj in enumerate(den):
+                num[i + j] -= c * dj
+    return q, poly_trim(num)
 
 
 class Cyclotomic:
@@ -156,18 +207,14 @@ class Cyclotomic:
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
         # extended Euclid against Phi_m in Q[x]
-        mod = [Fraction(c) for c in self.field.modulus]
-        r0, r1 = mod, list(self.coeffs)
+        r0, r1 = self.field.modulus, poly_trim(self.coeffs)
         s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while len(r1) > 1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                return Cyclotomic(self.field, self.field.reduce([c * inv for c in s1]))
-            q, r = _poly_divmod_frac(r0, r1)
+        while len(r1) > 1:
+            q, r = poly_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub_frac(s0, _poly_mul_frac(q, s1))
+            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
+        inv = 1 / r1[0]
+        return Cyclotomic(self.field, self.field.reduce([c * inv for c in s1]))
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, zeta -> zeta^(-1)."""
@@ -184,51 +231,8 @@ class Cyclotomic:
             raise ExactAlgebraError("cyclotomic element is not rational")
         return self.coeffs[0]
 
-    def to_complex(self) -> complex:
-        z = complex(math.cos(2 * math.pi / self.field.conductor),
-                    math.sin(2 * math.pi / self.field.conductor))
-        return sum(float(a) * z ** j for j, a in enumerate(self.coeffs))
-
     def __repr__(self):
         return "Cyclotomic(%d, %s)" % (self.field.conductor, list(self.coeffs))
-
-
-def _poly_divmod_frac(num, den):
-    num = list(num)
-    while len(num) > 1 and not num[-1]:
-        num.pop()
-    dn = list(den)
-    while len(dn) > 1 and not dn[-1]:
-        dn.pop()
-    if len(num) < len(dn):
-        return [Fraction(0)], num
-    q = [Fraction(0)] * (len(num) - len(dn) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(dn) - 1] / dn[-1]
-        q[i] = c
-        if c:
-            for j, dj in enumerate(dn):
-                num[i + j] -= c * dj
-    while len(num) > 1 and not num[-1]:
-        num.pop()
-    return q, num
-
-
-def _poly_mul_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub_frac(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 class CyclotomicField:
@@ -245,8 +249,6 @@ class CyclotomicField:
         self.degree = len(self.modulus) - 1
         cls._cache[m] = self
         return self
-
-    exact = True
 
     @property
     def zero(self) -> Cyclotomic:
@@ -298,7 +300,6 @@ class CyclotomicField:
 class RationalField:
     """Field tag for Fraction scalars."""
 
-    exact = True
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -309,22 +310,7 @@ class RationalField:
         return "QQ"
 
 
-class ComplexFloatField:
-    """Field tag for double-precision complex scalars (no exact kernels)."""
-
-    exact = False
-    zero = 0j
-    one = 1 + 0j
-
-    def of(self, x) -> complex:
-        return complex(x)
-
-    def __repr__(self):
-        return "CC"
-
-
 QQ = RationalField()
-CC = ComplexFloatField()
 
 
 @dataclass(frozen=True)
@@ -458,11 +444,6 @@ class DenseMatrix:
         return DenseMatrix(self.field, [[c * a for a in r] for r in self.rows],
                            ncols=self.ncols)
 
-    def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(self.field, list(map(list, zip(*self.rows)))
-                           if self.rows and self.ncols else [[] for _ in range(self.ncols)],
-                           ncols=self.nrows)
-
     def trace(self):
         if self.nrows != self.ncols:
             raise ExactAlgebraError("trace of a non-square matrix")
@@ -492,12 +473,7 @@ class DenseMatrix:
         return DenseMatrix(self.field, rows, ncols=self.ncols), pivots
 
     def rank(self) -> int:
-        self._require_exact()
         return len(self.rref()[1])
-
-    def _require_exact(self):
-        if not self.field.exact:
-            raise ExactAlgebraError("operation requires an exact scalar field")
 
     def __repr__(self):
         return "DenseMatrix(%s, %dx%d)" % (self.field, self.nrows, self.ncols)
@@ -539,9 +515,8 @@ def reduced_column_basis(field, vectors: Sequence[Sequence], ambient: int) -> "D
 def kernel_basis(m: DenseMatrix) -> DenseMatrix:
     """Basis of the right null space, in reduced column-echelon form.
 
-    Deterministic: identical inputs give identical bases.  Exact fields only.
+    Deterministic: identical inputs give identical bases.
     """
-    m._require_exact()
     field = m.field
     if m.nrows == 0:
         return DenseMatrix.identity(field, m.ncols)
@@ -561,7 +536,6 @@ def eigen_kernel(m: DenseMatrix, lam) -> DenseMatrix:
     """Basis of ker(m - lam*I); empty when lam is not an eigenvalue."""
     if m.nrows != m.ncols:
         raise ExactAlgebraError("eigen_kernel needs a square matrix")
-    m._require_exact()
     lam = m.field.of(lam) if isinstance(lam, (int, Fraction)) else lam
     shifted = m - DenseMatrix.identity(m.field, m.nrows).scaled(lam)
     return kernel_basis(shifted)

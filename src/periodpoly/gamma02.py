@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import DenseMatrix, QQ, bernoulli, kernel_basis
+from .exactalg import DenseMatrix, PeriodPolyError, QQ, bernoulli, kernel_basis
 from .cosets import MAT_S, MAT_T, MAT_TINV, MAT_U, MAT_U2, GAMMA0, build_coset_space
 from .polyspace import (PolyVector, build_W, eps_split, pair_vw,
                         pair_braces, slash_poly)
@@ -23,7 +23,7 @@ from .analytic import (NewformData, completed_lvalue, period_and_omega,
 from .hecke import common_eigen_polynomial
 
 
-class Gamma02Error(ValueError):
+class Gamma02Error(PeriodPolyError):
     pass
 
 

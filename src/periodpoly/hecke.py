@@ -18,13 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactalg import DenseMatrix, eigen_kernel, solve_columns
+from .exactalg import (DenseMatrix, PeriodPolyError, eigen_kernel, poly_divmod,
+                       poly_mul, poly_sub, poly_trim, solve_columns)
 from .cosets import (CosetSpace, Mat2, MAT_I, MAT_S, MAT_T, GAMMA0, GAMMA1,
-                     _xgcd)
-from .polyspace import PolyVector, ExtPolyVector, Subspace, slash_poly
+                     _crt, _xgcd)
+from .polyspace import (PolyVector, ExtPolyVector, Subspace, slash_poly,
+                        _pow_linear)
 
 
-class HeckeError(ValueError):
+class HeckeError(PeriodPolyError):
     pass
 
 
@@ -458,15 +460,15 @@ def resolve_sigma_coset(space: CosetSpace, label: int, M: Mat2,
         if B.c % n or B.d % n:
             return None
         if spec.kind == GAMMA1:
-            cp = _crt2(-B.a % n, n, (B.c // n) % np, np)
-            dp = _crt2(-B.b % n, n, (B.d // n) % np, np)
+            cp = _crt(-B.a % n, n, (B.c // n) % np, np)
+            dp = _crt(-B.b % n, n, (B.d // n) % np, np)
         else:
             wm = spec.w_matrix
             y, t = wm.b, wm.d // n
-            yinv = _invmod(y, n) if n > 1 else 0
-            tinv = _invmod(t, np) if np > 1 else 0
-            cp = _crt2(yinv * B.a % n, n, tinv * (B.c // n) % np, np)
-            dp = _crt2(yinv * B.b % n, n, tinv * (B.d // n) % np, np)
+            yinv = pow(y, -1, n)
+            tinv = pow(t, -1, np)
+            cp = _crt(yinv * B.a % n, n, tinv * (B.c // n) % np, np)
+            dp = _crt(yinv * B.b % n, n, tinv * (B.d // n) % np, np)
         return space.label_of_row(cp, dp)
     # generic search over candidate lifts
     Ainv = A.inverse()
@@ -498,25 +500,6 @@ def _in_sigma(g: Mat2, spec: SigmaSpec) -> bool:
     raise HeckeError("search used for a congruence-resolvable coset")
 
 
-def _crt2(a1: int, m1: int, a2: int, m2: int) -> int:
-    if m1 == 1:
-        return a2 % m2
-    if m2 == 1:
-        return a1 % m1
-    g, x, _ = _xgcd(m1, m2)
-    assert g == 1
-    return (a1 + (a2 - a1) * x % m2 * m1) % (m1 * m2)
-
-
-def _invmod(a: int, m: int) -> int:
-    g, x, _ = _xgcd(a % m, m)
-    if g != 1 and g != -1:
-        raise HeckeError("non-invertible residue")
-    if g == -1:
-        x = -x
-    return x % m
-
-
 # ----------------------------------------------------------------------
 # actions
 
@@ -532,14 +515,12 @@ def hecke_action(P, t: GroupRingElement, spec: SigmaSpec):
             if hit is None:
                 continue
             l2, s = hit
-            p = P.values[l2]
-            if s == -1 and w % 2 == 1:
-                p = tuple(-a for a in p)
-            img = slash_poly(p, M, w)
+            img = slash_poly(P.values[l2], M, w)
+            c = coeff if s ** w == 1 else -coeff
             row = vals[l]
             for i, v in enumerate(img):
                 if v:
-                    row[i] = row[i] + coeff * v
+                    row[i] = row[i] + c * v
     return PolyVector(space, w, [tuple(r) for r in vals])
 
 
@@ -556,11 +537,9 @@ def _hecke_action_extended(P: ExtPolyVector, t: GroupRingElement,
             if hit is None:
                 continue
             l2, s = hit
-            block = list(coords[l2 * n:(l2 + 1) * n])
-            if s == -1 and w % 2 == 1:
-                block = [-a for a in block]
-            tn, td = _tilde_slash_fraction(block, M, w)
-            tn = [coeff * a for a in tn]
+            tn, td = _tilde_slash_fraction(coords[l2 * n:(l2 + 1) * n], M, w)
+            c = coeff * s ** w
+            tn = [c * a for a in tn]
             num, den = _frac_add(num, den, tn, td)
         out_blocks.append(_fraction_to_tilde(num, den, w))
     flat = tuple(c for b in out_blocks for c in b)
@@ -574,91 +553,43 @@ def _tilde_slash_fraction(block: Sequence, M: Mat2, w: int) -> tuple:
     sum_j block[j] (aX+b)^(j+1) (cX+d)^(w-j+1), a polynomial since the
     exponents run over [0, w+2].
     """
-    la = [M.b, M.a]   # aX + b, ascending
-    lc = [M.d, M.c]
     num = [Fraction(0)] * (w + 3)
     for idx, coeff in enumerate(block):
         if not coeff:
             continue
         j = idx - 1
-        term = _poly_mul(_poly_pow(la, j + 1), _poly_pow(lc, w - j + 1))
+        term = poly_mul(_pow_linear(M.a, M.b, j + 1), _pow_linear(M.c, M.d, w - j + 1))
         for i, v in enumerate(term):
             if v:
                 num[i] += coeff * v
-    den = _poly_mul(la, lc)
+    den = poly_mul([M.b, M.a], [M.d, M.c])
     return num, den
 
 
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        if x:
-            for j, y in enumerate(q):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_pow(p, e):
-    out = [Fraction(1)]
-    for _ in range(e):
-        out = _poly_mul(out, p)
-    return out
-
-
-def _poly_trim(p):
-    p = list(p)
-    while len(p) > 1 and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_divmod(num, den):
-    num = _poly_trim(num)
-    den = _poly_trim(den)
-    if len(num) < len(den):
-        return [Fraction(0)], num
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1] / den[-1]
-        q[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    return q, _poly_trim(num)
-
 def _poly_gcd(p, q):
-    p, q = _poly_trim(p), _poly_trim(q)
-    while q != [Fraction(0)] and any(q):
-        _, r = _poly_divmod(p, q)
+    p, q = poly_trim(p), poly_trim(q)
+    while any(q):
+        _, r = poly_divmod(p, q)
         p, q = q, r
-    p = _poly_trim(p)
-    lead = p[-1]
+    lead = Fraction(p[-1])
     return [c / lead for c in p] if lead else p
 
 
 def _frac_add(n1, d1, n2, d2):
-    num = [a + b for a, b in _zip_pad(_poly_mul(n1, d2), _poly_mul(n2, d1))]
-    den = _poly_mul(d1, d2)
+    num = poly_sub(poly_mul(n1, d2), poly_mul([-c for c in n2], d1))
+    den = poly_mul(d1, d2)
     g = _poly_gcd(den, num if any(num) else den)
     if len(g) > 1:
-        num, r1 = _poly_divmod(num, g)
-        den, r2 = _poly_divmod(den, g)
+        num, r1 = poly_divmod(num, g)
+        den, r2 = poly_divmod(den, g)
         assert not any(r1) and not any(r2)
-    return _poly_trim(num), _poly_trim(den)
-
-
-def _zip_pad(p, q):
-    n = max(len(p), len(q))
-    p = list(p) + [Fraction(0)] * (n - len(p))
-    q = list(q) + [Fraction(0)] * (n - len(q))
-    return zip(p, q)
+    return poly_trim(num), poly_trim(den)
 
 
 def _fraction_to_tilde(num, den, w: int) -> list:
     """Interpret num/den as an element of the X^(-1)..X^(w+1) span."""
-    shifted = _poly_mul(num, [Fraction(0), Fraction(1)])  # num * X
-    q, r = _poly_divmod(shifted, den)
+    shifted = poly_mul(num, [0, 1])  # num * X
+    q, r = poly_divmod(shifted, den)
     if any(r):
         raise HeckeError("Hecke image leaves the extended polynomial model")
     q = q + [Fraction(0)] * (w + 3 - len(q))
@@ -705,16 +636,12 @@ def common_eigen_polynomial(sub: Subspace, eigendata: Sequence[tuple],
         if ker.ncols == 0:
             raise EigenspaceError(
                 "empty intersection: %s is not an eigenvalue of T~_%d here" % (lam, p))
-        cur = _compose(cur, ker)
+        cur = cur * ker
     if cur.ncols != 1:
         raise EigenspaceError(
             "eigenspace is %d-dimensional; supply more primes" % cur.ncols)
     vec = sub.ambient_vector_from_internal(cur.column(0))
     return normalize_eigen_polynomial(vec, parity)
-
-
-def _compose(basis: DenseMatrix, inner: DenseMatrix) -> DenseMatrix:
-    return basis * inner
 
 
 def normalize_eigen_polynomial(vec: PolyVector, parity: Optional[str]):

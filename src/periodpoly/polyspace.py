@@ -15,13 +15,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exactalg
-from .exactalg import (DenseMatrix, QQ, kernel_basis, reduced_column_basis,
-                       sparse_int_kernel, sparse_int_rank)
-from .cosets import (CosetSpace, Mat2, MAT_S, MAT_T, MAT_TINV, MAT_U, MAT_U2,
-                     GAMMA0, build_coset_space)
+from .exactalg import (DenseMatrix, PeriodPolyError, QQ, kernel_basis,
+                       poly_mul, reduced_column_basis, sparse_int_kernel,
+                       sparse_int_rank)
+from .cosets import (CosetSpace, Mat2, MAT_EPS, MAT_S, MAT_SINV, MAT_T,
+                     MAT_TINV, MAT_U, MAT_U2, MAT_U2INV, MAT_UINV, GAMMA0,
+                     build_coset_space)
 
 
-class PolySpaceError(ValueError):
+class PolySpaceError(PeriodPolyError):
     pass
 
 
@@ -42,7 +44,7 @@ def slash_poly(p: Sequence, g: Mat2, w: int):
     for j, coeff in enumerate(p):
         if not coeff:
             continue
-        term = _mul_int_poly(_pow_linear(g.a, g.b, j), _pow_linear(g.c, g.d, w - j))
+        term = poly_mul(_pow_linear(g.a, g.b, j), _pow_linear(g.c, g.d, w - j))
         for i, t in enumerate(term):
             if t:
                 out[i] = out[i] + coeff * t
@@ -52,16 +54,6 @@ def slash_poly(p: Sequence, g: Mat2, w: int):
 def _pow_linear(a: int, b: int, e: int) -> list:
     """Integer coefficients of (a X + b)^e, ascending."""
     return [math.comb(e, i) * a ** i * b ** (e - i) for i in range(e + 1)]
-
-
-def _mul_int_poly(p: list, q: list) -> list:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        if x:
-            for j, y in enumerate(q):
-                if y:
-                    out[i + j] += x * y
-    return out
 
 
 def slash_matrix(g: Mat2, w: int) -> list:
@@ -142,45 +134,20 @@ class PolyVector:
         ginv = g.inverse()
         vals = []
         for l in range(self.space.size):
-            l2, s = self.space.act(l, ginv)
+            l2, s = self.space.signed_act(l, ginv, self.w)
             p = self.values[l2]
-            if s == -1 and self.w % 2 == 1:
+            if s == -1:
                 p = tuple(-a for a in p)
             vals.append(slash_poly(p, g, self.w))
         return PolyVector(self.space, self.w, vals)
-
-    def slash_word(self, elems: Sequence[tuple]) -> "PolyVector":
-        """Apply a formal Z-combination sum c_i * g_i of group elements."""
-        out = PolyVector.zero(self.space, self.w)
-        for c, g in elems:
-            out = out + self.slash(g).scale(c)
-        return out
 
     def eps(self) -> "PolyVector":
         """(P|eps)(A) = P(eps A eps)(-X)."""
         vals = []
         for l in range(self.space.size):
-            l2, s = self.space.eps_conj(l)
-            p = self.values[l2]
-            if s == -1 and self.w % 2 == 1:
-                p = tuple(-a for a in p)
-            vals.append(tuple((-1) ** i * a for i, a in enumerate(p)))
+            l2, s = self.space.signed_act(l, MAT_EPS, self.w)
+            vals.append(tuple(s * (-1) ** i * a for i, a in enumerate(self.values[l2])))
         return PolyVector(self.space, self.w, vals)
-
-    def value_at_row(self, c: int, d: int) -> tuple:
-        """Polynomial at the coset with bottom row (c, d), sign included."""
-        hit = self.space.label_of_row(c, d)
-        if hit is None:
-            raise PolySpaceError("row (%d, %d) is not primitive" % (c, d))
-        l, s = hit
-        p = self.values[l]
-        if s == -1 and self.w % 2 == 1:
-            p = tuple(-a for a in p)
-        return p
-
-    def map_values(self, f) -> "PolyVector":
-        return PolyVector(self.space, self.w,
-                          [tuple(f(a) for a in p) for p in self.values])
 
     def to_json(self) -> dict:
         from .exactalg import scalar_to_str
@@ -237,11 +204,8 @@ class ExtPolyVector:
     def _check_tails(self):
         # c_A = c_(AT), i.e. c_l = s^w c_(l.T) in the label model
         for l in range(self.space.size):
-            lt, s = self.space.tables["T"][l]
-            ct = self.tails[lt]
-            if s == -1 and self.w % 2 == 1:
-                ct = -ct
-            if self.tails[l] != ct:
+            lt, s = self.space.signed_act(l, MAT_T, self.w)
+            if self.tails[l] != s * self.tails[lt]:
                 raise PolySpaceError("cusp constants not constant on T-orbits")
 
     @classmethod
@@ -251,9 +215,6 @@ class ExtPolyVector:
     @classmethod
     def zero(cls, space: CosetSpace, w: int) -> "ExtPolyVector":
         return cls(space, w, PolyVector.zero(space, w), (0,) * space.size, check=False)
-
-    def tail_at(self, l: int) -> object:
-        return self.tails[l]
 
     def __add__(self, other: "ExtPolyVector") -> "ExtPolyVector":
         return ExtPolyVector(self.space, self.w, self.poly + other.poly,
@@ -273,11 +234,8 @@ class ExtPolyVector:
     def eps(self) -> "ExtPolyVector":
         tails = []
         for l in range(self.space.size):
-            l2, s = self.space.eps_conj(l)
-            c = self.tails[l2]
-            if s == -1 and self.w % 2 == 1:
-                c = -c
-            tails.append((-1) ** (self.w + 1) * c)
+            l2, s = self.space.signed_act(l, MAT_EPS, self.w)
+            tails.append((-1) ** (self.w + 1) * s * self.tails[l2])
         return ExtPolyVector(self.space, self.w, self.poly.eps(), tails, check=False)
 
     def tilde_coords(self) -> tuple:
@@ -285,11 +243,8 @@ class ExtPolyVector:
         out = []
         w = self.w
         for l in range(self.space.size):
-            l1, s1 = self.space.act(l, MAT_S.inverse())
-            c_s = self.tails[l1]
-            if s1 == -1 and w % 2 == 1:
-                c_s = -c_s
-            out.append((-1) ** w * c_s)
+            l1, s1 = self.space.signed_act(l, MAT_SINV, w)
+            out.append((-1) ** w * s1 * self.tails[l1])
             out.extend(self.poly.values[l])
             out.append(self.tails[l])
         return tuple(out)
@@ -479,27 +434,23 @@ def _w_relation_rows(space: CosetSpace, w: int) -> list:
     n = w + 1
     sm = {g: slash_matrix(m, w) for g, m in (("S", MAT_S), ("U", MAT_U), ("U2", MAT_U2))}
     rows = []
-
-    def sign_of(s: int) -> int:
-        return -1 if (s == -1 and w % 2 == 1) else 1
-
     for l in range(space.size):
-        lS, sS = space.act(l, MAT_S.inverse())
-        lU, sU = space.act(l, MAT_U.inverse())
-        lU2, sU2 = space.act(l, MAT_U2.inverse())
+        lS, sS = space.signed_act(l, MAT_SINV, w)
+        lU, sU = space.signed_act(l, MAT_UINV, w)
+        lU2, sU2 = space.signed_act(l, MAT_U2INV, w)
         for i in range(n):
             row: dict = {l * n + i: 1}
             for j in range(n):
-                c = sm["S"][i][j] * sign_of(sS)
+                c = sm["S"][i][j] * sS
                 if c:
                     row[lS * n + j] = row.get(lS * n + j, 0) + c
             rows.append({c: v for c, v in row.items() if v})
             row = {l * n + i: 1}
             for j in range(n):
-                c = sm["U"][i][j] * sign_of(sU)
+                c = sm["U"][i][j] * sU
                 if c:
                     row[lU * n + j] = row.get(lU * n + j, 0) + c
-                c = sm["U2"][i][j] * sign_of(sU2)
+                c = sm["U2"][i][j] * sU2
                 if c:
                     row[lU2 * n + j] = row.get(lU2 * n + j, 0) + c
             rows.append({c: v for c, v in row.items() if v})
@@ -532,8 +483,7 @@ def w_dimensions(space: CosetSpace, w: int) -> tuple:
     for target in (1, -1):
         extra = []
         for l in range(space.size):
-            l2, s = space.eps_conj(l)
-            sgn = -1 if (s == -1 and w % 2 == 1) else 1
+            l2, sgn = space.signed_act(l, MAT_EPS, w)
             for i in range(n):
                 row = {l * n + i: -target}
                 c = sgn * (-1) ** i
@@ -558,9 +508,9 @@ def _tail_families(space: CosetSpace, w: int) -> list:
         frontier = [cl.representative]
         while frontier:
             l = frontier.pop()
-            for name in ("T", "Tinv"):
-                l2, s = space.tables[name][l]
-                val = c[l] * (-1 if (s == -1 and w % 2 == 1) else 1)
+            for g in (MAT_T, MAT_TINV):
+                l2, s = space.signed_act(l, g, w)
+                val = c[l] * s
                 if l2 in c:
                     if c[l2] != val:
                         ok = False
@@ -583,8 +533,8 @@ def build_coboundary_and_D(space: CosetSpace, w: int) -> tuple:
     for fam in _tail_families(space, w):
         vals = []
         for l in range(space.size):
-            l1, s1 = space.act(l, MAT_S.inverse())
-            c_s = fam[l1] * (-1 if (s1 == -1 and w % 2 == 1) else 1)
+            l1, s1 = space.signed_act(l, MAT_SINV, w)
+            c_s = fam[l1] * s1
             poly = [0] * (w + 1)
             poly[0] += fam[l]
             poly[w] -= c_s
@@ -604,10 +554,6 @@ def _wtilde_relation_rows(space: CosetSpace, w: int) -> list:
     read off as a polynomial identity of degree w+3.
     """
     n = w + 3
-
-    def sgn(s):
-        return -1 if (s == -1 and w % 2 == 1) else 1
-
     # images of X^j under S inside the tilde range: X^j|S = +-X^(w-j)
     rows = []
     # cleared images under U, U2 and the identity, as deg <= w+3 coefficient lists
@@ -622,29 +568,29 @@ def _wtilde_relation_rows(space: CosetSpace, w: int) -> list:
         clear_id[j] = p
         # X^j|U * X(X-1) = (X-1)^(j+1) X^(w-j+1)
         q = [0] * (w + 4)
-        t = _mul_int_poly(_pow_linear(1, -1, j + 1), _pow_linear(1, 0, w - j + 1))
+        t = poly_mul(_pow_linear(1, -1, j + 1), _pow_linear(1, 0, w - j + 1))
         for i, v in enumerate(t):
             q[i] += v
         clear_u[j] = q
         # X^j|U2 * X(X-1) = (-1)^j X (X-1)^(w-j+1)
         r = [0] * (w + 4)
-        t = _mul_int_poly([0, 1], _pow_linear(1, -1, w - j + 1))
+        t = poly_mul([0, 1], _pow_linear(1, -1, w - j + 1))
         sj = -1 if j % 2 else 1
         for i, v in enumerate(t):
             r[i] += sj * v
         clear_u2[j] = r
 
     for l in range(space.size):
-        lS, sS = space.act(l, MAT_S.inverse())
-        lU, sU = space.act(l, MAT_U.inverse())
-        lU2, sU2 = space.act(l, MAT_U2.inverse())
+        lS, sS = space.signed_act(l, MAT_SINV, w)
+        lU, sU = space.signed_act(l, MAT_UINV, w)
+        lU2, sU2 = space.signed_act(l, MAT_U2INV, w)
         # P~|(1+S) = 0, coefficientwise over the tilde range
         for i in range(-1, w + 2):
             row = {l * n + (i + 1): 1}
             j = w - i
             sj = -1 if j % 2 else 1
             col = lS * n + (j + 1)
-            row[col] = row.get(col, 0) + sj * sgn(sS)
+            row[col] = row.get(col, 0) + sj * sS
             rows.append({c: v for c, v in row.items() if v})
         # P~|(1+U+U^2) = 0, cleared by X(X-1): degrees 0..w+3
         for deg in range(w + 4):
@@ -653,10 +599,10 @@ def _wtilde_relation_rows(space: CosetSpace, w: int) -> list:
                 v = clear_id[j][deg]
                 if v:
                     row[l * n + (j + 1)] = row.get(l * n + (j + 1), 0) + v
-                v = clear_u[j][deg] * sgn(sU)
+                v = clear_u[j][deg] * sU
                 if v:
                     row[lU * n + (j + 1)] = row.get(lU * n + (j + 1), 0) + v
-                v = clear_u2[j][deg] * sgn(sU2)
+                v = clear_u2[j][deg] * sU2
                 if v:
                     row[lU2 * n + (j + 1)] = row.get(lU2 * n + (j + 1), 0) + v
             row = {c: v for c, v in row.items() if v}
@@ -716,11 +662,7 @@ def decompose_extended(vec: ExtPolyVector, wtilde: Optional[Subspace] = None) ->
 
 def eps_split(obj):
     """Split into +1 / -1 eigencomponents of the eps involution."""
-    if isinstance(obj, PolyVector):
-        e = obj.eps()
-        half = Fraction(1, 2)
-        return (obj + e).scale(half), (obj - e).scale(half)
-    if isinstance(obj, ExtPolyVector):
+    if isinstance(obj, (PolyVector, ExtPolyVector)):
         e = obj.eps()
         half = Fraction(1, 2)
         return (obj + e).scale(half), (obj - e).scale(half)
@@ -771,13 +713,12 @@ def chi_component(sub: Subspace, chi) -> Subspace:
         chi_u = chi(u)
         for l in range(space.size):
             c, d = space.labels[l]
-            hit = space.label_of_row(u * c, u * d)
-            lu, s = hit
-            sgn = -1 if (s == -1 and sub.w % 2 == 1) else 1
+            lu, s = space.label_of_row(u * c, u * d)
+            sgn = field.of(s ** sub.w)
             for i in range(n):
                 row = []
                 for col in basis_cols:
-                    val = field.of(sgn) * field.of(col[lu * n + i]) - chi_u * field.of(col[l * n + i])
+                    val = sgn * field.of(col[lu * n + i]) - chi_u * field.of(col[l * n + i])
                     row.append(val)
                 if any(row):
                     rows.append(row)

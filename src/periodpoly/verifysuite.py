@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .exactalg import (CyclotomicField, DenseMatrix, QQ, bernoulli,
                        kernel_basis)
-from .cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, Mat2,
+from .cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_SINV, MAT_T, Mat2,
                      build_coset_space, classical_cusp_count_gamma0,
                      cusp_classes, dirichlet_characters)
 from .polyspace import (PolyVector, build_W, build_W_extended,
@@ -144,8 +144,8 @@ def check_radical_and_duality():
         for fam in _tail_families(space, w):
             vals = []
             for l in range(space.size):
-                l1, s1 = space.act(l, MAT_S.inverse())
-                c_s = fam[l1] * (-1 if (s1 == -1 and w % 2 == 1) else 1)
+                l1, s1 = space.signed_act(l, MAT_SINV, w)
+                c_s = fam[l1] * s1
                 poly = [0] * (w + 1)
                 poly[0] += fam[l]
                 poly[w] -= c_s

@@ -231,3 +231,17 @@ class TestUsage:
         code, _ = run_cli(["frobnicate"])
         assert code == cli.EXIT_USAGE
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--level", "0", "--weight", "2"],
+    ["cusps", "--level", "-3", "--weight", "2"],
+    ["dims", "--level", "11", "--weight", "1"],
+    ["eigenpoly", "--level", "11", "--weight", "2", "--parity", "plus",
+     "--eigen", "2:1/0"],
+])
+def test_bad_input_is_one_line_usage_error(argv, capsys):
+    code, _ = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1

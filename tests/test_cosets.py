@@ -2,12 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodpoly.cosets import (GAMMA0, GAMMA1, Character, CosetError, Mat2,
-                               MAT_I, MAT_S, MAT_T, MAT_U, act_coset,
-                               build_coset_space, classical_cusp_count_gamma0,
-                               cusp_classes, dirichlet_characters,
-                               lift_to_sl2z, p1_normalize)
+                               MAT_I, MAT_S, MAT_T, MAT_TINV, MAT_U, MAT_U2,
+                               act_coset, build_coset_space,
+                               classical_cusp_count_gamma0, cusp_classes,
+                               dirichlet_characters, lift_to_sl2z,
+                               p1_normalize)
 
 
 class TestMat2:
@@ -143,6 +145,35 @@ class TestAction:
                     b1, u1 = sp.eps_conj(l)
                     b1, u1b = sp.act(b1, ge)
                     assert (a1, t1 * t1b) == (b1, u1 * u1b)
+
+    @pytest.mark.parametrize("kind, N", [(GAMMA0, N) for N in (*range(1, 31), 37, 60, 97)]
+                             + [(GAMMA1, N) for N in (*range(1, 21), 37)])
+    def test_signed_inverse_tables(self, kind, N):
+        for k in (2, 3, 4):
+            sp = build_coset_space(kind, N, k)
+            for g in (MAT_S, MAT_U, MAT_U2):
+                ginv = g.inverse()
+                for l in range(sp.size):
+                    l2, s = sp.act(l, ginv)
+                    assert sp.signed_act(l, ginv, k - 2) == (l2, s ** (k - 2))
+
+    @settings(derandomize=True, database=None, max_examples=60)
+    @given(kind=st.sampled_from([GAMMA0, GAMMA1]), N=st.integers(1, 12),
+           k=st.integers(2, 5),
+           word=st.lists(st.sampled_from([MAT_S, MAT_T, MAT_TINV, MAT_U, MAT_U2]),
+                         max_size=8))
+    def test_signed_action_composes(self, kind, N, k, word):
+        sp = build_coset_space(kind, N, k)
+        w = k - 2
+        g = MAT_I
+        for h in word:
+            g = g * h
+        for l in range(sp.size):
+            cur, sign = l, 1
+            for h in word:
+                cur, s = sp.signed_act(cur, h, w)
+                sign *= s
+            assert (cur, sign) == sp.signed_act(l, g, w)
 
     def test_u_cubed_is_j(self):
         for sp in (build_coset_space(GAMMA0, 5, 4), build_coset_space(GAMMA1, 5, 3)):
