@@ -17,7 +17,7 @@ from .polyspace import (ExtPolyVector, PolyVector, Subspace, build_W,
                         chi_component, cminus_trivial, decompose_extended,
                         eps_split, pair_braces, pair_induced, pair_vw,
                         slash_poly, w_dimensions, wtilde_dimension)
-from .hecke import (GroupRingElement, SigmaSpec, adjoint_vee,
+from .hecke import (GroupRingElement, HeckeOperator, SigmaSpec, adjoint_vee,
                     common_eigen_polynomial, delta_spec, delta_vee_spec,
                     diamond_spec, hecke_action, hecke_matrix,
                     heilbronn_element, resolve_sigma_coset,

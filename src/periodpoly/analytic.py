@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactalg import (ApproxComplex, PeriodPolyError, bernoulli, scalar_to_str,
-                       scalar_from_str)
+from .exactalg import (ApproxComplex, PeriodPolyError, bernoulli, check,
+                       scalar_to_str, scalar_from_str)
 from .cosets import MAT_I, MAT_S, GAMMA0, build_coset_space
 from .polyspace import PolyVector, pair_braces, build_W_extended
 from .hecke import GroupRingElement, SigmaSpec
@@ -85,7 +85,7 @@ class QSeries:
 
 def _unit_power(series: QSeries, r: int) -> QSeries:
     """series^r for a series with a0 = 1, r any integer."""
-    assert series.a0 == 1
+    check(series.a0 == 1, "unit power needs constant term 1")
     n = series.order
     if r == 0:
         return QSeries(1, [Fraction(0)] * n)
@@ -632,7 +632,7 @@ def _demo_gamma06() -> dict:
                 known[3][j] = d1[3]
     # E_2^6: displayed identities at A_9 and A_12 (tau-fixed indices)
     known[6] = {0: d1[6]}
-    assert tau[8] == 8 and tau[11] == 11
+    check(tau[8] == 8 and tau[11] == 11, "A_9 and A_12 must be eps-fixed")
     known[6][8] = lvalue_at_one([(1, 1), (-1, Fraction(3, 2))])
     known[6][11] = lvalue_at_one([(1, 1), (-3, 3), (1, Fraction(3, 2)), (1, 6)])
 

@@ -73,10 +73,13 @@ def _parse_eigen(items) -> list:
     for item in items or ():
         try:
             p, lam = item.split(":")
-            out.append((int(p), Fraction(lam)))
+            p, lam = int(p), Fraction(lam)
         except (ValueError, ZeroDivisionError):
             raise CliError("eigen data must look like p:lambda, got %r" % item,
                            EXIT_USAGE)
+        if p < 1:
+            raise CliError("--eigen prime must be >= 1, got %d" % p, EXIT_USAGE)
+        out.append((p, lam))
     return out
 
 
@@ -408,6 +411,8 @@ def _check_space_args(args):
         raise CliError("--level must be >= 1, got %d" % args.level, EXIT_USAGE)
     if getattr(args, "weight", None) is not None and args.weight < 2:
         raise CliError("--weight must be >= 2, got %d" % args.weight, EXIT_USAGE)
+    if getattr(args, "n", None) is not None and args.n < 1:
+        raise CliError("--n must be >= 1, got %d" % args.n, EXIT_USAGE)
 
 
 def main(argv=None, out=None) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .exactalg import CyclotomicField, Cyclotomic, PeriodPolyError
+from .exactalg import CyclotomicField, Cyclotomic, PeriodPolyError, check
 
 GAMMA0 = "gamma0"
 GAMMA1 = "gamma1"
@@ -155,7 +155,7 @@ def lift_to_sl2z(c: int, d: int, N: int) -> Mat2:
     g, x, y = _xgcd(dd, -c)
     if g < 0:
         g, x, y = -g, -x, -y
-    assert g == 1
+    check(g == 1, "lifted bottom row is not coprime")
     return Mat2(x, y, c, dd)
 
 
@@ -170,15 +170,21 @@ class CuspClass:
 @dataclass(frozen=True)
 class CuspSet:
     classes: tuple
+    # label -> index of its class, built once from ``classes``
+    _class_index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_class_index", {
+            l: i for i, cl in enumerate(self.classes) for l in cl.labels})
 
     def __len__(self):
         return len(self.classes)
 
     def class_of(self, label: int) -> int:
-        for i, cl in enumerate(self.classes):
-            if label in cl.labels:
-                return i
-        raise CosetError("label not in any cusp class")
+        try:
+            return self._class_index[label]
+        except KeyError:
+            raise CosetError("label not in any cusp class") from None
 
 
 class CosetSpace:
@@ -572,7 +578,7 @@ def _primitive_root(q: int) -> int:
 
 def _crt(a1: int, m1: int, a2: int, m2: int) -> int:
     g, x, _ = _xgcd(m1, m2)
-    assert g == 1
+    check(g == 1, "CRT moduli are not coprime")
     return (a1 + (a2 - a1) * x % m2 * m1) % (m1 * m2)
 
 

@@ -24,6 +24,16 @@ class ExactAlgebraError(PeriodPolyError):
     pass
 
 
+class CheckFailed(PeriodPolyError):
+    """An internal invariant or a verification check does not hold."""
+
+
+def check(cond, msg: str) -> None:
+    """Raise CheckFailed(msg) unless cond holds; unlike assert, kept under -O."""
+    if not cond:
+        raise CheckFailed(msg)
+
+
 # ----------------------------------------------------------------------
 # rationals
 
@@ -673,13 +683,20 @@ def sparse_int_kernel(rows: Iterable[dict], ncols: int) -> list:
     return vecs
 
 
+def clear_denominators(values: Sequence):
+    """(integers, D) with values = integers / D; None unless all rational."""
+    D = 1
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            return None
+        D = math.lcm(D, v.denominator)
+    return [v.numerator * (D // v.denominator) for v in values], D
+
+
 def rows_to_int_sparse(rows: Iterable[dict]) -> list:
     """Clear denominators row by row (entries may be Fractions or ints)."""
     out = []
     for row in rows:
-        den = 1
-        for v in row.values():
-            if isinstance(v, Fraction):
-                den = den * v.denominator // math.gcd(den, v.denominator)
-        out.append({c: int(v * den) for c, v in row.items() if v})
+        ints, _ = clear_denominators(list(row.values()))
+        out.append({c: v for c, v in zip(row, ints) if v})
     return out

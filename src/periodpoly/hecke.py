@@ -14,12 +14,14 @@ is re-verified from scratch, with an explicit telescoping witness Y.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactalg import (DenseMatrix, PeriodPolyError, eigen_kernel, poly_divmod,
-                       poly_mul, poly_sub, poly_trim, solve_columns)
+from .exactalg import (DenseMatrix, PeriodPolyError, check,
+                       clear_denominators, eigen_kernel, poly_divmod, poly_mul,
+                       poly_sub, poly_trim, solve_columns)
 from .cosets import (CosetSpace, Mat2, MAT_I, MAT_S, MAT_T, GAMMA0, GAMMA1,
                      _crt, _xgcd)
 from .polyspace import (PolyVector, ExtPolyVector, Subspace, slash_poly,
@@ -201,8 +203,7 @@ def verify_hecke_property(cand: GroupRingElement, n: int):
                        .canonical_pm())
                 y_coeffs[key] = y_coeffs.get(key, Fraction(0)) + sign * c
     y = GroupRingElement(n, y_coeffs)
-    check = gre_mul(ONE_MINUS_T, y)
-    if check != delta:
+    if gre_mul(ONE_MINUS_T, y) != delta:
         raise HeckeError("telescoping witness failed its own recheck")
     return True, y
 
@@ -271,7 +272,7 @@ def solve_universal_hecke(n: int, entry_bound: Optional[int] = None,
     if n == 1:
         cand = GroupRingElement(1, {MAT_I: Fraction(1)})
         ok, _ = verify_hecke_property(cand, 1)
-        assert ok
+        check(ok, "the identity fails the Hecke identity at n = 1")
         return cand
     const = gre_mul(tn_infinity(n), ONE_MINUS_S)
     demands: dict = {}
@@ -424,7 +425,7 @@ def theta_matrix(kind: str, N: int, n: int) -> Mat2:
     np = N // n
     if kind == GAMMA0:
         g, u, v = _xgcd(n, np)
-        assert g == 1
+        check(g == 1, "theta needs gcd(n, N/n) = 1")
         # n*u + np*v = 1  ->  w = (n u, -v; N, n), det = n(nu + np v) = n
         return Mat2(n * u, -v, N, n)
     # Gamma1 needs y = 1 mod n as well
@@ -432,7 +433,7 @@ def theta_matrix(kind: str, N: int, n: int) -> Mat2:
     while math.gcd(n, np * y) != 1:
         y += n
     g, alpha, beta = _xgcd(n, np * y)
-    assert g == 1
+    check(g == 1, "theta needs gcd(n, N/n y) = 1")
     # n alpha + np y beta = 1 -> w = (n alpha, y; -N beta, n)
     return Mat2(n * alpha, y, -N * beta, n)
 
@@ -503,25 +504,92 @@ def _in_sigma(g: Mat2, spec: SigmaSpec) -> bool:
 # ----------------------------------------------------------------------
 # actions
 
+class HeckeOperator:
+    """P |_Sigma t on the PolyVectors of one coset space, compiled once.
+
+    Each (label, M) pair of the support of t is resolved exactly once, and
+    coeff * s**w times the matrix of |M on degree <= w polynomials is
+    folded into one integer (w+1) x (w+1) block per (target label, source
+    label) pair; the coefficients of t are cleared over the common
+    denominator ``den``.  The image of a coordinate vector is then a sum of
+    block x slice products over the nonzero source slices.
+    """
+
+    __slots__ = ("space", "w", "den", "blocks")
+
+    def __init__(self, space: CosetSpace, w: int, t: GroupRingElement,
+                 spec: SigmaSpec):
+        self.space, self.w = space, w
+        den = 1
+        for c in t.coeffs.values():
+            den = math.lcm(den, c.denominator)
+        self.den = den
+        n = w + 1
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        # target -> {source: block}, each block held as its columns X^j | M
+        folded = [{} for _ in range(space.size)]
+        for M, coeff in t.items():
+            c = int(coeff * den)
+            cols = None
+            for l in range(space.size):
+                hit = resolve_sigma_coset(space, l, M, spec)
+                if hit is None:
+                    continue
+                l2, s = hit
+                if cols is None:
+                    cols = [slash_poly(e, M, w) for e in units]
+                f = c if s ** w == 1 else -c
+                block = folded[l].get(l2)
+                if block is None:
+                    folded[l][l2] = [[f * v for v in col] for col in cols]
+                    continue
+                for bcol, col in zip(block, cols):
+                    for i in range(n):
+                        bcol[i] += f * col[i]
+        self.blocks = [[(l2, list(zip(*block)))
+                        for l2, block in sorted(d.items())
+                        if any(any(col) for col in block)]
+                       for d in folded]
+
+    def apply(self, coords: Sequence) -> list:
+        """den times the image of a coordinate vector, as coordinates."""
+        n = self.w + 1
+        if len(coords) != self.space.size * n:
+            raise HeckeError("coordinate vector does not match the operator's space")
+        slices = [coords[l * n:(l + 1) * n] for l in range(self.space.size)]
+        live = [any(x) for x in slices]
+        out = []
+        for pairs in self.blocks:
+            acc = [0] * n
+            for l2, block in pairs:
+                if not live[l2]:
+                    continue
+                x = slices[l2]
+                for i, row in enumerate(block):
+                    acc[i] += sum(map(operator.mul, row, x))
+            out.extend(acc)
+        return out
+
+    def image_coords(self, values: Sequence, den: int) -> list:
+        """Image of the coordinate vector values / den, divided out once."""
+        inv = Fraction(1, den * self.den)
+        return [v * inv for v in self.apply(values)]
+
+    def image(self, P: PolyVector) -> PolyVector:
+        """P |_Sigma t, applied in integers when P is rational."""
+        if P.space is not self.space or P.w != self.w:
+            raise HeckeError("vector does not live on the operator's space")
+        coords = P.coords()
+        values, den = clear_denominators(coords) or (coords, 1)
+        return PolyVector.from_coords(self.space, self.w,
+                                      self.image_coords(values, den))
+
+
 def hecke_action(P, t: GroupRingElement, spec: SigmaSpec):
     """P |_Sigma t for a PolyVector or ExtPolyVector."""
     if isinstance(P, ExtPolyVector):
         return _hecke_action_extended(P, t, spec)
-    space, w = P.space, P.w
-    vals = [[0] * (w + 1) for _ in range(space.size)]
-    for M, coeff in t.items():
-        for l in range(space.size):
-            hit = resolve_sigma_coset(space, l, M, spec)
-            if hit is None:
-                continue
-            l2, s = hit
-            img = slash_poly(P.values[l2], M, w)
-            c = coeff if s ** w == 1 else -coeff
-            row = vals[l]
-            for i, v in enumerate(img):
-                if v:
-                    row[i] = row[i] + c * v
-    return PolyVector(space, w, [tuple(r) for r in vals])
+    return HeckeOperator(P.space, P.w, t, spec).image(P)
 
 
 def _hecke_action_extended(P: ExtPolyVector, t: GroupRingElement,
@@ -582,7 +650,7 @@ def _frac_add(n1, d1, n2, d2):
     if len(g) > 1:
         num, r1 = poly_divmod(num, g)
         den, r2 = poly_divmod(den, g)
-        assert not any(r1) and not any(r2)
+        check(not any(r1) and not any(r2), "polynomial gcd does not divide exactly")
     return poly_trim(num), poly_trim(den)
 
 
@@ -599,8 +667,16 @@ def _fraction_to_tilde(num, den, w: int) -> list:
 
 
 def hecke_matrix(sub: Subspace, t: GroupRingElement, spec: SigmaSpec) -> DenseMatrix:
-    """Exact matrix of the action in the basis of a stable subspace."""
-    images = [hecke_action(v, t, spec) for v in sub.vectors()]
+    """Exact matrix of the action in the basis of a stable subspace.
+
+    The operator is compiled once and applied to each basis column with
+    its denominator cleared; every full image is checked for membership.
+    """
+    if sub.extended:
+        images = [hecke_action(v, t, spec) for v in sub.vectors()]
+    else:
+        op = HeckeOperator(sub.space, sub.w, t, spec)
+        images = [op.image_coords(col, den) for col, den in sub.cleared_columns()]
     return sub.restricted_matrix(images)
 
 

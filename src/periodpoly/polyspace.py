@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exactalg
-from .exactalg import (DenseMatrix, PeriodPolyError, QQ, kernel_basis,
-                       poly_mul, reduced_column_basis, sparse_int_kernel,
-                       sparse_int_rank)
+from .exactalg import (DenseMatrix, PeriodPolyError, QQ, clear_denominators,
+                       kernel_basis, poly_mul, reduced_column_basis,
+                       sparse_int_kernel, sparse_int_rank)
 from .cosets import (CosetSpace, Mat2, MAT_EPS, MAT_S, MAT_SINV, MAT_T,
                      MAT_TINV, MAT_U, MAT_U2, MAT_U2INV, MAT_UINV, GAMMA0,
                      build_coset_space)
@@ -348,7 +348,7 @@ class Subspace:
 
     The basis is kept in reduced column echelon form, which makes both the
     representation canonical and membership tests a cheap read-off of the
-    pivot coordinates.
+    pivot coordinates followed by an exact residual.
     """
 
     def __init__(self, space: CosetSpace, w: int, extended: bool,
@@ -363,6 +363,7 @@ class Subspace:
         for j in range(basis.ncols):
             col = basis.column(j)
             self.pivot_rows.append(next(i for i, x in enumerate(col) if x))
+        self._column_data = None
 
     @classmethod
     def from_vectors(cls, space: CosetSpace, w: int, extended: bool,
@@ -375,13 +376,56 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.ncols
 
+    def _columns(self) -> tuple:
+        """(cleared columns, L, support), built on first use.
+
+        Column j is values_j / d_j, with integer values over QQ and the
+        field's own entries with d_j = 1 otherwise; L = lcm(d_j), and the
+        support lists (pivot_j, nonzeros of values_j, L / d_j).
+        """
+        if self._column_data is None:
+            cols = []
+            for col in self.basis.columns():
+                c = clear_denominators(col) if self.field is QQ else None
+                cols.append(c if c is not None else (col, 1))
+            L = 1
+            for _, den in cols:
+                L = math.lcm(L, den)
+            support = [(piv, [(i, v) for i, v in enumerate(col) if v], L // den)
+                       for piv, (col, den) in zip(self.pivot_rows, cols)]
+            self._column_data = (cols, L, support)
+        return self._column_data
+
+    def cleared_columns(self) -> list:
+        """(values, den) per basis column, the column being values / den."""
+        return self._columns()[0]
+
     def coordinates_of(self, coords: Sequence) -> Optional[tuple]:
-        x = tuple(coords[i] for i in self.pivot_rows)
-        residual = self.basis.apply(x)
-        for a, b in zip(residual, coords):
-            if a != b:
-                return None
-        return x
+        """Coordinates in the basis, or None when coords lies outside the span.
+
+        With coords cleared to c / D and column j held as n_j / d_j, the
+        vector is a member iff L c - sum_j c[pivot_j] (L / d_j) n_j = 0 for
+        L = lcm(d_j); the residual runs over the stored nonzeros of each
+        column, in integers over QQ.
+        """
+        if len(coords) != self.ambient:
+            raise PolySpaceError("vector of length %d in an ambient space of "
+                                 "dimension %d" % (len(coords), self.ambient))
+        _, L, support = self._columns()
+        cleared = clear_denominators(coords)
+        c = cleared[0] if cleared is not None else coords
+        r = [L * v for v in c] if L != 1 else list(c)
+        for piv, nonzeros, scale in support:
+            f = c[piv]
+            if not f:
+                continue
+            if scale != 1:
+                f = f * scale
+            for i, v in nonzeros:
+                r[i] -= f * v
+        if any(r):
+            return None
+        return tuple(coords[i] for i in self.pivot_rows)
 
     def contains(self, vec) -> bool:
         return self.coordinates_of(_coords_of(vec)) is not None

@@ -1,7 +1,8 @@
 """Aggregated invariant checks, the single entry point behind `verify`.
 
-Each check raises AssertionError (or returns quietly) and is intended to
-run at desk scale; together they cover the per-module invariant lists.
+Each check raises CheckFailed with a message (or returns quietly), also
+under ``python -O``, and is intended to run at desk scale; together they
+cover the per-module invariant lists.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import math
 import random
 from fractions import Fraction
 
-from .exactalg import (CyclotomicField, DenseMatrix, QQ, bernoulli,
+from .exactalg import (CyclotomicField, DenseMatrix, QQ, bernoulli, check,
                        kernel_basis)
 from .cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_SINV, MAT_T, Mat2,
                      build_coset_space, classical_cusp_count_gamma0,
@@ -52,9 +53,9 @@ def check_exactalg_kernels():
         m = DenseMatrix(QQ, [[Fraction(rnd.randint(-3, 3)) for _ in range(nc)]
                              for _ in range(nr)])
         kb = kernel_basis(m)
-        assert (m * kb).is_zero() or kb.ncols == 0
-        assert m.rank() + kb.ncols == nc
-        assert kernel_basis(m) == kb  # determinism
+        check((m * kb).is_zero() or kb.ncols == 0, "kernel basis is not annihilated")
+        check(m.rank() + kb.ncols == nc, "rank + nullity != number of columns")
+        check(kernel_basis(m) == kb, "kernel basis is not deterministic")
 
 
 def check_exactalg_cyclotomic():
@@ -66,15 +67,17 @@ def check_exactalg_cyclotomic():
         for _ in range(m):
             total = total + p
             p = p * z
-        assert p == K.one           # zeta^m = 1
+        check(p == K.one, "zeta^%d != 1" % m)
         if m > 1:
-            assert not total        # sum of all m-th roots of unity
+            check(not total, "the %d-th roots of unity do not sum to 0" % m)
 
 
 def check_bernoulli():
-    assert bernoulli(0) == 1 and bernoulli(1) == Fraction(-1, 2)
-    assert bernoulli(6) == Fraction(1, 42) and bernoulli(8) == Fraction(-1, 30)
-    assert all(bernoulli(n) == 0 for n in range(3, 25, 2))
+    check(bernoulli(0) == 1 and bernoulli(1) == Fraction(-1, 2), "B_0 != 1 or B_1 != -1/2")
+    check(bernoulli(6) == Fraction(1, 42) and bernoulli(8) == Fraction(-1, 30),
+          "B_6 != 1/42 or B_8 != -1/30")
+    check(all(bernoulli(n) == 0 for n in range(3, 25, 2)),
+          "an odd Bernoulli number B_n, n > 1, is nonzero")
 
 
 def check_coset_group_action():
@@ -85,23 +88,24 @@ def check_coset_group_action():
             for l in range(space.size):
                 l1, s1 = space.act(l, g)
                 l2, s2 = space.act(l1, h)
-                assert (l2, s1 * s2) == space.act(l, g * h)
+                check((l2, s1 * s2) == space.act(l, g * h), "coset action is not a right action")
         for l in range(space.size):
             e1, s1 = space.eps_conj(l)
             e2, s2 = space.eps_conj(e1)
-            assert (e2, s1 * s2) == (l, 1)
+            check((e2, s1 * s2) == (l, 1), "eps conjugation is not an involution")
             j, s = space.tables["U"][l]
             j, s2 = space.tables["U"][j]
             j, s3 = space.tables["U"][j]
-            assert (j, s * s2 * s3) == space.tables["J"][l]
+            check((j, s * s2 * s3) == space.tables["J"][l], "U^3 != J on the coset tables")
 
 
 def check_cusp_counts():
     for N in range(1, 31):
         space = build_coset_space(GAMMA0, N, 4)
         cs = cusp_classes(space)
-        assert len(cs) == classical_cusp_count_gamma0(N)
-        assert sum(c.width for c in cs.classes) == space.size
+        check(len(cs) == classical_cusp_count_gamma0(N), "cusp count of Gamma0(%d) is off" % N)
+        check(sum(c.width for c in cs.classes) == space.size,
+              "cusp widths of Gamma0(%d) do not sum to the index" % N)
 
 
 def check_pairing_identities():
@@ -111,17 +115,21 @@ def check_pairing_identities():
         w = rnd.randint(0, 6)
         a = tuple(Fraction(rnd.randint(-5, 5)) for _ in range(w + 1))
         b = tuple(Fraction(rnd.randint(-5, 5)) for _ in range(w + 1))
-        assert pair_vw(a, b, w) == (-1) ** w * pair_vw(b, a, w)
-        assert pair_vw(slash_poly(a, g, w), b, w) == pair_vw(a, slash_poly(b, g.vee(), w), w)
+        check(pair_vw(a, b, w) == (-1) ** w * pair_vw(b, a, w), "<,> is not (-1)^w-symmetric")
+        check(pair_vw(slash_poly(a, g, w), b, w) == pair_vw(a, slash_poly(b, g.vee(), w), w),
+              "<p|g, q> != <p, q|g^vee>")
     for (N, k) in ((2, 8), (5, 4), (6, 2)):
         space = build_coset_space(GAMMA0, N, k)
         w = k - 2
         for _ in range(5):
             P, Q = _random_vector(rnd, space, w), _random_vector(rnd, space, w)
-            assert pair_braces(P, Q) == (-1) ** (w + 1) * pair_braces(Q, P)
-            assert pair_braces(P.eps(), Q.eps()) == (-1) ** (w + 1) * pair_braces(P, Q)
+            check(pair_braces(P, Q) == (-1) ** (w + 1) * pair_braces(Q, P),
+                  "{P, Q} is not (-1)^(w+1)-symmetric")
+            check(pair_braces(P.eps(), Q.eps()) == (-1) ** (w + 1) * pair_braces(P, Q),
+                  "{P|eps, Q|eps} != (-1)^(w+1) {P, Q}")
             gg = _random_word(rnd)
-            assert pair_induced(P.slash(gg), Q.slash(gg)) == pair_induced(P, Q)
+            check(pair_induced(P.slash(gg), Q.slash(gg)) == pair_induced(P, Q),
+                  "<<P|g, Q|g>> != <<P, Q>>")
 
 
 def check_radical_and_duality():
@@ -132,14 +140,15 @@ def check_radical_and_duality():
         C, D = build_coboundary_and_D(space, w)
         for i in range(C.dim):
             for j in range(W.dim):
-                assert pair_braces(C.vector(i), W.vector(j)) == 0
+                check(pair_braces(C.vector(i), W.vector(j)) == 0,
+                      "C is not in the radical of {,} on W")
         gram = DenseMatrix(QQ, [[pair_braces(W.vector(i), W.vector(j))
                                  for j in range(W.dim)] for i in range(W.dim)])
-        assert gram.rank() == W.dim - C.dim
+        check(gram.rank() == W.dim - C.dim, "the radical of {,} on W is not C")
         Wt = build_W_extended(space, w)
         gram2 = DenseMatrix(QQ, [[pair_braces(Wt.vector(i), Wt.vector(j))
                                   for j in range(Wt.dim)] for i in range(Wt.dim)])
-        assert gram2.rank() == Wt.dim
+        check(gram2.rank() == Wt.dim, "{,} on Wtilde is degenerate")
         # duality closed form against every extended basis vector
         for fam in _tail_families(space, w):
             vals = []
@@ -156,16 +165,16 @@ def check_radical_and_duality():
                 rhs = -Fraction(6, space.index) * sum(
                     Fraction(a) * (-1) ** w * (w + 1) * b
                     for a, b in zip(fam, Q.tails))
-                assert pair_braces(P, Q) == rhs
+                check(pair_braces(P, Q) == rhs, "duality closed form fails")
 
 
 def check_hecke_defining_identity():
     for n in range(1, 13):
         el = solve_universal_hecke(n, n)
         ok, y = verify_hecke_property(el, n)
-        assert ok
+        check(ok, "solved T~_%d fails the defining identity" % n)
         delta = gre_mul(tn_infinity(n), ONE_MINUS_S) - gre_mul(ONE_MINUS_S, el)
-        assert gre_mul(ONE_MINUS_T, y) == delta
+        check(gre_mul(ONE_MINUS_T, y) == delta, "telescoping witness fails at n = %d" % n)
 
 
 def check_orbit_criterion_soundness():
@@ -181,7 +190,7 @@ def check_orbit_criterion_soundness():
         for m, c in delta.coeffs.items():
             rep = torbit_canonical(m)
             sums[rep] = sums.get(rep, Fraction(0)) + c
-        assert all(not v for v in sums.values())
+        check(all(not v for v in sums.values()), "(1 - T) Y changes an orbit sum")
 
 
 def check_hecke_adjointness():
@@ -193,8 +202,9 @@ def check_hecke_adjointness():
         for i in range(W.dim):
             for j in range(W.dim):
                 P, Q = W.vector(i), W.vector(j)
-                assert pair_braces(hecke_action(P, t, sd), Q) == \
-                    pair_braces(P, hecke_action(Q, t, sv))
+                check(pair_braces(hecke_action(P, t, sd), Q) ==
+                      pair_braces(P, hecke_action(Q, t, sv)),
+                      "T~_%d is not adjoint to its vee on W, level %d" % (n, N))
     space = build_coset_space(GAMMA0, 5, 4)
     Wt = build_W_extended(space, 2)
     t = universal_hecke_element(2)
@@ -202,8 +212,9 @@ def check_hecke_adjointness():
     for i in range(Wt.dim):
         for j in range(Wt.dim):
             P, Q = Wt.vector(i), Wt.vector(j)
-            assert pair_braces(hecke_action(P, t, sd), Q) == \
-                pair_braces(P, hecke_action(Q, t, sv))
+            check(pair_braces(hecke_action(P, t, sd), Q) ==
+                  pair_braces(P, hecke_action(Q, t, sv)),
+                  "T~_2 is not adjoint to its vee on Wtilde, level 5")
 
 
 def check_hecke_stability_and_commutativity():
@@ -214,17 +225,18 @@ def check_hecke_stability_and_commutativity():
     t2 = universal_hecke_element(2)
     sd = delta_spec(GAMMA0, 5, 2)
     for v in W.vectors():
-        assert W.contains(hecke_action(v, t2, sd))
+        check(W.contains(hecke_action(v, t2, sd)), "W is not stable under T~_2")
     for v in C.vectors():
-        assert C.contains(hecke_action(v, t2, sd))
+        check(C.contains(hecke_action(v, t2, sd)), "C is not stable under T~_2")
     for v in Wt.vectors():
-        assert Wt.contains(hecke_action(v, t2, sd))
+        check(Wt.contains(hecke_action(v, t2, sd)), "Wtilde is not stable under T~_2")
     mats = {n: hecke_matrix(W, universal_hecke_element(n), delta_spec(GAMMA0, 5, n))
             for n in (2, 3, 4, 5, 6)}
     for n in mats:
         for m in mats:
             if n < m and math.gcd(n, m) == 1:
-                assert mats[n] * mats[m] == mats[m] * mats[n]
+                check(mats[n] * mats[m] == mats[m] * mats[n],
+                      "T~_%d and T~_%d do not commute" % (n, m))
 
 
 def check_level_one_multiplicativity():
@@ -232,19 +244,21 @@ def check_level_one_multiplicativity():
     W = build_W(space, 10)
     ms = {n: hecke_matrix(W, universal_hecke_element(n), delta_spec(GAMMA0, 1, n))
           for n in (2, 3, 6)}
-    assert ms[2] * ms[3] == ms[6]
+    check(ms[2] * ms[3] == ms[6], "T~_2 T~_3 != T~_6 at level 1")
 
 
 def check_atkin_lehner_squares():
     space = build_coset_space(GAMMA0, 2, 8)
     W = build_W(space, 6)
     m = hecke_matrix(W, universal_hecke_element(2), theta_spec(GAMMA0, 2, 2))
-    assert m * m == DenseMatrix.identity(QQ, W.dim).scaled(Fraction(2 ** 6))
+    check(m * m == DenseMatrix.identity(QQ, W.dim).scaled(Fraction(2 ** 6)),
+          "W_2^2 != 2^6 on Gamma0(2), k = 8")
     space6 = build_coset_space(GAMMA0, 6, 4)
     W6 = build_W(space6, 2)
     for n in (2, 3, 6):
         m = hecke_matrix(W6, universal_hecke_element(n), theta_spec(GAMMA0, 6, n))
-        assert m * m == DenseMatrix.identity(QQ, W6.dim).scaled(Fraction(n ** 2))
+        check(m * m == DenseMatrix.identity(QQ, W6.dim).scaled(Fraction(n ** 2)),
+              "W_%d^2 != %d^2 on Gamma0(6), k = 4" % (n, n))
 
 
 def check_eps_block_structure():
@@ -253,7 +267,8 @@ def check_eps_block_structure():
     Wp, Wm = eps_split(W)
     t2 = universal_hecke_element(2)
     sd = delta_spec(GAMMA0, 5, 2)
-    assert hecke_matrix(Wp, t2, sd).nrows + hecke_matrix(Wm, t2, sd).nrows == W.dim
+    check(hecke_matrix(Wp, t2, sd).nrows + hecke_matrix(Wm, t2, sd).nrows == W.dim,
+          "eps blocks of T~_2 do not fill W")
 
 
 def _level5_data():
@@ -274,12 +289,13 @@ def check_thirteen_congruence():
         for n in range(1, w):
             coeff = Pp.values[l][w - n]
             ratio = coeff * Fraction((-1) ** (w - n), math.comb(w, n))
-            assert ratio.numerator % 13 == 0
+            check(ratio.numerator % 13 == 0, "an interior period of P+ is not divisible by 13")
     eis = eisenstein_qexp(4, 1, 16)
     congruence_side = eis - eis.dilate(5)
     for n in range(1, 11):
         diff = f.qseries.coeff(n) - congruence_side.coeff(n)
-        assert diff.denominator == 1 and diff.numerator % 13 == 0
+        check(diff.denominator == 1 and diff.numerator % 13 == 0,
+              "a_%d(f) is not congruent to the Eisenstein side mod 13" % n)
 
 
 def check_eigenvalue_consistency():
@@ -287,7 +303,7 @@ def check_eigenvalue_consistency():
     for n in range(1, 31):
         lam = manin_coefficient(Pp, universal_hecke_element(n),
                                 delta_spec(GAMMA0, 5, n), n)
-        assert lam == f.qseries.coeff(n)
+        check(lam == f.qseries.coeff(n), "recovered eigenvalue at n = %d is wrong" % n)
 
 
 def check_lvalue_truncation():
@@ -296,7 +312,8 @@ def check_lvalue_truncation():
         for s in range(1, f.weight):
             half = completed_lvalue(f, s, 50)
             full = completed_lvalue(f, s, 100)
-            assert abs(full.value - half.value) <= half.err
+            check(abs(full.value - half.value) <= half.err,
+                  "Lambda(%d) moves past its error bound when terms double" % s)
 
 
 def check_omega_parity_and_haberland_consistency():
@@ -304,25 +321,29 @@ def check_omega_parity_and_haberland_consistency():
     op, om = period_and_omega(f)
     k = f.weight
     # real coefficients: omega+ in i^(k+1) R, omega- in i^k R
-    assert abs((op.value / (1j) ** (k + 1)).imag) < 1e-9 * abs(op.value)
-    assert abs((om.value / (1j) ** k).imag) < 1e-9 * abs(om.value)
+    check(abs((op.value / (1j) ** (k + 1)).imag) < 1e-9 * abs(op.value),
+          "omega+ is not in i^(k+1) R")
+    check(abs((om.value / (1j) ** k).imag) < 1e-9 * abs(om.value), "omega- is not in i^k R")
     # 6 C_k (f,f) from the full pairing = 2 x refined value
     G = pair_braces(Pp, Pm)
     full = (op.value * om.value.conjugate() - om.value * op.value.conjugate()) \
         * complex(G) / (6 * haberland_constant(k))
     refined, _ = petersson_product(f, f, (Pp, Pm), (Pp, Pm))
-    assert abs(full - refined) < 1e-12
+    check(abs(full - refined) < 1e-12, "full and refined Haberland values differ")
 
 
 def check_gamma02_suite():
-    assert gamma02.fy_generator_periods(8, 1)[0] == Fraction(-8, 51)
+    check(gamma02.fy_generator_periods(8, 1)[0] == Fraction(-8, 51),
+          "Fukuhara-Yang period at k = 8 is not -8/51")
     for k in (4, 8, 12):
-        assert gamma02.principal_space(k - 2).ncols == \
-            build_W(build_coset_space(GAMMA0, 2, k), k - 2).dim
+        check(gamma02.principal_space(k - 2).ncols ==
+              build_W(build_coset_space(GAMMA0, 2, k), k - 2).dim,
+              "principal space and W disagree in dimension at k = %d" % k)
     f = NewformData(2, 8, eta_product([(1, 8), (2, 8)], 200), 1)
     rep = gamma02.extra_relations_check(f)
-    assert all(r["rel_residual"] < 1e-6 for r in rep["relations"])
-    assert rep["petersson_residual"] < 1e-10
+    check(all(r["rel_residual"] < 1e-6 for r in rep["relations"]),
+          "an extra Gamma0(2) relation fails")
+    check(rep["petersson_residual"] < 1e-10, "reduced and full Petersson norms differ")
     # reduced pairing vs full model on opposite-parity basis pairs
     space = build_coset_space(GAMMA0, 2, 8)
     W = build_W(space, 6)
@@ -331,16 +352,16 @@ def check_gamma02_suite():
     for i in range(Wp.dim):
         for j in range(Wm.dim):
             P, Q = Wp.vector(i), Wm.vector(j)
-            assert gamma02.reduced_pairing(P.values[idl], Q.values[idl], 6) == \
-                pair_braces(P, Q)
+            check(gamma02.reduced_pairing(P.values[idl], Q.values[idl], 6) ==
+                  pair_braces(P, Q), "reduced pairing differs from the full model")
 
 
 def check_gamma06_demo():
     rep = eisenstein_period_demo("gamma06")
-    assert rep["additivity_exact"]
-    assert rep["additivity_residual"] < 1e-10
-    assert rep["d1_residual"] < 1e-10
-    assert rep["d9_matches_ln3_minus_ln2"]
+    check(rep["additivity_exact"], "Gamma0(6) Eisenstein additivity is not exact")
+    check(rep["additivity_residual"] < 1e-10, "Gamma0(6) additivity residual too large")
+    check(rep["d1_residual"] < 1e-10, "d_1 residual too large")
+    check(rep["d9_matches_ln3_minus_ln2"], "d_9 != ln 3 - ln 2")
 
 
 def check_cminus_classification():
@@ -358,7 +379,7 @@ def check_cminus_classification():
             p += 2
         return True
     for N in range(1, 61):
-        assert cminus_trivial(N) == rule(N), N
+        check(cminus_trivial(N) == rule(N), "C^- rule fails at N = %d" % N)
 
 
 def check_chi_components():
@@ -371,11 +392,12 @@ def check_chi_components():
         for ch in dirichlet_characters(5):
             comp = chi_component(W, ch)
             conj = chi_component(W, ch.conjugate())
-            assert comp.dim == conj.dim
+            check(comp.dim == conj.dim, "chi and its conjugate give different dimensions")
             total += comp.dim
             if ch.is_trivial():
-                assert comp.dim == build_W(build_coset_space(GAMMA0, 5, 4), 2).dim
-    assert total == W.dim
+                check(comp.dim == build_W(build_coset_space(GAMMA0, 5, 4), 2).dim,
+                      "trivial chi-part differs from W over Gamma0(5)")
+    check(total == W.dim, "chi-components do not add up to W")
 
 
 CHECKS = [

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -226,6 +229,24 @@ class TestVerifyAndDemos:
         assert code == 0
 
 
+    def test_verify_fails_under_optimize(self):
+        # python -O strips assert statements; the checks must still fail
+        code = ("import sys\n"
+                "from fractions import Fraction\n"
+                "from periodpoly import cli, verifysuite\n"
+                "verifysuite.bernoulli = lambda n: Fraction(7)\n"
+                "sys.exit(cli.main(['verify', '--only', 'exactalg.bernoulli']))\n")
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path),
+                              timeout=300)
+        assert proc.returncode == cli.EXIT_VERIFY_FAILED
+        fail = [line for line in proc.stdout.splitlines()
+                if line.startswith("FAIL exactalg.bernoulli:")]
+        assert len(fail) == 1 and fail[0].split(":", 1)[1].strip()
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         code, _ = run_cli(["frobnicate"])
@@ -239,6 +260,12 @@ class TestUsage:
     ["dims", "--level", "11", "--weight", "1"],
     ["eigenpoly", "--level", "11", "--weight", "2", "--parity", "plus",
      "--eigen", "2:1/0"],
+    ["hecke-matrix", "--level", "11", "--weight", "2", "--n", "0"],
+    ["eigenvalue", "--level", "11", "--weight", "2", "--n", "0",
+     "--eigen", "2:-2"],
+    ["hecke-element", "--n", "0"],
+    ["eigenpoly", "--level", "11", "--weight", "2", "--parity", "plus",
+     "--eigen", "0:1"],
 ])
 def test_bad_input_is_one_line_usage_error(argv, capsys):
     code, _ = run_cli(argv)

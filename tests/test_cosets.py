@@ -239,6 +239,17 @@ class TestCusps:
         assert len(cs) == 4
         assert all(c.regular for c in cs.classes)
 
+    def test_class_of_agrees_with_scan(self):
+        spaces = [build_coset_space(GAMMA0, N, 2) for N in range(1, 61)]
+        spaces += [build_coset_space(GAMMA1, N, 2) for N in range(1, 21)]
+        for sp in spaces:
+            cs = cusp_classes(sp)
+            for label in range(sp.size):
+                scan = [i for i, cl in enumerate(cs.classes) if label in cl.labels]
+                assert [cs.class_of(label)] == scan
+            with pytest.raises(CosetError):
+                cs.class_of(sp.size)
+
 
 class TestCharacters:
     def test_group_mod_5(self):

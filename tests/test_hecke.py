@@ -9,9 +9,10 @@ from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, MAT_TINV,
                                Mat2, build_coset_space)
 from periodpoly.polyspace import (PolyVector, build_W, build_W_extended,
                                   build_coboundary_and_D, eps_split,
-                                  pair_braces)
+                                  pair_braces, slash_poly)
 from periodpoly.hecke import (EigenspaceError, GroupRingElement, HeckeError,
-                              ONE_MINUS_S, ONE_MINUS_T, SigmaSpec, adjoint_vee,
+                              HeckeOperator, ONE_MINUS_S, ONE_MINUS_T,
+                              SigmaSpec, adjoint_vee,
                               common_eigen_polynomial, delta_spec,
                               delta_vee_spec, diamond_spec, gre_mul, gre_unit,
                               hecke_action, hecke_matrix, heilbronn_element,
@@ -215,6 +216,88 @@ class TestActions:
                 P, Q = Wt.vector(i), Wt.vector(j)
                 assert pair_braces(hecke_action(P, t, sd), Q) == \
                     pair_braces(P, hecke_action(Q, t, sv))
+
+
+def reference_hecke_action(P, t, spec):
+    """P |_Sigma t by the per-(label, M) loop, one slash per resolved pair."""
+    space, w = P.space, P.w
+    vals = [[0] * (w + 1) for _ in range(space.size)]
+    for M, coeff in t.items():
+        for l in range(space.size):
+            hit = resolve_sigma_coset(space, l, M, spec)
+            if hit is None:
+                continue
+            l2, s = hit
+            img = slash_poly(P.values[l2], M, w)
+            c = coeff if s ** w == 1 else -coeff
+            for i, v in enumerate(img):
+                vals[l][i] += c * v
+    return PolyVector(space, w, vals)
+
+
+def _specs(kind, N, n):
+    specs = [delta_spec(kind, N, n)]
+    if math.gcd(n, N) == 1:
+        specs.append(delta_vee_spec(kind, N, n))
+    if N % n == 0 and math.gcd(n, N // n) == 1:
+        specs.append(theta_spec(kind, N, n))
+    if kind == GAMMA1 and n == 1:
+        specs += [diamond_spec(kind, N, 2), diamond_spec(kind, N, -1)]
+    return specs
+
+
+class TestCompiledOperator:
+    """HeckeOperator against the per-(label, M) reference loop."""
+
+    @pytest.mark.parametrize("kind,N,k", [
+        (kind, N, k) for kind, levels in ((GAMMA0, (1, 5, 11, 37)), (GAMMA1, (5, 7)))
+        for N in levels for k in (2, 3, 4, 6) if kind == GAMMA1 or k % 2 == 0])
+    def test_images_match_reference(self, kind, N, k):
+        space = build_coset_space(kind, N, k)
+        w = k - 2
+        rnd = random.Random(N * 100 + k)
+        # the first basis vectors of W and two random rational vectors
+        vectors = build_W(space, w).vectors()[:3]
+        vectors += [PolyVector(space, w, [[Fraction(rnd.randint(-9, 9), rnd.randint(1, 6))
+                                          for _ in range(w + 1)]
+                                         for _ in range(space.size)])
+                    for _ in range(2)]
+        for n in (1, 2, 3, 5, 11):
+            t = universal_hecke_element(n)
+            for spec in _specs(kind, N, n):
+                op = HeckeOperator(space, w, t, spec)
+                for v in vectors:
+                    assert op.image(v).values == reference_hecke_action(v, t, spec).values
+                v = vectors[-1]
+                assert hecke_action(v, t, spec).values == op.image(v).values
+
+    def test_solver_element_with_rational_coefficients(self):
+        space = build_coset_space(GAMMA0, 11, 4)
+        W = build_W(space, 2)
+        for t in (solve_universal_hecke(3, 3, variant=1),
+                  solve_universal_hecke(5, 5).scale(Fraction(2, 3))):
+            spec = delta_spec(GAMMA0, 11, t.n)
+            op = HeckeOperator(space, 2, t, spec)
+            for v in W.vectors():
+                assert op.image(v).values == reference_hecke_action(v, t, spec).values
+        assert op.den == 3
+
+    def test_rejects_vectors_of_another_space(self, space5, w5):
+        op = HeckeOperator(space5, 2, universal_hecke_element(2),
+                           delta_spec(GAMMA0, 5, 2))
+        other = build_W(build_coset_space(GAMMA0, 7, 4), 2).vector(0)
+        with pytest.raises(HeckeError):
+            op.image(other)
+        with pytest.raises(HeckeError):
+            op.apply(w5.basis.column(0)[:-1])
+
+    def test_matrix_matches_reference_images(self, w5):
+        t = universal_hecke_element(3)
+        spec = delta_spec(GAMMA0, 5, 3)
+        m = hecke_matrix(w5, t, spec)
+        ref = w5.restricted_matrix([reference_hecke_action(v, t, spec)
+                                    for v in w5.vectors()])
+        assert m == ref
 
 
 class TestMatrices:

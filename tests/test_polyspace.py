@@ -392,6 +392,71 @@ class TestSerialization:
             PolyVector.from_json(other, doc)
 
 
+class TestMembership:
+    """The exact residual behind contains and restricted_matrix."""
+
+    @pytest.fixture(scope="class")
+    def w7(self):
+        # reduced basis columns with denominators 1, 4, 2, 2
+        W = build_W(build_coset_space(GAMMA0, 7, 4), 2)
+        assert sorted({den for _, den in W.cleared_columns()}) == [1, 2, 4]
+        return W
+
+    def member(self, W):
+        coords = [Fraction(0)] * W.ambient
+        for j, c in enumerate((Fraction(3, 5), Fraction(-2), Fraction(1, 7), Fraction(5))):
+            for i, v in enumerate(W.basis.column(j)):
+                coords[i] += c * v
+        return coords
+
+    def test_member_coordinates(self, w7):
+        assert w7.coordinates_of(self.member(w7)) == (
+            Fraction(3, 5), Fraction(-2), Fraction(1, 7), Fraction(5))
+
+    def test_non_pivot_change_rejected(self, w7):
+        coords = self.member(w7)
+        free = [i for i in range(w7.ambient) if i not in w7.pivot_rows]
+        for i in free:
+            bad = list(coords)
+            bad[i] += Fraction(1, 3)
+            assert w7.coordinates_of(bad) is None
+            assert not w7.contains(PolyVector.from_coords(w7.space, 2, bad))
+
+    def test_rational_scale_accepted(self, w7):
+        coords = [Fraction(7, 3) * c for c in self.member(w7)]
+        assert w7.coordinates_of(coords) == (
+            Fraction(7, 5), Fraction(-14, 3), Fraction(1, 3), Fraction(35, 3))
+        assert w7.contains(PolyVector.from_coords(w7.space, 2, coords))
+
+    def test_restricted_matrix_names_the_column(self, w7):
+        images = [w7.basis.column(j) for j in range(w7.dim)]
+        assert w7.restricted_matrix(images) == DenseMatrix.identity(QQ, w7.dim)
+        bad = list(images[2])
+        bad[next(i for i in range(w7.ambient) if i not in w7.pivot_rows)] += 1
+        images[2] = bad
+        with pytest.raises(PolySpaceError, match="basis vector 2 "):
+            w7.restricted_matrix(images)
+
+    def test_wrong_length_rejected(self, w7):
+        with pytest.raises(PolySpaceError, match="length"):
+            w7.coordinates_of([0] * (w7.ambient + 1))
+
+    def test_cyclotomic_field(self):
+        import warnings as _warnings
+        W = build_W(build_coset_space(GAMMA1, 7, 2), 0)
+        ch = next(ch for ch in dirichlet_characters(7) if ch.order == 3)
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("ignore")
+            comp = chi_component(W, ch)
+        assert comp.dim == 2
+        z = comp.field.zeta
+        coords = [z * a + 3 * b for a, b in zip(comp.basis.column(0), comp.basis.column(1))]
+        assert comp.coordinates_of(coords) == (z, comp.field.of(3))
+        free = next(i for i in range(comp.ambient) if i not in comp.pivot_rows)
+        coords[free] = coords[free] + z
+        assert comp.coordinates_of(coords) is None
+
+
 class TestChiComponents:
     def test_sum_over_characters(self):
         import warnings as _warnings
