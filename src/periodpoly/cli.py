@@ -274,6 +274,9 @@ def cmd_eigenvalue(args, out):
 
 
 def cmd_verify(args, out):
+    for sub in args.only or ():
+        if not any(sub in name for name, _ in verifysuite.CHECKS):
+            raise CliError("--only %r matches no check" % sub, EXIT_USAGE)
     failures = verifysuite.run_all(args.only, out)
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
@@ -406,13 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _check_space_args(args):
-    if getattr(args, "level", None) is not None and args.level < 1:
-        raise CliError("--level must be >= 1, got %d" % args.level, EXIT_USAGE)
-    if getattr(args, "weight", None) is not None and args.weight < 2:
-        raise CliError("--weight must be >= 2, got %d" % args.weight, EXIT_USAGE)
-    if getattr(args, "n", None) is not None and args.n < 1:
-        raise CliError("--n must be >= 1, got %d" % args.n, EXIT_USAGE)
+def _check_args(args):
+    for name, low in (("level", 1), ("weight", 2), ("n", 1), ("terms", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise CliError("--%s must be >= %d, got %d" % (name, low, value), EXIT_USAGE)
 
 
 def main(argv=None, out=None) -> int:
@@ -423,7 +424,7 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        _check_space_args(args)
+        _check_args(args)
         return args.func(args, out)
     except CliError as exc:
         sys.stderr.write("error: %s\n" % exc)

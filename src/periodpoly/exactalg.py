@@ -314,7 +314,7 @@ class RationalField:
     one = Fraction(1)
 
     def of(self, x) -> Fraction:
-        return Fraction(x)
+        return x if isinstance(x, Fraction) else Fraction(x)
 
     def __repr__(self):
         return "QQ"
@@ -425,17 +425,15 @@ class DenseMatrix:
     def __mul__(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.ncols != other.nrows:
             raise ExactAlgebraError("dimension mismatch in product")
-        z = self.field.zero
         out = []
         for row in self.rows:
-            out_row = []
-            for j in range(other.ncols):
-                acc = z
-                for k, a in enumerate(row):
-                    if a:
-                        acc = acc + a * other.rows[k][j]
-                out_row.append(acc)
-            out.append(out_row)
+            acc = [self.field.zero] * other.ncols
+            for a, orow in zip(row, other.rows):
+                if a:
+                    for j, b in enumerate(orow):
+                        if b:
+                            acc[j] = acc[j] + a * b
+            out.append(acc)
         return DenseMatrix(self.field, out, ncols=other.ncols)
 
     def __add__(self, other: "DenseMatrix") -> "DenseMatrix":
@@ -504,7 +502,7 @@ def _rref_rows(rows: list, field) -> tuple[list, list]:
         for i in range(nr):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nr:
@@ -600,6 +598,12 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False) -> list:
     Returns the pivot rows as (pivot_col, row_dict) sorted by pivot column.
     With ``reduce_fully`` each pivot column is cleared from every other
     pivot row, which makes kernel extraction a single back-substitution.
+
+    The pivot of a row is its last column, so clearing it from another row
+    only changes smaller columns and every pivot stays the last column of
+    its row.  The kernel vector of a free column f is then 1 at f and zero
+    above f and at the other free columns: the kernel vectors already are
+    the reduced column echelon basis that ``reduced_column_basis`` gives.
     """
     active = [_normalize_int_row(dict(r)) for r in rows if r]
     col_index: dict = {}
@@ -615,7 +619,7 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False) -> list:
         remaining.discard(best)
         if not row:
             continue
-        pc = min(row, key=lambda c: (abs(row[c]), c))
+        pc = max(row)
         pv = row[pc]
         for other in list(col_index.get(pc, ())):
             if other == best or other not in remaining:
@@ -668,7 +672,8 @@ def sparse_int_rank(rows: Iterable[dict]) -> int:
 
 
 def sparse_int_kernel(rows: Iterable[dict], ncols: int) -> list:
-    """Kernel of a sparse integer matrix, as Fraction vectors (tuples)."""
+    """Reduced column echelon basis of the kernel of a sparse integer
+    matrix, as Fraction vectors (tuples); see ``sparse_int_pivots``."""
     pivots = sparse_int_pivots(rows, reduce_fully=True)
     pivot_cols = {pc for pc, _ in pivots}
     free = [c for c in range(ncols) if c not in pivot_cols]

@@ -14,10 +14,10 @@ import warnings
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import exactalg
-from .exactalg import (DenseMatrix, PeriodPolyError, QQ, clear_denominators,
-                       kernel_basis, poly_mul, reduced_column_basis,
-                       sparse_int_kernel, sparse_int_rank)
+from .exactalg import (DenseMatrix, PeriodPolyError, QQ, check, clear_denominators,
+                       eigen_kernel, kernel_basis, poly_mul, reduced_column_basis,
+                       scalar_from_str, scalar_to_str, sparse_int_kernel,
+                       sparse_int_rank)
 from .cosets import (CosetSpace, Mat2, MAT_EPS, MAT_S, MAT_SINV, MAT_T,
                      MAT_TINV, MAT_U, MAT_U2, MAT_U2INV, MAT_UINV, GAMMA0,
                      build_coset_space)
@@ -150,7 +150,6 @@ class PolyVector:
         return PolyVector(self.space, self.w, vals)
 
     def to_json(self) -> dict:
-        from .exactalg import scalar_to_str
         space = self.space
         return {
             "group": space.kind,
@@ -162,7 +161,6 @@ class PolyVector:
 
     @classmethod
     def from_json(cls, space: CosetSpace, doc: dict) -> "PolyVector":
-        from .exactalg import scalar_from_str
         if (doc.get("group"), doc.get("level"), doc.get("weight")) != \
                 (space.kind, space.N, space.k):
             raise PolySpaceError("document does not match the coset space")
@@ -264,7 +262,6 @@ class ExtPolyVector:
         return vec
 
     def to_json(self) -> dict:
-        from .exactalg import scalar_to_str
         doc = self.poly.to_json()
         doc["cusp_constants"] = {self.space.label_str(l): scalar_to_str(self.tails[l])
                                  for l in range(self.space.size)}
@@ -272,7 +269,6 @@ class ExtPolyVector:
 
     @classmethod
     def from_json(cls, space: CosetSpace, doc: dict) -> "ExtPolyVector":
-        from .exactalg import scalar_from_str
         poly = PolyVector.from_json(space, doc)
         tails = [None] * space.size
         for label, c in doc["cusp_constants"].items():
@@ -348,7 +344,10 @@ class Subspace:
 
     The basis is kept in reduced column echelon form, which makes both the
     representation canonical and membership tests a cheap read-off of the
-    pivot coordinates followed by an exact residual.
+    pivot coordinates followed by an exact residual.  The constructor checks
+    that form.  If B is such a basis and K one in B-coordinates, then B K is
+    one too, its pivot rows being B's at K's pivots: the eps and chi parts
+    are built that way, without a second elimination.
     """
 
     def __init__(self, space: CosetSpace, w: int, extended: bool,
@@ -359,10 +358,15 @@ class Subspace:
         self.basis = basis
         self.field = field
         self.ambient = basis.nrows
-        self.pivot_rows = []
-        for j in range(basis.ncols):
-            col = basis.column(j)
-            self.pivot_rows.append(next(i for i, x in enumerate(col) if x))
+        self.pivot_rows = [next((i for i, x in enumerate(col) if x), None)
+                           for col in basis.columns()]
+        check(all(p is not None for p in self.pivot_rows), "zero basis column")
+        check(all(p < q for p, q in zip(self.pivot_rows, self.pivot_rows[1:])),
+              "basis pivot rows do not strictly increase")
+        for j, p in enumerate(self.pivot_rows):
+            row = basis.rows[p]
+            check(row[j] == 1 and not any(row[:j]) and not any(row[j + 1:]),
+                  "basis pivot row %d is not a unit row" % p)
         self._column_data = None
 
     @classmethod
@@ -508,8 +512,9 @@ def build_W(space: CosetSpace, w: int) -> Subspace:
     if space.degenerate:
         return Subspace.from_vectors(space, w, False, [])
     rows = _w_relation_rows(space, w)
-    vecs = sparse_int_kernel(rows, space.size * (w + 1))
-    return Subspace.from_vectors(space, w, False, vecs)
+    ambient = space.size * (w + 1)
+    vecs = sparse_int_kernel(rows, ambient)
+    return Subspace(space, w, False, DenseMatrix.from_columns(QQ, vecs, nrows=ambient))
 
 
 def w_dimensions(space: CosetSpace, w: int) -> tuple:
@@ -666,8 +671,9 @@ def build_W_extended(space: CosetSpace, w: int) -> Subspace:
     if space.degenerate:
         return Subspace.from_vectors(space, w, True, [])
     rows = _wtilde_relation_rows(space, w)
-    vecs = sparse_int_kernel(rows, space.size * (w + 3))
-    sub = Subspace.from_vectors(space, w, True, vecs)
+    ambient = space.size * (w + 3)
+    vecs = sparse_int_kernel(rows, ambient)
+    sub = Subspace(space, w, True, DenseMatrix.from_columns(QQ, vecs, nrows=ambient))
     for j in range(sub.dim):
         vec = sub.vector(j)  # validates tails and X^(-1) consistency
         if w == 0:
@@ -716,10 +722,9 @@ def eps_split(obj):
         emat = sub.restricted_matrix(images)
         out = []
         for target in (1, -1):
-            ker = exactalg.eigen_kernel(emat, sub.field.of(target))
-            vecs = [sub.basis.apply(ker.column(j)) for j in range(ker.ncols)]
-            out.append(Subspace.from_vectors(sub.space, sub.w, sub.extended,
-                                             vecs, field=sub.field))
+            ker = eigen_kernel(emat, sub.field.of(target))
+            out.append(Subspace(sub.space, sub.w, sub.extended, sub.basis * ker,
+                                sub.field))
         return tuple(out)
     raise PolySpaceError("cannot eps-split %r" % type(obj))
 
@@ -751,7 +756,8 @@ def chi_component(sub: Subspace, chi) -> Subspace:
         return Subspace.from_vectors(space, sub.w, sub.extended, [], field=field)
     units = _unit_generators_for(space.N)
     n = sub.w + 1 if not sub.extended else sub.w + 3
-    basis_cols = [sub.basis.column(j) for j in range(sub.dim)]
+    basis = DenseMatrix(field, sub.basis.rows, ncols=sub.dim)
+    cols = basis.columns()
     rows = []
     for u in units:
         chi_u = chi(u)
@@ -760,28 +766,11 @@ def chi_component(sub: Subspace, chi) -> Subspace:
             lu, s = space.label_of_row(u * c, u * d)
             sgn = field.of(s ** sub.w)
             for i in range(n):
-                row = []
-                for col in basis_cols:
-                    val = sgn * field.of(col[lu * n + i]) - chi_u * field.of(col[l * n + i])
-                    row.append(val)
+                row = [sgn * col[lu * n + i] - chi_u * col[l * n + i] for col in cols]
                 if any(row):
                     rows.append(row)
-    if not rows:
-        mat = DenseMatrix(field, [], ncols=sub.dim)
-    else:
-        mat = DenseMatrix(field, rows)
-    ker = kernel_basis(mat)
-    vecs = []
-    for j in range(ker.ncols):
-        x = ker.column(j)
-        vec = [field.zero] * sub.ambient
-        for t, col in zip(x, basis_cols):
-            if t:
-                for i, v in enumerate(col):
-                    if v:
-                        vec[i] = vec[i] + t * field.of(v)
-        vecs.append(tuple(vec))
-    return Subspace.from_vectors(space, sub.w, sub.extended, vecs, field=field)
+    ker = kernel_basis(DenseMatrix(field, rows, ncols=sub.dim))
+    return Subspace(space, sub.w, sub.extended, basis * ker, field)
 
 
 def _unit_generators_for(N: int) -> list:

@@ -12,14 +12,15 @@ import random
 from fractions import Fraction
 
 from .exactalg import (CyclotomicField, DenseMatrix, QQ, bernoulli, check,
-                       kernel_basis)
+                       kernel_basis, sparse_int_rank)
 from .cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_SINV, MAT_T, Mat2,
                      build_coset_space, classical_cusp_count_gamma0,
                      cusp_classes, dirichlet_characters)
 from .polyspace import (PolyVector, build_W, build_W_extended,
                         build_coboundary_and_D, chi_component, cminus_trivial,
                         eps_split, pair_braces, pair_induced, pair_vw,
-                        slash_poly, _tail_families)
+                        slash_poly, _tail_families, _w_relation_rows,
+                        _wtilde_relation_rows)
 from .hecke import (GroupRingElement, ONE_MINUS_S, ONE_MINUS_T, delta_spec,
                     delta_vee_spec, gre_mul, hecke_action, hecke_matrix,
                     solve_universal_hecke, theta_spec, tn_infinity,
@@ -193,28 +194,31 @@ def check_orbit_criterion_soundness():
         check(all(not v for v in sums.values()), "(1 - T) Y changes an orbit sum")
 
 
+def check_kernel_certificates():
+    for kind, N, k in ((GAMMA0, 37, 4), (GAMMA0, 12, 8), (GAMMA1, 11, 2)):
+        space = build_coset_space(kind, N, k)
+        for build, relations in ((build_W, _w_relation_rows),
+                                 (build_W_extended, _wtilde_relation_rows)):
+            sub, rows = build(space, k - 2), relations(space, k - 2)
+            where = "%s on %s(%d), k = %d" % (build.__name__, kind, N, k)
+            check(all(sum(v * col[c] for c, v in row.items()) == 0
+                      for col in sub.basis.columns() for row in rows), "R B != 0 for " + where)
+            check(sub.dim == sub.ambient - sparse_int_rank(rows),
+                  "dim != ncols - rank R for " + where)
+
+
 def check_hecke_adjointness():
-    for (N, k, n) in ((5, 4, 2), (5, 4, 3), (7, 4, 2)):
-        space = build_coset_space(GAMMA0, N, k)
-        W = build_W(space, k - 2)
+    for name, build, N, k, n in (("W", build_W, 5, 4, 2), ("W", build_W, 5, 4, 3),
+                                 ("W", build_W, 7, 4, 2), ("Wtilde", build_W_extended, 5, 4, 2)):
+        vecs = build(build_coset_space(GAMMA0, N, k), k - 2).vectors()
         t = universal_hecke_element(n)
         sd, sv = delta_spec(GAMMA0, N, n), delta_vee_spec(GAMMA0, N, n)
-        for i in range(W.dim):
-            for j in range(W.dim):
-                P, Q = W.vector(i), W.vector(j)
-                check(pair_braces(hecke_action(P, t, sd), Q) ==
-                      pair_braces(P, hecke_action(Q, t, sv)),
-                      "T~_%d is not adjoint to its vee on W, level %d" % (n, N))
-    space = build_coset_space(GAMMA0, 5, 4)
-    Wt = build_W_extended(space, 2)
-    t = universal_hecke_element(2)
-    sd, sv = delta_spec(GAMMA0, 5, 2), delta_vee_spec(GAMMA0, 5, 2)
-    for i in range(Wt.dim):
-        for j in range(Wt.dim):
-            P, Q = Wt.vector(i), Wt.vector(j)
-            check(pair_braces(hecke_action(P, t, sd), Q) ==
-                  pair_braces(P, hecke_action(Q, t, sv)),
-                  "T~_2 is not adjoint to its vee on Wtilde, level 5")
+        images = [hecke_action(P, t, sd) for P in vecs]
+        vee_images = [hecke_action(Q, t, sv) for Q in vecs]
+        for i, P in enumerate(vecs):
+            for j, Q in enumerate(vecs):
+                check(pair_braces(images[i], Q) == pair_braces(P, vee_images[j]),
+                      "T~_%d is not adjoint to its vee on %s, level %d" % (n, name, N))
 
 
 def check_hecke_stability_and_commutativity():
@@ -410,6 +414,7 @@ CHECKS = [
     ("polyspace.radical_duality", check_radical_and_duality),
     ("polyspace.cminus_rule", check_cminus_classification),
     ("polyspace.chi_components", check_chi_components),
+    ("polyspace.kernel_certificates", check_kernel_certificates),
     ("hecke.defining_identity", check_hecke_defining_identity),
     ("hecke.orbit_criterion", check_orbit_criterion_soundness),
     ("hecke.adjointness", check_hecke_adjointness),

@@ -205,20 +205,24 @@ def test_criterion_09_hecke_identities(w5_split):
         W = build_W(sp, k - 2)
         t = universal_hecke_element(n)
         sd, sv = delta_spec(GAMMA0, N, n), delta_vee_spec(GAMMA0, N, n)
+        vecs = W.vectors()
+        images = [hecke_action(P, t, sd) for P in vecs]
+        vee_images = [hecke_action(Q, t, sv) for Q in vecs]
         for i in range(W.dim):
             for j in range(W.dim):
-                P, Q = W.vector(i), W.vector(j)
-                ok &= pair_braces(hecke_action(P, t, sd), Q) == \
-                    pair_braces(P, hecke_action(Q, t, sv))
+                ok &= pair_braces(images[i], vecs[j]) == \
+                    pair_braces(vecs[i], vee_images[j])
     sp5 = build_coset_space(GAMMA0, 5, 4)
     Wt5 = build_W_extended(sp5, 2)
     t2 = universal_hecke_element(2)
     sd, sv = delta_spec(GAMMA0, 5, 2), delta_vee_spec(GAMMA0, 5, 2)
+    vecs = Wt5.vectors()
+    images = [hecke_action(P, t2, sd) for P in vecs]
+    vee_images = [hecke_action(Q, t2, sv) for Q in vecs]
     for i in range(Wt5.dim):
         for j in range(Wt5.dim):
-            P, Q = Wt5.vector(i), Wt5.vector(j)
-            ok &= pair_braces(hecke_action(P, t2, sd), Q) == \
-                pair_braces(P, hecke_action(Q, t2, sv))
+            ok &= pair_braces(images[i], vecs[j]) == \
+                pair_braces(vecs[i], vee_images[j])
     W5 = build_W(sp5, 2)
     mats = {n: hecke_matrix(W5, universal_hecke_element(n), delta_spec(GAMMA0, 5, n))
             for n in (2, 3, 5, 6)}

@@ -191,6 +191,10 @@ class TestVerifyAndDemos:
         assert code == 0
         assert "PASS exactalg.bernoulli" in text
 
+    def test_verify_kernel_certificates(self):
+        code, text = run_cli(["verify", "--only", "kernel_certificates"])
+        assert (code, text) == (0, "PASS polyspace.kernel_certificates\n")
+
     def test_verify_failure_exit_code(self, monkeypatch):
         from periodpoly import verifysuite
 
@@ -254,6 +258,9 @@ class TestUsage:
         capsys.readouterr()
 
 
+FORM = object()  # stands for a valid form file
+
+
 @pytest.mark.parametrize("argv", [
     ["dims", "--level", "0", "--weight", "2"],
     ["cusps", "--level", "-3", "--weight", "2"],
@@ -266,9 +273,15 @@ class TestUsage:
     ["hecke-element", "--n", "0"],
     ["eigenpoly", "--level", "11", "--weight", "2", "--parity", "plus",
      "--eigen", "0:1"],
+    ["lvalue", "--form", FORM, "--s", "1", "--terms", "-3"],
+    ["lvalue", "--form", FORM, "--s", "1", "--terms", "0"],
+    ["petersson", "--form", FORM, "--terms", "0"],
+    ["gamma02-relations", "--terms", "0"],
+    ["verify", "--only", "zzz"],
+    ["verify", "--only", "bernoulli", "--only", "zzz"],
 ])
-def test_bad_input_is_one_line_usage_error(argv, capsys):
-    code, _ = run_cli(argv)
+def test_bad_input_is_one_line_usage_error(argv, form5_path, capsys):
+    code, _ = run_cli([form5_path if a is FORM else a for a in argv])
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE
     assert err.startswith("error:") and err.count("\n") == 1

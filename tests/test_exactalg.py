@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodpoly.exactalg import (ApproxComplex, CyclotomicField, DenseMatrix,
                                  ExactAlgebraError, QQ, bernoulli,
@@ -155,6 +156,17 @@ class TestSparse:
             assert len(vecs) == nc - dense.rank()
             for v in vecs:
                 assert all(not sum(r[j] * v[j] for j in range(nc)) for r in rows)
+
+    @settings(derandomize=True, database=None, max_examples=150)
+    @given(data=st.data(), ncols=st.integers(1, 8))
+    def test_kernel_is_canonical_and_order_free(self, data, ncols):
+        entry = st.integers(-4, 4).filter(bool)
+        rows = data.draw(st.lists(
+            st.dictionaries(st.integers(0, ncols - 1), entry, max_size=4), max_size=8))
+        vecs = sparse_int_kernel(rows, ncols)
+        assert all(not sum(v * vec[c] for c, v in row.items()) for row in rows for vec in vecs)
+        assert reduced_column_basis(QQ, vecs, ncols).columns() == vecs
+        assert sparse_int_kernel(data.draw(st.permutations(rows)), ncols) == vecs
 
     def test_reduced_column_basis_canonical(self):
         v1 = (Fraction(2), Fraction(0), Fraction(2))

@@ -201,21 +201,25 @@ class TestActions:
             W = build_W(sp, k - 2)
             t = universal_hecke_element(n)
             sd, sv = delta_spec(GAMMA0, N, n), delta_vee_spec(GAMMA0, N, n)
+            vecs = W.vectors()
+            images = [hecke_action(P, t, sd) for P in vecs]
+            vee_images = [hecke_action(Q, t, sv) for Q in vecs]
             for i in range(W.dim):
                 for j in range(W.dim):
-                    P, Q = W.vector(i), W.vector(j)
-                    assert pair_braces(hecke_action(P, t, sd), Q) == \
-                        pair_braces(P, hecke_action(Q, t, sv))
+                    assert pair_braces(images[i], vecs[j]) == \
+                        pair_braces(vecs[i], vee_images[j])
 
     def test_adjointness_on_Wtilde(self, space5):
         Wt = build_W_extended(space5, 2)
         t = universal_hecke_element(2)
         sd, sv = delta_spec(GAMMA0, 5, 2), delta_vee_spec(GAMMA0, 5, 2)
+        vecs = Wt.vectors()
+        images = [hecke_action(P, t, sd) for P in vecs]
+        vee_images = [hecke_action(Q, t, sv) for Q in vecs]
         for i in range(Wt.dim):
             for j in range(Wt.dim):
-                P, Q = Wt.vector(i), Wt.vector(j)
-                assert pair_braces(hecke_action(P, t, sd), Q) == \
-                    pair_braces(P, hecke_action(Q, t, sv))
+                assert pair_braces(images[i], vecs[j]) == \
+                    pair_braces(vecs[i], vee_images[j])
 
 
 def reference_hecke_action(P, t, spec):

@@ -4,17 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from periodpoly.exactalg import DenseMatrix, QQ
+from periodpoly.exactalg import (CheckFailed, DenseMatrix, QQ, eigen_kernel,
+                                 kernel_basis, sparse_int_kernel)
 from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, MAT_TINV,
                                MAT_U, MAT_U2, Mat2, build_coset_space,
                                cusp_classes, dirichlet_characters)
 from periodpoly.polyspace import (ExtPolyVector, PolySpaceError, PolyVector,
-                                  build_W, build_W_extended,
+                                  Subspace, build_W, build_W_extended,
                                   build_coboundary_and_D, check_extended_relations,
                                   chi_component, cminus_trivial,
                                   decompose_extended, eps_split, pair_braces,
                                   pair_induced, pair_vw, slash_poly,
-                                  w_dimensions, wtilde_dimension)
+                                  w_dimensions, wtilde_dimension,
+                                  _unit_generators_for, _w_relation_rows,
+                                  _wtilde_relation_rows)
 
 
 def rand_vec(rnd, space, w):
@@ -490,3 +493,94 @@ class TestChiComponents:
         triv = next(ch for ch in dirichlet_characters(5) if ch.is_trivial())
         with pytest.raises(PolySpaceError):
             chi_component(w5, triv)
+
+
+# ----------------------------------------------------------------------
+# canonical bases without a second elimination, against the dense path
+
+def reference_eps_split(sub):
+    """The eps parts as from_vectors of the basis applied to each kernel column."""
+    emat = sub.restricted_matrix([v.eps() for v in sub.vectors()])
+    out = []
+    for target in (1, -1):
+        ker = eigen_kernel(emat, target)
+        out.append(Subspace.from_vectors(
+            sub.space, sub.w, sub.extended,
+            [sub.basis.apply(ker.column(j)) for j in range(ker.ncols)], field=sub.field))
+    return out
+
+
+def reference_chi_component(sub, chi):
+    """The chi-part as from_vectors of the basis applied to each kernel column."""
+    space, field = sub.space, chi.field if chi.field is not None else QQ
+    n = sub.w + 3 if sub.extended else sub.w + 1
+    cols = sub.basis.columns()
+    rows = []
+    for u in _unit_generators_for(space.N):
+        for l in range(space.size):
+            c, d = space.labels[l]
+            lu, s = space.label_of_row(u * c, u * d)
+            for i in range(n):
+                row = [field.of(s ** sub.w) * field.of(col[lu * n + i])
+                       - chi(u) * field.of(col[l * n + i]) for col in cols]
+                if any(row):
+                    rows.append(row)
+    ker = kernel_basis(DenseMatrix(field, rows, ncols=sub.dim))
+    basis = DenseMatrix(field, sub.basis.rows, ncols=sub.dim)
+    return Subspace.from_vectors(space, sub.w, sub.extended,
+                                 [basis.apply(ker.column(j)) for j in range(ker.ncols)],
+                                 field=field)
+
+
+CANONICAL_GRID = ([(GAMMA0, N, k) for N in (1, 5, 11, 37, 60) for k in (2, 4, 6)]
+                  + [(GAMMA1, N, k) for N in (5, 7, 11, 13) for k in (2, 3)])
+
+
+class TestCanonicalBases:
+    @pytest.mark.parametrize("kind,N,k", CANONICAL_GRID)
+    def test_builds_equal_from_vectors(self, kind, N, k):
+        space = build_coset_space(kind, N, k)
+        w = k - 2
+        for extended, build, relations in ((False, build_W, _w_relation_rows),
+                                           (True, build_W_extended, _wtilde_relation_rows)):
+            sub = build(space, w)
+            if space.degenerate:
+                assert sub.dim == 0
+                continue
+            vecs = sparse_int_kernel(relations(space, w), sub.ambient)
+            ref = Subspace.from_vectors(space, w, extended, vecs)
+            assert sub.basis == ref.basis and sub.pivot_rows == ref.pivot_rows
+
+    @pytest.mark.parametrize("kind,N,k", [(GAMMA0, 11, 4), (GAMMA0, 37, 4),
+                                          (GAMMA0, 60, 2), (GAMMA1, 7, 4),
+                                          (GAMMA1, 13, 3)])
+    def test_eps_split_equals_from_vectors(self, kind, N, k):
+        space = build_coset_space(kind, N, k)
+        for sub in (build_W(space, k - 2), build_W_extended(space, k - 2)):
+            for part, ref in zip(eps_split(sub), reference_eps_split(sub)):
+                assert part.basis == ref.basis
+
+    @pytest.mark.parametrize("N", [11, 13])
+    def test_chi_component_equals_from_vectors(self, N):
+        import warnings as _warnings
+        W = build_W(build_coset_space(GAMMA1, N, 2), 0)
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("ignore")  # odd characters give zero parts
+            for ch in dirichlet_characters(N):
+                comp = chi_component(W, ch)
+                ref = (reference_chi_component(W, ch) if ch.is_even_for_weight(2)
+                       else Subspace.from_vectors(W.space, 0, False, [], field=comp.field))
+                assert comp.field is ref.field and comp.basis == ref.basis
+
+    @pytest.mark.parametrize("cols", [
+        [(1, 0, 0), (0, 0, 0)],        # zero column
+        [(0, 1, 0), (1, 0, 0)],        # pivot rows decrease
+        [(2, 0, 1), (0, 1, 0)],        # pivot entry 2
+        [(1, 1, 0), (0, 1, 0)],        # pivot row 1 nonzero in column 0
+        [(1, 0, 0), (3, 0, 1)],        # pivot row 0 nonzero in column 1
+    ])
+    def test_constructor_rejects_non_echelon_basis(self, cols):
+        space = build_coset_space(GAMMA0, 1, 4)
+        basis = DenseMatrix.from_columns(QQ, [tuple(map(Fraction, c)) for c in cols])
+        with pytest.raises(CheckFailed):
+            Subspace(space, 2, False, basis)
