@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactalg import (ApproxComplex, PeriodPolyError, bernoulli, check,
-                       scalar_to_str, scalar_from_str)
+                       clear_denominators, scalar_to_str, scalar_from_str)
 from .cosets import MAT_I, MAT_S, GAMMA0, build_coset_space
 from .polyspace import PolyVector, pair_braces, build_W_extended
 from .hecke import GroupRingElement, SigmaSpec
@@ -410,24 +410,26 @@ def manin_coefficient(P_plus: PolyVector, t: GroupRingElement, spec: SigmaSpec,
     if t.n != n:
         raise AnalyticError("group-ring element has determinant %d, not %d" % (t.n, n))
     space, w = P_plus.space, P_plus.w
-    N = space.N
+    items = t.items()
+    t_ints, t_den = clear_denominators([c for _, c in items])
+    cleared = clear_denominators(P_plus.coords())
+    if cleared is None:
+        raise AnalyticError("P+ must have rational values")
+    p_ints, p_den = cleared
+    P = [p_ints[l * (w + 1):(l + 1) * (w + 1)] for l in range(space.size)]
+    acc = 0
     if w >= 1:
-        pivot = P_plus.values[space.identity_label][0]
-        if pivot != 1:
+        if P_plus.values[space.identity_label][0] != 1:
             raise AnalyticError("P+ is not normalized at the designated coordinate")
-        acc = 0
-        for M, coeff in t.items():
+        for (M, _), c in zip(items, t_ints):
             hit = space.label_of_row(-M.c, M.a)
             if hit is None:
                 continue
             l, s = hit
             # P+(-c_M, a_M)|M evaluated at 0: sum p_i b^i d^(w-i)
-            val = 0
-            for i, pi in enumerate(P_plus.values[l]):
-                if pi:
-                    val = val + pi * M.b ** i * M.d ** (w - i)
-            acc = acc + (coeff if s ** w == 1 else -coeff) * val
-        return acc
+            val = sum(pi * M.b ** i * M.d ** (w - i) for i, pi in enumerate(P[l]) if pi)
+            acc += (c if s ** w == 1 else -c) * val
+        return Fraction(acc, t_den * p_den)
     # weight 2
     if xy is None:
         xy = space.labels[space.identity_label]
@@ -437,15 +439,11 @@ def manin_coefficient(P_plus: PolyVector, t: GroupRingElement, spec: SigmaSpec,
         raise AnalyticError("normalization coordinate vanishes")
     if P_plus.values[pivot_hit[0]][0] != 1:
         raise AnalyticError("P+ is not normalized at (x, y)")
-    acc = 0
-    for M, coeff in t.items():
-        xm = x * M.d - y * M.c
-        ym = -x * M.b + y * M.a
-        hit = space.label_of_row(xm, ym)
-        if hit is None:
-            continue
-        acc = acc + coeff * P_plus.values[hit[0]][0]
-    return acc
+    for (M, _), c in zip(items, t_ints):
+        hit = space.label_of_row(x * M.d - y * M.c, -x * M.b + y * M.a)
+        if hit is not None:
+            acc += c * P[hit[0]][0]
+    return Fraction(acc, t_den * p_den)
 
 
 # ----------------------------------------------------------------------

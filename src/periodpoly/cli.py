@@ -414,6 +414,10 @@ def _check_args(args):
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise CliError("--%s must be >= %d, got %d" % (name, low, value), EXIT_USAGE)
+    bound = getattr(args, "entry_bound", None)
+    if bound is not None and bound < args.n:
+        raise CliError("--entry-bound must be >= --n (%d), got %d" % (args.n, bound),
+                       EXIT_USAGE)
 
 
 def main(argv=None, out=None) -> int:

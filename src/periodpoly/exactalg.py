@@ -157,7 +157,7 @@ class Cyclotomic:
         if len(coeffs) != field.degree:
             raise ExactAlgebraError("coefficient vector has wrong length")
         self.field = field
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
 
     def __bool__(self):
         return any(self.coeffs)
@@ -282,7 +282,7 @@ class CyclotomicField:
 
     def reduce(self, coeffs: Sequence[Fraction]) -> list:
         """Reduce a coefficient list modulo Phi_m."""
-        c = [Fraction(x) for x in coeffs]
+        c = [x if isinstance(x, Fraction) else Fraction(x) for x in coeffs]
         n = self.degree
         for i in range(len(c) - 1, n - 1, -1):
             top = c[i]

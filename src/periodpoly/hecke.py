@@ -52,13 +52,14 @@ class GroupRingElement:
         self.n = n
         clean = {}
         for m, c in coeffs.items():
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if not c:
                 continue
             if m.det() != n:
                 raise HeckeError("support matrix with determinant %d != %d" % (m.det(), n))
             key = m.canonical_pm()
-            clean[key] = clean.get(key, Fraction(0)) + c
+            clean[key] = clean[key] + c if key in clean else c
         self.coeffs = {m: c for m, c in clean.items() if c}
 
     def support(self) -> list:
@@ -171,41 +172,52 @@ def torbit_shift(m: Mat2, rep: Mat2) -> int:
 def verify_hecke_property(cand: GroupRingElement, n: int):
     """Exact check of the defining identity, with a witness.
 
-    Returns (True, Y) where (1 - T) Y equals
-    T_n^inf (1 - S) - (1 - S) cand, re-verified by direct group-ring
-    arithmetic, or (False, orbit_representative) for the first orbit whose
-    coefficient sum is nonzero.
+    Works in integers over den, the lcm of the denominators of cand:
+    delta = den (T_n^inf (1 - S) - (1 - S) cand) is grouped into left
+    <+-T> orbits.  Returns (False, orbit_representative) for the first orbit,
+    in sorted order, whose coefficient sum is nonzero.  Otherwise the
+    telescoping witness Y, with Y(T^t R) the sum of the coefficients of
+    delta at T^j R for j <= t, is rechecked exactly: (1 - T) Y = delta and
+    every support matrix has determinant n.  Returns (True, Y / den).
     """
     if cand.n != n:
         raise HeckeError("candidate has determinant %d, expected %d" % (cand.n, n))
-    delta = gre_mul(tn_infinity(n), ONE_MINUS_S) - gre_mul(ONE_MINUS_S, cand)
+    ints, den = clear_denominators(list(cand.coeffs.values()))
+    pairs = []
+    for m in tn_infinity(n).coeffs:
+        pairs += [(m, den), ((m * MAT_S).canonical_pm(), -den)]
+    for m, v in zip(cand.coeffs, ints):
+        pairs += [(m, -v), ((MAT_S * m).canonical_pm(), v)]
+    delta = _int_sum(pairs)
     orbits: dict = {}
-    for m, c in delta.coeffs.items():
-        orbits.setdefault(torbit_canonical(m), []).append((m, c))
-    y_coeffs: dict = {}
-    for rep in sorted(orbits):
-        terms = orbits[rep]
-        if sum(c for _, c in terms):
-            return False, rep
-        for m, c in terms:
-            j = torbit_shift(m, rep)
-            # T^j R - R = (1-T) * (-(R + TR + ... + T^(j-1) R)) for j > 0
-            if j > 0:
-                rng = range(0, j)
-                sign = -1
-            elif j < 0:
-                rng = range(j, 0)
-                sign = 1
-            else:
-                continue
-            for t in rng:
-                key = (Mat2(rep.a + t * rep.c, rep.b + t * rep.d, rep.c, rep.d)
-                       .canonical_pm())
-                y_coeffs[key] = y_coeffs.get(key, Fraction(0)) + sign * c
-    y = GroupRingElement(n, y_coeffs)
-    if gre_mul(ONE_MINUS_T, y) != delta:
+    for m, v in delta.items():
+        rep = torbit_canonical(m)
+        orbits.setdefault(rep, {})[torbit_shift(m, rep)] = v
+    bad = [rep for rep, terms in orbits.items() if sum(terms.values())]
+    if bad:
+        return False, min(bad)
+    y: dict = {}
+    for rep, terms in orbits.items():
+        js = sorted(terms)
+        acc = 0
+        for j, nxt in zip(js, js[1:]):
+            acc += terms[j]
+            if acc:
+                for t in range(j, nxt):
+                    y[Mat2(rep.a + t * rep.c, rep.b + t * rep.d, rep.c, rep.d)] = acc
+    recheck = _int_sum(pair for m, v in y.items()
+                       for pair in ((m, v), ((MAT_T * m).canonical_pm(), -v)))
+    if recheck != delta or any(m.det() != n for m in y):
         raise HeckeError("telescoping witness failed its own recheck")
-    return True, y
+    return True, GroupRingElement(n, {m: Fraction(v, den) for m, v in y.items()})
+
+
+def _int_sum(pairs) -> dict:
+    """Sum (key, integer) pairs by key, dropping the keys that sum to 0."""
+    out: dict = {}
+    for key, v in pairs:
+        out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
 
 
 # ----------------------------------------------------------------------
@@ -339,17 +351,22 @@ def solve_universal_hecke(n: int, entry_bound: Optional[int] = None,
 
 
 def merel_family(n: int) -> list:
-    """Integer matrices with det n, a > b >= 0 and d > c >= 0."""
+    """Integer matrices with det n, a > b >= 0 and d > c >= 0.
+
+    For each (a, b) the c with b c = -n (mod a) form one progression of step
+    a / gcd(a, b), empty unless gcd(a, b) divides n; d = (n + b c) / a, and
+    d > c is c (a - b) < n.  Listed by a, then b, then increasing c.
+    """
     out = []
     for a in range(1, n + 1):
         for b in range(a):
-            for c in range(n + 1):
-                num = n + b * c
-                if num % a:
-                    continue
-                d = num // a
-                if d > c:
-                    out.append(Mat2(a, b, c, d))
+            g = math.gcd(a, b)
+            if n % g:
+                continue
+            step = a // g
+            c0 = -(n // g) * pow(b // g, -1, step) % step
+            for c in range(c0, (n - 1) // (a - b) + 1, step):
+                out.append(Mat2(a, b, c, (n + b * c) // a))
     return out
 
 

@@ -163,12 +163,32 @@ class TestLValueAndPetersson:
         assert code == cli.EXIT_BAD_FILE
 
 
+def eta_coefficient(N, k, n):
+    """a_n of eta(z)^k eta(Nz)^k = q prod_m (1 - q^m)^k (1 - q^(N m))^k,
+    for k (1 + N) = 24, by multiplying out the factors one at a time."""
+    poly = [1] + [0] * (n - 1)  # the product, mod q^n
+    for m in range(1, n):
+        for step in (m, N * m):
+            for _ in range(k if step < n else 0):
+                for i in range(n - 1, step - 1, -1):
+                    poly[i] -= poly[i - step]
+    return poly[n - 1]
+
+
 class TestEigenvalue:
     def test_level5_minus4(self):
         code, text = run_cli(["eigenvalue", "--level", "5", "--weight", "4",
                               "--n", "2", "--eigen", "2:-4"])
         assert code == 0
         assert json.loads(text)["eigenvalue"] == "-4"
+
+    @pytest.mark.parametrize("n", [97, 151])
+    @pytest.mark.parametrize("N,k,eigen", [(11, 2, "2:-2"), (5, 4, "2:-4")])
+    def test_large_n_matches_eta_product(self, N, k, eigen, n):
+        code, text = run_cli(["eigenvalue", "--level", str(N), "--weight", str(k),
+                              "--n", str(n), "--eigen", eigen])
+        assert code == 0
+        assert json.loads(text)["eigenvalue"] == str(eta_coefficient(N, k, n))
 
     def test_needs_level(self):
         code, _ = run_cli(["eigenvalue", "--n", "2"])
@@ -279,6 +299,14 @@ FORM = object()  # stands for a valid form file
     ["gamma02-relations", "--terms", "0"],
     ["verify", "--only", "zzz"],
     ["verify", "--only", "bernoulli", "--only", "zzz"],
+    ["hecke-element", "--n", "5", "--method", "solve", "--entry-bound", "2"],
+    ["hecke-element", "--n", "5", "--entry-bound", "-3"],
+    ["hecke-matrix", "--level", "11", "--weight", "2", "--n", "3",
+     "--entry-bound", "-3"],
+    ["hecke-matrix", "--level", "11", "--weight", "2", "--n", "3",
+     "--entry-bound", "2"],
+    ["eigenvalue", "--level", "11", "--weight", "2", "--n", "3",
+     "--eigen", "2:-2", "--entry-bound", "2"],
 ])
 def test_bad_input_is_one_line_usage_error(argv, form5_path, capsys):
     code, _ = run_cli([form5_path if a is FORM else a for a in argv])

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodpoly.exactalg import DenseMatrix, QQ, eigen_kernel
 from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, MAT_TINV,
@@ -19,7 +20,9 @@ from periodpoly.hecke import (EigenspaceError, GroupRingElement, HeckeError,
                               ideal_membership_within_bound, merel_family,
                               resolve_sigma_coset, solve_universal_hecke,
                               theta_spec, tn_infinity, torbit_canonical,
-                              universal_hecke_element, verify_hecke_property)
+                              torbit_shift, universal_hecke_element,
+                              verify_hecke_property)
+from periodpoly.analytic import manin_coefficient
 
 
 class TestTnInfinity:
@@ -139,6 +142,110 @@ class TestSolver:
         for n in (2, 7, 12):
             el = heilbronn_element(n)
             assert verify_hecke_property(el, n)[0]
+
+
+def reference_merel_family(n):
+    """Merel's family by scanning every c in 0..n for each (a, b)."""
+    out = []
+    for a in range(1, n + 1):
+        for b in range(a):
+            for c in range(n + 1):
+                num = n + b * c
+                if num % a:
+                    continue
+                d = num // a
+                if d > c:
+                    out.append(Mat2(a, b, c, d))
+    return out
+
+
+def reference_verify_hecke_property(cand, n):
+    """The defining identity checked in per-entry Fractions."""
+    delta = gre_mul(tn_infinity(n), ONE_MINUS_S) - gre_mul(ONE_MINUS_S, cand)
+    orbits = {}
+    for m, c in delta.coeffs.items():
+        orbits.setdefault(torbit_canonical(m), []).append((m, c))
+    y_coeffs = {}
+    for rep in sorted(orbits):
+        terms = orbits[rep]
+        if sum(c for _, c in terms):
+            return False, rep
+        for m, c in terms:
+            j = torbit_shift(m, rep)
+            rng, sign = (range(0, j), -1) if j > 0 else (range(j, 0), 1)
+            for t in rng:
+                key = (Mat2(rep.a + t * rep.c, rep.b + t * rep.d, rep.c, rep.d)
+                       .canonical_pm())
+                y_coeffs[key] = y_coeffs.get(key, Fraction(0)) + sign * c
+    y = GroupRingElement(n, y_coeffs)
+    assert gre_mul(ONE_MINUS_T, y) == delta
+    return True, y
+
+
+def reference_manin_coefficient(P_plus, t, xy):
+    """The Manin sum in per-entry Fractions: c_M s P+(-c_M, a_M)|M(0) for
+    weight > 2, c_M P+ at the label of (x, y) M for weight 2."""
+    space, w = P_plus.space, P_plus.w
+    x, y = xy
+    acc = 0
+    for M, coeff in t.items():
+        if w >= 1:
+            hit = space.label_of_row(-M.c, M.a)
+            if hit is not None:
+                l, s = hit
+                val = sum(pi * M.b ** i * M.d ** (w - i)
+                          for i, pi in enumerate(P_plus.values[l]))
+                acc += (coeff if s ** w == 1 else -coeff) * val
+        else:
+            hit = space.label_of_row(x * M.d - y * M.c, -x * M.b + y * M.a)
+            if hit is not None:
+                acc += coeff * P_plus.values[hit[0]][0]
+    return acc
+
+
+class TestIntegerGroupRing:
+    """Merel's family, the Hecke-identity check and the Manin sum in
+    integers, against the Fraction and full-scan references."""
+
+    @pytest.mark.parametrize("n", list(range(1, 61)) + [97, 151])
+    def test_merel_family_matches_scan(self, n):
+        assert merel_family(n) == reference_merel_family(n)
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 60),
+           q=st.fractions(-3, 3, max_denominator=7).filter(bool))
+    def test_hecke_identity_for_random_n(self, data, n, q):
+        el = heilbronn_element(n)
+        got = verify_hecke_property(el, n)
+        assert got[0] and got == reference_verify_hecke_property(el, n)
+        sol = solve_universal_hecke(n)
+        for cand in (sol, sol.scale(q)):
+            assert (verify_hecke_property(cand, n)
+                    == reference_verify_hecke_property(cand, n))
+        # a random det-n matrix: gamma (a b; 0 n/a) for a word gamma in S, T
+        a = data.draw(st.sampled_from([a for a in range(1, n + 1) if n % a == 0]))
+        M = Mat2(a, data.draw(st.integers(-n, n)), 0, n // a)
+        for j in data.draw(st.lists(st.integers(-3, 3), max_size=4)):
+            M = MAT_S * (MAT_T ** j) * M
+        bad = el + GroupRingElement(n, {M: q})
+        ok, rep = verify_hecke_property(bad, n)
+        assert not ok and (ok, rep) == reference_verify_hecke_property(bad, n)
+
+    def test_manin_coefficient_matches_fraction_sum(self):
+        for N, k, eigen in ((5, 4, (2, -4)), (11, 2, (2, -2)), (37, 2, (2, -2))):
+            plus, _ = eps_split(build_W(build_coset_space(GAMMA0, N, k), k - 2))
+            Pp = common_eigen_polynomial(plus, [(eigen[0], Fraction(eigen[1]))],
+                                         parity="+")
+            # P+ is normalized at its first nonzero coordinate; at level 37
+            # that is not the identity label
+            xy = next(Pp.space.labels[l] for l, p in enumerate(Pp.values) if p[0])
+            for n in (1, 2, 3, 4, 6, 13, 29, 61):
+                t = universal_hecke_element(n)
+                lam = manin_coefficient(Pp, t, delta_spec(GAMMA0, N, n), n, xy)
+                assert lam == reference_manin_coefficient(Pp, t, xy)
+                assert type(lam) is Fraction
+                if n == 2:
+                    assert lam == eigen[1]
 
 
 class TestResolve:
