@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .exactalg import PeriodPolyError, scalar_to_str
-from .cosets import GAMMA0, GAMMA1, build_coset_space, cusp_classes
+from .cosets import GAMMA0, GAMMA1, build_coset_space, coset_index, cusp_classes
 from .polyspace import (build_W, build_W_extended, build_coboundary_and_D,
                         eps_split, w_dimensions, wtilde_dimension)
 from .hecke import (InfeasibleSolveError, common_eigen_polynomial, delta_spec,
@@ -34,6 +34,10 @@ EXIT_USAGE = 2
 EXIT_BAD_FILE = 3
 EXIT_INFEASIBLE = 4
 EXIT_VERIFY_FAILED = 5
+
+# Largest coset index a command builds unless --max-index says otherwise;
+# Gamma0(3000) has index 7200, Gamma1(1000) about 360,000.
+MAX_INDEX = 20000
 
 
 class CliError(Exception):
@@ -104,6 +108,15 @@ def _matrix_doc(m) -> dict:
     }
 
 
+def _coset_space(args, kind, N, k):
+    """build_coset_space, refused before anything is built above --max-index."""
+    index = coset_index(kind, N)
+    if index > args.max_index:
+        raise CliError("%s(%d) has index %d, above --max-index %d"
+                       % (kind, N, index, args.max_index), EXIT_USAGE)
+    return build_coset_space(kind, N, k)
+
+
 def _sigma_for(args, kind, N, n):
     name = getattr(args, "sigma", "delta")
     if name == "delta":
@@ -120,7 +133,7 @@ def _sigma_for(args, kind, N, n):
 
 def cmd_dims(args, out):
     kind = _group_kind(args.group)
-    space = build_coset_space(kind, args.level, args.weight)
+    space = _coset_space(args, kind, args.level, args.weight)
     w = args.weight - 2
     if space.size > 60:
         _progress("building relation systems at index %d ..." % space.size)
@@ -139,7 +152,7 @@ def cmd_dims(args, out):
 
 def cmd_cusps(args, out):
     kind = _group_kind(args.group)
-    space = build_coset_space(kind, args.level, args.weight)
+    space = _coset_space(args, kind, args.level, args.weight)
     cs = cusp_classes(space)
     _emit({
         "group": kind, "level": args.level,
@@ -154,9 +167,14 @@ def cmd_cusps(args, out):
 
 
 def cmd_hecke_element(args, out):
+    if args.variant is not None:
+        if args.method != "solve":
+            raise CliError("--variant needs --method solve", EXIT_USAGE)
+        if args.variant not in (0, 1):
+            raise CliError("--variant must be 0 or 1, got %d" % args.variant, EXIT_USAGE)
     try:
         if args.method == "solve":
-            t = solve_universal_hecke(args.n, args.entry_bound, variant=args.variant)
+            t = solve_universal_hecke(args.n, args.entry_bound, variant=args.variant or 0)
         else:
             t = universal_hecke_element(args.n, args.entry_bound)
     except InfeasibleSolveError as exc:
@@ -188,7 +206,7 @@ def _space_choice(args, space, w):
 
 def cmd_hecke_matrix(args, out):
     kind = _group_kind(args.group)
-    space = build_coset_space(kind, args.level, args.weight)
+    space = _coset_space(args, kind, args.level, args.weight)
     w = args.weight - 2
     sub = _space_choice(args, space, w)
     t = universal_hecke_element(args.n, args.entry_bound)
@@ -202,7 +220,7 @@ def cmd_hecke_matrix(args, out):
 
 def cmd_eigenpoly(args, out):
     kind = _group_kind(args.group)
-    space = build_coset_space(kind, args.level, args.weight)
+    space = _coset_space(args, kind, args.level, args.weight)
     w = args.weight - 2
     W = build_W(space, w)
     plus, minus = eps_split(W)
@@ -228,8 +246,8 @@ def cmd_lvalue(args, out):
     return EXIT_OK
 
 
-def _eigen_polys_for(f: NewformData, eigendata):
-    space = build_coset_space(GAMMA0, f.level, f.weight)
+def _eigen_polys_for(args, f: NewformData, eigendata):
+    space = _coset_space(args, GAMMA0, f.level, f.weight)
     W = build_W(space, f.weight - 2)
     plus, minus = eps_split(W)
     Pp = common_eigen_polynomial(plus, eigendata, parity="+")
@@ -241,7 +259,7 @@ def _eigen_polys_for(f: NewformData, eigendata):
 def cmd_petersson(args, out):
     f = _load_form(args.form)
     eigendata = _parse_eigen(args.eigen)
-    Pp, Pm = _eigen_polys_for(f, eigendata)
+    Pp, Pm = _eigen_polys_for(args, f, eigendata)
     value, per_kappa = petersson_product(f, f, (Pp, Pm), (Pp, Pm), terms=args.terms)
     _emit({
         "level": f.level, "weight": f.weight,
@@ -259,7 +277,7 @@ def cmd_eigenvalue(args, out):
         level, weight = args.level, args.weight
     if level is None or weight is None:
         raise CliError("need --level and --weight (or --form)", EXIT_USAGE)
-    space = build_coset_space(GAMMA0, level, weight)
+    space = _coset_space(args, GAMMA0, level, weight)
     W = build_W(space, weight - 2)
     plus, _ = eps_split(W)
     try:
@@ -282,6 +300,8 @@ def cmd_verify(args, out):
 
 
 def cmd_gamma02_relations(args, out):
+    if args.weight not in (8, 10, 14):
+        raise CliError("--weight must be 8, 10 or 14, got %d" % args.weight, EXIT_USAGE)
     if args.form:
         f = _load_form(args.form)
     elif args.weight == 8:
@@ -336,10 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "Hecke action, L-values and Petersson norms.")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def max_index(p):
+        p.add_argument("--max-index", type=int, default=MAX_INDEX,
+                       help="refuse (exit 2) a coset space of larger index; "
+                            "default %d" % MAX_INDEX)
+
     def common_space(p):
         p.add_argument("--group", default="gamma0", choices=["gamma0", "gamma1"])
         p.add_argument("--level", type=int, required=True)
         p.add_argument("--weight", type=int, required=True)
+        max_index(p)
 
     p = sub.add_parser("dims", help="dimensions of W, W+-, C, D, Wtilde")
     common_space(p)
@@ -353,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--entry-bound", type=int, default=None)
     p.add_argument("--method", choices=["auto", "solve"], default="auto")
-    p.add_argument("--variant", type=int, default=0)
+    p.add_argument("--variant", type=int, default=None,
+                   help="0 (default) or 1; with --method solve only")
     p.set_defaults(func=cmd_hecke_element)
 
     p = sub.add_parser("hecke-matrix", help="exact matrix of T~_n on a space")
@@ -383,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", required=True)
     p.add_argument("--eigen", action="append", metavar="p:lambda")
     p.add_argument("--terms", type=int, default=200)
+    max_index(p)
     p.set_defaults(func=cmd_petersson)
 
     p = sub.add_parser("eigenvalue", help="Hecke eigenvalue from the even polynomial")
@@ -392,6 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eigen", action="append", metavar="p:lambda")
     p.add_argument("--entry-bound", type=int, default=None)
+    max_index(p)
     p.set_defaults(func=cmd_eigenvalue)
 
     p = sub.add_parser("verify", help="run the module invariant suites")
@@ -410,10 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args):
-    for name, low in (("level", 1), ("weight", 2), ("n", 1), ("terms", 1)):
+    for name, low in (("level", 1), ("weight", 2), ("n", 1), ("terms", 1),
+                      ("max_index", 1)):
         value = getattr(args, name, None)
         if value is not None and value < low:
-            raise CliError("--%s must be >= %d, got %d" % (name, low, value), EXIT_USAGE)
+            raise CliError("--%s must be >= %d, got %d"
+                           % (name.replace("_", "-"), low, value), EXIT_USAGE)
     bound = getattr(args, "entry_bound", None)
     if bound is not None and bound < args.n:
         raise CliError("--entry-bound must be >= --n (%d), got %d" % (args.n, bound),

@@ -215,10 +215,18 @@ class CosetSpace:
     # -- construction ---------------------------------------------------
 
     def _build_labels(self):
+        """Labels, positions, lifts and the identity label.
+
+        For Gamma0 only rows (g, v) with g | N are normalized, d(N) N calls
+        in place of N^2: a primitive (u, v) has g = gcd(u, N) dividing N and
+        u = g u' with gcd(u', N/g) = 1, so a unit t = u'^(-1) mod N/g, lifted
+        to a unit mod N, gives t (u, v) = (g, t v), in the same class.
+        g = N stands for u = 0.
+        """
         N = self.N
         labels = set()
         if self.kind == GAMMA0:
-            for u in range(N):
+            for u in _divisors(N):
                 for v in range(N):
                     p = p1_normalize(N, u, v)
                     if p is not None:
@@ -387,25 +395,51 @@ def cusp_classes(space: CosetSpace) -> CuspSet:
 
 def classical_cusp_count_gamma0(N: int) -> int:
     """sum over d | N of phi(gcd(d, N/d)) — the textbook count for Gamma0(N)."""
-    total = 0
-    for d in range(1, N + 1):
-        if N % d == 0:
-            total += _euler_phi(math.gcd(d, N // d))
-    return total
+    return sum(_euler_phi(math.gcd(d, N // d)) for d in _divisors(N))
+
+
+def _divisors(n: int) -> list:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def coset_index(kind: str, N: int) -> int:
+    """``CosetSpace(kind, N, k).size`` from the primes of N, building nothing.
+
+    N prod_(p | N) (1 + 1/p) for Gamma0; N^2 prod_(p | N) (1 - 1/p^2) / 2
+    for Gamma1 with N >= 3, whose labels are taken modulo +-1; 1 and 3 for
+    Gamma1(1) and Gamma1(2), which contain -1.
+    """
+    if kind == GAMMA0:
+        out = N
+        for p in _prime_divisors(N):
+            out = out // p * (p + 1)
+        return out
+    if N <= 2:
+        return (1, 3)[N - 1]
+    out = N * N
+    for p in _prime_divisors(N):
+        out = out // (p * p) * (p * p - 1)
+    return out // 2
+
+
+def _prime_divisors(n: int) -> list:
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 def _euler_phi(n: int) -> int:
     out = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
+    for p in _prime_divisors(n):
+        out -= out // p
     return out
 
 

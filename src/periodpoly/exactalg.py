@@ -9,6 +9,7 @@ bound (``ApproxComplex``) serve the numerical layer only.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -604,6 +605,14 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False) -> list:
     its row.  The kernel vector of a free column f is then 1 at f and zero
     above f and at the other free columns: the kernel vectors already are
     the reduced column echelon basis that ``reduced_column_basis`` gives.
+
+    The next pivot row is the remaining row with the fewest nonzeros, ties
+    going to the smallest index (its position among the nonzero input
+    rows).  It is taken from a lazy heap of (len(row), index): a row is
+    pushed again each time it changes, and a popped entry is stale, and
+    skipped, when its row is done or no longer has that length.  The
+    smallest live entry is then the minimum of (len, index) over the
+    remaining rows, so the choice is the one a full scan would make.
     """
     active = [_normalize_int_row(dict(r)) for r in rows if r]
     col_index: dict = {}
@@ -612,9 +621,12 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False) -> list:
             col_index.setdefault(c, set()).add(i)
     done: list = []
     remaining = set(range(len(active)))
-    while remaining:
-        # sparsest row first; ties by original index for determinism
-        best = min(remaining, key=lambda i: (len(active[i]), i))
+    heap = [(len(row), i) for i, row in enumerate(active)]
+    heapq.heapify(heap)
+    while heap:
+        size, best = heapq.heappop(heap)
+        if best not in remaining or size != len(active[best]):
+            continue
         row = active[best]
         remaining.discard(best)
         if not row:
@@ -642,6 +654,7 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False) -> list:
             for c in new:
                 col_index.setdefault(c, set()).add(other)
             active[other] = new
+            heapq.heappush(heap, (len(new), other))
         done.append((pc, row))
     done.sort()
     if reduce_fully:

@@ -13,14 +13,14 @@ from fractions import Fraction
 
 from .exactalg import (CyclotomicField, DenseMatrix, QQ, bernoulli, check,
                        kernel_basis, sparse_int_rank)
-from .cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_SINV, MAT_T, Mat2,
+from .cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, Mat2,
                      build_coset_space, classical_cusp_count_gamma0,
                      cusp_classes, dirichlet_characters)
 from .polyspace import (PolyVector, build_W, build_W_extended,
                         build_coboundary_and_D, chi_component, cminus_trivial,
                         eps_split, pair_braces, pair_induced, pair_vw,
-                        slash_poly, _tail_families, _w_relation_rows,
-                        _wtilde_relation_rows)
+                        slash_poly, _coboundary_and_D_vectors, _tail_families,
+                        _w_relation_rows, _wtilde_relation_rows)
 from .hecke import (GroupRingElement, ONE_MINUS_S, ONE_MINUS_T, delta_spec,
                     delta_vee_spec, gre_mul, hecke_action, hecke_matrix,
                     solve_universal_hecke, theta_spec, tn_infinity,
@@ -151,16 +151,9 @@ def check_radical_and_duality():
                                   for j in range(Wt.dim)] for i in range(Wt.dim)])
         check(gram2.rank() == Wt.dim, "{,} on Wtilde is degenerate")
         # duality closed form against every extended basis vector
-        for fam in _tail_families(space, w):
-            vals = []
-            for l in range(space.size):
-                l1, s1 = space.signed_act(l, MAT_SINV, w)
-                c_s = fam[l1] * s1
-                poly = [0] * (w + 1)
-                poly[0] += fam[l]
-                poly[w] -= c_s
-                vals.append(tuple(poly))
-            P = PolyVector(space, w, vals)
+        for fam, cvec in zip(_tail_families(space, w),
+                             _coboundary_and_D_vectors(space, w)[0]):
+            P = PolyVector.from_coords(space, w, cvec)
             for j in range(Wt.dim):
                 Q = Wt.vector(j)
                 rhs = -Fraction(6, space.index) * sum(

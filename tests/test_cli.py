@@ -307,9 +307,52 @@ FORM = object()  # stands for a valid form file
      "--entry-bound", "2"],
     ["eigenvalue", "--level", "11", "--weight", "2", "--n", "3",
      "--eigen", "2:-2", "--entry-bound", "2"],
+    ["gamma02-relations", "--weight", "7"],
+    ["gamma02-relations", "--weight", "2"],
+    ["hecke-element", "--n", "5", "--variant", "-1"],
+    ["hecke-element", "--n", "5", "--method", "solve", "--variant", "-1"],
+    ["hecke-element", "--n", "5", "--method", "solve", "--variant", "2"],
+    ["hecke-element", "--n", "5", "--variant", "1"],
+    ["dims", "--level", "11", "--weight", "2", "--max-index", "0"],
+    ["dims", "--level", "11", "--weight", "2", "--max-index", "11"],
 ])
 def test_bad_input_is_one_line_usage_error(argv, form5_path, capsys):
     code, _ = run_cli([form5_path if a is FORM else a for a in argv])
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_gamma02_weight_error_names_the_weights(capsys):
+    code, _ = run_cli(["gamma02-relations", "--weight", "7"])
+    assert code == cli.EXIT_USAGE
+    assert "8, 10 or 14" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--group", "gamma1", "--level", "1000", "--weight", "2"],
+    ["cusps", "--group", "gamma1", "--level", "1000", "--weight", "2"],
+    ["hecke-matrix", "--level", "100003", "--weight", "2", "--n", "2"],
+    ["eigenpoly", "--level", "100003", "--weight", "2", "--parity", "plus"],
+    ["eigenvalue", "--level", "100003", "--weight", "2", "--n", "2"],
+    ["dims", "--level", "3000", "--weight", "2", "--max-index", "7199"],
+])
+def test_index_guard_refuses_before_building(argv, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a coset space was built")
+    monkeypatch.setattr(cli, "build_coset_space", refuse)
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "--max-index" in err
+
+
+def test_index_guard_default_allows_gamma0_3000(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def record(*args):
+        raise Built(args)
+    monkeypatch.setattr(cli, "build_coset_space", record)
+    with pytest.raises(Built, match="3000"):
+        run_cli(["cusps", "--level", "3000", "--weight", "2"])

@@ -4,12 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periodpoly.cosets import (GAMMA0, GAMMA1, Character, CosetError, Mat2,
-                               MAT_I, MAT_S, MAT_T, MAT_TINV, MAT_U, MAT_U2,
-                               act_coset, build_coset_space,
-                               classical_cusp_count_gamma0, cusp_classes,
-                               dirichlet_characters, lift_to_sl2z,
-                               p1_normalize)
+from periodpoly.cosets import (GAMMA0, GAMMA1, Character, CosetError,
+                               CosetSpace, Mat2, MAT_I, MAT_S, MAT_T, MAT_TINV,
+                               MAT_U, MAT_U2, act_coset, build_coset_space,
+                               classical_cusp_count_gamma0, coset_index,
+                               cusp_classes, dirichlet_characters,
+                               lift_to_sl2z, p1_normalize)
 
 
 class TestMat2:
@@ -48,12 +48,40 @@ class TestP1:
             if math.gcd(t, N) == 1:
                 assert p1_normalize(N, t * u, t * v) == p
 
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(data=st.data(), N=st.integers(2, 400))
+    def test_normal_form(self, data, N):
+        u = data.draw(st.integers(0, N - 1))
+        v = data.draw(st.integers(0, N - 1).filter(lambda v: math.gcd(math.gcd(u, v), N) == 1))
+        p = p1_normalize(N, u, v)
+        assert p == (0, 1) or (p[0] > 0 and N % p[0] == 0)
+        assert p1_normalize(N, *p) == p
+        units = st.integers(1, N - 1).filter(lambda t: math.gcd(t, N) == 1)
+        for t in data.draw(st.lists(units, min_size=1, max_size=5)):
+            assert p1_normalize(N, t * u, t * v) == p
+
     def test_lift(self):
         for N in (2, 5, 12, 30):
             space = build_coset_space(GAMMA0, N, 4)
             for i, A in enumerate(space.lifts):
                 assert A.det() == 1
                 assert p1_normalize(N, A.c, A.d) == space.labels[i]
+
+
+class ReferenceLabelSpace(CosetSpace):
+    """A coset space whose Gamma0 labels come from normalizing all N^2 rows."""
+
+    def _build_labels(self):
+        N = self.N
+        labels = {p1_normalize(N, u, v) for u in range(N) for v in range(N)}
+        labels.discard(None)
+        self.labels = tuple(sorted(labels))
+        self.size = len(self.labels)
+        self.index = self.size
+        self._label_pos = {lab: i for i, lab in enumerate(self.labels)}
+        self.lifts = tuple(lift_to_sl2z(c, d, N) if N > 1 else MAT_I
+                           for (c, d) in self.labels)
+        self.identity_label = self._normalize(0, 1)[0]
 
 
 class TestBuild:
@@ -81,6 +109,23 @@ class TestBuild:
                 expected += expected // m
             assert sp.size == expected
         assert build_coset_space(GAMMA0, 100, 6).size == 180
+
+    @pytest.mark.parametrize("kind,bound", [(GAMMA0, 120), (GAMMA1, 40)])
+    def test_coset_index_is_size(self, kind, bound):
+        for N in range(1, bound + 1):
+            assert coset_index(kind, N) == build_coset_space(kind, N, 2).size
+
+    def test_coset_index_at_large_level(self):
+        assert coset_index(GAMMA0, 3000) == 7200
+        assert coset_index(GAMMA1, 1000) == 360000
+
+    @pytest.mark.parametrize("N", list(range(1, 301)) + [360, 420, 720, 840, 1000])
+    def test_divisor_labels_match_full_scan(self, N):
+        space = build_coset_space(GAMMA0, N, 2)
+        ref = ReferenceLabelSpace(GAMMA0, N, 2)
+        assert space.labels == ref.labels
+        assert space.lifts == ref.lifts
+        assert space.tables == ref.tables
 
     def test_degenerate_flag(self):
         assert build_coset_space(GAMMA0, 5, 3).degenerate

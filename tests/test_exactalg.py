@@ -12,7 +12,8 @@ from periodpoly.exactalg import (ApproxComplex, CyclotomicField, DenseMatrix,
                                  reduced_column_basis,
                                  rows_to_int_sparse, scalar_from_str,
                                  scalar_to_str, sparse_int_kernel,
-                                 sparse_int_rank)
+                                 sparse_int_pivots, sparse_int_rank,
+                                 _normalize_int_row)
 
 
 def akiyama_tanigawa(n):
@@ -168,12 +169,79 @@ class TestSparse:
         assert reduced_column_basis(QQ, vecs, ncols).columns() == vecs
         assert sparse_int_kernel(data.draw(st.permutations(rows)), ncols) == vecs
 
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(data=st.data(), ncols=st.integers(1, 12), reduce_fully=st.booleans())
+    def test_heap_pivots_match_full_scan(self, data, ncols, reduce_fully):
+        entry = st.integers(-5, 5).filter(bool)
+        rows = data.draw(st.lists(
+            st.dictionaries(st.integers(0, ncols - 1), entry, max_size=5), max_size=16))
+        assert (sparse_int_pivots(rows, reduce_fully=reduce_fully)
+                == reference_sparse_int_pivots(rows, reduce_fully=reduce_fully))
+
     def test_reduced_column_basis_canonical(self):
         v1 = (Fraction(2), Fraction(0), Fraction(2))
         v2 = (Fraction(1), Fraction(1), Fraction(0))
         b1 = reduced_column_basis(QQ, [v1, v2], 3)
         b2 = reduced_column_basis(QQ, [v2, (Fraction(3), Fraction(1), Fraction(2))], 3)
         assert b1 == b2  # same span, same canonical form
+
+
+def reference_sparse_int_pivots(rows, reduce_fully=False):
+    """The eliminator with the pivot row chosen by a scan of every remaining row."""
+    active = [_normalize_int_row(dict(r)) for r in rows if r]
+    col_index = {}
+    for i, row in enumerate(active):
+        for c in row:
+            col_index.setdefault(c, set()).add(i)
+    done = []
+    remaining = set(range(len(active)))
+    while remaining:
+        best = min(remaining, key=lambda i: (len(active[i]), i))
+        row = active[best]
+        remaining.discard(best)
+        if not row:
+            continue
+        pc = max(row)
+        pv = row[pc]
+        for other in list(col_index.get(pc, ())):
+            if other == best or other not in remaining:
+                continue
+            orow = active[other]
+            f = orow[pc]
+            new = {c: v * pv for c, v in orow.items()}
+            for c, v in row.items():
+                w = new.get(c, 0) - v * f
+                if w:
+                    new[c] = w
+                elif c in new:
+                    del new[c]
+            new = _normalize_int_row(new)
+            for c in orow:
+                col_index[c].discard(other)
+            for c in new:
+                col_index.setdefault(c, set()).add(other)
+            active[other] = new
+        done.append((pc, row))
+    done.sort()
+    if reduce_fully:
+        by_col = {pc: dict(row) for pc, row in done}
+        for pc in sorted(by_col, reverse=True):
+            prow = by_col[pc]
+            pv = prow[pc]
+            for qc, qrow in by_col.items():
+                if qc == pc or pc not in qrow:
+                    continue
+                f = qrow[pc]
+                new = {c: v * pv for c, v in qrow.items()}
+                for c, v in prow.items():
+                    u = new.get(c, 0) - v * f
+                    if u:
+                        new[c] = u
+                    elif c in new:
+                        del new[c]
+                by_col[qc] = _normalize_int_row(new)
+        done = sorted(by_col.items())
+    return done
 
 
 class TestScalarSerialization:

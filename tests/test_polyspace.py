@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from periodpoly.exactalg import (CheckFailed, DenseMatrix, QQ, eigen_kernel,
-                                 kernel_basis, sparse_int_kernel)
+                                 kernel_basis, reduced_column_basis,
+                                 sparse_int_kernel)
 from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, MAT_TINV,
                                MAT_U, MAT_U2, Mat2, build_coset_space,
                                cusp_classes, dirichlet_characters)
@@ -16,6 +19,7 @@ from periodpoly.polyspace import (ExtPolyVector, PolySpaceError, PolyVector,
                                   decompose_extended, eps_split, pair_braces,
                                   pair_induced, pair_vw, slash_poly,
                                   w_dimensions, wtilde_dimension,
+                                  _coboundary_and_D_vectors,
                                   _unit_generators_for, _w_relation_rows,
                                   _wtilde_relation_rows)
 
@@ -498,20 +502,26 @@ class TestChiComponents:
 # ----------------------------------------------------------------------
 # canonical bases without a second elimination, against the dense path
 
+def reference_span(space, w, extended, vectors, field=QQ):
+    """The span by dense Fraction elimination (reduced_column_basis)."""
+    ambient = space.size * ((w + 3) if extended else (w + 1))
+    return Subspace(space, w, extended, reduced_column_basis(field, vectors, ambient), field)
+
+
 def reference_eps_split(sub):
-    """The eps parts as from_vectors of the basis applied to each kernel column."""
+    """The eps parts as the span of the basis applied to each kernel column."""
     emat = sub.restricted_matrix([v.eps() for v in sub.vectors()])
     out = []
     for target in (1, -1):
         ker = eigen_kernel(emat, target)
-        out.append(Subspace.from_vectors(
+        out.append(reference_span(
             sub.space, sub.w, sub.extended,
             [sub.basis.apply(ker.column(j)) for j in range(ker.ncols)], field=sub.field))
     return out
 
 
 def reference_chi_component(sub, chi):
-    """The chi-part as from_vectors of the basis applied to each kernel column."""
+    """The chi-part as the span of the basis applied to each kernel column."""
     space, field = sub.space, chi.field if chi.field is not None else QQ
     n = sub.w + 3 if sub.extended else sub.w + 1
     cols = sub.basis.columns()
@@ -527,9 +537,9 @@ def reference_chi_component(sub, chi):
                     rows.append(row)
     ker = kernel_basis(DenseMatrix(field, rows, ncols=sub.dim))
     basis = DenseMatrix(field, sub.basis.rows, ncols=sub.dim)
-    return Subspace.from_vectors(space, sub.w, sub.extended,
-                                 [basis.apply(ker.column(j)) for j in range(ker.ncols)],
-                                 field=field)
+    return reference_span(space, sub.w, sub.extended,
+                          [basis.apply(ker.column(j)) for j in range(ker.ncols)],
+                          field=field)
 
 
 CANONICAL_GRID = ([(GAMMA0, N, k) for N in (1, 5, 11, 37, 60) for k in (2, 4, 6)]
@@ -548,8 +558,41 @@ class TestCanonicalBases:
                 assert sub.dim == 0
                 continue
             vecs = sparse_int_kernel(relations(space, w), sub.ambient)
-            ref = Subspace.from_vectors(space, w, extended, vecs)
+            ref = reference_span(space, w, extended, vecs)
             assert sub.basis == ref.basis and sub.pivot_rows == ref.pivot_rows
+
+    @pytest.mark.parametrize("kind,N,k", CANONICAL_GRID)
+    def test_coboundary_and_D_equal_dense_span(self, kind, N, k):
+        space = build_coset_space(kind, N, k)
+        w = k - 2
+        C, D = build_coboundary_and_D(space, w)
+        if space.degenerate:
+            assert C.dim == D.dim == 0
+            return
+        cvecs, dvecs = _coboundary_and_D_vectors(space, w)
+        assert C.basis == reference_span(space, w, False, cvecs).basis
+        assert D.basis == reference_span(space, w, True, dvecs).basis
+
+    @settings(derandomize=True, database=None, max_examples=100)
+    @given(data=st.data(), k=st.integers(2, 10), extended=st.booleans())
+    def test_from_vectors_is_the_dense_span(self, data, k, extended):
+        space = build_coset_space(GAMMA0, 1, k)
+        ambient = (k + 1) if extended else (k - 1)
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        vecs = data.draw(st.lists(st.lists(entry, min_size=ambient, max_size=ambient),
+                                  max_size=6))
+        got = Subspace.from_vectors(space, k - 2, extended, vecs)
+        assert got.basis == reference_span(space, k - 2, extended, vecs).basis
+
+    def test_from_vectors_rejects_bad_input(self):
+        space = build_coset_space(GAMMA0, 5, 4)
+        with pytest.raises(PolySpaceError):
+            Subspace.from_vectors(space, 2, False, [(1, 0)])
+        K = next(ch.field for ch in dirichlet_characters(5) if ch.field is not None)
+        with pytest.raises(PolySpaceError):
+            Subspace.from_vectors(space, 2, False, [(K.one,) + (K.zero,) * 17], field=K)
+        zero = Subspace.from_vectors(space, 2, False, [(K.zero,) * 18], field=K)
+        assert zero.dim == 0 and zero.field is K
 
     @pytest.mark.parametrize("kind,N,k", [(GAMMA0, 11, 4), (GAMMA0, 37, 4),
                                           (GAMMA0, 60, 2), (GAMMA1, 7, 4),
@@ -569,7 +612,7 @@ class TestCanonicalBases:
             for ch in dirichlet_characters(N):
                 comp = chi_component(W, ch)
                 ref = (reference_chi_component(W, ch) if ch.is_even_for_weight(2)
-                       else Subspace.from_vectors(W.space, 0, False, [], field=comp.field))
+                       else reference_span(W.space, 0, False, [], field=comp.field))
                 assert comp.field is ref.field and comp.basis == ref.basis
 
     @pytest.mark.parametrize("cols", [
