@@ -3,7 +3,6 @@ import random
 from fractions import Fraction
 
 import pytest
-
 from hypothesis import given, settings, strategies as st
 
 from periodpoly.exactalg import (CheckFailed, DenseMatrix, QQ, eigen_kernel,
