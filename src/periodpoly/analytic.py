@@ -83,77 +83,47 @@ class QSeries:
         return QSeries(self.a0 * other.a0, out)
 
 
-def _unit_power(series: QSeries, r: int) -> QSeries:
-    """series^r for a series with a0 = 1, r any integer."""
-    check(series.a0 == 1, "unit power needs constant term 1")
-    n = series.order
-    if r == 0:
-        return QSeries(1, [Fraction(0)] * n)
-    if r < 0:
-        return _unit_power(_unit_inverse(series), -r)
-    out = QSeries(1, [Fraction(0)] * n)
-    base = series
-    e = r
-    while e:
-        if e & 1:
-            out = out * base
-        e >>= 1
-        if e:
-            base = base * base
-    return out
-
-
-def _unit_inverse(series: QSeries) -> QSeries:
-    n = series.order
-    inv = [Fraction(0)] * n
-    for m in range(1, n + 1):
-        acc = -series.coeffs[m - 1]
-        for i in range(1, m):
-            acc -= series.coeffs[i - 1] * inv[m - i - 1]
-        inv[m - 1] = acc
-    return QSeries(1, inv)
-
-
-def _pentagonal(order: int) -> QSeries:
-    """prod (1 - q^n) truncated: Euler's pentagonal number series."""
-    out = [Fraction(0)] * order
-    j = 1
-    while True:
-        e1 = j * (3 * j - 1) // 2
-        e2 = j * (3 * j + 1) // 2
-        if e1 > order and e2 > order:
-            break
-        s = Fraction(-1) if j % 2 else Fraction(1)
-        if e1 <= order:
-            out[e1 - 1] += (-1) ** j
-        if e2 <= order:
-            out[e2 - 1] += (-1) ** j
-        j += 1
-    return QSeries(1, out)
-
-
 def eta_product(factors: Sequence[tuple], order: int) -> QSeries:
     """q^(sum t r / 24) prod_n (1 - q^(t n))^r, expanded exactly.
 
-    The leading exponent must come out a positive integer.
+    The leading exponent must come out a positive integer.  By Euler's
+    pentagonal number theorem prod_n (1 - q^n) = 1 + sum_(j >= 1) (-1)^j
+    (q^(j(3j-1)/2) + q^(j(3j+1)/2)), so the factor for t is a sparse series
+    with coefficients +-1 at t j(3j -+ 1)/2.  The unit part is one truncated
+    list of ints, and each factor (t, r) is applied |r| times in place.  A
+    multiplication runs from the top index down, so every entry it reads
+    is still the old one; an exact division (the constant term is 1) runs
+    from the bottom index up, so every entry it reads is already the
+    quotient's.
     """
     if order < 1:
         raise AnalyticError("order must be >= 1")
     total = sum(Fraction(t * r, 24) for t, r in factors)
     if total.denominator != 1 or total <= 0:
         raise AnalyticError("leading exponent %s is not a positive integer" % total)
+    if any(t < 1 for t, _ in factors):
+        raise AnalyticError("eta multiplier must be >= 1")
     offset = int(total)
-    prod = QSeries(1, [Fraction(0)] * order)
+    top = order - offset
+    unit = [1] + [0] * top
     for t, r in factors:
-        if t < 1:
-            raise AnalyticError("eta multiplier must be >= 1")
-        prod = prod * _unit_power(_pentagonal(order).dilate(t), r)
-    out = [Fraction(0)] * order
-    if offset <= order:
-        out[offset - 1] = prod.a0
-        for m in range(1, order - offset + 1):
-            out[offset + m - 1] = prod.coeffs[m - 1]
-    return QSeries(0, out)
+        terms, j = [], 1
+        while t * j * (3 * j - 1) // 2 <= top:
+            for e in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if t * e <= top:
+                    terms.append((t * e, -1 if j % 2 else 1))
+            j += 1
+        steps = range(top, 0, -1) if r > 0 else range(1, top + 1)
+        sign = 1 if r > 0 else -1
+        for _ in range(abs(r)):
+            for i in steps:
+                acc = 0
+                for e, s in terms:
+                    if e > i:
+                        break
+                    acc += s * unit[i - e]
+                unit[i] += sign * acc
+    return QSeries(0, ([0] * (offset - 1) + unit)[:order])
 
 
 def sigma_divisor(m: int, e: int) -> int:

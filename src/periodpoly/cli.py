@@ -230,8 +230,12 @@ def cmd_eigenpoly(args, out):
     doc = P.to_json()
     doc["parity"] = parity
     if args.output:
-        with open(args.output, "w") as fh:
-            _emit(doc, fh)
+        try:
+            with open(args.output, "w") as fh:
+                _emit(doc, fh)
+        except OSError as exc:
+            raise CliError("cannot write %s: %s" % (args.output, exc.strerror or exc),
+                           EXIT_USAGE)
         _emit({"written": args.output, "dim_searched": sub.dim}, out)
     else:
         _emit(doc, out)
@@ -240,6 +244,9 @@ def cmd_eigenpoly(args, out):
 
 def cmd_lvalue(args, out):
     f = _load_form(args.form)
+    if not 0 < args.s < f.weight:
+        raise CliError("--s must lie strictly between 0 and the weight %d, got %d"
+                       % (f.weight, args.s), EXIT_USAGE)
     lv = completed_lvalue(f, args.s, args.terms)
     _emit({"s": args.s, "level": f.level, "weight": f.weight,
            "value": _cnum(lv.value, lv.err)}, out)

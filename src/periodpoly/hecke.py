@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactalg import (DenseMatrix, PeriodPolyError, check,
-                       clear_denominators, eigen_kernel, poly_divmod, poly_mul,
-                       poly_sub, poly_trim, solve_columns)
+                       clear_denominators, eigen_kernel, rows_to_int_sparse,
+                       solve_columns)
 from .cosets import (CosetSpace, Mat2, MAT_I, MAT_S, MAT_T, GAMMA0, GAMMA1,
                      _crt, _xgcd)
 from .polyspace import (PolyVector, ExtPolyVector, Subspace, slash_poly,
@@ -522,29 +522,40 @@ def _in_sigma(g: Mat2, spec: SigmaSpec) -> bool:
 # actions
 
 class HeckeOperator:
-    """P |_Sigma t on the PolyVectors of one coset space, compiled once.
+    """P |_Sigma t on the PolyVectors or ExtPolyVectors of one space, compiled once.
 
     Each (label, M) pair of the support of t is resolved exactly once, and
-    coeff * s**w times the matrix of |M on degree <= w polynomials is
-    folded into one integer (w+1) x (w+1) block per (target label, source
-    label) pair; the coefficients of t are cleared over the common
+    coeff * s**w times the matrix of |M is folded into one integer block per
+    (target label, source label) pair: (w+1) x (w+1) on degree <= w
+    polynomials, (w+3) x (w+3) on the X^(-1), ..., X^(w+1) coordinates of
+    the extended space.  The coefficients of t, and in the extended case
+    the denominators of the partial fractions, are cleared over the common
     denominator ``den``.  The image of a coordinate vector is then a sum of
     block x slice products over the nonzero source slices.
+
+    On the extended space X^-1 | M = (cX+d)^(w+1) / (aX+b) and
+    X^(w+1) | M = (aX+b)^(w+1) / (cX+d) are split into a polynomial part
+    and a residue (see ``_over_linear``).  A residue at 0 is an X^(-1)
+    coordinate.  The residues at a pole x0 != 0 are summed per (target
+    label, x0) into one row of linear forms on the input coordinates, held
+    in ``poles``.  The image lies in the extended model iff every such row
+    vanishes, since the partial fraction decomposition is unique; ``apply``
+    raises HeckeError otherwise.
     """
 
-    __slots__ = ("space", "w", "den", "blocks")
+    __slots__ = ("space", "w", "extended", "den", "blocks", "poles")
 
     def __init__(self, space: CosetSpace, w: int, t: GroupRingElement,
-                 spec: SigmaSpec):
-        self.space, self.w = space, w
+                 spec: SigmaSpec, extended: bool = False):
+        self.space, self.w, self.extended = space, w, extended
         den = 1
         for c in t.coeffs.values():
             den = math.lcm(den, c.denominator)
-        self.den = den
-        n = w + 1
-        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        n = w + 3 if extended else w + 1
         # target -> {source: block}, each block held as its columns X^j | M
         folded = [{} for _ in range(space.size)]
+        # (target, pole) -> {source coordinate: residue}
+        residues = {}
         for M, coeff in t.items():
             c = int(coeff * den)
             cols = None
@@ -554,8 +565,11 @@ class HeckeOperator:
                     continue
                 l2, s = hit
                 if cols is None:
-                    cols = [slash_poly(e, M, w) for e in units]
+                    cols, poles = _slash_columns(M, w, extended)
                 f = c if s ** w == 1 else -c
+                for j, x0, res in poles:
+                    row = residues.setdefault((l, x0), {})
+                    row[l2 * n + j] = row.get(l2 * n + j, 0) + f * res
                 block = folded[l].get(l2)
                 if block is None:
                     folded[l][l2] = [[f * v for v in col] for col in cols]
@@ -563,16 +577,27 @@ class HeckeOperator:
                 for bcol, col in zip(block, cols):
                     for i in range(n):
                         bcol[i] += f * col[i]
+        if extended:
+            scale = math.lcm(*(v.denominator for d in folded for block in d.values()
+                               for col in block for v in col))
+            folded = [{l2: [[int(v * scale) for v in col] for col in block]
+                       for l2, block in d.items()} for d in folded]
+            den *= scale
+        self.den = den
         self.blocks = [[(l2, list(zip(*block)))
                         for l2, block in sorted(d.items())
                         if any(any(col) for col in block)]
                        for d in folded]
+        self.poles = [row for row in rows_to_int_sparse(residues.values()) if row]
 
     def apply(self, coords: Sequence) -> list:
         """den times the image of a coordinate vector, as coordinates."""
-        n = self.w + 1
+        n = self.w + 3 if self.extended else self.w + 1
         if len(coords) != self.space.size * n:
             raise HeckeError("coordinate vector does not match the operator's space")
+        for row in self.poles:
+            if sum(v * coords[i] for i, v in row.items()):
+                raise HeckeError("Hecke image leaves the extended polynomial model")
         slices = [coords[l * n:(l + 1) * n] for l in range(self.space.size)]
         live = [any(x) for x in slices]
         out = []
@@ -592,95 +617,69 @@ class HeckeOperator:
         inv = Fraction(1, den * self.den)
         return [v * inv for v in self.apply(values)]
 
-    def image(self, P: PolyVector) -> PolyVector:
+    def image(self, P):
         """P |_Sigma t, applied in integers when P is rational."""
-        if P.space is not self.space or P.w != self.w:
+        if (P.space is not self.space or P.w != self.w
+                or isinstance(P, ExtPolyVector) != self.extended):
             raise HeckeError("vector does not live on the operator's space")
-        coords = P.coords()
+        coords = P.tilde_coords() if self.extended else P.coords()
         values, den = clear_denominators(coords) or (coords, 1)
-        return PolyVector.from_coords(self.space, self.w,
-                                      self.image_coords(values, den))
+        image = self.image_coords(values, den)
+        if self.extended:
+            return ExtPolyVector.from_tilde_coords(self.space, self.w, image)
+        return PolyVector.from_coords(self.space, self.w, image)
+
+
+def _slash_columns(M: Mat2, w: int, extended: bool) -> tuple:
+    """(the columns X^j | M, the residues they leave out).
+
+    For 0 <= j <= w the column is ``slash_poly``.  On the extended space
+    the columns run over X^(-1), ..., X^(w+1), and the two end columns come
+    from ``_over_linear``; each residue at a pole x0 != 0 is returned as
+    (column index, x0, residue).
+    """
+    cols = [slash_poly(tuple(int(i == j) for i in range(w + 1)), M, w)
+            for j in range(w + 1)]
+    if not extended:
+        return cols, ()
+    first, pole_first = _over_linear(_pow_linear(M.c, M.d, w + 1), M.a, M.b, w)
+    last, pole_last = _over_linear(_pow_linear(M.a, M.b, w + 1), M.c, M.d, w)
+    cols = [first] + [(0,) + col + (0,) for col in cols] + [last]
+    poles = [(j,) + pole for j, pole in ((0, pole_first), (w + 2, pole_last)) if pole]
+    return cols, poles
+
+
+def _over_linear(p: Sequence, a: int, b: int, w: int) -> tuple:
+    """p / (aX + b) for deg p <= w + 1, as (coordinates, pole).
+
+    The coordinates run over X^(-1), ..., X^(w+1).  With a = 0 they are
+    those of the polynomial p / b.  Otherwise synthetic division gives
+    p = (X - x0) q + R with x0 = -b/a, so p / (aX + b) is q / a plus the
+    residue R / a at x0.  At x0 = 0 the residue is the X^(-1) coordinate
+    and pole is None; at any other x0, pole is (x0, R / a).
+    """
+    col = [Fraction(0)] * (w + 3)
+    if a == 0:
+        for i, v in enumerate(p):
+            col[i + 1] = Fraction(v, b)
+        return col, None
+    x0 = Fraction(-b, a)
+    q = Fraction(0)
+    for i in range(len(p) - 1, 0, -1):
+        # q_(i-1) = p_i + x0 q_i is the coefficient of X^(i-1)
+        q = p[i] + x0 * q
+        col[i] = q / a
+    res = (p[0] + x0 * q) / a
+    if x0:
+        return col, (x0, res)
+    col[0] = res
+    return col, None
 
 
 def hecke_action(P, t: GroupRingElement, spec: SigmaSpec):
     """P |_Sigma t for a PolyVector or ExtPolyVector."""
-    if isinstance(P, ExtPolyVector):
-        return _hecke_action_extended(P, t, spec)
-    return HeckeOperator(P.space, P.w, t, spec).image(P)
-
-
-def _hecke_action_extended(P: ExtPolyVector, t: GroupRingElement,
-                           spec: SigmaSpec) -> ExtPolyVector:
-    space, w = P.space, P.w
-    coords = P.tilde_coords()
-    n = w + 3
-    out_blocks = []
-    for l in range(space.size):
-        num, den = [Fraction(0)], [Fraction(1)]
-        for M, coeff in t.items():
-            hit = resolve_sigma_coset(space, l, M, spec)
-            if hit is None:
-                continue
-            l2, s = hit
-            tn, td = _tilde_slash_fraction(coords[l2 * n:(l2 + 1) * n], M, w)
-            c = coeff * s ** w
-            tn = [c * a for a in tn]
-            num, den = _frac_add(num, den, tn, td)
-        out_blocks.append(_fraction_to_tilde(num, den, w))
-    flat = tuple(c for b in out_blocks for c in b)
-    return ExtPolyVector.from_tilde_coords(space, w, flat, check=True)
-
-
-def _tilde_slash_fraction(block: Sequence, M: Mat2, w: int) -> tuple:
-    """(X^j coefficients | M) summed, over the common denominator.
-
-    Denominator is (aX+b)(cX+d); the numerator is
-    sum_j block[j] (aX+b)^(j+1) (cX+d)^(w-j+1), a polynomial since the
-    exponents run over [0, w+2].
-    """
-    num = [Fraction(0)] * (w + 3)
-    for idx, coeff in enumerate(block):
-        if not coeff:
-            continue
-        j = idx - 1
-        term = poly_mul(_pow_linear(M.a, M.b, j + 1), _pow_linear(M.c, M.d, w - j + 1))
-        for i, v in enumerate(term):
-            if v:
-                num[i] += coeff * v
-    den = poly_mul([M.b, M.a], [M.d, M.c])
-    return num, den
-
-
-def _poly_gcd(p, q):
-    p, q = poly_trim(p), poly_trim(q)
-    while any(q):
-        _, r = poly_divmod(p, q)
-        p, q = q, r
-    lead = Fraction(p[-1])
-    return [c / lead for c in p] if lead else p
-
-
-def _frac_add(n1, d1, n2, d2):
-    num = poly_sub(poly_mul(n1, d2), poly_mul([-c for c in n2], d1))
-    den = poly_mul(d1, d2)
-    g = _poly_gcd(den, num if any(num) else den)
-    if len(g) > 1:
-        num, r1 = poly_divmod(num, g)
-        den, r2 = poly_divmod(den, g)
-        check(not any(r1) and not any(r2), "polynomial gcd does not divide exactly")
-    return poly_trim(num), poly_trim(den)
-
-
-def _fraction_to_tilde(num, den, w: int) -> list:
-    """Interpret num/den as an element of the X^(-1)..X^(w+1) span."""
-    shifted = poly_mul(num, [0, 1])  # num * X
-    q, r = poly_divmod(shifted, den)
-    if any(r):
-        raise HeckeError("Hecke image leaves the extended polynomial model")
-    q = q + [Fraction(0)] * (w + 3 - len(q))
-    if len(q) > w + 3 and any(q[w + 3:]):
-        raise HeckeError("Hecke image exceeds the degree bound")
-    return q[:w + 3]
+    return HeckeOperator(P.space, P.w, t, spec,
+                         isinstance(P, ExtPolyVector)).image(P)
 
 
 def hecke_matrix(sub: Subspace, t: GroupRingElement, spec: SigmaSpec) -> DenseMatrix:
@@ -689,11 +688,8 @@ def hecke_matrix(sub: Subspace, t: GroupRingElement, spec: SigmaSpec) -> DenseMa
     The operator is compiled once and applied to each basis column with
     its denominator cleared; every full image is checked for membership.
     """
-    if sub.extended:
-        images = [hecke_action(v, t, spec) for v in sub.vectors()]
-    else:
-        op = HeckeOperator(sub.space, sub.w, t, spec)
-        images = [op.image_coords(col, den) for col, den in sub.cleared_columns()]
+    op = HeckeOperator(sub.space, sub.w, t, spec, sub.extended)
+    images = [op.image_coords(col, den) for col, den in sub.cleared_columns()]
     return sub.restricted_matrix(images)
 
 
@@ -782,7 +778,7 @@ def ideal_membership_within_bound(x: GroupRingElement, entry_bound: int) -> str:
             entry[key_pos[m]] = c
         rows.append((j, entry))
     # solve sum_j y_j col_j = x  by elimination over the keys
-    from .exactalg import sparse_int_kernel, rows_to_int_sparse
+    from .exactalg import sparse_int_kernel
     ncols = len(columns) + 1
     sys_rows = []
     for i, m in enumerate(keys):

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodpoly.cosets import GAMMA0, build_coset_space
 from periodpoly.polyspace import build_W, eps_split
@@ -34,6 +35,65 @@ def brute_eta24_coeffs(order):
                         out[i + j] += a * b
         poly = out
     return poly
+
+
+def reference_eta_product(factors, order):
+    """q^(sum t r / 24) prod_n (1 - q^(t n))^r by binary powering of QSeries."""
+    total = sum(Fraction(t * r, 24) for t, r in factors)
+    assert total.denominator == 1 and total > 0
+    offset = int(total)
+    prod = QSeries(1, [Fraction(0)] * order)
+    for t, r in factors:
+        prod = prod * _reference_unit_power(_reference_pentagonal(order).dilate(t), r)
+    out = [Fraction(0)] * order
+    if offset <= order:
+        out[offset - 1] = prod.a0
+        for m in range(1, order - offset + 1):
+            out[offset + m - 1] = prod.coeffs[m - 1]
+    return QSeries(0, out)
+
+
+def _reference_unit_power(series, r):
+    n = series.order
+    if r < 0:
+        inv = [Fraction(0)] * n
+        for m in range(1, n + 1):
+            acc = -series.coeffs[m - 1]
+            for i in range(1, m):
+                acc -= series.coeffs[i - 1] * inv[m - i - 1]
+            inv[m - 1] = acc
+        return _reference_unit_power(QSeries(1, inv), -r)
+    out = QSeries(1, [Fraction(0)] * n)
+    base, e = series, r
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
+
+
+def _reference_pentagonal(order):
+    out = [Fraction(0)] * order
+    j = 1
+    while j * (3 * j - 1) // 2 <= order:
+        for e in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            if e <= order:
+                out[e - 1] += (-1) ** j
+        j += 1
+    return QSeries(1, out)
+
+
+@st.composite
+def eta_factor_lists(draw):
+    """Factor lists with an integral positive leading exponent."""
+    factors = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(-8, 12)),
+                            max_size=4))
+    s = sum(t * r for t, r in factors)
+    r0 = (-s) % 24 if s > 0 else 24 - s
+    factors.insert(draw(st.integers(0, len(factors))), (1, r0))
+    return factors
 
 
 class TestQSeries:
@@ -86,6 +146,31 @@ class TestEtaProduct:
     def test_nonpositive_exponent_rejected(self):
         with pytest.raises(AnalyticError):
             eta_product([(1, -24)], 5)
+
+    def test_multiplier_and_order_rejected(self):
+        with pytest.raises(AnalyticError):
+            eta_product([(0, 24), (1, 24)], 5)
+        with pytest.raises(AnalyticError):
+            eta_product([(1, 24)], 0)
+
+    @pytest.mark.parametrize("N,k", [(1, 12), (2, 8), (3, 6), (5, 4), (11, 2)])
+    def test_eigen_sweep_forms_match_reference(self, N, k):
+        # eta(z)^k eta(Nz)^k; N = 2 is also the Gamma0(2) weight-8 form
+        factors = [(1, k), (N, k)]
+        f, ref = eta_product(factors, 1000), reference_eta_product(factors, 1000)
+        assert (f.a0, f.coeffs, f.order) == (ref.a0, ref.coeffs, ref.order)
+
+    def test_quotient_matches_reference(self):
+        # eta(2z)^24 / eta(z)^24 goes through the division path
+        factors = [(2, 24), (1, -24)]
+        f, ref = eta_product(factors, 200), reference_eta_product(factors, 200)
+        assert f.coeffs == ref.coeffs and f.coeff(1) == 1 and f.coeff(2) == 24
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(eta_factor_lists(), st.integers(1, 150))
+    def test_random_factor_lists_match_reference(self, factors, order):
+        f, ref = eta_product(factors, order), reference_eta_product(factors, order)
+        assert (f.a0, f.coeffs, f.order) == (ref.a0, ref.coeffs, ref.order)
 
 
 class TestEisenstein:

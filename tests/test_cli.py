@@ -24,6 +24,14 @@ def form5_path(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def form11_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("forms") / "f11.json"
+    f = NewformData(11, 2, eta_product([(1, 2), (11, 2)], 250), -1)
+    path.write_text(json.dumps(f.to_json(), sort_keys=True, indent=2))
+    return str(path)
+
+
 class TestDims:
     def test_gamma0_5(self):
         code, text = run_cli(["dims", "--level", "5", "--weight", "4"])
@@ -127,6 +135,17 @@ class TestEigenpoly:
         code, _ = run_cli(["eigenpoly", "--level", "5", "--weight", "4",
                            "--parity", "plus", "--eigen", "nope"])
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("target", ["missing/out.json", "."])
+    def test_unwritable_output_is_one_line_usage_error(self, tmp_path, capsys, target):
+        # a file in a directory that does not exist, and a directory
+        path = str(tmp_path / target)
+        code, text = run_cli(["eigenpoly", "--level", "5", "--weight", "4",
+                              "--parity", "minus", "-o", path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE and text == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert path in err
 
 
 class TestLValueAndPetersson:
@@ -278,7 +297,8 @@ class TestUsage:
         capsys.readouterr()
 
 
-FORM = object()  # stands for a valid form file
+FORM = object()  # stands for a valid form file of weight 4
+FORM2 = object()  # and one of weight 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -315,9 +335,16 @@ FORM = object()  # stands for a valid form file
     ["hecke-element", "--n", "5", "--variant", "1"],
     ["dims", "--level", "11", "--weight", "2", "--max-index", "0"],
     ["dims", "--level", "11", "--weight", "2", "--max-index", "11"],
+    ["lvalue", "--form", FORM2, "--s", "0"],
+    ["lvalue", "--form", FORM2, "--s", "-5"],
+    ["lvalue", "--form", FORM2, "--s", "2"],
+    ["lvalue", "--form", FORM2, "--s", "3"],
+    ["lvalue", "--form", FORM, "--s", "4"],
+    ["lvalue", "--form", FORM, "--s", "400"],
 ])
-def test_bad_input_is_one_line_usage_error(argv, form5_path, capsys):
-    code, _ = run_cli([form5_path if a is FORM else a for a in argv])
+def test_bad_input_is_one_line_usage_error(argv, form5_path, form11_path, capsys):
+    forms = {FORM: form5_path, FORM2: form11_path}
+    code, _ = run_cli([forms.get(a, a) for a in argv])
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE
     assert err.startswith("error:") and err.count("\n") == 1

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periodpoly.exactalg import DenseMatrix, QQ, eigen_kernel
+from periodpoly.exactalg import (DenseMatrix, PeriodPolyError, QQ, eigen_kernel,
+                                 poly_divmod, poly_mul, poly_sub, poly_trim)
 from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, MAT_TINV,
                                Mat2, build_coset_space)
-from periodpoly.polyspace import (PolyVector, build_W, build_W_extended,
+from periodpoly.polyspace import (ExtPolyVector, PolyVector, _pow_linear,
+                                  build_W, build_W_extended,
                                   build_coboundary_and_D, eps_split,
                                   pair_braces, slash_poly)
 from periodpoly.hecke import (EigenspaceError, GroupRingElement, HeckeError,
@@ -346,6 +348,78 @@ def reference_hecke_action(P, t, spec):
     return PolyVector(space, w, vals)
 
 
+def reference_hecke_action_extended(P, t, spec):
+    """P |_Sigma t on the extended space by summing rational functions.
+
+    Per target label the images (X^j | M) are added as fractions over
+    (aX+b)(cX+d), reduced by a polynomial gcd; the sum times X must then
+    divide exactly by its denominator.
+    """
+    space, w = P.space, P.w
+    coords = P.tilde_coords()
+    n = w + 3
+    out_blocks = []
+    for l in range(space.size):
+        num, den = [Fraction(0)], [Fraction(1)]
+        for M, coeff in t.items():
+            hit = resolve_sigma_coset(space, l, M, spec)
+            if hit is None:
+                continue
+            l2, s = hit
+            tn, td = _tilde_slash_fraction(coords[l2 * n:(l2 + 1) * n], M, w)
+            c = coeff * s ** w
+            tn = [c * a for a in tn]
+            num, den = _frac_add(num, den, tn, td)
+        out_blocks.append(_fraction_to_tilde(num, den, w))
+    flat = tuple(c for b in out_blocks for c in b)
+    return ExtPolyVector.from_tilde_coords(space, w, flat, check=True)
+
+
+def _tilde_slash_fraction(block, M, w):
+    """sum_j block[j] (aX+b)^(j+1) (cX+d)^(w-j+1) over (aX+b)(cX+d)."""
+    num = [Fraction(0)] * (w + 3)
+    for idx, coeff in enumerate(block):
+        if not coeff:
+            continue
+        j = idx - 1
+        term = poly_mul(_pow_linear(M.a, M.b, j + 1), _pow_linear(M.c, M.d, w - j + 1))
+        for i, v in enumerate(term):
+            if v:
+                num[i] += coeff * v
+    den = poly_mul([M.b, M.a], [M.d, M.c])
+    return num, den
+
+
+def _poly_gcd(p, q):
+    p, q = poly_trim(p), poly_trim(q)
+    while any(q):
+        _, r = poly_divmod(p, q)
+        p, q = q, r
+    lead = Fraction(p[-1])
+    return [c / lead for c in p] if lead else p
+
+
+def _frac_add(n1, d1, n2, d2):
+    num = poly_sub(poly_mul(n1, d2), poly_mul([-c for c in n2], d1))
+    den = poly_mul(d1, d2)
+    g = _poly_gcd(den, num if any(num) else den)
+    if len(g) > 1:
+        num, r1 = poly_divmod(num, g)
+        den, r2 = poly_divmod(den, g)
+        assert not any(r1) and not any(r2)
+    return poly_trim(num), poly_trim(den)
+
+
+def _fraction_to_tilde(num, den, w):
+    q, r = poly_divmod(poly_mul(num, [0, 1]), den)
+    if any(r):
+        raise HeckeError("Hecke image leaves the extended polynomial model")
+    q = q + [Fraction(0)] * (w + 3 - len(q))
+    if len(q) > w + 3 and any(q[w + 3:]):
+        raise HeckeError("Hecke image exceeds the degree bound")
+    return q[:w + 3]
+
+
 def _specs(kind, N, n):
     specs = [delta_spec(kind, N, n)]
     if math.gcd(n, N) == 1:
@@ -357,12 +431,56 @@ def _specs(kind, N, n):
     return specs
 
 
+def reference_pole_rows(space, w, t, spec):
+    """(target, pole) -> {source coordinate: residue} by the residue formula.
+
+    X^-1 | M = (cX+d)^(w+1) / (aX+b) has the residue (c x0 + d)^(w+1) / a
+    at x0 = -b/a, and X^(w+1) | M the residue (a x0 + b)^(w+1) / c at
+    x0 = -d/c; poles at 0 are left out.
+    """
+    n = w + 3
+    rows = {}
+    for M, coeff in t.items():
+        for l in range(space.size):
+            hit = resolve_sigma_coset(space, l, M, spec)
+            if hit is None:
+                continue
+            l2, s = hit
+            c = coeff * s ** w
+            for j, p, q, u, v in ((0, M.c, M.d, M.a, M.b), (w + 2, M.a, M.b, M.c, M.d)):
+                if u and v:
+                    x0 = Fraction(-v, u)
+                    row = rows.setdefault((l, x0), {})
+                    row[l2 * n + j] = row.get(l2 * n + j, 0) + c * (p * x0 + q) ** (w + 1) / u
+    return [row for row in rows.values() if any(row.values())]
+
+
+def _normalized_rows(rows):
+    """Each row scaled to first entry 1, zeros dropped, as a sorted list."""
+    out = []
+    for row in rows:
+        items = sorted((i, Fraction(v)) for i, v in row.items() if v)
+        out.append(tuple((i, v / items[0][1]) for i, v in items))
+    return sorted(out)
+
+
+def _outcome(fn, P, t, spec):
+    """The image's coordinates, or the class of the error it raises."""
+    try:
+        return fn(P, t, spec).tilde_coords()
+    except PeriodPolyError as exc:
+        return type(exc)
+
+
+COMPILED_GRID = [
+    (kind, N, k) for kind, levels in ((GAMMA0, (1, 5, 11, 37)), (GAMMA1, (5, 7)))
+    for N in levels for k in (2, 3, 4, 6) if kind == GAMMA1 or k % 2 == 0]
+
+
 class TestCompiledOperator:
     """HeckeOperator against the per-(label, M) reference loop."""
 
-    @pytest.mark.parametrize("kind,N,k", [
-        (kind, N, k) for kind, levels in ((GAMMA0, (1, 5, 11, 37)), (GAMMA1, (5, 7)))
-        for N in levels for k in (2, 3, 4, 6) if kind == GAMMA1 or k % 2 == 0])
+    @pytest.mark.parametrize("kind,N,k", COMPILED_GRID)
     def test_images_match_reference(self, kind, N, k):
         space = build_coset_space(kind, N, k)
         w = k - 2
@@ -381,6 +499,82 @@ class TestCompiledOperator:
                     assert op.image(v).values == reference_hecke_action(v, t, spec).values
                 v = vectors[-1]
                 assert hecke_action(v, t, spec).values == op.image(v).values
+
+    @pytest.mark.parametrize("kind,N,k", COMPILED_GRID)
+    def test_extended_images_match_reference(self, kind, N, k):
+        space = build_coset_space(kind, N, k)
+        w = k - 2
+        Wt = build_W_extended(space, w)
+        rnd = random.Random(N * 100 + k)
+        # a random combination of the whole basis of Wtilde: the action is
+        # linear.  The reference takes 10-20 s for n = 11 on the spaces of
+        # more than 20 cosets, so there only the pole rows are compared.
+        v = Wt.ambient_vector_from_internal(
+            [Fraction(rnd.randint(1, 9), rnd.randint(1, 6)) for _ in range(Wt.dim)])
+        for n in (1, 2, 3, 5, 11):
+            t = universal_hecke_element(n)
+            for spec in _specs(kind, N, n):
+                op = HeckeOperator(space, w, t, spec, extended=True)
+                assert _normalized_rows(op.poles) == \
+                    _normalized_rows(reference_pole_rows(space, w, t, spec))
+                if n < 11 or space.size <= 20:
+                    assert op.image(v).tilde_coords() == \
+                        reference_hecke_action_extended(v, t, spec).tilde_coords()
+
+    @pytest.mark.parametrize("kind,N,k,n", [(GAMMA0, 5, 4, 2), (GAMMA0, 11, 2, 3),
+                                            (GAMMA0, 6, 4, 5), (GAMMA1, 5, 3, 2)])
+    def test_random_extended_vectors(self, kind, N, k, n):
+        space = build_coset_space(kind, N, k)
+        w = k - 2
+        Wt = build_W_extended(space, w)
+        t, spec = universal_hecke_element(n), delta_spec(kind, N, n)
+        rnd = random.Random(N * 1000 + k * 10 + n)
+
+        def rand():
+            return Fraction(rnd.randint(-9, 9), rnd.randint(1, 4))
+
+        seen = set()
+        for trial in range(8):
+            poly = PolyVector(space, w, [[rand() for _ in range(w + 1)]
+                                         for _ in range(space.size)])
+            if trial % 2:
+                # cusp constants of Wtilde: every pole cancels
+                base = Wt.ambient_vector_from_internal([rand() for _ in range(Wt.dim)])
+                P = ExtPolyVector(space, w, poly + base.poly, base.tails)
+            else:
+                tails = [rand() if rnd.random() < 0.5 else 0 for _ in range(space.size)]
+                P = ExtPolyVector(space, w, poly, tails, check=False)
+            got = _outcome(hecke_action, P, t, spec)
+            assert got == _outcome(reference_hecke_action_extended, P, t, spec)
+            seen.add(got is HeckeError)
+        assert seen == {True, False}
+
+    def test_uncancelled_pole_is_refused(self, space5):
+        # a cusp constant on the label (1:0) only: its residues at the
+        # poles x0 != 0 meet nothing that cancels them
+        t, spec = universal_hecke_element(2), delta_spec(GAMMA0, 5, 2)
+        tails = [0] * space5.size
+        tails[space5.label_from_str("(1:0)")] = 1
+        P = ExtPolyVector(space5, 2, PolyVector.zero(space5, 2), tails, check=False)
+        with pytest.raises(HeckeError):
+            reference_hecke_action_extended(P, t, spec)
+        with pytest.raises(HeckeError, match="extended polynomial model"):
+            hecke_action(P, t, spec)
+        op = HeckeOperator(space5, 2, t, spec, extended=True)
+        assert op.poles
+        with pytest.raises(HeckeError, match="extended polynomial model"):
+            op.apply([int(x) for x in P.tilde_coords()])
+        with pytest.raises(HeckeError, match="does not live"):
+            op.image(PolyVector.zero(space5, 2))
+
+    @pytest.mark.parametrize("N,k,n", [(11, 4, 2), (11, 4, 3), (5, 6, 5)])
+    def test_extended_matrix_matches_reference_images(self, N, k, n):
+        space = build_coset_space(GAMMA0, N, k)
+        Wt = build_W_extended(space, k - 2)
+        t, spec = universal_hecke_element(n), delta_spec(GAMMA0, N, n)
+        ref = Wt.restricted_matrix([reference_hecke_action_extended(v, t, spec)
+                                    for v in Wt.vectors()])
+        assert hecke_matrix(Wt, t, spec) == ref
 
     def test_solver_element_with_rational_coefficients(self):
         space = build_coset_space(GAMMA0, 11, 4)
