@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactalg import (ApproxComplex, PeriodPolyError, bernoulli, check,
-                       clear_denominators, scalar_to_str, scalar_from_str)
+from .exactalg import (ApproxComplex, DenseMatrix, PeriodPolyError, QQ, bernoulli,
+                       check, clear_denominators, scalar_to_str, scalar_from_str,
+                       solve_columns)
 from .cosets import MAT_I, MAT_S, GAMMA0, build_coset_space
 from .polyspace import PolyVector, pair_braces, build_W_extended
 from .hecke import GroupRingElement, SigmaSpec
@@ -638,33 +639,16 @@ def zeta_value_zero() -> float:
 
 
 def _solve_log_decomposition(basis: list, known: dict) -> list:
-    """Exact solve of sum x_i basis_i = d on the known coordinates."""
-    xs = []
-    for comp in ("l2", "l3"):
-        rows = []
-        rhs = []
-        for j, val in sorted(known.items()):
-            rows.append([Fraction(b[j]) for b in basis])
-            rhs.append(getattr(val, comp))
-        x = _exact_lstsq_unique(rows, rhs)
-        xs.append(x)
-    return [LogSymbol(a, b) for a, b in zip(*xs)]
-
-
-def _exact_lstsq_unique(rows: list, rhs: list) -> list:
-    """Unique exact solution of a consistent, full-column-rank system."""
-    from .exactalg import QQ, _rref_rows
-    ncols = len(rows[0])
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    red, pivots = _rref_rows(aug, QQ)
-    if any(p == ncols for p in pivots):
+    """Exact solve of sum x_i basis_i = d on the known coordinates, whose
+    solution must be unique."""
+    keys = sorted(known)
+    m = DenseMatrix(QQ, [[Fraction(b[j]) for b in basis] for j in keys])
+    xs = solve_columns(m, [[getattr(known[j], comp) for j in keys] for comp in ("l2", "l3")])
+    if xs is None:
         raise AnalyticError("inconsistent decomposition system")
-    if len(pivots) != ncols:
+    if m.rank() != m.ncols:
         raise AnalyticError("decomposition is not unique; add more constants")
-    x = [Fraction(0)] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = red[i][ncols]
-    return x
+    return [LogSymbol(a, b) for a, b in zip(*xs)]
 
 
 def _log_combination(basis: list, coeffs: list, j: int) -> LogSymbol:

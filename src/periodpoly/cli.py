@@ -10,7 +10,9 @@ deterministic byte for byte.  Progress goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -221,24 +223,26 @@ def cmd_hecke_matrix(args, out):
 def cmd_eigenpoly(args, out):
     kind = _group_kind(args.group)
     space = _coset_space(args, kind, args.level, args.weight)
-    w = args.weight - 2
-    W = build_W(space, w)
-    plus, minus = eps_split(W)
-    sub = plus if args.parity == "plus" else minus
-    parity = "+" if args.parity == "plus" else "-"
-    P = common_eigen_polynomial(sub, _parse_eigen(args.eigen), parity=parity)
-    doc = P.to_json()
-    doc["parity"] = parity
+    eigendata = _parse_eigen(args.eigen)
+    try:
+        # opened before anything is built, so a bad path is refused at once
+        sink = open(args.output, "w") if args.output else contextlib.nullcontext(out)
+    except OSError as exc:
+        raise CliError("cannot write %s: %s" % (args.output, exc.strerror or exc),
+                       EXIT_USAGE)
+    try:
+        with sink as fh:
+            plus, minus = eps_split(build_W(space, args.weight - 2))
+            sub, parity = (plus, "+") if args.parity == "plus" else (minus, "-")
+            doc = common_eigen_polynomial(sub, eigendata, parity=parity).to_json()
+            doc["parity"] = parity
+            _emit(doc, fh)
+    except PeriodPolyError:
+        if args.output:
+            os.remove(args.output)  # a failed run leaves no output file
+        raise
     if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                _emit(doc, fh)
-        except OSError as exc:
-            raise CliError("cannot write %s: %s" % (args.output, exc.strerror or exc),
-                           EXIT_USAGE)
         _emit({"written": args.output, "dim_searched": sub.dim}, out)
-    else:
-        _emit(doc, out)
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic and dense linear algebra.
+"""Exact scalar arithmetic, dense matrices and the one exact eliminator.
 
 Matrix scalars come in two flavours, tagged at run time by the field object
 that owns them: arbitrary-precision rationals (``fractions.Fraction``) and
@@ -313,6 +313,7 @@ class RationalField:
 
     zero = Fraction(0)
     one = Fraction(1)
+    degree = 1
 
     def of(self, x) -> Fraction:
         return x if isinstance(x, Fraction) else Fraction(x)
@@ -416,9 +417,6 @@ class DenseMatrix:
     def columns(self) -> list:
         return [self.column(j) for j in range(self.ncols)]
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
     def __eq__(self, other):
         return (isinstance(other, DenseMatrix) and self.rows == other.rows
                 and self.ncols == other.ncols)
@@ -436,17 +434,6 @@ class DenseMatrix:
                             acc[j] = acc[j] + a * b
             out.append(acc)
         return DenseMatrix(self.field, out, ncols=other.ncols)
-
-    def __add__(self, other: "DenseMatrix") -> "DenseMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ExactAlgebraError("dimension mismatch in sum")
-        return DenseMatrix(self.field,
-                           [[a + b for a, b in zip(r, s)]
-                            for r, s in zip(self.rows, other.rows)],
-                           ncols=self.ncols)
-
-    def __sub__(self, other: "DenseMatrix") -> "DenseMatrix":
-        return self + other.scaled(-1)
 
     def scaled(self, c) -> "DenseMatrix":
         c = self.field.of(c) if isinstance(c, (int, Fraction)) else c
@@ -477,107 +464,62 @@ class DenseMatrix:
     def is_zero(self) -> bool:
         return all(not x for r in self.rows for x in r)
 
-    def rref(self) -> tuple["DenseMatrix", list]:
-        rows, pivots = _rref_rows([list(r) for r in self.rows], self.field)
-        return DenseMatrix(self.field, rows, ncols=self.ncols), pivots
-
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(sparse_int_pivots(self.int_rows())) // self.field.degree
+
+    def int_rows(self) -> list:
+        """The rows in integers over the real unknowns (``realified_rows``)."""
+        return realified_rows(self.field, [{j: scalar_coords(self.field, x) for j, x in
+                                            enumerate(r) if x} for r in self.rows])
+
+    @classmethod
+    def from_int_columns(cls, field, cols: Sequence, nrows: int) -> "DenseMatrix":
+        """The matrix of cleared columns (den, vec), see ``kernel_columns``."""
+        return cls.from_columns(field, [column_entries(field, den, vec, nrows)
+                                        for den, vec in cols], nrows=nrows)
 
     def __repr__(self):
         return "DenseMatrix(%s, %dx%d)" % (self.field, self.nrows, self.ncols)
 
 
-def _rref_rows(rows: list, field) -> tuple[list, list]:
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pivot = next((i for i in range(r, nr) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.one / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows, pivots
-
-
-def reduced_column_basis(field, vectors: Sequence[Sequence], ambient: int) -> "DenseMatrix":
-    """Canonical basis (reduced column echelon form) of the span of vectors."""
-    vecs = [list(v) for v in vectors if any(v)]
-    if not vecs:
-        return DenseMatrix(field, [[] for _ in range(ambient)], ncols=0)
-    rows, pivots = _rref_rows(vecs, field)
-    cols = [tuple(rows[i]) for i in range(len(pivots))]
-    return DenseMatrix.from_columns(field, cols, nrows=ambient)
-
-
 def kernel_basis(m: DenseMatrix) -> DenseMatrix:
-    """Basis of the right null space, in reduced column-echelon form.
+    """Basis of the right null space, in reduced column echelon form: one
+    run of the eliminator on the integer rows of m (``kernel_columns``)."""
+    return DenseMatrix.from_int_columns(
+        m.field, kernel_columns(m.int_rows(), m.ncols, m.field), m.ncols)
 
-    Deterministic: identical inputs give identical bases.
-    """
-    field = m.field
-    if m.nrows == 0:
-        return DenseMatrix.identity(field, m.ncols)
-    rows, pivots = _rref_rows([list(r) for r in m.rows], field)
-    free = [c for c in range(m.ncols) if c not in pivots]
-    vecs = []
-    for f in free:
-        v = [field.zero] * m.ncols
-        v[f] = field.one
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][f]
-        vecs.append(v)
-    return reduced_column_basis(field, vecs, m.ncols)
+
+def eigen_columns(m: DenseMatrix, lam) -> list:
+    """The cleared columns (``kernel_columns``) of ker(m - lam*I)."""
+    if m.nrows != m.ncols:
+        raise ExactAlgebraError("eigen_kernel needs a square matrix")
+    f, lam = m.field, scalar_coords(m.field, lam)
+    rows = [{j: scalar_coords(f, x) for j, x in enumerate(r) if x} for r in m.rows]
+    for i, row in enumerate(rows):
+        row[i] = [a - b for a, b in zip(row.get(i, [0] * f.degree), lam)]
+    return kernel_columns(realified_rows(f, rows), m.ncols, f)
 
 
 def eigen_kernel(m: DenseMatrix, lam) -> DenseMatrix:
     """Basis of ker(m - lam*I); empty when lam is not an eigenvalue."""
-    if m.nrows != m.ncols:
-        raise ExactAlgebraError("eigen_kernel needs a square matrix")
-    lam = m.field.of(lam) if isinstance(lam, (int, Fraction)) else lam
-    shifted = m - DenseMatrix.identity(m.field, m.nrows).scaled(lam)
-    return kernel_basis(shifted)
+    return DenseMatrix.from_int_columns(m.field, eigen_columns(m, lam), m.ncols)
 
 
 def solve_columns(basis: DenseMatrix, targets: Sequence[Sequence]) -> list | None:
-    """Solve basis * x = t for each target t; None if any t is outside the span."""
-    field = basis.field
-    aug = [list(basis.rows[i]) + [field.of(t[i]) if isinstance(t[i], (int, Fraction)) else t[i]
-                                  for t in targets]
-           for i in range(basis.nrows)]
-    rows, pivots = _rref_rows(aug, field)
-    r = len(pivots)
-    n = basis.ncols
-    if any(p >= n for p in pivots):
+    """Solve basis * x = t for each target t; None if any t is outside the span.
+    In the kernel of (-t_1 ... -t_T basis), every t_j is in the span iff every
+    coefficient y_j is free, the column free at y_j holding a solution x."""
+    T, field = len(targets), basis.field
+    aug = DenseMatrix(field, [[-t[i] for t in targets] + list(row)
+                              for i, row in enumerate(basis.rows)], ncols=T + basis.ncols)
+    cols = kernel_columns(aug.int_rows(), aug.ncols, field)[:T]
+    if [min(vec) for _, vec in cols] != [j * field.degree for j in range(T)]:
         return None
-    sols = []
-    for j in range(len(targets)):
-        x = [field.zero] * n
-        for i, p in enumerate(pivots):
-            x[p] = rows[i][n + j]
-        sols.append(tuple(x))
-    # residual check guards against inconsistent systems
-    for j, t in enumerate(targets):
-        res = basis.apply(sols[j])
-        if any(a != (field.of(b) if isinstance(b, (int, Fraction)) else b)
-               for a, b in zip(res, t)):
-            return None
-    return sols
+    return [tuple(column_entries(field, den, vec, aug.ncols)[T:]) for den, vec in cols]
 
 
 # ----------------------------------------------------------------------
-# sparse integer elimination (internal engine for the large space builds)
+# the exact eliminator: sparse integer rows, behind every kernel and span
 
 def _normalize_int_row(row: dict) -> dict:
     if not row:
@@ -604,7 +546,7 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False) -> list:
     only changes smaller columns and every pivot stays the last column of
     its row.  The kernel vector of a free column f is then 1 at f and zero
     above f and at the other free columns: the kernel vectors already are
-    the reduced column echelon basis that ``reduced_column_basis`` gives.
+    the reduced column echelon basis of the kernel (``kernel_columns``).
 
     The next pivot row is the remaining row with the fewest nonzeros, ties
     going to the smallest index (its position among the nonzero input
@@ -684,21 +626,100 @@ def sparse_int_rank(rows: Iterable[dict]) -> int:
     return len(sparse_int_pivots(rows))
 
 
-def sparse_int_kernel(rows: Iterable[dict], ncols: int) -> list:
-    """Reduced column echelon basis of the kernel of a sparse integer
-    matrix, as Fraction vectors (tuples); see ``sparse_int_pivots``."""
-    pivots = sparse_int_pivots(rows, reduce_fully=True)
-    pivot_cols = {pc for pc, _ in pivots}
-    free = [c for c in range(ncols) if c not in pivot_cols]
-    vecs = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for pc, row in pivots:
-            if f in row:
-                v[pc] = Fraction(-row[f], row[pc])
-        vecs.append(tuple(v))
-    return vecs
+def kernel_columns(rows: Iterable[dict], ncols: int, field=QQ) -> list:
+    """Reduced column echelon basis of the kernel of integer rows over the
+    ncols * d real unknowns of ``realified_rows``, as columns (den, vec):
+    vec / den, vec an int dict over the real indices i * d + t, den least.
+
+    With last-column pivots the kernel vector of a free real column f is 1
+    at f and 0 at the other free columns and before f: the real kernel's
+    echelon basis, {zeta^t b} over the field's echelon basis b.  The b are
+    the vectors free at a zeta^0 coordinate f = j * d."""
+    d, pivot_cols, rows_with = field.degree, set(), {}
+    for pc, row in sparse_int_pivots(rows, reduce_fully=True):
+        pivot_cols.add(pc)
+        for c in row:
+            if c != pc:
+                rows_with.setdefault(c, []).append((pc, row))
+    out = []
+    for f in range(0, ncols * d, d):
+        if f in pivot_cols:
+            continue
+        hits = rows_with.get(f, ())
+        den = math.lcm(1, *(row[pc] // math.gcd(row[pc], row[f]) for pc, row in hits))
+        vec = {f: den}
+        for pc, row in hits:
+            vec[pc] = -row[f] * den // row[pc]
+        out.append((den, vec))
+    return out
+
+
+def reduced_column_basis(field, vectors: Sequence[Sequence], ambient: int) -> list:
+    """Canonical basis (reduced column echelon form) of the span of rational
+    vectors, as (den, vec) columns over field (see ``kernel_columns``).
+
+    It is the reduced row echelon form of the vectors, pivots at first
+    columns; the eliminator pivots at last ones, so column c goes in as
+    ambient - 1 - c, and each pivot row comes back as a column.
+    """
+    rows = []
+    for vec in vectors:
+        if len(vec) != ambient:
+            raise ExactAlgebraError("vector of length %d in an ambient space of "
+                                    "dimension %d" % (len(vec), ambient))
+        entries = {ambient - 1 - c: v for c, v in enumerate(vec) if v}
+        cleared = clear_denominators(list(entries.values()))
+        if cleared is None:
+            raise ExactAlgebraError("only spans of rational vectors are built")
+        rows.append(dict(zip(entries, cleared[0])))
+    d = field.degree
+    cols = []
+    for pc, row in reversed(sparse_int_pivots(rows, reduce_fully=True)):
+        sign = 1 if row[pc] > 0 else -1
+        cols.append((sign * row[pc], {(ambient - 1 - c) * d: sign * v for c, v in row.items()}))
+    return cols
+
+
+def scalar_coords(field, x) -> list:
+    """Power-basis coordinates of a scalar of field; a rational is [x, 0, ...]."""
+    if isinstance(x, Cyclotomic):
+        return list(x.coeffs)
+    return [x] + [0] * (field.degree - 1)
+
+
+def mult_columns(field, a: Sequence) -> list:
+    """Columns of y -> a y on power-basis coordinates: a zeta^t mod Phi_m."""
+    cols = [list(a)]
+    for _ in range(1, field.degree):
+        top = cols[-1][-1]
+        nxt = [0] + cols[-1][:-1]
+        cols.append([x - top * c for x, c in zip(nxt, field.modulus)] if top else nxt)
+    return cols
+
+
+def realified_rows(field, rows: Iterable[dict]) -> list:
+    """Integer rows of a system over field whose rows map unknowns j to the
+    power-basis coordinates of their coefficients.  Over degree d, unknown j
+    becomes the real unknowns j * d + t and each row d cleared rows."""
+    d, out = field.degree, []
+    for row in rows:
+        real = [{} for _ in range(d)]
+        for j, a in row.items():
+            for t, col in enumerate(mult_columns(field, a)):
+                for s, v in enumerate(col):
+                    if v:
+                        real[s][j * d + t] = v
+        out.extend(rows_to_int_sparse(real))
+    return out
+
+
+def column_entries(field, den: int, vec: dict, n: int) -> list:
+    """The n scalars of a cleared column (den, vec) of ``kernel_columns``."""
+    d = field.degree
+    coeffs = [[QQ.zero] * d for _ in range(n)]
+    for k, v in vec.items():
+        coeffs[k // d][k % d] = Fraction(v, den)
+    return [c[0] for c in coeffs] if field is QQ else [Cyclotomic(field, c) for c in coeffs]
 
 
 def clear_denominators(values: Sequence):

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactalg import (DenseMatrix, PeriodPolyError, check,
-                       clear_denominators, eigen_kernel, rows_to_int_sparse,
-                       solve_columns)
+from .exactalg import (DenseMatrix, PeriodPolyError, QQ, check,
+                       clear_denominators, eigen_columns, kernel_columns,
+                       rows_to_int_sparse)
 from .cosets import (CosetSpace, Mat2, MAT_I, MAT_S, MAT_T, GAMMA0, GAMMA1,
                      _crt, _xgcd)
 from .polyspace import (PolyVector, ExtPolyVector, Subspace, slash_poly,
@@ -612,11 +612,6 @@ class HeckeOperator:
             out.extend(acc)
         return out
 
-    def image_coords(self, values: Sequence, den: int) -> list:
-        """Image of the coordinate vector values / den, divided out once."""
-        inv = Fraction(1, den * self.den)
-        return [v * inv for v in self.apply(values)]
-
     def image(self, P):
         """P |_Sigma t, applied in integers when P is rational."""
         if (P.space is not self.space or P.w != self.w
@@ -624,7 +619,8 @@ class HeckeOperator:
             raise HeckeError("vector does not live on the operator's space")
         coords = P.tilde_coords() if self.extended else P.coords()
         values, den = clear_denominators(coords) or (coords, 1)
-        image = self.image_coords(values, den)
+        inv = Fraction(1, den * self.den)
+        image = [v * inv for v in self.apply(values)]
         if self.extended:
             return ExtPolyVector.from_tilde_coords(self.space, self.w, image)
         return PolyVector.from_coords(self.space, self.w, image)
@@ -683,14 +679,21 @@ def hecke_action(P, t: GroupRingElement, spec: SigmaSpec):
 
 
 def hecke_matrix(sub: Subspace, t: GroupRingElement, spec: SigmaSpec) -> DenseMatrix:
-    """Exact matrix of the action in the basis of a stable subspace.
+    """Exact matrix of the action in the basis of a stable rational subspace.
 
-    The operator is compiled once and applied to each basis column with
-    its denominator cleared; every full image is checked for membership.
+    The operator is compiled once and applied to each integer basis column;
+    every image, over its denominator, goes straight to the membership test.
     """
+    if sub.field is not QQ:
+        raise HeckeError("Hecke matrices are taken on rational subspaces")
     op = HeckeOperator(sub.space, sub.w, t, spec, sub.extended)
-    images = [op.image_coords(col, den) for col, den in sub.cleared_columns()]
-    return sub.restricted_matrix(images)
+    images = []
+    for _, vec in sub.columns:
+        values = [0] * sub.ambient
+        for i, v in vec.items():
+            values[i] = v
+        images.append(op.apply(values))
+    return sub.restricted_matrix(images, [den * op.den for den, _ in sub.columns])
 
 
 def common_eigen_polynomial(sub: Subspace, eigendata: Sequence[tuple],
@@ -701,6 +704,8 @@ def common_eigen_polynomial(sub: Subspace, eigendata: Sequence[tuple],
 
     ``spec_for(p)`` supplies the double coset (defaults to Delta_p on the
     subspace's own group) and ``element_for(p)`` the universal element.
+    Each operator acts on the columns of the running intersection only,
+    which is then cut down to its lambda_p-eigenspace.
     Fails loudly when the intersection is empty or not one dimensional.
     The generator is scaled so the designated coordinate is 1: the constant
     coefficient at the identity coset for even ('+') parts, the linear one
@@ -713,24 +718,17 @@ def common_eigen_polynomial(sub: Subspace, eigendata: Sequence[tuple],
         spec_for = lambda p: delta_spec(space.kind, space.N, p)
     if element_for is None:
         element_for = universal_hecke_element
-    cur = DenseMatrix.identity(sub.field, sub.dim)
+    cur = sub
     for p, lam in eigendata:
-        big = hecke_matrix(sub, element_for(p), spec_for(p))
-        # restrict to the running intersection
-        restricted = solve_columns(cur, [ (big * cur).column(j) for j in range(cur.ncols)])
-        if restricted is None:
-            raise EigenspaceError("subspace is not stable under the operator")
-        mat = DenseMatrix.from_columns(sub.field, restricted, nrows=cur.ncols)
-        ker = eigen_kernel(mat, lam)
-        if ker.ncols == 0:
+        ker = eigen_columns(hecke_matrix(cur, element_for(p), spec_for(p)), lam)
+        if not ker:
             raise EigenspaceError(
                 "empty intersection: %s is not an eigenvalue of T~_%d here" % (lam, p))
-        cur = cur * ker
-    if cur.ncols != 1:
+        cur = cur.times(ker)
+    if cur.dim != 1:
         raise EigenspaceError(
-            "eigenspace is %d-dimensional; supply more primes" % cur.ncols)
-    vec = sub.ambient_vector_from_internal(cur.column(0))
-    return normalize_eigen_polynomial(vec, parity)
+            "eigenspace is %d-dimensional; supply more primes" % cur.dim)
+    return normalize_eigen_polynomial(cur.vector(0), parity)
 
 
 def normalize_eigen_polynomial(vec: PolyVector, parity: Optional[str]):
@@ -769,29 +767,13 @@ def ideal_membership_within_bound(x: GroupRingElement, entry_bound: int) -> str:
                            (one_plus_s, "r"), (one_puu, "r")):
             prod = gre_mul(lead, e) if side == "l" else gre_mul(e, lead)
             columns.append(prod)
-    keys = sorted({m for col in columns for m in col.coeffs} | set(x.coeffs))
-    key_pos = {m: i for i, m in enumerate(keys)}
-    rows = []
-    for j, col in enumerate(columns):
-        entry = {}
+    # sum_j y_j col_j = x, one row per matrix, the last unknown standing for -x
+    sys_rows: dict = {}
+    for j, col in enumerate(columns + [x.scale(-1)]):
         for m, c in col.coeffs.items():
-            entry[key_pos[m]] = c
-        rows.append((j, entry))
-    # solve sum_j y_j col_j = x  by elimination over the keys
-    from .exactalg import sparse_int_kernel
+            sys_rows.setdefault(m, {})[j] = c
     ncols = len(columns) + 1
-    sys_rows = []
-    for i, m in enumerate(keys):
-        row = {}
-        for j, entry in rows:
-            if i in entry:
-                row[j] = entry[i]
-        tgt = x.coeffs.get(m)
-        if tgt:
-            row[len(columns)] = -tgt
-        if row:
-            sys_rows.append(row)
-    for v in sparse_int_kernel(rows_to_int_sparse(sys_rows), ncols):
-        if v[-1]:
-            return "verified within bound"
+    if any(ncols - 1 in vec for _, vec in
+           kernel_columns(rows_to_int_sparse(sys_rows.values()), ncols)):
+        return "verified within bound"
     return "inconclusive"

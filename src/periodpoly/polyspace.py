@@ -14,12 +14,11 @@ import warnings
 from fractions import Fraction
 from typing import Optional, Sequence
 
-# reduced_column_basis is unused here but stays importable by this name,
-# which perfbench's tracer rebinds and its tests check.
-from .exactalg import (DenseMatrix, PeriodPolyError, QQ, check, clear_denominators,
-                       eigen_kernel, kernel_basis, poly_mul, reduced_column_basis,
-                       scalar_from_str, scalar_to_str, sparse_int_kernel,
-                       sparse_int_pivots, sparse_int_rank)
+from .exactalg import (DenseMatrix, ExactAlgebraError, PeriodPolyError, QQ, check,
+                       clear_denominators, column_entries, eigen_columns, kernel_columns,
+                       mult_columns, poly_mul, realified_rows, reduced_column_basis,
+                       scalar_coords, scalar_from_str, scalar_to_str,
+                       sparse_int_rank)
 from .cosets import (CosetSpace, Mat2, MAT_EPS, MAT_S, MAT_SINV, MAT_T,
                      MAT_TINV, MAT_U, MAT_U2, MAT_U2INV, MAT_UINV, GAMMA0,
                      build_coset_space)
@@ -344,129 +343,103 @@ def pair_braces(P, Q):
 class Subspace:
     """Exact span of coordinatized PolyVectors or ExtPolyVectors.
 
-    The basis is kept in reduced column echelon form, which makes both the
-    representation canonical and membership tests a cheap read-off of the
-    pivot coordinates followed by an exact residual.  The constructor checks
-    that form.  If B is such a basis and K one in B-coordinates, then B K is
-    one too, its pivot rows being B's at K's pivots: the eps and chi parts
-    are built that way, without a second elimination.
+    The basis is held in reduced column echelon form as cleared sparse
+    integer columns (den, vec), see ``exactalg.kernel_columns``: over
+    Q(zeta_m) of degree d, vec[i * d + t] / den is the zeta^t coordinate of
+    entry i.  The form is canonical and makes membership a read-off at the
+    pivot rows plus an integer residual; the constructor checks it, also
+    under -O.  If K is such a basis in B-coordinates, B K is one too, so
+    the eps and chi parts and eigenspaces need no second elimination
+    (``times``).  ``basis`` is a DenseMatrix view, built on first read.
     """
 
     def __init__(self, space: CosetSpace, w: int, extended: bool,
-                 basis: DenseMatrix, field=QQ):
-        self.space = space
-        self.w = w
-        self.extended = extended
-        self.basis = basis
-        self.field = field
-        self.ambient = basis.nrows
-        self.pivot_rows = [next((i for i, x in enumerate(col) if x), None)
-                           for col in basis.columns()]
-        check(all(p is not None for p in self.pivot_rows), "zero basis column")
+                 columns: Sequence, field=QQ):
+        self.space, self.w, self.extended, self.field = space, w, extended, field
+        self.columns = list(columns)
+        self.ambient = space.size * ((w + 3) if extended else (w + 1))
+        d = field.degree
+        self.pivot_rows = []
+        for j, (den, vec) in enumerate(self.columns):
+            check(vec and all(vec.values()) and 0 <= min(vec) and max(vec) < self.ambient * d,
+                  "basis column %d is zero or leaves the ambient space" % j)
+            p = min(vec)
+            check(p % d == 0 and vec[p] == den > 0 and math.gcd(*vec.values()) == 1,
+                  "basis column %d is not 1 at its pivot in lowest terms" % j)
+            self.pivot_rows.append(p // d)
         check(all(p < q for p, q in zip(self.pivot_rows, self.pivot_rows[1:])),
               "basis pivot rows do not strictly increase")
-        for j, p in enumerate(self.pivot_rows):
-            row = basis.rows[p]
-            check(row[j] == 1 and not any(row[:j]) and not any(row[j + 1:]),
-                  "basis pivot row %d is not a unit row" % p)
-        self._column_data = None
+        pivots = set(self.pivot_rows)
+        for p, (_, vec) in zip(self.pivot_rows, self.columns):
+            check(all(k == p * d or k // d not in pivots for k in vec),
+                  "basis column with pivot row %d meets another pivot row" % p)
+        self.lcm = math.lcm(1, *(den for den, _ in self.columns))
+        self._basis = None
 
     @classmethod
     def from_vectors(cls, space: CosetSpace, w: int, extended: bool,
                      vectors: Sequence[Sequence], field=QQ) -> "Subspace":
-        """The span of rational vectors; over other fields only the zero span.
-
-        The reduced column echelon basis of a span is the fully reduced row
-        echelon form of its vectors, pivots taken at first columns.  The
-        sparse eliminator pivots at last columns, so each vector goes in
-        cleared of denominators with column c read as ambient - 1 - c; each
-        pivot row, mapped back and divided by its pivot entry, is a column
-        of that unique basis, in order of increasing pivot row.
-        """
+        """The span of rational vectors (``reduced_column_basis``)."""
         ambient = space.size * ((w + 3) if extended else (w + 1))
-        rows = []
-        for vec in vectors:
-            if len(vec) != ambient:
-                raise PolySpaceError("vector of length %d in an ambient space of "
-                                     "dimension %d" % (len(vec), ambient))
-            entries = {ambient - 1 - c: v for c, v in enumerate(vec) if v}
-            cleared = clear_denominators(list(entries.values())) if field is QQ else None
-            if cleared is None:
-                if entries:
-                    raise PolySpaceError("only spans of rational vectors are "
-                                         "built from vectors")
-                continue
-            rows.append(dict(zip(entries, cleared[0])))
-        cols = []
-        for pc, row in reversed(sparse_int_pivots(rows, reduce_fully=True)):
-            col = [QQ.zero] * ambient
-            pv = row[pc]
-            for c, v in row.items():
-                col[ambient - 1 - c] = Fraction(v, pv)
-            cols.append(col)
-        basis = DenseMatrix.from_columns(field, cols, nrows=ambient)
-        return cls(space, w, extended, basis, field)
+        try:
+            columns = reduced_column_basis(field, vectors, ambient)
+        except ExactAlgebraError as exc:
+            raise PolySpaceError(str(exc)) from None
+        return cls(space, w, extended, columns, field)
 
     @property
     def dim(self) -> int:
-        return self.basis.ncols
+        return len(self.columns)
 
-    def _columns(self) -> tuple:
-        """(cleared columns, L, support), built on first use.
+    @property
+    def basis(self) -> DenseMatrix:
+        if self._basis is None:
+            self._basis = DenseMatrix.from_int_columns(self.field, self.columns, self.ambient)
+        return self._basis
 
-        Column j is values_j / d_j, with integer values over QQ and the
-        field's own entries with d_j = 1 otherwise; L = lcm(d_j), and the
-        support lists (pivot_j, nonzeros of values_j, L / d_j).
-        """
-        if self._column_data is None:
-            cols = []
-            for col in self.basis.columns():
-                c = clear_denominators(col) if self.field is QQ else None
-                cols.append(c if c is not None else (col, 1))
-            L = 1
-            for _, den in cols:
-                L = math.lcm(L, den)
-            support = [(piv, [(i, v) for i, v in enumerate(col) if v], L // den)
-                       for piv, (col, den) in zip(self.pivot_rows, cols)]
-            self._column_data = (cols, L, support)
-        return self._column_data
+    def coordinates_of(self, coords: Sequence, den: int = 1) -> Optional[tuple]:
+        """Coordinates in the basis of coords / den, or None outside the span.
 
-    def cleared_columns(self) -> list:
-        """(values, den) per basis column, the column being values / den."""
-        return self._columns()[0]
-
-    def coordinates_of(self, coords: Sequence) -> Optional[tuple]:
-        """Coordinates in the basis, or None when coords lies outside the span.
-
-        With coords cleared to c / D and column j held as n_j / d_j, the
-        vector is a member iff L c - sum_j c[pivot_j] (L / d_j) n_j = 0 for
-        L = lcm(d_j); the residual runs over the stored nonzeros of each
-        column, in integers over QQ.
+        For coords cleared to c / D and columns n_j / d_j, membership is
+        L c = sum_j (L / d_j) c[pivot_j] n_j for L = ``lcm`` of the d_j, in
+        integers over the stored nonzeros (field products: ``mult_columns``).
         """
         if len(coords) != self.ambient:
             raise PolySpaceError("vector of length %d in an ambient space of "
                                  "dimension %d" % (len(coords), self.ambient))
-        _, L, support = self._columns()
-        cleared = clear_denominators(coords)
-        c = cleared[0] if cleared is not None else coords
-        r = [L * v for v in c] if L != 1 else list(c)
-        for piv, nonzeros, scale in support:
-            f = c[piv]
-            if not f:
+        field, d = self.field, self.field.degree
+        cleared = clear_denominators(coords if field is QQ else
+                                     [c for x in coords for c in scalar_coords(field, x)])
+        if cleared is None:
+            raise PolySpaceError("vector entries outside the field of the subspace")
+        c, D = cleared
+        r = [self.lcm * v for v in c]
+        for p, (dj, nj) in zip(self.pivot_rows, self.columns):
+            a = c[p * d:(p + 1) * d]
+            if not any(a):
                 continue
-            if scale != 1:
-                f = f * scale
-            for i, v in nonzeros:
-                r[i] -= f * v
+            if d == 1:
+                f = a[0] * (self.lcm // dj)
+                for k, v in nj.items():
+                    r[k] -= f * v
+                continue
+            cols = mult_columns(field, [x * (self.lcm // dj) for x in a])
+            for k, v in nj.items():
+                base = k - k % d
+                for s, m in enumerate(cols[k % d]):
+                    r[base + s] -= v * m
         if any(r):
             return None
-        return tuple(coords[i] for i in self.pivot_rows)
+        pivots = {j * d + t: c[p * d + t] for j, p in enumerate(self.pivot_rows)
+                  for t in range(d) if c[p * d + t]}
+        return tuple(column_entries(field, D * den, pivots, self.dim))
 
     def contains(self, vec) -> bool:
         return self.coordinates_of(_coords_of(vec)) is not None
 
     def vector(self, j: int):
-        return self.vector_from_coords(self.basis.column(j))
+        den, vec = self.columns[j]
+        return self.vector_from_coords(column_entries(self.field, den, vec, self.ambient))
 
     def vector_from_coords(self, coords: Sequence):
         if self.extended:
@@ -476,21 +449,37 @@ class Subspace:
     def vectors(self) -> list:
         return [self.vector(j) for j in range(self.dim)]
 
-    def restricted_matrix(self, images: Sequence) -> DenseMatrix:
-        """Matrix of a linear map given by the images of the basis vectors.
-
-        Raises with the offending column index if an image leaves the span.
-        """
+    def restricted_matrix(self, images: Sequence, dens: Optional[Sequence] = None) -> DenseMatrix:
+        """Matrix of a linear map given by the images of the basis vectors, as
+        vectors or as integer coordinates over dens[j].  Raises with the
+        offending column index if an image leaves the span."""
         cols = []
         for j, img in enumerate(images):
-            x = self.coordinates_of(_coords_of(img))
+            x = self.coordinates_of(_coords_of(img), dens[j] if dens else 1)
             if x is None:
                 raise PolySpaceError("image of basis vector %d leaves the subspace" % j)
             cols.append(x)
         return DenseMatrix.from_columns(self.field, cols, nrows=self.dim)
 
-    def ambient_vector_from_internal(self, x: Sequence):
-        return self.vector_from_coords(self.basis.apply(x))
+    def times(self, kernel: Sequence, field=QQ) -> "Subspace":
+        """The subspace B K of a rational B, for K the cleared columns over
+        field (``kernel_columns``) of a basis in B-coordinates."""
+        if self.field is not QQ:
+            raise PolySpaceError("B K is formed for rational subspaces B")
+        d, L = field.degree, self.lcm
+        out = []
+        for kden, kvec in kernel:
+            acc: dict = {}
+            for jt, x in kvec.items():
+                j, t = divmod(jt, d)
+                den, vec = self.columns[j]
+                f = x * (L // den)
+                for k, v in vec.items():
+                    acc[k * d + t] = acc.get(k * d + t, 0) + f * v
+            vec = {k: v for k, v in acc.items() if v}
+            g = math.gcd(L * kden, *vec.values())
+            out.append((L * kden // g, {k: v // g for k, v in vec.items()}))
+        return Subspace(self.space, self.w, self.extended, out, field)
 
     def __repr__(self):
         return "Subspace(dim=%d, ambient=%d%s)" % (
@@ -542,10 +531,8 @@ def build_W(space: CosetSpace, w: int) -> Subspace:
         raise PolySpaceError("weight mismatch with coset space")
     if space.degenerate:
         return Subspace.from_vectors(space, w, False, [])
-    rows = _w_relation_rows(space, w)
-    ambient = space.size * (w + 1)
-    vecs = sparse_int_kernel(rows, ambient)
-    return Subspace(space, w, False, DenseMatrix.from_columns(QQ, vecs, nrows=ambient))
+    return Subspace(space, w, False, kernel_columns(_w_relation_rows(space, w),
+                                                    space.size * (w + 1)))
 
 
 def w_dimensions(space: CosetSpace, w: int) -> tuple:
@@ -719,16 +706,11 @@ def build_W_extended(space: CosetSpace, w: int) -> Subspace:
         raise PolySpaceError("weight mismatch with coset space")
     if space.degenerate:
         return Subspace.from_vectors(space, w, True, [])
-    rows = _wtilde_relation_rows(space, w)
-    ambient = space.size * (w + 3)
-    vecs = sparse_int_kernel(rows, ambient)
-    sub = Subspace(space, w, True, DenseMatrix.from_columns(QQ, vecs, nrows=ambient))
-    for j in range(sub.dim):
-        vec = sub.vector(j)  # validates tails and X^(-1) consistency
-        if w == 0:
-            total = sum(vec.tails)
-            if total:
-                raise PolySpaceError("weight-2 tail constants do not sum to zero")
+    sub = Subspace(space, w, True, kernel_columns(_wtilde_relation_rows(space, w),
+                                                  space.size * (w + 3)))
+    for vec in sub.vectors():  # validates tails and X^(-1) consistency
+        if w == 0 and sum(vec.tails):
+            raise PolySpaceError("weight-2 tail constants do not sum to zero")
     return sub
 
 
@@ -760,22 +742,27 @@ def decompose_extended(vec: ExtPolyVector, wtilde: Optional[Subspace] = None) ->
 # eps splitting and chi components
 
 def eps_split(obj):
-    """Split into +1 / -1 eigencomponents of the eps involution."""
+    """Split into +1 / -1 eigencomponents of the eps involution: on a
+    rational subspace B, B ker(E -+ 1) for the matrix E of eps on B."""
     if isinstance(obj, (PolyVector, ExtPolyVector)):
         e = obj.eps()
         half = Fraction(1, 2)
         return (obj + e).scale(half), (obj - e).scale(half)
-    if isinstance(obj, Subspace):
-        sub = obj
-        images = [(v.eps()) for v in sub.vectors()]
-        emat = sub.restricted_matrix(images)
-        out = []
-        for target in (1, -1):
-            ker = eigen_kernel(emat, sub.field.of(target))
-            out.append(Subspace(sub.space, sub.w, sub.extended, sub.basis * ker,
-                                sub.field))
-        return tuple(out)
-    raise PolySpaceError("cannot eps-split %r" % type(obj))
+    if not isinstance(obj, Subspace) or obj.field is not QQ:
+        raise PolySpaceError("cannot eps-split %r" % obj)
+    sub, n = obj, obj.w + 3 if obj.extended else obj.w + 1
+    # (P|eps)(A) = s (-1)^e P(A') for (A', s) = A eps: (A', e) moves to (A, e)
+    moves = [sub.space.signed_act(l, MAT_EPS, sub.w) for l in range(sub.space.size)]
+    images = []
+    for _, vec in sub.columns:
+        image = [0] * sub.ambient
+        for k, v in vec.items():
+            l, i = divmod(k, n)
+            l2, s = moves[l]
+            image[l2 * n + i] = v * s if (i - sub.extended) % 2 == 0 else -v * s
+        images.append(image)
+    emat = sub.restricted_matrix(images, [den for den, _ in sub.columns])
+    return sub.times(eigen_columns(emat, 1)), sub.times(eigen_columns(emat, -1))
 
 
 def cminus_trivial(N: int) -> bool:
@@ -787,39 +774,37 @@ def cminus_trivial(N: int) -> bool:
 
 
 def chi_component(sub: Subspace, chi) -> Subspace:
-    """The chi-isotypic part of a subspace over the Gamma1(N) coset space.
+    """The chi-isotypic part of a rational subspace over the Gamma1(N) coset space.
 
     When chi(-1) != (-1)^k the component is zero (warning case); otherwise
-    a basis over the cyclotomic field of chi is returned.
+    it is B times the kernel of the relations P(lu) = chi(u) P(l) on
+    B-coordinates, realified over the cyclotomic field of chi.
     """
     space = sub.space
     if space.kind == GAMMA0:
         raise PolySpaceError("chi components live over Gamma1(N)")
     if chi.N != space.N:
         raise PolySpaceError("character modulus does not match the level")
-    k = space.k
     field = chi.field if chi.field is not None else QQ
-    if not chi.is_even_for_weight(k):
+    if not chi.is_even_for_weight(space.k):
         warnings.warn("chi(-1) != (-1)^k: the chi-component is zero",
                       stacklevel=2)
-        return Subspace.from_vectors(space, sub.w, sub.extended, [], field=field)
-    units = _unit_generators_for(space.N)
-    n = sub.w + 1 if not sub.extended else sub.w + 3
-    basis = DenseMatrix(field, sub.basis.rows, ncols=sub.dim)
-    cols = basis.columns()
-    rows = []
-    for u in units:
-        chi_u = chi(u)
-        for l in range(space.size):
-            c, d = space.labels[l]
+        return Subspace(space, sub.w, sub.extended, [], field)
+    n = sub.w + 3 if sub.extended else sub.w + 1
+    rows = {}  # keyed by content: the same relation comes from many labels
+    for u in _unit_generators_for(space.N):
+        chi_u = scalar_coords(field, chi(u))
+        for l, (c, d) in enumerate(space.labels):
             lu, s = space.label_of_row(u * c, u * d)
-            sgn = field.of(s ** sub.w)
             for i in range(n):
-                row = [sgn * col[lu * n + i] - chi_u * col[l * n + i] for col in cols]
-                if any(row):
-                    rows.append(row)
-    ker = kernel_basis(DenseMatrix(field, rows, ncols=sub.dim))
-    return Subspace(space, sub.w, sub.extended, basis * ker, field)
+                row = {}
+                for j, (den, vec) in enumerate(sub.columns):
+                    alpha, beta = s ** sub.w * vec.get(lu * n + i, 0), vec.get(l * n + i, 0)
+                    if alpha or beta:
+                        row[j] = tuple(sub.lcm // den * (alpha * (t == 0) - beta * x)
+                                       for t, x in enumerate(chi_u))
+                rows[tuple(row.items())] = row
+    return sub.times(kernel_columns(realified_rows(field, rows.values()), sub.dim, field), field)
 
 
 def _unit_generators_for(N: int) -> list:

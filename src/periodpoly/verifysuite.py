@@ -194,10 +194,23 @@ def check_kernel_certificates():
                                  (build_W_extended, _wtilde_relation_rows)):
             sub, rows = build(space, k - 2), relations(space, k - 2)
             where = "%s on %s(%d), k = %d" % (build.__name__, kind, N, k)
-            check(all(sum(v * col[c] for c, v in row.items()) == 0
-                      for col in sub.basis.columns() for row in rows), "R B != 0 for " + where)
+            check(all(sum(v * vec.get(c, 0) for c, v in row.items()) == 0
+                      for _, vec in sub.columns for row in rows), "R B != 0 for " + where)
             check(sub.dim == sub.ambient - sparse_int_rank(rows),
                   "dim != ncols - rank R for " + where)
+
+
+def check_eps_certificates():
+    """W+ and W-, certified without the eliminator."""
+    for build, kind, N, k in ((build_W, GAMMA0, 37, 4), (build_W, GAMMA0, 12, 8),
+                              (build_W, GAMMA1, 7, 3), (build_W_extended, GAMMA0, 11, 4)):
+        W = build(build_coset_space(kind, N, k), k - 2)
+        parts = eps_split(W)
+        check(parts[0].dim + parts[1].dim == W.dim and
+              all((P.eps() - P.scale(sign)).is_zero()
+                  for sign, part in zip((1, -1), parts) for P in part.vectors()),
+              "the eps parts of %s on %s(%d), k = %d are not its +1 and -1 eigenspaces"
+              % (build.__name__, kind, N, k))
 
 
 def check_hecke_adjointness():
@@ -380,21 +393,30 @@ def check_cminus_classification():
 
 
 def check_chi_components():
+    """The chi parts, certified without the eliminator: P(l<u>) = chi(u) P(l)
+    in cyclotomic arithmetic for every unit u, and dimensions adding up."""
     import warnings
-    space = build_coset_space(GAMMA1, 5, 4)
-    W = build_W(space, 2)
-    total = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # odd characters contribute zero
-        for ch in dirichlet_characters(5):
-            comp = chi_component(W, ch)
-            conj = chi_component(W, ch.conjugate())
-            check(comp.dim == conj.dim, "chi and its conjugate give different dimensions")
-            total += comp.dim
-            if ch.is_trivial():
-                check(comp.dim == build_W(build_coset_space(GAMMA0, 5, 4), 2).dim,
-                      "trivial chi-part differs from W over Gamma0(5)")
-    check(total == W.dim, "chi-components do not add up to W")
+    for N, k in ((5, 4), (11, 2), (7, 3)):
+        space = build_coset_space(GAMMA1, N, k)
+        W = build_W(space, k - 2)
+        total = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # odd characters contribute zero
+            for ch in dirichlet_characters(N):
+                comp = chi_component(W, ch)
+                check(comp.dim == chi_component(W, ch.conjugate()).dim,
+                      "chi and its conjugate give different dimensions")
+                total += comp.dim
+                if ch.is_trivial() and k % 2 == 0:
+                    check(comp.dim == build_W(build_coset_space(GAMMA0, N, k), k - 2).dim,
+                          "trivial chi-part differs from W over Gamma0(%d)" % N)
+                for P, u, (l, (c, d)) in ((P, u, ld) for P in comp.vectors() for u in range(1, N)
+                                          if math.gcd(u, N) == 1 for ld in enumerate(space.labels)):
+                    lu, s = space.label_of_row(u * c, u * d)
+                    check(all(s ** (k - 2) * x == ch(u) * y
+                              for x, y in zip(P.values[lu], P.values[l])),
+                          "a chi part fails P(A<%d>) = chi(%d) P(A) on Gamma1(%d)" % (u, u, N))
+        check(total == W.dim, "chi-components do not add up to W on Gamma1(%d)" % N)
 
 
 CHECKS = [
@@ -408,6 +430,7 @@ CHECKS = [
     ("polyspace.cminus_rule", check_cminus_classification),
     ("polyspace.chi_components", check_chi_components),
     ("polyspace.kernel_certificates", check_kernel_certificates),
+    ("polyspace.eps_certificates", check_eps_certificates),
     ("hecke.defining_identity", check_hecke_defining_identity),
     ("hecke.orbit_criterion", check_orbit_criterion_soundness),
     ("hecke.adjointness", check_hecke_adjointness),

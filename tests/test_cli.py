@@ -147,6 +147,21 @@ class TestEigenpoly:
         assert err.startswith("error:") and err.count("\n") == 1
         assert path in err
 
+    def test_failed_run_leaves_no_output_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        code, _ = run_cli(["eigenpoly", "--level", "5", "--weight", "4",
+                           "--parity", "plus", "--eigen", "2:7", "-o", str(path)])
+        assert code != 0 and not path.exists()
+
+    def test_unwritable_output_is_refused_before_building(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("build_W ran before the output path was opened")
+        monkeypatch.setattr(cli, "build_W", refuse)
+        path = str(tmp_path / "missing" / "out.json")
+        code, text = run_cli(["eigenpoly", "--level", "5", "--weight", "4",
+                              "--parity", "minus", "-o", path])
+        assert code == cli.EXIT_USAGE and text == ""
+
 
 class TestLValueAndPetersson:
     def test_lvalue(self, form5_path):

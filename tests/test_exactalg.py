@@ -5,15 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periodpoly.exactalg import (ApproxComplex, CyclotomicField, DenseMatrix,
-                                 ExactAlgebraError, QQ, bernoulli,
-                                 cyclotomic_polynomial, eigen_kernel,
-                                 kernel_basis, poly_divmod, poly_mul,
-                                 reduced_column_basis,
+from periodpoly.exactalg import (ApproxComplex, Cyclotomic, CyclotomicField,
+                                 DenseMatrix, ExactAlgebraError, QQ, bernoulli,
+                                 column_entries, cyclotomic_polynomial,
+                                 eigen_kernel, kernel_basis, poly_divmod,
+                                 poly_mul, reduced_column_basis,
                                  rows_to_int_sparse, scalar_from_str,
-                                 scalar_to_str, sparse_int_kernel,
-                                 sparse_int_pivots, sparse_int_rank,
-                                 _normalize_int_row)
+                                 scalar_to_str, solve_columns,
+                                 kernel_columns, sparse_int_pivots,
+                                 sparse_int_rank, _normalize_int_row)
+
+from dense_reference import (reference_column_basis, reference_kernel_basis,
+                             reference_rref_rows)
 
 
 def akiyama_tanigawa(n):
@@ -127,6 +130,29 @@ class TestKernels:
         assert kb.ncols == 1
         assert (m * kb).is_zero()
 
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(data=st.data(), m=st.sampled_from([1, 3, 4, 5, 8, 12]),
+           nr=st.integers(1, 4), nc=st.integers(1, 5))
+    def test_equals_dense_reference(self, data, m, nr, nc):
+        # over Q (m = 1) and Q(zeta_m); a row mixing two others with a
+        # field coefficient makes kernels of every size come up
+        field = QQ if m == 1 else CyclotomicField(m)
+        coeff = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+        def scalar():
+            c = data.draw(st.lists(coeff, min_size=field.degree, max_size=field.degree))
+            if data.draw(st.booleans()):
+                return field.zero
+            return c[0] if field is QQ else Cyclotomic(field, c)
+
+        rows = [[scalar() for _ in range(nc)] for _ in range(nr)]
+        if nr > 1 and data.draw(st.booleans()):
+            lam = scalar()
+            rows.append([lam * a + b for a, b in zip(rows[0], rows[1])])
+        mat = DenseMatrix(field, rows)
+        assert kernel_basis(mat) == reference_kernel_basis(mat)
+        assert mat.rank() == len(reference_rref_rows([list(r) for r in rows], field)[1])
+
 
 class TestEigenKernel:
     def test_diagonal(self):
@@ -143,6 +169,11 @@ class TestEigenKernel:
             eigen_kernel(DenseMatrix(QQ, [[1, 2, 3]]), 1)
 
 
+def int_kernel(rows, ncols):
+    """The kernel columns of the eliminator as Fraction vectors."""
+    return [tuple(column_entries(QQ, den, vec, ncols)) for den, vec in kernel_columns(rows, ncols)]
+
+
 class TestSparse:
     def test_matches_dense(self):
         rnd = random.Random(9)
@@ -153,7 +184,7 @@ class TestSparse:
             sparse = rows_to_int_sparse(
                 [{j: v for j, v in enumerate(r) if v} for r in rows])
             assert sparse_int_rank(sparse) == dense.rank()
-            vecs = sparse_int_kernel(sparse, nc)
+            vecs = int_kernel(sparse, nc)
             assert len(vecs) == nc - dense.rank()
             for v in vecs:
                 assert all(not sum(r[j] * v[j] for j in range(nc)) for r in rows)
@@ -164,10 +195,10 @@ class TestSparse:
         entry = st.integers(-4, 4).filter(bool)
         rows = data.draw(st.lists(
             st.dictionaries(st.integers(0, ncols - 1), entry, max_size=4), max_size=8))
-        vecs = sparse_int_kernel(rows, ncols)
+        vecs = int_kernel(rows, ncols)
         assert all(not sum(v * vec[c] for c, v in row.items()) for row in rows for vec in vecs)
-        assert reduced_column_basis(QQ, vecs, ncols).columns() == vecs
-        assert sparse_int_kernel(data.draw(st.permutations(rows)), ncols) == vecs
+        assert reference_column_basis(QQ, vecs, ncols).columns() == vecs
+        assert int_kernel(data.draw(st.permutations(rows)), ncols) == vecs
 
     @settings(derandomize=True, database=None, max_examples=300)
     @given(data=st.data(), ncols=st.integers(1, 12), reduce_fully=st.booleans())
@@ -184,6 +215,19 @@ class TestSparse:
         b1 = reduced_column_basis(QQ, [v1, v2], 3)
         b2 = reduced_column_basis(QQ, [v2, (Fraction(3), Fraction(1), Fraction(2))], 3)
         assert b1 == b2  # same span, same canonical form
+        assert [tuple(column_entries(QQ, den, vec, 3)) for den, vec in b1] == \
+            reference_column_basis(QQ, [v1, v2], 3).columns()
+
+    def test_solve_columns(self):
+        basis = DenseMatrix(QQ, [[1, 0], [1, 1], [0, 2]])
+        targets = [(2, 5, 6), (0, Fraction(1, 2), 1)]
+        assert solve_columns(basis, targets) == [(2, 3), (0, Fraction(1, 2))]
+        assert solve_columns(basis, [(2, 5, 6), (1, 0, 0)]) is None
+        K = CyclotomicField(3)
+        z = K.zeta
+        basis = DenseMatrix(K, [[K.one], [z]])
+        assert solve_columns(basis, [(z, z * z)]) == [(z,)]
+        assert solve_columns(basis, [(K.one, K.one)]) is None
 
 
 def reference_sparse_int_pivots(rows, reduce_fully=False):

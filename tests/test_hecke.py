@@ -509,8 +509,8 @@ class TestCompiledOperator:
         # a random combination of the whole basis of Wtilde: the action is
         # linear.  The reference takes 10-20 s for n = 11 on the spaces of
         # more than 20 cosets, so there only the pole rows are compared.
-        v = Wt.ambient_vector_from_internal(
-            [Fraction(rnd.randint(1, 9), rnd.randint(1, 6)) for _ in range(Wt.dim)])
+        v = Wt.vector_from_coords(Wt.basis.apply(
+            [Fraction(rnd.randint(1, 9), rnd.randint(1, 6)) for _ in range(Wt.dim)]))
         for n in (1, 2, 3, 5, 11):
             t = universal_hecke_element(n)
             for spec in _specs(kind, N, n):
@@ -539,7 +539,7 @@ class TestCompiledOperator:
                                          for _ in range(space.size)])
             if trial % 2:
                 # cusp constants of Wtilde: every pole cancels
-                base = Wt.ambient_vector_from_internal([rand() for _ in range(Wt.dim)])
+                base = Wt.vector_from_coords(Wt.basis.apply([rand() for _ in range(Wt.dim)]))
                 P = ExtPolyVector(space, w, poly + base.poly, base.tails)
             else:
                 tails = [rand() if rnd.random() < 0.5 else 0 for _ in range(space.size)]

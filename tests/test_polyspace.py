@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periodpoly.exactalg import (CheckFailed, DenseMatrix, QQ, eigen_kernel,
-                                 kernel_basis, reduced_column_basis,
-                                 sparse_int_kernel)
+from periodpoly.exactalg import (CheckFailed, DenseMatrix, QQ, column_entries,
+                                 kernel_columns)
 from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, MAT_TINV,
                                MAT_U, MAT_U2, Mat2, build_coset_space,
                                cusp_classes, dirichlet_characters)
@@ -21,6 +20,8 @@ from periodpoly.polyspace import (ExtPolyVector, PolySpaceError, PolyVector,
                                   _coboundary_and_D_vectors,
                                   _unit_generators_for, _w_relation_rows,
                                   _wtilde_relation_rows)
+
+from dense_reference import reference_column_basis, reference_kernel_basis
 
 
 def rand_vec(rnd, space, w):
@@ -405,7 +406,7 @@ class TestMembership:
     def w7(self):
         # reduced basis columns with denominators 1, 4, 2, 2
         W = build_W(build_coset_space(GAMMA0, 7, 4), 2)
-        assert sorted({den for _, den in W.cleared_columns()}) == [1, 2, 4]
+        assert sorted({den for den, _ in W.columns}) == [1, 2, 4]
         return W
 
     def member(self, W):
@@ -461,6 +462,11 @@ class TestMembership:
         free = next(i for i in range(comp.ambient) if i not in comp.pivot_rows)
         coords[free] = coords[free] + z
         assert comp.coordinates_of(coords) is None
+        # eps parts and products B K are taken of rational subspaces only
+        with pytest.raises(PolySpaceError):
+            eps_split(comp)
+        with pytest.raises(PolySpaceError):
+            comp.times([(1, {0: 1})])
 
 
 class TestChiComponents:
@@ -502,20 +508,30 @@ class TestChiComponents:
 # canonical bases without a second elimination, against the dense path
 
 def reference_span(space, w, extended, vectors, field=QQ):
-    """The span by dense Fraction elimination (reduced_column_basis)."""
+    """The canonical basis of a span, by dense elimination."""
     ambient = space.size * ((w + 3) if extended else (w + 1))
-    return Subspace(space, w, extended, reduced_column_basis(field, vectors, ambient), field)
+    return reference_column_basis(field, vectors, ambient)
 
 
 def reference_eps_split(sub):
     """The eps parts as the span of the basis applied to each kernel column."""
-    emat = sub.restricted_matrix([v.eps() for v in sub.vectors()])
+    B = sub.basis
+    cols = []
+    for v in sub.vectors():
+        image = v.eps()
+        image = image.tilde_coords() if sub.extended else image.coords()
+        x = [image[p] for p in sub.pivot_rows]
+        assert B.apply(x) == image
+        cols.append(x)
+    emat = DenseMatrix.from_columns(sub.field, cols, nrows=sub.dim)
     out = []
     for target in (1, -1):
-        ker = eigen_kernel(emat, target)
-        out.append(reference_span(
-            sub.space, sub.w, sub.extended,
-            [sub.basis.apply(ker.column(j)) for j in range(ker.ncols)], field=sub.field))
+        ker = reference_kernel_basis(DenseMatrix(sub.field, [
+            [x - target * (i == j) for j, x in enumerate(row)] for i, row in enumerate(emat.rows)],
+            ncols=sub.dim))
+        out.append(reference_span(sub.space, sub.w, sub.extended,
+                                  [B.apply(ker.column(j)) for j in range(ker.ncols)],
+                                  field=sub.field))
     return out
 
 
@@ -534,7 +550,7 @@ def reference_chi_component(sub, chi):
                        - chi(u) * field.of(col[l * n + i]) for col in cols]
                 if any(row):
                     rows.append(row)
-    ker = kernel_basis(DenseMatrix(field, rows, ncols=sub.dim))
+    ker = reference_kernel_basis(DenseMatrix(field, rows, ncols=sub.dim))
     basis = DenseMatrix(field, sub.basis.rows, ncols=sub.dim)
     return reference_span(space, sub.w, sub.extended,
                           [basis.apply(ker.column(j)) for j in range(ker.ncols)],
@@ -556,9 +572,12 @@ class TestCanonicalBases:
             if space.degenerate:
                 assert sub.dim == 0
                 continue
-            vecs = sparse_int_kernel(relations(space, w), sub.ambient)
+            vecs = [tuple(column_entries(QQ, den, vec, sub.ambient))
+                    for den, vec in kernel_columns(relations(space, w), sub.ambient)]
             ref = reference_span(space, w, extended, vecs)
-            assert sub.basis == ref.basis and sub.pivot_rows == ref.pivot_rows
+            assert sub.basis == ref
+            assert sub.pivot_rows == [next(i for i, x in enumerate(col) if x)
+                                      for col in ref.columns()]
 
     @pytest.mark.parametrize("kind,N,k", CANONICAL_GRID)
     def test_coboundary_and_D_equal_dense_span(self, kind, N, k):
@@ -569,8 +588,8 @@ class TestCanonicalBases:
             assert C.dim == D.dim == 0
             return
         cvecs, dvecs = _coboundary_and_D_vectors(space, w)
-        assert C.basis == reference_span(space, w, False, cvecs).basis
-        assert D.basis == reference_span(space, w, True, dvecs).basis
+        assert C.basis == reference_span(space, w, False, cvecs)
+        assert D.basis == reference_span(space, w, True, dvecs)
 
     @settings(derandomize=True, database=None, max_examples=100)
     @given(data=st.data(), k=st.integers(2, 10), extended=st.booleans())
@@ -581,7 +600,7 @@ class TestCanonicalBases:
         vecs = data.draw(st.lists(st.lists(entry, min_size=ambient, max_size=ambient),
                                   max_size=6))
         got = Subspace.from_vectors(space, k - 2, extended, vecs)
-        assert got.basis == reference_span(space, k - 2, extended, vecs).basis
+        assert got.basis == reference_span(space, k - 2, extended, vecs)
 
     def test_from_vectors_rejects_bad_input(self):
         space = build_coset_space(GAMMA0, 5, 4)
@@ -600,19 +619,23 @@ class TestCanonicalBases:
         space = build_coset_space(kind, N, k)
         for sub in (build_W(space, k - 2), build_W_extended(space, k - 2)):
             for part, ref in zip(eps_split(sub), reference_eps_split(sub)):
-                assert part.basis == ref.basis
+                assert part.basis == ref
 
-    @pytest.mark.parametrize("N", [11, 13])
-    def test_chi_component_equals_from_vectors(self, N):
+    @pytest.mark.parametrize("N,k,extended", [
+        pytest.param(11, 2, False, id="11"), pytest.param(13, 2, False, id="13"),
+        pytest.param(7, 3, False, id="7-k3"), pytest.param(13, 3, False, id="13-k3"),
+        pytest.param(11, 2, True, id="11-wtilde")])
+    def test_chi_component_equals_from_vectors(self, N, k, extended):
         import warnings as _warnings
-        W = build_W(build_coset_space(GAMMA1, N, 2), 0)
+        space = build_coset_space(GAMMA1, N, k)
+        W = (build_W_extended if extended else build_W)(space, k - 2)
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore")  # odd characters give zero parts
             for ch in dirichlet_characters(N):
                 comp = chi_component(W, ch)
-                ref = (reference_chi_component(W, ch) if ch.is_even_for_weight(2)
-                       else reference_span(W.space, 0, False, [], field=comp.field))
-                assert comp.field is ref.field and comp.basis == ref.basis
+                ref = (reference_chi_component(W, ch) if ch.is_even_for_weight(k)
+                       else reference_span(space, k - 2, extended, [], field=comp.field))
+                assert comp.field is ref.field and comp.basis == ref
 
     @pytest.mark.parametrize("cols", [
         [(1, 0, 0), (0, 0, 0)],        # zero column
@@ -623,6 +646,18 @@ class TestCanonicalBases:
     ])
     def test_constructor_rejects_non_echelon_basis(self, cols):
         space = build_coset_space(GAMMA0, 1, 4)
-        basis = DenseMatrix.from_columns(QQ, [tuple(map(Fraction, c)) for c in cols])
+        columns = [(1, {i: v for i, v in enumerate(c) if v}) for c in cols]
         with pytest.raises(CheckFailed):
-            Subspace(space, 2, False, basis)
+            Subspace(space, 2, False, columns)
+
+    @pytest.mark.parametrize("column", [
+        (2, {1: 2, 2: 4}),             # not in lowest terms
+        (-1, {1: -1, 2: 2}),           # negative denominator
+        (1, {1: 1, 2: 0}),             # a stored zero
+        (1, {1: 1, 3: 1}),             # beyond the ambient space
+    ])
+    def test_constructor_rejects_uncleared_column(self, column):
+        space = build_coset_space(GAMMA0, 1, 4)
+        Subspace(space, 2, False, [(1, {0: 1}), (2, {1: 2, 2: 1})])
+        with pytest.raises(CheckFailed):
+            Subspace(space, 2, False, [(1, {0: 1}), column])
