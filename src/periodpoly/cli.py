@@ -10,7 +10,6 @@ deterministic byte for byte.  Progress goes to stderr only.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -220,29 +219,39 @@ def cmd_hecke_matrix(args, out):
     return EXIT_OK
 
 
+def _claim_output(path: str) -> bool:
+    """Refuse an unwritable -o path before any work, leaving an existing
+    file as it is.  True when the (empty) file was created here."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise CliError("cannot write %s: %s" % (path, exc.strerror or exc), EXIT_USAGE)
+    return not existed
+
+
 def cmd_eigenpoly(args, out):
     kind = _group_kind(args.group)
     space = _coset_space(args, kind, args.level, args.weight)
     eigendata = _parse_eigen(args.eigen)
+    created = bool(args.output) and _claim_output(args.output)
     try:
-        # opened before anything is built, so a bad path is refused at once
-        sink = open(args.output, "w") if args.output else contextlib.nullcontext(out)
-    except OSError as exc:
-        raise CliError("cannot write %s: %s" % (args.output, exc.strerror or exc),
-                       EXIT_USAGE)
-    try:
-        with sink as fh:
-            plus, minus = eps_split(build_W(space, args.weight - 2))
-            sub, parity = (plus, "+") if args.parity == "plus" else (minus, "-")
-            doc = common_eigen_polynomial(sub, eigendata, parity=parity).to_json()
-            doc["parity"] = parity
-            _emit(doc, fh)
-    except PeriodPolyError:
+        plus, minus = eps_split(build_W(space, args.weight - 2))
+        sub, parity = (plus, "+") if args.parity == "plus" else (minus, "-")
+        doc = common_eigen_polynomial(sub, eigendata, parity=parity).to_json()
+        doc["parity"] = parity
         if args.output:
-            os.remove(args.output)  # a failed run leaves no output file
+            try:
+                with open(args.output, "w") as fh:
+                    _emit(doc, fh)
+            except OSError as exc:
+                raise CliError("cannot write %s: %s" % (args.output, exc.strerror or exc),
+                               EXIT_USAGE) from None
+    except BaseException:
+        if created:
+            os.remove(args.output)  # the empty file claimed above, nothing else
         raise
-    if args.output:
-        _emit({"written": args.output, "dim_searched": sub.dim}, out)
+    _emit({"written": args.output, "dim_searched": sub.dim} if args.output else doc, out)
     return EXIT_OK
 
 

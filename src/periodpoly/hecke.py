@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactalg import (DenseMatrix, PeriodPolyError, QQ, check,
+from .exactalg import (DenseMatrix, PeriodPolyError, check,
                        clear_denominators, eigen_columns, kernel_columns,
                        rows_to_int_sparse)
 from .cosets import (CosetSpace, Mat2, MAT_I, MAT_S, MAT_T, GAMMA0, GAMMA1,
@@ -679,21 +679,14 @@ def hecke_action(P, t: GroupRingElement, spec: SigmaSpec):
 
 
 def hecke_matrix(sub: Subspace, t: GroupRingElement, spec: SigmaSpec) -> DenseMatrix:
-    """Exact matrix of the action in the basis of a stable rational subspace.
+    """Exact matrix of the action in the basis of a stable subspace.
 
-    The operator is compiled once and applied to each integer basis column;
-    every image, over its denominator, goes straight to the membership test.
+    The operator is compiled once and applied in integers to each basis
+    column (to each zeta^t coordinate over Q(zeta_m)); every image goes
+    straight to the membership test.
     """
-    if sub.field is not QQ:
-        raise HeckeError("Hecke matrices are taken on rational subspaces")
     op = HeckeOperator(sub.space, sub.w, t, spec, sub.extended)
-    images = []
-    for _, vec in sub.columns:
-        values = [0] * sub.ambient
-        for i, v in vec.items():
-            values[i] = v
-        images.append(op.apply(values))
-    return sub.restricted_matrix(images, [den * op.den for den, _ in sub.columns])
+    return sub.restricted_matrix(op.apply, op.den)
 
 
 def common_eigen_polynomial(sub: Subspace, eigendata: Sequence[tuple],

@@ -397,22 +397,30 @@ class Subspace:
             self._basis = DenseMatrix.from_int_columns(self.field, self.columns, self.ambient)
         return self._basis
 
-    def coordinates_of(self, coords: Sequence, den: int = 1) -> Optional[tuple]:
-        """Coordinates in the basis of coords / den, or None outside the span.
-
-        For coords cleared to c / D and columns n_j / d_j, membership is
-        L c = sum_j (L / d_j) c[pivot_j] n_j for L = ``lcm`` of the d_j, in
-        integers over the stored nonzeros (field products: ``mult_columns``).
-        """
+    def coordinates_of(self, coords: Sequence) -> Optional[tuple]:
+        """Coordinates in the basis of a vector of field scalars, or None
+        outside the span."""
         if len(coords) != self.ambient:
             raise PolySpaceError("vector of length %d in an ambient space of "
                                  "dimension %d" % (len(coords), self.ambient))
-        field, d = self.field, self.field.degree
+        field = self.field
         cleared = clear_denominators(coords if field is QQ else
                                      [c for x in coords for c in scalar_coords(field, x)])
         if cleared is None:
             raise PolySpaceError("vector entries outside the field of the subspace")
-        c, D = cleared
+        return self._int_coordinates_of(*cleared)
+
+    def _int_coordinates_of(self, c: Sequence, D: int) -> Optional[tuple]:
+        """Coordinates of c / D, c integer at the real indices i * d + t.
+
+        For columns n_j / d_j, membership is L c = sum_j (L / d_j) c[pivot_j] n_j
+        for L = ``lcm`` of the d_j, in integers over the stored nonzeros
+        (field products: ``mult_columns``).
+        """
+        field, d = self.field, self.field.degree
+        if len(c) != self.ambient * d:
+            raise PolySpaceError("image of length %d in an ambient space of "
+                                 "dimension %d" % (len(c) // d, self.ambient))
         r = [self.lcm * v for v in c]
         for p, (dj, nj) in zip(self.pivot_rows, self.columns):
             a = c[p * d:(p + 1) * d]
@@ -432,7 +440,7 @@ class Subspace:
             return None
         pivots = {j * d + t: c[p * d + t] for j, p in enumerate(self.pivot_rows)
                   for t in range(d) if c[p * d + t]}
-        return tuple(column_entries(field, D * den, pivots, self.dim))
+        return tuple(column_entries(field, D, pivots, self.dim))
 
     def contains(self, vec) -> bool:
         return self.coordinates_of(_coords_of(vec)) is not None
@@ -449,24 +457,39 @@ class Subspace:
     def vectors(self) -> list:
         return [self.vector(j) for j in range(self.dim)]
 
-    def restricted_matrix(self, images: Sequence, dens: Optional[Sequence] = None) -> DenseMatrix:
-        """Matrix of a linear map given by the images of the basis vectors, as
-        vectors or as integer coordinates over dens[j].  Raises with the
-        offending column index if an image leaves the span."""
+    def restricted_matrix(self, apply, den: int = 1) -> DenseMatrix:
+        """Matrix on the basis of a rational linear map of the ambient space.
+
+        ``apply`` takes a list of ``ambient`` integer coordinates to den
+        times its image.  The map is rational, so over Q(zeta_m) it acts on
+        each zeta^t coordinate of a column separately.  Raises with the
+        offending column index if an image leaves the span.
+        """
+        d, n = self.field.degree, self.ambient
         cols = []
-        for j, img in enumerate(images):
-            x = self.coordinates_of(_coords_of(img), dens[j] if dens else 1)
+        for j, (cden, vec) in enumerate(self.columns):
+            parts = [[0] * n for _ in range(d)]
+            for k, v in vec.items():
+                parts[k % d][k // d] = v
+            image = [0] * (n * d)
+            for t, values in enumerate(parts):
+                image[t::d] = apply(values)
+            x = self._int_coordinates_of(image, cden * den)
             if x is None:
                 raise PolySpaceError("image of basis vector %d leaves the subspace" % j)
             cols.append(x)
         return DenseMatrix.from_columns(self.field, cols, nrows=self.dim)
 
-    def times(self, kernel: Sequence, field=QQ) -> "Subspace":
-        """The subspace B K of a rational B, for K the cleared columns over
-        field (``kernel_columns``) of a basis in B-coordinates."""
-        if self.field is not QQ:
-            raise PolySpaceError("B K is formed for rational subspaces B")
-        d, L = field.degree, self.lcm
+    def times(self, kernel: Sequence, field=None) -> "Subspace":
+        """The subspace B K, for K the cleared columns (``kernel_columns``) of
+        a basis in B-coordinates over field, by default the field of B.  B
+        is rational or over that same field."""
+        field = self.field if field is None else field
+        if self.field is not QQ and self.field is not field:
+            raise PolySpaceError("B K needs K over the field of B")
+        dB, d, L = self.field.degree, field.degree, self.lcm
+        # zeta[t][s]: coordinates of zeta^t zeta^s
+        zeta = [mult_columns(field, [int(s == t) for s in range(d)]) for t in range(d)]
         out = []
         for kden, kvec in kernel:
             acc: dict = {}
@@ -474,8 +497,15 @@ class Subspace:
                 j, t = divmod(jt, d)
                 den, vec = self.columns[j]
                 f = x * (L // den)
-                for k, v in vec.items():
-                    acc[k * d + t] = acc.get(k * d + t, 0) + f * v
+                if dB == 1:
+                    for k, v in vec.items():
+                        acc[k * d + t] = acc.get(k * d + t, 0) + f * v
+                    continue
+                for ks, v in vec.items():
+                    base = ks - ks % d
+                    for r, m in enumerate(zeta[t][ks % d]):
+                        if m:
+                            acc[base + r] = acc.get(base + r, 0) + f * v * m
             vec = {k: v for k, v in acc.items() if v}
             g = math.gcd(L * kden, *vec.values())
             out.append((L * kden // g, {k: v // g for k, v in vec.items()}))
@@ -500,28 +530,20 @@ def _coords_of(vec) -> tuple:
 def _w_relation_rows(space: CosetSpace, w: int) -> list:
     """Sparse rows of the period relations P|(1+S) = P|(1+U+U^2) = 0."""
     n = w + 1
-    sm = {g: slash_matrix(m, w) for g, m in (("S", MAT_S), ("U", MAT_U), ("U2", MAT_U2))}
+    # row i of the matrix of |g, as its nonzero (j, entry) pairs
+    sm = [[[(j, v) for j, v in enumerate(r) if v] for r in slash_matrix(g, w)]
+          for g in (MAT_S, MAT_U, MAT_U2)]
     rows = []
     for l in range(space.size):
-        lS, sS = space.signed_act(l, MAT_SINV, w)
-        lU, sU = space.signed_act(l, MAT_UINV, w)
-        lU2, sU2 = space.signed_act(l, MAT_U2INV, w)
+        acts = [space.signed_act(l, g, w) for g in (MAT_SINV, MAT_UINV, MAT_U2INV)]
         for i in range(n):
-            row: dict = {l * n + i: 1}
-            for j in range(n):
-                c = sm["S"][i][j] * sS
-                if c:
-                    row[lS * n + j] = row.get(lS * n + j, 0) + c
-            rows.append({c: v for c, v in row.items() if v})
-            row = {l * n + i: 1}
-            for j in range(n):
-                c = sm["U"][i][j] * sU
-                if c:
-                    row[lU * n + j] = row.get(lU * n + j, 0) + c
-                c = sm["U2"][i][j] * sU2
-                if c:
-                    row[lU2 * n + j] = row.get(lU2 * n + j, 0) + c
-            rows.append({c: v for c, v in row.items() if v})
+            for gs in ((0,), (1, 2)):  # the S row, then the U + U^2 row
+                row: dict = {l * n + i: 1}
+                for g in gs:
+                    l2, s = acts[g]
+                    for j, v in sm[g][i]:
+                        row[l2 * n + j] = row.get(l2 * n + j, 0) + v * s
+                rows.append({c: v for c, v in row.items() if v})
     return rows
 
 
@@ -570,23 +592,17 @@ def _tail_families(space: CosetSpace, w: int) -> list:
     """
     families = []
     for cl in space.cusp_classes().classes:
-        c = {cl.representative: 1}
-        ok = True
-        frontier = [cl.representative]
+        c, frontier, ok = {cl.representative: 1}, [cl.representative], True
         while frontier:
             l = frontier.pop()
             for g in (MAT_T, MAT_TINV):
                 l2, s = space.signed_act(l, g, w)
-                val = c[l] * s
-                if l2 in c:
-                    if c[l2] != val:
-                        ok = False
-                else:
-                    c[l2] = val
+                if l2 not in c:
+                    c[l2] = c[l] * s
                     frontier.append(l2)
-        if not ok:
-            continue
-        families.append(tuple(c.get(l, 0) for l in range(space.size)))
+                ok = ok and c[l2] == c[l] * s
+        if ok:
+            families.append(tuple(c.get(l, 0) for l in range(space.size)))
     return families
 
 
@@ -639,57 +655,33 @@ def _wtilde_relation_rows(space: CosetSpace, w: int) -> list:
     read off as a polynomial identity of degree w+3.
     """
     n = w + 3
-    # images of X^j under S inside the tilde range: X^j|S = +-X^(w-j)
-    rows = []
-    # cleared images under U, U2 and the identity, as deg <= w+3 coefficient lists
-    clear_id = {}
-    clear_u = {}
-    clear_u2 = {}
+    # per degree, the (j + 1, coefficient) terms of X^j, X^j|U =
+    # (X-1)^(j+1) X^(w-j+1) / (X(X-1)) and X^j|U2 = (-1)^j X (X-1)^(w-j+1) /
+    # (X(X-1)), each cleared by X(X-1)
+    cleared = [[[] for _ in range(3)] for _ in range(w + 4)]
     for j in range(-1, w + 2):
-        # X^j * X(X-1) = X^(j+2) - X^(j+1)
-        p = [0] * (w + 4)
-        p[j + 2] += 1
-        p[j + 1] -= 1
-        clear_id[j] = p
-        # X^j|U * X(X-1) = (X-1)^(j+1) X^(w-j+1)
-        q = [0] * (w + 4)
-        t = poly_mul(_pow_linear(1, -1, j + 1), _pow_linear(1, 0, w - j + 1))
-        for i, v in enumerate(t):
-            q[i] += v
-        clear_u[j] = q
-        # X^j|U2 * X(X-1) = (-1)^j X (X-1)^(w-j+1)
-        r = [0] * (w + 4)
-        t = poly_mul([0, 1], _pow_linear(1, -1, w - j + 1))
-        sj = -1 if j % 2 else 1
-        for i, v in enumerate(t):
-            r[i] += sj * v
-        clear_u2[j] = r
-
+        u = poly_mul(_pow_linear(1, -1, j + 1), _pow_linear(1, 0, w - j + 1))
+        u2 = poly_mul([0, 1], _pow_linear(1, -1, w - j + 1))
+        for g, p in enumerate(([0] * (j + 1) + [-1, 1], u, [(-1) ** (j % 2) * v for v in u2])):
+            for deg, v in enumerate(p):
+                if v:
+                    cleared[deg][g].append((j + 1, v))
+    rows = []
     for l in range(space.size):
         lS, sS = space.signed_act(l, MAT_SINV, w)
-        lU, sU = space.signed_act(l, MAT_UINV, w)
-        lU2, sU2 = space.signed_act(l, MAT_U2INV, w)
-        # P~|(1+S) = 0, coefficientwise over the tilde range
+        targets = ((l, 1), space.signed_act(l, MAT_UINV, w), space.signed_act(l, MAT_U2INV, w))
+        # P~|(1+S) = 0, coefficientwise over the tilde range: X^i|S = +-X^(w-i)
         for i in range(-1, w + 2):
             row = {l * n + (i + 1): 1}
-            j = w - i
-            sj = -1 if j % 2 else 1
-            col = lS * n + (j + 1)
-            row[col] = row.get(col, 0) + sj * sS
+            col = lS * n + (w - i + 1)
+            row[col] = row.get(col, 0) + (-1) ** ((w - i) % 2) * sS
             rows.append({c: v for c, v in row.items() if v})
         # P~|(1+U+U^2) = 0, cleared by X(X-1): degrees 0..w+3
         for deg in range(w + 4):
             row: dict = {}
-            for j in range(-1, w + 2):
-                v = clear_id[j][deg]
-                if v:
-                    row[l * n + (j + 1)] = row.get(l * n + (j + 1), 0) + v
-                v = clear_u[j][deg] * sU
-                if v:
-                    row[lU * n + (j + 1)] = row.get(lU * n + (j + 1), 0) + v
-                v = clear_u2[j][deg] * sU2
-                if v:
-                    row[lU2 * n + (j + 1)] = row.get(lU2 * n + (j + 1), 0) + v
+            for (l2, s), terms in zip(targets, cleared[deg]):
+                for j1, v in terms:
+                    row[l2 * n + j1] = row.get(l2 * n + j1, 0) + v * s
             row = {c: v for c, v in row.items() if v}
             if row:
                 rows.append(row)
@@ -743,25 +735,15 @@ def decompose_extended(vec: ExtPolyVector, wtilde: Optional[Subspace] = None) ->
 
 def eps_split(obj):
     """Split into +1 / -1 eigencomponents of the eps involution: on a
-    rational subspace B, B ker(E -+ 1) for the matrix E of eps on B."""
+    subspace B, B ker(E -+ 1) for the matrix E of eps on B."""
     if isinstance(obj, (PolyVector, ExtPolyVector)):
         e = obj.eps()
         half = Fraction(1, 2)
         return (obj + e).scale(half), (obj - e).scale(half)
-    if not isinstance(obj, Subspace) or obj.field is not QQ:
+    if not isinstance(obj, Subspace):
         raise PolySpaceError("cannot eps-split %r" % obj)
-    sub, n = obj, obj.w + 3 if obj.extended else obj.w + 1
-    # (P|eps)(A) = s (-1)^e P(A') for (A', s) = A eps: (A', e) moves to (A, e)
-    moves = [sub.space.signed_act(l, MAT_EPS, sub.w) for l in range(sub.space.size)]
-    images = []
-    for _, vec in sub.columns:
-        image = [0] * sub.ambient
-        for k, v in vec.items():
-            l, i = divmod(k, n)
-            l2, s = moves[l]
-            image[l2 * n + i] = v * s if (i - sub.extended) % 2 == 0 else -v * s
-        images.append(image)
-    emat = sub.restricted_matrix(images, [den for den, _ in sub.columns])
+    sub = obj
+    emat = sub.restricted_matrix(lambda values: _coords_of(sub.vector_from_coords(values).eps()))
     return sub.times(eigen_columns(emat, 1)), sub.times(eigen_columns(emat, -1))
 
 
@@ -774,11 +756,12 @@ def cminus_trivial(N: int) -> bool:
 
 
 def chi_component(sub: Subspace, chi) -> Subspace:
-    """The chi-isotypic part of a rational subspace over the Gamma1(N) coset space.
+    """The chi-isotypic part of a subspace over the Gamma1(N) coset space.
 
     When chi(-1) != (-1)^k the component is zero (warning case); otherwise
     it is B times the kernel of the relations P(lu) = chi(u) P(l) on
-    B-coordinates, realified over the cyclotomic field of chi.
+    B-coordinates, realified over the cyclotomic field of chi.  B is
+    rational or over that field.
     """
     space = sub.space
     if space.kind == GAMMA0:
@@ -786,24 +769,40 @@ def chi_component(sub: Subspace, chi) -> Subspace:
     if chi.N != space.N:
         raise PolySpaceError("character modulus does not match the level")
     field = chi.field if chi.field is not None else QQ
+    if sub.field is not QQ:
+        if field is not QQ and field is not sub.field:
+            raise PolySpaceError("character values outside the field of the subspace")
+        field = sub.field
     if not chi.is_even_for_weight(space.k):
         warnings.warn("chi(-1) != (-1)^k: the chi-component is zero",
                       stacklevel=2)
         return Subspace(space, sub.w, sub.extended, [], field)
     n = sub.w + 3 if sub.extended else sub.w + 1
+    dB, d = sub.field.degree, field.degree
+    at = {}  # real index -> [(j, (L / d_j) n_j there)]
+    for j, (den, vec) in enumerate(sub.columns):
+        for k, v in vec.items():
+            at.setdefault(k, []).append((j, sub.lcm // den * v))
     rows = {}  # keyed by content: the same relation comes from many labels
     for u in _unit_generators_for(space.N):
-        chi_u = scalar_coords(field, chi(u))
-        for l, (c, d) in enumerate(space.labels):
-            lu, s = space.label_of_row(u * c, u * d)
+        # chi(u) zeta^t; a root of unity has integer power-basis coordinates
+        chi_u = mult_columns(field, [int(x) for x in scalar_coords(field, chi(u))])
+        for l, (c, e) in enumerate(space.labels):
+            lu, s = space.label_of_row(u * c, u * e)
+            sw = s ** sub.w
             for i in range(n):
-                row = {}
-                for j, (den, vec) in enumerate(sub.columns):
-                    alpha, beta = s ** sub.w * vec.get(lu * n + i, 0), vec.get(l * n + i, 0)
-                    if alpha or beta:
-                        row[j] = tuple(sub.lcm // den * (alpha * (t == 0) - beta * x)
-                                       for t, x in enumerate(chi_u))
-                rows[tuple(row.items())] = row
+                # s^w B[lu, i] - chi(u) B[l, i] in power-basis coordinates
+                entries: dict = {}
+                for t in range(dB):
+                    for j, v in at.get((lu * n + i) * dB + t, ()):
+                        entries.setdefault(j, [0] * d)[t] += sw * v
+                    for j, v in at.get((l * n + i) * dB + t, ()):
+                        entry = entries.setdefault(j, [0] * d)
+                        for r, y in enumerate(chi_u[t]):
+                            entry[r] -= v * y
+                row = {j: tuple(x) for j, x in sorted(entries.items()) if any(x)}
+                if row:
+                    rows[tuple(row.items())] = row
     return sub.times(kernel_columns(realified_rows(field, rows.values()), sub.dim, field), field)
 
 

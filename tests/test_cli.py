@@ -153,6 +153,29 @@ class TestEigenpoly:
                            "--parity", "plus", "--eigen", "2:7", "-o", str(path)])
         assert code != 0 and not path.exists()
 
+    def test_failed_run_keeps_an_existing_output_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("earlier result\n")
+        code, _ = run_cli(["eigenpoly", "--level", "5", "--weight", "4",
+                           "--parity", "plus", "--eigen", "2:7", "-o", str(path)])
+        assert code == cli.EXIT_ERROR and path.read_text() == "earlier result\n"
+
+    def test_interrupted_run_keeps_an_existing_output_file(self, tmp_path, monkeypatch):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "build_W", interrupt)
+        path = tmp_path / "out.json"
+        path.write_text("earlier result\n")
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["eigenpoly", "--level", "5", "--weight", "4",
+                     "--parity", "plus", "-o", str(path)])
+        assert path.read_text() == "earlier result\n"
+        fresh = tmp_path / "fresh.json"
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["eigenpoly", "--level", "5", "--weight", "4",
+                     "--parity", "plus", "-o", str(fresh)])
+        assert not fresh.exists()
+
     def test_unwritable_output_is_refused_before_building(self, tmp_path, monkeypatch):
         def refuse(*args):
             raise AssertionError("build_W ran before the output path was opened")

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from periodpoly.exactalg import (DenseMatrix, PeriodPolyError, QQ, eigen_kernel,
                                  poly_divmod, poly_mul, poly_sub, poly_trim)
 from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, MAT_TINV,
-                               Mat2, build_coset_space)
+                               Mat2, build_coset_space, dirichlet_characters)
 from periodpoly.polyspace import (ExtPolyVector, PolyVector, _pow_linear,
                                   build_W, build_W_extended,
-                                  build_coboundary_and_D, eps_split,
+                                  build_coboundary_and_D, chi_component, eps_split,
                                   pair_braces, slash_poly)
 from periodpoly.hecke import (EigenspaceError, GroupRingElement, HeckeError,
                               HeckeOperator, ONE_MINUS_S, ONE_MINUS_T,
@@ -331,6 +331,14 @@ class TestActions:
                     pair_braces(vecs[i], vee_images[j])
 
 
+def reference_matrix(sub, images):
+    """Matrix of a map from the images of the basis vectors, by membership."""
+    cols = [sub.coordinates_of(img.tilde_coords() if sub.extended else img.coords())
+            for img in images]
+    assert None not in cols
+    return DenseMatrix.from_columns(sub.field, cols, nrows=sub.dim)
+
+
 def reference_hecke_action(P, t, spec):
     """P |_Sigma t by the per-(label, M) loop, one slash per resolved pair."""
     space, w = P.space, P.w
@@ -572,7 +580,7 @@ class TestCompiledOperator:
         space = build_coset_space(GAMMA0, N, k)
         Wt = build_W_extended(space, k - 2)
         t, spec = universal_hecke_element(n), delta_spec(GAMMA0, N, n)
-        ref = Wt.restricted_matrix([reference_hecke_action_extended(v, t, spec)
+        ref = reference_matrix(Wt, [reference_hecke_action_extended(v, t, spec)
                                     for v in Wt.vectors()])
         assert hecke_matrix(Wt, t, spec) == ref
 
@@ -600,9 +608,33 @@ class TestCompiledOperator:
         t = universal_hecke_element(3)
         spec = delta_spec(GAMMA0, 5, 3)
         m = hecke_matrix(w5, t, spec)
-        ref = w5.restricted_matrix([reference_hecke_action(v, t, spec)
+        ref = reference_matrix(w5, [reference_hecke_action(v, t, spec)
                                     for v in w5.vectors()])
         assert m == ref
+
+    @pytest.mark.parametrize("N,k", [(7, 3), (13, 2)])
+    def test_matrix_on_chi_parts(self, N, k):
+        # chi parts over Q(zeta_m): T~_2 against the reference images, and
+        # the diamond operator <2> as the scalar chi(2)
+        import warnings
+        W = build_W(build_coset_space(GAMMA1, N, k), k - 2)
+        t, spec = universal_hecke_element(2), delta_spec(GAMMA1, N, 2)
+        t1 = GroupRingElement(1, {MAT_I: Fraction(1)})
+        seen = 0
+        for ch in dirichlet_characters(N):
+            if ch.field is None or not ch.is_even_for_weight(k):
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                comp = chi_component(W, ch)
+            if comp.dim == 0:
+                continue
+            seen += 1
+            assert hecke_matrix(comp, t, spec) == reference_matrix(
+                comp, [reference_hecke_action(v, t, spec) for v in comp.vectors()])
+            assert hecke_matrix(comp, t1, diamond_spec(GAMMA1, N, 2)) == \
+                DenseMatrix.identity(comp.field, comp.dim).scaled(ch(2))
+        assert seen
 
 
 class TestMatrices:

@@ -21,6 +21,7 @@ from periodpoly.polyspace import (ExtPolyVector, PolySpaceError, PolyVector,
                                   _unit_generators_for, _w_relation_rows,
                                   _wtilde_relation_rows)
 
+from periodpoly import polyspace
 from dense_reference import reference_column_basis, reference_kernel_basis
 
 
@@ -436,13 +437,18 @@ class TestMembership:
         assert w7.contains(PolyVector.from_coords(w7.space, 2, coords))
 
     def test_restricted_matrix_names_the_column(self, w7):
-        images = [w7.basis.column(j) for j in range(w7.dim)]
-        assert w7.restricted_matrix(images) == DenseMatrix.identity(QQ, w7.dim)
-        bad = list(images[2])
-        bad[next(i for i in range(w7.ambient) if i not in w7.pivot_rows)] += 1
-        images[2] = bad
+        assert w7.restricted_matrix(list) == DenseMatrix.identity(QQ, w7.dim)
+        assert w7.restricted_matrix(lambda v: [3 * x for x in v], 2) == \
+            DenseMatrix.identity(QQ, w7.dim).scaled(Fraction(3, 2))
+        # moves the pivot-2 coordinate onto a free one: only column 2 leaves
+        free = next(i for i in range(w7.ambient) if i not in w7.pivot_rows)
+
+        def bump(values):
+            out = list(values)
+            out[free] += values[w7.pivot_rows[2]]
+            return out
         with pytest.raises(PolySpaceError, match="basis vector 2 "):
-            w7.restricted_matrix(images)
+            w7.restricted_matrix(bump)
 
     def test_wrong_length_rejected(self, w7):
         with pytest.raises(PolySpaceError, match="length"):
@@ -462,11 +468,30 @@ class TestMembership:
         free = next(i for i in range(comp.ambient) if i not in comp.pivot_rows)
         coords[free] = coords[free] + z
         assert comp.coordinates_of(coords) is None
-        # eps parts and products B K are taken of rational subspaces only
-        with pytest.raises(PolySpaceError):
-            eps_split(comp)
-        with pytest.raises(PolySpaceError):
-            comp.times([(1, {0: 1})])
+        # over the field of chi: its own chi part, B K, and the eps parts
+        assert chi_component(comp, ch).basis == comp.basis
+        assert chi_component(comp, ch.conjugate()).dim == 0
+        assert comp.times([(1, {0: 1})]).basis.columns() == [comp.basis.column(0)]
+        for part, ref in zip(eps_split(comp), reference_eps_split(comp)):
+            assert part.field is comp.field and part.basis == ref
+
+    def test_chi_of_a_subspace_over_another_field_fails_first(self, monkeypatch):
+        import warnings as _warnings
+        W = build_W(build_coset_space(GAMMA1, 7, 2), 0)
+        ch = next(ch for ch in dirichlet_characters(7) if ch.order == 3)
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("ignore")
+            comp = chi_component(W, ch)
+        quartic = next(c for c in dirichlet_characters(5) if c.order == 4)
+        foreign = Subspace(comp.space, 0, False, [], quartic.field)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an elimination ran before the field check")
+        monkeypatch.setattr(polyspace, "kernel_columns", refuse)
+        with pytest.raises(PolySpaceError, match="field"):
+            chi_component(foreign, ch)
+        with pytest.raises(PolySpaceError, match="field"):
+            comp.times([(1, {0: 1})], quartic.field)
 
 
 class TestChiComponents:
@@ -620,6 +645,24 @@ class TestCanonicalBases:
         for sub in (build_W(space, k - 2), build_W_extended(space, k - 2)):
             for part, ref in zip(eps_split(sub), reference_eps_split(sub)):
                 assert part.basis == ref
+
+    @pytest.mark.parametrize("N,k,extended", [
+        pytest.param(7, 3, False, id="7-k3"), pytest.param(13, 2, False, id="13"),
+        pytest.param(11, 2, True, id="11-wtilde")])
+    def test_eps_split_of_chi_parts_equals_reference(self, N, k, extended):
+        import warnings as _warnings
+        space = build_coset_space(GAMMA1, N, k)
+        W = (build_W_extended if extended else build_W)(space, k - 2)
+        for ch in dirichlet_characters(N):
+            if ch.field is None or not ch.is_even_for_weight(k):
+                continue
+            with _warnings.catch_warnings():
+                _warnings.simplefilter("ignore")
+                comp = chi_component(W, ch)
+            plus, minus = eps_split(comp)
+            assert plus.dim + minus.dim == comp.dim
+            for part, ref in zip((plus, minus), reference_eps_split(comp)):
+                assert part.field is comp.field and part.basis == ref
 
     @pytest.mark.parametrize("N,k,extended", [
         pytest.param(11, 2, False, id="11"), pytest.param(13, 2, False, id="13"),
