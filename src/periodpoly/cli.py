@@ -39,6 +39,10 @@ EXIT_VERIFY_FAILED = 5
 # Largest coset index a command builds unless --max-index says otherwise;
 # Gamma0(3000) has index 7200, Gamma1(1000) about 360,000.
 MAX_INDEX = 20000
+# Largest n of a universal element T~_n (an --n or an --eigen prime) unless
+# --max-n says otherwise; below it the largest Merel family, at n = 1980, has
+# 93,226 matrices.
+MAX_N = 2000
 
 
 class CliError(Exception):
@@ -381,6 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="refuse (exit 2) a coset space of larger index; "
                             "default %d" % MAX_INDEX)
 
+    def max_n(p):
+        p.add_argument("--max-n", type=int, default=MAX_N,
+                       help="refuse (exit 2) an --n or --eigen prime above this; "
+                            "default %d" % MAX_N)
+
     def common_space(p):
         p.add_argument("--group", default="gamma0", choices=["gamma0", "gamma1"])
         p.add_argument("--level", type=int, required=True)
@@ -401,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["auto", "solve"], default="auto")
     p.add_argument("--variant", type=int, default=None,
                    help="0 (default) or 1; with --method solve only")
+    max_n(p)
     p.set_defaults(func=cmd_hecke_element)
 
     p = sub.add_parser("hecke-matrix", help="exact matrix of T~_n on a space")
@@ -410,6 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["W", "Wplus", "Wminus", "C", "Wtilde"])
     p.add_argument("--sigma", default="delta", choices=["delta", "delta-vee", "theta"])
     p.add_argument("--entry-bound", type=int, default=None)
+    max_n(p)
     p.set_defaults(func=cmd_hecke_matrix)
 
     p = sub.add_parser("eigenpoly", help="rational common eigenvector extraction")
@@ -418,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eigen", action="append", metavar="p:lambda",
                    help="eigenvalue constraints; repeatable")
     p.add_argument("-o", "--output", default=None)
+    max_n(p)
     p.set_defaults(func=cmd_eigenpoly)
 
     p = sub.add_parser("lvalue", help="completed L-value Lambda(s, f)")
@@ -431,6 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eigen", action="append", metavar="p:lambda")
     p.add_argument("--terms", type=int, default=200)
     max_index(p)
+    max_n(p)
     p.set_defaults(func=cmd_petersson)
 
     p = sub.add_parser("eigenvalue", help="Hecke eigenvalue from the even polynomial")
@@ -441,6 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eigen", action="append", metavar="p:lambda")
     p.add_argument("--entry-bound", type=int, default=None)
     max_index(p)
+    max_n(p)
     p.set_defaults(func=cmd_eigenvalue)
 
     p = sub.add_parser("verify", help="run the module invariant suites")
@@ -460,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args):
     for name, low in (("level", 1), ("weight", 2), ("n", 1), ("terms", 1),
-                      ("max_index", 1)):
+                      ("max_index", 1), ("max_n", 1)):
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise CliError("--%s must be >= %d, got %d"
@@ -469,6 +483,16 @@ def _check_args(args):
     if bound is not None and bound < args.n:
         raise CliError("--entry-bound must be >= --n (%d), got %d" % (args.n, bound),
                        EXIT_USAGE)
+    # every T~_n a command builds, refused before any Merel family is built
+    max_n = getattr(args, "max_n", None)
+    if max_n is not None:
+        n = getattr(args, "n", None)
+        if n is not None and n > max_n:
+            raise CliError("--n %d is above --max-n %d" % (n, max_n), EXIT_USAGE)
+        for p, _ in _parse_eigen(getattr(args, "eigen", None)):
+            if p > max_n:
+                raise CliError("--eigen prime %d is above --max-n %d" % (p, max_n),
+                               EXIT_USAGE)
 
 
 def main(argv=None, out=None) -> int:

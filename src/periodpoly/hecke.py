@@ -62,6 +62,21 @@ class GroupRingElement:
             clean[key] = clean[key] + c if key in clean else c
         self.coeffs = {m: c for m, c in clean.items() if c}
 
+    @classmethod
+    def from_canonical(cls, n: int, coeffs: dict) -> "GroupRingElement":
+        """An element from pm-canonical keys and nonzero Fractions.
+
+        In place of the per-term normalization of ``__init__``, one integer
+        check per key: determinant n and pm-canonical form.
+        """
+        for a, b, c, d in coeffs:
+            if a * d - b * c != n or not (c > 0 or (c == 0 and d > 0)):
+                raise HeckeError("support matrix (%d %d; %d %d) is not a pm-canonical "
+                                 "class of determinant %d" % (a, b, c, d, n))
+        el = cls.__new__(cls)
+        el.n, el.coeffs = n, coeffs
+        return el
+
     def support(self) -> list:
         return sorted(self.coeffs)
 
@@ -152,14 +167,10 @@ def tn_infinity(n: int) -> GroupRingElement:
 
 def torbit_canonical(m: Mat2) -> Mat2:
     """Canonical representative of the left <+-T> orbit of a class mod +-1."""
-    m = m.canonical_pm()
-    if m.c != 0:
-        a_red = m.a % abs(m.c)
-        j = (a_red - m.a) // m.c
-    else:
-        b_red = m.b % abs(m.d)
-        j = (b_red - m.b) // m.d
-    return Mat2(m.a + j * m.c, m.b + j * m.d, m.c, m.d)
+    a, b, c, d = m.canonical_pm()
+    # c > 0, or c = 0 and d > 0: m = T^s R with 0 <= a - s c < c, or 0 <= b - s d < d
+    s = a // c if c else b // d
+    return Mat2(a - s * c, b - s * d, c, d)
 
 
 def torbit_shift(m: Mat2, rep: Mat2) -> int:
@@ -169,55 +180,74 @@ def torbit_shift(m: Mat2, rep: Mat2) -> int:
     return (m.b - rep.b) // rep.d
 
 
-def verify_hecke_property(cand: GroupRingElement, n: int):
-    """Exact check of the defining identity, with a witness.
+def hecke_identity(cand: GroupRingElement, n: int) -> tuple:
+    """Exact check of the defining identity in integers, with a witness.
 
-    Works in integers over den, the lcm of the denominators of cand:
-    delta = den (T_n^inf (1 - S) - (1 - S) cand) is grouped into left
-    <+-T> orbits.  Returns (False, orbit_representative) for the first orbit,
-    in sorted order, whose coefficient sum is nonzero.  Otherwise the
-    telescoping witness Y, with Y(T^t R) the sum of the coefficients of
-    delta at T^j R for j <= t, is rechecked exactly: (1 - T) Y = delta and
-    every support matrix has determinant n.  Returns (True, Y / den).
+    Works on plain 4-tuples (a, b, c, d) over den, the lcm of the
+    denominators of cand: delta = den (T_n^inf (1 - S) - (1 - S) cand) is
+    summed on pm-canonical keys (c > 0, or c = 0 and d > 0) and grouped
+    into left <+-T> orbits.  A key lies at T^s R, where R is the orbit
+    representative with 0 <= a < c (c > 0) or 0 <= b < d (c = 0), and s is
+    a // c or b // d.  Returns (False, R, den) for the least R whose orbit
+    sum is nonzero.  Otherwise the telescoping witness Y, with Y(T^t R) the
+    sum of the coefficients of delta at T^j R for j <= t, is rechecked
+    exactly: (1 - T) Y = delta and every support matrix has determinant n.
+    Returns (True, den Y, den), den Y as a dict of integers on 4-tuples.
     """
     if cand.n != n:
         raise HeckeError("candidate has determinant %d, expected %d" % (cand.n, n))
     ints, den = clear_denominators(list(cand.coeffs.values()))
-    pairs = []
-    for m in tn_infinity(n).coeffs:
-        pairs += [(m, den), ((m * MAT_S).canonical_pm(), -den)]
-    for m, v in zip(cand.coeffs, ints):
-        pairs += [(m, -v), ((MAT_S * m).canonical_pm(), v)]
-    delta = _int_sum(pairs)
+    delta: dict = {}
+    get = delta.get
+    for a, b, _, d in tn_infinity(n).coeffs:
+        # T_n^inf (1 - S): +den at (a b; 0 d), -den at (a b; 0 d) S = (b -a; d 0)
+        delta[a, b, 0, d] = get((a, b, 0, d), 0) + den
+        delta[b, -a, d, 0] = get((b, -a, d, 0), 0) - den
+    for (a, b, c, d), v in zip(cand.coeffs, ints):
+        # -(1 - S) cand: -v at M, +v at S M = (-c -d; a b) up to sign
+        delta[a, b, c, d] = get((a, b, c, d), 0) - v
+        key = (-c, -d, a, b) if a > 0 or (a == 0 and b > 0) else (c, d, -a, -b)
+        delta[key] = get(key, 0) + v
+    delta = {m: v for m, v in delta.items() if v}
     orbits: dict = {}
-    for m, v in delta.items():
-        rep = torbit_canonical(m)
-        orbits.setdefault(rep, {})[torbit_shift(m, rep)] = v
+    for (a, b, c, d), v in delta.items():
+        s = a // c if c else b // d
+        orbits.setdefault((a - s * c, b - s * d, c, d), {})[s] = v
     bad = [rep for rep, terms in orbits.items() if sum(terms.values())]
     if bad:
-        return False, min(bad)
+        return False, min(bad), den
     y: dict = {}
-    for rep, terms in orbits.items():
+    for (a, b, c, d), terms in orbits.items():
         js = sorted(terms)
         acc = 0
         for j, nxt in zip(js, js[1:]):
             acc += terms[j]
             if acc:
                 for t in range(j, nxt):
-                    y[Mat2(rep.a + t * rep.c, rep.b + t * rep.d, rep.c, rep.d)] = acc
-    recheck = _int_sum(pair for m, v in y.items()
-                       for pair in ((m, v), ((MAT_T * m).canonical_pm(), -v)))
-    if recheck != delta or any(m.det() != n for m in y):
+                    y[a + t * c, b + t * d, c, d] = acc
+    recheck: dict = {}
+    get = recheck.get
+    for m, v in y.items():
+        a, b, c, d = m
+        if a * d - b * c != n:
+            raise HeckeError("witness matrix with determinant %d != %d" % (a * d - b * c, n))
+        recheck[m] = get(m, 0) + v
+        recheck[a + c, b + d, c, d] = get((a + c, b + d, c, d), 0) - v
+    if {m: v for m, v in recheck.items() if v} != delta:
         raise HeckeError("telescoping witness failed its own recheck")
-    return True, GroupRingElement(n, {m: Fraction(v, den) for m, v in y.items()})
+    return True, y, den
 
 
-def _int_sum(pairs) -> dict:
-    """Sum (key, integer) pairs by key, dropping the keys that sum to 0."""
-    out: dict = {}
-    for key, v in pairs:
-        out[key] = out.get(key, 0) + v
-    return {key: v for key, v in out.items() if v}
+def verify_hecke_property(cand: GroupRingElement, n: int):
+    """``hecke_identity`` with Mat2 and Fraction results.
+
+    Returns (False, orbit representative) or (True, Y), Y the witness as a
+    GroupRingElement.
+    """
+    ok, y, den = hecke_identity(cand, n)
+    if not ok:
+        return False, Mat2(*y)
+    return True, GroupRingElement(n, {Mat2(*m): Fraction(v, den) for m, v in y.items()})
 
 
 # ----------------------------------------------------------------------
@@ -283,8 +313,7 @@ def solve_universal_hecke(n: int, entry_bound: Optional[int] = None,
         raise HeckeError("entry_bound must be at least n")
     if n == 1:
         cand = GroupRingElement(1, {MAT_I: Fraction(1)})
-        ok, _ = verify_hecke_property(cand, 1)
-        check(ok, "the identity fails the Hecke identity at n = 1")
+        check(hecke_identity(cand, 1)[0], "the identity fails the Hecke identity at n = 1")
         return cand
     const = gre_mul(tn_infinity(n), ONE_MINUS_S)
     demands: dict = {}
@@ -344,8 +373,7 @@ def solve_universal_hecke(n: int, entry_bound: Optional[int] = None,
                 "no universal element with entries bounded by %d for n = %d; "
                 "increase entry_bound" % (entry_bound, n))
     cand = GroupRingElement(n, coeffs)
-    ok, _ = verify_hecke_property(cand, n)
-    if not ok:
+    if not hecke_identity(cand, n)[0]:
         raise InfeasibleSolveError("flow solution failed verification")
     return cand
 
@@ -371,10 +399,17 @@ def merel_family(n: int) -> list:
 
 
 def heilbronn_element(n: int) -> GroupRingElement:
-    """Fast universal element from the adjoint of Merel's family; verified."""
-    cand = GroupRingElement(n, {m.vee(): Fraction(1) for m in merel_family(n)})
-    ok, _ = verify_hecke_property(cand, n)
-    if not ok:
+    """Fast universal element from the adjoint of Merel's family; verified.
+
+    The adjoint (d -b; -c a) of a member is written pm-canonical at once:
+    (-d b; c -a) for c > 0 and (d -b; 0 a) for c = 0.  The members are
+    distinct, so are their adjoints, and each has coefficient 1.
+    """
+    one = Fraction(1)
+    cand = GroupRingElement.from_canonical(
+        n, {Mat2(-d, b, c, -a) if c else Mat2(d, -b, 0, a): one
+            for a, b, c, d in merel_family(n)})
+    if not hecke_identity(cand, n)[0]:
         raise HeckeError("Merel family failed verification at n = %d" % n)
     return cand
 

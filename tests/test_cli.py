@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from periodpoly import cli
+from periodpoly import cli, hecke
 from periodpoly.analytic import NewformData, eta_product
 
 
@@ -373,6 +373,11 @@ FORM2 = object()  # and one of weight 2
     ["hecke-element", "--n", "5", "--variant", "1"],
     ["dims", "--level", "11", "--weight", "2", "--max-index", "0"],
     ["dims", "--level", "11", "--weight", "2", "--max-index", "11"],
+    ["cusps", "--level", "11", "--weight", "1"],
+    ["cusps", "--level", "11", "--weight", "2", "--max-index", "0"],
+    ["hecke-element", "--n", "5", "--max-n", "0"],
+    ["hecke-matrix", "--level", "11", "--weight", "2", "--n", "2001"],
+    ["petersson", "--form", FORM, "--eigen", "2:-4", "--max-n", "1"],
     ["lvalue", "--form", FORM2, "--s", "0"],
     ["lvalue", "--form", FORM2, "--s", "-5"],
     ["lvalue", "--form", FORM2, "--s", "2"],
@@ -410,6 +415,41 @@ def test_index_guard_refuses_before_building(argv, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "--max-index" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hecke-element", "--n", "20011"],
+    ["hecke-element", "--n", "2001", "--method", "solve"],
+    ["hecke-matrix", "--level", "11", "--weight", "2", "--n", "20011"],
+    ["eigenvalue", "--level", "11", "--weight", "2", "--n", "20011",
+     "--eigen", "2:-2"],
+    ["eigenvalue", "--level", "11", "--weight", "2", "--n", "3",
+     "--eigen", "20011:1"],
+    ["eigenpoly", "--level", "11", "--weight", "2", "--parity", "plus",
+     "--eigen", "7:1", "--max-n", "5"],
+    ["hecke-element", "--n", "152", "--max-n", "151"],
+])
+def test_n_guard_refuses_before_building(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a universal element was built")
+    for module, name in ((cli, "universal_hecke_element"), (cli, "solve_universal_hecke"),
+                         (hecke, "merel_family"), (cli, "build_coset_space")):
+        monkeypatch.setattr(module, name, refuse)
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "--max-n" in err
+
+
+def test_n_guard_default_allows_2000(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def record(n, entry_bound=None):
+        raise Built(n)
+    monkeypatch.setattr(cli, "universal_hecke_element", record)
+    with pytest.raises(Built, match="2000"):
+        run_cli(["hecke-element", "--n", "2000"])
 
 
 def test_index_guard_default_allows_gamma0_3000(monkeypatch):

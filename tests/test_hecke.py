@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +21,8 @@ from periodpoly.hecke import (EigenspaceError, GroupRingElement, HeckeError,
                               SigmaSpec, adjoint_vee,
                               common_eigen_polynomial, delta_spec,
                               delta_vee_spec, diamond_spec, gre_mul, gre_unit,
-                              hecke_action, hecke_matrix, heilbronn_element,
+                              hecke_action, hecke_identity, hecke_matrix,
+                              heilbronn_element,
                               ideal_membership_within_bound, merel_family,
                               resolve_sigma_coset, solve_universal_hecke,
                               theta_spec, tn_infinity, torbit_canonical,
@@ -205,6 +209,11 @@ def reference_manin_coefficient(P_plus, t, xy):
     return acc
 
 
+# the primes the eigen-sweep workload of perfbench draws from
+EIGEN_SWEEP_PRIMES = [61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
+                      127, 131, 137, 139, 149, 151]
+
+
 class TestIntegerGroupRing:
     """Merel's family, the Hecke-identity check and the Manin sum in
     integers, against the Fraction and full-scan references."""
@@ -212,6 +221,61 @@ class TestIntegerGroupRing:
     @pytest.mark.parametrize("n", list(range(1, 61)) + [97, 151])
     def test_merel_family_matches_scan(self, n):
         assert merel_family(n) == reference_merel_family(n)
+
+    @pytest.mark.parametrize("n", list(range(1, 61)) + [97, 151])
+    def test_heilbronn_element_is_adjoint_of_scan(self, n):
+        el = heilbronn_element(n)
+        ref = GroupRingElement(n, {m.vee(): 1 for m in reference_merel_family(n)})
+        assert el == ref and el.support() == ref.support()
+        assert all(type(m) is Mat2 and type(c) is Fraction for m, c in el.coeffs.items())
+
+    @pytest.mark.parametrize("n", EIGEN_SWEEP_PRIMES)
+    def test_hecke_identity_at_eigen_sweep_primes(self, n):
+        el = heilbronn_element(n)
+        got = verify_hecke_property(el, n)
+        assert got[0] and got == reference_verify_hecke_property(el, n)
+        ok, y, den = hecke_identity(el, n)
+        assert ok and den == 1 and got[1] == GroupRingElement(n, {Mat2(*m): v
+                                                                  for m, v in y.items()})
+
+    @pytest.mark.parametrize("n", [61, 97, 151])
+    def test_refuted_merel_elements_match_reference(self, n):
+        el = heilbronn_element(n)
+        support = el.support()
+        dropped = GroupRingElement(n, {m: c for m, c in el.coeffs.items()
+                                       if m != support[len(support) // 2]})
+        scaled = GroupRingElement(n, {**el.coeffs, support[0]: Fraction(3, 7)})
+        for bad, den in ((dropped, 1), (scaled, 7)):
+            ok, rep = verify_hecke_property(bad, n)
+            assert not ok and type(rep) is Mat2
+            assert (ok, rep) == reference_verify_hecke_property(bad, n)
+            assert hecke_identity(bad, n) == (False, tuple(rep), den)
+
+    def test_from_canonical_checks_every_key(self):
+        el = GroupRingElement.from_canonical(2, {Mat2(1, 0, 1, 2): Fraction(1)})
+        assert el == GroupRingElement(2, {Mat2(1, 0, 1, 2): 1})
+        # wrong determinant; c = 0 with d < 0; c < 0
+        for m in (Mat2(1, 0, 0, 3), Mat2(-1, 0, 0, -2), Mat2(1, 1, -1, 1)):
+            with pytest.raises(HeckeError):
+                GroupRingElement.from_canonical(2, {m: Fraction(1)})
+
+    def test_witness_recheck_failure_raises_under_optimize(self):
+        # summing each orbit from its top shift down leaves the witness
+        # empty; the recheck must catch it with asserts stripped
+        code = ("import builtins\n"
+                "from periodpoly import hecke\n"
+                "hecke.sorted = lambda xs: builtins.sorted(xs, reverse=True)\n"
+                "try:\n"
+                "    hecke.heilbronn_element(7)\n"
+                "except hecke.HeckeError as exc:\n"
+                "    print('HeckeError:', exc)\n")
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path),
+                              timeout=300)
+        assert proc.returncode == 0
+        assert proc.stdout == "HeckeError: telescoping witness failed its own recheck\n"
 
     @settings(derandomize=True, database=None, max_examples=30, deadline=None)
     @given(data=st.data(), n=st.integers(1, 60),
