@@ -527,12 +527,94 @@ def _normalize_int_row(row: dict) -> dict:
     g = 0
     for v in row.values():
         g = math.gcd(g, v)
-    lead = row[min(row)]
-    if lead < 0:
+        if g == 1:
+            break
+    if row[min(row)] < 0:
         g = -g
     if g not in (0, 1):
         return {c: v // g for c, v in row.items()}
     return row
+
+
+def _two_term_pass(rows: list) -> tuple:
+    """Fold the rows with one or two nonzeros by substitution.
+
+    A signed union-find over their columns keeps x_c = f x_root, the root
+    the least column of its class, f an int where the division is exact.
+    A one-term row, or a cycle with a nonzero net coefficient, zeroes its
+    class.  Returns the pivot rows (c, row) of these relations, row a
+    primitive multiple of den x_c - num x_root for f = num / den, or x_c
+    in a zero class, and the longer rows over the roots, in integers.
+    """
+    parent, zero = {}, set()  # c -> (parent, f): x_c = f x_parent; zero roots
+
+    def find(c):
+        if c not in parent:
+            return c, 1
+        path = []
+        while c in parent:
+            path.append(c)
+            c = parent[c][0]
+        acc = 1
+        for node in reversed(path):
+            acc = parent[node][1] * acc
+            parent[node] = (c, acc)
+        return c, acc
+
+    long_rows, seen = [], set()
+    for row in rows:
+        if len(row) > 2:
+            long_rows.append(row)
+            continue
+        seen.update(row)
+        if len(row) == 1:
+            zero.add(find(next(iter(row)))[0])
+            continue
+        (a, u), (b, v) = row.items()
+        (ra, fa), (rb, fb) = find(a), find(b)
+        if ra == rb:
+            if u * fa + v * fb:
+                zero.add(ra)
+            continue
+        if ra > rb:
+            ra, fa, u, rb, fb, v = rb, fb, v, ra, fa, u
+        num, den = -u * fa, v * fb  # x_rb = num / den x_ra
+        if type(num) is int and type(den) is int and not num % den:
+            parent[rb] = (ra, num // den)
+        else:
+            parent[rb] = (ra, Fraction(num, den))
+        if rb in zero:
+            zero.add(ra)
+    image, pivots = {}, []
+    for c in seen:
+        r, f = find(c)
+        if r in zero:
+            image[c] = None
+            pivots.append((c, {c: 1}))
+        else:
+            image[c] = (r, f)
+            if r != c:
+                num, den = f.numerator, f.denominator
+                pivots.append((c, {r: -num, c: den} if num < 0 else {r: num, c: -den}))
+    out = []
+    for row in long_rows:
+        new, fractional = {}, False
+        for c, v in row.items():
+            if c in image:
+                target = image[c]
+                if target is None:
+                    continue
+                c, f = target
+                v *= f
+                fractional = fractional or type(v) is not int
+            new[c] = new.get(c, 0) + v
+        if fractional:
+            D = math.lcm(*(x.denominator for x in new.values()))
+            new = {c: int(x * D) for c, x in new.items()}
+        new = {c: x for c, x in new.items() if x}
+        if new:
+            out.append(_normalize_int_row(new))
+    return pivots, out
 
 
 def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False) -> list:
@@ -548,15 +630,25 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False) -> list:
     above f and at the other free columns: the kernel vectors already are
     the reduced column echelon basis of the kernel (``kernel_columns``).
 
-    The next pivot row is the remaining row with the fewest nonzeros, ties
-    going to the smallest index (its position among the nonzero input
-    rows).  It is taken from a lazy heap of (len(row), index): a row is
-    pushed again each time it changes, and a popped entry is stale, and
-    skipped, when its row is done or no longer has that length.  The
-    smallest live entry is then the minimum of (len, index) over the
-    remaining rows, so the choice is the one a full scan would make.
+    The rows with one or two nonzeros (P|(1+S) = 0, the eps rows, the
+    two-term U rows of Wtilde) are folded first (``_two_term_pass``): each
+    class of columns they tie is replaced by its least column, the root,
+    in the longer rows, and each other column c of it gets a pivot row on
+    {c, root}.  The longer rows, pivoting at roots and at columns no short
+    row meets, then go through the heap below.  With ``reduce_fully`` the
+    result is the row space's unique reduced echelon form (pivots at last
+    columns, rows primitive, least entry positive), whatever the order of
+    elimination; without it only its length, the rank, is fixed.
+
+    The heap gives the next pivot row: the remaining row with the fewest
+    nonzeros, ties going to the smallest index (its position among the
+    longer rows).  It holds (len(row), index) lazily: a row is pushed again
+    each time it changes, and a popped entry is stale, and skipped, when
+    its row is done or no longer has that length.  The smallest live entry
+    is the minimum of (len, index) over the remaining rows, so the choice
+    is the one a full scan would make.
     """
-    active = [_normalize_int_row(dict(r)) for r in rows if r]
+    short, active = _two_term_pass([r for r in rows if r])
     col_index: dict = {}
     for i, row in enumerate(active):
         for c in row:
@@ -598,6 +690,7 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False) -> list:
             active[other] = new
             heapq.heappush(heap, (len(new), other))
         done.append((pc, row))
+    done.extend(short)
     done.sort()
     if reduce_fully:
         # descending Gauss-Jordan: clearing column pc from every other row

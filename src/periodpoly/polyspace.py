@@ -18,7 +18,7 @@ from .exactalg import (DenseMatrix, ExactAlgebraError, PeriodPolyError, QQ, chec
                        clear_denominators, column_entries, eigen_columns, kernel_columns,
                        mult_columns, poly_mul, realified_rows, reduced_column_basis,
                        scalar_coords, scalar_from_str, scalar_to_str,
-                       sparse_int_rank)
+                       sparse_int_rank, _normalize_int_row)
 from .cosets import (CosetSpace, Mat2, MAT_EPS, MAT_S, MAT_SINV, MAT_T,
                      MAT_TINV, MAT_U, MAT_U2, MAT_U2INV, MAT_UINV, GAMMA0,
                      build_coset_space)
@@ -144,11 +144,9 @@ class PolyVector:
 
     def eps(self) -> "PolyVector":
         """(P|eps)(A) = P(eps A eps)(-X)."""
-        vals = []
-        for l in range(self.space.size):
-            l2, s = self.space.signed_act(l, MAT_EPS, self.w)
-            vals.append(tuple(s * (-1) ** i * a for i, a in enumerate(self.values[l2])))
-        return PolyVector(self.space, self.w, vals)
+        c = self.coords()
+        return PolyVector.from_coords(self.space, self.w, [
+            s * c[k] for k, s in eps_coordinates(self.space, self.w, False)])
 
     def to_json(self) -> dict:
         space = self.space
@@ -231,11 +229,9 @@ class ExtPolyVector:
         return self.poly.is_zero() and all(not a for a in self.tails)
 
     def eps(self) -> "ExtPolyVector":
-        tails = []
-        for l in range(self.space.size):
-            l2, s = self.space.signed_act(l, MAT_EPS, self.w)
-            tails.append((-1) ** (self.w + 1) * s * self.tails[l2])
-        return ExtPolyVector(self.space, self.w, self.poly.eps(), tails, check=False)
+        c = self.tilde_coords()
+        return ExtPolyVector.from_tilde_coords(self.space, self.w, [
+            s * c[k] for k, s in eps_coordinates(self.space, self.w, True)], check=False)
 
     def tilde_coords(self) -> tuple:
         """Coordinates over X^(-1), X^0, ..., X^(w+1) per label."""
@@ -280,6 +276,40 @@ class ExtPolyVector:
 
     def __repr__(self):
         return "ExtPolyVector(%r, w=%d)" % (self.space, self.w)
+
+
+def eps_coordinates(space: CosetSpace, w: int, extended: bool) -> list:
+    """eps as a signed permutation of the coordinates: the m-th pair (k, s)
+    says (P|eps)[m] = s P[k].  (P|eps)(A) = P(eps A eps)(-X), so the block
+    of label l is the block of l.eps times its label sign, with X^i times
+    (-1)^i; the extended blocks run over X^(-1), ..., X^(w+1)."""
+    n, low = (w + 3, -1) if extended else (w + 1, 0)
+    out = []
+    for l in range(space.size):
+        l2, s = space.signed_act(l, MAT_EPS, w)
+        out.extend((l2 * n + j, -s if (j + low) % 2 else s) for j in range(n))
+    return out
+
+
+def _check_tilde_columns(sub: "Subspace") -> None:
+    """The checks of ``ExtPolyVector.from_tilde_coords`` on the integer
+    columns of an extended subspace, on each zeta^t slice: tails constant
+    on T-orbits, c_l = s c_(l.T), and X^(-1) coordinates (-1)^w s1 c_(l.S^-1).
+    A tie between two coordinates is checked where a column meets it."""
+    space, w, d, n = sub.space, sub.w, sub.field.degree, sub.w + 3
+    ties: dict = {}  # coordinate -> ties (kind, i, j, s): coordinate i = s coordinate j
+    for l in range(space.size):
+        lt, s = space.signed_act(l, MAT_T, w)
+        l1, s1 = space.signed_act(l, MAT_SINV, w)
+        for tie in ((0, l * n + n - 1, lt * n + n - 1, s),
+                    (1, l * n, l1 * n + n - 1, (-1) ** w * s1)):
+            ties.setdefault(tie[1], []).append(tie)
+            ties.setdefault(tie[2], []).append(tie)
+    for _, vec in sub.columns:
+        for kind, i, j, s in sorted({tie for k in vec for tie in ties.get(k // d, ())}):
+            if any(vec.get(i * d + t, 0) != s * vec.get(j * d + t, 0) for t in range(d)):
+                raise PolySpaceError(("cusp constants not constant on T-orbits",
+                                      "X^(-1) coefficients inconsistent with tails")[kind])
 
 
 def as_extended(P) -> ExtPolyVector:
@@ -564,20 +594,17 @@ def w_dimensions(space: CosetSpace, w: int) -> tuple:
     """
     if space.degenerate:
         return (0, 0, 0)
-    n = w + 1
-    ncols = space.size * n
+    ncols = space.size * (w + 1)
     rows = _w_relation_rows(space, w)
     dim_w = ncols - sparse_int_rank(rows)
+    eps = eps_coordinates(space, w, False)
     dims = []
     for target in (1, -1):
         extra = []
-        for l in range(space.size):
-            l2, sgn = space.signed_act(l, MAT_EPS, w)
-            for i in range(n):
-                row = {l * n + i: -target}
-                c = sgn * (-1) ** i
-                row[l2 * n + i] = row.get(l2 * n + i, 0) + c
-                extra.append({cc: v for cc, v in row.items() if v})
+        for m, (k, s) in enumerate(eps):
+            row = {m: -target}
+            row[k] = row.get(k, 0) + s
+            extra.append({c: v for c, v in row.items() if v})
         dims.append(ncols - sparse_int_rank(rows + extra))
     dim_plus, dim_minus = dims
     if dim_plus + dim_minus != dim_w:
@@ -700,9 +727,10 @@ def build_W_extended(space: CosetSpace, w: int) -> Subspace:
         return Subspace.from_vectors(space, w, True, [])
     sub = Subspace(space, w, True, kernel_columns(_wtilde_relation_rows(space, w),
                                                   space.size * (w + 3)))
-    for vec in sub.vectors():  # validates tails and X^(-1) consistency
-        if w == 0 and sum(vec.tails):
-            raise PolySpaceError("weight-2 tail constants do not sum to zero")
+    _check_tilde_columns(sub)
+    if w == 0 and any(sum(v for k, v in vec.items() if k % (w + 3) == w + 2)
+                      for _, vec in sub.columns):
+        raise PolySpaceError("weight-2 tail constants do not sum to zero")
     return sub
 
 
@@ -743,7 +771,10 @@ def eps_split(obj):
     if not isinstance(obj, Subspace):
         raise PolySpaceError("cannot eps-split %r" % obj)
     sub = obj
-    emat = sub.restricted_matrix(lambda values: _coords_of(sub.vector_from_coords(values).eps()))
+    if sub.extended:
+        _check_tilde_columns(sub)
+    eps = eps_coordinates(sub.space, sub.w, sub.extended)
+    emat = sub.restricted_matrix(lambda values: [s * values[k] for k, s in eps])
     return sub.times(eigen_columns(emat, 1)), sub.times(eigen_columns(emat, -1))
 
 
@@ -803,7 +834,12 @@ def chi_component(sub: Subspace, chi) -> Subspace:
                 row = {j: tuple(x) for j, x in sorted(entries.items()) if any(x)}
                 if row:
                     rows[tuple(row.items())] = row
-    return sub.times(kernel_columns(realified_rows(field, rows.values()), sub.dim, field), field)
+    # realified rows are often multiples of each other: key them primitive
+    real = {}
+    for row in realified_rows(field, rows.values()):
+        row = _normalize_int_row(row)
+        real[tuple(sorted(row.items()))] = row
+    return sub.times(kernel_columns(real.values(), sub.dim, field), field)
 
 
 def _unit_generators_for(N: int) -> list:

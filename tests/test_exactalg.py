@@ -15,6 +15,11 @@ from periodpoly.exactalg import (ApproxComplex, Cyclotomic, CyclotomicField,
                                  kernel_columns, sparse_int_pivots,
                                  sparse_int_rank, _normalize_int_row)
 
+from periodpoly import polyspace
+from periodpoly.cosets import GAMMA0, GAMMA1, build_coset_space, dirichlet_characters
+from periodpoly.polyspace import (_w_relation_rows, _wtilde_relation_rows, build_W,
+                                  chi_component, eps_coordinates)
+
 from dense_reference import (reference_column_basis, reference_kernel_basis,
                              reference_rref_rows)
 
@@ -174,6 +179,51 @@ def int_kernel(rows, ncols):
     return [tuple(column_entries(QQ, den, vec, ncols)) for den, vec in kernel_columns(rows, ncols)]
 
 
+def assert_echelon_basis(pivots, reduced):
+    """pivots is an echelon basis, last-column pivots, of the row space
+    whose reduced form (by the reference) is reduced."""
+    assert len(pivots) == len(reduced)
+    assert all(pc == max(row) for pc, row in pivots)
+    assert len({pc for pc, _ in pivots}) == len(pivots)
+    assert reference_sparse_int_pivots([row for _, row in pivots], reduce_fully=True) == reduced
+
+
+@st.composite
+def short_row_systems(draw):
+    """Systems of mostly one- and two-term rows: chains, cycles with
+    consistent and with arbitrary ratios (mostly inconsistent), unit and
+    non-unit ratios, one-term rows, repeated and rescaled rows, and a few
+    longer rows."""
+    ncols = draw(st.integers(3, 12))
+    col = st.integers(0, ncols - 1)
+    coeff = st.sampled_from([-3, -2, -1, 1, 1, 2, 3, 6])
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["chain", "cycle", "consistent", "one", "long"]))
+        if kind == "one":
+            rows.append({draw(col): draw(coeff)})
+        elif kind == "long":
+            rows.append(draw(st.dictionaries(col, coeff, min_size=3, max_size=5)))
+        else:
+            cols = draw(st.lists(col, min_size=2, max_size=6, unique=True))
+            links = list(zip(cols, cols[1:]))
+            if kind != "chain":
+                links.append((cols[-1], cols[0]))
+            if kind == "consistent":
+                # every link holds at one nonzero point x
+                x = {c: draw(coeff) for c in cols}
+                rows.extend({a: x[b] * m, b: -x[a] * m}
+                            for (a, b), m in zip(links, draw(st.lists(coeff, min_size=len(links),
+                                                                      max_size=len(links)))))
+            else:
+                rows.extend({a: draw(coeff), b: draw(coeff)} for a, b in links)
+    if rows:
+        for row in draw(st.lists(st.sampled_from(rows), max_size=3)):
+            k = draw(coeff)
+            rows.append({c: k * v for c, v in row.items()})
+    return draw(st.permutations(rows))
+
+
 class TestSparse:
     def test_matches_dense(self):
         rnd = random.Random(9)
@@ -203,11 +253,37 @@ class TestSparse:
     @settings(derandomize=True, database=None, max_examples=300)
     @given(data=st.data(), ncols=st.integers(1, 12), reduce_fully=st.booleans())
     def test_heap_pivots_match_full_scan(self, data, ncols, reduce_fully):
+        # the reduced form is unique; without reduce_fully the rows are
+        # some echelon basis of the same row space
         entry = st.integers(-5, 5).filter(bool)
         rows = data.draw(st.lists(
             st.dictionaries(st.integers(0, ncols - 1), entry, max_size=5), max_size=16))
-        assert (sparse_int_pivots(rows, reduce_fully=reduce_fully)
-                == reference_sparse_int_pivots(rows, reduce_fully=reduce_fully))
+        reduced = reference_sparse_int_pivots(rows, reduce_fully=True)
+        if reduce_fully:
+            assert sparse_int_pivots(rows, reduce_fully=True) == reduced
+        else:
+            assert_echelon_basis(sparse_int_pivots(rows), reduced)
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(rows=short_row_systems())
+    def test_two_term_relations_match_full_scan(self, rows):
+        reduced = reference_sparse_int_pivots(rows, reduce_fully=True)
+        assert sparse_int_pivots(rows, reduce_fully=True) == reduced
+        assert_echelon_basis(sparse_int_pivots(rows), reduced)
+        assert sparse_int_rank(rows) == len(reduced)
+
+    def test_two_term_ratios(self):
+        # 2 x0 = 3 x1 = 6 x2 (non-unit ratios), x3 = -x4 = x5 = x3 (a
+        # consistent cycle), x6 = x7 = -x6 (an inconsistent one), x8 = 0
+        rows = [{0: 2, 1: -3}, {1: 1, 2: -2}, {3: 1, 4: 1}, {4: 1, 5: 1},
+                {5: 1, 3: -1}, {6: 1, 7: -1}, {7: 1, 6: 1}, {8: 5},
+                {0: 1, 2: 1, 9: 1}]
+        assert sparse_int_pivots(rows, reduce_fully=True) == [
+            (1, {0: 2, 1: -3}), (2, {0: 1, 2: -3}), (4, {3: 1, 4: 1}),
+            (5, {3: 1, 5: -1}), (6, {6: 1}), (7, {7: 1}), (8, {8: 1}),
+            (9, {0: 4, 9: 3})]
+        assert sparse_int_pivots(rows, reduce_fully=True) == \
+            reference_sparse_int_pivots(rows, reduce_fully=True)
 
     def test_reduced_column_basis_canonical(self):
         v1 = (Fraction(2), Fraction(0), Fraction(2))
@@ -286,6 +362,48 @@ def reference_sparse_int_pivots(rows, reduce_fully=False):
                 by_col[qc] = _normalize_int_row(new)
         done = sorted(by_col.items())
     return done
+
+
+def relation_systems(kind, N, k, monkeypatch):
+    """The integer systems whose ranks and kernels are the spaces: W, the
+    W+- systems of ``w_dimensions``, Wtilde and the realified chi rows of
+    ``chi_component`` on W, one for each character of the weight's parity."""
+    space, w = build_coset_space(kind, N, k), k - 2
+    rows = _w_relation_rows(space, w)
+    systems = [rows, _wtilde_relation_rows(space, w)]
+    eps = eps_coordinates(space, w, False)
+    for target in (1, -1):
+        extra = []
+        for m, (c, s) in enumerate(eps):
+            row = {m: -target}
+            row[c] = row.get(c, 0) + s
+            extra.append({c: v for c, v in row.items() if v})
+        systems.append(rows + extra)
+    if kind == GAMMA1:
+        W, kernel_columns = build_W(space, w), polyspace.kernel_columns
+
+        def capture(rows, ncols, field):
+            systems.append(list(rows))
+            return kernel_columns(systems[-1], ncols, field)
+
+        monkeypatch.setattr(polyspace, "kernel_columns", capture)
+        for chi in dirichlet_characters(N):
+            if chi.is_even_for_weight(k):
+                chi_component(W, chi)
+    return systems
+
+
+class TestRealSystems:
+    @pytest.mark.parametrize("kind,N,k", [(GAMMA0, 37, 4), (GAMMA0, 120, 2), (GAMMA0, 12, 8),
+                                          (GAMMA1, 13, 3), (GAMMA1, 11, 2)])
+    def test_rank_and_reduced_form_match_full_scan(self, kind, N, k, monkeypatch):
+        systems = relation_systems(kind, N, k, monkeypatch)
+        assert all(any(len(r) <= 2 for r in rows) for rows in systems[:4])
+        assert len(systems) > 4 or kind == GAMMA0  # the chi rows were seen
+        for rows in systems:
+            reduced = reference_sparse_int_pivots(rows, reduce_fully=True)
+            assert sparse_int_pivots(rows, reduce_fully=True) == reduced
+            assert sparse_int_rank(rows) == len(reduced)
 
 
 class TestScalarSerialization:

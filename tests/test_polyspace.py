@@ -370,6 +370,15 @@ class TestExtended:
         with pytest.raises(PolySpaceError):
             ExtPolyVector(sp, 2, PolyVector.zero(sp, 2), tuple(bad))
 
+    def test_eps_split_checks_extended_columns(self):
+        # the same isolated tail, and an X^(-1) coordinate with no tail
+        # behind it, as integer columns of an extended subspace
+        sp = build_coset_space(GAMMA0, 5, 4)
+        tail = sp.label_of_row(1, 0)[0] * 5 + 4
+        for column, msg in (({tail: 1}, "T-orbits"), ({0: 1}, "X\\^\\(-1\\)")):
+            with pytest.raises(PolySpaceError, match=msg):
+                eps_split(Subspace(sp, 2, True, [(1, column)]))
+
 
 class TestSerialization:
     def test_polyvector_round_trip(self, space5, w5):
