@@ -20,9 +20,9 @@ from .polyspace import (ExtPolyVector, PolyVector, Subspace, build_W,
 from .hecke import (GroupRingElement, HeckeOperator, SigmaSpec, adjoint_vee,
                     common_eigen_polynomial, delta_spec, delta_vee_spec,
                     diamond_spec, hecke_action, hecke_matrix,
-                    heilbronn_element, resolve_sigma_coset,
-                    solve_universal_hecke, theta_spec, tn_infinity,
-                    universal_hecke_element, verify_hecke_property)
+                    resolve_sigma_coset, solve_universal_hecke, theta_spec,
+                    tn_infinity, universal_hecke_element,
+                    verify_hecke_property)
 from .analytic import (LValue, NewformData, QSeries, completed_lvalue,
                        eisenstein_period_demo, eisenstein_qexp, eta_product,
                        incomplete_gamma, manin_coefficient, period_and_omega,

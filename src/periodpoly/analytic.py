@@ -287,24 +287,6 @@ def completed_lvalue(f: NewformData, s: int, terms: int = 200) -> LValue:
     return LValue(value, err, s, N, k)
 
 
-def fricke_sign_report(f: NewformData, terms: int = 100) -> dict:
-    """Consistency data for the supplied sign: centre value and stability."""
-    k = f.weight
-    centre = None
-    if k % 2 == 0:
-        centre = completed_lvalue(f, k // 2, terms)
-    half = completed_lvalue(f, max(1, k // 2 - 1), terms)
-    full = completed_lvalue(f, max(1, k // 2 - 1), min(2 * terms, f.qseries.order))
-    return {
-        "sign": f.fricke_sign,
-        "centre_forced_zero": (k % 2 == 0) and ((1j) ** k * f.fricke_sign == -1),
-        "centre_value": None if centre is None else centre.value,
-        "doubling_change": abs(full.value - half.value),
-        "error_estimate": half.err,
-        "stable": abs(full.value - half.value) <= half.err,
-    }
-
-
 # ----------------------------------------------------------------------
 # periods and Petersson norms
 

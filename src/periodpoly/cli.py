@@ -19,10 +19,9 @@ from .exactalg import PeriodPolyError, scalar_to_str
 from .cosets import GAMMA0, GAMMA1, build_coset_space, coset_index, cusp_classes
 from .polyspace import (build_W, build_W_extended, build_coboundary_and_D,
                         eps_split, w_dimensions, wtilde_dimension)
-from .hecke import (InfeasibleSolveError, common_eigen_polynomial, delta_spec,
-                    delta_vee_spec, hecke_matrix, solve_universal_hecke,
-                    theta_spec, universal_hecke_element,
-                    verify_hecke_property)
+from .hecke import (HeckeError, common_eigen_polynomial, delta_spec,
+                    delta_vee_spec, hecke_matrix, theta_spec,
+                    universal_hecke_element, verify_hecke_property)
 from .analytic import (AnalyticError, NewformData, completed_lvalue,
                        eisenstein_period_demo, eta_product, manin_coefficient,
                        petersson_product)
@@ -33,7 +32,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_BAD_FILE = 3
-EXIT_INFEASIBLE = 4
 EXIT_VERIFY_FAILED = 5
 
 # Largest coset index a command builds unless --max-index says otherwise;
@@ -123,14 +121,12 @@ def _coset_space(args, kind, N, k):
 
 
 def _sigma_for(args, kind, N, n):
-    name = getattr(args, "sigma", "delta")
-    if name == "delta":
-        return delta_spec(kind, N, n)
-    if name == "delta-vee":
-        return delta_vee_spec(kind, N, n)
-    if name == "theta":
-        return theta_spec(kind, N, n)
-    raise CliError("unknown double coset %r" % name, EXIT_USAGE)
+    """The --sigma double coset; a pair it refuses is a usage error."""
+    make = {"delta": delta_spec, "delta-vee": delta_vee_spec, "theta": theta_spec}
+    try:
+        return make[args.sigma](kind, N, n)
+    except HeckeError as exc:
+        raise CliError(str(exc), EXIT_USAGE)
 
 
 # ----------------------------------------------------------------------
@@ -172,26 +168,13 @@ def cmd_cusps(args, out):
 
 
 def cmd_hecke_element(args, out):
-    if args.variant is not None:
-        if args.method != "solve":
-            raise CliError("--variant needs --method solve", EXIT_USAGE)
-        if args.variant not in (0, 1):
-            raise CliError("--variant must be 0 or 1, got %d" % args.variant, EXIT_USAGE)
-    try:
-        if args.method == "solve":
-            t = solve_universal_hecke(args.n, args.entry_bound, variant=args.variant or 0)
-        else:
-            t = universal_hecke_element(args.n, args.entry_bound)
-    except InfeasibleSolveError as exc:
-        raise CliError(str(exc), EXIT_INFEASIBLE)
+    t = universal_hecke_element(args.n)
     ok, witness = verify_hecke_property(t, args.n)
-    doc = {"n": args.n, "verified": ok, "terms": t.to_json()}
-    if ok:
-        doc["witness_Y"] = witness.to_json()
-    else:
-        doc["refuting_orbit"] = [witness.a, witness.b, witness.c, witness.d]
-    _emit(doc, out)
-    return EXIT_OK if ok else EXIT_ERROR
+    if not ok:
+        raise CliError("T~_%d fails the Hecke identity on its recheck" % args.n)
+    _emit({"n": args.n, "verified": ok, "terms": t.to_json(),
+           "witness_Y": witness.to_json()}, out)
+    return EXIT_OK
 
 
 def _space_choice(args, space, w):
@@ -211,12 +194,11 @@ def _space_choice(args, space, w):
 
 def cmd_hecke_matrix(args, out):
     kind = _group_kind(args.group)
+    spec = _sigma_for(args, kind, args.level, args.n)
     space = _coset_space(args, kind, args.level, args.weight)
     w = args.weight - 2
     sub = _space_choice(args, space, w)
-    t = universal_hecke_element(args.n, args.entry_bound)
-    spec = _sigma_for(args, kind, args.level, args.n)
-    m = hecke_matrix(sub, t, spec)
+    m = hecke_matrix(sub, universal_hecke_element(args.n), spec)
     doc = _matrix_doc(m)
     doc.update({"space": args.space, "n": args.n, "dim": sub.dim})
     _emit(doc, out)
@@ -304,12 +286,9 @@ def cmd_eigenvalue(args, out):
     space = _coset_space(args, GAMMA0, level, weight)
     W = build_W(space, weight - 2)
     plus, _ = eps_split(W)
-    try:
-        Pp = common_eigen_polynomial(plus, _parse_eigen(args.eigen), parity="+")
-        t = universal_hecke_element(args.n, args.entry_bound)
-        lam = manin_coefficient(Pp, t, delta_spec(GAMMA0, level, args.n), args.n)
-    except InfeasibleSolveError as exc:
-        raise CliError(str(exc), EXIT_INFEASIBLE)
+    Pp = common_eigen_polynomial(plus, _parse_eigen(args.eigen), parity="+")
+    t = universal_hecke_element(args.n)
+    lam = manin_coefficient(Pp, t, delta_spec(GAMMA0, level, args.n), args.n)
     _emit({"level": level, "weight": weight, "n": args.n,
            "eigenvalue": scalar_to_str(lam)}, out)
     return EXIT_OK
@@ -373,8 +352,16 @@ def cmd_gamma06_demo(args, out):
 
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reports a usage error as one line, exit 2;
+    its subparsers are of the same class."""
+
+    def error(self, message):
+        raise CliError("%s: %s" % (self.prog, message), EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="periodpoly",
         description="Period polynomials of modular forms: spaces, pairings, "
                     "Hecke action, L-values and Petersson norms.")
@@ -404,12 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     common_space(p)
     p.set_defaults(func=cmd_cusps)
 
-    p = sub.add_parser("hecke-element", help="solve and verify a universal T~_n")
+    p = sub.add_parser("hecke-element", help="Merel's universal T~_n, verified")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--entry-bound", type=int, default=None)
-    p.add_argument("--method", choices=["auto", "solve"], default="auto")
-    p.add_argument("--variant", type=int, default=None,
-                   help="0 (default) or 1; with --method solve only")
     max_n(p)
     p.set_defaults(func=cmd_hecke_element)
 
@@ -419,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", default="W",
                    choices=["W", "Wplus", "Wminus", "C", "Wtilde"])
     p.add_argument("--sigma", default="delta", choices=["delta", "delta-vee", "theta"])
-    p.add_argument("--entry-bound", type=int, default=None)
     max_n(p)
     p.set_defaults(func=cmd_hecke_matrix)
 
@@ -452,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", type=int, default=None)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eigen", action="append", metavar="p:lambda")
-    p.add_argument("--entry-bound", type=int, default=None)
     max_index(p)
     max_n(p)
     p.set_defaults(func=cmd_eigenvalue)
@@ -479,10 +460,6 @@ def _check_args(args):
         if value is not None and value < low:
             raise CliError("--%s must be >= %d, got %d"
                            % (name.replace("_", "-"), low, value), EXIT_USAGE)
-    bound = getattr(args, "entry_bound", None)
-    if bound is not None and bound < args.n:
-        raise CliError("--entry-bound must be >= --n (%d), got %d" % (args.n, bound),
-                       EXIT_USAGE)
     # every T~_n a command builds, refused before any Merel family is built
     max_n = getattr(args, "max_n", None)
     if max_n is not None:
@@ -497,12 +474,11 @@ def _check_args(args):
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # --help, after printing the help text
+            return EXIT_OK
         _check_args(args)
         return args.func(args, out)
     except CliError as exc:

@@ -54,10 +54,6 @@ def principal_space(w: int) -> DenseMatrix:
     return kernel_basis(principal_relation_matrix(w))
 
 
-def satisfies_principal_relation(p: Sequence, w: int) -> bool:
-    return all(not x for x in principal_relation_matrix(w).apply(list(p)))
-
-
 def to_principal(P: PolyVector) -> tuple:
     """Extract P(I) from an element of W_w^{Gamma0(2)}.
 

@@ -5,10 +5,15 @@ matrices (mod +-1) satisfying
 
     T_n^inf (1 - S) = (1 - S) T~_n + (1 - T) Y_n,
 
-independent of weight and level.  Construction is solve-then-verify: the
-defining identity reduces to vanishing of coefficient sums over left <+-T>
-orbits, which is a flow problem on the orbit graph; every produced element
-is re-verified from scratch, with an explicit telescoping witness Y.
+independent of weight and level.  ``universal_hecke_element`` is the
+adjoint of Merel's family, which Merel (1994) proves satisfies it; the
+identity is still checked exactly, in integers, with an explicit
+telescoping witness Y, and a failed check raises HeckeError.
+``solve_universal_hecke`` finds a second, independent element by a flow on
+the left <+-T> orbits; it serves only to check that results do not depend
+on the choice of element.  The element acts through a double coset (Delta_n,
+its adjoint, Theta_n or a diamond), each resolved by one congruence on the
+bottom row of a coset representative.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactalg import (DenseMatrix, PeriodPolyError, check,
-                       clear_denominators, eigen_columns, kernel_columns,
+                       clear_denominators, eigen_columns,
                        rows_to_int_sparse)
 from .cosets import (CosetSpace, Mat2, MAT_I, MAT_S, MAT_T, GAMMA0, GAMMA1,
                      _crt, _xgcd)
@@ -30,10 +35,6 @@ from .polyspace import (PolyVector, ExtPolyVector, Subspace, slash_poly,
 
 class HeckeError(PeriodPolyError):
     pass
-
-
-class InfeasibleSolveError(HeckeError):
-    """No universal element exists inside the requested entry bound."""
 
 
 class EigenspaceError(HeckeError):
@@ -171,13 +172,6 @@ def torbit_canonical(m: Mat2) -> Mat2:
     # c > 0, or c = 0 and d > 0: m = T^s R with 0 <= a - s c < c, or 0 <= b - s d < d
     s = a // c if c else b // d
     return Mat2(a - s * c, b - s * d, c, d)
-
-
-def torbit_shift(m: Mat2, rep: Mat2) -> int:
-    """j with m = T^j rep (both pm-canonical in the same orbit)."""
-    if rep.c != 0:
-        return (m.a - rep.a) // rep.c
-    return (m.b - rep.b) // rep.d
 
 
 def hecke_identity(cand: GroupRingElement, n: int) -> tuple:
@@ -369,12 +363,12 @@ def solve_universal_hecke(n: int, entry_bound: Optional[int] = None,
                 balance[parent] += need
             balance[node] = Fraction(0)
         if balance[root]:
-            raise InfeasibleSolveError(
+            raise HeckeError(
                 "no universal element with entries bounded by %d for n = %d; "
                 "increase entry_bound" % (entry_bound, n))
     cand = GroupRingElement(n, coeffs)
     if not hecke_identity(cand, n)[0]:
-        raise InfeasibleSolveError("flow solution failed verification")
+        raise HeckeError("flow solution failed verification")
     return cand
 
 
@@ -398,12 +392,14 @@ def merel_family(n: int) -> list:
     return out
 
 
-def heilbronn_element(n: int) -> GroupRingElement:
-    """Fast universal element from the adjoint of Merel's family; verified.
+def universal_hecke_element(n: int) -> GroupRingElement:
+    """Merel's universal element: the adjoints of ``merel_family(n)``, verified.
 
     The adjoint (d -b; -c a) of a member is written pm-canonical at once:
     (-d b; c -a) for c > 0 and (d -b; 0 a) for c = 0.  The members are
-    distinct, so are their adjoints, and each has coefficient 1.
+    distinct, so are their adjoints, and each has coefficient 1.  Merel
+    (1994) proves the identity for this family, so a failed check is a bug
+    and raises HeckeError.
     """
     one = Fraction(1)
     cand = GroupRingElement.from_canonical(
@@ -412,14 +408,6 @@ def heilbronn_element(n: int) -> GroupRingElement:
     if not hecke_identity(cand, n)[0]:
         raise HeckeError("Merel family failed verification at n = %d" % n)
     return cand
-
-
-def universal_hecke_element(n: int, entry_bound: Optional[int] = None) -> GroupRingElement:
-    """A verified universal element; closed-form family first, solver fallback."""
-    try:
-        return heilbronn_element(n)
-    except HeckeError:
-        return solve_universal_hecke(n, entry_bound)
 
 
 # ----------------------------------------------------------------------
@@ -494,18 +482,22 @@ def resolve_sigma_coset(space: CosetSpace, label: int, M: Mat2,
                         spec: SigmaSpec) -> Optional[tuple]:
     """The coset label carrying P in (P|_Sigma M)(A), or None.
 
-    Implements the O(1) bottom-row congruences for Delta and Theta; the
-    adjoint coset and diamond operators fall back to a search over lifts.
+    Put B = A M^vee.  If g = C M A^-1 lies in Sigma with N | c_g, then
+    g B = n C, so n row(C) = d_g row(B) mod N for the bottom rows.  So C is
+    the coset with bottom row u row(B), one ``label_of_row`` call:
+    - Delta: u = 1, a coset exactly when gcd(B.c, B.d, N) = 1;
+    - the adjoint coset: u = n^-1 mod N, as d_g = 1 on Gamma1 and d_g is a
+      unit on Gamma0, whose labels are points of P^1;
+    - the diamond <d>: u = d, as n = 1 and d_g = d.
+    Theta solves its congruences mod n and mod N/n and joins them by CRT.
     """
     if spec.N != space.N or spec.kind != space.kind:
         raise HeckeError("double coset and coset space disagree")
     if M.det() != spec.n:
         raise HeckeError("matrix determinant %d does not match spec" % M.det())
     N = space.N
-    A = space.lifts[label]
-    B = A * M.vee()
+    B = space.lifts[label] * M.vee()
     if spec.variant == "delta":
-        # inclusion iff gcd(c, d, N) = 1 for (c, d) the bottom row of A M^vee
         return space.label_of_row(B.c, B.d)
     if spec.variant == "theta":
         n = spec.n
@@ -523,34 +515,8 @@ def resolve_sigma_coset(space: CosetSpace, label: int, M: Mat2,
             cp = _crt(yinv * B.a % n, n, tinv * (B.c // n) % np, np)
             dp = _crt(yinv * B.b % n, n, tinv * (B.d // n) % np, np)
         return space.label_of_row(cp, dp)
-    # generic search over candidate lifts
-    Ainv = A.inverse()
-    signs = (1,) if space.contains_minus_one() else (1, -1)
-    hits = []
-    for l2 in range(space.size):
-        for sign in signs:
-            C = space.lifts[l2] if sign == 1 else -space.lifts[l2]
-            g = C * M * Ainv
-            if _in_sigma(g, spec):
-                hits.append((l2, sign))
-    if not hits:
-        return None
-    if len(hits) > 1:
-        raise HeckeError("double coset resolution is not unique; property (H) fails")
-    return hits[0]
-
-
-def _in_sigma(g: Mat2, spec: SigmaSpec) -> bool:
-    N = spec.N
-    if spec.variant == "delta_vee":
-        if g.c % N:
-            return False
-        if spec.kind == GAMMA1:
-            return g.d % N == 1 % N
-        return math.gcd(g.d, N) == 1
-    if spec.variant == "diamond":
-        return g.c % N == 0 and g.d % N == spec.diamond % N
-    raise HeckeError("search used for a congruence-resolvable coset")
+    u = pow(spec.n, -1, N) if spec.variant == "delta_vee" else spec.diamond
+    return space.label_of_row(u * B.c, u * B.d)
 
 
 # ----------------------------------------------------------------------
@@ -773,35 +739,3 @@ def normalize_eigen_polynomial(vec: PolyVector, parity: Optional[str]):
     if not pivot:
         raise EigenspaceError("zero vector cannot be normalized")
     return vec.scale(1 / pivot if not isinstance(pivot, Fraction) else Fraction(1) / pivot)
-
-
-# ----------------------------------------------------------------------
-# bounded membership search in the two-sided relation ideal
-
-def ideal_membership_within_bound(x: GroupRingElement, entry_bound: int) -> str:
-    """Search for x in I + I^vee with support inside an entry bound.
-
-    I = (1+S) R_n + (1+U+U^2) R_n.  Returns "verified within bound" when a
-    representation is found and "inconclusive" otherwise; never refutes.
-    """
-    from .cosets import MAT_U, MAT_U2
-    cands = _candidate_matrices(x.n, entry_bound)
-    one_plus_s = gre_unit([(1, MAT_I), (1, MAT_S)])
-    one_puu = gre_unit([(1, MAT_I), (1, MAT_U), (1, MAT_U2)])
-    columns = []
-    for m in cands:
-        e = GroupRingElement(x.n, {m: Fraction(1)})
-        for lead, side in ((one_plus_s, "l"), (one_puu, "l"),
-                           (one_plus_s, "r"), (one_puu, "r")):
-            prod = gre_mul(lead, e) if side == "l" else gre_mul(e, lead)
-            columns.append(prod)
-    # sum_j y_j col_j = x, one row per matrix, the last unknown standing for -x
-    sys_rows: dict = {}
-    for j, col in enumerate(columns + [x.scale(-1)]):
-        for m, c in col.coeffs.items():
-            sys_rows.setdefault(m, {})[j] = c
-    ncols = len(columns) + 1
-    if any(ncols - 1 in vec for _, vec in
-           kernel_columns(rows_to_int_sparse(sys_rows.values()), ncols)):
-        return "verified within bound"
-    return "inconclusive"

@@ -742,13 +742,6 @@ def wtilde_dimension(space: CosetSpace, w: int) -> int:
     return space.size * (w + 3) - sparse_int_rank(rows)
 
 
-def check_extended_relations(vec: ExtPolyVector) -> bool:
-    """P~|(1+S) = P~|(1+U+U^2) = 0 in the cleared rational-function model."""
-    rows = _wtilde_relation_rows(vec.space, vec.w)
-    coords = vec.tilde_coords()
-    return all(sum(c * coords[i] for i, c in row.items()) == 0 for row in rows)
-
-
 def decompose_extended(vec: ExtPolyVector, wtilde: Optional[Subspace] = None) -> tuple:
     """Split P~ in Wtilde as P + P0|(1-S); reconstruction is exact."""
     if wtilde is not None and not wtilde.contains(vec):

@@ -22,9 +22,8 @@ from periodpoly.polyspace import (PolyVector, build_W, build_W_extended,
                                   wtilde_dimension, _tail_families)
 from periodpoly.hecke import (common_eigen_polynomial, delta_spec,
                               delta_vee_spec, hecke_action, hecke_matrix,
-                              heilbronn_element, solve_universal_hecke,
-                              theta_spec, universal_hecke_element,
-                              verify_hecke_property)
+                              solve_universal_hecke, theta_spec,
+                              universal_hecke_element, verify_hecke_property)
 from periodpoly.analytic import (NewformData, completed_lvalue,
                                  eisenstein_period_demo, eisenstein_qexp,
                                  eta_product, manin_coefficient,
@@ -241,7 +240,7 @@ def test_criterion_09_hecke_identities(w5_split):
     b = common_eigen_polynomial(plus, [(2, Fraction(-4))], parity="+",
                                 element_for=lambda p: solve_universal_hecke(p, p, variant=1))
     c = common_eigen_polynomial(plus, [(2, Fraction(-4))], parity="+",
-                                element_for=heilbronn_element)
+                                element_for=lambda p: solve_universal_hecke(p, p))
     ok &= a.values == b.values == c.values
     report(9, ok, "defining identity n <= 12, adjointness on W and Wtilde, "
            "commutativity, multiplicativity, element-choice independence")

@@ -11,12 +11,29 @@ from periodpoly.hecke import delta_spec, universal_hecke_element
 from periodpoly.analytic import (AnalyticError, LogSymbol, NewformData,
                                  QSeries, completed_lvalue,
                                  eisenstein_period_demo, eisenstein_qexp,
-                                 eta_product, fricke_sign_report,
-                                 incomplete_gamma, log_of_rational,
+                                 eta_product, incomplete_gamma, log_of_rational,
                                  lvalue_at_one, manin_coefficient,
                                  period_and_omega, petersson_product,
                                  zeta_negative_odd, zeta_numeric,
                                  zeta_prime_negative_even)
+
+
+def fricke_sign_report(f: NewformData, terms: int = 100) -> dict:
+    """Consistency data for the supplied sign: centre value and stability."""
+    k = f.weight
+    centre = None
+    if k % 2 == 0:
+        centre = completed_lvalue(f, k // 2, terms)
+    half = completed_lvalue(f, max(1, k // 2 - 1), terms)
+    full = completed_lvalue(f, max(1, k // 2 - 1), min(2 * terms, f.qseries.order))
+    return {
+        "sign": f.fricke_sign,
+        "centre_forced_zero": (k % 2 == 0) and ((1j) ** k * f.fricke_sign == -1),
+        "centre_value": None if centre is None else centre.value,
+        "doubling_change": abs(full.value - half.value),
+        "error_estimate": half.err,
+        "stable": abs(full.value - half.value) <= half.err,
+    }
 
 
 def brute_eta24_coeffs(order):

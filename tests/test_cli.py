@@ -66,7 +66,7 @@ class TestCusps:
 
 class TestHeckeElement:
     def test_solve_with_witness(self):
-        code, text = run_cli(["hecke-element", "--n", "3", "--method", "solve"])
+        code, text = run_cli(["hecke-element", "--n", "3"])
         assert code == 0
         doc = json.loads(text)
         assert doc["verified"] is True
@@ -78,11 +78,27 @@ class TestHeckeElement:
         b = run_cli(["hecke-element", "--n", "4"])
         assert a == b
 
-    def test_variants_differ(self):
-        a = run_cli(["hecke-element", "--n", "3", "--method", "solve"])
-        b = run_cli(["hecke-element", "--n", "3", "--method", "solve",
-                     "--variant", "1"])
-        assert a[1] != b[1]
+    def test_failed_check_is_one_line_error_under_optimize(self):
+        # Merel's family with a sabotaged identity check: exit 1 and one
+        # line, never a fall back to the solver, also with asserts stripped
+        code = ("import sys\n"
+                "from periodpoly import cli, hecke\n"
+                "def solver(*args, **kwargs):\n"
+                "    raise RuntimeError('the solver ran')\n"
+                "hecke.solve_universal_hecke = solver\n"
+                "hecke.hecke_identity = lambda cand, n: (False, (1, 0, 0, n), 1)\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        for argv in (["hecke-element", "--n", "151"],
+                     ["eigenvalue", "--level", "5", "--weight", "4", "--n", "2",
+                      "--eigen", "2:-4"]):
+            proc = subprocess.run([sys.executable, "-O", "-c", code] + argv,
+                                  capture_output=True, text=True, timeout=300,
+                                  env=dict(os.environ, PYTHONPATH=path))
+            assert (proc.returncode, proc.stdout) == (cli.EXIT_ERROR, "")
+            assert proc.stderr.startswith("error: Merel family failed verification")
+            assert proc.stderr.count("\n") == 1
 
 
 class TestHeckeMatrix:
@@ -251,16 +267,6 @@ class TestEigenvalue:
         code, _ = run_cli(["eigenvalue", "--n", "2"])
         assert code == cli.EXIT_USAGE
 
-    def test_infeasible_exit_code(self, monkeypatch):
-        from periodpoly.hecke import InfeasibleSolveError
-
-        def boom(n, entry_bound=None):
-            raise InfeasibleSolveError("no element within bound")
-        monkeypatch.setattr(cli, "universal_hecke_element", boom)
-        code, _ = run_cli(["eigenvalue", "--level", "5", "--weight", "4",
-                           "--n", "2", "--eigen", "2:-4"])
-        assert code == cli.EXIT_INFEASIBLE
-
 
 class TestVerifyAndDemos:
     def test_verify_subset(self):
@@ -334,6 +340,11 @@ class TestUsage:
         assert code == cli.EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [["--help"], ["dims", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        assert run_cli(argv) == (cli.EXIT_OK, "")
+        assert "usage:" in capsys.readouterr().out
+
 
 FORM = object()  # stands for a valid form file of weight 4
 FORM2 = object()  # and one of weight 2
@@ -384,6 +395,11 @@ FORM2 = object()  # and one of weight 2
     ["lvalue", "--form", FORM2, "--s", "3"],
     ["lvalue", "--form", FORM, "--s", "4"],
     ["lvalue", "--form", FORM, "--s", "400"],
+    ["dims", "--level", "x", "--weight", "2"],
+    ["dims", "--level", "11"],
+    ["hecke-matrix", "--level", "11", "--weight", "2", "--n", "2", "--space", "V"],
+    ["frobnicate"],
+    ["dims", "--level", "11", "--weight", "2", "--frobnicate"],
 ])
 def test_bad_input_is_one_line_usage_error(argv, form5_path, form11_path, capsys):
     forms = {FORM: form5_path, FORM2: form11_path}
@@ -419,7 +435,7 @@ def test_index_guard_refuses_before_building(argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["hecke-element", "--n", "20011"],
-    ["hecke-element", "--n", "2001", "--method", "solve"],
+    ["hecke-element", "--n", "2001"],
     ["hecke-matrix", "--level", "11", "--weight", "2", "--n", "20011"],
     ["eigenvalue", "--level", "11", "--weight", "2", "--n", "20011",
      "--eigen", "2:-2"],
@@ -432,7 +448,7 @@ def test_index_guard_refuses_before_building(argv, monkeypatch, capsys):
 def test_n_guard_refuses_before_building(argv, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a universal element was built")
-    for module, name in ((cli, "universal_hecke_element"), (cli, "solve_universal_hecke"),
+    for module, name in ((cli, "universal_hecke_element"), (hecke, "solve_universal_hecke"),
                          (hecke, "merel_family"), (cli, "build_coset_space")):
         monkeypatch.setattr(module, name, refuse)
     code, out = run_cli(argv)
@@ -441,11 +457,28 @@ def test_n_guard_refuses_before_building(argv, monkeypatch, capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "--max-n" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["hecke-matrix", "--level", "1000", "--weight", "4", "--n", "2",
+     "--sigma", "theta", "--space", "Wtilde"],
+    ["hecke-matrix", "--level", "6", "--weight", "4", "--n", "1998",
+     "--sigma", "delta-vee"],
+])
+def test_sigma_pair_refused_before_building(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before the double coset was checked")
+    monkeypatch.setattr(cli, "build_coset_space", refuse)
+    monkeypatch.setattr(cli, "universal_hecke_element", refuse)
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_n_guard_default_allows_2000(monkeypatch):
     class Built(Exception):
         pass
 
-    def record(n, entry_bound=None):
+    def record(n):
         raise Built(n)
     monkeypatch.setattr(cli, "universal_hecke_element", record)
     with pytest.raises(Built, match="2000"):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
@@ -9,9 +10,13 @@ from periodpoly.polyspace import build_W, eps_split, pair_braces, slash_poly
 from periodpoly.analytic import NewformData, QSeries, eta_product
 from periodpoly.gamma02 import (Gamma02Error, extra_relations_check,
                                 from_principal, fy_generator_periods,
-                                period_vector, principal_space,
-                                reduced_pairing, s_combination,
-                                satisfies_principal_relation, to_principal)
+                                period_vector, principal_relation_matrix,
+                                principal_space, reduced_pairing,
+                                s_combination, to_principal)
+
+
+def satisfies_principal_relation(p: Sequence, w: int) -> bool:
+    return all(not x for x in principal_relation_matrix(w).apply(list(p)))
 
 
 class TestPrincipalModel:

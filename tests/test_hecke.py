@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from periodpoly.exactalg import (DenseMatrix, PeriodPolyError, QQ, eigen_kernel,
-                                 poly_divmod, poly_mul, poly_sub, poly_trim)
+                                 kernel_columns, poly_divmod, poly_mul, poly_sub,
+                                 poly_trim, rows_to_int_sparse)
 from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, MAT_TINV,
-                               Mat2, build_coset_space, dirichlet_characters)
+                               MAT_U, MAT_U2, Mat2, build_coset_space,
+                               dirichlet_characters)
 from periodpoly.polyspace import (ExtPolyVector, PolyVector, _pow_linear,
                                   build_W, build_W_extended,
                                   build_coboundary_and_D, chi_component, eps_split,
@@ -21,12 +23,10 @@ from periodpoly.hecke import (EigenspaceError, GroupRingElement, HeckeError,
                               SigmaSpec, adjoint_vee,
                               common_eigen_polynomial, delta_spec,
                               delta_vee_spec, diamond_spec, gre_mul, gre_unit,
-                              hecke_action, hecke_identity, hecke_matrix,
-                              heilbronn_element,
-                              ideal_membership_within_bound, merel_family,
-                              resolve_sigma_coset, solve_universal_hecke,
-                              theta_spec, tn_infinity, torbit_canonical,
-                              torbit_shift, universal_hecke_element,
+                              _candidate_matrices, hecke_action, hecke_identity,
+                              hecke_matrix, merel_family, resolve_sigma_coset,
+                              solve_universal_hecke, theta_spec, tn_infinity,
+                              torbit_canonical, universal_hecke_element,
                               verify_hecke_property)
 from periodpoly.analytic import manin_coefficient
 
@@ -146,7 +146,7 @@ class TestSolver:
         assert set(merel_family(2)) == {Mat2(1, 0, 0, 2), Mat2(2, 0, 0, 1),
                                         Mat2(2, 1, 0, 1), Mat2(1, 0, 1, 2)}
         for n in (2, 7, 12):
-            el = heilbronn_element(n)
+            el = universal_hecke_element(n)
             assert verify_hecke_property(el, n)[0]
 
 
@@ -163,6 +163,13 @@ def reference_merel_family(n):
                 if d > c:
                     out.append(Mat2(a, b, c, d))
     return out
+
+
+def torbit_shift(m: Mat2, rep: Mat2) -> int:
+    """j with m = T^j rep (both pm-canonical in the same orbit)."""
+    if rep.c != 0:
+        return (m.a - rep.a) // rep.c
+    return (m.b - rep.b) // rep.d
 
 
 def reference_verify_hecke_property(cand, n):
@@ -224,14 +231,14 @@ class TestIntegerGroupRing:
 
     @pytest.mark.parametrize("n", list(range(1, 61)) + [97, 151])
     def test_heilbronn_element_is_adjoint_of_scan(self, n):
-        el = heilbronn_element(n)
+        el = universal_hecke_element(n)
         ref = GroupRingElement(n, {m.vee(): 1 for m in reference_merel_family(n)})
         assert el == ref and el.support() == ref.support()
         assert all(type(m) is Mat2 and type(c) is Fraction for m, c in el.coeffs.items())
 
     @pytest.mark.parametrize("n", EIGEN_SWEEP_PRIMES)
     def test_hecke_identity_at_eigen_sweep_primes(self, n):
-        el = heilbronn_element(n)
+        el = universal_hecke_element(n)
         got = verify_hecke_property(el, n)
         assert got[0] and got == reference_verify_hecke_property(el, n)
         ok, y, den = hecke_identity(el, n)
@@ -240,7 +247,7 @@ class TestIntegerGroupRing:
 
     @pytest.mark.parametrize("n", [61, 97, 151])
     def test_refuted_merel_elements_match_reference(self, n):
-        el = heilbronn_element(n)
+        el = universal_hecke_element(n)
         support = el.support()
         dropped = GroupRingElement(n, {m: c for m, c in el.coeffs.items()
                                        if m != support[len(support) // 2]})
@@ -266,7 +273,7 @@ class TestIntegerGroupRing:
                 "from periodpoly import hecke\n"
                 "hecke.sorted = lambda xs: builtins.sorted(xs, reverse=True)\n"
                 "try:\n"
-                "    hecke.heilbronn_element(7)\n"
+                "    hecke.universal_hecke_element(7)\n"
                 "except hecke.HeckeError as exc:\n"
                 "    print('HeckeError:', exc)\n")
         src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -281,7 +288,7 @@ class TestIntegerGroupRing:
     @given(data=st.data(), n=st.integers(1, 60),
            q=st.fractions(-3, 3, max_denominator=7).filter(bool))
     def test_hecke_identity_for_random_n(self, data, n, q):
-        el = heilbronn_element(n)
+        el = universal_hecke_element(n)
         got = verify_hecke_property(el, n)
         assert got[0] and got == reference_verify_hecke_property(el, n)
         sol = solve_universal_hecke(n)
@@ -314,7 +321,72 @@ class TestIntegerGroupRing:
                     assert lam == eigen[1]
 
 
+def reference_resolve_by_search(space, label, M, spec):
+    """The coset of the adjoint coset or a diamond by a search over every
+    lift C and sign for g = C M A^-1 in Sigma, O(index) per call."""
+    A = space.lifts[label]
+    # generic search over candidate lifts
+    Ainv = A.inverse()
+    signs = (1,) if space.contains_minus_one() else (1, -1)
+    hits = []
+    for l2 in range(space.size):
+        for sign in signs:
+            C = space.lifts[l2] if sign == 1 else -space.lifts[l2]
+            g = C * M * Ainv
+            if _in_sigma(g, spec):
+                hits.append((l2, sign))
+    if not hits:
+        return None
+    if len(hits) > 1:
+        raise HeckeError("double coset resolution is not unique; property (H) fails")
+    return hits[0]
+
+
+def _in_sigma(g: Mat2, spec: SigmaSpec) -> bool:
+    N = spec.N
+    if spec.variant == "delta_vee":
+        if g.c % N:
+            return False
+        if spec.kind == GAMMA1:
+            return g.d % N == 1 % N
+        return math.gcd(g.d, N) == 1
+    if spec.variant == "diamond":
+        return g.c % N == 0 and g.d % N == spec.diamond % N
+    raise HeckeError("search used for a congruence-resolvable coset")
+
+
 class TestResolve:
+    @pytest.mark.parametrize("kind", [GAMMA0, GAMMA1])
+    def test_congruences_match_lift_search(self, kind):
+        # the adjoint coset for n = 2, 3, 5 on the supports of T_n^inf and
+        # T~_n, and every diamond of Gamma1 on T~_1 = I, at every label and
+        # N <= 13
+        seen = 0
+        for N in range(1, 14):
+            space = build_coset_space(kind, N, 2)
+            cases = [(delta_vee_spec(kind, N, n), set(tn_infinity(n).coeffs)
+                      | set(universal_hecke_element(n).coeffs))
+                     for n in (2, 3, 5) if math.gcd(n, N) == 1]
+            if kind == GAMMA1:
+                cases += [(diamond_spec(kind, N, d), [MAT_I])
+                          for d in range(1, N) if math.gcd(d, N) == 1]
+            for spec, matrices in cases:
+                for M in sorted(matrices):
+                    for l in range(space.size):
+                        got = resolve_sigma_coset(space, l, M, spec)
+                        assert got == reference_resolve_by_search(space, l, M, spec)
+                        seen += got is not None
+        assert seen
+
+    @pytest.mark.parametrize("N", [5, 7])
+    def test_gamma0_diamond_is_the_identity(self, N):
+        # every <d> acts trivially on Gamma0(N), whose d_g may be any unit
+        W = build_W(build_coset_space(GAMMA0, N, 4), 2)
+        t1 = GroupRingElement(1, {MAT_I: Fraction(1)})
+        for d in range(1, N):
+            assert hecke_matrix(W, t1, diamond_spec(GAMMA0, N, d)) == \
+                DenseMatrix.identity(QQ, W.dim)
+
     def test_delta_congruence_example(self, space5):
         hit = resolve_sigma_coset(space5, space5.identity_label,
                                   Mat2(1, 0, 0, 2), delta_spec(GAMMA0, 5, 2))
@@ -328,7 +400,6 @@ class TestResolve:
         assert hit is None
 
     def test_coprime_never_none(self, space5):
-        from periodpoly.hecke import _candidate_matrices
         spec = delta_spec(GAMMA0, 5, 2)
         for m in _candidate_matrices(2, 2):
             for l in range(space5.size):
@@ -813,7 +884,8 @@ class TestEigenvectors:
             plus, [(2, Fraction(-4))], parity="+",
             element_for=lambda p: solve_universal_hecke(p, p, variant=1))
         c = common_eigen_polynomial(
-            plus, [(2, Fraction(-4))], parity="+", element_for=heilbronn_element)
+            plus, [(2, Fraction(-4))], parity="+",
+            element_for=lambda p: solve_universal_hecke(p, p))
         assert a.values == b.values == c.values
 
 
@@ -856,6 +928,34 @@ class TestWeight2Recovery:
             lam = manin_coefficient(Pp, universal_hecke_element(n),
                                     delta_spec(GAMMA0, 11, n), n)
             assert lam == f.coeff(n)
+
+
+def ideal_membership_within_bound(x: GroupRingElement, entry_bound: int) -> str:
+    """Search for x in I + I^vee with support inside an entry bound.
+
+    I = (1+S) R_n + (1+U+U^2) R_n.  Returns "verified within bound" when a
+    representation is found and "inconclusive" otherwise; never refutes.
+    """
+    cands = _candidate_matrices(x.n, entry_bound)
+    one_plus_s = gre_unit([(1, MAT_I), (1, MAT_S)])
+    one_puu = gre_unit([(1, MAT_I), (1, MAT_U), (1, MAT_U2)])
+    columns = []
+    for m in cands:
+        e = GroupRingElement(x.n, {m: Fraction(1)})
+        for lead, side in ((one_plus_s, "l"), (one_puu, "l"),
+                           (one_plus_s, "r"), (one_puu, "r")):
+            prod = gre_mul(lead, e) if side == "l" else gre_mul(e, lead)
+            columns.append(prod)
+    # sum_j y_j col_j = x, one row per matrix, the last unknown standing for -x
+    sys_rows: dict = {}
+    for j, col in enumerate(columns + [x.scale(-1)]):
+        for m, c in col.coeffs.items():
+            sys_rows.setdefault(m, {})[j] = c
+    ncols = len(columns) + 1
+    if any(ncols - 1 in vec for _, vec in
+           kernel_columns(rows_to_int_sparse(sys_rows.values()), ncols)):
+        return "verified within bound"
+    return "inconclusive"
 
 
 class TestIdealMembership:

@@ -12,8 +12,7 @@ from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, MAT_TINV,
                                cusp_classes, dirichlet_characters)
 from periodpoly.polyspace import (ExtPolyVector, PolySpaceError, PolyVector,
                                   Subspace, build_W, build_W_extended,
-                                  build_coboundary_and_D, check_extended_relations,
-                                  chi_component, cminus_trivial,
+                                  build_coboundary_and_D, chi_component, cminus_trivial,
                                   decompose_extended, eps_split, pair_braces,
                                   pair_induced, pair_vw, slash_poly,
                                   w_dimensions, wtilde_dimension,
@@ -23,6 +22,13 @@ from periodpoly.polyspace import (ExtPolyVector, PolySpaceError, PolyVector,
 
 from periodpoly import polyspace
 from dense_reference import reference_column_basis, reference_kernel_basis
+
+
+def check_extended_relations(vec: ExtPolyVector) -> bool:
+    """P~|(1+S) = P~|(1+U+U^2) = 0 in the cleared rational-function model."""
+    rows = _wtilde_relation_rows(vec.space, vec.w)
+    coords = vec.tilde_coords()
+    return all(sum(c * coords[i] for i, c in row.items()) == 0 for row in rows)
 
 
 def rand_vec(rnd, space, w):
