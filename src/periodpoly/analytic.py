@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 from .exactalg import (ApproxComplex, DenseMatrix, PeriodPolyError, QQ, bernoulli,
                        check, clear_denominators, scalar_to_str, scalar_from_str,
                        solve_columns)
-from .cosets import MAT_I, MAT_S, GAMMA0, build_coset_space
+from .cosets import (MAT_I, MAT_S, GAMMA0, Character, CosetError, build_coset_space,
+                     _euler_phi)
 from .polyspace import PolyVector, pair_braces, build_W_extended
 from .hecke import GroupRingElement, SigmaSpec
 
@@ -174,11 +175,11 @@ class NewformData:
     def to_json(self) -> dict:
         char = "trivial"
         if self.character is not None:
-            def _rat(v):
-                return v if isinstance(v, Fraction) else v.rational_part()
+            if self.character.order > 2:
+                raise AnalyticError("a newform file holds only real characters")
+            # exponents 0 and 1 of a real character are the values 1 and -1
             char = {"modulus": self.character.N,
-                    "values": [scalar_to_str(_rat(self.character(a)))
-                               for a in sorted(self.character.values)]}
+                    "values": [("1", "-1")[e] for e in self.character.exponents.values()]}
         return {
             "level": self.level,
             "weight": self.weight,
@@ -201,13 +202,30 @@ class NewformData:
             raise AnalyticError("malformed newform document: %s" % exc)
         character = None
         if char != "trivial":
-            from .cosets import Character
-            values = {a: scalar_from_str(v)
-                      for a, v in zip(sorted(u for u in range(1, int(char["modulus"]) + 1)
-                                             if math.gcd(u, int(char["modulus"])) == 1),
-                                      char["values"])}
-            character = Character(int(char["modulus"]), values)
+            character = _real_character_from_json(char, level)
         return cls(level, weight, QSeries(a0, coeffs), sign, character)
+
+
+def _real_character_from_json(char, level: int):
+    """The character {"modulus": level, "values": [...]} of a newform file,
+    its values "1" or "-1" listed over the units mod level in increasing order."""
+    if not isinstance(char, dict) or char.get("modulus") != level:
+        raise AnalyticError('a character must be "trivial" or '
+                            '{"modulus": %d, "values": [...]}' % level)
+    values = char.get("values")
+    # the count is checked before any unit is listed and, as phi(n) >= sqrt(n/2),
+    # a short list before the level is factored: work bounded by the file size
+    if (not isinstance(values, list) or 2 * len(values) ** 2 < level
+            or len(values) != _euler_phi(level)):
+        raise AnalyticError("a character mod %d needs phi(%d) values" % (level, level))
+    exponents = [{"1": 0, "-1": 1}.get(str(v)) for v in values]
+    if None in exponents:
+        raise AnalyticError('a character value must be "1" or "-1"')
+    units = (a for a in range(level) if math.gcd(a, level) == 1)
+    try:
+        return Character(level, max(exponents) + 1, dict(zip(units, exponents)))
+    except CosetError as exc:
+        raise AnalyticError("bad character table: %s" % exc)
 
 
 # ----------------------------------------------------------------------

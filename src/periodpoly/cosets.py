@@ -8,12 +8,14 @@ decomposing the acting matrix into generators.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .exactalg import CyclotomicField, Cyclotomic, PeriodPolyError, check
+from .exactalg import CyclotomicField, PeriodPolyError, check
 
 GAMMA0 = "gamma0"
 GAMMA1 = "gamma1"
@@ -411,226 +413,149 @@ def coset_index(kind: str, N: int) -> int:
     """
     if kind == GAMMA0:
         out = N
-        for p in _prime_divisors(N):
+        for p, _ in _factor(N):
             out = out // p * (p + 1)
         return out
     if N <= 2:
         return (1, 3)[N - 1]
     out = N * N
-    for p in _prime_divisors(N):
+    for p, _ in _factor(N):
         out = out // (p * p) * (p * p - 1)
     return out // 2
 
 
-def _prime_divisors(n: int) -> list:
-    primes = []
+def _factor(n: int) -> list:
+    """The prime factorization of n >= 1 as [(p, e)], by trial division."""
+    out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            primes.append(p)
+            e = 0
             while n % p == 0:
                 n //= p
+                e += 1
+            out.append((p, e))
         p += 1
     if n > 1:
-        primes.append(n)
-    return primes
+        out.append((n, 1))
+    return out
 
 
 def _euler_phi(n: int) -> int:
-    out = n
-    for p in _prime_divisors(n):
-        out -= out // p
-    return out
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in _factor(n))
 
 
 # ----------------------------------------------------------------------
 # Dirichlet characters
 
 class Character:
-    """Dirichlet character mod N with values in Q(zeta_m), m = order."""
+    """Dirichlet character mod N of exact order m, held as integer exponents.
 
-    def __init__(self, N: int, values: dict):
+    ``exponents`` maps each unit a mod N (a residue in range(N), so 0 when
+    N = 1) to e(a) mod m with chi(a) = zeta_m^e(a).  The constructor checks,
+    in integers: the table covers the units, e(1) = 0, gcd(m, all e) = 1
+    (m is the exact order) and e(a g) = e(a) + e(g) mod m for every unit a
+    and every generator g of (Z/N)*, which gives multiplicativity.  Values
+    are built only when asked for: a Fraction when m = 1, otherwise
+    ``field.zeta_power(e)`` in Q(zeta_m).
+    """
+
+    def __init__(self, N: int, order: int, exponents: dict):
+        if N < 1 or order < 1:
+            raise CosetError("a character needs N >= 1 and order >= 1")
+        if (len(exponents) != _euler_phi(N)
+                or any(not 0 <= a < N or math.gcd(a, N) != 1 for a in exponents)):
+            raise CosetError("exponent table must cover the units mod N")
+        exps = {a: exponents[a] % order for a in sorted(exponents)}
+        if exps[1 % N]:
+            raise CosetError("exponent table has e(1) != 0")
+        if math.gcd(order, *exps.values()) != 1:
+            raise CosetError("%d is not the exact order of the character" % order)
+        for g, _ in _unit_group_generators(N):
+            if any(exps[a * g % N] != (e + exps[g]) % order for a, e in exps.items()):
+                raise CosetError("exponent table is not multiplicative")
         self.N = N
-        units = [a for a in range(1, N + 1) if math.gcd(a, N) == 1] or [1]
-        if sorted(values) != sorted(a % N for a in units):
-            raise CosetError("value table must cover the units mod N")
-        self.order = _lcm_list([_root_of_unity_order(v) for v in values.values()])
-        self.field = CyclotomicField(self.order) if self.order > 1 else None
-        self.values = {a: self._embed(v) for a, v in values.items()}
-        for a in values:
-            for b in values:
-                if self(a) * self(b) != self(a * b):
-                    raise CosetError("value table is not multiplicative")
+        self.order = order
+        self.field = CyclotomicField(order) if order > 1 else None
+        self.exponents = MappingProxyType(exps)
 
-    def _embed(self, v):
-        if self.field is None:
-            return Fraction(v) if not isinstance(v, Cyclotomic) else v.rational_part()
-        if isinstance(v, Cyclotomic):
-            if v.field.conductor == self.order:
-                return v
-            # embed zeta_d into zeta_m via zeta_d = zeta_m^(m/d)
-            m, d = self.order, v.field.conductor
-            out = self.field.zero
-            for j, cj in enumerate(v.coeffs):
-                if cj:
-                    out = out + cj * self.field.zeta_power(j * (m // d))
-            return out
-        return self.field.of(v)
+    @property
+    def values(self) -> MappingProxyType:
+        """chi(a) for each unit a mod N, built on each access."""
+        return MappingProxyType({a: self(a) for a in self.exponents})
 
     def __call__(self, a: int):
         a %= self.N
         if math.gcd(a, self.N) != 1:
             raise CosetError("character evaluated off the unit group")
-        return self.values[a]
+        if self.field is None:
+            return Fraction(1)
+        return self.field.zeta_power(self.exponents[a])
 
     def is_even_for_weight(self, k: int) -> bool:
         """chi(-1) == (-1)^k, the parity condition for weight-k spaces."""
-        one = Fraction(1) if self.field is None else self.field.one
-        sign = one if k % 2 == 0 else -one
-        return self(self.N - 1 if self.N > 1 else 1) == sign
+        return 2 * self.exponents[-1 % self.N] == k % 2 * self.order
 
     def conjugate(self) -> "Character":
-        vals = {a: (v.conjugate() if isinstance(v, Cyclotomic) else v)
-                for a, v in self.values.items()}
-        return Character(self.N, vals)
+        return Character(self.N, self.order, {a: -e for a, e in self.exponents.items()})
 
     def is_trivial(self) -> bool:
         return self.order == 1
 
 
-def _lcm_list(xs) -> int:
-    out = 1
-    for x in xs:
-        out = out * x // math.gcd(out, x)
-    return out
-
-
-def _root_of_unity_order(v) -> int:
-    """Multiplicative order of a character value; bounded by its conductor."""
-    if isinstance(v, Cyclotomic):
-        bound = 2 * v.field.conductor
-        one = v.field.one
-    else:
-        v = Fraction(v)
-        bound = 2
-        one = Fraction(1)
-    p = v
-    for m in range(1, bound + 1):
-        if p == one:
-            return m
-        p = p * v
-    raise CosetError("character value is not a root of unity")
-
-
 def dirichlet_characters(N: int) -> list:
-    """All Dirichlet characters mod N, built from a basis of the unit group."""
-    units = [a for a in range(1, N + 1) if math.gcd(a, N) == 1] or [1]
+    """All Dirichlet characters mod N, from one discrete-log table.
+
+    For generators g_i of (Z/N)* of orders o_i, one walk over the products
+    prod g_i^l_i gives the logs l_i(a) of every unit a.  The exponent
+    vector (e_i), enumerated with the last entry running fastest, gives the
+    character of order m = lcm(o_i / gcd(o_i, e_i)) with
+    e(a) = sum (e_i m / o_i) l_i(a) mod m.
+    """
     gens = _unit_group_generators(N)
+    logs = {1 % N: ()}
+    for g, order in gens:
+        walked = {}
+        for a, l in logs.items():
+            for j in range(order):
+                walked[a] = l + (j,)
+                a = a * g % N  # the next unit along g's cycle
+        logs = walked
     chars = []
-    exponents = [[0] * len(gens)]
-    for i, (_, order) in enumerate(gens):
-        exponents = [e[:i] + [j] + e[i + 1:] for e in exponents for j in range(order)]
-    log_table = {a: _unit_decompose(a, gens, N) for a in units}
-    for expo in exponents:
-        m = 1
-        for (g, order), e in zip(gens, expo):
-            d = order // math.gcd(order, e) if e else 1
-            m = m * d // math.gcd(m, d)
-        K = CyclotomicField(m) if m > 1 else None
-        values = {}
-        for a in units:
-            t = Fraction(0)
-            for (g, order), e, l in zip(gens, expo, log_table[a]):
-                t += Fraction(e * l, order)
-            t -= math.floor(t)
-            if K is None:
-                if t not in (0, Fraction(1, 2)):
-                    raise CosetError("order bookkeeping error")
-                values[a] = Fraction(1) if t == 0 else Fraction(-1)
-            else:
-                values[a] = K.zeta_power(int(t * m))
-        chars.append(Character(N, values))
+    for expo in itertools.product(*(range(order) for _, order in gens)):
+        m = math.lcm(*(order // math.gcd(order, e) for (_, order), e in zip(gens, expo)))
+        coeffs = [e * m // order for (_, order), e in zip(gens, expo)]
+        chars.append(Character(N, m, {a: sum(c * x for c, x in zip(coeffs, l)) % m
+                                      for a, l in logs.items()}))
     return chars
 
 
 def _unit_group_generators(N: int) -> list:
     """Generators (g, order) of (Z/N)*, via CRT over prime powers."""
-    if N <= 2:
-        return []
-    factors = []
-    m = N
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-        p += 1
-    if m > 1:
-        factors.append((m, 1))
     gens = []
-    for p, e in factors:
+    for p, e in _factor(N):
         q = p ** e
-        rest = N // q
-        if p == 2:
-            if e == 1:
-                continue
-            locals_gens = [(q - 1, 2)]
-            if e >= 3:
-                locals_gens.append((5, 2 ** (e - 2)))
+        if p != 2:
+            locals_gens = [(_primitive_root(q), q - q // p)]
+        elif e == 1:
+            continue
         else:
-            g = _primitive_root(q)
-            locals_gens = [(g, _euler_phi(q))]
+            locals_gens = [(q - 1, 2)] + ([(5, q // 4)] if e >= 3 else [])
         for g, order in locals_gens:
             # lift g to be 1 mod N/q
-            lifted = _crt(g, q, 1, rest)
-            gens.append((lifted % N, order))
+            gens.append((_crt(g, q, 1, N // q), order))
     return gens
 
 
 def _primitive_root(q: int) -> int:
+    """The least primitive root mod q, an odd prime power."""
     phi = _euler_phi(q)
-    fac = set()
-    m = phi
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            fac.add(p)
-            m //= p
-        p += 1
-    if m > 1:
-        fac.add(m)
-    for g in range(2, q):
-        if math.gcd(g, q) != 1:
-            continue
-        if all(pow(g, phi // f, q) != 1 for f in fac):
-            return g
-    raise CosetError("no primitive root mod %d" % q)
+    fac = [p for p, _ in _factor(phi)]
+    return next(g for g in range(2, q)
+                if math.gcd(g, q) == 1 and all(pow(g, phi // f, q) != 1 for f in fac))
 
 
 def _crt(a1: int, m1: int, a2: int, m2: int) -> int:
     g, x, _ = _xgcd(m1, m2)
     check(g == 1, "CRT moduli are not coprime")
     return (a1 + (a2 - a1) * x % m2 * m1) % (m1 * m2)
-
-
-def _unit_decompose(a: int, gens: list, N: int) -> list:
-    """Exponents of a over the generator list (brute force, N is small)."""
-    logs = _decompose_rec(a % N, gens, N)
-    if logs is None:
-        raise CosetError("unit decomposition failed")
-    return logs
-
-
-def _decompose_rec(a: int, gens: list, N: int):
-    if not gens:
-        return [] if a % N == 1 else None
-    g, order = gens[0]
-    ginv = pow(g, -1, N)
-    for l in range(order):
-        rest = _decompose_rec(a * pow(ginv, l, N) % N, gens[1:], N)
-        if rest is not None:
-            return [l] + rest
-    return None

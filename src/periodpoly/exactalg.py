@@ -258,6 +258,7 @@ class CyclotomicField:
         self.conductor = m
         self.modulus = cyclotomic_polynomial(m)
         self.degree = len(self.modulus) - 1
+        self._zeta_powers = {}
         cls._cache[m] = self
         return self
 
@@ -295,10 +296,13 @@ class CyclotomicField:
         return c
 
     def zeta_power(self, j: int) -> Cyclotomic:
+        """zeta^j, reduced once per exponent and kept: elements are immutable."""
         j %= self.conductor
-        c = [Fraction(0)] * (j + 1)
-        c[j] = Fraction(1)
-        return Cyclotomic(self, self.reduce(c))
+        if j not in self._zeta_powers:
+            c = [Fraction(0)] * (j + 1)
+            c[j] = Fraction(1)
+            self._zeta_powers[j] = Cyclotomic(self, self.reduce(c))
+        return self._zeta_powers[j]
 
     @property
     def zeta(self) -> Cyclotomic:

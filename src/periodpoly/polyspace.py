@@ -21,7 +21,7 @@ from .exactalg import (DenseMatrix, ExactAlgebraError, PeriodPolyError, QQ, chec
                        sparse_int_rank, _normalize_int_row)
 from .cosets import (CosetSpace, Mat2, MAT_EPS, MAT_S, MAT_SINV, MAT_T,
                      MAT_TINV, MAT_U, MAT_U2, MAT_U2INV, MAT_UINV, GAMMA0,
-                     build_coset_space)
+                     build_coset_space, _unit_group_generators)
 
 
 class PolySpaceError(PeriodPolyError):
@@ -808,7 +808,7 @@ def chi_component(sub: Subspace, chi) -> Subspace:
         for k, v in vec.items():
             at.setdefault(k, []).append((j, sub.lcm // den * v))
     rows = {}  # keyed by content: the same relation comes from many labels
-    for u in _unit_generators_for(space.N):
+    for u, _ in _unit_group_generators(space.N):
         # chi(u) zeta^t; a root of unity has integer power-basis coordinates
         chi_u = mult_columns(field, [int(x) for x in scalar_coords(field, chi(u))])
         for l, (c, e) in enumerate(space.labels):
@@ -833,9 +833,3 @@ def chi_component(sub: Subspace, chi) -> Subspace:
         row = _normalize_int_row(row)
         real[tuple(sorted(row.items()))] = row
     return sub.times(kernel_columns(real.values(), sub.dim, field), field)
-
-
-def _unit_generators_for(N: int) -> list:
-    from .cosets import _unit_group_generators
-    gens = [g for g, _ in _unit_group_generators(N)]
-    return gens if gens else [1]

@@ -429,3 +429,10 @@ class TestNewformFile:
         assert back.character is not None
         for a in (1, 2, 3, 4):
             assert back.character(a) == quad(a)
+
+    def test_nonreal_character_not_stored(self):
+        from periodpoly.cosets import dirichlet_characters
+        quartic = next(ch for ch in dirichlet_characters(5) if ch.order == 4)
+        f = NewformData(5, 3, QSeries(0, [Fraction(1), Fraction(-1)]), 1, quartic)
+        with pytest.raises(AnalyticError):
+            f.to_json()

@@ -235,6 +235,38 @@ class TestLValueAndPetersson:
         code, _ = run_cli(["lvalue", "--form", str(bad), "--s", "3"])
         assert code == cli.EXIT_BAD_FILE
 
+    @pytest.mark.parametrize("level, character", [
+        (5, 5),
+        (5, "x"),
+        (5, {"modulus": "x", "values": ["1", "1", "1", "1"]}),
+        (5, {"values": ["1", "1", "1", "1"]}),
+        (5, {"modulus": 0, "values": []}),
+        (5, {"modulus": 7, "values": ["1"] * 6}),            # not the level
+        (5, {"modulus": 5, "values": "1111"}),
+        (5, {"modulus": 5, "values": ["1", "2", "1", "1"]}),  # not a root of unity
+        (5, {"modulus": 5, "values": ["1", "1", "1"]}),       # short
+        (5, {"modulus": 5, "values": ["1", "-1", "-1", "-1"]}),  # not multiplicative
+        (5, {"modulus": 5, "values": ["-1", "-1", "-1", "1"]}),  # chi(1) = -1
+        (3000000, {"modulus": 3000000, "values": ["1"]}),     # refused before listing units
+        (10 ** 30 + 57, {"modulus": 10 ** 30 + 57, "values": ["1"] * 3}),  # or factoring
+    ])
+    def test_bad_character_is_one_line_exit_3(self, tmp_path, capsys, level, character):
+        doc = NewformData(5, 4, eta_product([(1, 4), (5, 4)], 20), 1).to_json()
+        doc.update(level=level, character=character)
+        bad = tmp_path / "character.json"
+        bad.write_text(json.dumps(doc))
+        code, text = run_cli(["lvalue", "--form", str(bad), "--s", "3"])
+        err = capsys.readouterr().err
+        assert (code, text) == (cli.EXIT_BAD_FILE, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_real_character_is_read(self, tmp_path):
+        doc = NewformData(5, 4, eta_product([(1, 4), (5, 4)], 20), 1).to_json()
+        doc["character"] = {"modulus": 5, "values": ["1", "-1", "-1", "1"]}
+        form = NewformData.from_json(doc)
+        assert (form.character.order, [form.character(a) for a in range(1, 5)]) == (
+            2, [1, -1, -1, 1])
+
 
 def eta_coefficient(N, k, n):
     """a_n of eta(z)^k eta(Nz)^k = q prod_m (1 - q^m)^k (1 - q^(N m))^k,

@@ -11,6 +11,8 @@ from periodpoly.cosets import (GAMMA0, GAMMA1, Character, CosetError,
                                cusp_classes, dirichlet_characters,
                                lift_to_sl2z, p1_normalize)
 
+from character_reference import reference_dirichlet_characters
+
 
 class TestMat2:
     def test_group_constants(self):
@@ -318,9 +320,43 @@ class TestCharacters:
             assert ch.conjugate().conjugate().values == ch.values
 
     def test_count_is_phi(self):
-        for N in (3, 4, 5, 7, 8, 9, 12, 15):
+        for N in (1, 3, 4, 5, 7, 8, 9, 12, 15):
             phi = sum(1 for a in range(1, N + 1) if math.gcd(a, N) == 1)
             assert len(dirichlet_characters(N)) == phi
+
+    def test_modulus_one_is_trivial(self):
+        (ch,) = dirichlet_characters(1)
+        assert ch.is_trivial() and ch.field is None and ch(7) == 1
+        assert ch.is_even_for_weight(2) and not ch.is_even_for_weight(3)
+
+    @pytest.mark.parametrize("N", list(range(2, 21)) + [24, 28, 36])
+    def test_equals_field_reference(self, N):
+        # the characters built by arithmetic in Q(zeta_m), value for value
+        new, old = dirichlet_characters(N), reference_dirichlet_characters(N)
+        assert len(new) == len(old)
+        for ch, ref in zip(new, old):
+            assert (ch.order, ch.field) == (ref.order, ref.field)
+            assert ch.values == ref.values
+            for k in (2, 3):
+                assert ch.is_even_for_weight(k) == ref.is_even_for_weight(k)
+            assert ch.conjugate().values == ref.conjugate().values
+
+    @pytest.mark.parametrize("order, exponents", [
+        (4, {1: 0, 2: 1, 3: 3}),        # the unit 4 is missing
+        (4, {1: 1, 2: 1, 3: 3, 4: 2}),  # e(1) != 0
+        (4, {1: 0, 2: 1, 3: 1, 4: 2}),  # e(3 * 2) = e(1) = 0, not e(3) + e(2) = 2
+        (4, {1: 0, 2: 2, 3: 2, 4: 0}),  # the quadratic character, order 2, not 4
+        (4, {0: 0, 1: 0, 2: 1, 3: 3}),  # 0 is not a unit
+    ])
+    def test_constructor_refuses(self, order, exponents):
+        with pytest.raises(CosetError):
+            Character(5, order, exponents)
+
+    def test_constructor_accepts_quartic(self):
+        ch = Character(5, 4, {1: 0, 2: 1, 3: 3, 4: 2})
+        assert ch(2) == ch.field.zeta and ch(4) == -ch.field.one
+        assert not ch.is_even_for_weight(2) and ch.is_even_for_weight(3)
+        assert dict(ch.conjugate().exponents) == {1: 0, 2: 3, 3: 1, 4: 2}
 
     def test_label_strings(self):
         sp0 = build_coset_space(GAMMA0, 5, 4)

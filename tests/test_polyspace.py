@@ -9,7 +9,8 @@ from periodpoly.exactalg import (CheckFailed, DenseMatrix, QQ, column_entries,
                                  kernel_columns)
 from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, MAT_TINV,
                                MAT_U, MAT_U2, Mat2, build_coset_space,
-                               cusp_classes, dirichlet_characters)
+                               cusp_classes, dirichlet_characters,
+                               _unit_group_generators)
 from periodpoly.polyspace import (ExtPolyVector, PolySpaceError, PolyVector,
                                   Subspace, build_W, build_W_extended,
                                   build_coboundary_and_D, chi_component, cminus_trivial,
@@ -17,7 +18,7 @@ from periodpoly.polyspace import (ExtPolyVector, PolySpaceError, PolyVector,
                                   pair_induced, pair_vw, slash_poly,
                                   w_dimensions, wtilde_dimension,
                                   _coboundary_and_D_vectors,
-                                  _unit_generators_for, _w_relation_rows,
+                                  _w_relation_rows,
                                   _wtilde_relation_rows)
 
 from periodpoly import polyspace
@@ -581,7 +582,7 @@ def reference_chi_component(sub, chi):
     n = sub.w + 3 if sub.extended else sub.w + 1
     cols = sub.basis.columns()
     rows = []
-    for u in _unit_generators_for(space.N):
+    for u, _ in _unit_group_generators(space.N):
         for l in range(space.size):
             c, d = space.labels[l]
             lu, s = space.label_of_row(u * c, u * d)
