@@ -192,14 +192,16 @@ class NewformData:
     @classmethod
     def from_json(cls, doc: dict) -> "NewformData":
         try:
-            level = int(doc["level"])
-            weight = int(doc["weight"])
-            sign = int(doc["fricke_sign"])
+            level, weight, sign = doc["level"], doc["weight"], doc["fricke_sign"]
             a0 = scalar_from_str(doc["constant_term"])
             coeffs = [scalar_from_str(c) for c in doc["coefficients"]]
             char = doc.get("character", "trivial")
         except (KeyError, TypeError, ValueError) as exc:
             raise AnalyticError("malformed newform document: %s" % exc)
+        for key, value in (("level", level), ("weight", weight), ("fricke_sign", sign)):
+            # bool is an int subclass; a JSON true or 5.7 is not a level
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise AnalyticError("%s must be a JSON integer, not %r" % (key, value))
         character = None
         if char != "trivial":
             character = _real_character_from_json(char, level)

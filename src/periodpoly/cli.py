@@ -67,14 +67,6 @@ def _cnum(z, err=None) -> dict:
     return doc
 
 
-def _group_kind(name: str) -> str:
-    if name in ("gamma0", "g0"):
-        return GAMMA0
-    if name in ("gamma1", "g1"):
-        return GAMMA1
-    raise CliError("unknown group %r" % name, EXIT_USAGE)
-
-
 def _parse_eigen(items) -> list:
     out = []
     for item in items or ():
@@ -133,8 +125,7 @@ def _sigma_for(args, kind, N, n):
 # subcommands
 
 def cmd_dims(args, out):
-    kind = _group_kind(args.group)
-    space = _coset_space(args, kind, args.level, args.weight)
+    space = _coset_space(args, args.group, args.level, args.weight)
     w = args.weight - 2
     if space.size > 60:
         _progress("building relation systems at index %d ..." % space.size)
@@ -142,7 +133,7 @@ def cmd_dims(args, out):
     C, D = build_coboundary_and_D(space, w)
     dim_wt = wtilde_dimension(space, w)
     _emit({
-        "group": kind, "level": args.level, "weight": args.weight,
+        "group": args.group, "level": args.level, "weight": args.weight,
         "index": space.index,
         "dim_W": dim_w, "dim_W_plus": dim_plus, "dim_W_minus": dim_minus,
         "dim_C": C.dim, "dim_D": D.dim, "dim_Wtilde": dim_wt,
@@ -152,11 +143,10 @@ def cmd_dims(args, out):
 
 
 def cmd_cusps(args, out):
-    kind = _group_kind(args.group)
-    space = _coset_space(args, kind, args.level, args.weight)
+    space = _coset_space(args, args.group, args.level, args.weight)
     cs = cusp_classes(space)
     _emit({
-        "group": kind, "level": args.level,
+        "group": args.group, "level": args.level,
         "cusps": [{
             "representative": space.label_str(c.representative),
             "labels": [space.label_str(l) for l in c.labels],
@@ -187,15 +177,12 @@ def _space_choice(args, space, w):
         return plus if name == "Wplus" else minus
     if name == "C":
         return build_coboundary_and_D(space, w)[0]
-    if name == "Wtilde":
-        return build_W_extended(space, w)
-    raise CliError("unknown space %r" % name, EXIT_USAGE)
+    return build_W_extended(space, w)
 
 
 def cmd_hecke_matrix(args, out):
-    kind = _group_kind(args.group)
-    spec = _sigma_for(args, kind, args.level, args.n)
-    space = _coset_space(args, kind, args.level, args.weight)
+    spec = _sigma_for(args, args.group, args.level, args.n)
+    space = _coset_space(args, args.group, args.level, args.weight)
     w = args.weight - 2
     sub = _space_choice(args, space, w)
     m = hecke_matrix(sub, universal_hecke_element(args.n), spec)
@@ -217,8 +204,7 @@ def _claim_output(path: str) -> bool:
 
 
 def cmd_eigenpoly(args, out):
-    kind = _group_kind(args.group)
-    space = _coset_space(args, kind, args.level, args.weight)
+    space = _coset_space(args, args.group, args.level, args.weight)
     eigendata = _parse_eigen(args.eigen)
     created = bool(args.output) and _claim_output(args.output)
     try:
@@ -378,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "default %d" % MAX_N)
 
     def common_space(p):
-        p.add_argument("--group", default="gamma0", choices=["gamma0", "gamma1"])
+        p.add_argument("--group", default=GAMMA0, choices=[GAMMA0, GAMMA1])
         p.add_argument("--level", type=int, required=True)
         p.add_argument("--weight", type=int, required=True)
         max_index(p)

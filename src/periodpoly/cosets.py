@@ -90,10 +90,8 @@ MAT_U2INV = MAT_U2.inverse()
 # Right actions tabulated on every coset space, by table name.  Right
 # multiplication by eps and conjugation by eps give the same bottom row.
 _TABULATED = (("S", MAT_S), ("T", MAT_T), ("Tinv", MAT_TINV), ("U", MAT_U),
-              ("U2", MAT_U2), ("J", MAT_J), ("eps", MAT_EPS))
-# g^(-1) = h J for the table h: S^(-1) = S J, U^(-1) = U^2 J, U^(-2) = U J
-_INVERSES = (("Sinv", MAT_SINV, "S"), ("Uinv", MAT_UINV, "U2"),
-             ("U2inv", MAT_U2INV, "U"))
+              ("U2", MAT_U2), ("J", MAT_J), ("eps", MAT_EPS), ("Sinv", MAT_SINV),
+              ("Uinv", MAT_UINV), ("U2inv", MAT_U2INV))
 
 
 def _xgcd(a: int, b: int) -> tuple:
@@ -163,7 +161,7 @@ def lift_to_sl2z(c: int, d: int, N: int) -> Mat2:
 
 @dataclass(frozen=True)
 class CuspClass:
-    labels: tuple            # coset labels in the T-orbit (merged under J)
+    labels: tuple            # coset labels in the T-orbit
     representative: int      # distinguished label
     width: int
     regular: bool
@@ -189,12 +187,23 @@ class CuspSet:
             raise CosetError("label not in any cusp class") from None
 
 
+def _compose(first: tuple, then: tuple) -> tuple:
+    """The table of g h from the table of g and the table of h: the action is
+    a right action, and the signs multiply."""
+    return tuple((then[l][0], s * then[l][1]) for l, s in first)
+
+
 class CosetSpace:
     """Enumerated cosets of Gamma0(N) or Gamma1(N) with action tables.
 
-    Immutable after construction; the tables map a label to
-    (label, sign) pairs, the sign recording a +-1 normalization for the
-    Gamma1 / odd-weight bookkeeping (always +1 for Gamma0).
+    S and T generate SL2(Z), so the cosets form one orbit under their right
+    action: one walk from the identity coset finds every label and the S
+    and T tables, normalizing each label's row once per generator.  The
+    other SL2(Z) tables are compositions of these two; only eps, outside
+    SL2(Z), is normalized per label.  Immutable after construction; the
+    tables map a label to (label, sign) pairs, the sign recording a +-1
+    normalization for the Gamma1 / odd-weight bookkeeping (always +1 for
+    Gamma0).
     """
 
     def __init__(self, kind: str, N: int, k: int):
@@ -210,41 +219,52 @@ class CosetSpace:
         self.w = k - 2
         # -1 in the group forces all odd-weight spaces to vanish
         self.degenerate = (k % 2 == 1) and (kind == GAMMA0 or N <= 2)
-        self._build_labels()
-        self._build_tables()
+        self._build()
         self._cusps: Optional[CuspSet] = None
 
     # -- construction ---------------------------------------------------
 
-    def _build_labels(self):
-        """Labels, positions, lifts and the identity label.
-
-        For Gamma0 only rows (g, v) with g | N are normalized, d(N) N calls
-        in place of N^2: a primitive (u, v) has g = gcd(u, N) dividing N and
-        u = g u' with gcd(u', N/g) = 1, so a unit t = u'^(-1) mod N/g, lifted
-        to a unit mod N, gives t (u, v) = (g, t v), in the same class.
-        g = N stands for u = 0.
-        """
+    def _build(self):
+        """Labels, lifts, the identity label and every table, by one walk of
+        the right action of S and T from the identity coset."""
         N = self.N
-        labels = set()
         if self.kind == GAMMA0:
-            for u in _divisors(N):
-                for v in range(N):
-                    p = p1_normalize(N, u, v)
-                    if p is not None:
-                        labels.add(p)
+            def normal_form(c, d):
+                return p1_normalize(N, c, d), 1
         else:
-            for c in range(N):
-                for d in range(N):
-                    if math.gcd(math.gcd(c, d), N) == 1:
-                        labels.add(self._e_normalize(c, d)[0])
-        self.labels = tuple(sorted(labels))
+            normal_form = self._e_normalize
+        start = normal_form(0, 1)[0]
+        # label -> its (image, sign) under S and under T; a label is its own
+        # bottom row, and (c, d) S = (d, -c), (c, d) T = (c, c + d)
+        steps = {start: None}
+        walk = [start]
+        for c, d in walk:
+            images = steps[(c, d)] = (normal_form(d, -c), normal_form(c, c + d))
+            for lab, _ in images:
+                if lab not in steps:
+                    steps[lab] = None
+                    walk.append(lab)
+        self.labels = tuple(sorted(steps))
         self.size = len(self.labels)
         self.index = self.size  # projectivized index [Gbar_1 : Gbar]
-        self._label_pos = {lab: i for i, lab in enumerate(self.labels)}
+        self._label_pos = pos = {lab: i for i, lab in enumerate(self.labels)}
         self.lifts = tuple(lift_to_sl2z(c, d, N) if N > 1 else MAT_I
                            for (c, d) in self.labels)
-        self.identity_label = self._normalize(0, 1)[0]
+        self.identity_label = pos[start]
+        S = tuple((pos[lab], s) for (lab, s), _ in map(steps.get, self.labels))
+        T = tuple((pos[lab], s) for _, (lab, s) in map(steps.get, self.labels))
+        tinv = [None] * self.size
+        for i, (j, s) in enumerate(T):
+            tinv[j] = (i, s)
+        U = _compose(T, S)
+        U2 = _compose(U, U)
+        J = _compose(S, S)
+        eps = tuple(self.act(i, MAT_EPS) for i in range(self.size))
+        # g^(-1) = h J for the table h: S^(-1) = S J, U^(-1) = U^2 J, U^(-2) = U J
+        tables = (S, T, tuple(tinv), U, U2, J, eps,
+                  _compose(S, J), _compose(U2, J), _compose(U, J))
+        self.tables = {name: t for (name, _), t in zip(_TABULATED, tables)}
+        self._table_of = {g: t for (_, g), t in zip(_TABULATED, tables)}
 
     def _e_normalize(self, c: int, d: int) -> tuple:
         """Section of E_N mod +-1: lexicographically smaller of (c,d), (-c,-d)."""
@@ -262,16 +282,6 @@ class CosetSpace:
         if hit is None:
             raise CosetError("bottom row (%d, %d) not primitive mod %d" % (c, d, self.N))
         return hit
-
-    def _build_tables(self):
-        self.tables = {name: tuple(self.act(i, g) for i in range(self.size))
-                       for name, g in _TABULATED}
-        jtab = self.tables["J"]
-        for name, _, h in _INVERSES:
-            # J fixes every label and contributes only its sign
-            self.tables[name] = tuple((l, s * jtab[l][1]) for l, s in self.tables[h])
-        self._table_of = {g: self.tables[name] for name, g in _TABULATED}
-        self._table_of.update((g, self.tables[name]) for name, g, _ in _INVERSES)
 
     def _bottom_row(self, i: int) -> tuple:
         lab = self.labels[i]
@@ -330,50 +340,32 @@ class CosetSpace:
         return self.tables["eps"][i]
 
     def cusp_classes(self) -> CuspSet:
-        """Partition of the labels into cusps (T-orbits merged under J)."""
+        """Partition of the labels into cusps, the cycles of T.
+
+        J fixes every label, so no two T-cycles meet under J.  Each cycle is
+        walked once from its least label, multiplying the T signs: the cusp
+        is regular when the product is +1 (A T^h = gamma A, not -gamma A)
+        and the group does not contain -1.
+        """
         if self._cusps is not None:
             return self._cusps
         ttab = self.tables["T"]
-        jtab = self.tables["J"]
-        seen = set()
+        minus_one = self.contains_minus_one()
+        seen = [False] * self.size
         classes = []
         for start in range(self.size):
-            if start in seen:
+            if seen[start]:
                 continue
-            orbit = []
-            i = start
-            while i not in seen:
-                seen.add(i)
+            orbit, sign, i = [], 1, start
+            while not seen[i]:
+                seen[i] = True
                 orbit.append(i)
-                i = ttab[i][0]
-            merged = set(orbit)
-            for j in orbit:
-                merged.add(jtab[j][0])
-            width = len(orbit)
-            classes.append(CuspClass(tuple(sorted(merged)), min(merged), width,
-                                     self._is_regular(start)))
+                i, s = ttab[i]
+                sign *= s
+            classes.append(CuspClass(tuple(sorted(orbit)), start, len(orbit),
+                                     sign == 1 and not minus_one))
         self._cusps = CuspSet(tuple(classes))
         return self._cusps
-
-    def _is_regular(self, i: int) -> bool:
-        """Whether the <T>+ double cosets of A and AJ are distinct.
-
-        Tracked through signs: going once around the T-orbit of the label
-        returns to it; the cusp is regular iff the accumulated sign is +1
-        and J itself does not map the orbit to itself with a flip.
-        For groups containing -1 every cusp compares equal (irregular in
-        the double-coset sense used here).
-        """
-        if self.contains_minus_one():
-            return False
-        # follow A, AT, AT^2, ... until the label repeats; the sign on
-        # return tells whether A T^h = gamma A (regular) or -gamma A.
-        ttab = self.tables["T"]
-        j, sign = ttab[i]
-        while j != i:
-            j2, s2 = ttab[j]
-            j, sign = j2, sign * s2
-        return sign == 1
 
     def contains_minus_one(self) -> bool:
         return self.kind == GAMMA0 or self.N <= 2

@@ -615,21 +615,22 @@ def w_dimensions(space: CosetSpace, w: int) -> tuple:
 def _tail_families(space: CosetSpace, w: int) -> list:
     """Per-cusp constant families with c_A = c_(AT), c_(AJ) = (-1)^w c_A.
 
-    For odd w only regular cusps carry a nonzero family.
+    A family is walked once around its cusp's signed T-cycle from the
+    representative.  For even w every cusp carries one; for odd w only the
+    regular cusps do, where the signs around the cycle multiply to +1 and
+    -1 is not in the group.
     """
     families = []
     for cl in space.cusp_classes().classes:
-        c, frontier, ok = {cl.representative: 1}, [cl.representative], True
-        while frontier:
-            l = frontier.pop()
-            for g in (MAT_T, MAT_TINV):
-                l2, s = space.signed_act(l, g, w)
-                if l2 not in c:
-                    c[l2] = c[l] * s
-                    frontier.append(l2)
-                ok = ok and c[l2] == c[l] * s
-        if ok:
-            families.append(tuple(c.get(l, 0) for l in range(space.size)))
+        if w % 2 and not cl.regular:
+            continue
+        fam = [0] * space.size
+        l, c = cl.representative, 1
+        while not fam[l]:
+            fam[l] = c
+            l, s = space.signed_act(l, MAT_T, w)
+            c *= s
+        families.append(tuple(fam))
     return families
 
 

@@ -260,6 +260,26 @@ class TestLValueAndPetersson:
         assert (code, text) == (cli.EXIT_BAD_FILE, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("fields", [
+        {"level": 5.7, "weight": 4.9, "fricke_sign": 1.5},  # once truncated to 5, 4, 1
+        {"level": 5.0},
+        {"weight": 4.9},
+        {"fricke_sign": 1.5},
+        {"level": True},                                     # once read as level 1
+        {"fricke_sign": True},
+        {"level": "5"},
+        {"weight": None},
+    ])
+    def test_non_integer_field_is_one_line_exit_3(self, tmp_path, capsys, fields):
+        doc = NewformData(5, 4, eta_product([(1, 4), (5, 4)], 20), 1).to_json()
+        doc.update(fields)
+        bad = tmp_path / "fields.json"
+        bad.write_text(json.dumps(doc))
+        code, text = run_cli(["lvalue", "--form", str(bad), "--s", "3"])
+        err = capsys.readouterr().err
+        assert (code, text) == (cli.EXIT_BAD_FILE, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_real_character_is_read(self, tmp_path):
         doc = NewformData(5, 4, eta_product([(1, 4), (5, 4)], 20), 1).to_json()
         doc["character"] = {"modulus": 5, "values": ["1", "-1", "-1", "1"]}

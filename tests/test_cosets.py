@@ -4,9 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from periodpoly import cosets
 from periodpoly.cosets import (GAMMA0, GAMMA1, Character, CosetError,
-                               CosetSpace, Mat2, MAT_I, MAT_S, MAT_T, MAT_TINV,
-                               MAT_U, MAT_U2, act_coset, build_coset_space,
+                               CosetSpace, CuspClass, CuspSet, Mat2, MAT_EPS,
+                               MAT_I, MAT_J, MAT_S, MAT_SINV, MAT_T, MAT_TINV,
+                               MAT_U, MAT_U2, MAT_U2INV, MAT_UINV, act_coset,
+                               build_coset_space,
                                classical_cusp_count_gamma0, coset_index,
                                cusp_classes, dirichlet_characters,
                                lift_to_sl2z, p1_normalize)
@@ -70,20 +73,91 @@ class TestP1:
                 assert p1_normalize(N, A.c, A.d) == space.labels[i]
 
 
-class ReferenceLabelSpace(CosetSpace):
-    """A coset space whose Gamma0 labels come from normalizing all N^2 rows."""
+# Right actions tabulated on every coset space, by table name, and the
+# inverses read from them: g^(-1) = h J for the table h.
+_TABULATED = (("S", MAT_S), ("T", MAT_T), ("Tinv", MAT_TINV), ("U", MAT_U),
+              ("U2", MAT_U2), ("J", MAT_J), ("eps", MAT_EPS))
+_INVERSES = (("Sinv", MAT_SINV, "S"), ("Uinv", MAT_UINV, "U2"),
+             ("U2inv", MAT_U2INV, "U"))
 
-    def _build_labels(self):
-        N = self.N
-        labels = {p1_normalize(N, u, v) for u in range(N) for v in range(N)}
-        labels.discard(None)
+
+class ReferenceLabelSpace:
+    """Cosets of Gamma0(N) or Gamma1(N) built without walking S and T.
+
+    Labels come from normalizing all N^2 rows, every table from normalizing
+    each label's row times its generator, and the cusps from T-orbits merged
+    under J, with regularity read from a second walk around each orbit.
+    """
+
+    def __init__(self, kind, N, k):
+        self.kind, self.N = kind, N
+        labels = {hit[0] for c in range(N) for d in range(N)
+                  if (hit := self._normal_form(c, d)) is not None}
         self.labels = tuple(sorted(labels))
         self.size = len(self.labels)
-        self.index = self.size
         self._label_pos = {lab: i for i, lab in enumerate(self.labels)}
         self.lifts = tuple(lift_to_sl2z(c, d, N) if N > 1 else MAT_I
                            for (c, d) in self.labels)
         self.identity_label = self._normalize(0, 1)[0]
+        self._build_tables()
+
+    def _normal_form(self, c, d):
+        N = self.N
+        if math.gcd(c, d, N) != 1:
+            return None
+        if self.kind == GAMMA0:
+            return p1_normalize(N, c, d), 1
+        c, d = c % N, d % N
+        neg = (-c % N, -d % N)
+        return ((c, d), 1) if (c, d) <= neg else (neg, -1)
+
+    def _normalize(self, c, d):
+        lab, sign = self._normal_form(c, d)
+        return self._label_pos[lab], sign
+
+    def act(self, i, g):
+        c, d = (0, 1) if self.kind == GAMMA0 and self.N == 1 else self.labels[i]
+        return self._normalize(c * g.a + d * g.c, c * g.b + d * g.d)
+
+    def _build_tables(self):
+        self.tables = {name: tuple(self.act(i, g) for i in range(self.size))
+                       for name, g in _TABULATED}
+        jtab = self.tables["J"]
+        for name, _, h in _INVERSES:
+            # J fixes every label and contributes only its sign
+            self.tables[name] = tuple((l, s * jtab[l][1]) for l, s in self.tables[h])
+
+    def cusp_classes(self):
+        ttab = self.tables["T"]
+        jtab = self.tables["J"]
+        seen = set()
+        classes = []
+        for start in range(self.size):
+            if start in seen:
+                continue
+            orbit = []
+            i = start
+            while i not in seen:
+                seen.add(i)
+                orbit.append(i)
+                i = ttab[i][0]
+            merged = set(orbit)
+            for j in orbit:
+                merged.add(jtab[j][0])
+            width = len(orbit)
+            classes.append(CuspClass(tuple(sorted(merged)), min(merged), width,
+                                     self._is_regular(start)))
+        return CuspSet(tuple(classes))
+
+    def _is_regular(self, i):
+        if self.kind == GAMMA0 or self.N <= 2:
+            return False
+        ttab = self.tables["T"]
+        j, sign = ttab[i]
+        while j != i:
+            j2, s2 = ttab[j]
+            j, sign = j2, sign * s2
+        return sign == 1
 
 
 class TestBuild:
@@ -121,13 +195,37 @@ class TestBuild:
         assert coset_index(GAMMA0, 3000) == 7200
         assert coset_index(GAMMA1, 1000) == 360000
 
-    @pytest.mark.parametrize("N", list(range(1, 301)) + [360, 420, 720, 840, 1000])
-    def test_divisor_labels_match_full_scan(self, N):
-        space = build_coset_space(GAMMA0, N, 2)
-        ref = ReferenceLabelSpace(GAMMA0, N, 2)
+    @staticmethod
+    def check_equals_reference(kind, N, k):
+        space = build_coset_space(kind, N, k)
+        ref = ReferenceLabelSpace(kind, N, k)
         assert space.labels == ref.labels
         assert space.lifts == ref.lifts
         assert space.tables == ref.tables
+        assert space.identity_label == ref.identity_label
+        assert space.cusp_classes() == ref.cusp_classes()
+
+    @pytest.mark.parametrize("N", list(range(1, 301)) + [360, 420, 720, 840, 1000])
+    def test_divisor_labels_match_full_scan(self, N):
+        self.check_equals_reference(GAMMA0, N, 2)
+
+    @pytest.mark.parametrize("k", (2, 3))
+    @pytest.mark.parametrize("N", range(1, 41))
+    def test_gamma1_labels_match_full_scan(self, N, k):
+        self.check_equals_reference(GAMMA1, N, k)
+
+    @pytest.mark.parametrize("kind, N", [(GAMMA0, 60), (GAMMA1, 13)])
+    def test_one_normalization_per_label_and_generator(self, monkeypatch, kind, N):
+        # two per label in the walk (S and T), one per label for eps, plus
+        # the start and the identity label
+        calls = []
+        p1, e = cosets.p1_normalize, CosetSpace._e_normalize
+        monkeypatch.setattr(cosets, "p1_normalize", lambda *a: calls.append(a) or p1(*a))
+        monkeypatch.setattr(CosetSpace, "_e_normalize",
+                            lambda self, c, d: calls.append((c, d)) or e(self, c, d))
+        space = CosetSpace(kind, N, 2)
+        assert space.size == coset_index(kind, N)
+        assert len(calls) <= 3 * space.size + 2
 
     def test_degenerate_flag(self):
         assert build_coset_space(GAMMA0, 5, 3).degenerate

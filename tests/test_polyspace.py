@@ -17,7 +17,7 @@ from periodpoly.polyspace import (ExtPolyVector, PolySpaceError, PolyVector,
                                   decompose_extended, eps_split, pair_braces,
                                   pair_induced, pair_vw, slash_poly,
                                   w_dimensions, wtilde_dimension,
-                                  _coboundary_and_D_vectors,
+                                  _coboundary_and_D_vectors, _tail_families,
                                   _w_relation_rows,
                                   _wtilde_relation_rows)
 
@@ -208,7 +208,40 @@ class TestBuildW:
             assert w_dimensions(sp, k - 2) == (W.dim, plus.dim, minus.dim)
 
 
+def reference_tail_families(space, w):
+    """Per-cusp constant families with c_A = c_(AT), c_(AJ) = (-1)^w c_A.
+
+    For odd w only regular cusps carry a nonzero family.
+    """
+    families = []
+    for cl in space.cusp_classes().classes:
+        c, frontier, ok = {cl.representative: 1}, [cl.representative], True
+        while frontier:
+            l = frontier.pop()
+            for g in (MAT_T, MAT_TINV):
+                l2, s = space.signed_act(l, g, w)
+                if l2 not in c:
+                    c[l2] = c[l] * s
+                    frontier.append(l2)
+                ok = ok and c[l2] == c[l] * s
+        if ok:
+            families.append(tuple(c.get(l, 0) for l in range(space.size)))
+    return families
+
+
 class TestCoboundaryAndD:
+    @pytest.mark.parametrize("kind, N", [(GAMMA0, N) for N in range(1, 61)]
+                             + [(GAMMA1, N) for N in range(1, 31)])
+    def test_tail_families_equal_reference(self, kind, N):
+        for k in (2, 3, 4, 5):
+            sp = build_coset_space(kind, N, k)
+            if sp.degenerate:
+                # -1 in the group and odd w: c_A = c_(AJ) = -c_A, so no cusp
+                # carries a family (the reference's T-walk cannot see J)
+                assert _tail_families(sp, k - 2) == []
+            else:
+                assert _tail_families(sp, k - 2) == reference_tail_families(sp, k - 2)
+
     def test_gamma0_6_k2(self):
         sp = build_coset_space(GAMMA0, 6, 2)
         C, D = build_coboundary_and_D(sp, 0)
