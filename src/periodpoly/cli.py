@@ -21,7 +21,8 @@ from .polyspace import (build_W, build_W_extended, build_coboundary_and_D,
                         eps_split, w_dimensions, wtilde_dimension)
 from .hecke import (HeckeError, common_eigen_polynomial, delta_spec,
                     delta_vee_spec, hecke_matrix, theta_spec,
-                    universal_hecke_element, verify_hecke_property)
+                    universal_hecke_element, verified_hecke_element,
+                    witness_element)
 from .analytic import (AnalyticError, NewformData, completed_lvalue,
                        eisenstein_period_demo, eta_product, manin_coefficient,
                        petersson_product)
@@ -158,12 +159,9 @@ def cmd_cusps(args, out):
 
 
 def cmd_hecke_element(args, out):
-    t = universal_hecke_element(args.n)
-    ok, witness = verify_hecke_property(t, args.n)
-    if not ok:
-        raise CliError("T~_%d fails the Hecke identity on its recheck" % args.n)
-    _emit({"n": args.n, "verified": ok, "terms": t.to_json(),
-           "witness_Y": witness.to_json()}, out)
+    t, y, den = verified_hecke_element(args.n)
+    _emit({"n": args.n, "verified": True, "terms": t.to_json(),
+           "witness_Y": witness_element(args.n, y, den).to_json()}, out)
     return EXIT_OK
 
 

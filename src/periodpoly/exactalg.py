@@ -625,42 +625,50 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False) -> list:
     """Gauss elimination on sparse integer rows (dict col -> coeff).
 
     Returns the pivot rows as (pivot_col, row_dict) sorted by pivot column.
-    With ``reduce_fully`` each pivot column is cleared from every other
-    pivot row, which makes kernel extraction a single back-substitution.
-
     The pivot of a row is its last column, so clearing it from another row
-    only changes smaller columns and every pivot stays the last column of
-    its row.  The kernel vector of a free column f is then 1 at f and zero
-    above f and at the other free columns: the kernel vectors already are
-    the reduced column echelon basis of the kernel (``kernel_columns``).
+    only changes smaller columns, and every pivot stays the last column of
+    its row.
 
     The rows with one or two nonzeros (P|(1+S) = 0, the eps rows, the
     two-term U rows of Wtilde) are folded first (``_two_term_pass``): each
     class of columns they tie is replaced by its least column, the root,
     in the longer rows, and each other column c of it gets a pivot row on
     {c, root}.  The longer rows, pivoting at roots and at columns no short
-    row meets, then go through the heap below.  With ``reduce_fully`` the
-    result is the row space's unique reduced echelon form (pivots at last
-    columns, rows primitive, least entry positive), whatever the order of
-    elimination; without it only its length, the rank, is fixed.
+    row meets, then go through one loop.
 
-    The heap gives the next pivot row: the remaining row with the fewest
-    nonzeros, ties going to the smallest index (its position among the
-    longer rows).  It holds (len(row), index) lazily: a row is pushed again
-    each time it changes, and a popped entry is stale, and skipped, when
-    its row is done or no longer has that length.  The smallest live entry
-    is the minimum of (len, index) over the remaining rows, so the choice
-    is the one a full scan would make.
+    The loop takes the next pivot row from a heap: the remaining row with
+    the fewest nonzeros, ties going to the smallest index (its position
+    among the longer rows).  The heap holds (len(row), index) lazily: a row
+    is pushed again each time it changes, and a popped entry is stale, and
+    skipped, when its row is done or no longer has that length.  The
+    smallest live entry is the minimum of (len, index) over the remaining
+    rows, so the choice is the one a full scan would make.  The pivot then
+    clears its column from every remaining row that holds it.
+
+    With ``reduce_fully`` (Gauss-Jordan) it also clears its column from the
+    rows already chosen and from the two-term pivot rows, whose root is the
+    only column a longer row can share with them.  A pivot row holds no
+    earlier pivot column, so no clearing brings one back: at the end each
+    pivot column is nonzero in its own row only.  That, with pivots at last
+    columns and every row primitive with its least entry positive, is the
+    row space's reduced echelon form, which is unique, whatever the order
+    of elimination.  The kernel vector of a free column f is then 1 at f
+    and zero above f and at the other free columns: the kernel vectors
+    already are the reduced column echelon basis of the kernel
+    (``kernel_columns``).  Without ``reduce_fully`` only the number of
+    pivot rows, the rank, is fixed.
     """
     short, active = _two_term_pass([r for r in rows if r])
+    remaining = set(range(len(active)))
+    heap = [(len(row), i) for i, row in enumerate(active)]
+    heapq.heapify(heap)
+    if reduce_fully:
+        active += (row for _, row in short)
+        short = []
     col_index: dict = {}
     for i, row in enumerate(active):
         for c in row:
             col_index.setdefault(c, set()).add(i)
-    done: list = []
-    remaining = set(range(len(active)))
-    heap = [(len(row), i) for i, row in enumerate(active)]
-    heapq.heapify(heap)
     while heap:
         size, best = heapq.heappop(heap)
         if best not in remaining or size != len(active[best]):
@@ -671,8 +679,8 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False) -> list:
             continue
         pc = max(row)
         pv = row[pc]
-        for other in list(col_index.get(pc, ())):
-            if other == best or other not in remaining:
+        for other in list(col_index[pc]):
+            if other == best or not (reduce_fully or other in remaining):
                 continue
             orow = active[other]
             f = orow[pc]
@@ -693,30 +701,7 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False) -> list:
                 col_index.setdefault(c, set()).add(other)
             active[other] = new
             heapq.heappush(heap, (len(new), other))
-        done.append((pc, row))
-    done.extend(short)
-    done.sort()
-    if reduce_fully:
-        # descending Gauss-Jordan: clearing column pc from every other row
-        # cannot be undone by later (smaller) pivots
-        by_col = {pc: dict(row) for pc, row in done}
-        for pc in sorted(by_col, reverse=True):
-            prow = by_col[pc]
-            pv = prow[pc]
-            for qc, qrow in by_col.items():
-                if qc == pc or pc not in qrow:
-                    continue
-                f = qrow[pc]
-                new = {c: v * pv for c, v in qrow.items()}
-                for c, v in prow.items():
-                    u = new.get(c, 0) - v * f
-                    if u:
-                        new[c] = u
-                    elif c in new:
-                        del new[c]
-                by_col[qc] = _normalize_int_row(new)
-        done = sorted(by_col.items())
-    return done
+    return sorted([(max(row), row) for row in active if row] + short)
 
 
 def sparse_int_rank(rows: Iterable[dict]) -> int:

@@ -241,7 +241,12 @@ def verify_hecke_property(cand: GroupRingElement, n: int):
     ok, y, den = hecke_identity(cand, n)
     if not ok:
         return False, Mat2(*y)
-    return True, GroupRingElement(n, {Mat2(*m): Fraction(v, den) for m, v in y.items()})
+    return True, witness_element(n, y, den)
+
+
+def witness_element(n: int, y: dict, den: int) -> GroupRingElement:
+    """The witness Y of ``hecke_identity`` from its integer result den Y."""
+    return GroupRingElement(n, {Mat2(*m): Fraction(v, den) for m, v in y.items()})
 
 
 # ----------------------------------------------------------------------
@@ -392,8 +397,10 @@ def merel_family(n: int) -> list:
     return out
 
 
-def universal_hecke_element(n: int) -> GroupRingElement:
-    """Merel's universal element: the adjoints of ``merel_family(n)``, verified.
+def verified_hecke_element(n: int) -> tuple:
+    """Merel's universal element, the adjoints of ``merel_family(n)``, with
+    the integer witness of its one ``hecke_identity`` check: (T~_n, den Y,
+    den).
 
     The adjoint (d -b; -c a) of a member is written pm-canonical at once:
     (-d b; c -a) for c > 0 and (d -b; 0 a) for c = 0.  The members are
@@ -405,9 +412,15 @@ def universal_hecke_element(n: int) -> GroupRingElement:
     cand = GroupRingElement.from_canonical(
         n, {Mat2(-d, b, c, -a) if c else Mat2(d, -b, 0, a): one
             for a, b, c, d in merel_family(n)})
-    if not hecke_identity(cand, n)[0]:
+    ok, y, den = hecke_identity(cand, n)
+    if not ok:
         raise HeckeError("Merel family failed verification at n = %d" % n)
-    return cand
+    return cand, y, den
+
+
+def universal_hecke_element(n: int) -> GroupRingElement:
+    """Merel's universal element T~_n, verified (``verified_hecke_element``)."""
+    return verified_hecke_element(n)[0]
 
 
 # ----------------------------------------------------------------------

@@ -374,22 +374,19 @@ def check_gamma06_demo():
     check(rep["d9_matches_ln3_minus_ln2"], "d_9 != ln 3 - ln 2")
 
 
+def cminus_rule(N: int) -> bool:
+    """The classification: (C_w)^- of Gamma0(N) is zero exactly for
+    N = 2^e N' with e <= 3 and N' odd and squarefree."""
+    e = 0
+    while N % 2 == 0:
+        N //= 2
+        e += 1
+    return e <= 3 and all(N % (p * p) for p in range(3, math.isqrt(N) + 1, 2))
+
+
 def check_cminus_classification():
-    def rule(N):
-        e = 0
-        while N % 2 == 0:
-            N //= 2
-            e += 1
-        if e > 3:
-            return False
-        p = 3
-        while p * p <= N:
-            if N % (p * p) == 0:
-                return False
-            p += 2
-        return True
     for N in range(1, 61):
-        check(cminus_trivial(N) == rule(N), "C^- rule fails at N = %d" % N)
+        check(cminus_trivial(N) == cminus_rule(N), "C^- rule fails at N = %d" % N)
 
 
 def check_chi_components():

@@ -29,6 +29,7 @@ from periodpoly.analytic import (NewformData, completed_lvalue,
                                  eta_product, manin_coefficient,
                                  period_and_omega, petersson_product)
 from periodpoly import gamma02
+from periodpoly.verifysuite import cminus_rule
 
 
 def report(num, ok, text):
@@ -141,20 +142,7 @@ def test_criterion_06_dimensions():
 
 
 def test_criterion_07_cminus_classification():
-    def rule(N):
-        e = 0
-        while N % 2 == 0:
-            N //= 2
-            e += 1
-        if e > 3:
-            return False
-        p = 3
-        while p * p <= N:
-            if N % (p * p) == 0:
-                return False
-            p += 2
-        return True
-    ok = all(cminus_trivial(N) == rule(N) for N in range(1, 201))
+    ok = all(cminus_trivial(N) == cminus_rule(N) for N in range(1, 201))
     report(7, ok, "(C_w)^- triviality matches N = 2^e N' rule for N <= 200")
 
 

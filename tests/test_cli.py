@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -77,6 +78,20 @@ class TestHeckeElement:
         a = run_cli(["hecke-element", "--n", "4"])
         b = run_cli(["hecke-element", "--n", "4"])
         assert a == b
+
+    def test_identity_checked_once(self, monkeypatch):
+        # the element's own check yields the printed witness: no recheck
+        calls, identity = [], hecke.hecke_identity
+
+        def counted(cand, n):
+            calls.append(n)
+            return identity(cand, n)
+
+        monkeypatch.setattr(hecke, "hecke_identity", counted)
+        code, text = run_cli(["hecke-element", "--n", "151"])
+        assert code == 0 and calls == [151]
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d232c9dc799905420c7f599371a6836073f188221f5b59a218368f14648195ec")
 
     def test_failed_check_is_one_line_error_under_optimize(self):
         # Merel's family with a sabotaged identity check: exit 1 and one
@@ -532,7 +547,7 @@ def test_n_guard_default_allows_2000(monkeypatch):
 
     def record(n):
         raise Built(n)
-    monkeypatch.setattr(cli, "universal_hecke_element", record)
+    monkeypatch.setattr(cli, "verified_hecke_element", record)
     with pytest.raises(Built, match="2000"):
         run_cli(["hecke-element", "--n", "2000"])
 

@@ -285,6 +285,22 @@ class TestSparse:
         assert sparse_int_pivots(rows, reduce_fully=True) == \
             reference_sparse_int_pivots(rows, reduce_fully=True)
 
+    def test_root_of_a_two_term_row_becomes_a_long_pivot(self):
+        # x5 = x2 folds to its root 2; the pivot at 4 leaves row 3 as
+        # {1, 2}, whose pivot, the root 2, is cleared from the chosen row
+        # of pivot 7, from the two-term row of pivot 5 and from the
+        # remaining row of pivot 6
+        rows = [{2: 1, 5: -1}, {1: 1, 2: 1, 7: 1}, {0: 1, 1: 1, 4: 1},
+                {0: 1, 4: 1, 5: 3}, {1: 1, 2: 1, 3: 1, 6: 1}]
+        assert sparse_int_pivots(rows) == [
+            (2, {1: 1, 2: -3}), (4, {0: 1, 1: 1, 4: 1}), (5, {2: 1, 5: -1}),
+            (6, {1: 4, 3: 3, 6: 3}), (7, {1: 1, 2: 1, 7: 1})]
+        assert sparse_int_pivots(rows, reduce_fully=True) == [
+            (2, {1: 1, 2: -3}), (4, {0: 1, 1: 1, 4: 1}), (5, {1: 1, 5: -3}),
+            (6, {1: 4, 3: 3, 6: 3}), (7, {1: 4, 7: 3})]
+        assert sparse_int_pivots(rows, reduce_fully=True) == \
+            reference_sparse_int_pivots(rows, reduce_fully=True)
+
     def test_reduced_column_basis_canonical(self):
         v1 = (Fraction(2), Fraction(0), Fraction(2))
         v2 = (Fraction(1), Fraction(1), Fraction(0))
@@ -395,7 +411,7 @@ def relation_systems(kind, N, k, monkeypatch):
 
 class TestRealSystems:
     @pytest.mark.parametrize("kind,N,k", [(GAMMA0, 37, 4), (GAMMA0, 120, 2), (GAMMA0, 12, 8),
-                                          (GAMMA1, 13, 3), (GAMMA1, 11, 2)])
+                                          (GAMMA0, 389, 2), (GAMMA1, 13, 3), (GAMMA1, 11, 2)])
     def test_rank_and_reduced_form_match_full_scan(self, kind, N, k, monkeypatch):
         systems = relation_systems(kind, N, k, monkeypatch)
         assert all(any(len(r) <= 2 for r in rows) for rows in systems[:4])
