@@ -629,12 +629,13 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False) -> list:
     only changes smaller columns, and every pivot stays the last column of
     its row.
 
-    The rows with one or two nonzeros (P|(1+S) = 0, the eps rows, the
-    two-term U rows of Wtilde) are folded first (``_two_term_pass``): each
-    class of columns they tie is replaced by its least column, the root,
-    in the longer rows, and each other column c of it gets a pivot row on
-    {c, root}.  The longer rows, pivoting at roots and at columns no short
-    row meets, then go through one loop.
+    The rows with one or two nonzeros (P|(1+S) = 0, the eps rows, and the
+    U rows of Wtilde in degrees 0 and w+3, which the row builders keep at
+    every label, not only at one label of each U-orbit) are folded first
+    (``_two_term_pass``): each class of columns they tie is replaced by its
+    least column, the root, in the longer rows, and each other column c of
+    it gets a pivot row on {c, root}.  The longer rows, pivoting at roots
+    and at columns no short row meets, then go through one loop.
 
     The loop takes the next pivot row from a heap: the remaining row with
     the fewest nonzeros, ties going to the smallest index (its position

@@ -18,6 +18,7 @@ bottom row of a coset representative.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -380,20 +381,23 @@ def solve_universal_hecke(n: int, entry_bound: Optional[int] = None,
 def merel_family(n: int) -> list:
     """Integer matrices with det n, a > b >= 0 and d > c >= 0.
 
-    For each (a, b) the c with b c = -n (mod a) form one progression of step
-    a / gcd(a, b), empty unless gcd(a, b) divides n; d = (n + b c) / a, and
-    d > c is c (a - b) < n.  Listed by a, then b, then increasing c.
+    Put g = a - b >= 1.  Then a d - b c = n reads a (d - c) = n - g c, so d
+    > c is g c < n, a is a divisor a >= g of m = n - g c, and d = c + m / a.
+    Every (g, c) with g c < n is walked once, with the divisors of m from a
+    sieve up to n; the list is sorted by a, then b, then increasing c.
     """
-    out = []
+    divisors = [[] for _ in range(n + 1)]
     for a in range(1, n + 1):
-        for b in range(a):
-            g = math.gcd(a, b)
-            if n % g:
-                continue
-            step = a // g
-            c0 = -(n // g) * pow(b // g, -1, step) % step
-            for c in range(c0, (n - 1) // (a - b) + 1, step):
-                out.append(Mat2(a, b, c, (n + b * c) // a))
+        for m in range(a, n + 1, a):
+            divisors[m].append(a)
+    out = []
+    for g in range(1, n + 1):
+        for c in range((n - 1) // g + 1):
+            m = n - g * c
+            divs = divisors[m]
+            for a in divs[bisect.bisect_left(divs, g):]:
+                out.append(Mat2(a, a - g, c, c + m // a))
+    out.sort()
     return out
 
 

@@ -557,24 +557,53 @@ def _coords_of(vec) -> tuple:
 # ----------------------------------------------------------------------
 # relation systems
 
-def _w_relation_rows(space: CosetSpace, w: int) -> list:
-    """Sparse rows of the period relations P|(1+S) = P|(1+U+U^2) = 0."""
+def _orbit_rows(label_rows) -> list:
+    """The relation rows kept from a per-label emitter: every S row, and a
+    U row at l when l is the least label of its U-orbit or the row has at
+    most two nonzeros.
+
+    With Q = P|(1+U+U^2), Q|U = P|(U+U^2+J) = Q, as J = -1 acts on a label
+    and its polynomial by the same sign.  So Q vanishes at l exactly when it
+    vanishes at l U^(-1) and at l U^(-2): the U rows at one label of an orbit
+    span those at the other two, and the row space is the one of the rows at
+    every label (Stein 2007, ch. 8; Cremona 1997, 2.2).  The short U rows
+    stay at every label: ``sparse_int_pivots`` folds them for free in its
+    two-term pass, and without them the elimination loop does more work.
+    """
+    rows = []
+    for least, s_rows, u_rows in label_rows:
+        rows += s_rows
+        rows += u_rows if least else [r for r in u_rows if len(r) <= 2]
+    return rows
+
+
+def _w_label_rows(space: CosetSpace, w: int):
+    """Per label l, in label order: whether l is the least label of its
+    U-orbit, the rows of P|(1+S) = 0 at l and those of P|(1+U+U^2) = 0 at
+    l, one per coefficient."""
     n = w + 1
     # row i of the matrix of |g, as its nonzero (j, entry) pairs
     sm = [[[(j, v) for j, v in enumerate(r) if v] for r in slash_matrix(g, w)]
           for g in (MAT_S, MAT_U, MAT_U2)]
-    rows = []
     for l in range(space.size):
         acts = [space.signed_act(l, g, w) for g in (MAT_SINV, MAT_UINV, MAT_U2INV)]
+        s_rows, u_rows = [], []
         for i in range(n):
-            for gs in ((0,), (1, 2)):  # the S row, then the U + U^2 row
+            for gs, out in (((0,), s_rows), ((1, 2), u_rows)):
                 row: dict = {l * n + i: 1}
                 for g in gs:
                     l2, s = acts[g]
                     for j, v in sm[g][i]:
                         row[l2 * n + j] = row.get(l2 * n + j, 0) + v * s
-                rows.append({c: v for c, v in row.items() if v})
-    return rows
+                out.append({c: v for c, v in row.items() if v})
+        yield l <= min(acts[1][0], acts[2][0]), s_rows, u_rows
+
+
+def _w_relation_rows(space: CosetSpace, w: int) -> list:
+    """Sparse rows of the period relations P|(1+S) = P|(1+U+U^2) = 0: the S
+    rows at every label, the U rows at one label of each U-orbit and the
+    short U rows everywhere (``_orbit_rows``)."""
+    return _orbit_rows(_w_label_rows(space, w))
 
 
 def build_W(space: CosetSpace, w: int) -> Subspace:
@@ -675,8 +704,10 @@ def build_coboundary_and_D(space: CosetSpace, w: int) -> tuple:
     return C, D
 
 
-def _wtilde_relation_rows(space: CosetSpace, w: int) -> list:
-    """Relation rows for Wtilde over the X^(-1)..X^(w+1) coordinates.
+def _wtilde_label_rows(space: CosetSpace, w: int):
+    """Per label l, in label order: whether l is the least label of its
+    U-orbit, then the S rows and the U rows of Wtilde at l, over the
+    X^(-1)..X^(w+1) coordinates.
 
     The S relation stays inside the monomial range.  The 1+U+U^2 relation
     is cleared by X(X-1), the only denominators the U-action produces, and
@@ -694,16 +725,16 @@ def _wtilde_relation_rows(space: CosetSpace, w: int) -> list:
             for deg, v in enumerate(p):
                 if v:
                     cleared[deg][g].append((j + 1, v))
-    rows = []
     for l in range(space.size):
         lS, sS = space.signed_act(l, MAT_SINV, w)
         targets = ((l, 1), space.signed_act(l, MAT_UINV, w), space.signed_act(l, MAT_U2INV, w))
+        s_rows, u_rows = [], []
         # P~|(1+S) = 0, coefficientwise over the tilde range: X^i|S = +-X^(w-i)
         for i in range(-1, w + 2):
             row = {l * n + (i + 1): 1}
             col = lS * n + (w - i + 1)
             row[col] = row.get(col, 0) + (-1) ** ((w - i) % 2) * sS
-            rows.append({c: v for c, v in row.items() if v})
+            s_rows.append({c: v for c, v in row.items() if v})
         # P~|(1+U+U^2) = 0, cleared by X(X-1): degrees 0..w+3
         for deg in range(w + 4):
             row: dict = {}
@@ -712,8 +743,16 @@ def _wtilde_relation_rows(space: CosetSpace, w: int) -> list:
                     row[l2 * n + j1] = row.get(l2 * n + j1, 0) + v * s
             row = {c: v for c, v in row.items() if v}
             if row:
-                rows.append(row)
-    return rows
+                u_rows.append(row)
+        yield l <= min(targets[1][0], targets[2][0]), s_rows, u_rows
+
+
+def _wtilde_relation_rows(space: CosetSpace, w: int) -> list:
+    """Relation rows for Wtilde: the S rows at every label, the cleared U
+    rows at one label of each U-orbit and the short U rows everywhere
+    (``_orbit_rows``; Q~|U = Q~ as rational functions, and clearing by
+    X(X-1) does not change where Q~ vanishes)."""
+    return _orbit_rows(_wtilde_label_rows(space, w))
 
 
 def build_W_extended(space: CosetSpace, w: int) -> Subspace:

@@ -20,7 +20,7 @@ from .polyspace import (PolyVector, build_W, build_W_extended,
                         build_coboundary_and_D, chi_component, cminus_trivial,
                         eps_split, pair_braces, pair_induced, pair_vw,
                         slash_poly, _coboundary_and_D_vectors, _tail_families,
-                        _w_relation_rows, _wtilde_relation_rows)
+                        _w_label_rows, _wtilde_label_rows)
 from .hecke import (GroupRingElement, ONE_MINUS_S, ONE_MINUS_T, delta_spec,
                     delta_vee_spec, gre_mul, hecke_action, hecke_matrix,
                     solve_universal_hecke, theta_spec, tn_infinity,
@@ -188,11 +188,15 @@ def check_orbit_criterion_soundness():
 
 
 def check_kernel_certificates():
+    """R B = 0 and dim = ncols - rank R for W and Wtilde, with R the S and U
+    rows at every label, so the certificate does not rest on the U-orbit
+    argument that lets the builders keep one label's long U rows."""
     for kind, N, k in ((GAMMA0, 37, 4), (GAMMA0, 12, 8), (GAMMA1, 11, 2)):
         space = build_coset_space(kind, N, k)
-        for build, relations in ((build_W, _w_relation_rows),
-                                 (build_W_extended, _wtilde_relation_rows)):
-            sub, rows = build(space, k - 2), relations(space, k - 2)
+        for build, label_rows in ((build_W, _w_label_rows),
+                                  (build_W_extended, _wtilde_label_rows)):
+            sub = build(space, k - 2)
+            rows = [r for _, s_rows, u_rows in label_rows(space, k - 2) for r in s_rows + u_rows]
             where = "%s on %s(%d), k = %d" % (build.__name__, kind, N, k)
             check(all(sum(v * vec.get(c, 0) for c, v in row.items()) == 0
                       for _, vec in sub.columns for row in rows), "R B != 0 for " + where)

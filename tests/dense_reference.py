@@ -4,9 +4,16 @@ sparse eliminator is tested against.
 ``reference_rref_rows`` is the elimination periodpoly used before every
 kernel and span went through ``exactalg.sparse_int_pivots``.  Nothing here
 calls that eliminator.
+
+``reference_w_relation_rows`` and ``reference_wtilde_relation_rows`` are the
+relation rows of W and Wtilde written out at every label, both S and U
+rows, as periodpoly built them before it kept the long U rows at one label
+of each U-orbit only.
 """
 
-from periodpoly.exactalg import DenseMatrix
+from periodpoly.cosets import CosetSpace, MAT_S, MAT_SINV, MAT_U, MAT_U2, MAT_U2INV, MAT_UINV
+from periodpoly.exactalg import DenseMatrix, poly_mul
+from periodpoly.polyspace import _pow_linear, slash_matrix
 
 
 def reference_rref_rows(rows: list, field) -> tuple[list, list]:
@@ -57,3 +64,64 @@ def reference_kernel_basis(m: DenseMatrix) -> DenseMatrix:
             v[p] = -rows[i][f]
         vecs.append(v)
     return reference_column_basis(field, vecs, m.ncols)
+
+
+def reference_w_relation_rows(space: CosetSpace, w: int) -> list:
+    """Sparse rows of the period relations P|(1+S) = P|(1+U+U^2) = 0."""
+    n = w + 1
+    # row i of the matrix of |g, as its nonzero (j, entry) pairs
+    sm = [[[(j, v) for j, v in enumerate(r) if v] for r in slash_matrix(g, w)]
+          for g in (MAT_S, MAT_U, MAT_U2)]
+    rows = []
+    for l in range(space.size):
+        acts = [space.signed_act(l, g, w) for g in (MAT_SINV, MAT_UINV, MAT_U2INV)]
+        for i in range(n):
+            for gs in ((0,), (1, 2)):  # the S row, then the U + U^2 row
+                row: dict = {l * n + i: 1}
+                for g in gs:
+                    l2, s = acts[g]
+                    for j, v in sm[g][i]:
+                        row[l2 * n + j] = row.get(l2 * n + j, 0) + v * s
+                rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
+def reference_wtilde_relation_rows(space: CosetSpace, w: int) -> list:
+    """Relation rows for Wtilde over the X^(-1)..X^(w+1) coordinates.
+
+    The S relation stays inside the monomial range.  The 1+U+U^2 relation
+    is cleared by X(X-1), the only denominators the U-action produces, and
+    read off as a polynomial identity of degree w+3.
+    """
+    n = w + 3
+    # per degree, the (j + 1, coefficient) terms of X^j, X^j|U =
+    # (X-1)^(j+1) X^(w-j+1) / (X(X-1)) and X^j|U2 = (-1)^j X (X-1)^(w-j+1) /
+    # (X(X-1)), each cleared by X(X-1)
+    cleared = [[[] for _ in range(3)] for _ in range(w + 4)]
+    for j in range(-1, w + 2):
+        u = poly_mul(_pow_linear(1, -1, j + 1), _pow_linear(1, 0, w - j + 1))
+        u2 = poly_mul([0, 1], _pow_linear(1, -1, w - j + 1))
+        for g, p in enumerate(([0] * (j + 1) + [-1, 1], u, [(-1) ** (j % 2) * v for v in u2])):
+            for deg, v in enumerate(p):
+                if v:
+                    cleared[deg][g].append((j + 1, v))
+    rows = []
+    for l in range(space.size):
+        lS, sS = space.signed_act(l, MAT_SINV, w)
+        targets = ((l, 1), space.signed_act(l, MAT_UINV, w), space.signed_act(l, MAT_U2INV, w))
+        # P~|(1+S) = 0, coefficientwise over the tilde range: X^i|S = +-X^(w-i)
+        for i in range(-1, w + 2):
+            row = {l * n + (i + 1): 1}
+            col = lS * n + (w - i + 1)
+            row[col] = row.get(col, 0) + (-1) ** ((w - i) % 2) * sS
+            rows.append({c: v for c, v in row.items() if v})
+        # P~|(1+U+U^2) = 0, cleared by X(X-1): degrees 0..w+3
+        for deg in range(w + 4):
+            row: dict = {}
+            for (l2, s), terms in zip(targets, cleared[deg]):
+                for j1, v in terms:
+                    row[l2 * n + j1] = row.get(l2 * n + j1, 0) + v * s
+            row = {c: v for c, v in row.items() if v}
+            if row:
+                rows.append(row)
+    return rows

@@ -16,12 +16,15 @@ from periodpoly.exactalg import (ApproxComplex, Cyclotomic, CyclotomicField,
                                  sparse_int_rank, _normalize_int_row)
 
 from periodpoly import polyspace
-from periodpoly.cosets import GAMMA0, GAMMA1, build_coset_space, dirichlet_characters
-from periodpoly.polyspace import (_w_relation_rows, _wtilde_relation_rows, build_W,
-                                  chi_component, eps_coordinates)
+from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_U2INV, MAT_UINV, build_coset_space,
+                               dirichlet_characters)
+from periodpoly.polyspace import (_w_label_rows, _w_relation_rows, _wtilde_label_rows,
+                                  _wtilde_relation_rows, build_W, chi_component,
+                                  eps_coordinates)
 
 from dense_reference import (reference_column_basis, reference_kernel_basis,
-                             reference_rref_rows)
+                             reference_rref_rows, reference_w_relation_rows,
+                             reference_wtilde_relation_rows)
 
 
 def akiyama_tanigawa(n):
@@ -409,9 +412,12 @@ def relation_systems(kind, N, k, monkeypatch):
     return systems
 
 
+REAL_SYSTEM_SPACES = [(GAMMA0, 37, 4), (GAMMA0, 120, 2), (GAMMA0, 12, 8),
+                      (GAMMA0, 389, 2), (GAMMA1, 13, 3), (GAMMA1, 11, 2)]
+
+
 class TestRealSystems:
-    @pytest.mark.parametrize("kind,N,k", [(GAMMA0, 37, 4), (GAMMA0, 120, 2), (GAMMA0, 12, 8),
-                                          (GAMMA0, 389, 2), (GAMMA1, 13, 3), (GAMMA1, 11, 2)])
+    @pytest.mark.parametrize("kind,N,k", REAL_SYSTEM_SPACES)
     def test_rank_and_reduced_form_match_full_scan(self, kind, N, k, monkeypatch):
         systems = relation_systems(kind, N, k, monkeypatch)
         assert all(any(len(r) <= 2 for r in rows) for rows in systems[:4])
@@ -420,6 +426,49 @@ class TestRealSystems:
             reduced = reference_sparse_int_pivots(rows, reduce_fully=True)
             assert sparse_int_pivots(rows, reduce_fully=True) == reduced
             assert sparse_int_rank(rows) == len(reduced)
+
+
+def every_label_rows(label_rows, space, w) -> list:
+    return [r for _, s_rows, u_rows in label_rows(space, w) for r in s_rows + u_rows]
+
+
+def row_multiset(rows) -> list:
+    return sorted(sorted(row.items()) for row in rows)
+
+
+class TestOrbitRows:
+    """The U rows at one label of each U-orbit, with the short U rows at
+    every label, against the rows at every label."""
+
+    BUILDERS = {False: (_w_label_rows, _w_relation_rows, reference_w_relation_rows),
+                True: (_wtilde_label_rows, _wtilde_relation_rows, reference_wtilde_relation_rows)}
+
+    @pytest.mark.parametrize("kind,N,k,extended",
+                             [(*s, e) for s in REAL_SYSTEM_SPACES for e in (False, True)]
+                             + [(GAMMA0, 1000, 2, True)])
+    def test_same_reduced_form_as_every_label(self, kind, N, k, extended):
+        label_rows, relation_rows, reference = self.BUILDERS[extended]
+        space, w = build_coset_space(kind, N, k), k - 2
+        rows, every = relation_rows(space, w), reference(space, w)
+        assert row_multiset(every_label_rows(label_rows, space, w)) == row_multiset(every)
+        assert len(rows) < len(every)
+        assert (sparse_int_pivots(rows, reduce_fully=True)
+                == sparse_int_pivots(every, reduce_fully=True))
+
+    @pytest.mark.parametrize("kind,N,k", [(GAMMA0, 37, 4), (GAMMA1, 13, 3)])
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_dropping_one_orbit_changes_the_reduced_form(self, kind, N, k, extended):
+        """Without the long U rows of one whole orbit the comparison fails."""
+        label_rows = self.BUILDERS[extended][0]
+        space, w = build_coset_space(kind, N, k), k - 2
+        orbit = {0, space.signed_act(0, MAT_UINV, w)[0], space.signed_act(0, MAT_U2INV, w)[0]}
+        rows = []
+        for l, (_, s_rows, u_rows) in enumerate(label_rows(space, w)):
+            rows += s_rows + [r for r in u_rows if l not in orbit or len(r) <= 2]
+        every = every_label_rows(label_rows, space, w)
+        assert len(orbit) == 3
+        assert (sparse_int_pivots(rows, reduce_fully=True)
+                != sparse_int_pivots(every, reduce_fully=True))
 
 
 class TestScalarSerialization:

@@ -165,6 +165,22 @@ def reference_merel_family(n):
     return out
 
 
+def progression_merel_family(n):
+    """Merel's family by scanning (a, b): the c with b c = -n (mod a) form one
+    progression of step a / gcd(a, b), empty unless gcd(a, b) divides n."""
+    out = []
+    for a in range(1, n + 1):
+        for b in range(a):
+            g = math.gcd(a, b)
+            if n % g:
+                continue
+            step = a // g
+            c0 = -(n // g) * pow(b // g, -1, step) % step
+            for c in range(c0, (n - 1) // (a - b) + 1, step):
+                out.append(Mat2(a, b, c, (n + b * c) // a))
+    return out
+
+
 def torbit_shift(m: Mat2, rep: Mat2) -> int:
     """j with m = T^j rep (both pm-canonical in the same orbit)."""
     if rep.c != 0:
@@ -228,6 +244,12 @@ class TestIntegerGroupRing:
     @pytest.mark.parametrize("n", list(range(1, 61)) + [97, 151])
     def test_merel_family_matches_scan(self, n):
         assert merel_family(n) == reference_merel_family(n)
+
+    @pytest.mark.parametrize("ns", [range(1, 201), range(201, 301), [1009], [1999]])
+    def test_merel_family_by_divisors_matches_progressions(self, ns):
+        """Same list, same order as the per-(a, b) progression scan."""
+        for n in ns:
+            assert merel_family(n) == progression_merel_family(n)
 
     @pytest.mark.parametrize("n", list(range(1, 61)) + [97, 151])
     def test_heilbronn_element_is_adjoint_of_scan(self, n):

@@ -18,7 +18,7 @@ from periodpoly.polyspace import (ExtPolyVector, PolySpaceError, PolyVector,
                                   pair_induced, pair_vw, slash_poly,
                                   w_dimensions, wtilde_dimension,
                                   _coboundary_and_D_vectors, _tail_families,
-                                  _w_relation_rows,
+                                  _w_relation_rows, _wtilde_label_rows,
                                   _wtilde_relation_rows)
 
 from periodpoly import polyspace
@@ -26,8 +26,10 @@ from dense_reference import reference_column_basis, reference_kernel_basis
 
 
 def check_extended_relations(vec: ExtPolyVector) -> bool:
-    """P~|(1+S) = P~|(1+U+U^2) = 0 in the cleared rational-function model."""
-    rows = _wtilde_relation_rows(vec.space, vec.w)
+    """P~|(1+S) = P~|(1+U+U^2) = 0 in the cleared rational-function model,
+    the S and U rows at every label."""
+    rows = [r for _, s_rows, u_rows in _wtilde_label_rows(vec.space, vec.w)
+            for r in s_rows + u_rows]
     coords = vec.tilde_coords()
     return all(sum(c * coords[i] for i, c in row.items()) == 0 for row in rows)
 
