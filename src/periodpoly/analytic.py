@@ -383,8 +383,7 @@ def manin_coefficient(P_plus: PolyVector, t: GroupRingElement, spec: SigmaSpec,
     if t.n != n:
         raise AnalyticError("group-ring element has determinant %d, not %d" % (t.n, n))
     space, w = P_plus.space, P_plus.w
-    items = t.items()
-    t_ints, t_den = clear_denominators([c for _, c in items])
+    t_ints, t_den = clear_denominators(list(t.coeffs.values()))
     cleared = clear_denominators(P_plus.coords())
     if cleared is None:
         raise AnalyticError("P+ must have rational values")
@@ -394,14 +393,19 @@ def manin_coefficient(P_plus: PolyVector, t: GroupRingElement, spec: SigmaSpec,
     if w >= 1:
         if P_plus.values[space.identity_label][0] != 1:
             raise AnalyticError("P+ is not normalized at the designated coordinate")
-        for (M, _), c in zip(items, t_ints):
-            hit = space.label_of_row(-M.c, M.a)
+        for (a, b, c, d), ct in zip(t.coeffs, t_ints):
+            hit = space.label_of_row(-c, a)
             if hit is None:
                 continue
             l, s = hit
-            # P+(-c_M, a_M)|M evaluated at 0: sum p_i b^i d^(w-i)
-            val = sum(pi * M.b ** i * M.d ** (w - i) for i, pi in enumerate(P[l]) if pi)
-            acc += (c if s ** w == 1 else -c) * val
+            # P+(-c_M, a_M)|M evaluated at 0: sum p_i b^i d^(w-i), by
+            # homogeneous Horner from p_w down
+            p = P[l]
+            val, dpow = p[w], 1
+            for pi in reversed(p[:w]):
+                dpow *= d
+                val = val * b + pi * dpow
+            acc += (ct if s ** w == 1 else -ct) * val
         return Fraction(acc, t_den * p_den)
     # weight 2
     if xy is None:
@@ -412,10 +416,10 @@ def manin_coefficient(P_plus: PolyVector, t: GroupRingElement, spec: SigmaSpec,
         raise AnalyticError("normalization coordinate vanishes")
     if P_plus.values[pivot_hit[0]][0] != 1:
         raise AnalyticError("P+ is not normalized at (x, y)")
-    for (M, _), c in zip(items, t_ints):
-        hit = space.label_of_row(x * M.d - y * M.c, -x * M.b + y * M.a)
+    for (a, b, c, d), ct in zip(t.coeffs, t_ints):
+        hit = space.label_of_row(x * d - y * c, -x * b + y * a)
         if hit is not None:
-            acc += c * P[hit[0]][0]
+            acc += ct * P[hit[0]][0]
     return Fraction(acc, t_den * p_den)
 
 

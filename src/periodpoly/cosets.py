@@ -248,6 +248,8 @@ class CosetSpace:
         self.size = len(self.labels)
         self.index = self.size  # projectivized index [Gbar_1 : Gbar]
         self._label_pos = pos = {lab: i for i, lab in enumerate(self.labels)}
+        if self.kind == GAMMA0:
+            self._index_ratios()
         self.lifts = tuple(lift_to_sl2z(c, d, N) if N > 1 else MAT_I
                            for (c, d) in self.labels)
         self.identity_label = pos[start]
@@ -265,6 +267,23 @@ class CosetSpace:
                   _compose(S, J), _compose(U2, J), _compose(U, J))
         self.tables = {name: t for (name, _), t in zip(_TABULATED, tables)}
         self._table_of = {g: t for (_, g), t in zip(_TABULATED, tables)}
+
+    def _index_ratios(self):
+        """Cremona's direct lookup in P^1(Z/N): a unit d gives (c:d) = (c/d : 1).
+
+        ``_unit_inv[d]`` is d^-1 mod N, or None when d is not a unit, and
+        ``_ratio_label[x]`` is the label of (x : 1), read off the labels
+        (g : v) with v a unit, x = g v^-1.  Every x mod N needs a label.
+        """
+        N = self.N
+        self._unit_inv = inv = [pow(d, -1, N) if math.gcd(d, N) == 1 else None
+                                for d in range(N)]
+        ratio = [None] * N
+        for i, (g, v) in enumerate(self.labels):
+            if inv[v] is not None:
+                ratio[g * inv[v] % N] = i
+        check(None not in ratio, "a point (x : 1) of P^1(Z/%d) has no label" % N)
+        self._ratio_label = ratio
 
     def _e_normalize(self, c: int, d: int) -> tuple:
         """Section of E_N mod +-1: lexicographically smaller of (c,d), (-c,-d)."""
@@ -327,6 +346,9 @@ class CosetSpace:
     def label_of_row(self, c: int, d: int) -> tuple:
         """Label and sign of the coset with bottom row (c, d); None if absent."""
         if self.kind == GAMMA0:
+            inv = self._unit_inv[d % self.N]
+            if inv is not None:
+                return self._ratio_label[c * inv % self.N], 1
             p = p1_normalize(self.N, c, d)
             if p is None:
                 return None

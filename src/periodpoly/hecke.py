@@ -28,8 +28,7 @@ from typing import Optional, Sequence
 from .exactalg import (DenseMatrix, PeriodPolyError, check,
                        clear_denominators, eigen_columns,
                        rows_to_int_sparse)
-from .cosets import (CosetSpace, Mat2, MAT_I, MAT_S, MAT_T, GAMMA0, GAMMA1,
-                     _crt, _xgcd)
+from .cosets import CosetSpace, Mat2, MAT_I, MAT_S, MAT_T, GAMMA0, _xgcd
 from .polyspace import (PolyVector, ExtPolyVector, Subspace, slash_poly,
                         _pow_linear)
 
@@ -500,40 +499,51 @@ def resolve_sigma_coset(space: CosetSpace, label: int, M: Mat2,
     """The coset label carrying P in (P|_Sigma M)(A), or None.
 
     Put B = A M^vee.  If g = C M A^-1 lies in Sigma with N | c_g, then
-    g B = n C, so n row(C) = d_g row(B) mod N for the bottom rows.  So C is
-    the coset with bottom row u row(B), one ``label_of_row`` call:
-    - Delta: u = 1, a coset exactly when gcd(B.c, B.d, N) = 1;
-    - the adjoint coset: u = n^-1 mod N, as d_g = 1 on Gamma1 and d_g is a
-      unit on Gamma0, whose labels are points of P^1;
-    - the diamond <d>: u = d, as n = 1 and d_g = d.
-    Theta solves its congruences mod n and mod N/n and joins them by CRT.
+    g B = n C, so B = g^vee C and row(B) = a_g row(C) mod N for the bottom
+    rows.  So C is the coset with bottom row u row(B), one ``label_of_row``
+    call:
+    - Delta: a_g = 1 on Gamma1 and a unit on Gamma0, whose labels are
+      points of P^1, so u = 1, a coset exactly when gcd(B.c, B.d, N) = 1;
+    - the adjoint coset: d_g = 1 on Gamma1 and a unit on Gamma0, so
+      a_g = n d_g^-1 and u = n^-1 mod N;
+    - the diamond <d>: n = 1 and d_g = d, so u = d.
+    Theta_n holds the g = (n x, y; N z, n t) of determinant n; on Gamma1
+    with y = y_w mod n and t = t_w mod N/n for w_n = (n x_w, y_w; N z_w,
+    n t_w), hence x = x_w mod N/n, while on Gamma0 any units x, y give the
+    same point of P^1.  There n divides the bottom row of B, and B = g^vee C
+    gives row(C) = -y^-1 top(B) mod n and row(C) = x^-1 bottom(B) / n
+    mod N/n, joined by CRT.
+
+    The entries of B are computed in integers from those of A and M, the
+    top row only for Theta once n divides the bottom one.
     """
     if spec.N != space.N or spec.kind != space.kind:
         raise HeckeError("double coset and coset space disagree")
-    if M.det() != spec.n:
-        raise HeckeError("matrix determinant %d does not match spec" % M.det())
-    N = space.N
-    B = space.lifts[label] * M.vee()
-    if spec.variant == "delta":
-        return space.label_of_row(B.c, B.d)
-    if spec.variant == "theta":
+    a, b, c, d = M
+    if a * d - b * c != spec.n:
+        raise HeckeError("matrix determinant %d does not match spec" % (a * d - b * c))
+    A = space.lifts[label]
+    # the bottom row of B = A M^vee, with M^vee = (d, -b; -c, a)
+    bc = A.c * d - A.d * c
+    bd = A.d * a - A.c * b
+    variant = spec.variant
+    if variant == "delta":
+        return space.label_of_row(bc, bd)
+    if variant == "theta":
         n = spec.n
-        np = N // n
-        if B.c % n or B.d % n:
+        if bc % n or bd % n:
             return None
-        if spec.kind == GAMMA1:
-            cp = _crt(-B.a % n, n, (B.c // n) % np, np)
-            dp = _crt(-B.b % n, n, (B.d // n) % np, np)
-        else:
-            wm = spec.w_matrix
-            y, t = wm.b, wm.d // n
-            yinv = pow(y, -1, n)
-            tinv = pow(t, -1, np)
-            cp = _crt(yinv * B.a % n, n, tinv * (B.c // n) % np, np)
-            dp = _crt(yinv * B.b % n, n, tinv * (B.d // n) % np, np)
-        return space.label_of_row(cp, dp)
-    u = pow(spec.n, -1, N) if spec.variant == "delta_vee" else spec.diamond
-    return space.label_of_row(u * B.c, u * B.d)
+        ba = A.a * d - A.b * c
+        bb = A.b * a - A.a * b
+        np = space.N // n
+        wm = spec.w_matrix
+        # r = -y^-1 mod n and 0 mod N/n; s bottom(B) = x^-1 bottom(B) / n
+        # mod N/n and 0 mod n, as n x_w is a unit mod N/n
+        r = -np * pow(np * wm.b, -1, n)
+        s = pow(wm.a, -1, np)
+        return space.label_of_row(r * ba + s * bc, r * bb + s * bd)
+    u = pow(spec.n, -1, space.N) if variant == "delta_vee" else spec.diamond
+    return space.label_of_row(u * bc, u * bd)
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,21 @@ calls that eliminator.
 relation rows of W and Wtilde written out at every label, both S and U
 rows, as periodpoly built them before it kept the long U rows at one label
 of each U-orbit only.
+
+``reference_resolve_sigma_coset`` is the double-coset resolver as
+periodpoly wrote it before it read B = A M^vee entry by entry in integers:
+one ``Mat2`` product and one adjoint per call.  Its Theta branch on Gamma1
+reads the bottom row mod N/n without the factor x^-1 of
+(n x, y; N z, n t) in Theta_n, so it is right there only when
+n = 1 mod N/n; everywhere else it is the reference for the integer engine.
 """
 
-from periodpoly.cosets import CosetSpace, MAT_S, MAT_SINV, MAT_U, MAT_U2, MAT_U2INV, MAT_UINV
+from typing import Optional
+
+from periodpoly.cosets import (GAMMA1, CosetSpace, Mat2, MAT_S, MAT_SINV, MAT_U, MAT_U2,
+                               MAT_U2INV, MAT_UINV, _crt)
 from periodpoly.exactalg import DenseMatrix, poly_mul
+from periodpoly.hecke import HeckeError, SigmaSpec
 from periodpoly.polyspace import _pow_linear, slash_matrix
 
 
@@ -125,3 +136,44 @@ def reference_wtilde_relation_rows(space: CosetSpace, w: int) -> list:
             if row:
                 rows.append(row)
     return rows
+
+
+def reference_resolve_sigma_coset(space: CosetSpace, label: int, M: Mat2,
+                                  spec: SigmaSpec) -> Optional[tuple]:
+    """The coset label carrying P in (P|_Sigma M)(A), or None.
+
+    Put B = A M^vee.  If g = C M A^-1 lies in Sigma with N | c_g, then
+    g B = n C, so n row(C) = d_g row(B) mod N for the bottom rows.  So C is
+    the coset with bottom row u row(B), one ``label_of_row`` call:
+    - Delta: u = 1, a coset exactly when gcd(B.c, B.d, N) = 1;
+    - the adjoint coset: u = n^-1 mod N, as d_g = 1 on Gamma1 and d_g is a
+      unit on Gamma0, whose labels are points of P^1;
+    - the diamond <d>: u = d, as n = 1 and d_g = d.
+    Theta solves its congruences mod n and mod N/n and joins them by CRT.
+    """
+    if spec.N != space.N or spec.kind != space.kind:
+        raise HeckeError("double coset and coset space disagree")
+    if M.det() != spec.n:
+        raise HeckeError("matrix determinant %d does not match spec" % M.det())
+    N = space.N
+    B = space.lifts[label] * M.vee()
+    if spec.variant == "delta":
+        return space.label_of_row(B.c, B.d)
+    if spec.variant == "theta":
+        n = spec.n
+        np = N // n
+        if B.c % n or B.d % n:
+            return None
+        if spec.kind == GAMMA1:
+            cp = _crt(-B.a % n, n, (B.c // n) % np, np)
+            dp = _crt(-B.b % n, n, (B.d // n) % np, np)
+        else:
+            wm = spec.w_matrix
+            y, t = wm.b, wm.d // n
+            yinv = pow(y, -1, n)
+            tinv = pow(t, -1, np)
+            cp = _crt(yinv * B.a % n, n, tinv * (B.c // n) % np, np)
+            dp = _crt(yinv * B.b % n, n, tinv * (B.d // n) % np, np)
+        return space.label_of_row(cp, dp)
+    u = pow(spec.n, -1, N) if spec.variant == "delta_vee" else spec.diamond
+    return space.label_of_row(u * B.c, u * B.d)

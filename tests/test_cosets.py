@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,6 +243,62 @@ class TestBuild:
             build_coset_space("gamma2", 5, 4)
         with pytest.raises(CosetError):
             build_coset_space(GAMMA0, 5, 1)
+
+
+def p1_label_of_row(space, c, d):
+    """label_of_row of Gamma0(N) by the general normal form alone."""
+    p = p1_normalize(space.N, c, d)
+    return None if p is None else (space._label_pos[p], 1)
+
+
+class TestIndexedLookup:
+    """label_of_row of Gamma0(N) reads a unit d through c d^-1 mod N."""
+
+    def test_every_small_row(self):
+        for N in range(1, 61):
+            space = build_coset_space(GAMMA0, N, 2)
+            for c in range(-N, 2 * N):
+                for d in range(-N, 2 * N):
+                    assert space.label_of_row(c, d) == p1_label_of_row(space, c, d), (N, c, d)
+
+    @pytest.mark.parametrize("N", [420, 1000, 2310, 3000])
+    def test_random_rows(self, N):
+        space = build_coset_space(GAMMA0, N, 2)
+        rnd = random.Random(N)
+        primes = (2, 3, 5, 7, 11)
+        for _ in range(20000):
+            # rows of every size and sign, some with both entries sharing a
+            # prime of N, some a multiple of N apart
+            c, d = (rnd.choice((rnd.randint(-10 * N, 10 * N), N * rnd.randint(-3, 3),
+                                rnd.choice(primes) * rnd.randint(-N, N)))
+                    for _ in range(2))
+            assert space.label_of_row(c, d) == p1_label_of_row(space, c, d), (c, d)
+
+    def test_cleared_ratio_entry_is_caught(self):
+        # an entry cleared after construction: the comparison fails
+        space = build_coset_space(GAMMA0, 60, 2)
+        space._ratio_label[7] = None
+        assert space.label_of_row(7, 1) != p1_label_of_row(space, 7, 1)
+        # a label missing from the read: the constructor refuses, under -O too
+        code = ("from periodpoly import cosets\n"
+                "from periodpoly.exactalg import CheckFailed\n"
+                "read = cosets.CosetSpace._index_ratios\n"
+                "def drop_one(self):\n"
+                "    labels = self.labels\n"
+                "    self.labels = labels[1:]  # (0 : 1), the point x = 0\n"
+                "    read(self)\n"
+                "    self.labels = labels\n"
+                "cosets.CosetSpace._index_ratios = drop_one\n"
+                "try:\n"
+                "    cosets.CosetSpace(cosets.GAMMA0, 60, 2)\n"
+                "except CheckFailed as exc:\n"
+                "    print('CheckFailed:', exc)\n")
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+        assert proc.returncode == 0
+        assert proc.stdout == "CheckFailed: a point (x : 1) of P^1(Z/60) has no label\n"
 
 
 class TestAction:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from periodpoly import hecke
 from periodpoly.exactalg import (DenseMatrix, PeriodPolyError, QQ, eigen_kernel,
                                  kernel_columns, poly_divmod, poly_mul, poly_sub,
                                  poly_trim, rows_to_int_sparse)
@@ -29,6 +30,8 @@ from periodpoly.hecke import (EigenspaceError, GroupRingElement, HeckeError,
                               torbit_canonical, universal_hecke_element,
                               verify_hecke_property)
 from periodpoly.analytic import manin_coefficient
+
+from dense_reference import reference_resolve_sigma_coset
 
 
 class TestTnInfinity:
@@ -327,14 +330,15 @@ class TestIntegerGroupRing:
         assert not ok and (ok, rep) == reference_verify_hecke_property(bad, n)
 
     def test_manin_coefficient_matches_fraction_sum(self):
-        for N, k, eigen in ((5, 4, (2, -4)), (11, 2, (2, -2)), (37, 2, (2, -2))):
+        for N, k, eigen in ((1, 12, (2, -24)), (5, 4, (2, -4)), (11, 2, (2, -2)),
+                            (37, 2, (2, -2))):
             plus, _ = eps_split(build_W(build_coset_space(GAMMA0, N, k), k - 2))
             Pp = common_eigen_polynomial(plus, [(eigen[0], Fraction(eigen[1]))],
                                          parity="+")
             # P+ is normalized at its first nonzero coordinate; at level 37
             # that is not the identity label
             xy = next(Pp.space.labels[l] for l, p in enumerate(Pp.values) if p[0])
-            for n in (1, 2, 3, 4, 6, 13, 29, 61):
+            for n in (1, 2, 3, 4, 6, 13, 29, 61, 101, 149):
                 t = universal_hecke_element(n)
                 lam = manin_coefficient(Pp, t, delta_spec(GAMMA0, N, n), n, xy)
                 assert lam == reference_manin_coefficient(Pp, t, xy)
@@ -344,8 +348,8 @@ class TestIntegerGroupRing:
 
 
 def reference_resolve_by_search(space, label, M, spec):
-    """The coset of the adjoint coset or a diamond by a search over every
-    lift C and sign for g = C M A^-1 in Sigma, O(index) per call."""
+    """The coset of any double coset by a search over every lift C and sign
+    for g = C M A^-1 in Sigma, O(index) per call."""
     A = space.lifts[label]
     # generic search over candidate lifts
     Ainv = A.inverse()
@@ -365,40 +369,61 @@ def reference_resolve_by_search(space, label, M, spec):
 
 
 def _in_sigma(g: Mat2, spec: SigmaSpec) -> bool:
-    N = spec.N
+    """Membership of a determinant-n g in Sigma, from the definitions:
+    - Delta_n: N | c, a = 1 mod N on Gamma1, a a unit mod N on Gamma0;
+    - its adjoint: N | c, d = 1 mod N on Gamma1, d a unit mod N on Gamma0;
+    - the diamond <d>: N | c, and d_g = d mod N on Gamma1; on Gamma0 it is
+      Gamma0(N) itself;
+    - Theta_n: the shape (n x, y; N z, n t) of w_n; on Gamma1 the double
+      coset of w_n = (n x_w, y_w; N z_w, n t_w) adds y = y_w mod n and
+      n t = n t_w mod N.
+    """
+    N, n = spec.N, spec.n
+    if g.c % N:
+        return False
+    if spec.variant == "delta":
+        if spec.kind == GAMMA1:
+            return g.a % N == 1 % N
+        return math.gcd(g.a, N) == 1
     if spec.variant == "delta_vee":
-        if g.c % N:
-            return False
         if spec.kind == GAMMA1:
             return g.d % N == 1 % N
         return math.gcd(g.d, N) == 1
     if spec.variant == "diamond":
-        return g.c % N == 0 and g.d % N == spec.diamond % N
-    raise HeckeError("search used for a congruence-resolvable coset")
+        return spec.kind == GAMMA0 or g.d % N == spec.diamond % N
+    if g.a % n or g.d % n:
+        return False
+    wm = spec.w_matrix
+    return spec.kind == GAMMA0 or ((g.b - wm.b) % n == 0 and (g.d - wm.d) % N == 0)
+
+
+def _support(n):
+    return sorted(set(tn_infinity(n).coeffs) | set(universal_hecke_element(n).coeffs))
 
 
 class TestResolve:
     @pytest.mark.parametrize("kind", [GAMMA0, GAMMA1])
     def test_congruences_match_lift_search(self, kind):
-        # the adjoint coset for n = 2, 3, 5 on the supports of T_n^inf and
-        # T~_n, and every diamond of Gamma1 on T~_1 = I, at every label and
-        # N <= 13
-        seen = 0
+        # Delta_n and its adjoint for n = 2, 3, 5 and every Theta_n with
+        # n || N and n > 1, on the supports of T_n^inf and T~_n, and every
+        # diamond on T~_1 = I, at every label and N <= 13
+        seen = {}
         for N in range(1, 14):
             space = build_coset_space(kind, N, 2)
-            cases = [(delta_vee_spec(kind, N, n), set(tn_infinity(n).coeffs)
-                      | set(universal_hecke_element(n).coeffs))
-                     for n in (2, 3, 5) if math.gcd(n, N) == 1]
-            if kind == GAMMA1:
-                cases += [(diamond_spec(kind, N, d), [MAT_I])
-                          for d in range(1, N) if math.gcd(d, N) == 1]
+            cases = [(delta_spec(kind, N, n), _support(n)) for n in (2, 3, 5)]
+            cases += [(delta_vee_spec(kind, N, n), _support(n))
+                      for n in (2, 3, 5) if math.gcd(n, N) == 1]
+            cases += [(theta_spec(kind, N, n), _support(n)) for n in range(2, N + 1)
+                      if N % n == 0 and math.gcd(n, N // n) == 1]
+            cases += [(diamond_spec(kind, N, d), [MAT_I])
+                      for d in range(1, N) if math.gcd(d, N) == 1]
             for spec, matrices in cases:
-                for M in sorted(matrices):
+                for M in matrices:
                     for l in range(space.size):
                         got = resolve_sigma_coset(space, l, M, spec)
                         assert got == reference_resolve_by_search(space, l, M, spec)
-                        seen += got is not None
-        assert seen
+                        seen[spec.variant] = seen.get(spec.variant, 0) + (got is not None)
+        assert sorted(seen) == ["delta", "delta_vee", "diamond", "theta"] and all(seen.values())
 
     @pytest.mark.parametrize("N", [5, 7])
     def test_gamma0_diamond_is_the_identity(self, N):
@@ -439,6 +464,39 @@ class TestResolve:
             SigmaSpec("delta_vee", GAMMA0, 6, 2)   # gcd(2, 6) > 1
         with pytest.raises(HeckeError):
             SigmaSpec("diamond", GAMMA0, 6, 1)     # missing unit
+
+
+# the hecke-matrix jobs of perfbench's hecke-spaces workload, then Theta_13
+# and the adjoint of Delta_2 on Gamma1(13) and Delta_3 at the composite
+# level 100, as (group, N, k, n, variant, extended)
+RESOLUTION_CASES = [
+    (GAMMA0, 37, 4, 2, "delta", False), (GAMMA0, 37, 4, 11, "delta", False),
+    (GAMMA0, 37, 4, 2, "delta_vee", False), (GAMMA0, 37, 4, 37, "theta", False),
+    (GAMMA0, 12, 8, 2, "delta", False), (GAMMA0, 11, 4, 11, "delta", False),
+    (GAMMA0, 11, 4, 23, "delta", False), (GAMMA0, 11, 4, 3, "delta", True),
+    (GAMMA1, 13, 2, 13, "theta", False), (GAMMA1, 13, 2, 2, "delta_vee", False),
+    (GAMMA0, 100, 6, 3, "delta", False)]
+
+
+class TestIntegerResolution:
+    """The integer resolver against the Mat2 resolver it replaced."""
+
+    @pytest.mark.parametrize("kind,N,k,n,variant,extended", RESOLUTION_CASES)
+    def test_equals_mat2_resolver(self, monkeypatch, kind, N, k, n, variant, extended):
+        space = build_coset_space(kind, N, k)
+        spec = SigmaSpec(variant, kind, N, n)
+        t = universal_hecke_element(n)
+        hits = 0
+        for M in t.coeffs:
+            for l in range(space.size):
+                got = resolve_sigma_coset(space, l, M, spec)
+                assert got == reference_resolve_sigma_coset(space, l, M, spec)
+                hits += got is not None
+        assert hits
+        op = HeckeOperator(space, k - 2, t, spec, extended)
+        monkeypatch.setattr(hecke, "resolve_sigma_coset", reference_resolve_sigma_coset)
+        ref = HeckeOperator(space, k - 2, t, spec, extended)
+        assert (op.blocks, op.poles, op.den) == (ref.blocks, ref.poles, ref.den)
 
 
 class TestActions:
