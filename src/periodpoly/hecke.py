@@ -23,6 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from .exactalg import (DenseMatrix, PeriodPolyError, check,
@@ -569,9 +570,13 @@ class HeckeOperator:
     in ``poles``.  The image lies in the extended model iff every such row
     vanishes, since the partial fraction decomposition is unique; ``apply``
     raises HeckeError otherwise.
+
+    ``norm`` is the largest absolute row sum of the integer map ``apply``
+    computes, the pole rows included: no entry of an image, and no pole
+    residual, exceeds norm times the largest |entry| of the input.
     """
 
-    __slots__ = ("space", "w", "extended", "den", "blocks", "poles")
+    __slots__ = ("space", "w", "extended", "den", "blocks", "poles", "norm")
 
     def __init__(self, space: CosetSpace, w: int, t: GroupRingElement,
                  spec: SigmaSpec, extended: bool = False):
@@ -617,6 +622,10 @@ class HeckeOperator:
                         if any(any(col) for col in block)]
                        for d in folded]
         self.poles = [row for row in rows_to_int_sparse(residues.values()) if row]
+        # row i of a target: entry i of every column of its blocks
+        rows = (row for d in folded for row in zip(*chain.from_iterable(d.values())))
+        self.norm = max(chain((sum(map(abs, row)) for row in rows),
+                              (sum(map(abs, row.values())) for row in self.poles)), default=0)
 
     def apply(self, coords: Sequence) -> list:
         """den times the image of a coordinate vector, as coordinates."""
@@ -709,12 +718,13 @@ def hecke_action(P, t: GroupRingElement, spec: SigmaSpec):
 def hecke_matrix(sub: Subspace, t: GroupRingElement, spec: SigmaSpec) -> DenseMatrix:
     """Exact matrix of the action in the basis of a stable subspace.
 
-    The operator is compiled once and applied in integers to each basis
-    column (to each zeta^t coordinate over Q(zeta_m)); every image goes
-    straight to the membership test.
+    The operator is compiled once and applied in integers to all basis
+    columns at once, packed into one vector (one per zeta^t coordinate over
+    Q(zeta_m)); the packed image goes straight to the membership test, see
+    ``Subspace.restricted_matrix``.
     """
     op = HeckeOperator(sub.space, sub.w, t, spec, sub.extended)
-    return sub.restricted_matrix(op.apply, op.den)
+    return sub.restricted_matrix(op.apply, op.den, op.norm)
 
 
 def common_eigen_polynomial(sub: Subspace, eigendata: Sequence[tuple],

@@ -441,36 +441,41 @@ class Subspace:
         return self._int_coordinates_of(*cleared)
 
     def _int_coordinates_of(self, c: Sequence, D: int) -> Optional[tuple]:
-        """Coordinates of c / D, c integer at the real indices i * d + t.
-
-        For columns n_j / d_j, membership is L c = sum_j (L / d_j) c[pivot_j] n_j
-        for L = ``lcm`` of the d_j, in integers over the stored nonzeros
-        (field products: ``mult_columns``).
-        """
-        field, d = self.field, self.field.degree
+        """Coordinates of c / D, c integer at the real indices i * d + t."""
+        d = self.field.degree
         if len(c) != self.ambient * d:
             raise PolySpaceError("image of length %d in an ambient space of "
                                  "dimension %d" % (len(c) // d, self.ambient))
-        r = [self.lcm * v for v in c]
+        if any(self._residual(c)):
+            return None
+        pivots = {j * d + t: c[p * d + t] for j, p in enumerate(self.pivot_rows)
+                  for t in range(d) if c[p * d + t]}
+        return tuple(column_entries(self.field, D, pivots, self.dim))
+
+    def _residual(self, c: Sequence) -> list:
+        """L c - sum_j (L / d_j) c[pivot_j] n_j for the columns n_j / d_j and
+        L = ``lcm`` of the d_j, in integers over the stored nonzeros (field
+        products: ``mult_columns``).  Each column is 1 at its own pivot row
+        and 0 at the others, so c is in the span iff this is zero.  It is
+        linear in c over Z.
+        """
+        field, d, L = self.field, self.field.degree, self.lcm
+        r = [L * v for v in c]
         for p, (dj, nj) in zip(self.pivot_rows, self.columns):
             a = c[p * d:(p + 1) * d]
             if not any(a):
                 continue
             if d == 1:
-                f = a[0] * (self.lcm // dj)
+                f = a[0] * (L // dj)
                 for k, v in nj.items():
                     r[k] -= f * v
                 continue
-            cols = mult_columns(field, [x * (self.lcm // dj) for x in a])
+            cols = mult_columns(field, [x * (L // dj) for x in a])
             for k, v in nj.items():
                 base = k - k % d
                 for s, m in enumerate(cols[k % d]):
                     r[base + s] -= v * m
-        if any(r):
-            return None
-        pivots = {j * d + t: c[p * d + t] for j, p in enumerate(self.pivot_rows)
-                  for t in range(d) if c[p * d + t]}
-        return tuple(column_entries(field, D, pivots, self.dim))
+        return r
 
     def contains(self, vec) -> bool:
         return self.coordinates_of(_coords_of(vec)) is not None
@@ -487,28 +492,84 @@ class Subspace:
     def vectors(self) -> list:
         return [self.vector(j) for j in range(self.dim)]
 
-    def restricted_matrix(self, apply, den: int = 1) -> DenseMatrix:
+    def restricted_matrix(self, apply, den: int, norm: int) -> DenseMatrix:
         """Matrix on the basis of a rational linear map of the ambient space.
 
         ``apply`` takes a list of ``ambient`` integer coordinates to den
-        times its image.  The map is rational, so over Q(zeta_m) it acts on
-        each zeta^t coordinate of a column separately.  Raises with the
-        offending column index if an image leaves the span.
+        times its image: an integer matrix A whose rows, and the rows of any
+        linear check ``apply`` makes (the pole rows of a HeckeOperator), have
+        absolute sums at most ``norm``.  The map is rational, so over
+        Q(zeta_m) it acts on each zeta^t coordinate of a column separately.
+
+        One apply per zeta^t (Kronecker substitution): the integer columns
+        n_j are packed into sum_j X^j n_j, so the image is sum_j X^j A n_j and
+        its residual (``_residual``, linear) is sum_j X^j r_j, r_j that of
+        A n_j.  X = 2^b is above the bound R of the digits: let m be the
+        largest |entry| of the n_j, q the largest sum of (L / d_j)
+        |n_j[i d + s]| over j and s at one row i, and kappa the largest sum
+        over t of |coordinate r of zeta^(t + s)| over all s, r < d (1 over
+        Q).  An entry of A n_j, or a check of ``apply`` on n_j, is at most
+        I = norm m.  An entry of r_j is L (A n_j)[k] minus, over i, L / d_i
+        times the field product of A n_j at pivot i (coordinates at most I)
+        with n_i at k, so it is at most R = norm m (L + kappa q), and
+        R >= 2 I as L, kappa, q >= 1 (q counts L at a pivot row).  Hence:
+        - a sum_j X^j a_j with all |a_j| <= R < X is zero iff every a_j is,
+          and otherwise X^v exactly divides it, v the least j with a_j != 0:
+          the packed residual checks every image exactly and names the least
+          failing column, and a check of ``apply`` holds on the packed
+          vector iff it holds on every column;
+        - at a pivot row the digits of the packed image in [-X/2, X/2) are
+          the (A n_j)[p_i], since 2 I <= R < X: the entries, over d_j den.
+        An image that leaves the extended model makes ``apply`` raise before
+        any residual is read.
         """
-        d, n = self.field.degree, self.ambient
-        cols = []
-        for j, (cden, vec) in enumerate(self.columns):
-            parts = [[0] * n for _ in range(d)]
+        field, d, n, dim = self.field, self.field.degree, self.ambient, self.dim
+        if not dim:
+            return DenseMatrix.from_columns(field, [], nrows=0)
+        b = _radix_bits(self._digit_bound(norm))
+        packed = [[0] * n for _ in range(d)]
+        for j, (_, vec) in enumerate(self.columns):
             for k, v in vec.items():
-                parts[k % d][k // d] = v
-            image = [0] * (n * d)
-            for t, values in enumerate(parts):
-                image[t::d] = apply(values)
-            x = self._int_coordinates_of(image, cden * den)
-            if x is None:
-                raise PolySpaceError("image of basis vector %d leaves the subspace" % j)
-            cols.append(x)
-        return DenseMatrix.from_columns(self.field, cols, nrows=self.dim)
+                packed[k % d][k // d] += v << (b * j)
+        image = [0] * (n * d)
+        for t, values in enumerate(packed):
+            image[t::d] = apply(values)
+        # 2-adic valuations of the nonzero entries; // b gives the X-adic ones
+        fails = [(r & -r).bit_length() - 1 for r in self._residual(image) if r]
+        if fails:
+            raise PolySpaceError("image of basis vector %d leaves the subspace"
+                                 % (min(fails) // b))
+        X, mask = 1 << b, (1 << b) - 1
+        half = X >> 1
+        pivots = [{} for _ in range(dim)]  # column j -> {i * d + t: (A n_j)[p_i d + t]}
+        for i, p in enumerate(self.pivot_rows):
+            for t in range(d):
+                v = image[p * d + t]
+                for j in range(dim):
+                    if not v:
+                        break
+                    a = v & mask
+                    if a >= half:
+                        a -= X
+                    if a:
+                        pivots[j][i * d + t] = a
+                    v = (v - a) >> b
+                check(not v, "packed image at pivot row %d has more digits than "
+                             "columns: norm is below the map's" % p)
+        return DenseMatrix.from_columns(
+            field, [column_entries(field, cden * den, pivots[j], dim)
+                    for j, (cden, _) in enumerate(self.columns)], nrows=dim)
+
+    def _digit_bound(self, norm: int) -> int:
+        """R = norm m (L + kappa q) of ``restricted_matrix``."""
+        d, L = self.field.degree, self.lcm
+        row_sums = [0] * self.ambient
+        for den, vec in self.columns:
+            f = L // den
+            for k, v in vec.items():
+                row_sums[k // d] += f * abs(v)
+        m = max(max(map(abs, vec.values())) for _, vec in self.columns)
+        return norm * m * (L + _zeta_spread(self.field) * max(row_sums))
 
     def times(self, kernel: Sequence, field=None) -> "Subspace":
         """The subspace B K, for K the cleared columns (``kernel_columns``) of
@@ -552,6 +613,20 @@ def _coords_of(vec) -> tuple:
     if isinstance(vec, PolyVector):
         return vec.coords()
     return tuple(vec)
+
+
+def _radix_bits(bound: int) -> int:
+    """The least b >= 1 with 2^b > bound: the packing radix of
+    ``Subspace.restricted_matrix``."""
+    return max(1, bound.bit_length())
+
+
+def _zeta_spread(field) -> int:
+    """kappa = max over s, r < d of sum_t |coordinate r of zeta^(t + s)|:
+    a coordinate of a y is at most kappa max|a_t| sum_s |y_s|.  1 over Q."""
+    d = field.degree
+    zeta = [mult_columns(field, [int(s == t) for s in range(d)]) for t in range(d)]
+    return max(sum(abs(zeta[t][s][r]) for t in range(d)) for s in range(d) for r in range(d))
 
 
 # ----------------------------------------------------------------------
@@ -807,7 +882,7 @@ def eps_split(obj):
     if sub.extended:
         _check_tilde_columns(sub)
     eps = eps_coordinates(sub.space, sub.w, sub.extended)
-    emat = sub.restricted_matrix(lambda values: [s * values[k] for k, s in eps])
+    emat = sub.restricted_matrix(lambda values: [s * values[k] for k, s in eps], 1, 1)
     return sub.times(eigen_columns(emat, 1)), sub.times(eigen_columns(emat, -1))
 
 

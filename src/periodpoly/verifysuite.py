@@ -16,12 +16,12 @@ from .exactalg import (CyclotomicField, DenseMatrix, QQ, bernoulli, check,
 from .cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, Mat2,
                      build_coset_space, classical_cusp_count_gamma0,
                      cusp_classes, dirichlet_characters)
-from .polyspace import (PolyVector, build_W, build_W_extended,
+from .polyspace import (PolyVector, Subspace, build_W, build_W_extended,
                         build_coboundary_and_D, chi_component, cminus_trivial,
                         eps_split, pair_braces, pair_induced, pair_vw,
                         slash_poly, _coboundary_and_D_vectors, _tail_families,
                         _w_label_rows, _wtilde_label_rows)
-from .hecke import (GroupRingElement, ONE_MINUS_S, ONE_MINUS_T, delta_spec,
+from .hecke import (GroupRingElement, HeckeOperator, ONE_MINUS_S, ONE_MINUS_T, delta_spec,
                     delta_vee_spec, gre_mul, hecke_action, hecke_matrix,
                     solve_universal_hecke, theta_spec, tn_infinity,
                     torbit_canonical, universal_hecke_element,
@@ -231,19 +231,45 @@ def check_hecke_adjointness():
                       "T~_%d is not adjoint to its vee on %s, level %d" % (n, name, N))
 
 
+def _check_stable(op, sub, what: str):
+    """Each basis vector's full image under a compiled operator, as
+    ``hecke_action`` computes it, lies in sub by ``contains``: a check that
+    does not go through ``Subspace.restricted_matrix``."""
+    for v in sub.vectors():
+        check(sub.contains(op.image(v)), "%s is not stable" % what)
+
+
 def check_hecke_stability_and_commutativity():
     space = build_coset_space(GAMMA0, 5, 4)
     W = build_W(space, 2)
-    C, _ = build_coboundary_and_D(space, 2)
-    Wt = build_W_extended(space, 2)
-    t2 = universal_hecke_element(2)
-    sd = delta_spec(GAMMA0, 5, 2)
-    for v in W.vectors():
-        check(W.contains(hecke_action(v, t2, sd)), "W is not stable under T~_2")
-    for v in C.vectors():
-        check(C.contains(hecke_action(v, t2, sd)), "C is not stable under T~_2")
-    for v in Wt.vectors():
-        check(Wt.contains(hecke_action(v, t2, sd)), "Wtilde is not stable under T~_2")
+    for sub, name in ((W, "W"), (build_coboundary_and_D(space, 2)[0], "C"),
+                      (build_W_extended(space, 2), "Wtilde")):
+        op = HeckeOperator(space, 2, universal_hecke_element(2), delta_spec(GAMMA0, 5, 2),
+                           sub.extended)
+        _check_stable(op, sub, "%s of Gamma0(5), k = 4, under T~_2" % name)
+    # W+ and W- of Gamma0(37), k = 4, spanned by P +- P|eps (no eps_split)
+    space = build_coset_space(GAMMA0, 37, 4)
+    vecs = build_W(space, 2).vectors()
+    parts = [(Subspace.from_vectors(space, 2, False,
+                                    [(P + P.eps().scale(sign)).coords() for P in vecs]), name)
+             for sign, name in ((1, "W+"), (-1, "W-"))]
+    check(min(sub.dim for sub, _ in parts) > 0 and sum(sub.dim for sub, _ in parts) == len(vecs),
+          "W+ and W- of Gamma0(37), k = 4, do not split W")
+    for spec in (delta_spec(GAMMA0, 37, 2), delta_vee_spec(GAMMA0, 37, 2),
+                 theta_spec(GAMMA0, 37, 37)):
+        op = HeckeOperator(space, 2, universal_hecke_element(spec.n), spec)
+        for sub, name in parts:
+            _check_stable(op, sub, "%s of Gamma0(37), k = 4, under the %s coset of "
+                                   "T~_%d" % (name, spec.variant, spec.n))
+    # a chi part of Gamma1(11), k = 2, over Q(zeta_5)
+    space = build_coset_space(GAMMA1, 11, 2)
+    chi = next(ch for ch in dirichlet_characters(11) if ch.order == 5)
+    comp = chi_component(build_W(space, 0), chi)
+    check(comp.field.degree == 4 and comp.dim == 2,
+          "the order-5 chi part of Gamma1(11), k = 2, is not a plane over Q(zeta_5)")
+    for n in (2, 3):
+        op = HeckeOperator(space, 0, universal_hecke_element(n), delta_spec(GAMMA1, 11, n))
+        _check_stable(op, comp, "the order-5 chi part of Gamma1(11), k = 2, under T~_%d" % n)
     mats = {n: hecke_matrix(W, universal_hecke_element(n), delta_spec(GAMMA0, 5, n))
             for n in (2, 3, 4, 5, 6)}
     for n in mats:

@@ -16,6 +16,10 @@ one ``Mat2`` product and one adjoint per call.  Its Theta branch on Gamma1
 reads the bottom row mod N/n without the factor x^-1 of
 (n x, y; N z, n t) in Theta_n, so it is right there only when
 n = 1 mod N/n; everywhere else it is the reference for the integer engine.
+
+``reference_restricted_matrix`` is ``Subspace.restricted_matrix`` as
+periodpoly wrote it before it packed the basis columns into one vector:
+one apply and one residual check per column.
 """
 
 from typing import Optional
@@ -24,7 +28,7 @@ from periodpoly.cosets import (GAMMA1, CosetSpace, Mat2, MAT_S, MAT_SINV, MAT_U,
                                MAT_U2INV, MAT_UINV, _crt)
 from periodpoly.exactalg import DenseMatrix, poly_mul
 from periodpoly.hecke import HeckeError, SigmaSpec
-from periodpoly.polyspace import _pow_linear, slash_matrix
+from periodpoly.polyspace import PolySpaceError, _pow_linear, slash_matrix
 
 
 def reference_rref_rows(rows: list, field) -> tuple[list, list]:
@@ -177,3 +181,27 @@ def reference_resolve_sigma_coset(space: CosetSpace, label: int, M: Mat2,
         return space.label_of_row(cp, dp)
     u = pow(spec.n, -1, N) if spec.variant == "delta_vee" else spec.diamond
     return space.label_of_row(u * B.c, u * B.d)
+
+
+def reference_restricted_matrix(sub, apply, den: int = 1) -> DenseMatrix:
+    """Matrix on the basis of sub of a rational linear map of the ambient space.
+
+    ``apply`` takes a list of ``ambient`` integer coordinates to den
+    times its image.  The map is rational, so over Q(zeta_m) it acts on
+    each zeta^t coordinate of a column separately.  Raises with the
+    offending column index if an image leaves the span.
+    """
+    d, n = sub.field.degree, sub.ambient
+    cols = []
+    for j, (cden, vec) in enumerate(sub.columns):
+        parts = [[0] * n for _ in range(d)]
+        for k, v in vec.items():
+            parts[k % d][k // d] = v
+        image = [0] * (n * d)
+        for t, values in enumerate(parts):
+            image[t::d] = apply(values)
+        x = sub._int_coordinates_of(image, cden * den)
+        if x is None:
+            raise PolySpaceError("image of basis vector %d leaves the subspace" % j)
+        cols.append(x)
+    return DenseMatrix.from_columns(sub.field, cols, nrows=sub.dim)

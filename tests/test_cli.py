@@ -445,6 +445,8 @@ FORM2 = object()  # and one of weight 2
      "--eigen", "2:-2", "--entry-bound", "2"],
     ["gamma02-relations", "--weight", "7"],
     ["gamma02-relations", "--weight", "2"],
+    ["gamma02-relations", "--weight", "8", "--terms", str(cli.MAX_TERMS + 1)],
+    ["gamma02-relations", "--weight", "8", "--terms", "100000"],
     ["hecke-element", "--n", "5", "--variant", "-1"],
     ["hecke-element", "--n", "5", "--method", "solve", "--variant", "-1"],
     ["hecke-element", "--n", "5", "--method", "solve", "--variant", "2"],
@@ -474,6 +476,12 @@ def test_bad_input_is_one_line_usage_error(argv, form5_path, form11_path, capsys
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_gamma02_terms_at_the_bound_run():
+    code, text = run_cli(["gamma02-relations", "--weight", "8", "--terms",
+                          str(cli.MAX_TERMS)])
+    assert code == cli.EXIT_OK and json.loads(text)["relations"]
 
 
 def test_gamma02_weight_error_names_the_weights(capsys):

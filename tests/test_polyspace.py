@@ -488,8 +488,8 @@ class TestMembership:
         assert w7.contains(PolyVector.from_coords(w7.space, 2, coords))
 
     def test_restricted_matrix_names_the_column(self, w7):
-        assert w7.restricted_matrix(list) == DenseMatrix.identity(QQ, w7.dim)
-        assert w7.restricted_matrix(lambda v: [3 * x for x in v], 2) == \
+        assert w7.restricted_matrix(list, 1, 1) == DenseMatrix.identity(QQ, w7.dim)
+        assert w7.restricted_matrix(lambda v: [3 * x for x in v], 2, 3) == \
             DenseMatrix.identity(QQ, w7.dim).scaled(Fraction(3, 2))
         # moves the pivot-2 coordinate onto a free one: only column 2 leaves
         free = next(i for i in range(w7.ambient) if i not in w7.pivot_rows)
@@ -499,7 +499,7 @@ class TestMembership:
             out[free] += values[w7.pivot_rows[2]]
             return out
         with pytest.raises(PolySpaceError, match="basis vector 2 "):
-            w7.restricted_matrix(bump)
+            w7.restricted_matrix(bump, 1, 2)
 
     def test_wrong_length_rejected(self, w7):
         with pytest.raises(PolySpaceError, match="length"):
