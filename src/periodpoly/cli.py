@@ -18,7 +18,7 @@ from fractions import Fraction
 from .exactalg import PeriodPolyError, scalar_to_str
 from .cosets import GAMMA0, GAMMA1, build_coset_space, coset_index, cusp_classes
 from .polyspace import (build_W, build_W_extended, build_coboundary_and_D,
-                        eps_split, w_dimensions, wtilde_dimension)
+                        w_dimensions, wtilde_dimension)
 from .hecke import (HeckeError, common_eigen_polynomial, delta_spec,
                     delta_vee_spec, hecke_matrix, theta_spec,
                     universal_hecke_element, verified_hecke_element,
@@ -169,14 +169,14 @@ def cmd_hecke_element(args, out):
     return EXIT_OK
 
 
+# --space names of W and of its eps parts, with the sign build_W takes
+_W_SIGNS = {"W": 0, "Wplus": 1, "Wminus": -1}
+
+
 def _space_choice(args, space, w):
     name = args.space
-    if name in ("W", "Wplus", "Wminus"):
-        W = build_W(space, w)
-        if name == "W":
-            return W
-        plus, minus = eps_split(W)
-        return plus if name == "Wplus" else minus
+    if name in _W_SIGNS:
+        return build_W(space, w, _W_SIGNS[name])
     if name == "C":
         return build_coboundary_and_D(space, w)[0]
     return build_W_extended(space, w)
@@ -210,8 +210,8 @@ def cmd_eigenpoly(args, out):
     eigendata = _parse_eigen(args.eigen)
     created = bool(args.output) and _claim_output(args.output)
     try:
-        plus, minus = eps_split(build_W(space, args.weight - 2))
-        sub, parity = (plus, "+") if args.parity == "plus" else (minus, "-")
+        sign, parity = (1, "+") if args.parity == "plus" else (-1, "-")
+        sub = build_W(space, args.weight - 2, sign)
         doc = common_eigen_polynomial(sub, eigendata, parity=parity).to_json()
         doc["parity"] = parity
         if args.output:
@@ -242,8 +242,7 @@ def cmd_lvalue(args, out):
 
 def _eigen_polys_for(args, f: NewformData, eigendata):
     space = _coset_space(args, GAMMA0, f.level, f.weight)
-    W = build_W(space, f.weight - 2)
-    plus, minus = eps_split(W)
+    plus, minus = build_W(space, f.weight - 2, 1), build_W(space, f.weight - 2, -1)
     Pp = common_eigen_polynomial(plus, eigendata, parity="+")
     Pm = common_eigen_polynomial(minus, eigendata if minus.dim > 1 else [],
                                  parity="-")
@@ -272,9 +271,8 @@ def cmd_eigenvalue(args, out):
     if level is None or weight is None:
         raise CliError("need --level and --weight (or --form)", EXIT_USAGE)
     space = _coset_space(args, GAMMA0, level, weight)
-    W = build_W(space, weight - 2)
-    plus, _ = eps_split(W)
-    Pp = common_eigen_polynomial(plus, _parse_eigen(args.eigen), parity="+")
+    Pp = common_eigen_polynomial(build_W(space, weight - 2, 1), _parse_eigen(args.eigen),
+                                 parity="+")
     t = universal_hecke_element(args.n)
     lam = manin_coefficient(Pp, t, delta_spec(GAMMA0, level, args.n), args.n)
     _emit({"level": level, "weight": weight, "n": args.n,

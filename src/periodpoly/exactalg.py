@@ -40,7 +40,10 @@ def check(cond, msg: str) -> None:
 
 def scalar_to_str(x) -> str:
     """Serialize a rational as "p/q", omitting the denominator when 1."""
-    x = Fraction(x)
+    if type(x) is int:
+        return str(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .exactalg import DenseMatrix, PeriodPolyError, QQ, bernoulli, kernel_basis
 from .cosets import MAT_S, MAT_T, MAT_TINV, MAT_U, MAT_U2, GAMMA0, build_coset_space
-from .polyspace import (PolyVector, build_W, eps_split, pair_vw,
+from .polyspace import (PolyVector, build_W, pair_vw,
                         pair_braces, slash_poly)
 from .analytic import (NewformData, completed_lvalue, period_and_omega,
                        haberland_constant)
@@ -185,8 +185,7 @@ def _petersson_cross_check(f: NewformData, terms: int) -> dict:
     k = f.weight
     w = k - 2
     space = _space(k)
-    W = build_W(space, w)
-    Wp, Wm = eps_split(W)
+    Wp, Wm = build_W(space, w, 1), build_W(space, w, -1)
     lam3 = f.qseries.coeff(3)
     eigendata = [(3, lam3)]
     Pm = common_eigen_polynomial(Wm, eigendata if Wm.dim > 1 else [], parity="-")

@@ -539,23 +539,20 @@ class Subspace:
         if fails:
             raise PolySpaceError("image of basis vector %d leaves the subspace"
                                  % (min(fails) // b))
-        X, mask = 1 << b, (1 << b) - 1
-        half = X >> 1
+        offsets: dict = {}
+        low = _digit_offset(b, dim, offsets)
+        high = (1 << (b * dim)) - low  # [-low, high): at most dim digits
         pivots = [{} for _ in range(dim)]  # column j -> {i * d + t: (A n_j)[p_i d + t]}
         for i, p in enumerate(self.pivot_rows):
             for t in range(d):
                 v = image[p * d + t]
-                for j in range(dim):
-                    if not v:
-                        break
-                    a = v & mask
-                    if a >= half:
-                        a -= X
-                    if a:
-                        pivots[j][i * d + t] = a
-                    v = (v - a) >> b
-                check(not v, "packed image at pivot row %d has more digits than "
-                             "columns: norm is below the map's" % p)
+                check(-low <= v < high,
+                      "packed image at pivot row %d has more digits than "
+                      "columns: norm is below the map's" % p)
+                digits: dict = {}
+                _balanced_digits(v, b, dim, 0, digits, offsets)
+                for j, a in digits.items():
+                    pivots[j][i * d + t] = a
         return DenseMatrix.from_columns(
             field, [column_entries(field, cden * den, pivots[j], dim)
                     for j, (cden, _) in enumerate(self.columns)], nrows=dim)
@@ -621,6 +618,32 @@ def _radix_bits(bound: int) -> int:
     return max(1, bound.bit_length())
 
 
+def _digit_offset(b: int, n: int, offsets: dict) -> int:
+    """c_n = sum_(j < n) 2^(b - 1) 2^(b j), the n-digit number whose base-2^b
+    digits are all 2^(b - 1), memoized in offsets."""
+    if n not in offsets:
+        offsets[n] = ((1 << (b * n)) - 1) // ((1 << b) - 1) << (b - 1)
+    return offsets[n]
+
+
+def _balanced_digits(v: int, b: int, n: int, at: int, out: dict, offsets: dict) -> None:
+    """Write the nonzero digits a_j in [-2^(b - 1), 2^(b - 1)) of
+    v = sum_(j < n) a_j 2^(b j) to out[at + j], by halving.  The low h digits
+    of v sum to the one lo = v mod 2^(b h) in [-c_h, 2^(b h) - c_h)
+    (``_digit_offset``), and (v - lo) / 2^(b h) has the other n - h.  v must
+    lie in [-c_n, 2^(b n) - c_n), the numbers of at most n digits."""
+    if not v:
+        return
+    if n == 1:
+        out[at] = v
+        return
+    h = n >> 1
+    c = _digit_offset(b, h, offsets)
+    lo = ((v + c) & ((1 << (b * h)) - 1)) - c
+    _balanced_digits(lo, b, h, at, out, offsets)
+    _balanced_digits((v - lo) >> (b * h), b, n - h, at + h, out, offsets)
+
+
 def _zeta_spread(field) -> int:
     """kappa = max over s, r < d of sum_t |coordinate r of zeta^(t + s)|:
     a coordinate of a y is at most kappa max|a_t| sum_s |y_s|.  1 over Q."""
@@ -681,14 +704,31 @@ def _w_relation_rows(space: CosetSpace, w: int) -> list:
     return _orbit_rows(_w_label_rows(space, w))
 
 
-def build_W(space: CosetSpace, w: int) -> Subspace:
-    """The period polynomial space W_w^Gamma as an exact subspace."""
+def _eps_rows(space: CosetSpace, w: int, sign: int) -> list:
+    """Sparse rows of P|eps = sign P, one per coordinate (some empty)."""
+    rows = []
+    for m, (k, s) in enumerate(eps_coordinates(space, w, False)):
+        row = {m: -sign}
+        row[k] = row.get(k, 0) + s
+        rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
+def build_W(space: CosetSpace, w: int, sign: int = 0) -> Subspace:
+    """The period polynomial space W_w^Gamma as an exact subspace; for sign
+    +1 or -1 its part W+ or W- where P|eps = sign P, from one elimination of
+    the period rows and the eps rows (Stein 2007, ch. 8).  The reduced
+    column echelon basis is unique, so it is the one ``eps_split`` gives."""
     if w != space.k - 2:
         raise PolySpaceError("weight mismatch with coset space")
+    if type(sign) is not int or sign not in (-1, 0, 1):
+        raise PolySpaceError("sign must be -1, 0 or 1, got %r" % (sign,))
     if space.degenerate:
         return Subspace.from_vectors(space, w, False, [])
-    return Subspace(space, w, False, kernel_columns(_w_relation_rows(space, w),
-                                                    space.size * (w + 1)))
+    rows = _w_relation_rows(space, w)
+    if sign:
+        rows += _eps_rows(space, w, sign)
+    return Subspace(space, w, False, kernel_columns(rows, space.size * (w + 1)))
 
 
 def w_dimensions(space: CosetSpace, w: int) -> tuple:
@@ -701,16 +741,8 @@ def w_dimensions(space: CosetSpace, w: int) -> tuple:
     ncols = space.size * (w + 1)
     rows = _w_relation_rows(space, w)
     dim_w = ncols - sparse_int_rank(rows)
-    eps = eps_coordinates(space, w, False)
-    dims = []
-    for target in (1, -1):
-        extra = []
-        for m, (k, s) in enumerate(eps):
-            row = {m: -target}
-            row[k] = row.get(k, 0) + s
-            extra.append({c: v for c, v in row.items() if v})
-        dims.append(ncols - sparse_int_rank(rows + extra))
-    dim_plus, dim_minus = dims
+    dim_plus, dim_minus = (ncols - sparse_int_rank(rows + _eps_rows(space, w, sign))
+                           for sign in (1, -1))
     if dim_plus + dim_minus != dim_w:
         raise PolySpaceError("eps eigenspace dimensions do not add up")
     return (dim_w, dim_plus, dim_minus)
@@ -871,7 +903,9 @@ def decompose_extended(vec: ExtPolyVector, wtilde: Optional[Subspace] = None) ->
 
 def eps_split(obj):
     """Split into +1 / -1 eigencomponents of the eps involution: on a
-    subspace B, B ker(E -+ 1) for the matrix E of eps on B."""
+    subspace B, B ker(E -+ 1) for the matrix E of eps on B.  For the parts
+    of C, Wtilde and chi components; W+ and W- come from ``build_W`` with a
+    sign in one elimination each."""
     if isinstance(obj, (PolyVector, ExtPolyVector)):
         e = obj.eps()
         half = Fraction(1, 2)

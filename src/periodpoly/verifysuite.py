@@ -217,6 +217,28 @@ def check_eps_certificates():
               % (build.__name__, kind, N, k))
 
 
+def check_signed_builds():
+    """W+ and W- of ``build_W`` with a sign, against the span of P +- P|eps
+    over W's basis vectors: neither side uses the eps rows or eps_split."""
+    for kind, N, k in ((GAMMA0, 37, 4), (GAMMA1, 13, 2)):
+        space, w = build_coset_space(kind, N, k), k - 2
+        vecs = build_W(space, w).vectors()
+        where = "%s(%d), k = %d" % (kind, N, k)
+        dims = 0
+        for sign in (1, -1):
+            part = build_W(space, w, sign)
+            ref = Subspace.from_vectors(space, w, False,
+                                        [(P + P.eps().scale(sign)).coords() for P in vecs])
+            check(part.columns == ref.columns,
+                  "build_W with sign %+d on %s is not the span of P %s P|eps"
+                  % (sign, where, "+-"[sign < 0]))
+            check(all((P.eps() - P.scale(sign)).is_zero() for P in part.vectors()),
+                  "a column of build_W with sign %+d on %s has P|eps != %sP"
+                  % (sign, where, "-"[:sign < 0]))
+            dims += part.dim
+        check(dims == len(vecs), "dim W+ + dim W- != dim W on " + where)
+
+
 def check_hecke_adjointness():
     for name, build, N, k, n in (("W", build_W, 5, 4, 2), ("W", build_W, 5, 4, 3),
                                  ("W", build_W, 7, 4, 2), ("Wtilde", build_W_extended, 5, 4, 2)):
@@ -458,6 +480,7 @@ CHECKS = [
     ("polyspace.chi_components", check_chi_components),
     ("polyspace.kernel_certificates", check_kernel_certificates),
     ("polyspace.eps_certificates", check_eps_certificates),
+    ("polyspace.signed_builds", check_signed_builds),
     ("hecke.defining_identity", check_hecke_defining_identity),
     ("hecke.orbit_criterion", check_orbit_criterion_soundness),
     ("hecke.adjointness", check_hecke_adjointness),

@@ -217,6 +217,29 @@ class TestEigenpoly:
         assert code == cli.EXIT_USAGE and text == ""
 
 
+class TestSignedParts:
+    def test_w_parts_come_from_build_w_alone(self, monkeypatch, form5_path):
+        # eps_split reaches eigen_columns through the polyspace namespace; the
+        # commands that read W+ or W- must never get there
+        from periodpoly import gamma02, polyspace
+
+        def refuse(*args):
+            raise AssertionError("eps_split ran")
+        monkeypatch.setattr(polyspace, "eigen_columns", refuse)
+        for argv in (["hecke-matrix", "--level", "11", "--weight", "4", "--n", "2",
+                      "--space", "Wplus"],
+                     ["hecke-matrix", "--level", "11", "--weight", "4", "--n", "2",
+                      "--space", "Wminus"],
+                     ["eigenpoly", "--level", "5", "--weight", "4", "--parity", "minus"],
+                     ["eigenvalue", "--level", "5", "--weight", "4", "--n", "3",
+                      "--eigen", "2:-4"],
+                     ["petersson", "--form", form5_path, "--eigen", "2:-4"]):
+            code, _ = run_cli(argv)
+            assert code == 0, argv
+        f = NewformData(2, 8, eta_product([(1, 8), (2, 8)], 250), 1)
+        assert gamma02._petersson_cross_check(f, 100)["petersson_residual"] < 1e-10
+
+
 class TestLValueAndPetersson:
     def test_lvalue(self, form5_path):
         code, text = run_cli(["lvalue", "--form", form5_path, "--s", "3"])

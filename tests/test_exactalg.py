@@ -479,6 +479,25 @@ class TestScalarSerialization:
     def test_integer_omits_denominator(self):
         assert scalar_to_str(Fraction(4, 2)) == "2"
 
+    @staticmethod
+    def via_fraction(x):
+        """The serialization through Fraction(x) for every input."""
+        x = Fraction(x)
+        return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator,
+                                                                       x.denominator)
+
+    @pytest.mark.parametrize("x", [0, 1, -1, 12, -3 ** 80, 2 ** 200, True, False,
+                                   Fraction(0), Fraction(-5), Fraction(0, 7),
+                                   Fraction(-7, 2), Fraction(22, 7), Fraction(1, 3 ** 60),
+                                   "6/4", 0.5])
+    def test_fast_paths_give_the_fraction_strings(self, x):
+        assert scalar_to_str(x) == self.via_fraction(x)
+
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(x=st.one_of(st.integers(), st.fractions()))
+    def test_fast_paths_on_ints_and_fractions(self, x):
+        assert scalar_to_str(x) == self.via_fraction(x)
+
 
 class TestApproxComplex:
     def test_error_propagation_monotone(self):

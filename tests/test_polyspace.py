@@ -589,15 +589,30 @@ def reference_span(space, w, extended, vectors, field=QQ):
     return reference_column_basis(field, vectors, ambient)
 
 
+def basis_apply(sub, x):
+    """B x for the basis B of sub; over Q in integers, with the columns of B
+    read as n_j / d_j and x over one common denominator."""
+    if sub.field is not QQ:
+        return sub.basis.apply(x)
+    terms = [Fraction(a) / den for a, (den, _) in zip(x, sub.columns)]
+    D = math.lcm(1, *(t.denominator for t in terms))
+    acc = [0] * sub.ambient
+    for t, (_, vec) in zip(terms, sub.columns):
+        c = t.numerator * (D // t.denominator)
+        if c:
+            for k, v in vec.items():
+                acc[k] += c * v
+    return tuple(Fraction(a, D) for a in acc)
+
+
 def reference_eps_split(sub):
     """The eps parts as the span of the basis applied to each kernel column."""
-    B = sub.basis
     cols = []
     for v in sub.vectors():
         image = v.eps()
         image = image.tilde_coords() if sub.extended else image.coords()
         x = [image[p] for p in sub.pivot_rows]
-        assert B.apply(x) == image
+        assert basis_apply(sub, x) == image
         cols.append(x)
     emat = DenseMatrix.from_columns(sub.field, cols, nrows=sub.dim)
     out = []
@@ -606,9 +621,44 @@ def reference_eps_split(sub):
             [x - target * (i == j) for j, x in enumerate(row)] for i, row in enumerate(emat.rows)],
             ncols=sub.dim))
         out.append(reference_span(sub.space, sub.w, sub.extended,
-                                  [B.apply(ker.column(j)) for j in range(ker.ncols)],
+                                  [basis_apply(sub, ker.column(j)) for j in range(ker.ncols)],
                                   field=sub.field))
     return out
+
+
+# W+ and W- from one elimination each, against the eps split of W
+SIGNED_GRID = ([(GAMMA0, N, k) for N in range(1, 61) for k in (2, 4, 6)]
+               + [(GAMMA1, N, k) for N in range(5, 17) for k in (2, 3)])
+
+
+class TestSignedBuild:
+    @pytest.mark.parametrize("kind,N,k", SIGNED_GRID)
+    def test_equals_eps_split_and_reference(self, kind, N, k):
+        space = build_coset_space(kind, N, k)
+        w = k - 2
+        W = build_W(space, w)
+        parts = [build_W(space, w, sign) for sign in (1, -1)]
+        assert [p.columns for p in parts] == [p.columns for p in eps_split(W)]
+        assert [p.basis for p in parts] == reference_eps_split(W)
+        assert w_dimensions(space, w) == (W.dim, parts[0].dim, parts[1].dim)
+
+    @pytest.mark.parametrize("kind,N,k", [(GAMMA0, 1, 3), (GAMMA0, 5, 5),
+                                          (GAMMA0, 12, 7), (GAMMA1, 2, 3),
+                                          (GAMMA1, 1, 5)])
+    def test_degenerate_spaces(self, kind, N, k):
+        space = build_coset_space(kind, N, k)
+        assert space.degenerate
+        W = build_W(space, k - 2)
+        for sign, part in zip((1, -1), eps_split(W)):
+            signed = build_W(space, k - 2, sign)
+            assert signed.dim == part.dim == 0 and signed.columns == part.columns == []
+        assert w_dimensions(space, k - 2) == (0, 0, 0)
+
+    @pytest.mark.parametrize("sign", [2, -2, 0.5, 1.0, True, "1", None])
+    def test_sign_outside_the_three_is_refused(self, sign):
+        for space in (build_coset_space(GAMMA0, 5, 4), build_coset_space(GAMMA0, 5, 5)):
+            with pytest.raises(PolySpaceError, match="sign"):
+                build_W(space, space.k - 2, sign)
 
 
 def reference_chi_component(sub, chi):
