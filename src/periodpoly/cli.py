@@ -46,6 +46,13 @@ MAX_N = 2000
 # coefficients and sums that many terms per L-value: 2000 terms take about
 # 0.5 s, 4000 about 0.8 s, and the cost grows faster than linearly beyond.
 MAX_TERMS = 4000
+# Largest --weight.  The relation systems grow with the weight and the index
+# together: dims takes 0.02 s at level 1 and weight 40, 0.16 s at 80, 1.1 s
+# at 160 and 2.5 s at 200 (about w^3.5), and at level 11 (index 12) 0.84 s at
+# weight 40 and 11 s at 80 (one process under -O).  --max-index bounds the
+# index; this bounds the weight, far above the weights of the paper's
+# examples (at most 14).
+MAX_WEIGHT = 100
 
 
 class CliError(Exception):
@@ -349,97 +356,119 @@ class _Parser(argparse.ArgumentParser):
         raise CliError("%s: %s" % (self.prog, message), EXIT_USAGE)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
-        prog="periodpoly",
-        description="Period polynomials of modular forms: spaces, pairings, "
-                    "Hecke action, L-values and Petersson norms.")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _add_max_index(p):
+    p.add_argument("--max-index", type=int, default=MAX_INDEX,
+                   help="refuse (exit 2) a coset space of larger index; "
+                        "default %d" % MAX_INDEX)
 
-    def max_index(p):
-        p.add_argument("--max-index", type=int, default=MAX_INDEX,
-                       help="refuse (exit 2) a coset space of larger index; "
-                            "default %d" % MAX_INDEX)
 
-    def max_n(p):
-        p.add_argument("--max-n", type=int, default=MAX_N,
-                       help="refuse (exit 2) an --n or --eigen prime above this; "
-                            "default %d" % MAX_N)
+def _add_max_n(p):
+    p.add_argument("--max-n", type=int, default=MAX_N,
+                   help="refuse (exit 2) an --n or --eigen prime above this; "
+                        "default %d" % MAX_N)
 
-    def common_space(p):
-        p.add_argument("--group", default=GAMMA0, choices=[GAMMA0, GAMMA1])
-        p.add_argument("--level", type=int, required=True)
-        p.add_argument("--weight", type=int, required=True)
-        max_index(p)
 
-    p = sub.add_parser("dims", help="dimensions of W, W+-, C, D, Wtilde")
-    common_space(p)
-    p.set_defaults(func=cmd_dims)
+def _add_space(p):
+    p.add_argument("--group", default=GAMMA0, choices=[GAMMA0, GAMMA1])
+    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--weight", type=int, required=True)
+    _add_max_index(p)
 
-    p = sub.add_parser("cusps", help="cusp classes with widths and regularity")
-    common_space(p)
-    p.set_defaults(func=cmd_cusps)
 
-    p = sub.add_parser("hecke-element", help="Merel's universal T~_n, verified")
+def _add_hecke_element(p):
     p.add_argument("--n", type=int, required=True)
-    max_n(p)
-    p.set_defaults(func=cmd_hecke_element)
+    _add_max_n(p)
 
-    p = sub.add_parser("hecke-matrix", help="exact matrix of T~_n on a space")
-    common_space(p)
+
+def _add_hecke_matrix(p):
+    _add_space(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--space", default="W",
                    choices=["W", "Wplus", "Wminus", "C", "Wtilde"])
     p.add_argument("--sigma", default="delta", choices=["delta", "delta-vee", "theta"])
-    max_n(p)
-    p.set_defaults(func=cmd_hecke_matrix)
+    _add_max_n(p)
 
-    p = sub.add_parser("eigenpoly", help="rational common eigenvector extraction")
-    common_space(p)
+
+def _add_eigenpoly(p):
+    _add_space(p)
     p.add_argument("--parity", choices=["plus", "minus"], required=True)
     p.add_argument("--eigen", action="append", metavar="p:lambda",
                    help="eigenvalue constraints; repeatable")
     p.add_argument("-o", "--output", default=None)
-    max_n(p)
-    p.set_defaults(func=cmd_eigenpoly)
+    _add_max_n(p)
 
-    p = sub.add_parser("lvalue", help="completed L-value Lambda(s, f)")
+
+def _add_lvalue(p):
     p.add_argument("--form", required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--terms", type=int, default=200)
-    p.set_defaults(func=cmd_lvalue)
 
-    p = sub.add_parser("petersson", help="Petersson norm via Haberland")
+
+def _add_petersson(p):
     p.add_argument("--form", required=True)
     p.add_argument("--eigen", action="append", metavar="p:lambda")
     p.add_argument("--terms", type=int, default=200)
-    max_index(p)
-    max_n(p)
-    p.set_defaults(func=cmd_petersson)
+    _add_max_index(p)
+    _add_max_n(p)
 
-    p = sub.add_parser("eigenvalue", help="Hecke eigenvalue from the even polynomial")
+
+def _add_eigenvalue(p):
     p.add_argument("--form", default=None)
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--weight", type=int, default=None)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eigen", action="append", metavar="p:lambda")
-    max_index(p)
-    max_n(p)
-    p.set_defaults(func=cmd_eigenvalue)
+    _add_max_index(p)
+    _add_max_n(p)
 
-    p = sub.add_parser("verify", help="run the module invariant suites")
+
+def _add_verify(p):
     p.add_argument("--only", action="append", metavar="SUBSTRING")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("gamma02-relations", help="extra relations on Gamma0(2)")
+
+def _add_gamma02_relations(p):
     p.add_argument("--weight", type=int, default=8)
     p.add_argument("--form", default=None)
     p.add_argument("--terms", type=int, default=200,
                    help="L-series terms; at most %d" % MAX_TERMS)
-    p.set_defaults(func=cmd_gamma02_relations)
 
-    p = sub.add_parser("gamma06-demo", help="Eisenstein period checks")
-    p.set_defaults(func=cmd_gamma06_demo)
+
+# subcommand -> (help, handler, adds its arguments), in the order of --help
+_COMMANDS = {
+    "dims": ("dimensions of W, W+-, C, D, Wtilde", cmd_dims, _add_space),
+    "cusps": ("cusp classes with widths and regularity", cmd_cusps, _add_space),
+    "hecke-element": ("Merel's universal T~_n, verified", cmd_hecke_element,
+                      _add_hecke_element),
+    "hecke-matrix": ("exact matrix of T~_n on a space", cmd_hecke_matrix,
+                     _add_hecke_matrix),
+    "eigenpoly": ("rational common eigenvector extraction", cmd_eigenpoly,
+                  _add_eigenpoly),
+    "lvalue": ("completed L-value Lambda(s, f)", cmd_lvalue, _add_lvalue),
+    "petersson": ("Petersson norm via Haberland", cmd_petersson, _add_petersson),
+    "eigenvalue": ("Hecke eigenvalue from the even polynomial", cmd_eigenvalue,
+                   _add_eigenvalue),
+    "verify": ("run the module invariant suites", cmd_verify, _add_verify),
+    "gamma02-relations": ("extra relations on Gamma0(2)", cmd_gamma02_relations,
+                          _add_gamma02_relations),
+    "gamma06-demo": ("Eisenstein period checks", cmd_gamma06_demo, None),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone: that one
+    parses its own arguments, usage errors and help exactly as the full
+    parser does."""
+    ap = _Parser(
+        prog="periodpoly",
+        description="Period polynomials of modular forms: spaces, pairings, "
+                    "Hecke action, L-values and Petersson norms.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, add_arguments) in _COMMANDS.items():
+        if command is None or name == command:
+            p = sub.add_parser(name, help=help_text)
+            if add_arguments:
+                add_arguments(p)
+            p.set_defaults(func=func)
     return ap
 
 
@@ -450,6 +479,10 @@ def _check_args(args):
         if value is not None and value < low:
             raise CliError("--%s must be >= %d, got %d"
                            % (name.replace("_", "-"), low, value), EXIT_USAGE)
+    weight = getattr(args, "weight", None)
+    if weight is not None and weight > MAX_WEIGHT:
+        raise CliError("--weight %d is above %d, the largest weight built"
+                       % (weight, MAX_WEIGHT), EXIT_USAGE)
     # every T~_n a command builds, refused before any Merel family is built
     max_n = getattr(args, "max_n", None)
     if max_n is not None:
@@ -462,11 +495,21 @@ def _check_args(args):
                                EXIT_USAGE)
 
 
+def _named_command(argv):
+    """The subcommand argv names, or None where the full parser must answer:
+    no command, an unknown one, or a help request."""
+    if not argv or argv[0] not in _COMMANDS or "-h" in argv or "--help" in argv:
+        return None
+    return argv[0]
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
+    if argv is None:
+        argv = sys.argv[1:]
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = build_parser(_named_command(argv)).parse_args(argv)
         except SystemExit:  # --help, after printing the help text
             return EXIT_OK
         _check_args(args)

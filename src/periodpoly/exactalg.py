@@ -809,7 +809,10 @@ def column_entries(field, den: int, vec: dict, n: int) -> list:
 
 
 def clear_denominators(values: Sequence):
-    """(integers, D) with values = integers / D; None unless all rational."""
+    """(integers, D) with values = integers / D; None unless all rational.
+    Values that are all ints come back as they are, over D = 1."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
     D = 1
     for v in values:
         if not isinstance(v, (int, Fraction)):

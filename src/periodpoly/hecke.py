@@ -46,7 +46,12 @@ class EigenspaceError(HeckeError):
 # the group ring Q[M_n / {+-1}]
 
 class GroupRingElement:
-    """Finite rational combination of determinant-n matrices mod +-1."""
+    """Finite rational combination of determinant-n matrices mod +-1.
+
+    Coefficients are ints or Fractions.  ``__init__`` and the arithmetic
+    normalize to Fractions; ``from_canonical`` keeps them as given, so an
+    integer element such as Merel's reaches its consumers in integers.
+    """
 
     __slots__ = ("n", "coeffs")
 
@@ -66,7 +71,8 @@ class GroupRingElement:
 
     @classmethod
     def from_canonical(cls, n: int, coeffs: dict) -> "GroupRingElement":
-        """An element from pm-canonical keys and nonzero Fractions.
+        """An element from pm-canonical keys and nonzero int or Fraction
+        coefficients, kept as given.
 
         In place of the per-term normalization of ``__init__``, one integer
         check per key: determinant n and pm-canonical form.
@@ -184,10 +190,17 @@ def hecke_identity(cand: GroupRingElement, n: int) -> tuple:
     into left <+-T> orbits.  A key lies at T^s R, where R is the orbit
     representative with 0 <= a < c (c > 0) or 0 <= b < d (c = 0), and s is
     a // c or b // d.  Returns (False, R, den) for the least R whose orbit
-    sum is nonzero.  Otherwise the telescoping witness Y, with Y(T^t R) the
-    sum of the coefficients of delta at T^j R for j <= t, is rechecked
-    exactly: (1 - T) Y = delta and every support matrix has determinant n.
-    Returns (True, den Y, den), den Y as a dict of integers on 4-tuples.
+    sum is nonzero.
+
+    Otherwise the telescoping witness Y, with Y(T^t R) the sum of the
+    coefficients of delta at T^j R for j <= t, is constant between
+    consecutive shifts of delta: den Y is held as runs (R, j, nxt, v), den
+    Y = v at T^t R for j <= t < nxt.  Each run with j < nxt contributes
+    v (T^j R - T^nxt R) to (1 - T) Y, and that sum is rechecked exactly
+    against delta; a run with j >= nxt stands for no finite sum, so it
+    fails the recheck too.  Every support matrix T^t R has the determinant
+    of R, checked once per R.  Returns (True, runs, den); ``witness_terms``
+    expands the runs.
     """
     if cand.n != n:
         raise HeckeError("candidate has determinant %d, expected %d" % (cand.n, n))
@@ -203,34 +216,60 @@ def hecke_identity(cand: GroupRingElement, n: int) -> tuple:
         delta[a, b, c, d] = get((a, b, c, d), 0) - v
         key = (-c, -d, a, b) if a > 0 or (a == 0 and b > 0) else (c, d, -a, -b)
         delta[key] = get(key, 0) + v
-    delta = {m: v for m, v in delta.items() if v}
     orbits: dict = {}
+    get = orbits.get
     for (a, b, c, d), v in delta.items():
-        s = a // c if c else b // d
-        orbits.setdefault((a - s * c, b - s * d, c, d), {})[s] = v
-    bad = [rep for rep, terms in orbits.items() if sum(terms.values())]
-    if bad:
-        return False, min(bad), den
-    y: dict = {}
-    for (a, b, c, d), terms in orbits.items():
-        js = sorted(terms)
+        if v:
+            s = a // c if c else b // d
+            rep = (a - s * c, b - s * d, c, d)
+            terms = get(rep)
+            if terms is None:
+                orbits[rep] = [(s, v)]
+            else:
+                terms.append((s, v))
+    runs, bad = [], []
+    for rep, terms in orbits.items():
+        terms = sorted(terms)
         acc = 0
-        for j, nxt in zip(js, js[1:]):
-            acc += terms[j]
+        for (j, v), (nxt, _) in zip(terms, terms[1:]):
+            acc += v
             if acc:
-                for t in range(j, nxt):
-                    y[a + t * c, b + t * d, c, d] = acc
-    recheck: dict = {}
-    get = recheck.get
-    for m, v in y.items():
-        a, b, c, d = m
+                runs.append((rep, j, nxt, acc))
+        if acc + terms[-1][1]:
+            bad.append(rep)
+        a, b, c, d = rep
         if a * d - b * c != n:
             raise HeckeError("witness matrix with determinant %d != %d" % (a * d - b * c, n))
-        recheck[m] = get(m, 0) + v
-        recheck[a + c, b + d, c, d] = get((a + c, b + d, c, d), 0) - v
-    if {m: v for m, v in recheck.items() if v} != delta:
+    if bad:
+        return False, min(bad), den
+    # the recheck: delta - (1 - T) Y, from the ends of the runs, must vanish
+    get = delta.get
+    for (a, b, c, d), j, nxt, v in runs:
+        if j >= nxt:
+            raise HeckeError("telescoping witness failed its own recheck")
+        key = (a + j * c, b + j * d, c, d)
+        delta[key] = get(key, 0) - v
+        key = (a + nxt * c, b + nxt * d, c, d)
+        delta[key] = get(key, 0) + v
+    if any(delta.values()):
         raise HeckeError("telescoping witness failed its own recheck")
-    return True, y, den
+    return True, runs, den
+
+
+def witness_terms(runs: Sequence[tuple]) -> dict:
+    """den Y term by term, {(a, b, c, d): int}, from the runs of ``hecke_identity``.
+
+    Runs are summed where they meet, so the expansion is the element the
+    recheck verified whatever the runs are; those of ``hecke_identity`` meet
+    nowhere.
+    """
+    y: dict = {}
+    get = y.get
+    for (a, b, c, d), j, nxt, v in runs:
+        for t in range(j, nxt):
+            key = (a + t * c, b + t * d, c, d)
+            y[key] = get(key, 0) + v
+    return y
 
 
 def verify_hecke_property(cand: GroupRingElement, n: int):
@@ -245,9 +284,10 @@ def verify_hecke_property(cand: GroupRingElement, n: int):
     return True, witness_element(n, y, den)
 
 
-def witness_element(n: int, y: dict, den: int) -> GroupRingElement:
-    """The witness Y of ``hecke_identity`` from its integer result den Y."""
-    return GroupRingElement(n, {Mat2(*m): Fraction(v, den) for m, v in y.items()})
+def witness_element(n: int, runs: Sequence[tuple], den: int) -> GroupRingElement:
+    """The witness Y of ``hecke_identity`` from its runs of den Y."""
+    return GroupRingElement(n, {Mat2(*m): Fraction(v, den)
+                                for m, v in witness_terms(runs).items()})
 
 
 # ----------------------------------------------------------------------
@@ -403,18 +443,17 @@ def merel_family(n: int) -> list:
 
 def verified_hecke_element(n: int) -> tuple:
     """Merel's universal element, the adjoints of ``merel_family(n)``, with
-    the integer witness of its one ``hecke_identity`` check: (T~_n, den Y,
+    the witness of its one ``hecke_identity`` check: (T~_n, runs of den Y,
     den).
 
     The adjoint (d -b; -c a) of a member is written pm-canonical at once:
     (-d b; c -a) for c > 0 and (d -b; 0 a) for c = 0.  The members are
-    distinct, so are their adjoints, and each has coefficient 1.  Merel
-    (1994) proves the identity for this family, so a failed check is a bug
-    and raises HeckeError.
+    distinct, so are their adjoints, and each has the int coefficient 1, so
+    den is 1.  Merel (1994) proves the identity for this family, so a failed
+    check is a bug and raises HeckeError.
     """
-    one = Fraction(1)
     cand = GroupRingElement.from_canonical(
-        n, {Mat2(-d, b, c, -a) if c else Mat2(d, -b, 0, a): one
+        n, {Mat2(-d, b, c, -a) if c else Mat2(d, -b, 0, a): 1
             for a, b, c, d in merel_family(n)})
     ok, y, den = hecke_identity(cand, n)
     if not ok:
@@ -581,16 +620,13 @@ class HeckeOperator:
     def __init__(self, space: CosetSpace, w: int, t: GroupRingElement,
                  spec: SigmaSpec, extended: bool = False):
         self.space, self.w, self.extended = space, w, extended
-        den = 1
-        for c in t.coeffs.values():
-            den = math.lcm(den, c.denominator)
+        ints, den = clear_denominators(list(t.coeffs.values()))
         n = w + 3 if extended else w + 1
         # target -> {source: block}, each block held as its columns X^j | M
         folded = [{} for _ in range(space.size)]
         # (target, pole) -> {source coordinate: residue}
         residues = {}
-        for M, coeff in t.items():
-            c = int(coeff * den)
+        for M, c in zip(t.coeffs, ints):
             cols = None
             for l in range(space.size):
                 hit = resolve_sigma_coset(space, l, M, spec)

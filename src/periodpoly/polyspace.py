@@ -705,12 +705,18 @@ def _w_relation_rows(space: CosetSpace, w: int) -> list:
 
 
 def _eps_rows(space: CosetSpace, w: int, sign: int) -> list:
-    """Sparse rows of P|eps = sign P, one per coordinate (some empty)."""
+    """Sparse rows of P|eps = sign P, one per pair {m, eps(m)}.
+
+    (P|eps)[m] = s P[k] with k = eps(m), and eps is an involution, so the
+    row at k is -sign s times the row at m: only m < k is kept.  Where eps
+    fixes m the row is (s - sign) P[m], kept only when it is not empty.
+    """
     rows = []
     for m, (k, s) in enumerate(eps_coordinates(space, w, False)):
-        row = {m: -sign}
-        row[k] = row.get(k, 0) + s
-        rows.append({c: v for c, v in row.items() if v})
+        if m < k:
+            rows.append({m: -sign, k: s})
+        elif m == k and s != sign:
+            rows.append({m: s - sign})
     return rows
 
 

@@ -163,12 +163,17 @@ def check_radical_and_duality():
 
 
 def check_hecke_defining_identity():
+    """The run-length witness of ``hecke_identity``, expanded, multiplied
+    out term by term: (1 - T) Y = T_n^inf (1 - S) - (1 - S) T~_n, for the
+    solved and for Merel's element."""
     for n in range(1, 13):
-        el = solve_universal_hecke(n, n)
-        ok, y = verify_hecke_property(el, n)
-        check(ok, "solved T~_%d fails the defining identity" % n)
-        delta = gre_mul(tn_infinity(n), ONE_MINUS_S) - gre_mul(ONE_MINUS_S, el)
-        check(gre_mul(ONE_MINUS_T, y) == delta, "telescoping witness fails at n = %d" % n)
+        for name, el in (("solved", solve_universal_hecke(n, n)),
+                         ("Merel's", universal_hecke_element(n))):
+            ok, y = verify_hecke_property(el, n)
+            check(ok, "%s T~_%d fails the defining identity" % (name, n))
+            delta = gre_mul(tn_infinity(n), ONE_MINUS_S) - gre_mul(ONE_MINUS_S, el)
+            check(gre_mul(ONE_MINUS_T, y) == delta,
+                  "telescoping witness of %s T~_%d fails" % (name, n))
 
 
 def check_orbit_criterion_soundness():

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -492,6 +493,10 @@ FORM2 = object()  # and one of weight 2
     ["hecke-matrix", "--level", "11", "--weight", "2", "--n", "2", "--space", "V"],
     ["frobnicate"],
     ["dims", "--level", "11", "--weight", "2", "--frobnicate"],
+    ["dims", "--level", "1", "--weight", str(cli.MAX_WEIGHT + 1)],
+    ["dims", "--level", "1", "--weight", "400"],
+    ["hecke-matrix", "--level", "11", "--weight", "300", "--n", "2"],
+    ["eigenpoly", "--level", "11", "--weight", "102", "--parity", "plus"],
 ])
 def test_bad_input_is_one_line_usage_error(argv, form5_path, form11_path, capsys):
     forms = {FORM: form5_path, FORM2: form11_path}
@@ -505,6 +510,54 @@ def test_gamma02_terms_at_the_bound_run():
     code, text = run_cli(["gamma02-relations", "--weight", "8", "--terms",
                           str(cli.MAX_TERMS)])
     assert code == cli.EXIT_OK and json.loads(text)["relations"]
+
+
+def test_weight_at_the_bound_runs():
+    code, text = run_cli(["dims", "--level", "1", "--weight", str(cli.MAX_WEIGHT)])
+    assert code == cli.EXIT_OK and json.loads(text)["weight"] == cli.MAX_WEIGHT
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["dims", "--level", "11", "--weight", "2"], "dims"),
+    (["gamma06-demo", "--x"], "gamma06-demo"),
+    ([], None),
+    (["frobnicate"], None),
+    (["--level", "11"], None),
+    (["--help"], None),
+    (["dims", "--help"], None),
+    (["hecke-matrix", "-h"], None),
+])
+def test_parser_is_built_for_the_named_command_only(argv, command, monkeypatch, capsys):
+    built = []
+
+    def record(name=None):
+        built.append(name)
+        raise cli.CliError("stop", cli.EXIT_USAGE)
+    monkeypatch.setattr(cli, "build_parser", record)
+    assert run_cli(argv)[0] == cli.EXIT_USAGE and built == [command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims"],
+    ["dims", "--level", "x", "--weight", "2"],
+    ["cusps", "--lev", "11", "--weight", "2"],
+    ["hecke-matrix", "--level", "11", "--weight", "2", "--n", "2", "--space", "V"],
+    ["dims", "--level", "11", "--weight", "2", "--frobnicate"],
+    ["gamma06-demo", "--x"],
+    ["eigenvalue"],
+])
+def test_named_parser_reports_what_the_full_parser_does(argv, monkeypatch, capsys):
+    named = run_cli(argv), capsys.readouterr()
+    monkeypatch.setattr(cli, "_named_command", lambda argv: None)
+    assert (run_cli(argv), capsys.readouterr()) == named
+
+
+def test_named_parser_holds_one_subcommand():
+    def commands(ap):
+        return [list(a.choices) for a in ap._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    assert commands(cli.build_parser("eigenvalue")) == [["eigenvalue"]]
+    assert commands(cli.build_parser()) == [list(cli._COMMANDS)]
 
 
 def test_gamma02_weight_error_names_the_weights(capsys):

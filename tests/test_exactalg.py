@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from periodpoly.exactalg import (ApproxComplex, Cyclotomic, CyclotomicField,
                                  DenseMatrix, ExactAlgebraError, QQ, bernoulli,
-                                 column_entries, cyclotomic_polynomial,
+                                 clear_denominators, column_entries,
+                                 cyclotomic_polynomial,
                                  eigen_kernel, kernel_basis, poly_divmod,
                                  poly_mul, reduced_column_basis,
                                  rows_to_int_sparse, scalar_from_str,
@@ -497,6 +498,21 @@ class TestScalarSerialization:
     @given(x=st.one_of(st.integers(), st.fractions()))
     def test_fast_paths_on_ints_and_fractions(self, x):
         assert scalar_to_str(x) == self.via_fraction(x)
+
+
+class TestClearDenominators:
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(values=st.lists(st.one_of(st.integers(), st.fractions()), max_size=8))
+    def test_int_fast_path_matches_the_fraction_route(self, values):
+        ints, den = clear_denominators(values)
+        assert (ints, den) == clear_denominators([Fraction(v) for v in values])
+        assert all(type(v) is int for v in ints)
+        if all(type(v) is int for v in values):
+            assert ints == values and ints is not values and den == 1
+
+    def test_non_rational_is_refused(self):
+        assert clear_denominators([1, 2.5]) is None
+        assert clear_denominators([Fraction(1, 2), "3"]) is None
 
 
 class TestApproxComplex:

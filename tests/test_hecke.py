@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from periodpoly import hecke
-from periodpoly.exactalg import (DenseMatrix, PeriodPolyError, QQ, eigen_kernel,
-                                 kernel_columns, poly_divmod, poly_mul, poly_sub,
-                                 poly_trim, rows_to_int_sparse)
+from periodpoly.exactalg import (DenseMatrix, PeriodPolyError, QQ, clear_denominators,
+                                 eigen_kernel, kernel_columns, poly_divmod, poly_mul,
+                                 poly_sub, poly_trim, rows_to_int_sparse)
 from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, MAT_TINV,
                                MAT_U, MAT_U2, Mat2, build_coset_space,
                                dirichlet_characters)
@@ -28,7 +28,7 @@ from periodpoly.hecke import (EigenspaceError, GroupRingElement, HeckeError,
                               hecke_matrix, merel_family, resolve_sigma_coset,
                               solve_universal_hecke, theta_spec, tn_infinity,
                               torbit_canonical, universal_hecke_element,
-                              verify_hecke_property)
+                              verify_hecke_property, witness_terms)
 from periodpoly.analytic import manin_coefficient
 
 from dense_reference import reference_resolve_sigma_coset
@@ -214,6 +214,58 @@ def reference_verify_hecke_property(cand, n):
     return True, y
 
 
+def reference_hecke_identity(cand, n):
+    """The defining identity checked in integers with the witness den Y
+    expanded term by term and multiplied out: (True, {4-tuple: int}, den)
+    or (False, least bad orbit representative, den)."""
+    if cand.n != n:
+        raise HeckeError("candidate has determinant %d, expected %d" % (cand.n, n))
+    ints, den = clear_denominators([Fraction(c) for c in cand.coeffs.values()])
+    delta = {}
+    get = delta.get
+    for a, b, _, d in tn_infinity(n).coeffs:
+        delta[a, b, 0, d] = get((a, b, 0, d), 0) + den
+        delta[b, -a, d, 0] = get((b, -a, d, 0), 0) - den
+    for (a, b, c, d), v in zip(cand.coeffs, ints):
+        delta[a, b, c, d] = get((a, b, c, d), 0) - v
+        key = (-c, -d, a, b) if a > 0 or (a == 0 and b > 0) else (c, d, -a, -b)
+        delta[key] = get(key, 0) + v
+    delta = {m: v for m, v in delta.items() if v}
+    orbits = {}
+    for (a, b, c, d), v in delta.items():
+        s = a // c if c else b // d
+        orbits.setdefault((a - s * c, b - s * d, c, d), {})[s] = v
+    bad = [rep for rep, terms in orbits.items() if sum(terms.values())]
+    if bad:
+        return False, min(bad), den
+    y = {}
+    for (a, b, c, d), terms in orbits.items():
+        js = sorted(terms)
+        acc = 0
+        for j, nxt in zip(js, js[1:]):
+            acc += terms[j]
+            if acc:
+                for t in range(j, nxt):
+                    y[a + t * c, b + t * d, c, d] = acc
+    recheck = {}
+    get = recheck.get
+    for m, v in y.items():
+        a, b, c, d = m
+        if a * d - b * c != n:
+            raise HeckeError("witness matrix with determinant %d != %d" % (a * d - b * c, n))
+        recheck[m] = get(m, 0) + v
+        recheck[a + c, b + d, c, d] = get((a + c, b + d, c, d), 0) - v
+    if {m: v for m, v in recheck.items() if v} != delta:
+        raise HeckeError("telescoping witness failed its own recheck")
+    return True, y, den
+
+
+def expanded_hecke_identity(cand, n):
+    """``hecke_identity`` with its runs expanded by ``witness_terms``."""
+    ok, y, den = hecke_identity(cand, n)
+    return (ok, witness_terms(y) if ok else y, den)
+
+
 def reference_manin_coefficient(P_plus, t, xy):
     """The Manin sum in per-entry Fractions: c_M s P+(-c_M, a_M)|M(0) for
     weight > 2, c_M P+ at the label of (x, y) M for weight 2."""
@@ -259,7 +311,8 @@ class TestIntegerGroupRing:
         el = universal_hecke_element(n)
         ref = GroupRingElement(n, {m.vee(): 1 for m in reference_merel_family(n)})
         assert el == ref and el.support() == ref.support()
-        assert all(type(m) is Mat2 and type(c) is Fraction for m, c in el.coeffs.items())
+        assert all(type(m) is Mat2 and type(c) is int and c == 1
+                   for m, c in el.coeffs.items())
 
     @pytest.mark.parametrize("n", EIGEN_SWEEP_PRIMES)
     def test_hecke_identity_at_eigen_sweep_primes(self, n):
@@ -267,8 +320,8 @@ class TestIntegerGroupRing:
         got = verify_hecke_property(el, n)
         assert got[0] and got == reference_verify_hecke_property(el, n)
         ok, y, den = hecke_identity(el, n)
-        assert ok and den == 1 and got[1] == GroupRingElement(n, {Mat2(*m): v
-                                                                  for m, v in y.items()})
+        assert ok and den == 1 and got[1] == GroupRingElement(
+            n, {Mat2(*m): v for m, v in witness_terms(y).items()})
 
     @pytest.mark.parametrize("n", [61, 97, 151])
     def test_refuted_merel_elements_match_reference(self, n):
@@ -282,6 +335,34 @@ class TestIntegerGroupRing:
             assert not ok and type(rep) is Mat2
             assert (ok, rep) == reference_verify_hecke_property(bad, n)
             assert hecke_identity(bad, n) == (False, tuple(rep), den)
+
+    @pytest.mark.parametrize("n", list(range(1, 61)) + EIGEN_SWEEP_PRIMES + [1009])
+    def test_run_length_witness_matches_expanded_reference(self, n):
+        """Verdict, den and the expanded witness of Merel's element, and of
+        the dropped and scaled mutants, equal the term-by-term reference."""
+        el = universal_hecke_element(n)
+        got = expanded_hecke_identity(el, n)
+        assert got[0] and got == reference_hecke_identity(el, n)
+        support = el.support()
+        dropped = GroupRingElement(n, {m: c for m, c in el.coeffs.items()
+                                       if m != support[len(support) // 2]})
+        scaled = GroupRingElement(n, {**el.coeffs, support[0]: Fraction(3, 7)})
+        for bad in (dropped, scaled):
+            got = hecke_identity(bad, n)
+            assert not got[0] and got == reference_hecke_identity(bad, n)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_run_length_witness_of_scaled_solver_elements(self, n):
+        """Scaled by q != 1 a solution fails; an affine combination of the
+        two solver variants with weights 3/7 and 4/7 verifies over den 7."""
+        sol = solve_universal_hecke(n, n)
+        mix = sol.scale(Fraction(3, 7)) + solve_universal_hecke(n, n, 1).scale(Fraction(4, 7))
+        for q in (Fraction(1), Fraction(3, 7), Fraction(-5, 2)):
+            cand = sol.scale(q)
+            got = expanded_hecke_identity(cand, n)
+            assert got == reference_hecke_identity(cand, n) and got[0] == (q == 1)
+        got = expanded_hecke_identity(mix, n)
+        assert got[0] and got == reference_hecke_identity(mix, n)
 
     def test_from_canonical_checks_every_key(self):
         el = GroupRingElement.from_canonical(2, {Mat2(1, 0, 1, 2): Fraction(1)})

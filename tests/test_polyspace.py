@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from periodpoly.exactalg import (CheckFailed, DenseMatrix, QQ, column_entries,
-                                 kernel_columns)
+                                 kernel_columns, sparse_int_pivots)
 from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, MAT_TINV,
                                MAT_U, MAT_U2, Mat2, build_coset_space,
                                cusp_classes, dirichlet_characters,
@@ -17,9 +17,9 @@ from periodpoly.polyspace import (ExtPolyVector, PolySpaceError, PolyVector,
                                   decompose_extended, eps_split, pair_braces,
                                   pair_induced, pair_vw, slash_poly,
                                   w_dimensions, wtilde_dimension,
-                                  _coboundary_and_D_vectors, _tail_families,
+                                  _coboundary_and_D_vectors, _eps_rows, _tail_families,
                                   _w_relation_rows, _wtilde_label_rows,
-                                  _wtilde_relation_rows)
+                                  _wtilde_relation_rows, eps_coordinates)
 
 from periodpoly import polyspace
 from dense_reference import reference_column_basis, reference_kernel_basis
@@ -208,6 +208,27 @@ class TestBuildW:
             W = build_W(sp, k - 2)
             plus, minus = eps_split(W)
             assert w_dimensions(sp, k - 2) == (W.dim, plus.dim, minus.dim)
+
+    @pytest.mark.parametrize("kind, N, k", [(GAMMA0, 37, 4), (GAMMA0, 100, 6),
+                                            (GAMMA0, 389, 2), (GAMMA1, 13, 3),
+                                            (GAMMA0, 1, 12)])
+    def test_eps_rows_one_per_pair_span_every_coordinate_row(self, kind, N, k):
+        """One nonempty row per pair {m, eps(m)}, spanning the same rows as
+        the relation P|eps = sign P written at every coordinate."""
+        space, w = build_coset_space(kind, N, k), k - 2
+        eps = eps_coordinates(space, w, False)
+        pairs = {frozenset((m, c)) for m, (c, _) in enumerate(eps)}
+        for sign in (1, -1):
+            full = []
+            for m, (c, s) in enumerate(eps):
+                row = {m: -sign}
+                row[c] = row.get(c, 0) + s
+                full.append({i: v for i, v in row.items() if v})
+            rows = _eps_rows(space, w, sign)
+            assert all(rows) and len(rows) == sum(
+                1 for p in pairs if len(p) == 2 or eps[min(p)][1] != sign)
+            assert (sparse_int_pivots(rows, reduce_fully=True)
+                    == sparse_int_pivots([r for r in full if r], reduce_fully=True))
 
 
 def reference_tail_families(space, w):
