@@ -116,7 +116,12 @@ def _matrix_doc(m) -> dict:
 
 
 def _coset_space(args, kind, N, k):
-    """build_coset_space, refused before anything is built above --max-index."""
+    """build_coset_space, refused before anything is built above --max-index.
+    The index of Gamma0(N) and of Gamma1(N) is at least N, so a level above
+    the bound is refused before N is factored."""
+    if N > args.max_index:
+        raise CliError("%s(%d) has index at least %d, above --max-index %d"
+                       % (kind, N, N, args.max_index), EXIT_USAGE)
     index = coset_index(kind, N)
     if index > args.max_index:
         raise CliError("%s(%d) has index %d, above --max-index %d"

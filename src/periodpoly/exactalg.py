@@ -83,25 +83,11 @@ def cyclotomic_polynomial(m: int) -> tuple:
     num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            num = _poly_exact_div_int(num, list(cyclotomic_polynomial(d)))
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
+            q, r = poly_divmod(num, cyclotomic_polynomial(d))
+            if any(r) or any(c.denominator != 1 for c in q):
+                raise ExactAlgebraError("non-exact polynomial division")
+            num = [c.numerator for c in q]
     return tuple(num)
-
-
-def _poly_exact_div_int(num: list, den: list) -> list:
-    num = num[:]
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ExactAlgebraError("non-exact polynomial division")
-        q[i] = c // den[-1]
-        for j, dj in enumerate(den):
-            num[i + j] -= q[i] * dj
-    if any(num):
-        raise ExactAlgebraError("non-exact polynomial division")
-    return q
 
 
 # ----------------------------------------------------------------------

@@ -196,14 +196,7 @@ class ExtPolyVector:
         self.poly = poly
         self.tails = tuple(tails)
         if check:
-            self._check_tails()
-
-    def _check_tails(self):
-        # c_A = c_(AT), i.e. c_l = s^w c_(l.T) in the label model
-        for l in range(self.space.size):
-            lt, s = self.space.signed_act(l, MAT_T, self.w)
-            if self.tails[l] != s * self.tails[lt]:
-                raise PolySpaceError("cusp constants not constant on T-orbits")
+            _check_ties(space, w, self.tilde_coords())
 
     @classmethod
     def from_poly(cls, P: PolyVector) -> "ExtPolyVector":
@@ -234,29 +227,24 @@ class ExtPolyVector:
             s * c[k] for k, s in eps_coordinates(self.space, self.w, True)], check=False)
 
     def tilde_coords(self) -> tuple:
-        """Coordinates over X^(-1), X^0, ..., X^(w+1) per label."""
-        out = []
-        w = self.w
-        for l in range(self.space.size):
-            l1, s1 = self.space.signed_act(l, MAT_SINV, w)
-            out.append((-1) ** w * s1 * self.tails[l1])
-            out.extend(self.poly.values[l])
-            out.append(self.tails[l])
+        """Coordinates over X^(-1), X^0, ..., X^(w+1) per label; the X^(-1)
+        coordinates are read off the tails by their ties (``_tilde_ties``)."""
+        out = [x for p, c in zip(self.poly.values, self.tails) for x in (0, *p, c)]
+        for kind, i, j, s in _tilde_ties(self.space, self.w):
+            if kind:
+                out[i] = s * out[j]
         return tuple(out)
 
     @classmethod
     def from_tilde_coords(cls, space: CosetSpace, w: int, coords: Sequence,
                           check: bool = True) -> "ExtPolyVector":
         n = w + 3
-        vals, tails = [], []
-        for l in range(space.size):
-            block = coords[l * n:(l + 1) * n]
-            vals.append(tuple(block[1:w + 2]))
-            tails.append(block[w + 2])
-        vec = cls(space, w, PolyVector(space, w, vals), tails, check=check)
-        if check and tuple(coords) != vec.tilde_coords():
-            raise PolySpaceError("X^(-1) coefficients inconsistent with tails")
-        return vec
+        if len(coords) != space.size * n:
+            raise PolySpaceError("one block of w + 3 coordinates per label required")
+        if check:
+            _check_ties(space, w, coords)
+        vals = [coords[l * n + 1:(l + 1) * n - 1] for l in range(space.size)]
+        return cls(space, w, PolyVector(space, w, vals), coords[n - 1::n], check=False)
 
     def to_json(self) -> dict:
         doc = self.poly.to_json()
@@ -291,25 +279,45 @@ def eps_coordinates(space: CosetSpace, w: int, extended: bool) -> list:
     return out
 
 
-def _check_tilde_columns(sub: "Subspace") -> None:
-    """The checks of ``ExtPolyVector.from_tilde_coords`` on the integer
-    columns of an extended subspace, on each zeta^t slice: tails constant
-    on T-orbits, c_l = s c_(l.T), and X^(-1) coordinates (-1)^w s1 c_(l.S^-1).
-    A tie between two coordinates is checked where a column meets it."""
-    space, w, d, n = sub.space, sub.w, sub.field.degree, sub.w + 3
-    ties: dict = {}  # coordinate -> ties (kind, i, j, s): coordinate i = s coordinate j
+# what a broken tie of each kind of ``_tilde_ties`` reports
+_TIE_ERRORS = ("cusp constants not constant on T-orbits",
+               "X^(-1) coefficients inconsistent with tails")
+
+
+def _tilde_ties(space: CosetSpace, w: int) -> list:
+    """The ties of the extended model's coordinates (``tilde_coords``) as
+    (kind, i, j, s), coordinate i = s coordinate j, kind 0 first: c_l =
+    s c_(l.T) (c_A = c_(AT)), and X^(-1) at l is (-1)^w s1 c_(l.S^(-1))."""
+    n = w + 3
+    ties = []
     for l in range(space.size):
         lt, s = space.signed_act(l, MAT_T, w)
+        ties.append((0, l * n + n - 1, lt * n + n - 1, s))
+    for l in range(space.size):
         l1, s1 = space.signed_act(l, MAT_SINV, w)
-        for tie in ((0, l * n + n - 1, lt * n + n - 1, s),
-                    (1, l * n, l1 * n + n - 1, (-1) ** w * s1)):
-            ties.setdefault(tie[1], []).append(tie)
-            ties.setdefault(tie[2], []).append(tie)
+        ties.append((1, l * n, l1 * n + n - 1, (-1) ** w * s1))
+    return ties
+
+
+def _check_ties(space: CosetSpace, w: int, coords: Sequence) -> None:
+    for kind, i, j, s in _tilde_ties(space, w):
+        if coords[i] != s * coords[j]:
+            raise PolySpaceError(_TIE_ERRORS[kind])
+
+
+def _check_tilde_columns(sub: "Subspace") -> None:
+    """The checks of ``ExtPolyVector.from_tilde_coords`` on the integer
+    columns of an extended subspace, on each zeta^t slice.  A tie between
+    two coordinates is checked where a column meets it."""
+    d = sub.field.degree
+    ties: dict = {}  # coordinate -> the ties that hold it
+    for tie in _tilde_ties(sub.space, sub.w):
+        ties.setdefault(tie[1], []).append(tie)
+        ties.setdefault(tie[2], []).append(tie)
     for _, vec in sub.columns:
         for kind, i, j, s in sorted({tie for k in vec for tie in ties.get(k // d, ())}):
             if any(vec.get(i * d + t, 0) != s * vec.get(j * d + t, 0) for t in range(d)):
-                raise PolySpaceError(("cusp constants not constant on T-orbits",
-                                      "X^(-1) coefficients inconsistent with tails")[kind])
+                raise PolySpaceError(_TIE_ERRORS[kind])
 
 
 def as_extended(P) -> ExtPolyVector:
@@ -675,33 +683,53 @@ def _orbit_rows(label_rows) -> list:
     return rows
 
 
-def _w_label_rows(space: CosetSpace, w: int):
+def _label_rows(space: CosetSpace, w: int, extended: bool):
     """Per label l, in label order: whether l is the least label of its
-    U-orbit, the rows of P|(1+S) = 0 at l and those of P|(1+U+U^2) = 0 at
-    l, one per coefficient."""
-    n = w + 1
-    # row i of the matrix of |g, as its nonzero (j, entry) pairs
-    sm = [[[(j, v) for j, v in enumerate(r) if v] for r in slash_matrix(g, w)]
-          for g in (MAT_S, MAT_U, MAT_U2)]
+    U-orbit, then the nonempty S rows and U rows of W, or of Wtilde when
+    ``extended``, at l.  A row is read off a table of terms (t, j, v), each
+    v s P[l'][j] for the t-th of the targets (l', s) = l, l S^(-1), l U^(-1),
+    l U^(-2), j counted from X^0, or from X^(-1) for Wtilde.  The S rows read
+    X^i|S = (-1)^(w-i) X^(w-i), the U rows of W the matrices of U and U^2.
+    For Wtilde P|(1+U+U^2) is cleared by X(X-1), the only denominators the
+    U-action produces: X^j, X^j|U and X^j|U^2 become X^j X(X-1),
+    (X-1)^(j+1) X^(w-j+1) and (-1)^j X (X-1)^(w-j+1), of degree <= w+3."""
+    low, n = (-1, w + 3) if extended else (0, w + 1)
+    s_table = [[(0, i - low, 1), (1, w - i - low, (-1) ** ((w - i) % 2))]
+               for i in range(low, w + 1 - low)]
+    if extended:
+        u_table = [[] for _ in range(w + 4)]
+        for t in (0, 2, 3):
+            for j in range(-1, w + 2):
+                p = ([0] * (j + 1) + [-1, 1] if t == 0 else
+                     poly_mul(_pow_linear(1, -1, j + 1), _pow_linear(1, 0, w - j + 1)) if t == 2
+                     else poly_mul([0, (-1) ** (j % 2)], _pow_linear(1, -1, w - j + 1)))
+                for deg, v in enumerate(p):
+                    if v:
+                        u_table[deg].append((t, j + 1, v))
+    else:
+        um = [(t, slash_matrix(g, w)) for t, g in ((2, MAT_U), (3, MAT_U2))]
+        u_table = [[(0, i, 1)] + [(t, j, v) for t, m in um for j, v in enumerate(m[i]) if v]
+                   for i in range(w + 1)]
     for l in range(space.size):
         acts = [space.signed_act(l, g, w) for g in (MAT_SINV, MAT_UINV, MAT_U2INV)]
-        s_rows, u_rows = [], []
-        for i in range(n):
-            for gs, out in (((0,), s_rows), ((1, 2), u_rows)):
-                row: dict = {l * n + i: 1}
-                for g in gs:
-                    l2, s = acts[g]
-                    for j, v in sm[g][i]:
-                        row[l2 * n + j] = row.get(l2 * n + j, 0) + v * s
-                out.append({c: v for c, v in row.items() if v})
-        yield l <= min(acts[1][0], acts[2][0]), s_rows, u_rows
+        at = [(l * n, 1)] + [(l2 * n, s) for l2, s in acts]
+        rows = ([], [])
+        for table, out in zip((s_table, u_table), rows):
+            for terms in table:
+                row: dict = {}
+                for t, j, v in terms:
+                    base, s = at[t]
+                    row[base + j] = row.get(base + j, 0) + v * s
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    out.append(row)
+        yield l <= min(acts[1][0], acts[2][0]), rows[0], rows[1]
 
 
-def _w_relation_rows(space: CosetSpace, w: int) -> list:
-    """Sparse rows of the period relations P|(1+S) = P|(1+U+U^2) = 0: the S
-    rows at every label, the U rows at one label of each U-orbit and the
-    short U rows everywhere (``_orbit_rows``)."""
-    return _orbit_rows(_w_label_rows(space, w))
+def _relation_rows(space: CosetSpace, w: int, extended: bool) -> list:
+    """The rows of ``_label_rows`` that ``_orbit_rows`` keeps: for Wtilde too,
+    as Q~|U = Q~ and clearing by X(X-1) does not change where Q~ vanishes."""
+    return _orbit_rows(_label_rows(space, w, extended))
 
 
 def _eps_rows(space: CosetSpace, w: int, sign: int) -> list:
@@ -731,7 +759,7 @@ def build_W(space: CosetSpace, w: int, sign: int = 0) -> Subspace:
         raise PolySpaceError("sign must be -1, 0 or 1, got %r" % (sign,))
     if space.degenerate:
         return Subspace.from_vectors(space, w, False, [])
-    rows = _w_relation_rows(space, w)
+    rows = _relation_rows(space, w, False)
     if sign:
         rows += _eps_rows(space, w, sign)
     return Subspace(space, w, False, kernel_columns(rows, space.size * (w + 1)))
@@ -745,7 +773,7 @@ def w_dimensions(space: CosetSpace, w: int) -> tuple:
     if space.degenerate:
         return (0, 0, 0)
     ncols = space.size * (w + 1)
-    rows = _w_relation_rows(space, w)
+    rows = _relation_rows(space, w, False)
     dim_w = ncols - sparse_int_rank(rows)
     dim_plus, dim_minus = (ncols - sparse_int_rank(rows + _eps_rows(space, w, sign))
                            for sign in (1, -1))
@@ -781,16 +809,12 @@ def _coboundary_and_D_vectors(space: CosetSpace, w: int) -> tuple:
 
     At label l, with l S^(-1) = l1 up to the sign s1, the C vector is
     c_l - s1 c_l1 X^w and the D vector has tail c_l and X^(-1) coefficient
-    (-1)^w s1 c_l1; only the labels of c's cusp and their S-images are
-    nonzero.
+    s c_l1, s = (-1)^w s1 (``_tilde_ties``); only the labels of c's cusp
+    and their S-images are nonzero.
     """
     n, nt = w + 1, w + 3
-    preimage = {}
-    for l in range(space.size):
-        l1, s1 = space.signed_act(l, MAT_SINV, w)
-        preimage[l1] = (l, s1)
-    cvecs = []
-    dvecs = []
+    preimage = {j // nt: (i // nt, s) for kind, i, j, s in _tilde_ties(space, w) if kind}
+    cvecs, dvecs = [], []
     for fam in _tail_families(space, w):
         cvec = [0] * (space.size * n)
         dvec = [0] * (space.size * nt)
@@ -798,9 +822,9 @@ def _coboundary_and_D_vectors(space: CosetSpace, w: int) -> tuple:
             if c:
                 cvec[l1 * n] += c
                 dvec[l1 * nt + w + 2] = c
-                l, s1 = preimage[l1]
-                cvec[l * n + w] -= s1 * c
-                dvec[l * nt] = (-1) ** w * s1 * c
+                l, s = preimage[l1]
+                cvec[l * n + w] -= (-1) ** w * s * c
+                dvec[l * nt] = s * c
         cvecs.append(cvec)
         dvecs.append(dvec)
     return cvecs, dvecs
@@ -817,57 +841,6 @@ def build_coboundary_and_D(space: CosetSpace, w: int) -> tuple:
     return C, D
 
 
-def _wtilde_label_rows(space: CosetSpace, w: int):
-    """Per label l, in label order: whether l is the least label of its
-    U-orbit, then the S rows and the U rows of Wtilde at l, over the
-    X^(-1)..X^(w+1) coordinates.
-
-    The S relation stays inside the monomial range.  The 1+U+U^2 relation
-    is cleared by X(X-1), the only denominators the U-action produces, and
-    read off as a polynomial identity of degree w+3.
-    """
-    n = w + 3
-    # per degree, the (j + 1, coefficient) terms of X^j, X^j|U =
-    # (X-1)^(j+1) X^(w-j+1) / (X(X-1)) and X^j|U2 = (-1)^j X (X-1)^(w-j+1) /
-    # (X(X-1)), each cleared by X(X-1)
-    cleared = [[[] for _ in range(3)] for _ in range(w + 4)]
-    for j in range(-1, w + 2):
-        u = poly_mul(_pow_linear(1, -1, j + 1), _pow_linear(1, 0, w - j + 1))
-        u2 = poly_mul([0, 1], _pow_linear(1, -1, w - j + 1))
-        for g, p in enumerate(([0] * (j + 1) + [-1, 1], u, [(-1) ** (j % 2) * v for v in u2])):
-            for deg, v in enumerate(p):
-                if v:
-                    cleared[deg][g].append((j + 1, v))
-    for l in range(space.size):
-        lS, sS = space.signed_act(l, MAT_SINV, w)
-        targets = ((l, 1), space.signed_act(l, MAT_UINV, w), space.signed_act(l, MAT_U2INV, w))
-        s_rows, u_rows = [], []
-        # P~|(1+S) = 0, coefficientwise over the tilde range: X^i|S = +-X^(w-i)
-        for i in range(-1, w + 2):
-            row = {l * n + (i + 1): 1}
-            col = lS * n + (w - i + 1)
-            row[col] = row.get(col, 0) + (-1) ** ((w - i) % 2) * sS
-            s_rows.append({c: v for c, v in row.items() if v})
-        # P~|(1+U+U^2) = 0, cleared by X(X-1): degrees 0..w+3
-        for deg in range(w + 4):
-            row: dict = {}
-            for (l2, s), terms in zip(targets, cleared[deg]):
-                for j1, v in terms:
-                    row[l2 * n + j1] = row.get(l2 * n + j1, 0) + v * s
-            row = {c: v for c, v in row.items() if v}
-            if row:
-                u_rows.append(row)
-        yield l <= min(targets[1][0], targets[2][0]), s_rows, u_rows
-
-
-def _wtilde_relation_rows(space: CosetSpace, w: int) -> list:
-    """Relation rows for Wtilde: the S rows at every label, the cleared U
-    rows at one label of each U-orbit and the short U rows everywhere
-    (``_orbit_rows``; Q~|U = Q~ as rational functions, and clearing by
-    X(X-1) does not change where Q~ vanishes)."""
-    return _orbit_rows(_wtilde_label_rows(space, w))
-
-
 def build_W_extended(space: CosetSpace, w: int) -> Subspace:
     """The space Wtilde of period polynomials of all modular forms.
 
@@ -878,7 +851,7 @@ def build_W_extended(space: CosetSpace, w: int) -> Subspace:
         raise PolySpaceError("weight mismatch with coset space")
     if space.degenerate:
         return Subspace.from_vectors(space, w, True, [])
-    sub = Subspace(space, w, True, kernel_columns(_wtilde_relation_rows(space, w),
+    sub = Subspace(space, w, True, kernel_columns(_relation_rows(space, w, True),
                                                   space.size * (w + 3)))
     _check_tilde_columns(sub)
     if w == 0 and any(sum(v for k, v in vec.items() if k % (w + 3) == w + 2)
@@ -891,7 +864,7 @@ def wtilde_dimension(space: CosetSpace, w: int) -> int:
     """dim Wtilde by a rank computation only (for large indices)."""
     if space.degenerate:
         return 0
-    rows = _wtilde_relation_rows(space, w)
+    rows = _relation_rows(space, w, True)
     return space.size * (w + 3) - sparse_int_rank(rows)
 
 

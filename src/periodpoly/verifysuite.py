@@ -19,8 +19,8 @@ from .cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, Mat2,
 from .polyspace import (PolyVector, Subspace, build_W, build_W_extended,
                         build_coboundary_and_D, chi_component, cminus_trivial,
                         eps_split, pair_braces, pair_induced, pair_vw,
-                        slash_poly, _coboundary_and_D_vectors, _tail_families,
-                        _w_label_rows, _wtilde_label_rows)
+                        slash_poly, _coboundary_and_D_vectors, _label_rows,
+                        _tail_families)
 from .hecke import (GroupRingElement, HeckeOperator, ONE_MINUS_S, ONE_MINUS_T, delta_spec,
                     delta_vee_spec, gre_mul, hecke_action, hecke_matrix,
                     solve_universal_hecke, theta_spec, tn_infinity,
@@ -198,10 +198,10 @@ def check_kernel_certificates():
     argument that lets the builders keep one label's long U rows."""
     for kind, N, k in ((GAMMA0, 37, 4), (GAMMA0, 12, 8), (GAMMA1, 11, 2)):
         space = build_coset_space(kind, N, k)
-        for build, label_rows in ((build_W, _w_label_rows),
-                                  (build_W_extended, _wtilde_label_rows)):
+        for extended, build in ((False, build_W), (True, build_W_extended)):
             sub = build(space, k - 2)
-            rows = [r for _, s_rows, u_rows in label_rows(space, k - 2) for r in s_rows + u_rows]
+            rows = [r for _, s_rows, u_rows in _label_rows(space, k - 2, extended)
+                    for r in s_rows + u_rows]
             where = "%s on %s(%d), k = %d" % (build.__name__, kind, N, k)
             check(all(sum(v * vec.get(c, 0) for c, v in row.items()) == 0
                       for _, vec in sub.columns for row in rows), "R B != 0 for " + where)

@@ -8,7 +8,9 @@ calls that eliminator.
 ``reference_w_relation_rows`` and ``reference_wtilde_relation_rows`` are the
 relation rows of W and Wtilde written out at every label, both S and U
 rows, as periodpoly built them before it kept the long U rows at one label
-of each U-orbit only.
+of each U-orbit only.  ``reference_w_label_rows`` and
+``reference_wtilde_label_rows`` are the two per-label emitters periodpoly
+had before one table-driven emitter, ``polyspace._label_rows``, served both.
 
 ``reference_resolve_sigma_coset`` is the double-coset resolver as
 periodpoly wrote it before it read B = A M^vee entry by entry in integers:
@@ -140,6 +142,70 @@ def reference_wtilde_relation_rows(space: CosetSpace, w: int) -> list:
             if row:
                 rows.append(row)
     return rows
+
+
+def reference_w_label_rows(space: CosetSpace, w: int):
+    """Per label l, in label order: whether l is the least label of its
+    U-orbit, the rows of P|(1+S) = 0 at l and those of P|(1+U+U^2) = 0 at
+    l, one per coefficient."""
+    n = w + 1
+    # row i of the matrix of |g, as its nonzero (j, entry) pairs
+    sm = [[[(j, v) for j, v in enumerate(r) if v] for r in slash_matrix(g, w)]
+          for g in (MAT_S, MAT_U, MAT_U2)]
+    for l in range(space.size):
+        acts = [space.signed_act(l, g, w) for g in (MAT_SINV, MAT_UINV, MAT_U2INV)]
+        s_rows, u_rows = [], []
+        for i in range(n):
+            for gs, out in (((0,), s_rows), ((1, 2), u_rows)):
+                row: dict = {l * n + i: 1}
+                for g in gs:
+                    l2, s = acts[g]
+                    for j, v in sm[g][i]:
+                        row[l2 * n + j] = row.get(l2 * n + j, 0) + v * s
+                out.append({c: v for c, v in row.items() if v})
+        yield l <= min(acts[1][0], acts[2][0]), s_rows, u_rows
+
+def reference_wtilde_label_rows(space: CosetSpace, w: int):
+    """Per label l, in label order: whether l is the least label of its
+    U-orbit, then the S rows and the U rows of Wtilde at l, over the
+    X^(-1)..X^(w+1) coordinates.
+
+    The S relation stays inside the monomial range.  The 1+U+U^2 relation
+    is cleared by X(X-1), the only denominators the U-action produces, and
+    read off as a polynomial identity of degree w+3.
+    """
+    n = w + 3
+    # per degree, the (j + 1, coefficient) terms of X^j, X^j|U =
+    # (X-1)^(j+1) X^(w-j+1) / (X(X-1)) and X^j|U2 = (-1)^j X (X-1)^(w-j+1) /
+    # (X(X-1)), each cleared by X(X-1)
+    cleared = [[[] for _ in range(3)] for _ in range(w + 4)]
+    for j in range(-1, w + 2):
+        u = poly_mul(_pow_linear(1, -1, j + 1), _pow_linear(1, 0, w - j + 1))
+        u2 = poly_mul([0, 1], _pow_linear(1, -1, w - j + 1))
+        for g, p in enumerate(([0] * (j + 1) + [-1, 1], u, [(-1) ** (j % 2) * v for v in u2])):
+            for deg, v in enumerate(p):
+                if v:
+                    cleared[deg][g].append((j + 1, v))
+    for l in range(space.size):
+        lS, sS = space.signed_act(l, MAT_SINV, w)
+        targets = ((l, 1), space.signed_act(l, MAT_UINV, w), space.signed_act(l, MAT_U2INV, w))
+        s_rows, u_rows = [], []
+        # P~|(1+S) = 0, coefficientwise over the tilde range: X^i|S = +-X^(w-i)
+        for i in range(-1, w + 2):
+            row = {l * n + (i + 1): 1}
+            col = lS * n + (w - i + 1)
+            row[col] = row.get(col, 0) + (-1) ** ((w - i) % 2) * sS
+            s_rows.append({c: v for c, v in row.items() if v})
+        # P~|(1+U+U^2) = 0, cleared by X(X-1): degrees 0..w+3
+        for deg in range(w + 4):
+            row: dict = {}
+            for (l2, s), terms in zip(targets, cleared[deg]):
+                for j1, v in terms:
+                    row[l2 * n + j1] = row.get(l2 * n + j1, 0) + v * s
+            row = {c: v for c, v in row.items() if v}
+            if row:
+                u_rows.append(row)
+        yield l <= min(targets[1][0], targets[2][0]), s_rows, u_rows
 
 
 def reference_resolve_sigma_coset(space: CosetSpace, label: int, M: Mat2,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -439,6 +440,12 @@ class TestUsage:
 
 FORM = object()  # stands for a valid form file of weight 4
 FORM2 = object()  # and one of weight 2
+# a prime level far above --max-index: factoring it would not end
+HUGE_LEVEL = [
+    ["dims", "--level", "1000000000000000003", "--weight", "2"],
+    ["cusps", "--group", "gamma1", "--level", "1000000000000000003", "--weight", "2"],
+    ["hecke-matrix", "--level", "1000000000000000003", "--weight", "2", "--n", "2"],
+]
 
 
 @pytest.mark.parametrize("argv", [
@@ -497,6 +504,7 @@ FORM2 = object()  # and one of weight 2
     ["dims", "--level", "1", "--weight", "400"],
     ["hecke-matrix", "--level", "11", "--weight", "300", "--n", "2"],
     ["eigenpoly", "--level", "11", "--weight", "102", "--parity", "plus"],
+    *HUGE_LEVEL,
 ])
 def test_bad_input_is_one_line_usage_error(argv, form5_path, form11_path, capsys):
     forms = {FORM: form5_path, FORM2: form11_path}
@@ -504,6 +512,21 @@ def test_bad_input_is_one_line_usage_error(argv, form5_path, form11_path, capsys
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", HUGE_LEVEL)
+def test_huge_level_is_refused_before_factoring(argv, capsys):
+    start = time.perf_counter()
+    code, _ = run_cli(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_USAGE
+    assert "has index at least 1000000000000000003" in capsys.readouterr().err
+
+
+def test_level_at_the_bound_reports_its_index(capsys):
+    code, _ = run_cli(["dims", "--level", "11", "--weight", "2", "--max-index", "11"])
+    assert code == cli.EXIT_USAGE
+    assert "gamma0(11) has index 12, above --max-index 11" in capsys.readouterr().err
 
 
 def test_gamma02_terms_at_the_bound_run():

@@ -19,12 +19,12 @@ from periodpoly.exactalg import (ApproxComplex, Cyclotomic, CyclotomicField,
 from periodpoly import polyspace
 from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_U2INV, MAT_UINV, build_coset_space,
                                dirichlet_characters)
-from periodpoly.polyspace import (_w_label_rows, _w_relation_rows, _wtilde_label_rows,
-                                  _wtilde_relation_rows, build_W, chi_component,
+from periodpoly.polyspace import (_label_rows, _relation_rows, build_W, chi_component,
                                   eps_coordinates)
 
 from dense_reference import (reference_column_basis, reference_kernel_basis,
-                             reference_rref_rows, reference_w_relation_rows,
+                             reference_rref_rows, reference_w_label_rows,
+                             reference_w_relation_rows, reference_wtilde_label_rows,
                              reference_wtilde_relation_rows)
 
 
@@ -389,8 +389,8 @@ def relation_systems(kind, N, k, monkeypatch):
     W+- systems of ``w_dimensions``, Wtilde and the realified chi rows of
     ``chi_component`` on W, one for each character of the weight's parity."""
     space, w = build_coset_space(kind, N, k), k - 2
-    rows = _w_relation_rows(space, w)
-    systems = [rows, _wtilde_relation_rows(space, w)]
+    rows = _relation_rows(space, w, False)
+    systems = [rows, _relation_rows(space, w, True)]
     eps = eps_coordinates(space, w, False)
     for target in (1, -1):
         extra = []
@@ -429,8 +429,8 @@ class TestRealSystems:
             assert sparse_int_rank(rows) == len(reduced)
 
 
-def every_label_rows(label_rows, space, w) -> list:
-    return [r for _, s_rows, u_rows in label_rows(space, w) for r in s_rows + u_rows]
+def every_label_rows(space, w, extended) -> list:
+    return [r for _, s_rows, u_rows in _label_rows(space, w, extended) for r in s_rows + u_rows]
 
 
 def row_multiset(rows) -> list:
@@ -441,17 +441,17 @@ class TestOrbitRows:
     """The U rows at one label of each U-orbit, with the short U rows at
     every label, against the rows at every label."""
 
-    BUILDERS = {False: (_w_label_rows, _w_relation_rows, reference_w_relation_rows),
-                True: (_wtilde_label_rows, _wtilde_relation_rows, reference_wtilde_relation_rows)}
+    REFERENCES = {False: reference_w_relation_rows, True: reference_wtilde_relation_rows}
 
     @pytest.mark.parametrize("kind,N,k,extended",
                              [(*s, e) for s in REAL_SYSTEM_SPACES for e in (False, True)]
                              + [(GAMMA0, 1000, 2, True)])
     def test_same_reduced_form_as_every_label(self, kind, N, k, extended):
-        label_rows, relation_rows, reference = self.BUILDERS[extended]
         space, w = build_coset_space(kind, N, k), k - 2
-        rows, every = relation_rows(space, w), reference(space, w)
-        assert row_multiset(every_label_rows(label_rows, space, w)) == row_multiset(every)
+        rows, every = _relation_rows(space, w, extended), self.REFERENCES[extended](space, w)
+        # the emitter leaves out empty rows, the equation 0 = 0
+        assert (row_multiset(every_label_rows(space, w, extended))
+                == row_multiset(r for r in every if r))
         assert len(rows) < len(every)
         assert (sparse_int_pivots(rows, reduce_fully=True)
                 == sparse_int_pivots(every, reduce_fully=True))
@@ -460,16 +460,38 @@ class TestOrbitRows:
     @pytest.mark.parametrize("extended", [False, True])
     def test_dropping_one_orbit_changes_the_reduced_form(self, kind, N, k, extended):
         """Without the long U rows of one whole orbit the comparison fails."""
-        label_rows = self.BUILDERS[extended][0]
         space, w = build_coset_space(kind, N, k), k - 2
         orbit = {0, space.signed_act(0, MAT_UINV, w)[0], space.signed_act(0, MAT_U2INV, w)[0]}
         rows = []
-        for l, (_, s_rows, u_rows) in enumerate(label_rows(space, w)):
+        for l, (_, s_rows, u_rows) in enumerate(_label_rows(space, w, extended)):
             rows += s_rows + [r for r in u_rows if l not in orbit or len(r) <= 2]
-        every = every_label_rows(label_rows, space, w)
+        every = every_label_rows(space, w, extended)
         assert len(orbit) == 3
         assert (sparse_int_pivots(rows, reduce_fully=True)
                 != sparse_int_pivots(every, reduce_fully=True))
+
+
+class TestLabelRows:
+    """The table-driven emitter against the per-label emitters of W and
+    Wtilde it replaced, on Gamma0(N), N <= 60, k = 2, 3, 4, 6 and Gamma1(N),
+    N <= 16, k = 2, 3, 4: the same nonempty rows, with their columns in the
+    same order, and the same least-of-orbit flags."""
+
+    @pytest.mark.parametrize("kind,levels,k", [(GAMMA0, 60, k) for k in (2, 3, 4, 6)]
+                             + [(GAMMA1, 16, k) for k in (2, 3, 4)])
+    def test_same_rows_and_flags_as_the_two_emitters(self, kind, levels, k):
+        for N in range(1, levels + 1):
+            space, w = build_coset_space(kind, N, k), k - 2
+            for extended, reference in ((False, reference_w_label_rows),
+                                        (True, reference_wtilde_label_rows)):
+                got = list(_label_rows(space, w, extended))
+                want = [(least, [r for r in s if r], [r for r in u if r])
+                        for least, s, u in reference(space, w)]
+                assert got == want, (kind, N, k, extended)
+                # dict equality ignores the order of the columns in a row
+                assert ([list(r) for _, s, u in got for r in s + u]
+                        == [list(r) for _, s, u in want for r in s + u])
+                assert len(got) == space.size and all(r for _, s, u in got for r in s + u)
 
 
 class TestScalarSerialization:

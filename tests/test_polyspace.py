@@ -18,8 +18,7 @@ from periodpoly.polyspace import (ExtPolyVector, PolySpaceError, PolyVector,
                                   pair_induced, pair_vw, slash_poly,
                                   w_dimensions, wtilde_dimension,
                                   _coboundary_and_D_vectors, _eps_rows, _tail_families,
-                                  _w_relation_rows, _wtilde_label_rows,
-                                  _wtilde_relation_rows, eps_coordinates)
+                                  _label_rows, _relation_rows, eps_coordinates)
 
 from periodpoly import polyspace
 from dense_reference import reference_column_basis, reference_kernel_basis
@@ -28,7 +27,7 @@ from dense_reference import reference_column_basis, reference_kernel_basis
 def check_extended_relations(vec: ExtPolyVector) -> bool:
     """P~|(1+S) = P~|(1+U+U^2) = 0 in the cleared rational-function model,
     the S and U rows at every label."""
-    rows = [r for _, s_rows, u_rows in _wtilde_label_rows(vec.space, vec.w)
+    rows = [r for _, s_rows, u_rows in _label_rows(vec.space, vec.w, True)
             for r in s_rows + u_rows]
     coords = vec.tilde_coords()
     return all(sum(c * coords[i] for i, c in row.items()) == 0 for row in rows)
@@ -442,6 +441,41 @@ class TestExtended:
             with pytest.raises(PolySpaceError, match=msg):
                 eps_split(Subspace(sp, 2, True, [(1, column)]))
 
+    @staticmethod
+    def broken_tie(Wt, kind):
+        """Wt's columns with one tie of the extended model broken in one
+        column, off every pivot row: a tail on a T-orbit of width > 1 flipped
+        (kind 0), or a zero X^(-1) coordinate set to 1 (kind 1)."""
+        sp, w, n = Wt.space, Wt.w, Wt.w + 3
+        pivots = set(Wt.pivot_rows)
+        for j, (den, vec) in enumerate(Wt.columns):
+            for k in range(min(vec) + 1, Wt.ambient):
+                l, at = divmod(k, n)
+                if k in pivots or at != (n - 1, 0)[kind]:
+                    continue
+                if kind == 0 and vec.get(k) and sp.signed_act(l, MAT_T, w)[0] != l:
+                    new = vec | {k: -vec[k]}
+                elif kind == 1 and k not in vec:
+                    new = vec | {k: 1}
+                else:
+                    continue
+                return Wt.columns[:j] + [(den, new)] + Wt.columns[j + 1:], j
+        raise AssertionError("no tie to break")
+
+    @pytest.mark.parametrize("kind,msg", [(0, "T-orbits"), (1, "X\\^\\(-1\\)")])
+    def test_broken_tie_same_message_for_vectors_and_columns(self, kind, msg, monkeypatch):
+        """``from_tilde_coords`` and the column check of ``build_W_extended``
+        read the same ties and report a broken one alike."""
+        sp = build_coset_space(GAMMA0, 5, 4)
+        Wt = build_W_extended(sp, 2)
+        columns, j = self.broken_tie(Wt, kind)
+        den, vec = columns[j]
+        with pytest.raises(PolySpaceError, match=msg):
+            ExtPolyVector.from_tilde_coords(sp, 2, column_entries(QQ, den, vec, Wt.ambient))
+        monkeypatch.setattr(polyspace, "kernel_columns", lambda rows, ncols: columns)
+        with pytest.raises(PolySpaceError, match=msg):
+            build_W_extended(sp, 2)
+
 
 class TestSerialization:
     def test_polyvector_round_trip(self, space5, w5):
@@ -713,14 +747,14 @@ class TestCanonicalBases:
     def test_builds_equal_from_vectors(self, kind, N, k):
         space = build_coset_space(kind, N, k)
         w = k - 2
-        for extended, build, relations in ((False, build_W, _w_relation_rows),
-                                           (True, build_W_extended, _wtilde_relation_rows)):
+        for extended, build in ((False, build_W), (True, build_W_extended)):
             sub = build(space, w)
             if space.degenerate:
                 assert sub.dim == 0
                 continue
             vecs = [tuple(column_entries(QQ, den, vec, sub.ambient))
-                    for den, vec in kernel_columns(relations(space, w), sub.ambient)]
+                    for den, vec in kernel_columns(_relation_rows(space, w, extended),
+                                                   sub.ambient)]
             ref = reference_span(space, w, extended, vecs)
             assert sub.basis == ref
             assert sub.pivot_rows == [next(i for i, x in enumerate(col) if x)
