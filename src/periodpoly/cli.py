@@ -53,6 +53,13 @@ MAX_TERMS = 4000
 # index; this bounds the weight, far above the weights of the paper's
 # examples (at most 14).
 MAX_WEIGHT = 100
+# Largest index x (weight - 1)^3.5 a command builds: the cost grows with the
+# index and the weight together, so a small index still needs a bound below
+# MAX_WEIGHT.  dims takes 0.23 s at level 1 and weight 100 (9.65e6), 0.31 s
+# at level 2 and weight 72 (9.05e6), 2.0 s at level 11 and weight 50
+# (9.88e6), and at level 11 and weight 80 (5.3e7, refused) 11 s (one process
+# under -O).
+MAX_COST = 10 ** 7
 
 
 class CliError(Exception):
@@ -116,9 +123,9 @@ def _matrix_doc(m) -> dict:
 
 
 def _coset_space(args, kind, N, k):
-    """build_coset_space, refused before anything is built above --max-index.
-    The index of Gamma0(N) and of Gamma1(N) is at least N, so a level above
-    the bound is refused before N is factored."""
+    """build_coset_space, refused before anything is built above --max-index
+    or above MAX_COST.  The index of Gamma0(N) and of Gamma1(N) is at least
+    N, so a level above the bound is refused before N is factored."""
     if N > args.max_index:
         raise CliError("%s(%d) has index at least %d, above --max-index %d"
                        % (kind, N, N, args.max_index), EXIT_USAGE)
@@ -126,6 +133,9 @@ def _coset_space(args, kind, N, k):
     if index > args.max_index:
         raise CliError("%s(%d) has index %d, above --max-index %d"
                        % (kind, N, index, args.max_index), EXIT_USAGE)
+    if index * (k - 1) ** 3.5 > MAX_COST:
+        raise CliError("%s(%d) at weight %d: index x (weight - 1)^3.5 is above %d"
+                       % (kind, N, k, MAX_COST), EXIT_USAGE)
     return build_coset_space(kind, N, k)
 
 

@@ -83,10 +83,9 @@ def cyclotomic_polynomial(m: int) -> tuple:
     num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            q, r = poly_divmod(num, cyclotomic_polynomial(d))
-            if any(r) or any(c.denominator != 1 for c in q):
+            num, r = poly_divmod(num, cyclotomic_polynomial(d))
+            if any(r):
                 raise ExactAlgebraError("non-exact polynomial division")
-            num = [c.numerator for c in q]
     return tuple(num)
 
 
@@ -120,17 +119,17 @@ def poly_sub(p, q) -> list:
 
 
 def poly_divmod(num, den) -> tuple:
-    """(quotient, remainder), both trimmed, with Fraction coefficients.
-
-    Division is exact over Q even for integer inputs, never float.
-    """
-    num = [Fraction(c) for c in poly_trim(num)]
-    den = poly_trim(den)
+    """(quotient, remainder), both trimmed: exact over Q, never float, in
+    integers for integer inputs whose divisor leads with +-1, else with
+    Fraction coefficients."""
+    num, den = poly_trim(num), poly_trim(den)
+    ints = den[-1] in (1, -1) and all(type(c) is int for c in num + den)
+    num, inv = (num, den[-1]) if ints else ([Fraction(c) for c in num], 1 / Fraction(den[-1]))
     if len(num) < len(den):
-        return [Fraction(0)], num
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
+        return [num[0] * 0], num
+    q = [0] * (len(num) - len(den) + 1)
     for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1] / den[-1]
+        c = num[i + len(den) - 1] * inv
         q[i] = c
         if c:
             for j, dj in enumerate(den):
@@ -529,88 +528,82 @@ def _normalize_int_row(row: dict) -> dict:
     return row
 
 
-def _two_term_pass(rows: list) -> tuple:
-    """Fold the rows with one or two nonzeros by substitution.
-
-    A signed union-find over their columns keeps x_c = f x_root, the root
-    the least column of its class, f an int where the division is exact.
-    A one-term row, or a cycle with a nonzero net coefficient, zeroes its
-    class.  Returns the pivot rows (c, row) of these relations, row a
-    primitive multiple of den x_c - num x_root for f = num / den, or x_c
-    in a zero class, and the longer rows over the roots, in integers.
-    """
-    parent, zero = {}, set()  # c -> (parent, f): x_c = f x_parent; zero roots
-
-    def find(c):
-        if c not in parent:
-            return c, 1
-        path = []
-        while c in parent:
-            path.append(c)
-            c = parent[c][0]
-        acc = 1
-        for node in reversed(path):
-            acc = parent[node][1] * acc
-            parent[node] = (c, acc)
-        return c, acc
-
-    long_rows, seen = [], set()
+def _tie_edges(rows) -> dict:
+    """x -> [(y, g)] for rows of one or two nonzeros: u x_a + v x_b = 0 as
+    x_b = -u/v x_a and x_a = -v/u x_b, u x_a = 0 as x_a = -x_a."""
+    edges: dict = {}
     for row in rows:
-        if len(row) > 2:
-            long_rows.append(row)
+        pair = [*row.items()] * 2
+        for (a, u), (b, v) in zip(pair, pair[1:3]):
+            edges.setdefault(a, []).append((b, Fraction(-u, v) if u % v else -u // v))
+    return edges
+
+
+def _tie_classes(columns, edges) -> dict:
+    """c -> (root, f), x_c = f x_root, for the classes of the ties x_y = g x_x
+    of (y, g) in edges(x): each walked once from its least column, the root,
+    over increasing columns; f = 0 where a tie disagrees with the others."""
+    image: dict = {}
+    for c in columns:
+        if c in image:
             continue
-        seen.update(row)
-        if len(row) == 1:
-            zero.add(find(next(iter(row)))[0])
-            continue
-        (a, u), (b, v) = row.items()
-        (ra, fa), (rb, fb) = find(a), find(b)
-        if ra == rb:
-            if u * fa + v * fb:
-                zero.add(ra)
-            continue
-        if ra > rb:
-            ra, fa, u, rb, fb, v = rb, fb, v, ra, fa, u
-        num, den = -u * fa, v * fb  # x_rb = num / den x_ra
-        if type(num) is int and type(den) is int and not num % den:
-            parent[rb] = (ra, num // den)
-        else:
-            parent[rb] = (ra, Fraction(num, den))
-        if rb in zero:
-            zero.add(ra)
-    image, pivots = {}, []
-    for c in seen:
-        r, f = find(c)
-        if r in zero:
-            image[c] = None
+        f, todo, ok = {c: 1}, [c], True
+        while todo:
+            x = todo.pop()
+            for y, g in edges(x):
+                if y not in f:
+                    f[y] = f[x] * g
+                    todo.append(y)
+                elif f[y] != f[x] * g:
+                    ok = False
+        for y, g in f.items():
+            image[y] = (c, g if ok else 0)
+    return image
+
+
+def _image_pivots(image: dict) -> list:
+    """The pivot rows (c, row) of a class map (``_tie_classes``): x_c in a
+    zero class, else den x_c - num x_root for f = num / den, primitive."""
+    pivots = []
+    for c, (r, f) in image.items():
+        if not f:
             pivots.append((c, {c: 1}))
-        else:
-            image[c] = (r, f)
-            if r != c:
-                num, den = f.numerator, f.denominator
-                pivots.append((c, {r: -num, c: den} if num < 0 else {r: num, c: -den}))
-    out = []
-    for row in long_rows:
-        new, fractional = {}, False
-        for c, v in row.items():
-            if c in image:
-                target = image[c]
-                if target is None:
-                    continue
-                c, f = target
-                v *= f
-                fractional = fractional or type(v) is not int
-            new[c] = new.get(c, 0) + v
-        if fractional:
-            D = math.lcm(*(x.denominator for x in new.values()))
-            new = {c: int(x * D) for c, x in new.items()}
-        new = {c: x for c, x in new.items() if x}
-        if new:
-            out.append(_normalize_int_row(new))
-    return pivots, out
+        elif r != c:
+            num, den = f.numerator, f.denominator
+            pivots.append((c, {r: -num, c: den} if num < 0 else {r: num, c: -den}))
+    return pivots
 
 
-def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False) -> list:
+def _over_roots(row: dict, image: dict) -> dict:
+    """row over the roots of a class map, in integers and primitive."""
+    new, fractional = {}, False
+    for c, v in row.items():
+        if c in image:
+            c, f = image[c]
+            if not f:
+                continue
+            v *= f
+            fractional = fractional or type(v) is not int
+        new[c] = new.get(c, 0) + v
+    if fractional:
+        D = math.lcm(*(x.denominator for x in new.values()))
+        new = {c: int(x * D) for c, x in new.items()}
+    return _normalize_int_row({c: x for c, x in new.items() if x})
+
+
+def _two_term_pass(rows: list) -> tuple:
+    """Fold the rows with one or two nonzeros by substitution: their classes
+    (``_tie_classes``) give the pivot rows of these relations, and the
+    longer rows go over the roots.  ``sparse_int_pivots`` runs it on every
+    system that comes without a presentation: the chi rows, the spans C and
+    D, eigenspaces and solves (the period systems come presented)."""
+    edges = _tie_edges(row for row in rows if len(row) <= 2)
+    image = _tie_classes(sorted(edges), edges.__getitem__)
+    out = (_over_roots(row, image) for row in rows if len(row) > 2)
+    return _image_pivots(image), [row for row in out if row]
+
+
+def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False, folded=None) -> list:
     """Gauss elimination on sparse integer rows (dict col -> coeff).
 
     Returns the pivot rows as (pivot_col, row_dict) sorted by pivot column.
@@ -618,13 +611,13 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False) -> list:
     only changes smaller columns, and every pivot stays the last column of
     its row.
 
-    The rows with one or two nonzeros (P|(1+S) = 0, the eps rows, and the
-    U rows of Wtilde in degrees 0 and w+3, which the row builders keep at
-    every label, not only at one label of each U-orbit) are folded first
-    (``_two_term_pass``): each class of columns they tie is replaced by its
-    least column, the root, in the longer rows, and each other column c of
-    it gets a pivot row on {c, root}.  The longer rows, pivoting at roots
-    and at columns no short row meets, then go through one loop.
+    The rows with one or two nonzeros are folded first: each class of
+    columns they tie is replaced by its least column, the root, in the
+    longer rows, and each other column c of it gets a pivot row on
+    {c, root}.  The period systems come presented: those pivot rows as
+    ``folded``, rows over roots only (``polyspace._presentations``; a row
+    holding a folded column is refused).  Every other system is folded
+    here (``_two_term_pass``).  The longer rows then go through one loop.
 
     The loop takes the next pivot row from a heap: the remaining row with
     the fewest nonzeros, ties going to the smallest index (its position
@@ -648,7 +641,10 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False) -> list:
     (``kernel_columns``).  Without ``reduce_fully`` only the number of
     pivot rows, the rank, is fixed.
     """
-    short, active = _two_term_pass([r for r in rows if r])
+    active, done = [r for r in rows if r], {c for c, _ in folded or ()}
+    short, active = _two_term_pass(active) if folded is None else (folded, active)
+    check(not done or all(done.isdisjoint(row) for row in active),
+          "a presented row holds a folded column, not only roots")
     remaining = set(range(len(active)))
     heap = [(len(row), i) for i, row in enumerate(active)]
     heapq.heapify(heap)
@@ -694,11 +690,11 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False) -> list:
     return sorted([(max(row), row) for row in active if row] + short)
 
 
-def sparse_int_rank(rows: Iterable[dict]) -> int:
-    return len(sparse_int_pivots(rows))
+def sparse_int_rank(rows: Iterable[dict], folded=None) -> int:
+    return len(sparse_int_pivots(rows, folded=folded))
 
 
-def kernel_columns(rows: Iterable[dict], ncols: int, field=QQ) -> list:
+def kernel_columns(rows: Iterable[dict], ncols: int, field=QQ, folded=None) -> list:
     """Reduced column echelon basis of the kernel of integer rows over the
     ncols * d real unknowns of ``realified_rows``, as columns (den, vec):
     vec / den, vec an int dict over the real indices i * d + t, den least.
@@ -706,9 +702,9 @@ def kernel_columns(rows: Iterable[dict], ncols: int, field=QQ) -> list:
     With last-column pivots the kernel vector of a free real column f is 1
     at f and 0 at the other free columns and before f: the real kernel's
     echelon basis, {zeta^t b} over the field's echelon basis b.  The b are
-    the vectors free at a zeta^0 coordinate f = j * d."""
+    the vectors free at a zeta^0 coordinate f = j * d.  folded: ``sparse_int_pivots``."""
     d, pivot_cols, rows_with = field.degree, set(), {}
-    for pc, row in sparse_int_pivots(rows, reduce_fully=True):
+    for pc, row in sparse_int_pivots(rows, reduce_fully=True, folded=folded):
         pivot_cols.add(pc)
         for c in row:
             if c != pc:
@@ -726,9 +722,9 @@ def kernel_columns(rows: Iterable[dict], ncols: int, field=QQ) -> list:
     return out
 
 
-def reduced_column_basis(field, vectors: Sequence[Sequence], ambient: int) -> list:
+def reduced_column_basis(field, vectors: Sequence[dict], ambient: int) -> list:
     """Canonical basis (reduced column echelon form) of the span of rational
-    vectors, as (den, vec) columns over field (see ``kernel_columns``).
+    vectors {coordinate: value}, as (den, vec) columns (``kernel_columns``).
 
     It is the reduced row echelon form of the vectors, pivots at first
     columns; the eliminator pivots at last ones, so column c goes in as
@@ -736,10 +732,10 @@ def reduced_column_basis(field, vectors: Sequence[Sequence], ambient: int) -> li
     """
     rows = []
     for vec in vectors:
-        if len(vec) != ambient:
-            raise ExactAlgebraError("vector of length %d in an ambient space of "
-                                    "dimension %d" % (len(vec), ambient))
-        entries = {ambient - 1 - c: v for c, v in enumerate(vec) if v}
+        if vec and not (0 <= min(vec) and max(vec) < ambient):
+            raise ExactAlgebraError("vector with a coordinate outside %d..%d"
+                                    % (0, ambient - 1))
+        entries = {ambient - 1 - c: v for c, v in vec.items() if v}
         cleared = clear_denominators(list(entries.values()))
         if cleared is None:
             raise ExactAlgebraError("only spans of rational vectors are built")

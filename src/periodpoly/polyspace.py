@@ -18,7 +18,8 @@ from .exactalg import (DenseMatrix, ExactAlgebraError, PeriodPolyError, QQ, chec
                        clear_denominators, column_entries, eigen_columns, kernel_columns,
                        mult_columns, poly_mul, realified_rows, reduced_column_basis,
                        scalar_coords, scalar_from_str, scalar_to_str,
-                       sparse_int_rank, _normalize_int_row)
+                       sparse_int_rank, _image_pivots, _normalize_int_row, _over_roots,
+                       _tie_classes, _tie_edges)
 from .cosets import (CosetSpace, Mat2, MAT_EPS, MAT_S, MAT_SINV, MAT_T,
                      MAT_TINV, MAT_U, MAT_U2, MAT_U2INV, MAT_UINV, GAMMA0,
                      build_coset_space, _unit_group_generators)
@@ -416,11 +417,16 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, space: CosetSpace, w: int, extended: bool,
-                     vectors: Sequence[Sequence], field=QQ) -> "Subspace":
-        """The span of rational vectors (``reduced_column_basis``)."""
+                     vectors: Sequence, field=QQ) -> "Subspace":
+        """The span of rational vectors, dicts or dense (``reduced_column_basis``)."""
         ambient = space.size * ((w + 3) if extended else (w + 1))
+        for vec in vectors:
+            if not isinstance(vec, dict) and len(vec) != ambient:
+                raise PolySpaceError("vector of length %d in an ambient space of "
+                                     "dimension %d" % (len(vec), ambient))
         try:
-            columns = reduced_column_basis(field, vectors, ambient)
+            columns = reduced_column_basis(field, [vec if isinstance(vec, dict) else dict(
+                (c, v) for c, v in enumerate(vec) if v) for vec in vectors], ambient)
         except ExactAlgebraError as exc:
             raise PolySpaceError(str(exc)) from None
         return cls(space, w, extended, columns, field)
@@ -663,36 +669,18 @@ def _zeta_spread(field) -> int:
 # ----------------------------------------------------------------------
 # relation systems
 
-def _orbit_rows(label_rows) -> list:
-    """The relation rows kept from a per-label emitter: every S row, and a
-    U row at l when l is the least label of its U-orbit or the row has at
-    most two nonzeros.
-
-    With Q = P|(1+U+U^2), Q|U = P|(U+U^2+J) = Q, as J = -1 acts on a label
-    and its polynomial by the same sign.  So Q vanishes at l exactly when it
-    vanishes at l U^(-1) and at l U^(-2): the U rows at one label of an orbit
-    span those at the other two, and the row space is the one of the rows at
-    every label (Stein 2007, ch. 8; Cremona 1997, 2.2).  The short U rows
-    stay at every label: ``sparse_int_pivots`` folds them for free in its
-    two-term pass, and without them the elimination loop does more work.
-    """
-    rows = []
-    for least, s_rows, u_rows in label_rows:
-        rows += s_rows
-        rows += u_rows if least else [r for r in u_rows if len(r) <= 2]
-    return rows
-
-
-def _label_rows(space: CosetSpace, w: int, extended: bool):
+def _label_rows(space: CosetSpace, w: int, extended: bool, long_only: bool = False):
     """Per label l, in label order: whether l is the least label of its
     U-orbit, then the nonempty S rows and U rows of W, or of Wtilde when
-    ``extended``, at l.  A row is read off a table of terms (t, j, v), each
-    v s P[l'][j] for the t-th of the targets (l', s) = l, l S^(-1), l U^(-1),
-    l U^(-2), j counted from X^0, or from X^(-1) for Wtilde.  The S rows read
-    X^i|S = (-1)^(w-i) X^(w-i), the U rows of W the matrices of U and U^2.
-    For Wtilde P|(1+U+U^2) is cleared by X(X-1), the only denominators the
-    U-action produces: X^j, X^j|U and X^j|U^2 become X^j X(X-1),
-    (X-1)^(j+1) X^(w-j+1) and (-1)^j X (X-1)^(w-j+1), of degree <= w+3."""
+    ``extended``, at l; with ``long_only`` only the U rows of three terms or
+    more, at least labels.  A row is read off a table of terms (t, j, v),
+    each v s P[l'][j] for the t-th of the targets (l', s) = l, l S^(-1),
+    l U^(-1), l U^(-2), j counted from X^0, or from X^(-1) for Wtilde.  The
+    S rows read X^i|S = (-1)^(w-i) X^(w-i), the U rows of W the matrices of
+    U and U^2.  For Wtilde P|(1+U+U^2) is cleared by X(X-1), the only
+    denominators the U-action produces: X^j, X^j|U and X^j|U^2 become
+    X^j X(X-1), (X-1)^(j+1) X^(w-j+1) and (-1)^j X (X-1)^(w-j+1), of degree
+    <= w+3."""
     low, n = (-1, w + 3) if extended else (0, w + 1)
     s_table = [[(0, i - low, 1), (1, w - i - low, (-1) ** ((w - i) % 2))]
                for i in range(low, w + 1 - low)]
@@ -710,9 +698,14 @@ def _label_rows(space: CosetSpace, w: int, extended: bool):
         um = [(t, slash_matrix(g, w)) for t, g in ((2, MAT_U), (3, MAT_U2))]
         u_table = [[(0, i, 1)] + [(t, j, v) for t, m in um for j, v in enumerate(m[i]) if v]
                    for i in range(w + 1)]
+    if long_only:
+        s_table, u_table = [], [terms for terms in u_table if len(terms) > 2]
     for l in range(space.size):
-        acts = [space.signed_act(l, g, w) for g in (MAT_SINV, MAT_UINV, MAT_U2INV)]
-        at = [(l * n, 1)] + [(l2 * n, s) for l2, s in acts]
+        acts = [space.tables[g][l] for g in ("Sinv", "Uinv", "U2inv")]
+        least = l <= min(acts[1][0], acts[2][0])
+        if long_only and not least:
+            continue
+        at = [(l * n, 1)] + [(l2 * n, s ** w) for l2, s in acts]
         rows = ([], [])
         for table, out in zip((s_table, u_table), rows):
             for terms in table:
@@ -723,29 +716,46 @@ def _label_rows(space: CosetSpace, w: int, extended: bool):
                 row = {c: v for c, v in row.items() if v}
                 if row:
                     out.append(row)
-        yield l <= min(acts[1][0], acts[2][0]), rows[0], rows[1]
+        yield least, rows[0], rows[1]
 
 
-def _relation_rows(space: CosetSpace, w: int, extended: bool) -> list:
-    """The rows of ``_label_rows`` that ``_orbit_rows`` keeps: for Wtilde too,
-    as Q~|U = Q~ and clearing by X(X-1) does not change where Q~ vanishes."""
-    return _orbit_rows(_label_rows(space, w, extended))
+def _presentations(space: CosetSpace, w: int, extended: bool, signs=(0,)) -> list:
+    """Per sign, (folded, rows) for ``sparse_int_pivots``: the period system
+    of W, W+ or W- (sign 0, 1, -1), or of Wtilde, as its two-term pass folds
+    the S, eps and U rows, without writing the two-term rows.  The long U
+    rows are written once, at the least label of each U-orbit (Q =
+    P|(1+U+U^2) has Q|U = Q: Stein 2007, ch. 8; Cremona 1997, 2.2), those
+    left with two nonzeros or one where U fixes the label being ties.  The
+    other ties x_y = g x_x (``_tie_classes``) go from (l, j) to (l S^(-1),
+    m - j), m the last coordinate; to (eps(l), j) for P|eps = sign P; for
+    Wtilde from X^(-1) at l to X^(w+1) at l U^(-1) and from X^(w+1) at l to
+    X^(-1) at l U^(-2), so that tails chain along a cusp's T-cycle."""
+    n, par = (w + 3, 1) if extended else (w + 1, -1)
+    m = n - 1
+    sinv, uinv, u2inv = (space.tables[g] for g in ("Sinv", "Uinv", "U2inv"))
+    eps = eps_coordinates(space, w, False) if any(signs) else None
+    rows = [row for _, _, u_rows in _label_rows(space, w, extended, True) for row in u_rows]
+    ties = _tie_edges(row for row in rows if len(row) <= 2)
+    rows = [row for row in rows if len(row) > 2]
 
+    out = []
+    for sign in signs:
+        def edges(x, sign=sign):
+            l, j = divmod(x, n)
+            l1, s = sinv[l]
+            # the S row at (l, j) is x + e s x' = 0, e = -par (-1)^(w - j)
+            out = [(l1 * n + m - j, par * (-1) ** ((w - j) % 2) * s ** w)] + ties.get(x, [])
+            if sign:  # (P|eps)[x] = s P[k] = sign P[x]
+                out.append((eps[x][0], sign * eps[x][1]))
+            if extended and j in (0, m):  # the U rows in degrees 0 and w+3
+                l1, s = (uinv if j == 0 else u2inv)[l]
+                out.append((l1 * n + m - j, (-1) ** (w * (j == 0)) * s ** w))
+            return out
 
-def _eps_rows(space: CosetSpace, w: int, sign: int) -> list:
-    """Sparse rows of P|eps = sign P, one per pair {m, eps(m)}.
-
-    (P|eps)[m] = s P[k] with k = eps(m), and eps is an involution, so the
-    row at k is -sign s times the row at m: only m < k is kept.  Where eps
-    fixes m the row is (s - sign) P[m], kept only when it is not empty.
-    """
-    rows = []
-    for m, (k, s) in enumerate(eps_coordinates(space, w, False)):
-        if m < k:
-            rows.append({m: -sign, k: s})
-        elif m == k and s != sign:
-            rows.append({m: s - sign})
-    return rows
+        image = _tie_classes(range(space.size * n), edges)
+        presented = (_over_roots(row, image) for row in rows)
+        out.append((_image_pivots(image), [row for row in presented if row]))
+    return out
 
 
 def build_W(space: CosetSpace, w: int, sign: int = 0) -> Subspace:
@@ -759,10 +769,8 @@ def build_W(space: CosetSpace, w: int, sign: int = 0) -> Subspace:
         raise PolySpaceError("sign must be -1, 0 or 1, got %r" % (sign,))
     if space.degenerate:
         return Subspace.from_vectors(space, w, False, [])
-    rows = _relation_rows(space, w, False)
-    if sign:
-        rows += _eps_rows(space, w, sign)
-    return Subspace(space, w, False, kernel_columns(rows, space.size * (w + 1)))
+    (folded, rows), = _presentations(space, w, False, (sign,))
+    return Subspace(space, w, False, kernel_columns(rows, space.size * (w + 1), folded=folded))
 
 
 def w_dimensions(space: CosetSpace, w: int) -> tuple:
@@ -773,17 +781,15 @@ def w_dimensions(space: CosetSpace, w: int) -> tuple:
     if space.degenerate:
         return (0, 0, 0)
     ncols = space.size * (w + 1)
-    rows = _relation_rows(space, w, False)
-    dim_w = ncols - sparse_int_rank(rows)
-    dim_plus, dim_minus = (ncols - sparse_int_rank(rows + _eps_rows(space, w, sign))
-                           for sign in (1, -1))
+    dim_w, dim_plus, dim_minus = (ncols - sparse_int_rank(rows, folded) for folded, rows
+                                  in _presentations(space, w, False, (0, 1, -1)))
     if dim_plus + dim_minus != dim_w:
         raise PolySpaceError("eps eigenspace dimensions do not add up")
     return (dim_w, dim_plus, dim_minus)
 
 
 def _tail_families(space: CosetSpace, w: int) -> list:
-    """Per-cusp constant families with c_A = c_(AT), c_(AJ) = (-1)^w c_A.
+    """Per-cusp constant families {l: c_l} with c_A = c_(AT), c_(AJ) = (-1)^w c_A.
 
     A family is walked once around its cusp's signed T-cycle from the
     representative.  For even w every cusp carries one; for odd w only the
@@ -794,37 +800,31 @@ def _tail_families(space: CosetSpace, w: int) -> list:
     for cl in space.cusp_classes().classes:
         if w % 2 and not cl.regular:
             continue
-        fam = [0] * space.size
-        l, c = cl.representative, 1
-        while not fam[l]:
+        fam, l, c = {}, cl.representative, 1
+        while l not in fam:
             fam[l] = c
             l, s = space.signed_act(l, MAT_T, w)
             c *= s
-        families.append(tuple(fam))
+        families.append(fam)
     return families
 
 
 def _coboundary_and_D_vectors(space: CosetSpace, w: int) -> tuple:
-    """Spanning vectors of C and of D, one pair per tail family c.
-
-    At label l, with l S^(-1) = l1 up to the sign s1, the C vector is
-    c_l - s1 c_l1 X^w and the D vector has tail c_l and X^(-1) coefficient
-    s c_l1, s = (-1)^w s1 (``_tilde_ties``); only the labels of c's cusp
-    and their S-images are nonzero.
-    """
+    """Spanning vectors {coordinate: value} of C and of D, one pair per tail
+    family c.  At label l1 = l S^(-1), up to the sign s1, the C vector is
+    c_l1 at X^0 and -s1 c_l1 at X^w of l, the D vector c_l1 at the tail of
+    l1 and (-1)^w s1 c_l1 at X^(-1) of l (``_tilde_ties``): only the labels
+    of c's cusp and their S-images."""
     n, nt = w + 1, w + 3
-    preimage = {j // nt: (i // nt, s) for kind, i, j, s in _tilde_ties(space, w) if kind}
     cvecs, dvecs = [], []
     for fam in _tail_families(space, w):
-        cvec = [0] * (space.size * n)
-        dvec = [0] * (space.size * nt)
-        for l1, c in enumerate(fam):
-            if c:
-                cvec[l1 * n] += c
-                dvec[l1 * nt + w + 2] = c
-                l, s = preimage[l1]
-                cvec[l * n + w] -= (-1) ** w * s * c
-                dvec[l * nt] = s * c
+        cvec, dvec = {}, {}
+        for l1, c in fam.items():
+            l = space.tables["S"][l1][0]
+            s = space.signed_act(l, MAT_SINV, w)[1] * c
+            cvec[l1 * n] = cvec.get(l1 * n, 0) + c
+            cvec[l * n + w] = cvec.get(l * n + w, 0) - s
+            dvec[l1 * nt + w + 2], dvec[l * nt] = c, (-1) ** w * s
         cvecs.append(cvec)
         dvecs.append(dvec)
     return cvecs, dvecs
@@ -851,8 +851,8 @@ def build_W_extended(space: CosetSpace, w: int) -> Subspace:
         raise PolySpaceError("weight mismatch with coset space")
     if space.degenerate:
         return Subspace.from_vectors(space, w, True, [])
-    sub = Subspace(space, w, True, kernel_columns(_relation_rows(space, w, True),
-                                                  space.size * (w + 3)))
+    (folded, rows), = _presentations(space, w, True)
+    sub = Subspace(space, w, True, kernel_columns(rows, space.size * (w + 3), folded=folded))
     _check_tilde_columns(sub)
     if w == 0 and any(sum(v for k, v in vec.items() if k % (w + 3) == w + 2)
                       for _, vec in sub.columns):
@@ -864,8 +864,8 @@ def wtilde_dimension(space: CosetSpace, w: int) -> int:
     """dim Wtilde by a rank computation only (for large indices)."""
     if space.degenerate:
         return 0
-    rows = _relation_rows(space, w, True)
-    return space.size * (w + 3) - sparse_int_rank(rows)
+    (folded, rows), = _presentations(space, w, True)
+    return space.size * (w + 3) - sparse_int_rank(rows, folded)
 
 
 def decompose_extended(vec: ExtPolyVector, wtilde: Optional[Subspace] = None) -> tuple:

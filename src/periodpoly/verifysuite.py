@@ -153,12 +153,12 @@ def check_radical_and_duality():
         # duality closed form against every extended basis vector
         for fam, cvec in zip(_tail_families(space, w),
                              _coboundary_and_D_vectors(space, w)[0]):
-            P = PolyVector.from_coords(space, w, cvec)
+            P = PolyVector.from_coords(space, w, [cvec.get(i, 0) for i in
+                                                  range(space.size * (w + 1))])
             for j in range(Wt.dim):
                 Q = Wt.vector(j)
                 rhs = -Fraction(6, space.index) * sum(
-                    Fraction(a) * (-1) ** w * (w + 1) * b
-                    for a, b in zip(fam, Q.tails))
+                    Fraction(a) * (-1) ** w * (w + 1) * Q.tails[l] for l, a in fam.items())
                 check(pair_braces(P, Q) == rhs, "duality closed form fails")
 
 

@@ -12,6 +12,17 @@ of each U-orbit only.  ``reference_w_label_rows`` and
 ``reference_wtilde_label_rows`` are the two per-label emitters periodpoly
 had before one table-driven emitter, ``polyspace._label_rows``, served both.
 
+``reference_orbit_rows``, ``reference_relation_rows`` and
+``reference_eps_rows`` are the relation rows periodpoly handed the
+eliminator before it presented the period systems over their two-term
+classes (``polyspace._presentations``): every S row, the U rows kept at
+the least label of each U-orbit and the short ones at every label, and
+one eps row per pair {m, eps(m)}.  ``reference_two_term_pass`` is the
+signed union-find that folded them, the two-term pass of the eliminator
+before one class walk (``exactalg._tie_classes``) served it and
+``polyspace._presentations``, which now reads that presentation off the
+coset tables.
+
 ``reference_resolve_sigma_coset`` is the double-coset resolver as
 periodpoly wrote it before it read B = A M^vee entry by entry in integers:
 one ``Mat2`` product and one adjoint per call.  Its Theta branch on Gamma1
@@ -24,13 +35,16 @@ periodpoly wrote it before it packed the basis columns into one vector:
 one apply and one residual check per column.
 """
 
+import math
+from fractions import Fraction
 from typing import Optional
 
 from periodpoly.cosets import (GAMMA1, CosetSpace, Mat2, MAT_S, MAT_SINV, MAT_U, MAT_U2,
                                MAT_U2INV, MAT_UINV, _crt)
-from periodpoly.exactalg import DenseMatrix, poly_mul
+from periodpoly.exactalg import DenseMatrix, _normalize_int_row, poly_mul
 from periodpoly.hecke import HeckeError, SigmaSpec
-from periodpoly.polyspace import PolySpaceError, _pow_linear, slash_matrix
+from periodpoly.polyspace import (PolySpaceError, _label_rows, _pow_linear, eps_coordinates,
+                                  slash_matrix)
 
 
 def reference_rref_rows(rows: list, field) -> tuple[list, list]:
@@ -206,6 +220,126 @@ def reference_wtilde_label_rows(space: CosetSpace, w: int):
             if row:
                 u_rows.append(row)
         yield l <= min(targets[1][0], targets[2][0]), s_rows, u_rows
+
+
+def reference_orbit_rows(label_rows) -> list:
+    """The relation rows kept from a per-label emitter: every S row, and a
+    U row at l when l is the least label of its U-orbit or the row has at
+    most two nonzeros.
+
+    With Q = P|(1+U+U^2), Q|U = P|(U+U^2+J) = Q, as J = -1 acts on a label
+    and its polynomial by the same sign.  So Q vanishes at l exactly when it
+    vanishes at l U^(-1) and at l U^(-2): the U rows at one label of an orbit
+    span those at the other two, and the row space is the one of the rows at
+    every label (Stein 2007, ch. 8; Cremona 1997, 2.2).
+    """
+    rows = []
+    for least, s_rows, u_rows in label_rows:
+        rows += s_rows
+        rows += u_rows if least else [r for r in u_rows if len(r) <= 2]
+    return rows
+
+
+def reference_relation_rows(space: CosetSpace, w: int, extended: bool) -> list:
+    """The rows of ``_label_rows`` that ``reference_orbit_rows`` keeps."""
+    return reference_orbit_rows(_label_rows(space, w, extended))
+
+
+def reference_eps_rows(space: CosetSpace, w: int, sign: int) -> list:
+    """Sparse rows of P|eps = sign P, one per pair {m, eps(m)}.
+
+    (P|eps)[m] = s P[k] with k = eps(m), and eps is an involution, so the
+    row at k is -sign s times the row at m: only m < k is kept.  Where eps
+    fixes m the row is (s - sign) P[m], kept only when it is not empty.
+    """
+    rows = []
+    for m, (k, s) in enumerate(eps_coordinates(space, w, False)):
+        if m < k:
+            rows.append({m: -sign, k: s})
+        elif m == k and s != sign:
+            rows.append({m: s - sign})
+    return rows
+
+
+def reference_two_term_pass(rows: list) -> tuple:
+    """Fold the rows with one or two nonzeros by substitution.
+
+    A signed union-find over their columns keeps x_c = f x_root, the root
+    the least column of its class, f an int where the division is exact.
+    A one-term row, or a cycle with a nonzero net coefficient, zeroes its
+    class.  Returns the pivot rows (c, row) of these relations, row a
+    primitive multiple of den x_c - num x_root for f = num / den, or x_c
+    in a zero class, and the longer rows over the roots, in integers.
+    """
+    parent, zero = {}, set()  # c -> (parent, f): x_c = f x_parent; zero roots
+
+    def find(c):
+        if c not in parent:
+            return c, 1
+        path = []
+        while c in parent:
+            path.append(c)
+            c = parent[c][0]
+        acc = 1
+        for node in reversed(path):
+            acc = parent[node][1] * acc
+            parent[node] = (c, acc)
+        return c, acc
+
+    long_rows, seen = [], set()
+    for row in rows:
+        if len(row) > 2:
+            long_rows.append(row)
+            continue
+        seen.update(row)
+        if len(row) == 1:
+            zero.add(find(next(iter(row)))[0])
+            continue
+        (a, u), (b, v) = row.items()
+        (ra, fa), (rb, fb) = find(a), find(b)
+        if ra == rb:
+            if u * fa + v * fb:
+                zero.add(ra)
+            continue
+        if ra > rb:
+            ra, fa, u, rb, fb, v = rb, fb, v, ra, fa, u
+        num, den = -u * fa, v * fb  # x_rb = num / den x_ra
+        if type(num) is int and type(den) is int and not num % den:
+            parent[rb] = (ra, num // den)
+        else:
+            parent[rb] = (ra, Fraction(num, den))
+        if rb in zero:
+            zero.add(ra)
+    image, pivots = {}, []
+    for c in seen:
+        r, f = find(c)
+        if r in zero:
+            image[c] = None
+            pivots.append((c, {c: 1}))
+        else:
+            image[c] = (r, f)
+            if r != c:
+                num, den = f.numerator, f.denominator
+                pivots.append((c, {r: -num, c: den} if num < 0 else {r: num, c: -den}))
+    out = []
+    for row in long_rows:
+        new, fractional = {}, False
+        for c, v in row.items():
+            if c in image:
+                target = image[c]
+                if target is None:
+                    continue
+                c, f = target
+                v *= f
+                fractional = fractional or type(v) is not int
+            new[c] = new.get(c, 0) + v
+        if fractional:
+            D = math.lcm(*(x.denominator for x in new.values()))
+            new = {c: int(x * D) for c, x in new.items()}
+        new = {c: x for c, x in new.items() if x}
+        if new:
+            out.append(_normalize_int_row(new))
+    return pivots, out
 
 
 def reference_resolve_sigma_coset(space: CosetSpace, label: int, M: Mat2,

@@ -164,6 +164,7 @@ def test_criterion_08_pairing_structure():
                                   for j in range(Wt.dim)] for i in range(Wt.dim)])
         ok &= gram2.rank() == Wt.dim
         for fam in _tail_families(sp, w):
+            fam = [fam.get(l, 0) for l in range(sp.size)]
             vals = []
             for l in range(sp.size):
                 l1, _ = sp.act(l, MAT_S.inverse())

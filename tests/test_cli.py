@@ -448,6 +448,13 @@ HUGE_LEVEL = [
 ]
 
 
+# index x (weight - 1)^3.5 above cli.MAX_COST: 1.05e7 and 5.3e7
+ABOVE_COST = [
+    ["dims", "--level", "2", "--weight", "75"],
+    ["dims", "--level", "11", "--weight", "80"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["dims", "--level", "0", "--weight", "2"],
     ["cusps", "--level", "-3", "--weight", "2"],
@@ -505,6 +512,7 @@ HUGE_LEVEL = [
     ["hecke-matrix", "--level", "11", "--weight", "300", "--n", "2"],
     ["eigenpoly", "--level", "11", "--weight", "102", "--parity", "plus"],
     *HUGE_LEVEL,
+    *ABOVE_COST,
 ])
 def test_bad_input_is_one_line_usage_error(argv, form5_path, form11_path, capsys):
     forms = {FORM: form5_path, FORM2: form11_path}
@@ -533,6 +541,21 @@ def test_gamma02_terms_at_the_bound_run():
     code, text = run_cli(["gamma02-relations", "--weight", "8", "--terms",
                           str(cli.MAX_TERMS)])
     assert code == cli.EXIT_OK and json.loads(text)["relations"]
+
+
+@pytest.mark.parametrize("argv", ABOVE_COST)
+def test_index_and_weight_above_the_cost_bound_are_refused_at_once(argv, capsys):
+    start = time.perf_counter()
+    code, _ = run_cli(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_USAGE
+    assert "index x (weight - 1)^3.5 is above %d" % cli.MAX_COST in capsys.readouterr().err
+
+
+def test_index_and_weight_just_below_the_cost_bound_run():
+    # index 3 x 73^3.5 = 9.97e6, just below cli.MAX_COST
+    code, text = run_cli(["dims", "--level", "2", "--weight", "74"])
+    assert code == cli.EXIT_OK and json.loads(text)["index"] == 3
 
 
 def test_weight_at_the_bound_runs():

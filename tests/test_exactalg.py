@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,16 +17,17 @@ from periodpoly.exactalg import (ApproxComplex, Cyclotomic, CyclotomicField,
                                  rows_to_int_sparse, scalar_from_str,
                                  scalar_to_str, solve_columns,
                                  kernel_columns, sparse_int_pivots,
-                                 sparse_int_rank, _normalize_int_row)
+                                 sparse_int_rank, _normalize_int_row, _two_term_pass)
 
 from periodpoly import polyspace
 from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_U2INV, MAT_UINV, build_coset_space,
                                dirichlet_characters)
-from periodpoly.polyspace import (_label_rows, _relation_rows, build_W, chi_component,
+from periodpoly.polyspace import (_label_rows, _presentations, build_W, chi_component,
                                   eps_coordinates)
 
-from dense_reference import (reference_column_basis, reference_kernel_basis,
-                             reference_rref_rows, reference_w_label_rows,
+from dense_reference import (reference_column_basis, reference_eps_rows, reference_kernel_basis,
+                             reference_two_term_pass,
+                             reference_relation_rows, reference_rref_rows, reference_w_label_rows,
                              reference_w_relation_rows, reference_wtilde_label_rows,
                              reference_wtilde_relation_rows)
 
@@ -94,6 +98,13 @@ class TestCyclotomic:
             K.zero.inverse()
 
 
+def poly_mul_all(polys) -> list:
+    out = [1]
+    for p in polys:
+        out = poly_mul(out, p)
+    return out
+
+
 class TestPolynomials:
     def test_divmod_exact_on_integer_input(self):
         num = poly_mul([3, 1], [-2, 0, 5])      # (X + 3)(5X^2 - 2), plus 1 below
@@ -106,6 +117,56 @@ class TestPolynomials:
             assert [a + b for a, b in zip(back, r + [0] * len(num))] == num
         q, r = poly_divmod([-1, 0, 1], [1, 1])
         assert (q, r) == ([-1, 1], [0])
+
+    @staticmethod
+    def fraction_route(num, den):
+        """poly_divmod over Q: Fraction inputs take its Fraction path."""
+        return poly_divmod([Fraction(c) for c in num], [Fraction(c) for c in den])
+
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(num=st.lists(st.integers(-50, 50), max_size=12),
+           den=st.lists(st.integers(-50, 50), max_size=8), lead=st.sampled_from([1, -1]))
+    def test_unit_leading_divisor_stays_in_integers(self, num, den, lead):
+        num, den = num or [0], den + [lead]
+        q, r = poly_divmod(num, den)
+        assert all(type(c) is int for c in q + r)
+        assert (q, r) == self.fraction_route(num, den)
+
+    def test_cyclotomic_divisions_stay_in_integers(self):
+        """Every division cyclotomic_polynomial makes for m < 600, from a
+        cold cache, in integers; the Fraction route agrees on a sample that
+        holds the largest and the most composite m, and the product formula
+        Phi_m = prod_(d | m) (X^d - 1)^mu(m / d) on all of them."""
+        def mobius(n):
+            out, p = 1, 2
+            while p * p <= n:
+                if n % p == 0:
+                    n //= p
+                    if n % p == 0:
+                        return 0
+                    out = -out
+                p += 1
+            return -out if n > 1 else out
+
+        cyclotomic_polynomial.cache_clear()
+        sample = set(range(1, 61)) | {210, 360, 420, 512, 577, 598}
+        for m in range(1, 600):
+            num = [-1] + [0] * (m - 1) + [1]
+            for d in range(1, m):
+                if m % d == 0:
+                    q, r = poly_divmod(num, cyclotomic_polynomial(d))
+                    assert all(type(c) is int for c in q) and not any(r)
+                    if m in sample:
+                        assert (q, r) == self.fraction_route(num, cyclotomic_polynomial(d))
+                    num = q
+            assert tuple(num) == cyclotomic_polynomial(m)
+            prod, rest = [1], [1]
+            for d in range(1, m + 1):
+                if m % d == 0 and mobius(m // d):
+                    (prod if mobius(m // d) == 1 else rest).append(d)
+            top = poly_mul_all([[-1] + [0] * (d - 1) + [1] for d in prod[1:]])
+            bottom = poly_mul_all([[-1] + [0] * (d - 1) + [1] for d in rest[1:]])
+            assert poly_mul(bottom, list(num)) == top
 
 
 class TestKernels:
@@ -308,8 +369,11 @@ class TestSparse:
     def test_reduced_column_basis_canonical(self):
         v1 = (Fraction(2), Fraction(0), Fraction(2))
         v2 = (Fraction(1), Fraction(1), Fraction(0))
-        b1 = reduced_column_basis(QQ, [v1, v2], 3)
-        b2 = reduced_column_basis(QQ, [v2, (Fraction(3), Fraction(1), Fraction(2))], 3)
+        def sparse(v):
+            return {c: x for c, x in enumerate(v) if x}
+
+        b1 = reduced_column_basis(QQ, [sparse(v1), sparse(v2)], 3)
+        b2 = reduced_column_basis(QQ, [sparse(v2), {0: Fraction(3), 1: 1, 2: 2}], 3)
         assert b1 == b2  # same span, same canonical form
         assert [tuple(column_entries(QQ, den, vec, 3)) for den, vec in b1] == \
             reference_column_basis(QQ, [v1, v2], 3).columns()
@@ -389,8 +453,8 @@ def relation_systems(kind, N, k, monkeypatch):
     W+- systems of ``w_dimensions``, Wtilde and the realified chi rows of
     ``chi_component`` on W, one for each character of the weight's parity."""
     space, w = build_coset_space(kind, N, k), k - 2
-    rows = _relation_rows(space, w, False)
-    systems = [rows, _relation_rows(space, w, True)]
+    rows = reference_relation_rows(space, w, False)
+    systems = [rows, reference_relation_rows(space, w, True)]
     eps = eps_coordinates(space, w, False)
     for target in (1, -1):
         extra = []
@@ -448,7 +512,8 @@ class TestOrbitRows:
                              + [(GAMMA0, 1000, 2, True)])
     def test_same_reduced_form_as_every_label(self, kind, N, k, extended):
         space, w = build_coset_space(kind, N, k), k - 2
-        rows, every = _relation_rows(space, w, extended), self.REFERENCES[extended](space, w)
+        rows = reference_relation_rows(space, w, extended)
+        every = self.REFERENCES[extended](space, w)
         # the emitter leaves out empty rows, the equation 0 = 0
         assert (row_multiset(every_label_rows(space, w, extended))
                 == row_multiset(r for r in every if r))
@@ -469,6 +534,96 @@ class TestOrbitRows:
         assert len(orbit) == 3
         assert (sparse_int_pivots(rows, reduce_fully=True)
                 != sparse_int_pivots(every, reduce_fully=True))
+
+
+PRESENTATION_GRID = ([(GAMMA0, range(1, 61), k) for k in (2, 3, 4, 6)]
+                     + [(GAMMA1, range(5, 17), k) for k in (2, 3, 4)])
+
+
+class TestPresentation:
+    """The period systems presented over their two-term classes, against
+    the S, U and eps rows folded by the union-find two-term pass the
+    eliminator had before: W, W+, W- and Wtilde of Gamma0(N), N <= 60,
+    k = 2, 3, 4, 6 and Gamma1(N), 5 <= N <= 16, k = 2, 3, 4 (864 systems).
+    The eliminator's own two-term pass, now a class walk, is held to the
+    same reference on the same rows."""
+
+    @staticmethod
+    def as_set(pivots) -> set:
+        return {(c, tuple(sorted(r.items()))) for c, r in pivots}
+
+    @pytest.mark.parametrize("kind,levels,k", PRESENTATION_GRID)
+    def test_same_pivots_and_long_rows_as_the_two_term_pass(self, kind, levels, k):
+        systems = 0
+        for N in levels:
+            space, w = build_coset_space(kind, N, k), k - 2
+            if space.degenerate:
+                continue
+            for extended, sign in ((False, 0), (False, 1), (False, -1), (True, 0)):
+                rows = reference_relation_rows(space, w, extended)
+                if sign:
+                    rows = rows + reference_eps_rows(space, w, sign)
+                pivots, long_rows = reference_two_term_pass([r for r in rows if r])
+                (folded, presented), = _presentations(space, w, extended, (sign,))
+                where = (kind, N, k, extended, sign)
+                assert self.as_set(folded) == self.as_set(pivots), where
+                assert len(folded) == len(pivots), where
+                assert presented == long_rows, where
+                walked, walked_rows = _two_term_pass([r for r in rows if r])
+                assert self.as_set(walked) == self.as_set(pivots), where
+                assert walked_rows == long_rows, where
+                if systems % 7 == 0:
+                    assert (sparse_int_pivots(presented, reduce_fully=True, folded=folded)
+                            == sparse_int_pivots(rows, reduce_fully=True)), where
+                systems += 1
+        assert systems == 4 * len(levels) * (1 if kind == GAMMA1 or k % 2 == 0 else 0)
+
+    @pytest.mark.parametrize("kind,N,k", [(GAMMA0, 13, 4), (GAMMA0, 37, 2), (GAMMA1, 7, 3)])
+    def test_ties_of_any_coefficients_at_fixed_labels(self, kind, N, k, monkeypatch):
+        """Where U fixes a label the ties may have any coefficients; the
+        spaces give only +-u x + -+u y and u x, so ties 2 x + 3 y, 4 x - 6 y
+        and 5 x join the rows of the fixed labels, and the reference's
+        two-term pass gets the same rows."""
+        space, w = build_coset_space(kind, N, k), k - 2
+        real, n, size = polyspace._label_rows, w + 1, space.size * (w + 1)
+        half = size // 2 // n * n
+        ties = [{n: 2, half + n: 3}, {3 * n: 4, half + 3 * n: -6}, {5 * n: 5}]
+
+        def with_ties(space, w, extended, long_only=False):
+            yield from real(space, w, extended, long_only)
+            if long_only:
+                yield True, [], ties
+
+        monkeypatch.setattr(polyspace, "_label_rows", with_ties)
+        for sign in (0, 1):
+            rows = reference_relation_rows(space, w, False) + ties
+            if sign:
+                rows = rows + reference_eps_rows(space, w, sign)
+            pivots, long_rows = reference_two_term_pass([r for r in rows if r])
+            (folded, presented), = _presentations(space, w, False, (sign,))
+            assert {2, 3} <= {abs(v) for _, r in pivots for v in r.values()}
+            assert self.as_set(folded) == self.as_set(pivots)
+            assert presented == long_rows
+
+    def test_long_row_with_a_folded_column_is_refused_under_optimize(self):
+        # a presented row that still holds a folded column is refused by
+        # check(), which python -O keeps
+        code = ("from periodpoly.cosets import GAMMA0, build_coset_space\n"
+                "from periodpoly.exactalg import CheckFailed, sparse_int_pivots\n"
+                "from periodpoly.polyspace import _presentations\n"
+                "(folded, rows), = _presentations(build_coset_space(GAMMA0, 37, 4), 2, False)\n"
+                "c = next(c for c, row in folded if len(row) == 2)\n"
+                "rows[0][c] = 1\n"
+                "try:\n"
+                "    sparse_int_pivots(rows, folded=folded)\n"
+                "except CheckFailed as exc:\n"
+                "    print('CheckFailed:', exc)\n")
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+        assert proc.returncode == 0
+        assert proc.stdout == "CheckFailed: a presented row holds a folded column, not only roots\n"
 
 
 class TestLabelRows:
