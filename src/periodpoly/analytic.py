@@ -552,7 +552,7 @@ def eisenstein_period_demo(case: str) -> dict:
     and the additivity rho^+(E_2^6) = rho^+(E_2^2) + rho^+(E_2^3).
 
     "fulllevel:k": the extended period vector of E_k at level one lies in
-    the computed Wtilde (numerical membership).
+    the computed Wtilde (numerical membership, read at Wtilde's pivot rows).
     """
     if case == "gamma06":
         return _demo_gamma06()
@@ -694,39 +694,15 @@ def _demo_fulllevel(k: int) -> dict:
     a0 = -bernoulli(k) / (2 * k)
     c = (-1) ** w * float(a0) / (w + 1)
     vec = [c * (-1) ** w] + list(rho) + [c]
-    cols = [wtilde.basis.column(j) for j in range(wtilde.dim)]
-    resid = _lstsq_residual([[complex(x) for x in col] for col in cols], vec)
+    # each basis column is 1 at its own pivot row and 0 at the others, so
+    # the member of Wtilde that agrees with vec at the pivot rows is B times
+    # those entries: a member of Wtilde leaves exactly 0, any other vector
+    # at least its least-squares distance to Wtilde
+    proj = wtilde.basis.apply([vec[p] for p in wtilde.pivot_rows])
+    resid = math.sqrt(sum(abs(a - b) ** 2 for a, b in zip(vec, proj)))
     return {
         "k": k,
         "dim_wtilde": wtilde.dim,
         "vector_norm": math.sqrt(sum(abs(v) ** 2 for v in vec)),
         "residual": resid,
     }
-
-
-def _lstsq_residual(cols: list, vec: list) -> float:
-    """Euclidean residual of projecting vec onto the span of cols."""
-    n = len(cols)
-    gram = [[sum(a.conjugate() * b for a, b in zip(cols[i], cols[j]))
-             for j in range(n)] for i in range(n)]
-    rhs = [sum(a.conjugate() * v for a, v in zip(cols[i], vec)) for i in range(n)]
-    x = _solve_complex(gram, rhs)
-    proj = [sum(x[j] * cols[j][i] for j in range(n)) for i in range(len(vec))]
-    return math.sqrt(sum(abs(a - b) ** 2 for a, b in zip(vec, proj)))
-
-
-def _solve_complex(mat: list, rhs: list) -> list:
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        a[col], a[piv] = a[piv], a[col]
-        if abs(a[col][col]) < 1e-300:
-            raise AnalyticError("singular projection system")
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]

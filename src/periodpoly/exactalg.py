@@ -319,7 +319,7 @@ QQ = RationalField()
 
 @dataclass(frozen=True)
 class ApproxComplex:
-    """Complex float with an absolute error bound, propagated monotonically."""
+    """Complex float with an absolute error bound."""
 
     value: complex
     err: float = 0.0
@@ -327,42 +327,6 @@ class ApproxComplex:
     def __post_init__(self):
         if self.err < 0 or math.isnan(self.err):
             raise ExactAlgebraError("error bound must be non-negative")
-
-    def __add__(self, other):
-        other = _approx(other)
-        return ApproxComplex(self.value + other.value, self.err + other.err)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _approx(other)
-        return ApproxComplex(self.value - other.value, self.err + other.err)
-
-    def __rsub__(self, other):
-        return _approx(other) - self
-
-    def __mul__(self, other):
-        other = _approx(other)
-        err = (abs(self.value) * other.err + abs(other.value) * self.err
-               + self.err * other.err)
-        return ApproxComplex(self.value * other.value, err)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ApproxComplex(-self.value, self.err)
-
-    def conjugate(self):
-        return ApproxComplex(self.value.conjugate(), self.err)
-
-    def to_json(self) -> dict:
-        return {"re": self.value.real, "im": self.value.imag, "err": self.err}
-
-
-def _approx(x) -> ApproxComplex:
-    if isinstance(x, ApproxComplex):
-        return x
-    return ApproxComplex(complex(x), 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -481,20 +445,26 @@ def kernel_basis(m: DenseMatrix) -> DenseMatrix:
         m.field, kernel_columns(m.int_rows(), m.ncols, m.field), m.ncols)
 
 
-def eigen_columns(m: DenseMatrix, lam) -> list:
-    """The cleared columns (``kernel_columns``) of ker(m - lam*I)."""
-    if m.nrows != m.ncols:
-        raise ExactAlgebraError("eigen_kernel needs a square matrix")
-    f, lam = m.field, scalar_coords(m.field, lam)
-    rows = [{j: scalar_coords(f, x) for j, x in enumerate(r) if x} for r in m.rows]
-    for i, row in enumerate(rows):
-        row[i] = [a - b for a, b in zip(row.get(i, [0] * f.degree), lam)]
-    return kernel_columns(realified_rows(f, rows), m.ncols, f)
+def eigen_columns(pairs: Sequence[tuple], field=None) -> list:
+    """The cleared columns (``kernel_columns``) of the joint kernel of the
+    m - lam*I over the (m, lam) in pairs, over field, by default the field
+    of the first m.  The m are square of one size, over Q or field."""
+    n, f = pairs[0][0].ncols, pairs[0][0].field if field is None else field
+    rows = []
+    for m, lam in pairs:
+        if m.nrows != m.ncols or m.ncols != n:
+            raise ExactAlgebraError("eigen_kernel needs square matrices of one size")
+        lam = scalar_coords(f, lam)
+        block = [{j: scalar_coords(f, x) for j, x in enumerate(r) if x} for r in m.rows]
+        for i, row in enumerate(block):
+            row[i] = [a - b for a, b in zip(row.get(i, [0] * f.degree), lam)]
+        rows.extend(block)
+    return kernel_columns(realified_rows(f, rows), n, f)
 
 
 def eigen_kernel(m: DenseMatrix, lam) -> DenseMatrix:
     """Basis of ker(m - lam*I); empty when lam is not an eigenvalue."""
-    return DenseMatrix.from_int_columns(m.field, eigen_columns(m, lam), m.ncols)
+    return DenseMatrix.from_int_columns(m.field, eigen_columns([(m, lam)]), m.ncols)
 
 
 def solve_columns(basis: DenseMatrix, targets: Sequence[Sequence]) -> list | None:

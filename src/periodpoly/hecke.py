@@ -787,7 +787,7 @@ def common_eigen_polynomial(sub: Subspace, eigendata: Sequence[tuple],
         element_for = universal_hecke_element
     cur = sub
     for p, lam in eigendata:
-        ker = eigen_columns(hecke_matrix(cur, element_for(p), spec_for(p)), lam)
+        ker = eigen_columns([(hecke_matrix(cur, element_for(p), spec_for(p)), lam)])
         if not ker:
             raise EigenspaceError(
                 "empty intersection: %s is not an eigenvalue of T~_%d here" % (lam, p))

@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 
 from .exactalg import (DenseMatrix, ExactAlgebraError, PeriodPolyError, QQ, check,
                        clear_denominators, column_entries, eigen_columns, kernel_columns,
-                       mult_columns, poly_mul, realified_rows, reduced_column_basis,
+                       mult_columns, poly_mul, reduced_column_basis,
                        scalar_coords, scalar_from_str, scalar_to_str,
-                       sparse_int_rank, _image_pivots, _normalize_int_row, _over_roots,
+                       sparse_int_rank, _image_pivots, _over_roots,
                        _tie_classes, _tie_edges)
 from .cosets import (CosetSpace, Mat2, MAT_EPS, MAT_S, MAT_SINV, MAT_T,
                      MAT_TINV, MAT_U, MAT_U2, MAT_U2INV, MAT_UINV, GAMMA0,
@@ -758,13 +758,18 @@ def _presentations(space: CosetSpace, w: int, extended: bool, signs=(0,)) -> lis
     return out
 
 
+def _check_weight(space: CosetSpace, w: int) -> None:
+    """Every builder takes w = k - 2 of the coset space's weight k."""
+    if w != space.k - 2:
+        raise PolySpaceError("weight mismatch with coset space")
+
+
 def build_W(space: CosetSpace, w: int, sign: int = 0) -> Subspace:
     """The period polynomial space W_w^Gamma as an exact subspace; for sign
     +1 or -1 its part W+ or W- where P|eps = sign P, from one elimination of
     the period rows and the eps rows (Stein 2007, ch. 8).  The reduced
     column echelon basis is unique, so it is the one ``eps_split`` gives."""
-    if w != space.k - 2:
-        raise PolySpaceError("weight mismatch with coset space")
+    _check_weight(space, w)
     if type(sign) is not int or sign not in (-1, 0, 1):
         raise PolySpaceError("sign must be -1, 0 or 1, got %r" % (sign,))
     if space.degenerate:
@@ -778,6 +783,7 @@ def w_dimensions(space: CosetSpace, w: int) -> tuple:
 
     Avoids materializing kernel bases; intended for large levels.
     """
+    _check_weight(space, w)
     if space.degenerate:
         return (0, 0, 0)
     ncols = space.size * (w + 1)
@@ -832,6 +838,7 @@ def _coboundary_and_D_vectors(space: CosetSpace, w: int) -> tuple:
 
 def build_coboundary_and_D(space: CosetSpace, w: int) -> tuple:
     """(C, D): the coboundary space and the X^(w+1)-tail space."""
+    _check_weight(space, w)
     if space.degenerate:
         return (Subspace.from_vectors(space, w, False, []),
                 Subspace.from_vectors(space, w, True, []))
@@ -847,8 +854,7 @@ def build_W_extended(space: CosetSpace, w: int) -> Subspace:
     For k = 2 the constraint sum_A c_A = 0 is not imposed; it must emerge
     from the kernel and is asserted after the fact.
     """
-    if w != space.k - 2:
-        raise PolySpaceError("weight mismatch with coset space")
+    _check_weight(space, w)
     if space.degenerate:
         return Subspace.from_vectors(space, w, True, [])
     (folded, rows), = _presentations(space, w, True)
@@ -862,6 +868,7 @@ def build_W_extended(space: CosetSpace, w: int) -> Subspace:
 
 def wtilde_dimension(space: CosetSpace, w: int) -> int:
     """dim Wtilde by a rank computation only (for large indices)."""
+    _check_weight(space, w)
     if space.degenerate:
         return 0
     (folded, rows), = _presentations(space, w, True)
@@ -896,7 +903,7 @@ def eps_split(obj):
         _check_tilde_columns(sub)
     eps = eps_coordinates(sub.space, sub.w, sub.extended)
     emat = sub.restricted_matrix(lambda values: [s * values[k] for k, s in eps], 1, 1)
-    return sub.times(eigen_columns(emat, 1)), sub.times(eigen_columns(emat, -1))
+    return sub.times(eigen_columns([(emat, 1)])), sub.times(eigen_columns([(emat, -1)]))
 
 
 def cminus_trivial(N: int) -> bool:
@@ -911,9 +918,14 @@ def chi_component(sub: Subspace, chi) -> Subspace:
     """The chi-isotypic part of a subspace over the Gamma1(N) coset space.
 
     When chi(-1) != (-1)^k the component is zero (warning case); otherwise
-    it is B times the kernel of the relations P(lu) = chi(u) P(l) on
-    B-coordinates, realified over the cyclotomic field of chi.  B is
-    rational or over that field.
+    it is B times the joint kernel of the M_u - chi(u) I over the
+    generators u of (Z/N)*, M_u the matrix of the diamond operator
+    (P|<u>)(l) = s^w P(l u) on B, (l u, s) the label and sign of the row
+    u (c, d) of l (Stein 2007), realified over the cyclotomic field
+    of chi.  B is rational or over that field and must be mapped into
+    itself by every <u>, as W, Wtilde, C, D and their eps, chi and Hecke
+    parts are; otherwise ``Subspace.restricted_matrix`` refuses it ("image
+    of basis vector ... leaves the subspace"), also under -O.
     """
     space = sub.space
     if space.kind == GAMMA0:
@@ -930,34 +942,12 @@ def chi_component(sub: Subspace, chi) -> Subspace:
                       stacklevel=2)
         return Subspace(space, sub.w, sub.extended, [], field)
     n = sub.w + 3 if sub.extended else sub.w + 1
-    dB, d = sub.field.degree, field.degree
-    at = {}  # real index -> [(j, (L / d_j) n_j there)]
-    for j, (den, vec) in enumerate(sub.columns):
-        for k, v in vec.items():
-            at.setdefault(k, []).append((j, sub.lcm // den * v))
-    rows = {}  # keyed by content: the same relation comes from many labels
-    for u, _ in _unit_group_generators(space.N):
-        # chi(u) zeta^t; a root of unity has integer power-basis coordinates
-        chi_u = mult_columns(field, [int(x) for x in scalar_coords(field, chi(u))])
-        for l, (c, e) in enumerate(space.labels):
-            lu, s = space.label_of_row(u * c, u * e)
-            sw = s ** sub.w
-            for i in range(n):
-                # s^w B[lu, i] - chi(u) B[l, i] in power-basis coordinates
-                entries: dict = {}
-                for t in range(dB):
-                    for j, v in at.get((lu * n + i) * dB + t, ()):
-                        entries.setdefault(j, [0] * d)[t] += sw * v
-                    for j, v in at.get((l * n + i) * dB + t, ()):
-                        entry = entries.setdefault(j, [0] * d)
-                        for r, y in enumerate(chi_u[t]):
-                            entry[r] -= v * y
-                row = {j: tuple(x) for j, x in sorted(entries.items()) if any(x)}
-                if row:
-                    rows[tuple(row.items())] = row
-    # realified rows are often multiples of each other: key them primitive
-    real = {}
-    for row in realified_rows(field, rows.values()):
-        row = _normalize_int_row(row)
-        real[tuple(sorted(row.items()))] = row
-    return sub.times(kernel_columns(real.values(), sub.dim, field), field)
+    pairs = []
+    # (Z/N)* is trivial for N <= 2: <1> is the identity and chi(1) = 1
+    for u, _ in _unit_group_generators(space.N) or [(1, 1)]:
+        signed = [space.label_of_row(u * c, u * d) for c, d in space.labels]
+        perm = [(lu * n + i, s ** sub.w) for lu, s in signed for i in range(n)]
+        diamond = sub.restricted_matrix(
+            lambda values, perm=perm: [s * values[k] for k, s in perm], 1, 1)
+        pairs.append((diamond, chi(u)))
+    return sub.times(eigen_columns(pairs, field), field)

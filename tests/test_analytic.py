@@ -398,6 +398,13 @@ class TestDemos:
         assert rep["dim_wtilde"] == 4
         assert rep["residual"] < 1e-8
 
+    @pytest.mark.parametrize("k", range(4, 22, 2))
+    def test_fulllevel_residual_read_at_the_pivot_rows(self, k):
+        # E_k's vector against the member of Wtilde that agrees with it at
+        # Wtilde's pivot rows; the vector norms run from 2e-3 to 6 here
+        rep = eisenstein_period_demo("fulllevel:%d" % k)
+        assert rep["dim_wtilde"] >= 2 and rep["residual"] < 1e-12
+
     def test_unknown_case(self):
         with pytest.raises(AnalyticError):
             eisenstein_period_demo("nonsense")

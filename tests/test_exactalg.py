@@ -19,7 +19,7 @@ from periodpoly.exactalg import (ApproxComplex, Cyclotomic, CyclotomicField,
                                  kernel_columns, sparse_int_pivots,
                                  sparse_int_rank, _normalize_int_row, _two_term_pass)
 
-from periodpoly import polyspace
+from periodpoly import exactalg, polyspace
 from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_U2INV, MAT_UINV, build_coset_space,
                                dirichlet_characters)
 from periodpoly.polyspace import (_label_rows, _presentations, build_W, chi_component,
@@ -450,8 +450,9 @@ def reference_sparse_int_pivots(rows, reduce_fully=False):
 
 def relation_systems(kind, N, k, monkeypatch):
     """The integer systems whose ranks and kernels are the spaces: W, the
-    W+- systems of ``w_dimensions``, Wtilde and the realified chi rows of
-    ``chi_component`` on W, one for each character of the weight's parity."""
+    W+- systems of ``w_dimensions``, Wtilde and the realified rows of the
+    M_u - chi(u) I of ``chi_component`` on W (M_u the diamond operators on
+    W), one for each character of the weight's parity."""
     space, w = build_coset_space(kind, N, k), k - 2
     rows = reference_relation_rows(space, w, False)
     systems = [rows, reference_relation_rows(space, w, True)]
@@ -464,13 +465,14 @@ def relation_systems(kind, N, k, monkeypatch):
             extra.append({c: v for c, v in row.items() if v})
         systems.append(rows + extra)
     if kind == GAMMA1:
-        W, kernel_columns = build_W(space, w), polyspace.kernel_columns
+        W, kernel_columns = build_W(space, w), exactalg.kernel_columns
 
         def capture(rows, ncols, field):
             systems.append(list(rows))
             return kernel_columns(systems[-1], ncols, field)
 
-        monkeypatch.setattr(polyspace, "kernel_columns", capture)
+        # chi_component reaches the eliminator through eigen_columns
+        monkeypatch.setattr(exactalg, "kernel_columns", capture)
         for chi in dirichlet_characters(N):
             if chi.is_even_for_weight(k):
                 chi_component(W, chi)
@@ -693,17 +695,6 @@ class TestClearDenominators:
 
 
 class TestApproxComplex:
-    def test_error_propagation_monotone(self):
-        a = ApproxComplex(1 + 1j, 1e-9)
-        b = ApproxComplex(2 - 1j, 1e-10)
-        assert (a + b).err >= max(a.err, b.err)
-        assert (a * b).err >= a.err
-        assert (a - b).err == a.err + b.err
-
     def test_negative_error_rejected(self):
         with pytest.raises(ExactAlgebraError):
             ApproxComplex(1, -1e-9)
-
-    def test_json(self):
-        doc = ApproxComplex(1 + 2j, 3e-9).to_json()
-        assert doc == {"re": 1.0, "im": 2.0, "err": 3e-9}

@@ -598,7 +598,8 @@ class TestMembership:
 
         def refuse(*args, **kwargs):
             raise AssertionError("an elimination ran before the field check")
-        monkeypatch.setattr(polyspace, "kernel_columns", refuse)
+        monkeypatch.setattr(polyspace, "eigen_columns", refuse)
+        monkeypatch.setattr(Subspace, "restricted_matrix", refuse)
         with pytest.raises(PolySpaceError, match="field"):
             chi_component(foreign, ch)
         with pytest.raises(PolySpaceError, match="field"):
@@ -633,6 +634,25 @@ class TestChiComponents:
         with pytest.warns(UserWarning, match="chi"):
             comp = chi_component(W, odd)
         assert comp.dim == 0
+
+    @pytest.mark.parametrize("N,extended", [(12, False), (15, True)])
+    def test_subspace_not_mapped_into_itself_is_refused(self, N, extended):
+        # the line of the first basis vector of W or Wtilde, k = 2, which a
+        # diamond operator moves off it; the refusal is a raise, not an assert
+        space = build_coset_space(GAMMA1, N, 2)
+        P = (build_W_extended if extended else build_W)(space, 0).vector(0)
+        c = polyspace._coords_of(P)
+        line = Subspace.from_vectors(space, 0, extended, [c])
+        n = len(c) // space.size
+        # (P|<u>)(l) = P(l u) at w = 0, (l u, _) the label of the row u (c, d)
+        moved = [[x for cl, d in space.labels
+                  for x in c[n * space.label_of_row(u * cl, u * d)[0]:][:n]]
+                 for u, _ in _unit_group_generators(N)]
+        assert not all(line.contains(v) for v in moved)
+        for ch in dirichlet_characters(N):
+            if ch.is_even_for_weight(2):
+                with pytest.raises(PolySpaceError, match="basis vector 0 leaves the subspace"):
+                    chi_component(line, ch)
 
     def test_rejected_over_gamma0(self, w5):
         triv = next(ch for ch in dirichlet_characters(5) if ch.is_trivial())
@@ -719,6 +739,15 @@ class TestSignedBuild:
         for space in (build_coset_space(GAMMA0, 5, 4), build_coset_space(GAMMA0, 5, 5)):
             with pytest.raises(PolySpaceError, match="sign"):
                 build_W(space, space.k - 2, sign)
+
+    @pytest.mark.parametrize("build", [build_W, build_W_extended, w_dimensions,
+                                       wtilde_dimension, build_coboundary_and_D])
+    @pytest.mark.parametrize("kind,N,k,w", [(GAMMA1, 2, 3, 2), (GAMMA1, 2, 4, 1),
+                                            (GAMMA0, 11, 4, 0), (GAMMA0, 5, 2, 2)])
+    def test_weight_other_than_the_space_s_is_refused(self, build, kind, N, k, w):
+        # Gamma1(2), k = 3 is degenerate: w = 2 is refused before any answer of 0
+        with pytest.raises(PolySpaceError, match="weight mismatch"):
+            build(build_coset_space(kind, N, k), w)
 
 
 def reference_chi_component(sub, chi):
@@ -831,7 +860,11 @@ class TestCanonicalBases:
     @pytest.mark.parametrize("N,k,extended", [
         pytest.param(11, 2, False, id="11"), pytest.param(13, 2, False, id="13"),
         pytest.param(7, 3, False, id="7-k3"), pytest.param(13, 3, False, id="13-k3"),
-        pytest.param(11, 2, True, id="11-wtilde")])
+        pytest.param(11, 2, True, id="11-wtilde"),
+        pytest.param(2, 4, True, id="2-k4-wtilde")] + [  # (Z/2)* = 1: no generator
+        # (Z/N)* of two generators: the joint kernel of two diamond operators
+        pytest.param(N, k, extended, id="%d-k%d%s" % (N, k, "-wtilde" if extended else ""))
+        for N in (12, 15, 16) for k in (2, 3) for extended in (False, True)])
     def test_chi_component_equals_from_vectors(self, N, k, extended):
         import warnings as _warnings
         space = build_coset_space(GAMMA1, N, k)
