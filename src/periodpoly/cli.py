@@ -18,7 +18,7 @@ from fractions import Fraction
 from .exactalg import PeriodPolyError, scalar_to_str
 from .cosets import GAMMA0, GAMMA1, build_coset_space, coset_index, cusp_classes
 from .polyspace import (build_W, build_W_extended, build_coboundary_and_D,
-                        w_dimensions, wtilde_dimension)
+                        coboundary_and_D_dimensions, w_dimensions, wtilde_dimension)
 from .hecke import (HeckeError, common_eigen_polynomial, delta_spec,
                     delta_vee_spec, hecke_matrix, theta_spec,
                     universal_hecke_element, verified_hecke_element,
@@ -157,14 +157,14 @@ def cmd_dims(args, out):
     if space.size > 60:
         _progress("building relation systems at index %d ..." % space.size)
     dim_w, dim_plus, dim_minus = w_dimensions(space, w)
-    C, D = build_coboundary_and_D(space, w)
+    dim_c, dim_d = coboundary_and_D_dimensions(space, w)
     dim_wt = wtilde_dimension(space, w)
     _emit({
         "group": args.group, "level": args.level, "weight": args.weight,
         "index": space.index,
         "dim_W": dim_w, "dim_W_plus": dim_plus, "dim_W_minus": dim_minus,
-        "dim_C": C.dim, "dim_D": D.dim, "dim_Wtilde": dim_wt,
-        "dim_S_inferred": (dim_w - C.dim) // 2,
+        "dim_C": dim_c, "dim_D": dim_d, "dim_Wtilde": dim_wt,
+        "dim_S_inferred": (dim_w - dim_c) // 2,
     }, out)
     return EXIT_OK
 

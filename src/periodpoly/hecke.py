@@ -19,6 +19,7 @@ bottom row of a coset representative.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -30,7 +31,9 @@ from .exactalg import (DenseMatrix, PeriodPolyError, check,
                        clear_denominators, eigen_columns,
                        rows_to_int_sparse)
 from .cosets import CosetSpace, Mat2, MAT_I, MAT_S, MAT_T, GAMMA0, _xgcd
-from .polyspace import (PolyVector, ExtPolyVector, Subspace, slash_poly,
+# slash_poly stays importable as hecke.slash_poly, the name perfbench's
+# tracer rebinds and its self-tests read
+from .polyspace import (PolyVector, ExtPolyVector, Subspace, slash_poly,  # noqa: F401
                         _pow_linear)
 
 
@@ -419,26 +422,28 @@ def solve_universal_hecke(n: int, entry_bound: Optional[int] = None,
 
 
 def merel_family(n: int) -> list:
-    """Integer matrices with det n, a > b >= 0 and d > c >= 0.
+    """Merel's family (``_merel_walk``) as Mat2s, sorted."""
+    return sorted(map(Mat2._make, _merel_walk(n)))
+
+
+def _merel_walk(n: int):
+    """Integer matrices (a, b, c, d) with det n, a > b >= 0 and d > c >= 0.
 
     Put g = a - b >= 1.  Then a d - b c = n reads a (d - c) = n - g c, so d
     > c is g c < n, a is a divisor a >= g of m = n - g c, and d = c + m / a.
     Every (g, c) with g c < n is walked once, with the divisors of m from a
-    sieve up to n; the list is sorted by a, then b, then increasing c.
+    sieve up to n.
     """
     divisors = [[] for _ in range(n + 1)]
     for a in range(1, n + 1):
         for m in range(a, n + 1, a):
             divisors[m].append(a)
-    out = []
     for g in range(1, n + 1):
         for c in range((n - 1) // g + 1):
             m = n - g * c
             divs = divisors[m]
             for a in divs[bisect.bisect_left(divs, g):]:
-                out.append(Mat2(a, a - g, c, c + m // a))
-    out.sort()
-    return out
+                yield a, a - g, c, c + m // a
 
 
 def verified_hecke_element(n: int) -> tuple:
@@ -446,15 +451,15 @@ def verified_hecke_element(n: int) -> tuple:
     the witness of its one ``hecke_identity`` check: (T~_n, runs of den Y,
     den).
 
-    The adjoint (d -b; -c a) of a member is written pm-canonical at once:
-    (-d b; c -a) for c > 0 and (d -b; 0 a) for c = 0.  The members are
-    distinct, so are their adjoints, and each has the int coefficient 1, so
-    den is 1.  Merel (1994) proves the identity for this family, so a failed
-    check is a bug and raises HeckeError.
+    The adjoint (d -b; -c a) of a member is written pm-canonical inside the
+    walk: (-d b; c -a) for c > 0 and (d -b; 0 a) for c = 0.  The members
+    are distinct, so are their adjoints, and each has the int coefficient
+    1, so den is 1.  Merel (1994) proves the identity for this family, so a
+    failed check is a bug and raises HeckeError.
     """
     cand = GroupRingElement.from_canonical(
         n, {Mat2(-d, b, c, -a) if c else Mat2(d, -b, 0, a): 1
-            for a, b, c, d in merel_family(n)})
+            for a, b, c, d in _merel_walk(n)})
     ok, y, den = hecke_identity(cand, n)
     if not ok:
         raise HeckeError("Merel family failed verification at n = %d" % n)
@@ -534,9 +539,9 @@ def theta_matrix(kind: str, N: int, n: int) -> Mat2:
     return Mat2(n * alpha, y, -N * beta, n)
 
 
-def resolve_sigma_coset(space: CosetSpace, label: int, M: Mat2,
-                        spec: SigmaSpec) -> Optional[tuple]:
-    """The coset label carrying P in (P|_Sigma M)(A), or None.
+def sigma_targets(space: CosetSpace, M, spec: SigmaSpec) -> list:
+    """[(label, target, sign)] for every label A at which a coset carries P
+    in (P|_Sigma M)(A): the target label and its sign.
 
     Put B = A M^vee.  If g = C M A^-1 lies in Sigma with N | c_g, then
     g B = n C, so B = g^vee C and row(B) = a_g row(C) mod N for the bottom
@@ -554,36 +559,54 @@ def resolve_sigma_coset(space: CosetSpace, label: int, M: Mat2,
     gives row(C) = -y^-1 top(B) mod n and row(C) = x^-1 bottom(B) / n
     mod N/n, joined by CRT.
 
-    The entries of B are computed in integers from those of A and M, the
-    top row only for Theta once n divides the bottom one.
+    The entries of B are computed in integers from those of the lift A and
+    of M, the top row only for Theta once n divides the bottom one, and
+    read mod N only (as Cremona 1997, 2.4, reduces Heilbronn matrices).
     """
+    return _sigma_hits(space, enumerate(space.lifts), M, spec)
+
+
+def resolve_sigma_coset(space: CosetSpace, label: int, M,
+                        spec: SigmaSpec) -> Optional[tuple]:
+    """(target, sign) of ``sigma_targets`` at one label, or None."""
+    hits = _sigma_hits(space, ((label, space.lifts[label]),), M, spec)
+    return hits[0][1:] if hits else None
+
+
+def _sigma_hits(space: CosetSpace, lifts, M, spec: SigmaSpec) -> list:
+    """``sigma_targets`` over the given (label, lift) pairs."""
     if spec.N != space.N or spec.kind != space.kind:
         raise HeckeError("double coset and coset space disagree")
     a, b, c, d = M
     if a * d - b * c != spec.n:
         raise HeckeError("matrix determinant %d does not match spec" % (a * d - b * c))
-    A = space.lifts[label]
-    # the bottom row of B = A M^vee, with M^vee = (d, -b; -c, a)
-    bc = A.c * d - A.d * c
-    bd = A.d * a - A.c * b
-    variant = spec.variant
-    if variant == "delta":
-        return space.label_of_row(bc, bd)
-    if variant == "theta":
+    row = space.label_of_row
+    out = []
+    if spec.variant == "theta":
         n = spec.n
-        if bc % n or bd % n:
-            return None
-        ba = A.a * d - A.b * c
-        bb = A.b * a - A.a * b
         np = space.N // n
         wm = spec.w_matrix
         # r = -y^-1 mod n and 0 mod N/n; s bottom(B) = x^-1 bottom(B) / n
         # mod N/n and 0 mod n, as n x_w is a unit mod N/n
         r = -np * pow(np * wm.b, -1, n)
         s = pow(wm.a, -1, np)
-        return space.label_of_row(r * ba + s * bc, r * bb + s * bd)
-    u = pow(spec.n, -1, space.N) if variant == "delta_vee" else spec.diamond
-    return space.label_of_row(u * bc, u * bd)
+        for l, (p, q, x, y) in lifts:
+            # the bottom row of B = A M^vee, with M^vee = (d, -b; -c, a)
+            bc = x * d - y * c
+            bd = y * a - x * b
+            if bc % n or bd % n:
+                continue
+            hit = row(r * (p * d - q * c) + s * bc, r * (q * a - p * b) + s * bd)
+            if hit is not None:
+                out.append((l,) + hit)
+        return out
+    u = (1 if spec.variant == "delta" else
+         pow(spec.n, -1, space.N) if spec.variant == "delta_vee" else spec.diamond)
+    for l, (_, _, x, y) in lifts:
+        hit = row(u * (x * d - y * c), u * (y * a - x * b))
+        if hit is not None:
+            out.append((l,) + hit)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -592,14 +615,15 @@ def resolve_sigma_coset(space: CosetSpace, label: int, M: Mat2,
 class HeckeOperator:
     """P |_Sigma t on the PolyVectors or ExtPolyVectors of one space, compiled once.
 
-    Each (label, M) pair of the support of t is resolved exactly once, and
-    coeff * s**w times the matrix of |M is folded into one integer block per
-    (target label, source label) pair: (w+1) x (w+1) on degree <= w
-    polynomials, (w+3) x (w+3) on the X^(-1), ..., X^(w+1) coordinates of
-    the extended space.  The coefficients of t, and in the extended case
-    the denominators of the partial fractions, are cleared over the common
-    denominator ``den``.  The image of a coordinate vector is then a sum of
-    block x slice products over the nonzero source slices.
+    The support of t is grouped by M mod N, all that ``sigma_targets``
+    reads, so each class is resolved once against every label, and its sum
+    of coeff times the matrix of |M is added, times s**w, into one integer
+    block per (target label, source label) pair at each hit: (w+1) x (w+1)
+    on degree <= w polynomials, (w+3) x (w+3) on the X^(-1), ..., X^(w+1)
+    coordinates of the extended space.  The coefficients of t, and in the
+    extended case the denominators of the partial fractions, are cleared
+    over ``den``.  The image of a coordinate vector is then a sum of block
+    x slice products over the nonzero source slices.
 
     On the extended space X^-1 | M = (cX+d)^(w+1) / (aX+b) and
     X^(w+1) | M = (aX+b)^(w+1) / (cX+d) are split into a polynomial part
@@ -626,17 +650,14 @@ class HeckeOperator:
         folded = [{} for _ in range(space.size)]
         # (target, pole) -> {source coordinate: residue}
         residues = {}
-        for M, c in zip(t.coeffs, ints):
-            cols = None
-            for l in range(space.size):
-                hit = resolve_sigma_coset(space, l, M, spec)
-                if hit is None:
-                    continue
-                l2, s = hit
-                if cols is None:
-                    cols, poles = _slash_columns(M, w, extended)
-                f = c if s ** w == 1 else -c
-                for j, x0, res in poles:
+        for members in _support_classes(t.coeffs, ints, spec.n, space.N).values():
+            hits = sigma_targets(space, members[0][0], spec)
+            if not hits:
+                continue
+            cols, poles = _fold_class(members, w, extended)
+            for l, l2, s in hits:
+                f = 1 if s ** w == 1 else -1
+                for (j, x0), res in poles.items():
                     row = residues.setdefault((l, x0), {})
                     row[l2 * n + j] = row.get(l2 * n + j, 0) + f * res
                 block = folded[l].get(l2)
@@ -699,23 +720,60 @@ class HeckeOperator:
         return PolyVector.from_coords(self.space, self.w, image)
 
 
-def _slash_columns(M: Mat2, w: int, extended: bool) -> tuple:
-    """(the columns X^j | M, the residues they leave out).
+def _support_classes(matrices, coeffs: Sequence, n: int, N: int) -> dict:
+    """{M mod N: [(M, c), ...]}, each determinant checked to be n."""
+    classes = {}
+    for M, c in zip(matrices, coeffs):
+        a, b, cc, d = M
+        if a * d - b * cc != n:
+            raise HeckeError("matrix determinant %d does not match spec" % (a * d - b * cc))
+        classes.setdefault((a % N, b % N, cc % N, d % N), []).append((M, c))
+    return classes
 
-    For 0 <= j <= w the column is ``slash_poly``.  On the extended space
-    the columns run over X^(-1), ..., X^(w+1), and the two end columns come
-    from ``_over_linear``; each residue at a pole x0 != 0 is returned as
-    (column index, x0, residue).
-    """
-    cols = [slash_poly(tuple(int(i == j) for i in range(w + 1)), M, w)
-            for j in range(w + 1)]
-    if not extended:
-        return cols, ()
-    first, pole_first = _over_linear(_pow_linear(M.c, M.d, w + 1), M.a, M.b, w)
-    last, pole_last = _over_linear(_pow_linear(M.a, M.b, w + 1), M.c, M.d, w)
-    cols = [first] + [(0,) + col + (0,) for col in cols] + [last]
-    poles = [(j,) + pole for j, pole in ((0, pole_first), (w + 2, pole_last)) if pole]
+
+def _fold_class(members: Sequence[tuple], w: int, extended: bool) -> tuple:
+    """(the columns of sum c (X^j | M) over the (M, c) of one class,
+    {(column, x0): sum c residue}): monomials summed first (``_slash_plan``),
+    on the extended space end columns and poles by ``_over_linear``."""
+    mono, terms = _slash_plan(w)
+    sums, ends, poles = [0] * len(mono), [[0] * (w + 3)] * 2, {}
+    for (a, b, c, d), coef in members:
+        pa, pb, pc, pd = [coef], [1], [1], [1]
+        for _ in range(w):
+            pa.append(pa[-1] * a)
+            pb.append(pb[-1] * b)
+            pc.append(pc[-1] * c)
+            pd.append(pd[-1] * d)
+        sums = list(map(operator.add, sums, [pa[i] * pb[j] * pc[k] * pd[l]
+                                             for i, j, k, l in mono]))
+        if not extended:
+            continue
+        # X^-1 | M = (cX+d)^(w+1) / (aX+b), X^(w+1) | M = (aX+b)^(w+1) / (cX+d)
+        for e, (col, pole) in enumerate((_over_linear(_pow_linear(c, d, w + 1), a, b, w),
+                                         _over_linear(_pow_linear(a, b, w + 1), c, d, w))):
+            ends[e] = [u + coef * v for u, v in zip(ends[e], col)]
+            if pole:
+                poles[e * (w + 2), pole[0]] = poles.get((e * (w + 2), pole[0]), 0) + coef * pole[1]
+    flat = [0] * (w + 1) ** 2
+    for e, binom, x in terms:
+        flat[e] += binom * sums[x]
+    cols = [flat[j * (w + 1):(j + 1) * (w + 1)] for j in range(w + 1)]
+    if extended:
+        cols = [ends[0]] + [[0] + col + [0] for col in cols] + [ends[1]]
     return cols, poles
+
+
+@functools.lru_cache(maxsize=None)
+def _slash_plan(w: int) -> tuple:
+    """The exponents (i, j, k, l) of the degree-w monomials a^i b^j c^k d^l,
+    and the terms (entry, binomial, monomial) that sum to each entry
+    i + (w+1) j of the matrix of X^j | M = (aX+b)^j (cX+d)^(w-j)."""
+    mono = [(i, j, k, w - i - j - k) for i in range(w + 1) for j in range(w + 1 - i)
+            for k in range(w + 1 - i - j)]
+    pos = {e: x for x, e in enumerate(mono)}
+    return mono, [(j * (w + 1) + k + l, math.comb(j, k) * math.comb(w - j, l),
+                   pos[k, j - k, l, w - j - l])
+                  for j in range(w + 1) for k in range(j + 1) for l in range(w - j + 1)]
 
 
 def _over_linear(p: Sequence, a: int, b: int, w: int) -> tuple:

@@ -839,13 +839,16 @@ def _coboundary_and_D_vectors(space: CosetSpace, w: int) -> tuple:
 def build_coboundary_and_D(space: CosetSpace, w: int) -> tuple:
     """(C, D): the coboundary space and the X^(w+1)-tail space."""
     _check_weight(space, w)
-    if space.degenerate:
-        return (Subspace.from_vectors(space, w, False, []),
-                Subspace.from_vectors(space, w, True, []))
     cvecs, dvecs = _coboundary_and_D_vectors(space, w)
-    C = Subspace.from_vectors(space, w, False, cvecs)
-    D = Subspace.from_vectors(space, w, True, dvecs)
-    return C, D
+    return Subspace.from_vectors(space, w, False, cvecs), Subspace.from_vectors(space, w, True, dvecs)
+
+
+def coboundary_and_D_dimensions(space: CosetSpace, w: int) -> tuple:
+    """(dim C, dim D) as the ranks of the spanning families of
+    ``build_coboundary_and_D``, with no basis built (for large indices)."""
+    _check_weight(space, w)
+    return tuple(sparse_int_rank([{c: v for c, v in vec.items() if v} for vec in vecs])
+                 for vecs in _coboundary_and_D_vectors(space, w))
 
 
 def build_W_extended(space: CosetSpace, w: int) -> Subspace:

@@ -30,6 +30,11 @@ reads the bottom row mod N/n without the factor x^-1 of
 (n x, y; N z, n t) in Theta_n, so it is right there only when
 n = 1 mod N/n; everywhere else it is the reference for the integer engine.
 
+``reference_operator`` is the compile of ``hecke.HeckeOperator`` as
+periodpoly wrote it before it grouped the support of T~_n by M mod N and
+resolved each class against every label at once: one resolution per
+(label, M) pair and one ``slash_poly`` call per unit vector.
+
 ``reference_restricted_matrix`` is ``Subspace.restricted_matrix`` as
 periodpoly wrote it before it packed the basis columns into one vector:
 one apply and one residual check per column.
@@ -37,14 +42,16 @@ one apply and one residual check per column.
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from periodpoly.cosets import (GAMMA1, CosetSpace, Mat2, MAT_S, MAT_SINV, MAT_U, MAT_U2,
                                MAT_U2INV, MAT_UINV, _crt)
-from periodpoly.exactalg import DenseMatrix, _normalize_int_row, poly_mul
-from periodpoly.hecke import HeckeError, SigmaSpec
+from periodpoly.exactalg import (DenseMatrix, _normalize_int_row, clear_denominators, poly_mul,
+                                 rows_to_int_sparse)
+from periodpoly.hecke import HeckeError, SigmaSpec, _over_linear
 from periodpoly.polyspace import (PolySpaceError, _label_rows, _pow_linear, eps_coordinates,
-                                  slash_matrix)
+                                  slash_matrix, slash_poly)
 
 
 def reference_rref_rows(rows: list, field) -> tuple[list, list]:
@@ -381,6 +388,65 @@ def reference_resolve_sigma_coset(space: CosetSpace, label: int, M: Mat2,
         return space.label_of_row(cp, dp)
     u = pow(spec.n, -1, N) if spec.variant == "delta_vee" else spec.diamond
     return space.label_of_row(u * B.c, u * B.d)
+
+
+def reference_operator(space: CosetSpace, w: int, t, spec: SigmaSpec,
+                       extended: bool) -> tuple:
+    """(blocks, poles, den, norm) of ``HeckeOperator(space, w, t, spec,
+    extended)`` as periodpoly compiled them before it grouped the support
+    by M mod N: one ``reference_resolve_sigma_coset`` call per (label, M)
+    pair, and the columns X^j | M of each M with a hit from ``slash_poly``
+    on unit vectors, folded M by M.
+    """
+    ints, den = clear_denominators(list(t.coeffs.values()))
+    n = w + 3 if extended else w + 1
+    folded = [{} for _ in range(space.size)]
+    residues = {}
+    for M, c in zip(t.coeffs, ints):
+        cols = None
+        for l in range(space.size):
+            hit = reference_resolve_sigma_coset(space, l, M, spec)
+            if hit is None:
+                continue
+            l2, s = hit
+            if cols is None:
+                cols, poles = _reference_slash_columns(M, w, extended)
+            f = c if s ** w == 1 else -c
+            for j, x0, res in poles:
+                row = residues.setdefault((l, x0), {})
+                row[l2 * n + j] = row.get(l2 * n + j, 0) + f * res
+            block = folded[l].get(l2)
+            if block is None:
+                folded[l][l2] = [[f * v for v in col] for col in cols]
+                continue
+            for bcol, col in zip(block, cols):
+                for i in range(n):
+                    bcol[i] += f * col[i]
+    if extended:
+        scale = math.lcm(*(v.denominator for d in folded for block in d.values()
+                           for col in block for v in col))
+        folded = [{l2: [[int(v * scale) for v in col] for col in block]
+                   for l2, block in d.items()} for d in folded]
+        den *= scale
+    blocks = [[(l2, list(zip(*block))) for l2, block in sorted(d.items())
+               if any(any(col) for col in block)] for d in folded]
+    poles = [row for row in rows_to_int_sparse(residues.values()) if row]
+    rows = (row for d in folded for row in zip(*chain.from_iterable(d.values())))
+    norm = max(chain((sum(map(abs, row)) for row in rows),
+                     (sum(map(abs, row.values())) for row in poles)), default=0)
+    return blocks, poles, den, norm
+
+
+def _reference_slash_columns(M: Mat2, w: int, extended: bool) -> tuple:
+    cols = [slash_poly(tuple(int(i == j) for i in range(w + 1)), M, w)
+            for j in range(w + 1)]
+    if not extended:
+        return cols, ()
+    first, pole_first = _over_linear(_pow_linear(M.c, M.d, w + 1), M.a, M.b, w)
+    last, pole_last = _over_linear(_pow_linear(M.a, M.b, w + 1), M.c, M.d, w)
+    cols = [first] + [(0,) + col + (0,) for col in cols] + [last]
+    poles = [(j,) + pole for j, pole in ((0, pole_first), (w + 2, pole_last)) if pole]
+    return cols, poles
 
 
 def reference_restricted_matrix(sub, apply, den: int = 1) -> DenseMatrix:

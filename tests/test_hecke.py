@@ -26,12 +26,12 @@ from periodpoly.hecke import (EigenspaceError, GroupRingElement, HeckeError,
                               delta_vee_spec, diamond_spec, gre_mul, gre_unit,
                               _candidate_matrices, hecke_action, hecke_identity,
                               hecke_matrix, merel_family, resolve_sigma_coset,
-                              solve_universal_hecke, theta_spec, tn_infinity,
+                              sigma_targets, solve_universal_hecke, theta_spec, tn_infinity,
                               torbit_canonical, universal_hecke_element,
                               verify_hecke_property, witness_terms)
 from periodpoly.analytic import manin_coefficient
 
-from dense_reference import reference_resolve_sigma_coset
+from dense_reference import reference_operator, reference_resolve_sigma_coset
 
 
 class TestTnInfinity:
@@ -559,25 +559,82 @@ RESOLUTION_CASES = [
     (GAMMA0, 100, 6, 3, "delta", False)]
 
 
-class TestIntegerResolution:
-    """The integer resolver against the Mat2 resolver it replaced."""
+# n much larger than N, so that a class mod N holds many support matrices;
+# Delta_61 on Wtilde of Gamma0(5) and Theta_3 on Wtilde of Gamma0(12) fold
+# pole residues class by class
+LARGE_N_CASES = [
+    (GAMMA0, 11, 4, 151, "delta", False), (GAMMA0, 5, 6, 61, "delta", False),
+    (GAMMA0, 5, 4, 61, "delta", True), (GAMMA1, 7, 3, 29, "delta", False),
+    (GAMMA1, 7, 3, 29, "delta_vee", False), (GAMMA0, 12, 4, 3, "theta", True)]
 
-    @pytest.mark.parametrize("kind,N,k,n,variant,extended", RESOLUTION_CASES)
-    def test_equals_mat2_resolver(self, monkeypatch, kind, N, k, n, variant, extended):
+
+class TestIntegerResolution:
+    """The compile by classes mod N against the per-(label, M) compile with
+    the Mat2 resolver it replaced."""
+
+    @pytest.mark.parametrize("kind,N,k,n,variant,extended", RESOLUTION_CASES + LARGE_N_CASES)
+    def test_equals_mat2_resolver(self, kind, N, k, n, variant, extended):
         space = build_coset_space(kind, N, k)
         spec = SigmaSpec(variant, kind, N, n)
         t = universal_hecke_element(n)
         hits = 0
         for M in t.coeffs:
-            for l in range(space.size):
-                got = resolve_sigma_coset(space, l, M, spec)
-                assert got == reference_resolve_sigma_coset(space, l, M, spec)
-                hits += got is not None
+            got = [resolve_sigma_coset(space, l, M, spec) for l in range(space.size)]
+            assert got == [reference_resolve_sigma_coset(space, l, M, spec)
+                           for l in range(space.size)]
+            targets = sigma_targets(space, M, spec)
+            assert targets == [(l,) + hit for l, hit in enumerate(got) if hit is not None]
+            hits += len(targets)
         assert hits
         op = HeckeOperator(space, k - 2, t, spec, extended)
-        monkeypatch.setattr(hecke, "resolve_sigma_coset", reference_resolve_sigma_coset)
-        ref = HeckeOperator(space, k - 2, t, spec, extended)
-        assert (op.blocks, op.poles, op.den) == (ref.blocks, ref.poles, ref.den)
+        blocks, poles, den, norm = reference_operator(space, k - 2, t, spec, extended)
+        assert (op.blocks, op.den, op.norm) == (blocks, den, norm)
+        assert sorted(sorted(row.items()) for row in op.poles) == \
+            sorted(sorted(row.items()) for row in poles)
+        assert bool(poles) == extended
+
+    @pytest.mark.parametrize("kind", [GAMMA0, GAMMA1])
+    def test_members_of_a_class_resolve_alike(self, kind):
+        # the classes HeckeOperator folds: at every label, every member of a
+        # class mod N has the same target and sign under Delta_n, its adjoint
+        # and Theta_n, for N <= 13 and n <= 29
+        elements = {n: universal_hecke_element(n) for n in range(1, 30)}
+        shared = 0
+        for N in range(1, 14):
+            space = build_coset_space(kind, N, 2)
+            for n, t in elements.items():
+                specs = [delta_spec(kind, N, n)]
+                specs += [delta_vee_spec(kind, N, n)] if math.gcd(n, N) == 1 else []
+                specs += [theta_spec(kind, N, n)] if N % n == 0 and math.gcd(n, N // n) == 1 \
+                    else []
+                classes = hecke._support_classes(t.coeffs, [1] * len(t.coeffs), n, N)
+                for spec in specs:
+                    for (M, _), *others in classes.values():
+                        targets = sigma_targets(space, M, spec)
+                        for M2, _ in others:
+                            assert sigma_targets(space, M2, spec) == targets
+                        shared += bool(others) * space.size
+        assert shared > 10 ** 4
+
+    def test_support_matrix_of_another_determinant_is_refused_under_optimize(self):
+        # a determinant-2 matrix slipped into T~_3: the one pass over the
+        # support refuses it, with asserts stripped
+        code = ("from periodpoly import hecke\n"
+                "from periodpoly.cosets import GAMMA0, Mat2, build_coset_space\n"
+                "t = hecke.universal_hecke_element(3)\n"
+                "t.coeffs[Mat2(1, 0, 0, 2)] = 1\n"
+                "try:\n"
+                "    hecke.HeckeOperator(build_coset_space(GAMMA0, 5, 4), 2, t,\n"
+                "                        hecke.delta_spec(GAMMA0, 5, 3))\n"
+                "except hecke.HeckeError as exc:\n"
+                "    print('HeckeError:', exc)\n")
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path),
+                              timeout=300)
+        assert proc.returncode == 0
+        assert proc.stdout == "HeckeError: matrix determinant 2 does not match spec\n"
 
 
 class TestActions:

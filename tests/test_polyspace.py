@@ -14,7 +14,7 @@ from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, MAT_TINV,
 from periodpoly.polyspace import (ExtPolyVector, PolySpaceError, PolyVector,
                                   Subspace, build_W, build_W_extended,
                                   build_coboundary_and_D, chi_component, cminus_trivial,
-                                  decompose_extended, eps_split, pair_braces,
+                                  coboundary_and_D_dimensions, decompose_extended, eps_split, pair_braces,
                                   pair_induced, pair_vw, slash_poly,
                                   w_dimensions, wtilde_dimension,
                                   _coboundary_and_D_vectors, _tail_families,
@@ -741,7 +741,8 @@ class TestSignedBuild:
                 build_W(space, space.k - 2, sign)
 
     @pytest.mark.parametrize("build", [build_W, build_W_extended, w_dimensions,
-                                       wtilde_dimension, build_coboundary_and_D])
+                                       wtilde_dimension, build_coboundary_and_D,
+                                       coboundary_and_D_dimensions])
     @pytest.mark.parametrize("kind,N,k,w", [(GAMMA1, 2, 3, 2), (GAMMA1, 2, 4, 1),
                                             (GAMMA0, 11, 4, 0), (GAMMA0, 5, 2, 2)])
     def test_weight_other_than_the_space_s_is_refused(self, build, kind, N, k, w):
@@ -808,6 +809,12 @@ class TestCanonicalBases:
             [v.get(i, 0) for i in range(C.ambient)] for v in cvecs])
         assert D.basis == reference_span(space, w, True, [
             [v.get(i, 0) for i in range(D.ambient)] for v in dvecs])
+
+    @pytest.mark.parametrize("kind,N,k", SIGNED_GRID)
+    def test_coboundary_and_D_ranks_equal_basis_dimensions(self, kind, N, k):
+        space = build_coset_space(kind, N, k)
+        C, D = build_coboundary_and_D(space, k - 2)
+        assert coboundary_and_D_dimensions(space, k - 2) == (C.dim, D.dim)
 
     @settings(derandomize=True, database=None, max_examples=100)
     @given(data=st.data(), k=st.integers(2, 10), extended=st.booleans())
