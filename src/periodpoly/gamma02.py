@@ -17,7 +17,7 @@ from typing import Sequence
 from .exactalg import DenseMatrix, PeriodPolyError, QQ, bernoulli, kernel_basis
 from .cosets import MAT_S, MAT_T, MAT_TINV, MAT_U, MAT_U2, GAMMA0, build_coset_space
 from .polyspace import (PolyVector, build_W, pair_vw,
-                        pair_braces, slash_matrix, slash_poly)
+                        pair_braces, slash_columns, slash_poly)
 from .analytic import (NewformData, completed_lvalue, period_and_omega,
                        haberland_constant)
 from .hecke import common_eigen_polynomial
@@ -36,11 +36,9 @@ def _space(k: int):
 
 def principal_relation_matrix(w: int) -> DenseMatrix:
     """Matrix of p -> p|(ST - ST^(-1))(1 + S) on V_w."""
-    words = [(1, MAT_S * MAT_T), (-1, MAT_S * MAT_TINV),
-             (1, MAT_S * MAT_T * MAT_S), (-1, MAT_S * MAT_TINV * MAT_S)]
-    mats = [(c, slash_matrix(g, w)) for c, g in words]
-    return DenseMatrix(QQ, [[sum(c * m[i][j] for c, m in mats) for j in range(w + 1)]
-                            for i in range(w + 1)])
+    cols = slash_columns([(MAT_S * MAT_T, 1), (MAT_S * MAT_TINV, -1),
+                          (MAT_S * MAT_T * MAT_S, 1), (MAT_S * MAT_TINV * MAT_S, -1)], w)
+    return DenseMatrix(QQ, [list(row) for row in zip(*cols)])
 
 
 def principal_space(w: int) -> DenseMatrix:

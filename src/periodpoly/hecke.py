@@ -19,7 +19,6 @@ bottom row of a coset representative.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -33,8 +32,8 @@ from .exactalg import (DenseMatrix, PeriodPolyError, check,
 from .cosets import CosetSpace, Mat2, MAT_I, MAT_S, MAT_T, GAMMA0, _xgcd
 # slash_poly stays importable as hecke.slash_poly, the name perfbench's
 # tracer rebinds and its self-tests read
-from .polyspace import (PolyVector, ExtPolyVector, Subspace, slash_poly,  # noqa: F401
-                        _pow_linear)
+from .polyspace import (PolyVector, ExtPolyVector, Subspace, slash_columns,  # noqa: F401
+                        slash_poly, _pow_linear)
 
 
 class HeckeError(PeriodPolyError):
@@ -421,13 +420,10 @@ def solve_universal_hecke(n: int, entry_bound: Optional[int] = None,
     return cand
 
 
-def merel_family(n: int) -> list:
-    """Merel's family (``_merel_walk``) as Mat2s, sorted."""
-    return sorted(map(Mat2._make, _merel_walk(n)))
-
-
-def _merel_walk(n: int):
-    """Integer matrices (a, b, c, d) with det n, a > b >= 0 and d > c >= 0.
+def merel_family(n: int, adjoints: bool = False):
+    """Integer matrices with det n, a > b >= 0 and d > c >= 0, sorted; with
+    adjoints {the pm-canonical adjoint of each: 1}, written in the walk with
+    no sort: (d -b; -c a) is (-d b; c -a) for c > 0, (d -b; 0 a) for c = 0.
 
     Put g = a - b >= 1.  Then a d - b c = n reads a (d - c) = n - g c, so d
     > c is g c < n, a is a divisor a >= g of m = n - g c, and d = c + m / a.
@@ -438,12 +434,18 @@ def _merel_walk(n: int):
     for a in range(1, n + 1):
         for m in range(a, n + 1, a):
             divisors[m].append(a)
+    out = {} if adjoints else []
     for g in range(1, n + 1):
         for c in range((n - 1) // g + 1):
             m = n - g * c
             divs = divisors[m]
             for a in divs[bisect.bisect_left(divs, g):]:
-                yield a, a - g, c, c + m // a
+                b, d = a - g, c + m // a
+                if adjoints:
+                    out[Mat2(-d, b, c, -a) if c else Mat2(d, -b, 0, a)] = 1
+                else:
+                    out.append(Mat2(a, b, c, d))
+    return out if adjoints else sorted(out)
 
 
 def verified_hecke_element(n: int) -> tuple:
@@ -451,15 +453,11 @@ def verified_hecke_element(n: int) -> tuple:
     the witness of its one ``hecke_identity`` check: (T~_n, runs of den Y,
     den).
 
-    The adjoint (d -b; -c a) of a member is written pm-canonical inside the
-    walk: (-d b; c -a) for c > 0 and (d -b; 0 a) for c = 0.  The members
-    are distinct, so are their adjoints, and each has the int coefficient
-    1, so den is 1.  Merel (1994) proves the identity for this family, so a
-    failed check is a bug and raises HeckeError.
+    The members are distinct, so are their adjoints, and each has the int
+    coefficient 1, so den is 1.  Merel (1994) proves the identity for this
+    family, so a failed check is a bug and raises HeckeError.
     """
-    cand = GroupRingElement.from_canonical(
-        n, {Mat2(-d, b, c, -a) if c else Mat2(d, -b, 0, a): 1
-            for a, b, c, d in _merel_walk(n)})
+    cand = GroupRingElement.from_canonical(n, merel_family(n, adjoints=True))
     ok, y, den = hecke_identity(cand, n)
     if not ok:
         raise HeckeError("Merel family failed verification at n = %d" % n)
@@ -539,9 +537,11 @@ def theta_matrix(kind: str, N: int, n: int) -> Mat2:
     return Mat2(n * alpha, y, -N * beta, n)
 
 
-def sigma_targets(space: CosetSpace, M, spec: SigmaSpec) -> list:
-    """[(label, target, sign)] for every label A at which a coset carries P
-    in (P|_Sigma M)(A): the target label and its sign.
+def resolve_sigma_coset(space: CosetSpace, label: Optional[int], M,
+                        spec: SigmaSpec) -> Optional[Sequence]:
+    """(target, sign) of the coset carrying P in (P|_Sigma M)(A) at the
+    label A, or None.  With label None every label is resolved in one call:
+    [(label, target, sign)] over the labels that hit, or None if none does.
 
     Put B = A M^vee.  If g = C M A^-1 lies in Sigma with N | c_g, then
     g B = n C, so B = g^vee C and row(B) = a_g row(C) mod N for the bottom
@@ -559,54 +559,39 @@ def sigma_targets(space: CosetSpace, M, spec: SigmaSpec) -> list:
     gives row(C) = -y^-1 top(B) mod n and row(C) = x^-1 bottom(B) / n
     mod N/n, joined by CRT.
 
-    The entries of B are computed in integers from those of the lift A and
-    of M, the top row only for Theta once n divides the bottom one, and
-    read mod N only (as Cremona 1997, 2.4, reduces Heilbronn matrices).
+    B is computed in integers from the lift A and M, its top row only for
+    Theta once n divides the bottom one, and read mod N (Cremona 1997, 2.4).
     """
-    return _sigma_hits(space, enumerate(space.lifts), M, spec)
-
-
-def resolve_sigma_coset(space: CosetSpace, label: int, M,
-                        spec: SigmaSpec) -> Optional[tuple]:
-    """(target, sign) of ``sigma_targets`` at one label, or None."""
-    hits = _sigma_hits(space, ((label, space.lifts[label]),), M, spec)
-    return hits[0][1:] if hits else None
-
-
-def _sigma_hits(space: CosetSpace, lifts, M, spec: SigmaSpec) -> list:
-    """``sigma_targets`` over the given (label, lift) pairs."""
     if spec.N != space.N or spec.kind != space.kind:
         raise HeckeError("double coset and coset space disagree")
     a, b, c, d = M
     if a * d - b * c != spec.n:
         raise HeckeError("matrix determinant %d does not match spec" % (a * d - b * c))
+    lifts = enumerate(space.lifts) if label is None else ((label, space.lifts[label]),)
     row = space.label_of_row
     out = []
     if spec.variant == "theta":
-        n = spec.n
-        np = space.N // n
-        wm = spec.w_matrix
+        n, np, wm = spec.n, space.N // spec.n, spec.w_matrix
         # r = -y^-1 mod n and 0 mod N/n; s bottom(B) = x^-1 bottom(B) / n
         # mod N/n and 0 mod n, as n x_w is a unit mod N/n
         r = -np * pow(np * wm.b, -1, n)
         s = pow(wm.a, -1, np)
         for l, (p, q, x, y) in lifts:
             # the bottom row of B = A M^vee, with M^vee = (d, -b; -c, a)
-            bc = x * d - y * c
-            bd = y * a - x * b
+            bc, bd = x * d - y * c, y * a - x * b
             if bc % n or bd % n:
                 continue
             hit = row(r * (p * d - q * c) + s * bc, r * (q * a - p * b) + s * bd)
             if hit is not None:
                 out.append((l,) + hit)
-        return out
-    u = (1 if spec.variant == "delta" else
-         pow(spec.n, -1, space.N) if spec.variant == "delta_vee" else spec.diamond)
-    for l, (_, _, x, y) in lifts:
-        hit = row(u * (x * d - y * c), u * (y * a - x * b))
-        if hit is not None:
-            out.append((l,) + hit)
-    return out
+    else:
+        u = (1 if spec.variant == "delta" else
+             pow(spec.n, -1, space.N) if spec.variant == "delta_vee" else spec.diamond)
+        for l, (_, _, x, y) in lifts:
+            hit = row(u * (x * d - y * c), u * (y * a - x * b))
+            if hit is not None:
+                out.append((l,) + hit)
+    return (out or None) if label is None else (out[0][1:] if out else None)
 
 
 # ----------------------------------------------------------------------
@@ -615,15 +600,13 @@ def _sigma_hits(space: CosetSpace, lifts, M, spec: SigmaSpec) -> list:
 class HeckeOperator:
     """P |_Sigma t on the PolyVectors or ExtPolyVectors of one space, compiled once.
 
-    The support of t is grouped by M mod N, all that ``sigma_targets``
-    reads, so each class is resolved once against every label, and its sum
-    of coeff times the matrix of |M is added, times s**w, into one integer
-    block per (target label, source label) pair at each hit: (w+1) x (w+1)
-    on degree <= w polynomials, (w+3) x (w+3) on the X^(-1), ..., X^(w+1)
-    coordinates of the extended space.  The coefficients of t, and in the
-    extended case the denominators of the partial fractions, are cleared
-    over ``den``.  The image of a coordinate vector is then a sum of block
-    x slice products over the nonzero source slices.
+    The support of t is grouped by M mod N, all ``resolve_sigma_coset``
+    reads; each class is resolved once against every label, and at each
+    hit s**w times its sum of coeff (X^j | M) joins one integer block per
+    (target label, source label) pair: (w+1) x (w+1) on degree <= w
+    polynomials, (w+3) x (w+3) on the X^(-1), ..., X^(w+1) coordinates of
+    the extended space, over the common denominator ``den`` of t and the
+    partial fractions.  An image is a sum of block x slice products.
 
     On the extended space X^-1 | M = (cX+d)^(w+1) / (aX+b) and
     X^(w+1) | M = (aX+b)^(w+1) / (cX+d) are split into a polynomial part
@@ -646,43 +629,38 @@ class HeckeOperator:
         self.space, self.w, self.extended = space, w, extended
         ints, den = clear_denominators(list(t.coeffs.values()))
         n = w + 3 if extended else w + 1
-        # target -> {source: block}, each block held as its columns X^j | M
+        # target -> {source: block}, each block held flat, row by row
         folded = [{} for _ in range(space.size)]
         # (target, pole) -> {source coordinate: residue}
         residues = {}
         for members in _support_classes(t.coeffs, ints, spec.n, space.N).values():
-            hits = sigma_targets(space, members[0][0], spec)
-            if not hits:
+            hits = resolve_sigma_coset(space, None, members[0][0], spec)
+            if hits is None:
                 continue
             cols, poles = _fold_class(members, w, extended)
+            flat = [v for row in zip(*cols) for v in row]
             for l, l2, s in hits:
                 f = 1 if s ** w == 1 else -1
                 for (j, x0), res in poles.items():
                     row = residues.setdefault((l, x0), {})
                     row[l2 * n + j] = row.get(l2 * n + j, 0) + f * res
-                block = folded[l].get(l2)
-                if block is None:
-                    folded[l][l2] = [[f * v for v in col] for col in cols]
-                    continue
-                for bcol, col in zip(block, cols):
-                    for i in range(n):
-                        bcol[i] += f * col[i]
+                folded[l][l2] = list(map(operator.add if f == 1 else operator.sub,
+                                         folded[l].get(l2) or [0] * (n * n), flat))
         if extended:
-            scale = math.lcm(*(v.denominator for d in folded for block in d.values()
-                               for col in block for v in col))
-            folded = [{l2: [[int(v * scale) for v in col] for col in block]
-                       for l2, block in d.items()} for d in folded]
+            scale = math.lcm(*(v.denominator for d in folded for b in d.values() for v in b))
+            folded = [{l2: [int(v * scale) for v in block] for l2, block in d.items()}
+                      for d in folded]
             den *= scale
         self.den = den
-        self.blocks = [[(l2, list(zip(*block)))
-                        for l2, block in sorted(d.items())
-                        if any(any(col) for col in block)]
+        self.blocks = [[(l2, list(zip(*[iter(block)] * n)))
+                        for l2, block in sorted(d.items()) if any(block)]
                        for d in folded]
         self.poles = [row for row in rows_to_int_sparse(residues.values()) if row]
-        # row i of a target: entry i of every column of its blocks
-        rows = (row for d in folded for row in zip(*chain.from_iterable(d.values())))
-        self.norm = max(chain((sum(map(abs, row)) for row in rows),
-                              (sum(map(abs, row.values())) for row in self.poles)), default=0)
+        # row i of a target: row i of each of its blocks
+        rows = (sum(sum(map(abs, block[i * n:(i + 1) * n])) for block in d.values())
+                for d in folded for i in range(n))
+        self.norm = max(chain(rows, (sum(map(abs, row.values())) for row in self.poles)),
+                        default=0)
 
     def apply(self, coords: Sequence) -> list:
         """den times the image of a coordinate vector, as coordinates."""
@@ -723,57 +701,29 @@ class HeckeOperator:
 def _support_classes(matrices, coeffs: Sequence, n: int, N: int) -> dict:
     """{M mod N: [(M, c), ...]}, each determinant checked to be n."""
     classes = {}
-    for M, c in zip(matrices, coeffs):
-        a, b, cc, d = M
-        if a * d - b * cc != n:
-            raise HeckeError("matrix determinant %d does not match spec" % (a * d - b * cc))
-        classes.setdefault((a % N, b % N, cc % N, d % N), []).append((M, c))
+    for M, coef in zip(matrices, coeffs):
+        a, b, c, d = M
+        if a * d - b * c != n:
+            raise HeckeError("matrix determinant %d does not match spec" % (a * d - b * c))
+        classes.setdefault((a % N, b % N, c % N, d % N), []).append((M, coef))
     return classes
 
 
 def _fold_class(members: Sequence[tuple], w: int, extended: bool) -> tuple:
-    """(the columns of sum c (X^j | M) over the (M, c) of one class,
-    {(column, x0): sum c residue}): monomials summed first (``_slash_plan``),
-    on the extended space end columns and poles by ``_over_linear``."""
-    mono, terms = _slash_plan(w)
-    sums, ends, poles = [0] * len(mono), [[0] * (w + 3)] * 2, {}
+    """(the columns of sum c (X^j | M) over the (M, c) of a class, {(column,
+    x0): sum c residue}), the end columns and poles of Wtilde M by M."""
+    cols, poles = slash_columns(members, w), {}
+    if not extended:
+        return cols, poles
+    ends = [[0] * (w + 3) for _ in range(2)]
     for (a, b, c, d), coef in members:
-        pa, pb, pc, pd = [coef], [1], [1], [1]
-        for _ in range(w):
-            pa.append(pa[-1] * a)
-            pb.append(pb[-1] * b)
-            pc.append(pc[-1] * c)
-            pd.append(pd[-1] * d)
-        sums = list(map(operator.add, sums, [pa[i] * pb[j] * pc[k] * pd[l]
-                                             for i, j, k, l in mono]))
-        if not extended:
-            continue
         # X^-1 | M = (cX+d)^(w+1) / (aX+b), X^(w+1) | M = (aX+b)^(w+1) / (cX+d)
         for e, (col, pole) in enumerate((_over_linear(_pow_linear(c, d, w + 1), a, b, w),
                                          _over_linear(_pow_linear(a, b, w + 1), c, d, w))):
             ends[e] = [u + coef * v for u, v in zip(ends[e], col)]
             if pole:
                 poles[e * (w + 2), pole[0]] = poles.get((e * (w + 2), pole[0]), 0) + coef * pole[1]
-    flat = [0] * (w + 1) ** 2
-    for e, binom, x in terms:
-        flat[e] += binom * sums[x]
-    cols = [flat[j * (w + 1):(j + 1) * (w + 1)] for j in range(w + 1)]
-    if extended:
-        cols = [ends[0]] + [[0] + col + [0] for col in cols] + [ends[1]]
-    return cols, poles
-
-
-@functools.lru_cache(maxsize=None)
-def _slash_plan(w: int) -> tuple:
-    """The exponents (i, j, k, l) of the degree-w monomials a^i b^j c^k d^l,
-    and the terms (entry, binomial, monomial) that sum to each entry
-    i + (w+1) j of the matrix of X^j | M = (aX+b)^j (cX+d)^(w-j)."""
-    mono = [(i, j, k, w - i - j - k) for i in range(w + 1) for j in range(w + 1 - i)
-            for k in range(w + 1 - i - j)]
-    pos = {e: x for x, e in enumerate(mono)}
-    return mono, [(j * (w + 1) + k + l, math.comb(j, k) * math.comb(w - j, l),
-                   pos[k, j - k, l, w - j - l])
-                  for j in range(w + 1) for k in range(j + 1) for l in range(w - j + 1)]
+    return [ends[0]] + [[0] + col + [0] for col in cols] + [ends[1]], poles
 
 
 def _over_linear(p: Sequence, a: int, b: int, w: int) -> tuple:

@@ -9,10 +9,11 @@ extended space Wtilde are all cut out by exact linear algebra over Q.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exactalg import (DenseMatrix, ExactAlgebraError, PeriodPolyError, QQ, check,
                        clear_denominators, column_entries, eigen_columns, kernel_columns,
@@ -58,11 +59,32 @@ def _pow_linear(a: int, b: int, e: int) -> list:
     return [math.comb(e, i) * a ** i * b ** (e - i) for i in range(e + 1)]
 
 
-def slash_matrix(g: Mat2, w: int) -> list:
-    """Matrix M with (X^j | g) = sum_i M[i][j] X^i, integer entries."""
-    cols = [slash_poly(tuple(1 if t == j else 0 for t in range(w + 1)), g, w)
-            for j in range(w + 1)]
-    return [[cols[j][i] for j in range(w + 1)] for i in range(w + 1)]
+def slash_columns(terms: Iterable[tuple], w: int) -> list:
+    """The columns j = 0, ..., w of sum c (X^j | g) over the (g, c) of terms:
+    the monomials of ``_slash_plan`` are summed over the terms first."""
+    mono, plan = _slash_plan(w)
+    sums = [0] * len(mono)
+    for (a, b, c, d), coef in terms:
+        pa = [coef * a ** i for i in range(w + 1)]
+        pb, pc, pd = [[x ** i for i in range(w + 1)] for x in (b, c, d)]
+        sums = [v + pa[i] * pb[j] * pc[k] * pd[l] for v, (i, j, k, l) in zip(sums, mono)]
+    flat = [0] * (w + 1) ** 2
+    for e, binom, x in plan:
+        flat[e] += binom * sums[x]
+    return [flat[j * (w + 1):(j + 1) * (w + 1)] for j in range(w + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _slash_plan(w: int) -> tuple:
+    """The degree-w monomials a^i b^j c^k d^l as (i, j, k, l), and the terms
+    (entry, binomial, monomial) summing to the coefficient of X^i in X^j | g
+    = (aX+b)^j (cX+d)^(w-j), entry i + (w+1) j."""
+    mono = [(i, j, k, w - i - j - k) for i in range(w + 1) for j in range(w + 1 - i)
+            for k in range(w + 1 - i - j)]
+    pos = {e: x for x, e in enumerate(mono)}
+    return mono, [(j * (w + 1) + k + l, math.comb(j, k) * math.comb(w - j, l),
+                   pos[k, j - k, l, w - j - l])
+                  for j in range(w + 1) for k in range(j + 1) for l in range(w - j + 1)]
 
 
 def pair_vw(p: Sequence, q: Sequence, w: int):
@@ -695,9 +717,10 @@ def _label_rows(space: CosetSpace, w: int, extended: bool, long_only: bool = Fal
                     if v:
                         u_table[deg].append((t, j + 1, v))
     else:
-        um = [(t, slash_matrix(g, w)) for t, g in ((2, MAT_U), (3, MAT_U2))]
-        u_table = [[(0, i, 1)] + [(t, j, v) for t, m in um for j, v in enumerate(m[i]) if v]
-                   for i in range(w + 1)]
+        units = [tuple(int(i == j) for i in range(w + 1)) for j in range(w + 1)]
+        um = [(t, [slash_poly(e, g, w) for e in units]) for t, g in ((2, MAT_U), (3, MAT_U2))]
+        u_table = [[(0, i, 1)] + [(t, j, col[i]) for t, cols in um for j, col in enumerate(cols)
+                                  if col[i]] for i in range(w + 1)]
     if long_only:
         s_table, u_table = [], [terms for terms in u_table if len(terms) > 2]
     for l in range(space.size):
@@ -839,13 +862,12 @@ def _coboundary_and_D_vectors(space: CosetSpace, w: int) -> tuple:
 def build_coboundary_and_D(space: CosetSpace, w: int) -> tuple:
     """(C, D): the coboundary space and the X^(w+1)-tail space."""
     _check_weight(space, w)
-    cvecs, dvecs = _coboundary_and_D_vectors(space, w)
-    return Subspace.from_vectors(space, w, False, cvecs), Subspace.from_vectors(space, w, True, dvecs)
+    return tuple(Subspace.from_vectors(space, w, extended, vecs)
+                 for extended, vecs in zip((False, True), _coboundary_and_D_vectors(space, w)))
 
 
 def coboundary_and_D_dimensions(space: CosetSpace, w: int) -> tuple:
-    """(dim C, dim D) as the ranks of the spanning families of
-    ``build_coboundary_and_D``, with no basis built (for large indices)."""
+    """(dim C, dim D): the ranks of the families of ``build_coboundary_and_D``."""
     _check_weight(space, w)
     return tuple(sparse_int_rank([{c: v for c, v in vec.items() if v} for vec in vecs])
                  for vecs in _coboundary_and_D_vectors(space, w))

@@ -51,7 +51,7 @@ from periodpoly.exactalg import (DenseMatrix, _normalize_int_row, clear_denomina
                                  rows_to_int_sparse)
 from periodpoly.hecke import HeckeError, SigmaSpec, _over_linear
 from periodpoly.polyspace import (PolySpaceError, _label_rows, _pow_linear, eps_coordinates,
-                                  slash_matrix, slash_poly)
+                                  slash_poly)
 
 
 def reference_rref_rows(rows: list, field) -> tuple[list, list]:
@@ -102,6 +102,13 @@ def reference_kernel_basis(m: DenseMatrix) -> DenseMatrix:
             v[p] = -rows[i][f]
         vecs.append(v)
     return reference_column_basis(field, vecs, m.ncols)
+
+
+def slash_matrix(g: Mat2, w: int) -> list:
+    """Matrix M with (X^j | g) = sum_i M[i][j] X^i, one ``slash_poly`` call
+    per unit vector."""
+    cols = [slash_poly(tuple(int(i == j) for i in range(w + 1)), g, w) for j in range(w + 1)]
+    return [[cols[j][i] for j in range(w + 1)] for i in range(w + 1)]
 
 
 def reference_w_relation_rows(space: CosetSpace, w: int) -> list:

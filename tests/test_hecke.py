@@ -26,7 +26,7 @@ from periodpoly.hecke import (EigenspaceError, GroupRingElement, HeckeError,
                               delta_vee_spec, diamond_spec, gre_mul, gre_unit,
                               _candidate_matrices, hecke_action, hecke_identity,
                               hecke_matrix, merel_family, resolve_sigma_coset,
-                              sigma_targets, solve_universal_hecke, theta_spec, tn_infinity,
+                              solve_universal_hecke, theta_spec, tn_infinity,
                               torbit_canonical, universal_hecke_element,
                               verify_hecke_property, witness_terms)
 from periodpoly.analytic import manin_coefficient
@@ -582,9 +582,10 @@ class TestIntegerResolution:
             got = [resolve_sigma_coset(space, l, M, spec) for l in range(space.size)]
             assert got == [reference_resolve_sigma_coset(space, l, M, spec)
                            for l in range(space.size)]
-            targets = sigma_targets(space, M, spec)
-            assert targets == [(l,) + hit for l, hit in enumerate(got) if hit is not None]
-            hits += len(targets)
+            targets = resolve_sigma_coset(space, None, M, spec)
+            assert targets == ([(l,) + hit for l, hit in enumerate(got) if hit is not None]
+                               or None)
+            hits += len(targets or ())
         assert hits
         op = HeckeOperator(space, k - 2, t, spec, extended)
         blocks, poles, den, norm = reference_operator(space, k - 2, t, spec, extended)
@@ -610,9 +611,9 @@ class TestIntegerResolution:
                 classes = hecke._support_classes(t.coeffs, [1] * len(t.coeffs), n, N)
                 for spec in specs:
                     for (M, _), *others in classes.values():
-                        targets = sigma_targets(space, M, spec)
+                        targets = resolve_sigma_coset(space, None, M, spec)
                         for M2, _ in others:
-                            assert sigma_targets(space, M2, spec) == targets
+                            assert resolve_sigma_coset(space, None, M2, spec) == targets
                         shared += bool(others) * space.size
         assert shared > 10 ** 4
 

@@ -14,8 +14,9 @@ from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, MAT_TINV,
 from periodpoly.polyspace import (ExtPolyVector, PolySpaceError, PolyVector,
                                   Subspace, build_W, build_W_extended,
                                   build_coboundary_and_D, chi_component, cminus_trivial,
-                                  coboundary_and_D_dimensions, decompose_extended, eps_split, pair_braces,
-                                  pair_induced, pair_vw, slash_poly,
+                                  coboundary_and_D_dimensions, decompose_extended,
+                                  eps_split, pair_braces, pair_induced, pair_vw,
+                                  slash_columns, slash_poly,
                                   w_dimensions, wtilde_dimension,
                                   _coboundary_and_D_vectors, _tail_families,
                                   _label_rows, eps_coordinates)
@@ -58,6 +59,21 @@ class TestSlash:
     def test_singular_rejected(self):
         with pytest.raises(PolySpaceError):
             slash_poly((1, 0), Mat2(1, 1, 1, 1), 1)
+
+    @pytest.mark.parametrize("w", range(0, 11))
+    def test_column_sums_match_slash_poly(self, w):
+        rnd = random.Random(w)
+        terms = []
+        for _ in range(6):
+            g = Mat2(*(rnd.randint(-9, 9) for _ in range(4)))
+            if g.det():
+                terms.append((g, rnd.randint(-5, 5)))
+        units = [tuple(int(i == j) for i in range(w + 1)) for j in range(w + 1)]
+        for g, _ in terms:
+            assert slash_columns([(g, 1)], w) == [list(slash_poly(u, g, w)) for u in units]
+        assert slash_columns(terms, w) == [
+            [sum(c * slash_poly(u, g, w)[i] for g, c in terms) for i in range(w + 1)]
+            for u in units]
 
 
 class TestPairVw:
