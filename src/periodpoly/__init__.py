@@ -18,8 +18,8 @@ from .polyspace import (ExtPolyVector, PolyVector, Subspace, build_W,
                         eps_split, pair_braces, pair_induced, pair_vw,
                         slash_poly, w_dimensions, wtilde_dimension)
 from .hecke import (GroupRingElement, HeckeOperator, SigmaSpec, adjoint_vee,
-                    common_eigen_polynomial, delta_spec, delta_vee_spec,
-                    diamond_spec, hecke_action, hecke_matrix,
+                    common_eigen_polynomial, cremona_hecke_element, delta_spec,
+                    delta_vee_spec, diamond_spec, hecke_action, hecke_matrix,
                     resolve_sigma_coset, solve_universal_hecke, theta_spec,
                     tn_infinity, universal_hecke_element,
                     verify_hecke_property)

@@ -19,10 +19,9 @@ from .exactalg import PeriodPolyError, scalar_to_str
 from .cosets import GAMMA0, GAMMA1, build_coset_space, coset_index, cusp_classes
 from .polyspace import (build_W, build_W_extended, build_coboundary_and_D,
                         coboundary_and_D_dimensions, w_dimensions, wtilde_dimension)
-from .hecke import (HeckeError, common_eigen_polynomial, delta_spec,
-                    delta_vee_spec, hecke_matrix, theta_spec,
-                    universal_hecke_element, verified_hecke_element,
-                    witness_element)
+from .hecke import (HeckeError, common_eigen_polynomial, cremona_hecke_element,
+                    delta_spec, delta_vee_spec, hecke_matrix, theta_spec,
+                    verified_hecke_element, witness_element)
 from .analytic import (AnalyticError, NewformData, completed_lvalue,
                        eisenstein_period_demo, eta_product, manin_coefficient,
                        petersson_product)
@@ -209,7 +208,7 @@ def cmd_hecke_matrix(args, out):
     space = _coset_space(args, args.group, args.level, args.weight)
     w = args.weight - 2
     sub = _space_choice(args, space, w)
-    m = hecke_matrix(sub, universal_hecke_element(args.n), spec)
+    m = hecke_matrix(sub, cremona_hecke_element(args.n), spec)
     doc = _matrix_doc(m)
     doc.update({"space": args.space, "n": args.n, "dim": sub.dim})
     _emit(doc, out)
@@ -295,7 +294,7 @@ def cmd_eigenvalue(args, out):
     space = _coset_space(args, GAMMA0, level, weight)
     Pp = common_eigen_polynomial(build_W(space, weight - 2, 1), _parse_eigen(args.eigen),
                                  parity="+")
-    t = universal_hecke_element(args.n)
+    t = cremona_hecke_element(args.n)
     lam = manin_coefficient(Pp, t, delta_spec(GAMMA0, level, args.n), args.n)
     _emit({"level": level, "weight": weight, "n": args.n,
            "eigenvalue": scalar_to_str(lam)}, out)
@@ -498,7 +497,7 @@ def _check_args(args):
     if weight is not None and weight > MAX_WEIGHT:
         raise CliError("--weight %d is above %d, the largest weight built"
                        % (weight, MAX_WEIGHT), EXIT_USAGE)
-    # every T~_n a command builds, refused before any Merel family is built
+    # every T~_n a command builds, refused before any element is built
     max_n = getattr(args, "max_n", None)
     if max_n is not None:
         n = getattr(args, "n", None)

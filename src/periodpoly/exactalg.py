@@ -743,6 +743,11 @@ def realified_rows(field, rows: Iterable[dict]) -> list:
     for row in rows:
         real = [{} for _ in range(d)]
         for j, a in row.items():
+            if not any(a[1:]):
+                # a rational a = [a0, 0, ...] only scales the identity
+                for t in range(d) if a[0] else ():
+                    real[t][j * d + t] = a[0]
+                continue
             for t, col in enumerate(mult_columns(field, a)):
                 for s, v in enumerate(col):
                     if v:

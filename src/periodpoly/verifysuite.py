@@ -22,8 +22,8 @@ from .polyspace import (PolyVector, Subspace, build_W, build_W_extended,
                         slash_poly, _coboundary_and_D_vectors, _label_rows,
                         _tail_families)
 from .hecke import (GroupRingElement, HeckeOperator, ONE_MINUS_S, ONE_MINUS_T, delta_spec,
-                    delta_vee_spec, gre_mul, hecke_action, hecke_matrix,
-                    solve_universal_hecke, theta_spec, tn_infinity,
+                    delta_vee_spec, cremona_hecke_element, gre_mul, hecke_action,
+                    hecke_matrix, solve_universal_hecke, theta_spec, tn_infinity,
                     torbit_canonical, universal_hecke_element,
                     verify_hecke_property, common_eigen_polynomial)
 from .analytic import (NewformData, completed_lvalue, eisenstein_qexp,
@@ -165,10 +165,12 @@ def check_radical_and_duality():
 def check_hecke_defining_identity():
     """The run-length witness of ``hecke_identity``, expanded, multiplied
     out term by term: (1 - T) Y = T_n^inf (1 - S) - (1 - S) T~_n, for the
-    solved and for Merel's element."""
+    solved and Merel's element, and for Cremona's at the primes 3 to 11."""
     for n in range(1, 13):
-        for name, el in (("solved", solve_universal_hecke(n, n)),
-                         ("Merel's", universal_hecke_element(n))):
+        elements = [("solved", solve_universal_hecke(n, n)),
+                    ("Merel's", universal_hecke_element(n))]
+        elements += [("Cremona's", cremona_hecke_element(n))] if n in (3, 5, 7, 11) else []
+        for name, el in elements:
             ok, y = verify_hecke_property(el, n)
             check(ok, "%s T~_%d fails the defining identity" % (name, n))
             delta = gre_mul(tn_infinity(n), ONE_MINUS_S) - gre_mul(ONE_MINUS_S, el)

@@ -96,8 +96,9 @@ class TestHeckeElement:
             "d232c9dc799905420c7f599371a6836073f188221f5b59a218368f14648195ec")
 
     def test_failed_check_is_one_line_error_under_optimize(self):
-        # Merel's family with a sabotaged identity check: exit 1 and one
-        # line, never a fall back to the solver, also with asserts stripped
+        # Merel's family, and Cremona's matrices at a prime n >= 3, with a
+        # sabotaged identity check: exit 1 and one line, never a fall back
+        # to the solver, also with asserts stripped
         code = ("import sys\n"
                 "from periodpoly import cli, hecke\n"
                 "def solver(*args, **kwargs):\n"
@@ -107,14 +108,17 @@ class TestHeckeElement:
                 "sys.exit(cli.main(sys.argv[1:]))\n")
         src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        for argv in (["hecke-element", "--n", "151"],
-                     ["eigenvalue", "--level", "5", "--weight", "4", "--n", "2",
-                      "--eigen", "2:-4"]):
+        merel, cremona = "error: Merel family", "error: Cremona's Heilbronn matrices"
+        for argv, error in ((["hecke-element", "--n", "151"], merel),
+                            (["eigenvalue", "--level", "5", "--weight", "4", "--n", "2",
+                              "--eigen", "2:-4"], merel),
+                            (["eigenvalue", "--level", "11", "--weight", "2", "--n", "151",
+                              "--eigen", "3:-1"], cremona)):
             proc = subprocess.run([sys.executable, "-O", "-c", code] + argv,
                                   capture_output=True, text=True, timeout=300,
                                   env=dict(os.environ, PYTHONPATH=path))
             assert (proc.returncode, proc.stdout) == (cli.EXIT_ERROR, "")
-            assert proc.stderr.startswith("error: Merel family failed verification")
+            assert proc.stderr.startswith(error + " failed verification")
             assert proc.stderr.count("\n") == 1
 
 
@@ -645,7 +649,8 @@ def test_index_guard_refuses_before_building(argv, monkeypatch, capsys):
 def test_n_guard_refuses_before_building(argv, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a universal element was built")
-    for module, name in ((cli, "universal_hecke_element"), (hecke, "solve_universal_hecke"),
+    for module, name in ((cli, "cremona_hecke_element"), (hecke, "cremona_hecke_element"),
+                         (hecke, "universal_hecke_element"), (hecke, "solve_universal_hecke"),
                          (hecke, "merel_family"), (cli, "build_coset_space")):
         monkeypatch.setattr(module, name, refuse)
     code, out = run_cli(argv)
@@ -663,8 +668,9 @@ def test_n_guard_refuses_before_building(argv, monkeypatch, capsys):
 def test_sigma_pair_refused_before_building(argv, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("work began before the double coset was checked")
-    monkeypatch.setattr(cli, "build_coset_space", refuse)
-    monkeypatch.setattr(cli, "universal_hecke_element", refuse)
+    for module, name in ((cli, "build_coset_space"), (cli, "cremona_hecke_element"),
+                         (hecke, "cremona_hecke_element"), (hecke, "universal_hecke_element")):
+        monkeypatch.setattr(module, name, refuse)
     code, out = run_cli(argv)
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE and out == ""

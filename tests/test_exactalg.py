@@ -494,6 +494,33 @@ class TestRealSystems:
             assert sparse_int_pivots(rows, reduce_fully=True) == reduced
             assert sparse_int_rank(rows) == len(reduced)
 
+    @pytest.mark.parametrize("m", [5, 12])
+    def test_realified_rows_equal_the_expansion_of_every_entry(self, m):
+        # rational entries [a0, 0, ...], zero ones among them, fill the
+        # identity directly; the rows, their key order included, are those
+        # of mult_columns on every entry
+        field, rnd = CyclotomicField(m), random.Random(m)
+
+        def entry():
+            a = [Fraction(rnd.randint(-6, 6), rnd.randint(1, 4)) for _ in range(field.degree)]
+            return a if rnd.random() < 0.4 else [a[0] if rnd.random() < 0.8 else 0] + \
+                [0] * (field.degree - 1)
+
+        rows = [{j: entry() for j in rnd.sample(range(12), rnd.randint(1, 6))}
+                for _ in range(40)]
+        expected = []
+        for row in rows:
+            real = [{} for _ in range(field.degree)]
+            for j, a in row.items():
+                for t, col in enumerate(exactalg.mult_columns(field, a)):
+                    for s, v in enumerate(col):
+                        if v:
+                            real[s][j * field.degree + t] = v
+            expected.extend(rows_to_int_sparse(real))
+        got = exactalg.realified_rows(field, rows)
+        assert [list(r.items()) for r in got] == [list(r.items()) for r in expected]
+        assert sum(not any(a[1:]) for row in rows for a in row.values()) > 50
+
 
 def every_label_rows(space, w, extended) -> list:
     return [r for _, s_rows, u_rows in _label_rows(space, w, extended) for r in s_rows + u_rows]

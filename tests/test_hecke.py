@@ -1,8 +1,10 @@
+import functools
 import math
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,14 +24,14 @@ from periodpoly.polyspace import (ExtPolyVector, PolyVector, _pow_linear,
 from periodpoly.hecke import (EigenspaceError, GroupRingElement, HeckeError,
                               HeckeOperator, ONE_MINUS_S, ONE_MINUS_T,
                               SigmaSpec, adjoint_vee,
-                              common_eigen_polynomial, delta_spec,
+                              common_eigen_polynomial, cremona_hecke_element, delta_spec,
                               delta_vee_spec, diamond_spec, gre_mul, gre_unit,
                               _candidate_matrices, hecke_action, hecke_identity,
                               hecke_matrix, merel_family, resolve_sigma_coset,
                               solve_universal_hecke, theta_spec, tn_infinity,
                               torbit_canonical, universal_hecke_element,
                               verify_hecke_property, witness_terms)
-from periodpoly.analytic import manin_coefficient
+from periodpoly.analytic import eta_product, manin_coefficient
 
 from dense_reference import reference_operator, reference_resolve_sigma_coset
 
@@ -1188,3 +1190,107 @@ class TestIdealMembership:
         x = GroupRingElement(2, {Mat2(1, 0, 0, 2): Fraction(1)})
         assert ideal_membership_within_bound(x, 2) in (
             "verified within bound", "inconclusive")
+
+
+def _primes(lo, hi):
+    return [p for p in range(max(lo, 2), hi) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def reference_cremona_matrices(p):
+    """Cremona's Heilbronn matrices for an odd prime p (Cremona 1997, 2.4),
+    each quotient rounded to nearest with Fractions, halves up."""
+    out = [Mat2(1, 0, 0, p)]
+    for r in range(-(p // 2), p // 2 + 1):
+        x1, x2, y1, y2, a, b = p, -r, 0, 1, -p, r
+        out.append(Mat2(x1, x2, y1, y2))
+        while b:
+            q = math.floor(Fraction(a, b) + Fraction(1, 2))
+            a, b = -b, a - b * q
+            x1, x2, y1, y2 = x2, q * x2 - x1, y2, q * y2 - y1
+            out.append(Mat2(x1, x2, y1, y2))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def both_elements(n):
+    """(Merel's T~_n, cremona_hecke_element(n))."""
+    return universal_hecke_element(n), cremona_hecke_element(n)
+
+
+def _operator_outcomes(subs, t, spec):
+    """hecke_matrix of t on each subspace, or the type and message of its
+    error; the subspaces share a space, so the operator is compiled once."""
+    op = HeckeOperator(subs[0].space, subs[0].w, t, spec, subs[0].extended)
+    out = []
+    for sub in subs:
+        try:
+            out.append(sub.restricted_matrix(op.apply, op.den, op.norm))
+        except PeriodPolyError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+# (kind, N, k, the n on W, W+-, C, the n on Wtilde too): every prime n <= 61
+# at every N <= 13 on Gamma0, the primes n <= 13 on Gamma1, n | N included.
+# The Wtilde operator compiles in Fractions: both elements at n = 37 take
+# about 1 s on Gamma0(37) at weight 4, so Wtilde takes only some n.
+# Gamma1(37), with 684 cosets, took 29 s for n in {2, 3, 37} and is left out.
+CREMONA_GRID = [(GAMMA0, N, 4, _primes(2, 62), ext) for N, ext in
+                ((1, (2, 3, 5)), (5, (3, 5)), (7, (7,)), (11, (3, 11)), (12, (2, 3)),
+                 (13, (13,)))]
+CREMONA_GRID += [(GAMMA1, N, 2, _primes(2, 14), ext) for N, ext in
+                 ((5, (5,)), (7, (2, 7)), (11, (3,)), (12, (3,)), (13, (2,)))]
+CREMONA_GRID += [(GAMMA0, 37, 2, (2, 3, 37), (2, 3, 37))]
+
+# the five eta-product newforms eta(z)^k eta(Nz)^k of weight k = 24 / (N + 1)
+ETA_FORMS = {1: 12, 2: 8, 3: 6, 5: 4, 11: 2}
+
+
+class TestCremonaElement:
+    """cremona_hecke_element against Merel's element: the identity, and the
+    same Hecke matrices and eigenvalues."""
+
+    @pytest.mark.parametrize("ps", [_primes(3, 200), _primes(200, 400)])
+    def test_identity_at_every_prime_below_400(self, ps):
+        for p in ps:
+            el = cremona_hecke_element(p)
+            ref = Counter(m.vee().canonical_pm() for m in reference_cremona_matrices(p))
+            assert set(ref.values()) == {1} and el.coeffs == dict.fromkeys(ref, 1)
+            assert all(type(m) is Mat2 and type(c) is int for m, c in el.coeffs.items())
+            ok, runs, den = hecke_identity(el, p)
+            assert ok and den == 1
+            assert len(el.coeffs) < len(merel_family(p))
+
+    def test_supports_and_other_n(self):
+        assert [len(cremona_hecke_element(p).coeffs) for p in (11, 37, 151)] == [30, 128, 654]
+        for n in (1, 2, 4, 9, 12, 25):
+            assert cremona_hecke_element(n) == universal_hecke_element(n)
+
+    @pytest.mark.parametrize("kind,N,k,ns,ext", CREMONA_GRID,
+                             ids=["%s-%d-k%d" % case[:3] for case in CREMONA_GRID])
+    def test_hecke_matrices_equal_merel(self, kind, N, k, ns, ext):
+        space = build_coset_space(kind, N, k)
+        W = build_W(space, k - 2)
+        subs = [W, *eps_split(W), build_coboundary_and_D(space, k - 2)[0]]
+        extended = [build_W_extended(space, k - 2)]
+        matrices = 0
+        for n in ns:
+            merel, cremona = both_elements(n)
+            for spec in _specs(kind, N, n):
+                for group in (subs, extended) if n in ext else (subs,):
+                    got = _operator_outcomes(group, cremona, spec)
+                    assert got == _operator_outcomes(group, merel, spec)
+                    matrices += sum(isinstance(m, DenseMatrix) for m in got)
+        assert matrices
+
+    @pytest.mark.parametrize("N", sorted(ETA_FORMS))
+    def test_eigenvalues_equal_merel_at_eigen_sweep_primes(self, N):
+        k = ETA_FORMS[N]
+        f = eta_product([(1, 24)] if N == 1 else [(1, k), (N, k)], 152)
+        p = 3 if N == 2 else 2
+        plus = build_W(build_coset_space(GAMMA0, N, k), k - 2, 1)
+        Pp = common_eigen_polynomial(plus, [(p, Fraction(f.coeff(p)))], parity="+")
+        for n in EIGEN_SWEEP_PRIMES:
+            spec = delta_spec(GAMMA0, N, n)
+            lams = [manin_coefficient(Pp, t, spec, n) for t in both_elements(n)]
+            assert lams == [f.coeff(n)] * 2
