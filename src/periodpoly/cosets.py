@@ -67,13 +67,6 @@ class Mat2(NamedTuple):
         """Conjugate by eps = diag(-1, 1)."""
         return Mat2(self.a, -self.b, -self.c, self.d)
 
-    def __pow__(self, n: int) -> "Mat2":
-        out = MAT_I
-        base = self if n >= 0 else self.inverse()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
-
 
 MAT_I = Mat2(1, 0, 0, 1)
 MAT_S = Mat2(0, -1, 1, 0)
@@ -399,10 +392,6 @@ class CosetSpace:
 def build_coset_space(kind: str, N: int, k: int) -> CosetSpace:
     """Enumerate Gamma \\ SL2(Z) with action, eps and cusp structure."""
     return CosetSpace(kind, N, k)
-
-
-def act_coset(space: CosetSpace, label: int, g: Mat2) -> tuple:
-    return space.act(label, g)
 
 
 def cusp_classes(space: CosetSpace) -> CuspSet:

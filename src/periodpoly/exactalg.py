@@ -224,12 +224,6 @@ class Cyclotomic:
                 out = out + a * self.field.zeta_power((m - j) % m)
         return out
 
-    def rational_part(self) -> Fraction:
-        """The element as a rational; raises if it is not one."""
-        if any(self.coeffs[1:]):
-            raise ExactAlgebraError("cyclotomic element is not rational")
-        return self.coeffs[0]
-
     def __repr__(self):
         return "Cyclotomic(%d, %s)" % (self.field.conductor, list(self.coeffs))
 
@@ -453,18 +447,13 @@ def eigen_columns(pairs: Sequence[tuple], field=None) -> list:
     rows = []
     for m, lam in pairs:
         if m.nrows != m.ncols or m.ncols != n:
-            raise ExactAlgebraError("eigen_kernel needs square matrices of one size")
+            raise ExactAlgebraError("eigen_columns needs square matrices of one size")
         lam = scalar_coords(f, lam)
         block = [{j: scalar_coords(f, x) for j, x in enumerate(r) if x} for r in m.rows]
         for i, row in enumerate(block):
             row[i] = [a - b for a, b in zip(row.get(i, [0] * f.degree), lam)]
         rows.extend(block)
     return kernel_columns(realified_rows(f, rows), n, f)
-
-
-def eigen_kernel(m: DenseMatrix, lam) -> DenseMatrix:
-    """Basis of ker(m - lam*I); empty when lam is not an eigenvalue."""
-    return DenseMatrix.from_int_columns(m.field, eigen_columns([(m, lam)]), m.ncols)
 
 
 def solve_columns(basis: DenseMatrix, targets: Sequence[Sequence]) -> list | None:

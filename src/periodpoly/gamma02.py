@@ -15,9 +15,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactalg import DenseMatrix, PeriodPolyError, QQ, bernoulli, kernel_basis
-from .cosets import MAT_S, MAT_T, MAT_TINV, MAT_U, MAT_U2, GAMMA0, build_coset_space
-from .polyspace import (PolyVector, build_W, pair_vw,
-                        pair_braces, slash_columns, slash_poly)
+from .cosets import MAT_S, MAT_T, MAT_TINV, GAMMA0, build_coset_space
+from .polyspace import build_W, pair_vw, pair_braces, slash_columns, slash_poly
 from .analytic import (NewformData, completed_lvalue, period_and_omega,
                        haberland_constant)
 from .hecke import common_eigen_polynomial
@@ -30,10 +29,6 @@ class Gamma02Error(PeriodPolyError):
 LEVEL2_WEIGHTS = (8, 10, 14)
 
 
-def _space(k: int):
-    return build_coset_space(GAMMA0, 2, k)
-
-
 def principal_relation_matrix(w: int) -> DenseMatrix:
     """Matrix of p -> p|(ST - ST^(-1))(1 + S) on V_w."""
     cols = slash_columns([(MAT_S * MAT_T, 1), (MAT_S * MAT_TINV, -1),
@@ -44,36 +39,6 @@ def principal_relation_matrix(w: int) -> DenseMatrix:
 def principal_space(w: int) -> DenseMatrix:
     """Basis of U_w, the polynomials satisfying the principal relation."""
     return kernel_basis(principal_relation_matrix(w))
-
-
-def to_principal(P: PolyVector) -> tuple:
-    """Extract P(I) from an element of W_w^{Gamma0(2)}.
-
-    Raises when the remaining components are not the ones reconstructed
-    from the period relations.
-    """
-    space = P.space
-    if space.N != 2 or space.kind != GAMMA0:
-        raise Gamma02Error("principal parts are specific to Gamma0(2)")
-    p = P.values[space.identity_label]
-    if from_principal(p, P.w, space).values != P.values:
-        raise Gamma02Error("vector violates the reconstruction identities")
-    return p
-
-
-def from_principal(p: Sequence, w: int, space=None) -> PolyVector:
-    """Rebuild the full vector: P(U) = -P(I)|S, P(U^2) = -P(U)|U - P(I)|U^2."""
-    if space is None:
-        space = _space(w + 2)
-    p = tuple(p)
-    pU = tuple(-x for x in slash_poly(p, MAT_S, w))
-    pU2 = tuple(-x - y for x, y in zip(slash_poly(pU, MAT_U, w),
-                                       slash_poly(p, MAT_U2, w)))
-    vals = [None] * 3
-    vals[space.identity_label] = p
-    vals[space.label_of_row(1, 0)[0]] = pU
-    vals[space.label_of_row(1, 1)[0]] = pU2
-    return PolyVector(space, w, vals)
 
 
 def reduced_pairing(p: Sequence, q: Sequence, w: int):
@@ -176,7 +141,7 @@ def extra_relations_check(f: NewformData, terms: int = 200,
 def _petersson_cross_check(f: NewformData, terms: int) -> dict:
     k = f.weight
     w = k - 2
-    space = _space(k)
+    space = build_coset_space(GAMMA0, 2, k)
     Wp, Wm = build_W(space, w, 1), build_W(space, w, -1)
     lam3 = f.qseries.coeff(3)
     eigendata = [(3, lam3)]

@@ -10,11 +10,9 @@ adjoint of Merel's family, which Merel (1994) proves satisfies it, and
 ``cremona_hecke_element`` is at a prime the smaller one built from Cremona's
 Heilbronn matrices; each is still checked exactly, in integers, with an
 explicit telescoping witness Y, and a failed check raises HeckeError.
-``solve_universal_hecke`` finds a second, independent element by a flow on
-the left <+-T> orbits; it serves only to check that results do not depend
-on the choice of element.  The element acts through a double coset (Delta_n,
-its adjoint, Theta_n or a diamond), each resolved by one congruence on the
-bottom row of a coset representative.
+The element acts through a double coset (Delta_n, its adjoint, Theta_n or a
+diamond), each resolved by one congruence on the bottom row of a coset
+representative.
 """
 
 from __future__ import annotations
@@ -155,10 +153,6 @@ ONE_MINUS_S = gre_unit([(1, MAT_I), (-1, MAT_S)])
 ONE_MINUS_T = gre_unit([(1, MAT_I), (-1, MAT_T)])
 
 
-def adjoint_vee(x: GroupRingElement) -> GroupRingElement:
-    return x.adjoint_vee()
-
-
 def tn_infinity(n: int) -> GroupRingElement:
     """Sum over the sigma(n) upper-triangular coset representatives."""
     if n < 1:
@@ -296,135 +290,10 @@ def witness_element(n: int, runs: Sequence[tuple], den: int) -> GroupRingElement
 # ----------------------------------------------------------------------
 # construction of universal elements
 
-def _candidate_matrices(n: int, bound: int) -> list:
-    """All canonical determinant-n classes with entries in [-bound, bound]."""
-    seen = set()
-    out = []
-    for c in range(-bound, bound + 1):
-        for d in range(-bound, bound + 1):
-            if c == 0 and d == 0:
-                continue
-            g, x, y = _xgcd(d, -c)
-            if g < 0:
-                g, x, y = -g, -x, -y
-            if n % g:
-                continue
-            a0, b0 = x * (n // g), y * (n // g)
-            sc, sd = c // g, d // g
-            # all solutions (a0 + t sc, b0 + t sd) with both inside the box
-            ts = []
-            for base, step in ((a0, sc), (b0, sd)):
-                if step == 0:
-                    if abs(base) > bound:
-                        ts = None
-                        break
-                    continue
-                lo = math.ceil((-bound - base) / step)
-                hi = math.floor((bound - base) / step)
-                if step < 0:
-                    lo, hi = hi, lo
-                ts.append((min(lo, hi), max(lo, hi)))
-            if ts is None:
-                continue
-            tlo = max(t[0] for t in ts) if ts else 0
-            thi = min(t[1] for t in ts) if ts else 0
-            for t in range(tlo, thi + 1):
-                m = Mat2(a0 + t * sc, b0 + t * sd, c, d).canonical_pm()
-                if max(abs(m.a), abs(m.b), abs(m.c), abs(m.d)) > bound:
-                    continue
-                if m not in seen:
-                    seen.add(m)
-                    out.append(m)
-    out.sort()
-    return out
-
-
-def solve_universal_hecke(n: int, entry_bound: Optional[int] = None,
-                          variant: int = 0) -> GroupRingElement:
-    """Solve for a universal element supported inside an entry bound.
-
-    The orbit-sum equations form a flow problem: each candidate matrix M is
-    an edge from orbit(M) to orbit(S M), and the constants of
-    T_n^inf (1 - S) are the node demands.  A deterministic spanning-tree
-    routing solves it; ``variant`` selects a different (still deterministic)
-    edge order so that a second, independent element can be produced.
-    The result is always re-verified before being returned.
-    """
-    if entry_bound is None:
-        entry_bound = n
-    if entry_bound < n:
-        raise HeckeError("entry_bound must be at least n")
-    if n == 1:
-        cand = GroupRingElement(1, {MAT_I: Fraction(1)})
-        check(hecke_identity(cand, 1)[0], "the identity fails the Hecke identity at n = 1")
-        return cand
-    const = gre_mul(tn_infinity(n), ONE_MINUS_S)
-    demands: dict = {}
-    for m, c in const.coeffs.items():
-        rep = torbit_canonical(m)
-        demands[rep] = demands.get(rep, Fraction(0)) + c
-    edges = []  # (edge_matrix, from_orbit, to_orbit)
-    for m in _candidate_matrices(n, entry_bound):
-        o1 = torbit_canonical(m)
-        o2 = torbit_canonical((MAT_S * m).canonical_pm())
-        if o1 != o2:
-            edges.append((m, o1, o2))
-    if variant % 2 == 1:
-        edges.reverse()
-    adjacency: dict = {}
-    for idx, (m, o1, o2) in enumerate(edges):
-        adjacency.setdefault(o1, []).append(idx)
-        adjacency.setdefault(o2, []).append(idx)
-    for node in demands:
-        adjacency.setdefault(node, [])
-    # spanning forest over all orbit nodes reachable from demand nodes
-    coeffs: dict = {}
-    visited = set()
-    for root in sorted(demands):
-        if root in visited:
-            continue
-        tree: dict = {root: None}  # node -> (parent, edge_idx)
-        order = [root]
-        stack = [root]
-        visited.add(root)
-        while stack:
-            node = stack.pop()
-            for idx in adjacency.get(node, ()):
-                m, o1, o2 = edges[idx]
-                nxt = o2 if o1 == node else o1
-                if nxt in visited:
-                    continue
-                visited.add(nxt)
-                tree[nxt] = (node, idx)
-                order.append(nxt)
-                stack.append(nxt)
-        # route demands towards the root, leaves first
-        balance = {node: demands.get(node, Fraction(0)) for node in order}
-        for node in reversed(order[1:]):
-            parent, idx = tree[node]
-            m, o1, o2 = edges[idx]
-            need = balance[node]
-            if need:
-                # x_M contributes -x at orbit(M), +x at orbit(SM):
-                # net demand equation is demand(o) - out(o) + in(o) = 0
-                flow = need if o1 == node else -need
-                coeffs[m] = coeffs.get(m, Fraction(0)) + flow
-                balance[parent] += need
-            balance[node] = Fraction(0)
-        if balance[root]:
-            raise HeckeError(
-                "no universal element with entries bounded by %d for n = %d; "
-                "increase entry_bound" % (entry_bound, n))
-    cand = GroupRingElement(n, coeffs)
-    if not hecke_identity(cand, n)[0]:
-        raise HeckeError("flow solution failed verification")
-    return cand
-
-
-def merel_family(n: int, adjoints: bool = False):
-    """Integer matrices with det n, a > b >= 0 and d > c >= 0, sorted; with
-    adjoints {the pm-canonical adjoint of each: 1}, written in the walk with
-    no sort: (d -b; -c a) is (-d b; c -a) for c > 0, (d -b; 0 a) for c = 0.
+def merel_family(n: int) -> dict:
+    """The adjoints of the integer matrices (a b; c d) with det n, a > b >= 0
+    and d > c >= 0, as {pm-canonical adjoint: 1} in the order of the walk:
+    (d -b; -c a) is (-d b; c -a) for c > 0, (d -b; 0 a) for c = 0.
 
     Put g = a - b >= 1.  Then a d - b c = n reads a (d - c) = n - g c, so d
     > c is g c < n, a is a divisor a >= g of m = n - g c, and d = c + m / a.
@@ -435,30 +304,26 @@ def merel_family(n: int, adjoints: bool = False):
     for a in range(1, n + 1):
         for m in range(a, n + 1, a):
             divisors[m].append(a)
-    out = {} if adjoints else []
+    out = {}
     for g in range(1, n + 1):
         for c in range((n - 1) // g + 1):
             m = n - g * c
             divs = divisors[m]
             for a in divs[bisect.bisect_left(divs, g):]:
                 b, d = a - g, c + m // a
-                if adjoints:
-                    out[Mat2(-d, b, c, -a) if c else Mat2(d, -b, 0, a)] = 1
-                else:
-                    out.append(Mat2(a, b, c, d))
-    return out if adjoints else sorted(out)
+                out[Mat2(-d, b, c, -a) if c else Mat2(d, -b, 0, a)] = 1
+    return out
 
 
 def verified_hecke_element(n: int) -> tuple:
-    """Merel's universal element, the adjoints of ``merel_family(n)``, with
-    the witness of its one ``hecke_identity`` check: (T~_n, runs of den Y,
-    den).
+    """Merel's universal element, ``merel_family(n)``, with the witness of
+    its one ``hecke_identity`` check: (T~_n, runs of den Y, den).
 
     The members are distinct, so are their adjoints, and each has the int
     coefficient 1, so den is 1.  Merel (1994) proves the identity for this
     family, so a failed check is a bug and raises HeckeError.
     """
-    cand = GroupRingElement.from_canonical(n, merel_family(n, adjoints=True))
+    cand = GroupRingElement.from_canonical(n, merel_family(n))
     ok, y, den = hecke_identity(cand, n)
     if not ok:
         raise HeckeError("Merel family failed verification at n = %d" % n)

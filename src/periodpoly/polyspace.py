@@ -21,9 +21,8 @@ from .exactalg import (DenseMatrix, ExactAlgebraError, PeriodPolyError, QQ, chec
                        scalar_coords, scalar_from_str, scalar_to_str,
                        sparse_int_rank, _image_pivots, _over_roots,
                        _tie_classes, _tie_edges)
-from .cosets import (CosetSpace, Mat2, MAT_EPS, MAT_S, MAT_SINV, MAT_T,
-                     MAT_TINV, MAT_U, MAT_U2, MAT_U2INV, MAT_UINV, GAMMA0,
-                     build_coset_space, _unit_group_generators)
+from .cosets import (CosetSpace, Mat2, MAT_EPS, MAT_SINV, MAT_T, MAT_TINV, MAT_U,
+                     MAT_U2, GAMMA0, build_coset_space, _unit_group_generators)
 
 
 class PolySpaceError(PeriodPolyError):
@@ -898,15 +897,6 @@ def wtilde_dimension(space: CosetSpace, w: int) -> int:
         return 0
     (folded, rows), = _presentations(space, w, True)
     return space.size * (w + 3) - sparse_int_rank(rows, folded)
-
-
-def decompose_extended(vec: ExtPolyVector, wtilde: Optional[Subspace] = None) -> tuple:
-    """Split P~ in Wtilde as P + P0|(1-S); reconstruction is exact."""
-    if wtilde is not None and not wtilde.contains(vec):
-        raise PolySpaceError("vector outside the extended period space")
-    tail = ExtPolyVector(vec.space, vec.w, PolyVector.zero(vec.space, vec.w),
-                         vec.tails, check=False)
-    return vec.poly, tail
 
 
 # ----------------------------------------------------------------------

@@ -13,17 +13,16 @@ from fractions import Fraction
 
 from .exactalg import (CyclotomicField, DenseMatrix, QQ, bernoulli, check,
                        kernel_basis, sparse_int_rank)
-from .cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, Mat2,
+from .cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_SINV, MAT_T, Mat2,
                      build_coset_space, classical_cusp_count_gamma0,
                      cusp_classes, dirichlet_characters)
 from .polyspace import (PolyVector, Subspace, build_W, build_W_extended,
                         build_coboundary_and_D, chi_component, cminus_trivial,
                         eps_split, pair_braces, pair_induced, pair_vw,
-                        slash_poly, _coboundary_and_D_vectors, _label_rows,
-                        _tail_families)
+                        slash_poly, _label_rows, _tail_families)
 from .hecke import (GroupRingElement, HeckeOperator, ONE_MINUS_S, ONE_MINUS_T, delta_spec,
                     delta_vee_spec, cremona_hecke_element, gre_mul, hecke_action,
-                    hecke_matrix, solve_universal_hecke, theta_spec, tn_infinity,
+                    hecke_matrix, theta_spec, tn_infinity,
                     torbit_canonical, universal_hecke_element,
                     verify_hecke_property, common_eigen_polynomial)
 from .analytic import (NewformData, completed_lvalue, eisenstein_qexp,
@@ -150,11 +149,16 @@ def check_radical_and_duality():
         gram2 = DenseMatrix(QQ, [[pair_braces(Wt.vector(i), Wt.vector(j))
                                   for j in range(Wt.dim)] for i in range(Wt.dim)])
         check(gram2.rank() == Wt.dim, "{,} on Wtilde is degenerate")
-        # duality closed form against every extended basis vector
-        for fam, cvec in zip(_tail_families(space, w),
-                             _coboundary_and_D_vectors(space, w)[0]):
-            P = PolyVector.from_coords(space, w, [cvec.get(i, 0) for i in
-                                                  range(space.size * (w + 1))])
+        # duality closed form against every extended basis vector, the C
+        # vector of each tail family c built here as c_l - c_(l S^-1) X^w
+        for fam in _tail_families(space, w):
+            vals = []
+            for l in range(space.size):
+                poly = [0] * (w + 1)
+                poly[0] += fam.get(l, 0)
+                poly[w] -= fam.get(space.act(l, MAT_SINV)[0], 0)
+                vals.append(tuple(poly))
+            P = PolyVector(space, w, vals)
             for j in range(Wt.dim):
                 Q = Wt.vector(j)
                 rhs = -Fraction(6, space.index) * sum(
@@ -164,11 +168,10 @@ def check_radical_and_duality():
 
 def check_hecke_defining_identity():
     """The run-length witness of ``hecke_identity``, expanded, multiplied
-    out term by term: (1 - T) Y = T_n^inf (1 - S) - (1 - S) T~_n, for the
-    solved and Merel's element, and for Cremona's at the primes 3 to 11."""
+    out term by term: (1 - T) Y = T_n^inf (1 - S) - (1 - S) T~_n, for
+    Merel's element, and for Cremona's at the primes 3 to 11."""
     for n in range(1, 13):
-        elements = [("solved", solve_universal_hecke(n, n)),
-                    ("Merel's", universal_hecke_element(n))]
+        elements = [("Merel's", universal_hecke_element(n))]
         elements += [("Cremona's", cremona_hecke_element(n))] if n in (3, 5, 7, 11) else []
         for name, el in elements:
             ok, y = verify_hecke_property(el, n)
@@ -181,7 +184,7 @@ def check_hecke_defining_identity():
 def check_orbit_criterion_soundness():
     rnd = random.Random(23)
     n = 3
-    el = solve_universal_hecke(n, n)
+    el = universal_hecke_element(n)
     cands = [Mat2(1, 0, 0, 3), Mat2(3, 1, 0, 1), Mat2(1, 2, 1, 5)]
     for _ in range(5):
         y = GroupRingElement(n, {m: Fraction(rnd.randint(-3, 3)) for m in cands})

@@ -33,7 +33,8 @@ class Character:
 
     def _embed(self, v):
         if self.field is None:
-            return Fraction(v) if not isinstance(v, Cyclotomic) else v.rational_part()
+            # order 1: every value is 1, a rational also as a Cyclotomic
+            return Fraction(v.coeffs[0] if isinstance(v, Cyclotomic) else v)
         if isinstance(v, Cyclotomic):
             if v.field.conductor == self.order:
                 return v

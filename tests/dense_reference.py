@@ -38,6 +38,13 @@ resolved each class against every label at once: one resolution per
 ``reference_restricted_matrix`` is ``Subspace.restricted_matrix`` as
 periodpoly wrote it before it packed the basis columns into one vector:
 one apply and one residual check per column.
+
+``solve_universal_hecke`` is a third universal element T~_n, independent
+of Merel's family and of Cremona's Heilbronn matrices, with Fraction
+coefficients: a flow on the left <+-T> orbits over the determinant-n
+classes of ``candidate_matrices``.  At n = 2 the two elements of
+periodpoly have the same 4 terms, so the tests read the choice
+independence of their results off this one.
 """
 
 import math
@@ -45,11 +52,13 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
-from periodpoly.cosets import (GAMMA1, CosetSpace, Mat2, MAT_S, MAT_SINV, MAT_U, MAT_U2,
-                               MAT_U2INV, MAT_UINV, _crt)
+from periodpoly.cosets import (GAMMA1, CosetSpace, Mat2, MAT_I, MAT_S, MAT_SINV, MAT_U,
+                               MAT_U2, MAT_U2INV, MAT_UINV, _crt, _xgcd)
 from periodpoly.exactalg import (DenseMatrix, _normalize_int_row, clear_denominators, poly_mul,
                                  rows_to_int_sparse)
-from periodpoly.hecke import HeckeError, SigmaSpec, _over_linear
+from periodpoly.hecke import (ONE_MINUS_S, GroupRingElement, HeckeError, SigmaSpec,
+                              _over_linear, gre_mul, hecke_identity, tn_infinity,
+                              torbit_canonical)
 from periodpoly.polyspace import (PolySpaceError, _label_rows, _pow_linear, eps_coordinates,
                                   slash_poly)
 
@@ -478,3 +487,129 @@ def reference_restricted_matrix(sub, apply, den: int = 1) -> DenseMatrix:
             raise PolySpaceError("image of basis vector %d leaves the subspace" % j)
         cols.append(x)
     return DenseMatrix.from_columns(sub.field, cols, nrows=sub.dim)
+
+
+def candidate_matrices(n: int, bound: int) -> list:
+    """All canonical determinant-n classes with entries in [-bound, bound]."""
+    seen = set()
+    out = []
+    for c in range(-bound, bound + 1):
+        for d in range(-bound, bound + 1):
+            if c == 0 and d == 0:
+                continue
+            g, x, y = _xgcd(d, -c)
+            if g < 0:
+                g, x, y = -g, -x, -y
+            if n % g:
+                continue
+            a0, b0 = x * (n // g), y * (n // g)
+            sc, sd = c // g, d // g
+            # all solutions (a0 + t sc, b0 + t sd) with both inside the box
+            ts = []
+            for base, step in ((a0, sc), (b0, sd)):
+                if step == 0:
+                    if abs(base) > bound:
+                        ts = None
+                        break
+                    continue
+                lo = math.ceil((-bound - base) / step)
+                hi = math.floor((bound - base) / step)
+                if step < 0:
+                    lo, hi = hi, lo
+                ts.append((min(lo, hi), max(lo, hi)))
+            if ts is None:
+                continue
+            tlo = max(t[0] for t in ts) if ts else 0
+            thi = min(t[1] for t in ts) if ts else 0
+            for t in range(tlo, thi + 1):
+                m = Mat2(a0 + t * sc, b0 + t * sd, c, d).canonical_pm()
+                if max(abs(m.a), abs(m.b), abs(m.c), abs(m.d)) > bound:
+                    continue
+                if m not in seen:
+                    seen.add(m)
+                    out.append(m)
+    out.sort()
+    return out
+
+
+def solve_universal_hecke(n: int, entry_bound: Optional[int] = None,
+                          variant: int = 0) -> GroupRingElement:
+    """Solve for a universal element supported inside an entry bound.
+
+    The orbit-sum equations form a flow problem: each candidate matrix M is
+    an edge from orbit(M) to orbit(S M), and the constants of
+    T_n^inf (1 - S) are the node demands.  A deterministic spanning-tree
+    routing solves it; ``variant`` selects a different (still deterministic)
+    edge order so that a second, independent element can be produced.
+    The result is always re-verified before being returned.
+    """
+    if entry_bound is None:
+        entry_bound = n
+    if entry_bound < n:
+        raise HeckeError("entry_bound must be at least n")
+    if n == 1:
+        cand = GroupRingElement(1, {MAT_I: Fraction(1)})
+        if not hecke_identity(cand, 1)[0]:
+            raise HeckeError("the identity fails the Hecke identity at n = 1")
+        return cand
+    const = gre_mul(tn_infinity(n), ONE_MINUS_S)
+    demands: dict = {}
+    for m, c in const.coeffs.items():
+        rep = torbit_canonical(m)
+        demands[rep] = demands.get(rep, Fraction(0)) + c
+    edges = []  # (edge_matrix, from_orbit, to_orbit)
+    for m in candidate_matrices(n, entry_bound):
+        o1 = torbit_canonical(m)
+        o2 = torbit_canonical((MAT_S * m).canonical_pm())
+        if o1 != o2:
+            edges.append((m, o1, o2))
+    if variant % 2 == 1:
+        edges.reverse()
+    adjacency: dict = {}
+    for idx, (m, o1, o2) in enumerate(edges):
+        adjacency.setdefault(o1, []).append(idx)
+        adjacency.setdefault(o2, []).append(idx)
+    for node in demands:
+        adjacency.setdefault(node, [])
+    # spanning forest over all orbit nodes reachable from demand nodes
+    coeffs: dict = {}
+    visited = set()
+    for root in sorted(demands):
+        if root in visited:
+            continue
+        tree: dict = {root: None}  # node -> (parent, edge_idx)
+        order = [root]
+        stack = [root]
+        visited.add(root)
+        while stack:
+            node = stack.pop()
+            for idx in adjacency.get(node, ()):
+                m, o1, o2 = edges[idx]
+                nxt = o2 if o1 == node else o1
+                if nxt in visited:
+                    continue
+                visited.add(nxt)
+                tree[nxt] = (node, idx)
+                order.append(nxt)
+                stack.append(nxt)
+        # route demands towards the root, leaves first
+        balance = {node: demands.get(node, Fraction(0)) for node in order}
+        for node in reversed(order[1:]):
+            parent, idx = tree[node]
+            m, o1, o2 = edges[idx]
+            need = balance[node]
+            if need:
+                # x_M contributes -x at orbit(M), +x at orbit(SM):
+                # net demand equation is demand(o) - out(o) + in(o) = 0
+                flow = need if o1 == node else -need
+                coeffs[m] = coeffs.get(m, Fraction(0)) + flow
+                balance[parent] += need
+            balance[node] = Fraction(0)
+        if balance[root]:
+            raise HeckeError(
+                "no universal element with entries bounded by %d for n = %d; "
+                "increase entry_bound" % (entry_bound, n))
+    cand = GroupRingElement(n, coeffs)
+    if not hecke_identity(cand, n)[0]:
+        raise HeckeError("flow solution failed verification")
+    return cand

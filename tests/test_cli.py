@@ -97,13 +97,11 @@ class TestHeckeElement:
 
     def test_failed_check_is_one_line_error_under_optimize(self):
         # Merel's family, and Cremona's matrices at a prime n >= 3, with a
-        # sabotaged identity check: exit 1 and one line, never a fall back
-        # to the solver, also with asserts stripped
+        # sabotaged identity check: exit 1 and one line, also with asserts
+        # stripped; the program has no other element to fall back to
+        assert not hasattr(hecke, "solve_universal_hecke")
         code = ("import sys\n"
                 "from periodpoly import cli, hecke\n"
-                "def solver(*args, **kwargs):\n"
-                "    raise RuntimeError('the solver ran')\n"
-                "hecke.solve_universal_hecke = solver\n"
                 "hecke.hecke_identity = lambda cand, n: (False, (1, 0, 0, n), 1)\n"
                 "sys.exit(cli.main(sys.argv[1:]))\n")
         src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -650,8 +648,8 @@ def test_n_guard_refuses_before_building(argv, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a universal element was built")
     for module, name in ((cli, "cremona_hecke_element"), (hecke, "cremona_hecke_element"),
-                         (hecke, "universal_hecke_element"), (hecke, "solve_universal_hecke"),
-                         (hecke, "merel_family"), (cli, "build_coset_space")):
+                         (hecke, "universal_hecke_element"), (hecke, "merel_family"),
+                         (cli, "build_coset_space")):
         monkeypatch.setattr(module, name, refuse)
     code, out = run_cli(argv)
     err = capsys.readouterr().err

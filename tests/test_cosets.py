@@ -11,7 +11,7 @@ from periodpoly import cosets
 from periodpoly.cosets import (GAMMA0, GAMMA1, Character, CosetError,
                                CosetSpace, CuspClass, CuspSet, Mat2, MAT_EPS,
                                MAT_I, MAT_J, MAT_S, MAT_SINV, MAT_T, MAT_TINV,
-                               MAT_U, MAT_U2, MAT_U2INV, MAT_UINV, act_coset,
+                               MAT_U, MAT_U2, MAT_U2INV, MAT_UINV,
                                build_coset_space,
                                classical_cusp_count_gamma0, coset_index,
                                cusp_classes, dirichlet_characters,
@@ -23,7 +23,7 @@ from character_reference import reference_dirichlet_characters
 class TestMat2:
     def test_group_constants(self):
         assert MAT_U == MAT_T * MAT_S
-        assert MAT_U ** 3 == Mat2(-1, 0, 0, -1)
+        assert MAT_U * MAT_U2 == Mat2(-1, 0, 0, -1)
         assert MAT_S * MAT_S == Mat2(-1, 0, 0, -1)
 
     def test_vee(self):
@@ -306,15 +306,15 @@ class TestAction:
         sp = build_coset_space(GAMMA0, 2, 8)
         iI = sp.identity_label
         lU = sp.label_of_row(1, 0)[0]
-        assert act_coset(sp, iI, MAT_S)[0] == lU      # coset of S equals U's
-        assert act_coset(sp, lU, MAT_S)[0] == iI      # US ~ I
+        assert sp.act(iI, MAT_S)[0] == lU      # coset of S equals U's
+        assert sp.act(lU, MAT_S)[0] == iI      # US ~ I
         for i in range(sp.size):
-            assert act_coset(sp, i, MAT_I) == (i, 1)
+            assert sp.act(i, MAT_I) == (i, 1)
 
     def test_rejects_nonunimodular(self):
         sp = build_coset_space(GAMMA0, 5, 4)
         with pytest.raises(CosetError):
-            act_coset(sp, 0, Mat2(1, 0, 0, 2))
+            sp.act(0, Mat2(1, 0, 0, 2))
 
     def test_group_action_property(self):
         rnd = random.Random(7)

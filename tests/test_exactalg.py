@@ -12,7 +12,7 @@ from periodpoly.exactalg import (ApproxComplex, Cyclotomic, CyclotomicField,
                                  DenseMatrix, ExactAlgebraError, QQ, bernoulli,
                                  clear_denominators, column_entries,
                                  cyclotomic_polynomial,
-                                 eigen_kernel, kernel_basis, poly_divmod,
+                                 eigen_columns, kernel_basis, poly_divmod,
                                  poly_mul, reduced_column_basis,
                                  rows_to_int_sparse, scalar_from_str,
                                  scalar_to_str, solve_columns,
@@ -224,19 +224,24 @@ class TestKernels:
         assert mat.rank() == len(reference_rref_rows([list(r) for r in rows], field)[1])
 
 
-class TestEigenKernel:
+class TestEigenColumns:
     def test_diagonal(self):
         m = DenseMatrix(QQ, [[2, 0], [0, 3]])
-        assert eigen_kernel(m, 2).columns() == [(Fraction(1), Fraction(0))]
-        assert eigen_kernel(m, 7).ncols == 0
+        assert [tuple(column_entries(QQ, den, vec, 2)) for den, vec in
+                eigen_columns([(m, 2)])] == [(Fraction(1), Fraction(0))]
+        assert eigen_columns([(m, 7)]) == []
+        assert eigen_columns([(m, 2), (m, 3)]) == []
 
     def test_zero_matrix_wrong_eigenvalue(self):
         m = DenseMatrix(QQ, [[0, 0], [0, 0]])
-        assert eigen_kernel(m, 1).ncols == 0
+        assert eigen_columns([(m, 1)]) == []
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ExactAlgebraError):
-            eigen_kernel(DenseMatrix(QQ, [[1, 2, 3]]), 1)
+        square = DenseMatrix(QQ, [[1, 0], [0, 1]])
+        for pairs in ([(DenseMatrix(QQ, [[1, 2, 3]]), 1)],
+                      [(square, 1), (DenseMatrix.identity(QQ, 3), 1)]):
+            with pytest.raises(ExactAlgebraError, match="eigen_columns needs square"):
+                eigen_columns(pairs)
 
 
 def int_kernel(rows, ncols):

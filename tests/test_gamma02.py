@@ -5,18 +5,30 @@ from typing import Sequence
 
 import pytest
 
-from periodpoly.cosets import GAMMA0, MAT_S, MAT_T, MAT_TINV, build_coset_space
-from periodpoly.polyspace import build_W, eps_split, pair_braces, slash_poly
+from periodpoly.cosets import GAMMA0, MAT_S, MAT_T, MAT_TINV, MAT_U, MAT_U2, build_coset_space
+from periodpoly.polyspace import PolyVector, build_W, eps_split, pair_braces, slash_poly
 from periodpoly.analytic import NewformData, QSeries, eta_product
 from periodpoly.gamma02 import (Gamma02Error, extra_relations_check,
-                                from_principal, fy_generator_periods,
-                                period_vector, principal_relation_matrix,
-                                principal_space, reduced_pairing,
-                                s_combination, to_principal)
+                                fy_generator_periods, period_vector,
+                                principal_relation_matrix, principal_space,
+                                reduced_pairing, s_combination)
 
 
 def satisfies_principal_relation(p: Sequence, w: int) -> bool:
     return all(not x for x in principal_relation_matrix(w).apply(list(p)))
+
+
+def from_principal(p: Sequence, w: int, space) -> PolyVector:
+    """The vector of W on Gamma0(2) with principal part p = P(I), by the
+    period relations: P(U) = -P(I)|S, P(U^2) = -P(U)|U - P(I)|U^2."""
+    p = tuple(p)
+    pU = tuple(-x for x in slash_poly(p, MAT_S, w))
+    pU2 = tuple(-x - y for x, y in zip(slash_poly(pU, MAT_U, w), slash_poly(p, MAT_U2, w)))
+    vals = [None] * 3
+    vals[space.identity_label] = p
+    vals[space.label_of_row(1, 0)[0]] = pU
+    vals[space.label_of_row(1, 1)[0]] = pU2
+    return PolyVector(space, w, vals)
 
 
 class TestPrincipalModel:
@@ -30,7 +42,7 @@ class TestPrincipalModel:
         W = build_W(sp, 6)
         for j in range(W.dim):
             P = W.vector(j)
-            p = to_principal(P)
+            p = P.values[sp.identity_label]
             assert satisfies_principal_relation(p, 6)
             assert from_principal(p, 6, sp).values == P.values
 
@@ -44,11 +56,9 @@ class TestPrincipalModel:
             assert P.values[lU] == tuple(-x for x in slash_poly(p, MAT_S, 6))
 
     def test_rejects_non_period_vectors(self):
-        from periodpoly.polyspace import PolyVector
         sp = build_coset_space(GAMMA0, 2, 8)
         bad = PolyVector(sp, 6, [[1, 0, 0, 0, 0, 0, 0]] * 3)
-        with pytest.raises(Gamma02Error):
-            to_principal(bad)
+        assert from_principal(bad.values[sp.identity_label], 6, sp).values != bad.values
 
     def test_reduced_pairing_equals_braces(self):
         sp = build_coset_space(GAMMA0, 2, 8)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from periodpoly import hecke
 from periodpoly.exactalg import (DenseMatrix, PeriodPolyError, QQ, clear_denominators,
-                                 eigen_kernel, kernel_columns, poly_divmod, poly_mul,
+                                 eigen_columns, kernel_columns, poly_divmod, poly_mul,
                                  poly_sub, poly_trim, rows_to_int_sparse)
 from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, MAT_TINV,
                                MAT_U, MAT_U2, Mat2, build_coset_space,
@@ -22,18 +22,17 @@ from periodpoly.polyspace import (ExtPolyVector, PolyVector, _pow_linear,
                                   build_coboundary_and_D, chi_component, eps_split,
                                   pair_braces, slash_poly)
 from periodpoly.hecke import (EigenspaceError, GroupRingElement, HeckeError,
-                              HeckeOperator, ONE_MINUS_S, ONE_MINUS_T,
-                              SigmaSpec, adjoint_vee,
+                              HeckeOperator, ONE_MINUS_S, ONE_MINUS_T, SigmaSpec,
                               common_eigen_polynomial, cremona_hecke_element, delta_spec,
                               delta_vee_spec, diamond_spec, gre_mul, gre_unit,
-                              _candidate_matrices, hecke_action, hecke_identity,
-                              hecke_matrix, merel_family, resolve_sigma_coset,
-                              solve_universal_hecke, theta_spec, tn_infinity,
+                              hecke_action, hecke_identity, hecke_matrix, merel_family,
+                              resolve_sigma_coset, theta_spec, tn_infinity,
                               torbit_canonical, universal_hecke_element,
                               verify_hecke_property, witness_terms)
 from periodpoly.analytic import eta_product, manin_coefficient
 
-from dense_reference import reference_operator, reference_resolve_sigma_coset
+from dense_reference import (candidate_matrices, reference_operator,
+                             reference_resolve_sigma_coset, solve_universal_hecke)
 
 
 class TestTnInfinity:
@@ -52,18 +51,18 @@ class TestTnInfinity:
 
 class TestAdjoint:
     def test_t_goes_to_t_inverse(self):
-        assert adjoint_vee(gre_unit([(1, MAT_T)])) == gre_unit([(1, MAT_TINV)])
+        assert gre_unit([(1, MAT_T)]).adjoint_vee() == gre_unit([(1, MAT_TINV)])
 
     def test_involution(self):
         rnd = random.Random(5)
         cands = [Mat2(1, 0, 0, 6), Mat2(2, 1, 0, 3), Mat2(1, 2, 2, 10)]
         x = GroupRingElement(6, {m: Fraction(rnd.randint(-3, 3)) for m in cands})
-        assert adjoint_vee(adjoint_vee(x)) == x
+        assert x.adjoint_vee().adjoint_vee() == x
 
     def test_tn_inf_adjoint_shape(self):
         # vee keeps triangularity: (a b; 0 d) -> (d -b; 0 a), so the support
         # stays triangular with the off-diagonal entry negated
-        t = adjoint_vee(tn_infinity(4))
+        t = tn_infinity(4).adjoint_vee()
         assert len(t.coeffs) == len(tn_infinity(4).coeffs)
         for m in t.support():
             assert m.c == 0 and m.a > 0 and m.d > 0 and m.b <= 0
@@ -81,7 +80,7 @@ class TestTorbit:
             m = Mat2(a, b, c, d)
             rep = torbit_canonical(m)
             j = rnd.randint(-4, 4)
-            shifted = (MAT_T ** j) * m
+            shifted = Mat2(1, j, 0, 1) * m
             assert torbit_canonical(shifted) == rep
             assert torbit_canonical(-m) == rep
 
@@ -129,7 +128,7 @@ class TestSolver:
     def test_solve_and_verify(self, n):
         el = solve_universal_hecke(n, n)
         assert verify_hecke_property(el, n)[0]
-        assert adjoint_vee(adjoint_vee(el)) == el
+        assert el.adjoint_vee().adjoint_vee() == el
         assert max(max(abs(m.a), abs(m.b), abs(m.c), abs(m.d))
                    for m in el.support()) <= n
 
@@ -148,11 +147,18 @@ class TestSolver:
             solve_universal_hecke(5, 3)
 
     def test_heilbronn_family(self):
-        assert set(merel_family(2)) == {Mat2(1, 0, 0, 2), Mat2(2, 0, 0, 1),
-                                        Mat2(2, 1, 0, 1), Mat2(1, 0, 1, 2)}
+        assert merel_family(2) == adjoints([Mat2(1, 0, 0, 2), Mat2(2, 0, 0, 1),
+                                            Mat2(2, 1, 0, 1), Mat2(1, 0, 1, 2)])
         for n in (2, 7, 12):
             el = universal_hecke_element(n)
             assert verify_hecke_property(el, n)[0]
+
+
+def adjoints(family):
+    """{the pm-canonical adjoint of each member: 1}, the members distinct."""
+    out = {m.vee().canonical_pm(): 1 for m in family}
+    assert len(out) == len(family)
+    return out
 
 
 def reference_merel_family(n):
@@ -300,13 +306,13 @@ class TestIntegerGroupRing:
 
     @pytest.mark.parametrize("n", list(range(1, 61)) + [97, 151])
     def test_merel_family_matches_scan(self, n):
-        assert merel_family(n) == reference_merel_family(n)
+        assert merel_family(n) == adjoints(reference_merel_family(n))
 
     @pytest.mark.parametrize("ns", [range(1, 201), range(201, 301), [1009], [1999]])
     def test_merel_family_by_divisors_matches_progressions(self, ns):
-        """Same list, same order as the per-(a, b) progression scan."""
+        """The adjoints of the per-(a, b) progression scan, each once."""
         for n in ns:
-            assert merel_family(n) == progression_merel_family(n)
+            assert merel_family(n) == adjoints(progression_merel_family(n))
 
     @pytest.mark.parametrize("n", list(range(1, 61)) + [97, 151])
     def test_heilbronn_element_is_adjoint_of_scan(self, n):
@@ -407,7 +413,7 @@ class TestIntegerGroupRing:
         a = data.draw(st.sampled_from([a for a in range(1, n + 1) if n % a == 0]))
         M = Mat2(a, data.draw(st.integers(-n, n)), 0, n // a)
         for j in data.draw(st.lists(st.integers(-3, 3), max_size=4)):
-            M = MAT_S * (MAT_T ** j) * M
+            M = MAT_S * Mat2(1, j, 0, 1) * M
         bad = el + GroupRingElement(n, {M: q})
         ok, rep = verify_hecke_property(bad, n)
         assert not ok and (ok, rep) == reference_verify_hecke_property(bad, n)
@@ -531,7 +537,7 @@ class TestResolve:
 
     def test_coprime_never_none(self, space5):
         spec = delta_spec(GAMMA0, 5, 2)
-        for m in _candidate_matrices(2, 2):
+        for m in candidate_matrices(2, 2):
             for l in range(space5.size):
                 assert resolve_sigma_coset(space5, l, m, spec) is not None
 
@@ -1060,8 +1066,8 @@ class TestMatrices:
         ident = DenseMatrix.identity(QQ, W.dim)
         assert m != ident and m * m == ident
         # eigenvalue multiplicities match the chi-component dimensions
-        assert (eigen_kernel(m, Fraction(1)).ncols,
-                eigen_kernel(m, Fraction(-1)).ncols) == (4, 2)
+        assert (len(eigen_columns([(m, Fraction(1))])),
+                len(eigen_columns([(m, Fraction(-1))]))) == (4, 2)
 
 
 class TestEigenvectors:
@@ -1122,8 +1128,7 @@ class TestEigenKernelOnHecke:
     def test_minus_four_eigenspace_is_a_line(self, w5_split):
         plus, _ = w5_split
         m = hecke_matrix(plus, universal_hecke_element(2), delta_spec(GAMMA0, 5, 2))
-        ker = eigen_kernel(m, Fraction(-4))
-        assert ker.ncols == 1
+        assert len(eigen_columns([(m, Fraction(-4))])) == 1
 
 
 class TestGamma1Theta:
@@ -1157,7 +1162,7 @@ def ideal_membership_within_bound(x: GroupRingElement, entry_bound: int) -> str:
     I = (1+S) R_n + (1+U+U^2) R_n.  Returns "verified within bound" when a
     representation is found and "inconclusive" otherwise; never refutes.
     """
-    cands = _candidate_matrices(x.n, entry_bound)
+    cands = candidate_matrices(x.n, entry_bound)
     one_plus_s = gre_unit([(1, MAT_I), (1, MAT_S)])
     one_puu = gre_unit([(1, MAT_I), (1, MAT_U), (1, MAT_U2)])
     columns = []
@@ -1183,7 +1188,7 @@ class TestIdealMembership:
     def test_adjointness_combination_verified(self):
         t = solve_universal_hecke(2, 2)
         x = (gre_mul(t, gre_unit([(1, MAT_T), (-1, MAT_TINV)]))
-             + gre_mul(gre_unit([(1, MAT_TINV), (-1, MAT_T)]), adjoint_vee(t)))
+             + gre_mul(gre_unit([(1, MAT_TINV), (-1, MAT_T)]), t.adjoint_vee()))
         assert ideal_membership_within_bound(x, 3) == "verified within bound"
 
     def test_inconclusive_never_refutes(self):

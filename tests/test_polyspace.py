@@ -14,7 +14,7 @@ from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, MAT_TINV,
 from periodpoly.polyspace import (ExtPolyVector, PolySpaceError, PolyVector,
                                   Subspace, build_W, build_W_extended,
                                   build_coboundary_and_D, chi_component, cminus_trivial,
-                                  coboundary_and_D_dimensions, decompose_extended,
+                                  coboundary_and_D_dimensions,
                                   eps_split, pair_braces, pair_induced, pair_vw,
                                   slash_columns, slash_poly,
                                   w_dimensions, wtilde_dimension,
@@ -419,30 +419,24 @@ class TestExtended:
                                  for j in range(Wt.dim)] for i in range(Wt.dim)])
         assert gram.rank() == Wt.dim
 
-    def test_decompose_round_trip(self):
+    def test_poly_plus_tails_round_trip(self):
+        # P~ = P + its tails, the tails on the zero polynomial part
         sp = build_coset_space(GAMMA0, 5, 4)
         Wt = build_W_extended(sp, 2)
         for j in range(Wt.dim):
             v = Wt.vector(j)
-            poly, tail = decompose_extended(v, Wt)
-            recomposed = ExtPolyVector.from_poly(poly) + tail
+            tail = ExtPolyVector(sp, 2, PolyVector.zero(sp, 2), v.tails, check=False)
+            recomposed = ExtPolyVector.from_poly(v.poly) + tail
             assert recomposed.poly.values == v.poly.values
             assert recomposed.tails == v.tails
+        assert not any(ExtPolyVector.from_poly(build_W(sp, 2).vector(0)).tails)
 
-    def test_decompose_cusp_part(self):
-        sp = build_coset_space(GAMMA0, 5, 4)
-        W = build_W(sp, 2)
-        v = ExtPolyVector.from_poly(W.vector(0))
-        poly, tail = decompose_extended(v)
-        assert tail.is_zero()
-
-    def test_decompose_rejects_outsiders(self):
+    def test_contains_rejects_outsiders(self):
         sp = build_coset_space(GAMMA0, 5, 4)
         Wt = build_W_extended(sp, 2)
         bad = ExtPolyVector.from_poly(
             PolyVector(sp, 2, [[1, 0, 0]] + [[0, 0, 0]] * 5))
-        with pytest.raises(PolySpaceError):
-            decompose_extended(bad, Wt)
+        assert not Wt.contains(bad)
 
     def test_tail_constancy_enforced(self):
         sp = build_coset_space(GAMMA0, 5, 4)
