@@ -2,12 +2,15 @@
 
 Cosets of Gamma0(N) are labelled by the projective line P^1(Z/N), cosets of
 Gamma1(N) by a fixed section of E_N = {(c,d): gcd(c,d,N)=1} modulo +-1.
-Lookup of a right action is always by bottom-row congruence, never by
-decomposing the acting matrix into generators.
+Both label sets are enumerated directly (Cremona 1997, 2.2), and the label
+of a bottom row is read from lookup tables in O(1).  Lookup of a right
+action is always by bottom-row congruence, never by decomposing the acting
+matrix into generators.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -99,38 +102,6 @@ def _xgcd(a: int, b: int) -> tuple:
     return old_r, old_s, old_t
 
 
-def p1_normalize(N: int, u: int, v: int) -> Optional[tuple]:
-    """Canonical representative of (u:v) in P^1(Z/N); None if not primitive."""
-    if N == 1:
-        return (0, 0)
-    u %= N
-    v %= N
-    if u == 0:
-        return (0, 1) if math.gcd(v, N) == 1 else None
-    g, s, _ = _xgcd(u, N)
-    if math.gcd(g, v) > 1:
-        return None
-    s %= N
-    if g != 1:
-        d = N // g
-        while math.gcd(s, N) != 1:
-            s = (s + d) % N
-    v = (s * v) % N
-    # minimize v over units t = 1 mod N/g
-    if g != 1:
-        Ng = N // g
-        vNg = (v * Ng) % N
-        t = 1
-        best_v = v
-        for _ in range(2, g + 1):
-            v = (v + vNg) % N
-            t = (t + Ng) % N
-            if v < best_v and math.gcd(t, N) == 1:
-                best_v = v
-        v = best_v
-    return (g, v)
-
-
 def lift_to_sl2z(c: int, d: int, N: int) -> Mat2:
     """An SL2(Z) matrix whose bottom row is congruent to (c, d) mod N."""
     c %= N
@@ -186,14 +157,29 @@ def _compose(first: tuple, then: tuple) -> tuple:
     return tuple((then[l][0], s * then[l][1]) for l, s in first)
 
 
+def _p1_block(N: int, g: int) -> list:
+    """The sorted v of the points (g : v) of P^1(Z/N), g a divisor of N.
+
+    One point per residue r mod M = N/g prime to gcd(g, M): the units = 1
+    mod M carry v to every x = r mod M prime to g, and v is the least.
+    """
+    M, h = N // g, math.gcd(g, N // g)
+    out = []
+    for r in range(M):
+        if h == 1 or math.gcd(r, h) == 1:
+            while math.gcd(r, g) != 1:
+                r += M
+            out.append(r)
+    return sorted(out)
+
+
 class CosetSpace:
     """Enumerated cosets of Gamma0(N) or Gamma1(N) with action tables.
 
-    S and T generate SL2(Z), so the cosets form one orbit under their right
-    action: one walk from the identity coset finds every label and the S
-    and T tables, normalizing each label's row once per generator.  The
-    other SL2(Z) tables are compositions of these two; only eps, outside
-    SL2(Z), is normalized per label.  Immutable after construction; the
+    The labels are enumerated directly, in sorted order: the points (g : v)
+    of P^1(Z/N), one block per divisor g of N, for Gamma0, and the rows
+    (c, d) of E_N with (c, d) <= (-c, -d) for Gamma1.  Immutable after
+    construction, except that the lifts are built on first read.  The
     tables map a label to (label, sign) pairs, the sign recording a +-1
     normalization for the Gamma1 / odd-weight bookkeeping (always +1 for
     Gamma0).
@@ -218,65 +204,82 @@ class CosetSpace:
     # -- construction ---------------------------------------------------
 
     def _build(self):
-        """Labels, lifts, the identity label and every table, by one walk of
-        the right action of S and T from the identity coset."""
+        """Labels, the identity label and every table, with two exact checks
+        kept under -O: the label count is the index, and S^2 = -I fixes every
+        label.  S, T and eps read the rows (d, -c), (c, c + d) and (-c, d) of
+        a label (c, d) through one O(1) normal form each; the other SL2(Z)
+        tables are compositions of S and T."""
         N = self.N
         if self.kind == GAMMA0:
-            def normal_form(c, d):
-                return p1_normalize(N, c, d), 1
+            # g = N first: its point (0 : 1), or (0 : 0) at N = 1, is the least
+            blocks = [(g, _p1_block(N, g)) for g in [N] + _divisors(N)[:-1]]
+            self.labels = tuple((g % N, v) for g, vs in blocks for v in vs)
         else:
-            normal_form = self._e_normalize
-        start = normal_form(0, 1)[0]
-        # label -> its (image, sign) under S and under T; a label is its own
-        # bottom row, and (c, d) S = (d, -c), (c, d) T = (c, c + d)
-        steps = {start: None}
-        walk = [start]
-        for c, d in walk:
-            images = steps[(c, d)] = (normal_form(d, -c), normal_form(c, c + d))
-            for lab, _ in images:
-                if lab not in steps:
-                    steps[lab] = None
-                    walk.append(lab)
-        self.labels = tuple(sorted(steps))
-        self.size = len(self.labels)
-        self.index = self.size  # projectivized index [Gbar_1 : Gbar]
-        self._label_pos = pos = {lab: i for i, lab in enumerate(self.labels)}
+            # (c, d) <= (-c, -d): c < N/2, or c = -c mod N and d <= -d
+            self.labels = tuple((c, d) for c in range(N // 2 + 1) for d in range(N)
+                                if math.gcd(c, d, N) == 1 and (2 * c % N or d <= -d % N))
+        self.size = self.index = len(self.labels)  # projectivized index [Gbar_1 : Gbar]
+        check(self.size == (index := coset_index(self.kind, N)),
+              "%s(%d) has %d labels, not its index %d" % (self.kind, N, self.size, index))
+        self.identity_label = 0  # (0, 1), or (0, 0) at level 1, is the least label
         if self.kind == GAMMA0:
-            self._index_ratios()
-        self.lifts = tuple(lift_to_sl2z(c, d, N) if N > 1 else MAT_I
-                           for (c, d) in self.labels)
-        self.identity_label = pos[start]
-        S = tuple((pos[lab], s) for (lab, s), _ in map(steps.get, self.labels))
-        T = tuple((pos[lab], s) for _, (lab, s) in map(steps.get, self.labels))
+            S, T, eps = self._gamma0_tables(blocks)
+        else:
+            pos, norm = self._label_pos, self._e_normalize
+            rows = zip(*[((d, -c), (c, c + d), (-c, d)) for c, d in self.labels])
+            S, T, eps = (tuple((pos[lab], s) for lab, s in itertools.starmap(norm, col))
+                         for col in rows)
         tinv = [None] * self.size
         for i, (j, s) in enumerate(T):
             tinv[j] = (i, s)
         U = _compose(T, S)
         U2 = _compose(U, U)
         J = _compose(S, S)
-        eps = tuple(self.act(i, MAT_EPS) for i in range(self.size))
+        check(all(i == j for i, (j, _) in enumerate(J)),
+              "S^2 = -I moves a label of %s(%d)" % (self.kind, N))
         # g^(-1) = h J for the table h: S^(-1) = S J, U^(-1) = U^2 J, U^(-2) = U J
         tables = (S, T, tuple(tinv), U, U2, J, eps,
                   _compose(S, J), _compose(U2, J), _compose(U, J))
         self.tables = {name: t for (name, _), t in zip(_TABULATED, tables)}
         self._table_of = {g: t for (_, g), t in zip(_TABULATED, tables)}
 
-    def _index_ratios(self):
-        """Cremona's direct lookup in P^1(Z/N): a unit d gives (c:d) = (c/d : 1).
-
-        ``_unit_inv[d]`` is d^-1 mod N, or None when d is not a unit, and
-        ``_ratio_label[x]`` is the label of (x : 1), read off the labels
-        (g : v) with v a unit, x = g v^-1.  Every x mod N needs a label.
-        """
+    def _gamma0_tables(self, blocks: list) -> tuple:
+        """The S, T and eps tables of Gamma0(N), and the lookup tables of
+        ``label_of_row``: ``_row_class[c]`` is (g, M, (c/g)^-1 mod M, table)
+        for g = gcd(c, N) and M = N/g, ``table[r]`` being the label of the
+        point (g : v) with v = r mod M; ``_unit_inv[d]`` is d^-1 mod N or
+        None, and ``_ratio_label[x]`` the label of (x : 1)."""
         N = self.N
-        self._unit_inv = inv = [pow(d, -1, N) if math.gcd(d, N) == 1 else None
-                                for d in range(N)]
-        ratio = [None] * N
-        for i, (g, v) in enumerate(self.labels):
-            if inv[v] is not None:
-                ratio[g * inv[v] % N] = i
-        check(None not in ratio, "a point (x : 1) of P^1(Z/%d) has no label" % N)
-        self._ratio_label = ratio
+        row_class, tabled, start = [None] * N, [], 0
+        for g, vs in blocks:
+            M = N // g
+            table = [None] * M
+            for i, v in enumerate(vs, start):
+                table[v % M] = i
+            start += len(vs)
+            for u in range(M):
+                if math.gcd(u, M) == 1:
+                    row_class[g * u] = (g, M, pow(u, -1, M), table)
+            tabled.append((g, M, table, vs))
+        S, T, eps = [], [], []
+        for g, M, table, vs in tabled:
+            # (g : v) S = (v : -g), a point of the class of v
+            S += [t[-g * inv % m] for _, m, inv, t in map(row_class.__getitem__, vs)]
+            T += [table[(g + v) % M] for v in vs]
+            eps += [table[-v % M] for v in vs]
+        self._row_class = row_class
+        self._unit_inv = [inv if g == 1 else None for g, _, inv, _ in row_class]
+        self._ratio_label = [table[inv] for _, _, inv, table in row_class]
+        return (tuple(zip(t, itertools.repeat(1))) for t in (S, T, eps))
+
+    @functools.cached_property
+    def _label_pos(self) -> dict:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
+    @functools.cached_property
+    def lifts(self) -> tuple:
+        """An SL2(Z) matrix in each label's coset, built on first read."""
+        return tuple(lift_to_sl2z(c, d, self.N) for c, d in self.labels)
 
     def _e_normalize(self, c: int, d: int) -> tuple:
         """Section of E_N mod +-1: lexicographically smaller of (c,d), (-c,-d)."""
@@ -294,12 +297,6 @@ class CosetSpace:
         if hit is None:
             raise CosetError("bottom row (%d, %d) not primitive mod %d" % (c, d, self.N))
         return hit
-
-    def _bottom_row(self, i: int) -> tuple:
-        lab = self.labels[i]
-        if self.kind == GAMMA0 and self.N == 1:
-            return (0, 1)
-        return lab
 
     # -- queries ----------------------------------------------------------
 
@@ -321,7 +318,7 @@ class CosetSpace:
         """Label and sign of (lift of label i) * g for g in SL2(Z)."""
         if abs(g.det()) != 1:
             raise CosetError("action is restricted to |det| = 1")
-        c, d = self._bottom_row(i)
+        c, d = self.labels[i]
         return self._normalize(c * g.a + d * g.c, c * g.b + d * g.d)
 
     def signed_act(self, i: int, g: Mat2, w: int) -> tuple:
@@ -337,16 +334,23 @@ class CosetSpace:
         return l, s ** w
 
     def label_of_row(self, c: int, d: int) -> tuple:
-        """Label and sign of the coset with bottom row (c, d); None if absent."""
+        """Label and sign of the coset with bottom row (c, d); None if absent.
+
+        On Gamma0 a unit d gives (c : d) = (c d^-1 : 1), one read of
+        ``_ratio_label``; any other row is looked up in the table of its
+        class g = gcd(c, N), as the point (g : d (c/g)^-1) when
+        gcd(d, g) = 1.  On Gamma1 the row is normalized by ``_e_normalize``.
+        """
+        N = self.N
         if self.kind == GAMMA0:
-            inv = self._unit_inv[d % self.N]
+            inv = self._unit_inv[d % N]
             if inv is not None:
-                return self._ratio_label[c * inv % self.N], 1
-            p = p1_normalize(self.N, c, d)
-            if p is None:
+                return self._ratio_label[c * inv % N], 1
+            g, M, inv, table = self._row_class[c % N]
+            if math.gcd(d, g) != 1:
                 return None
-            return self._label_pos[p], 1
-        if math.gcd(math.gcd(c % self.N, d % self.N), self.N) != 1:
+            return table[d * inv % M], 1
+        if math.gcd(c, d, N) != 1:
             return None
         lab, sign = self._e_normalize(c, d)
         return self._label_pos[lab], sign

@@ -113,9 +113,6 @@ class GroupRingElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def adjoint_vee(self) -> "GroupRingElement":
-        return GroupRingElement(self.n, {m.vee(): c for m, c in self.coeffs.items()})
-
     def to_json(self) -> list:
         from .exactalg import scalar_to_str
         return [{"matrix": [m.a, m.b, m.c, m.d], "coeff": scalar_to_str(c)}

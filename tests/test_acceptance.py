@@ -16,13 +16,15 @@ import sys
 import time
 from fractions import Fraction
 
-from periodpoly.cosets import GAMMA0, GAMMA1, build_coset_space, cusp_classes, p1_normalize
+from periodpoly.cosets import GAMMA0, GAMMA1, build_coset_space, cusp_classes
 from periodpoly.polyspace import (build_W_extended, build_coboundary_and_D, cminus_trivial,
                                   w_dimensions)
 from periodpoly.hecke import common_eigen_polynomial, delta_spec, universal_hecke_element
 from periodpoly.analytic import (eisenstein_period_demo, eta_product, manin_coefficient,
                                  period_and_omega, petersson_product)
 from periodpoly.verifysuite import cminus_rule
+
+from p1_reference import p1_normalize
 
 
 def report(num, ok, text):

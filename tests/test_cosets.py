@@ -15,9 +15,12 @@ from periodpoly.cosets import (GAMMA0, GAMMA1, Character, CosetError,
                                build_coset_space,
                                classical_cusp_count_gamma0, coset_index,
                                cusp_classes, dirichlet_characters,
-                               lift_to_sl2z, p1_normalize)
+                               lift_to_sl2z)
+
+from periodpoly.exactalg import CheckFailed
 
 from character_reference import reference_dirichlet_characters
+from p1_reference import p1_normalize
 
 
 class TestMat2:
@@ -217,18 +220,32 @@ class TestBuild:
     def test_gamma1_labels_match_full_scan(self, N, k):
         self.check_equals_reference(GAMMA1, N, k)
 
-    @pytest.mark.parametrize("kind, N", [(GAMMA0, 60), (GAMMA1, 13)])
-    def test_one_normalization_per_label_and_generator(self, monkeypatch, kind, N):
-        # two per label in the walk (S and T), one per label for eps, plus
-        # the start and the identity label
+    @pytest.mark.parametrize("kind, N, per_label", [(GAMMA0, 60, 0), (GAMMA0, 420, 0),
+                                                    (GAMMA1, 13, 3), (GAMMA1, 20, 3)])
+    def test_one_normalization_per_label_and_generator(self, monkeypatch, kind, N, per_label):
+        # Gamma0 reads every table entry off the divisor tables, with no
+        # generic row lookup; Gamma1 normalizes each label's row once for
+        # each of S, T and eps
         calls = []
-        p1, e = cosets.p1_normalize, CosetSpace._e_normalize
-        monkeypatch.setattr(cosets, "p1_normalize", lambda *a: calls.append(a) or p1(*a))
+        row, e = CosetSpace.label_of_row, CosetSpace._e_normalize
+        monkeypatch.setattr(CosetSpace, "label_of_row",
+                            lambda self, c, d: calls.append((c, d)) or row(self, c, d))
         monkeypatch.setattr(CosetSpace, "_e_normalize",
                             lambda self, c, d: calls.append((c, d)) or e(self, c, d))
         space = CosetSpace(kind, N, 2)
         assert space.size == coset_index(kind, N)
-        assert len(calls) <= 3 * space.size + 2
+        assert len(calls) <= per_label * space.size
+
+    def test_moved_s_entry_is_caught(self, monkeypatch):
+        # two S entries swapped: S^2 no longer fixes every label
+        tables = CosetSpace._gamma0_tables
+
+        def swap_two(self, blocks):
+            S, T, eps = tables(self, blocks)
+            return S[:2] + (S[3], S[2]) + S[4:], T, eps
+        monkeypatch.setattr(CosetSpace, "_gamma0_tables", swap_two)
+        with pytest.raises(CheckFailed, match=r"S\^2 = -I moves a label of gamma0\(60\)"):
+            CosetSpace(GAMMA0, 60, 2)
 
     def test_degenerate_flag(self):
         assert build_coset_space(GAMMA0, 5, 3).degenerate
@@ -279,16 +296,15 @@ class TestIndexedLookup:
         space = build_coset_space(GAMMA0, 60, 2)
         space._ratio_label[7] = None
         assert space.label_of_row(7, 1) != p1_label_of_row(space, 7, 1)
-        # a label missing from the read: the constructor refuses, under -O too
+        # a label missing from the enumeration: the constructor refuses,
+        # under -O too
         code = ("from periodpoly import cosets\n"
                 "from periodpoly.exactalg import CheckFailed\n"
-                "read = cosets.CosetSpace._index_ratios\n"
-                "def drop_one(self):\n"
-                "    labels = self.labels\n"
-                "    self.labels = labels[1:]  # (0 : 1), the point x = 0\n"
-                "    read(self)\n"
-                "    self.labels = labels\n"
-                "cosets.CosetSpace._index_ratios = drop_one\n"
+                "block = cosets._p1_block\n"
+                "def drop_one(N, g):\n"
+                "    points = block(N, g)\n"
+                "    return points[1:] if g == N else points  # (0 : 1)\n"
+                "cosets._p1_block = drop_one\n"
                 "try:\n"
                 "    cosets.CosetSpace(cosets.GAMMA0, 60, 2)\n"
                 "except CheckFailed as exc:\n"
@@ -298,7 +314,7 @@ class TestIndexedLookup:
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
         assert proc.returncode == 0
-        assert proc.stdout == "CheckFailed: a point (x : 1) of P^1(Z/60) has no label\n"
+        assert proc.stdout == "CheckFailed: gamma0(60) has 143 labels, not its index 144\n"
 
 
 class TestAction:
