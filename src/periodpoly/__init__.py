@@ -16,10 +16,10 @@ from .polyspace import (ExtPolyVector, PolyVector, Subspace, build_W,
                         pair_braces, pair_induced, pair_vw, slash_poly, w_dimensions,
                         wtilde_dimension)
 from .hecke import (GroupRingElement, HeckeOperator, SigmaSpec,
-                    common_eigen_polynomial, cremona_hecke_element, delta_spec,
-                    delta_vee_spec, diamond_spec, hecke_action, hecke_matrix,
-                    resolve_sigma_coset, theta_spec, tn_infinity,
-                    universal_hecke_element, verify_hecke_property)
+                    common_eigen_polynomial, delta_spec, delta_vee_spec,
+                    diamond_spec, hecke_action, hecke_matrix, resolve_sigma_coset,
+                    theta_spec, tn_infinity, universal_hecke_element,
+                    verify_hecke_property)
 from .analytic import (LValue, NewformData, QSeries, completed_lvalue,
                        eisenstein_period_demo, eisenstein_qexp, eta_product,
                        incomplete_gamma, manin_coefficient, period_and_omega,

@@ -21,7 +21,7 @@ from .exactalg import (ApproxComplex, DenseMatrix, PeriodPolyError, QQ, bernoull
 from .cosets import (MAT_I, MAT_S, GAMMA0, Character, CosetError, build_coset_space,
                      _euler_phi)
 from .polyspace import PolyVector, pair_braces, build_W_extended
-from .hecke import GroupRingElement, SigmaSpec
+from .hecke import GroupRingElement
 
 
 class AnalyticError(PeriodPolyError):
@@ -372,16 +372,14 @@ def petersson_product(f: NewformData, g: NewformData,
 # ----------------------------------------------------------------------
 # Manin-style eigenvalue recovery
 
-def manin_coefficient(P_plus: PolyVector, t: GroupRingElement, spec: SigmaSpec,
-                      n: int, xy: Optional[tuple] = None):
-    """Hecke eigenvalue from the even period polynomial.
+def manin_coefficient(P_plus: PolyVector, t: GroupRingElement, xy: Optional[tuple] = None):
+    """Hecke eigenvalue lambda_n, n = t.n, from the even period polynomial.
 
     lambda_n = sum over the support, restricted to gcd(c_M, a_M, N) = 1, of
-    alpha(M) P+(-c_M, a_M)|M(0).  For weight 2 the (x, y)-translated form
-    is used.  P+ must carry the designated normalization.
+    alpha(M) P+(-c_M, a_M)|M(0), the action of T~_n through Delta_n on P+'s
+    own coset space.  For weight 2 the (x, y)-translated form is used.  P+
+    must carry the designated normalization.
     """
-    if t.n != n:
-        raise AnalyticError("group-ring element has determinant %d, not %d" % (t.n, n))
     space, w = P_plus.space, P_plus.w
     t_ints, t_den = clear_denominators(list(t.coeffs.values()))
     cleared = clear_denominators(P_plus.coords())

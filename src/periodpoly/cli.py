@@ -19,8 +19,8 @@ from .exactalg import PeriodPolyError, scalar_to_str
 from .cosets import GAMMA0, GAMMA1, build_coset_space, coset_index, cusp_classes
 from .polyspace import (build_W, build_W_extended, build_coboundary_and_D,
                         coboundary_and_D_dimensions, w_dimensions, wtilde_dimension)
-from .hecke import (HeckeError, common_eigen_polynomial, cremona_hecke_element,
-                    delta_spec, delta_vee_spec, hecke_matrix, theta_spec,
+from .hecke import (HeckeError, common_eigen_polynomial, delta_spec, delta_vee_spec,
+                    hecke_matrix, theta_spec, universal_hecke_element,
                     verified_hecke_element, witness_element)
 from .analytic import (AnalyticError, NewformData, completed_lvalue,
                        eisenstein_period_demo, eta_product, manin_coefficient,
@@ -208,7 +208,7 @@ def cmd_hecke_matrix(args, out):
     space = _coset_space(args, args.group, args.level, args.weight)
     w = args.weight - 2
     sub = _space_choice(args, space, w)
-    m = hecke_matrix(sub, cremona_hecke_element(args.n), spec)
+    m = hecke_matrix(sub, universal_hecke_element(args.n), spec)
     doc = _matrix_doc(m)
     doc.update({"space": args.space, "n": args.n, "dim": sub.dim})
     _emit(doc, out)
@@ -294,8 +294,7 @@ def cmd_eigenvalue(args, out):
     space = _coset_space(args, GAMMA0, level, weight)
     Pp = common_eigen_polynomial(build_W(space, weight - 2, 1), _parse_eigen(args.eigen),
                                  parity="+")
-    t = cremona_hecke_element(args.n)
-    lam = manin_coefficient(Pp, t, delta_spec(GAMMA0, level, args.n), args.n)
+    lam = manin_coefficient(Pp, universal_hecke_element(args.n))
     _emit({"level": level, "weight": weight, "n": args.n,
            "eigenvalue": scalar_to_str(lam)}, out)
     return EXIT_OK

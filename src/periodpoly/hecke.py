@@ -5,11 +5,12 @@ matrices (mod +-1) satisfying
 
     T_n^inf (1 - S) = (1 - S) T~_n + (1 - T) Y_n,
 
-independent of weight and level.  ``universal_hecke_element`` is the
-adjoint of Merel's family, which Merel (1994) proves satisfies it, and
-``cremona_hecke_element`` is at a prime the smaller one built from Cremona's
-Heilbronn matrices; each is still checked exactly, in integers, with an
-explicit telescoping witness Y, and a failed check raises HeckeError.
+independent of weight and level.  ``verified_hecke_element`` is the
+adjoint of Merel's family, which Merel (1994) proves satisfies it;
+``universal_hecke_element``, the element every action uses, is at a prime
+the smaller one built from Cremona's Heilbronn matrices.  Each is checked
+exactly, in integers, with a telescoping witness Y; a failure raises
+HeckeError.
 The element acts through a double coset (Delta_n, its adjoint, Theta_n or a
 diamond), each resolved by one congruence on the bottom row of a coset
 representative.
@@ -328,17 +329,13 @@ def verified_hecke_element(n: int) -> tuple:
 
 
 def universal_hecke_element(n: int) -> GroupRingElement:
-    """Merel's universal element T~_n, verified (``verified_hecke_element``)."""
-    return verified_hecke_element(n)[0]
-
-
-def cremona_hecke_element(n: int) -> GroupRingElement:
-    """T~_n of the operator and eigenvalue paths, checked once by
+    """The T~_n every Hecke action of the program uses, checked once by
     ``hecke_identity`` (a failure raises HeckeError): at a prime n >= 3 the
     adjoints of Cremona's Heilbronn matrices (Cremona 1997, 2.4), 654
-    classes against Merel's 1,863 at n = 151; Merel's element at any other n."""
+    classes against Merel's 1,863 at n = 151; Merel's element
+    (``verified_hecke_element``) at any other n."""
     if n < 3 or not all(n % q for q in range(2, math.isqrt(n) + 1)):
-        return universal_hecke_element(n)
+        return verified_hecke_element(n)[0]
     # (1 0; 0 n) and the convergent matrices (x1 x2; y1 y2) of r/n for
     # -n/2 < r < n/2, each quotient a/b rounded to nearest as
     # floor((2a + b) / (2b)); their classes mod +-1 are distinct, each of
@@ -664,14 +661,13 @@ def hecke_matrix(sub: Subspace, t: GroupRingElement, spec: SigmaSpec) -> DenseMa
 
 
 def common_eigen_polynomial(sub: Subspace, eigendata: Sequence[tuple],
-                            spec_for: Optional[callable] = None,
                             parity: Optional[str] = None,
                             element_for: Optional[callable] = None):
     """Generator of the joint eigenspace cut out by (p, lambda_p) pairs.
 
-    ``spec_for(p)`` supplies the double coset (defaults to Delta_p on the
-    subspace's own group) and ``element_for(p)`` the universal element
-    (defaults to ``cremona_hecke_element``).
+    Each T~_p acts through Delta_p on the subspace's own group;
+    ``element_for(p)`` supplies the universal element (defaults to
+    ``universal_hecke_element``).
     Each operator acts on the columns of the running intersection only,
     which is then cut down to its lambda_p-eigenspace.
     Fails loudly when the intersection is empty or not one dimensional.
@@ -681,14 +677,11 @@ def common_eigen_polynomial(sub: Subspace, eigendata: Sequence[tuple],
     """
     if sub.dim == 0:
         raise EigenspaceError("empty subspace has no eigenvectors")
-    space = sub.space
-    if spec_for is None:
-        spec_for = lambda p: delta_spec(space.kind, space.N, p)
     if element_for is None:
-        element_for = cremona_hecke_element
-    cur = sub
+        element_for = universal_hecke_element
+    cur, kind, N = sub, sub.space.kind, sub.space.N
     for p, lam in eigendata:
-        ker = eigen_columns([(hecke_matrix(cur, element_for(p), spec_for(p)), lam)])
+        ker = eigen_columns([(hecke_matrix(cur, element_for(p), delta_spec(kind, N, p)), lam)])
         if not ker:
             raise EigenspaceError(
                 "empty intersection: %s is not an eigenvalue of T~_%d here" % (lam, p))
@@ -700,7 +693,7 @@ def common_eigen_polynomial(sub: Subspace, eigendata: Sequence[tuple],
 
 
 def normalize_eigen_polynomial(vec: PolyVector, parity: Optional[str]):
-    """Scale so the designated coordinate equals 1."""
+    """Scale so the designated coordinate equals 1, in exact arithmetic."""
     space, w = vec.space, vec.w
     idl = space.identity_label
     pivot = None
@@ -712,4 +705,4 @@ def normalize_eigen_polynomial(vec: PolyVector, parity: Optional[str]):
         pivot = next((c for p in vec.values for c in p if c), None)
     if not pivot:
         raise EigenspaceError("zero vector cannot be normalized")
-    return vec.scale(1 / pivot if not isinstance(pivot, Fraction) else Fraction(1) / pivot)
+    return vec.scale(Fraction(1) / pivot)

@@ -21,10 +21,10 @@ from .polyspace import (PolyVector, Subspace, build_W, build_W_extended,
                         eps_split, pair_braces, pair_induced, pair_vw,
                         slash_poly, _label_rows, _tail_families)
 from .hecke import (GroupRingElement, HeckeOperator, ONE_MINUS_S, ONE_MINUS_T, delta_spec,
-                    delta_vee_spec, cremona_hecke_element, gre_mul, hecke_action,
-                    hecke_matrix, theta_spec, tn_infinity,
-                    torbit_canonical, universal_hecke_element,
-                    verify_hecke_property, common_eigen_polynomial)
+                    delta_vee_spec, gre_mul, hecke_action, hecke_matrix, theta_spec,
+                    tn_infinity, torbit_canonical, universal_hecke_element,
+                    verified_hecke_element, verify_hecke_property,
+                    common_eigen_polynomial)
 from .analytic import (NewformData, completed_lvalue, eisenstein_qexp,
                        eta_product, manin_coefficient, period_and_omega,
                        petersson_product, eisenstein_period_demo,
@@ -169,10 +169,10 @@ def check_radical_and_duality():
 def check_hecke_defining_identity():
     """The run-length witness of ``hecke_identity``, expanded, multiplied
     out term by term: (1 - T) Y = T_n^inf (1 - S) - (1 - S) T~_n, for
-    Merel's element, and for Cremona's at the primes 3 to 11."""
+    Merel's element, and for the program's, Cremona's, at the primes 3-11."""
     for n in range(1, 13):
-        elements = [("Merel's", universal_hecke_element(n))]
-        elements += [("Cremona's", cremona_hecke_element(n))] if n in (3, 5, 7, 11) else []
+        elements = [("Merel's", verified_hecke_element(n)[0])]
+        elements += [("Cremona's", universal_hecke_element(n))] if n in (3, 5, 7, 11) else []
         for name, el in elements:
             ok, y = verify_hecke_property(el, n)
             check(ok, "%s T~_%d fails the defining identity" % (name, n))
@@ -373,8 +373,7 @@ def check_thirteen_congruence():
 def check_eigenvalue_consistency():
     space, f, Pp, Pm = _level5_data()
     for n in range(1, 31):
-        lam = manin_coefficient(Pp, universal_hecke_element(n),
-                                delta_spec(GAMMA0, 5, n), n)
+        lam = manin_coefficient(Pp, universal_hecke_element(n))
         check(lam == f.qseries.coeff(n), "recovered eigenvalue at n = %d is wrong" % n)
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from periodpoly.cosets import GAMMA0, GAMMA1, build_coset_space, cusp_classes
 from periodpoly.polyspace import (build_W_extended, build_coboundary_and_D, cminus_trivial,
                                   w_dimensions)
-from periodpoly.hecke import common_eigen_polynomial, delta_spec, universal_hecke_element
+from periodpoly.hecke import common_eigen_polynomial, universal_hecke_element
 from periodpoly.analytic import (eisenstein_period_demo, eta_product, manin_coefficient,
                                  period_and_omega, petersson_product)
 from periodpoly.verifysuite import cminus_rule
@@ -77,8 +77,7 @@ def test_criterion_04_eigenvalue_recovery(level5_eigenpolys):
     Pp, _ = level5_eigenpolys
     oracle = eta_product([(1, 4), (5, 4)], 101)
     t0 = time.monotonic()
-    lam101 = manin_coefficient(Pp, universal_hecke_element(101),
-                               delta_spec(GAMMA0, 5, 101), 101)
+    lam101 = manin_coefficient(Pp, universal_hecke_element(101))
     elapsed = time.monotonic() - t0
     ok = lam101 == oracle.coeff(101) and elapsed < 5.0
     report(4, ok, "manin coefficient exact for n = 101 "

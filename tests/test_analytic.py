@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from periodpoly.cosets import GAMMA0, build_coset_space
 from periodpoly.polyspace import build_W, eps_split
-from periodpoly.hecke import delta_spec, universal_hecke_element
+from periodpoly.hecke import universal_hecke_element
 from periodpoly.analytic import (AnalyticError, LogSymbol, NewformData,
                                  QSeries, completed_lvalue,
                                  eisenstein_period_demo, eisenstein_qexp,
@@ -293,27 +293,24 @@ class TestManin:
     def test_lambda_1(self, level5_eigenpolys):
         Pp, _ = level5_eigenpolys
         t1 = universal_hecke_element(1)
-        assert manin_coefficient(Pp, t1, delta_spec(GAMMA0, 5, 1), 1) == 1
+        assert manin_coefficient(Pp, t1) == 1
 
     def test_small_eigenvalues(self, level5_form, level5_eigenpolys):
         Pp, _ = level5_eigenpolys
         for n in (2, 3, 5):
-            lam = manin_coefficient(Pp, universal_hecke_element(n),
-                                    delta_spec(GAMMA0, 5, n), n)
+            lam = manin_coefficient(Pp, universal_hecke_element(n))
             assert lam == level5_form.qseries.coeff(n)
 
     def test_all_n_up_to_30(self, level5_form, level5_eigenpolys):
         Pp, _ = level5_eigenpolys
         for n in range(1, 31):
-            lam = manin_coefficient(Pp, universal_hecke_element(n),
-                                    delta_spec(GAMMA0, 5, n), n)
+            lam = manin_coefficient(Pp, universal_hecke_element(n))
             assert lam == level5_form.qseries.coeff(n)
 
     def test_unnormalized_rejected(self, level5_eigenpolys):
         Pp, _ = level5_eigenpolys
         with pytest.raises(AnalyticError):
-            manin_coefficient(Pp.scale(2), universal_hecke_element(2),
-                              delta_spec(GAMMA0, 5, 2), 2)
+            manin_coefficient(Pp.scale(2), universal_hecke_element(2))
 
 
 class TestCongruences:

@@ -647,9 +647,9 @@ def test_index_guard_refuses_before_building(argv, monkeypatch, capsys):
 def test_n_guard_refuses_before_building(argv, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a universal element was built")
-    for module, name in ((cli, "cremona_hecke_element"), (hecke, "cremona_hecke_element"),
-                         (hecke, "universal_hecke_element"), (hecke, "merel_family"),
-                         (cli, "build_coset_space")):
+    for module, name in ((cli, "universal_hecke_element"), (hecke, "universal_hecke_element"),
+                         (cli, "verified_hecke_element"), (hecke, "verified_hecke_element"),
+                         (hecke, "merel_family"), (cli, "build_coset_space")):
         monkeypatch.setattr(module, name, refuse)
     code, out = run_cli(argv)
     err = capsys.readouterr().err
@@ -666,8 +666,9 @@ def test_n_guard_refuses_before_building(argv, monkeypatch, capsys):
 def test_sigma_pair_refused_before_building(argv, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("work began before the double coset was checked")
-    for module, name in ((cli, "build_coset_space"), (cli, "cremona_hecke_element"),
-                         (hecke, "cremona_hecke_element"), (hecke, "universal_hecke_element")):
+    for module, name in ((cli, "build_coset_space"), (cli, "universal_hecke_element"),
+                         (hecke, "universal_hecke_element"), (cli, "verified_hecke_element"),
+                         (hecke, "verified_hecke_element")):
         monkeypatch.setattr(module, name, refuse)
     code, out = run_cli(argv)
     err = capsys.readouterr().err

@@ -247,6 +247,27 @@ class TestBuild:
         with pytest.raises(CheckFailed, match=r"S\^2 = -I moves a label of gamma0\(60\)"):
             CosetSpace(GAMMA0, 60, 2)
 
+    def test_flipped_s_sign_is_caught(self, monkeypatch):
+        # one S sign flipped: S^2 still fixes every label, with the wrong sign
+        tables = CosetSpace._gamma0_tables
+
+        def flip_one(self, blocks):
+            S, T, eps = tables(self, blocks)
+            return ((S[0][0], -S[0][1]),) + S[1:], T, eps
+        monkeypatch.setattr(CosetSpace, "_gamma0_tables", flip_one)
+        with pytest.raises(CheckFailed, match=r"gamma0\(60\) or gives it a sign other than \+1"):
+            CosetSpace(GAMMA0, 60, 2)
+
+    @pytest.mark.parametrize("kind, N", [(GAMMA0, N) for N in (1, 2, 12, 60, 97, 420)]
+                             + [(GAMMA1, N) for N in (1, 2, 3, 4, 13, 20)])
+    def test_inverse_tables_equal_compositions(self, kind, N):
+        # J = S S, S^-1 = S J, U^-1 = U^2 J and U^-2 = U J, table by table
+        t = build_coset_space(kind, N, 2).tables
+        assert t["J"] == cosets._compose(t["S"], t["S"])
+        for name, h in (("Sinv", "S"), ("Uinv", "U2"), ("U2inv", "U")):
+            assert t[name] == cosets._compose(t[h], t["J"])
+        assert {s for _, s in t["J"]} == {1 if kind == GAMMA0 or N <= 2 else -1}
+
     def test_degenerate_flag(self):
         assert build_coset_space(GAMMA0, 5, 3).degenerate
         assert build_coset_space(GAMMA1, 2, 3).degenerate

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from periodpoly import hecke
-from periodpoly.exactalg import (DenseMatrix, PeriodPolyError, QQ, clear_denominators,
-                                 eigen_columns, kernel_columns, poly_divmod, poly_mul,
-                                 poly_sub, poly_trim, rows_to_int_sparse)
+from periodpoly.exactalg import (CyclotomicField, DenseMatrix, PeriodPolyError, QQ,
+                                 clear_denominators, eigen_columns, kernel_columns,
+                                 poly_divmod, poly_mul, poly_sub, poly_trim,
+                                 rows_to_int_sparse)
 from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_T, MAT_TINV,
                                MAT_U, MAT_U2, Mat2, build_coset_space,
                                dirichlet_characters)
@@ -23,17 +24,23 @@ from periodpoly.polyspace import (ExtPolyVector, PolyVector, _pow_linear,
                                   pair_braces, slash_poly)
 from periodpoly.hecke import (EigenspaceError, GroupRingElement, HeckeError,
                               HeckeOperator, ONE_MINUS_S, ONE_MINUS_T, SigmaSpec,
-                              common_eigen_polynomial, cremona_hecke_element, delta_spec,
-                              delta_vee_spec, diamond_spec, gre_mul, gre_unit,
-                              hecke_action, hecke_identity, hecke_matrix, merel_family,
-                              resolve_sigma_coset, theta_spec, tn_infinity,
-                              torbit_canonical, universal_hecke_element,
-                              verify_hecke_property, witness_terms)
+                              common_eigen_polynomial, delta_spec, delta_vee_spec,
+                              diamond_spec, gre_mul, gre_unit, hecke_action,
+                              hecke_identity, hecke_matrix, merel_family,
+                              normalize_eigen_polynomial, resolve_sigma_coset, theta_spec,
+                              tn_infinity, torbit_canonical, universal_hecke_element,
+                              verified_hecke_element, verify_hecke_property,
+                              witness_terms)
 from periodpoly.analytic import eta_product, manin_coefficient
 
 from dense_reference import (candidate_matrices, reference_operator,
                              reference_resolve_sigma_coset, solve_universal_hecke)
 from p1_reference import p1_normalize
+
+
+def merel_element(n: int) -> GroupRingElement:
+    """Merel's T~_n, the element ``hecke-element`` prints."""
+    return verified_hecke_element(n)[0]
 
 
 def adjoint_vee(x: GroupRingElement) -> GroupRingElement:
@@ -156,7 +163,7 @@ class TestSolver:
         assert merel_family(2) == adjoints([Mat2(1, 0, 0, 2), Mat2(2, 0, 0, 1),
                                             Mat2(2, 1, 0, 1), Mat2(1, 0, 1, 2)])
         for n in (2, 7, 12):
-            el = universal_hecke_element(n)
+            el = merel_element(n)
             assert verify_hecke_property(el, n)[0]
 
 
@@ -322,7 +329,7 @@ class TestIntegerGroupRing:
 
     @pytest.mark.parametrize("n", list(range(1, 61)) + [97, 151])
     def test_heilbronn_element_is_adjoint_of_scan(self, n):
-        el = universal_hecke_element(n)
+        el = merel_element(n)
         ref = GroupRingElement(n, {m.vee(): 1 for m in reference_merel_family(n)})
         assert el == ref and el.support() == ref.support()
         assert all(type(m) is Mat2 and type(c) is int and c == 1
@@ -330,7 +337,7 @@ class TestIntegerGroupRing:
 
     @pytest.mark.parametrize("n", EIGEN_SWEEP_PRIMES)
     def test_hecke_identity_at_eigen_sweep_primes(self, n):
-        el = universal_hecke_element(n)
+        el = merel_element(n)
         got = verify_hecke_property(el, n)
         assert got[0] and got == reference_verify_hecke_property(el, n)
         ok, y, den = hecke_identity(el, n)
@@ -339,7 +346,7 @@ class TestIntegerGroupRing:
 
     @pytest.mark.parametrize("n", [61, 97, 151])
     def test_refuted_merel_elements_match_reference(self, n):
-        el = universal_hecke_element(n)
+        el = merel_element(n)
         support = el.support()
         dropped = GroupRingElement(n, {m: c for m, c in el.coeffs.items()
                                        if m != support[len(support) // 2]})
@@ -354,7 +361,7 @@ class TestIntegerGroupRing:
     def test_run_length_witness_matches_expanded_reference(self, n):
         """Verdict, den and the expanded witness of Merel's element, and of
         the dropped and scaled mutants, equal the term-by-term reference."""
-        el = universal_hecke_element(n)
+        el = merel_element(n)
         got = expanded_hecke_identity(el, n)
         assert got[0] and got == reference_hecke_identity(el, n)
         support = el.support()
@@ -435,7 +442,7 @@ class TestIntegerGroupRing:
             xy = next(Pp.space.labels[l] for l, p in enumerate(Pp.values) if p[0])
             for n in (1, 2, 3, 4, 6, 13, 29, 61, 101, 149):
                 t = universal_hecke_element(n)
-                lam = manin_coefficient(Pp, t, delta_spec(GAMMA0, N, n), n, xy)
+                lam = manin_coefficient(Pp, t, xy)
                 assert lam == reference_manin_coefficient(Pp, t, xy)
                 assert type(lam) is Fraction
                 if n == 2:
@@ -493,7 +500,8 @@ def _in_sigma(g: Mat2, spec: SigmaSpec) -> bool:
 
 
 def _support(n):
-    return sorted(set(tn_infinity(n).coeffs) | set(universal_hecke_element(n).coeffs))
+    return sorted(set(tn_infinity(n).coeffs) | set(universal_hecke_element(n).coeffs)
+                  | set(merel_element(n).coeffs))
 
 
 class TestResolve:
@@ -1099,6 +1107,19 @@ class TestEigenvectors:
             lab = space5._label_pos[p1_normalize(5, *row)]
             assert Pm.values[lab] == tuple(Fraction(e) for e in exp)
 
+    def test_normalization_is_exact(self):
+        # int values scale by Fractions, values in Q(zeta_5) in the field
+        space = build_coset_space(GAMMA0, 1, 4)
+        got = normalize_eigen_polynomial(PolyVector(space, 2, [(3, 1, 0)]), "+")
+        assert got.values == ((1, Fraction(1, 3), 0),)
+        assert all(type(c) is Fraction for c in got.values[0])
+        K = CyclotomicField(5)
+        z = K.zeta
+        vec = PolyVector(space, 2, [(z * 2, z + 1, K.zero)])
+        got = normalize_eigen_polynomial(vec, "+")
+        assert got.values[0][0] == K.one and got.scale(z * 2).values == vec.values
+        assert all(c.field is K for c in got.values[0])
+
     def test_wrong_eigenvalue(self, w5_split):
         plus, _ = w5_split
         with pytest.raises(EigenspaceError, match="not an eigenvalue"):
@@ -1156,8 +1177,7 @@ class TestWeight2Recovery:
         assert (W.dim, plus.dim, minus.dim) == (3, 2, 1)
         Pp = common_eigen_polynomial(plus, [(2, Fraction(-2))], parity="+")
         for n in range(1, 21):
-            lam = manin_coefficient(Pp, universal_hecke_element(n),
-                                    delta_spec(GAMMA0, 11, n), n)
+            lam = manin_coefficient(Pp, universal_hecke_element(n))
             assert lam == f.coeff(n)
 
 
@@ -1223,8 +1243,8 @@ def reference_cremona_matrices(p):
 
 @functools.lru_cache(maxsize=None)
 def both_elements(n):
-    """(Merel's T~_n, cremona_hecke_element(n))."""
-    return universal_hecke_element(n), cremona_hecke_element(n)
+    """(Merel's T~_n, universal_hecke_element(n))."""
+    return merel_element(n), universal_hecke_element(n)
 
 
 def _operator_outcomes(subs, t, spec):
@@ -1257,13 +1277,13 @@ ETA_FORMS = {1: 12, 2: 8, 3: 6, 5: 4, 11: 2}
 
 
 class TestCremonaElement:
-    """cremona_hecke_element against Merel's element: the identity, and the
-    same Hecke matrices and eigenvalues."""
+    """universal_hecke_element, Cremona's at a prime, against Merel's
+    element: the identity, and the same Hecke matrices and eigenvalues."""
 
     @pytest.mark.parametrize("ps", [_primes(3, 200), _primes(200, 400)])
     def test_identity_at_every_prime_below_400(self, ps):
         for p in ps:
-            el = cremona_hecke_element(p)
+            el = universal_hecke_element(p)
             ref = Counter(m.vee().canonical_pm() for m in reference_cremona_matrices(p))
             assert set(ref.values()) == {1} and el.coeffs == dict.fromkeys(ref, 1)
             assert all(type(m) is Mat2 and type(c) is int for m, c in el.coeffs.items())
@@ -1272,9 +1292,9 @@ class TestCremonaElement:
             assert len(el.coeffs) < len(merel_family(p))
 
     def test_supports_and_other_n(self):
-        assert [len(cremona_hecke_element(p).coeffs) for p in (11, 37, 151)] == [30, 128, 654]
+        assert [len(universal_hecke_element(p).coeffs) for p in (11, 37, 151)] == [30, 128, 654]
         for n in (1, 2, 4, 9, 12, 25):
-            assert cremona_hecke_element(n) == universal_hecke_element(n)
+            assert universal_hecke_element(n) == merel_element(n)
 
     @pytest.mark.parametrize("kind,N,k,ns,ext", CREMONA_GRID,
                              ids=["%s-%d-k%d" % case[:3] for case in CREMONA_GRID])
@@ -1301,6 +1321,5 @@ class TestCremonaElement:
         plus = build_W(build_coset_space(GAMMA0, N, k), k - 2, 1)
         Pp = common_eigen_polynomial(plus, [(p, Fraction(f.coeff(p)))], parity="+")
         for n in EIGEN_SWEEP_PRIMES:
-            spec = delta_spec(GAMMA0, N, n)
-            lams = [manin_coefficient(Pp, t, spec, n) for t in both_elements(n)]
+            lams = [manin_coefficient(Pp, t) for t in both_elements(n)]
             assert lams == [f.coeff(n)] * 2
