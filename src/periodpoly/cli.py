@@ -304,7 +304,16 @@ def cmd_verify(args, out):
     for sub in args.only or ():
         if not any(sub in name for name, _ in verifysuite.CHECKS):
             raise CliError("--only %r matches no check" % sub, EXIT_USAGE)
-    failures = verifysuite.run_all(args.only, out)
+    report, failures = {}, 0
+    for name, seconds, message in verifysuite.run_checks(args.only):
+        failures += message is not None
+        if args.json:
+            report[name] = {"status": "PASS" if message is None else "FAIL",
+                            "seconds": round(seconds, 6), "message": message}
+        else:
+            out.write("PASS %s\n" % name if message is None else "FAIL %s: %s\n" % (name, message))
+    if args.json:
+        _emit(report, out)
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
@@ -437,6 +446,8 @@ def _add_eigenvalue(p):
 
 def _add_verify(p):
     p.add_argument("--only", action="append", metavar="SUBSTRING")
+    p.add_argument("--json", action="store_true",
+                   help="one JSON document: each check's status, seconds and message")
 
 
 def _add_gamma02_relations(p):

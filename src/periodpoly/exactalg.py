@@ -584,8 +584,16 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False, folded=N
     is pushed again each time it changes, and a popped entry is stale, and
     skipped, when its row is done or no longer has that length.  The
     smallest live entry is the minimum of (len, index) over the remaining
-    rows, so the choice is the one a full scan would make.  The pivot then
-    clears its column from every remaining row that holds it.
+    rows, so the choice is the one a full scan would make.
+
+    The pivot row, entry pv at pc, then clears pc in place from each
+    remaining row that holds it: entry f at pc, the row becomes a * row -
+    q * (pivot row), a / q = pv / f in lowest terms with a > 0, so a = 1
+    where pv divides f; then primitive again (``_normalize_int_row`` keeps
+    the keys).  Only the pivot row's columns are visited, and only they
+    enter or leave ``col_index`` (column -> rows holding it): where a zero
+    becomes nonzero or an entry cancels, pc always.  The loop works on its
+    own dicts: the caller's rows and ``folded`` never change.
 
     With ``reduce_fully`` (Gauss-Jordan) it also clears its column from the
     rows already chosen and from the two-term pivot rows, whose root is the
@@ -601,14 +609,16 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False, folded=N
     pivot rows, the rank, is fixed.
     """
     active, done = [r for r in rows if r], {c for c, _ in folded or ()}
-    short, active = _two_term_pass(active) if folded is None else (folded, active)
+    # the loop updates rows in place: presented rows are copied, the
+    # two-term pass builds new ones
+    short, active = _two_term_pass(active) if folded is None else (folded, list(map(dict, active)))
     check(not done or all(done.isdisjoint(row) for row in active),
           "a presented row holds a folded column, not only roots")
     remaining = set(range(len(active)))
     heap = [(len(row), i) for i, row in enumerate(active)]
     heapq.heapify(heap)
     if reduce_fully:
-        active += (row for _, row in short)
+        active += (dict(row) for _, row in short)
         short = []
     col_index: dict = {}
     for i, row in enumerate(active):
@@ -629,23 +639,26 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False, folded=N
                 continue
             orow = active[other]
             f = orow[pc]
-            # orow <- orow * pv - row * f, gcd-normalized
-            new = {}
-            for c, v in orow.items():
-                new[c] = v * pv
+            # orow <- a * orow - q * row, a / q = pv / f in lowest terms, a > 0
+            g = math.gcd(pv, f)
+            a, q = (pv // g, f // g) if pv > 0 else (-pv // g, -f // g)
+            if a != 1:
+                for c in orow:
+                    orow[c] *= a
             for c, v in row.items():
-                w = new.get(c, 0) - v * f
+                w = orow.get(c)
+                if w is None:
+                    orow[c] = -q * v
+                    col_index[c].add(other)
+                    continue
+                w -= q * v
                 if w:
-                    new[c] = w
-                elif c in new:
-                    del new[c]
-            new = _normalize_int_row(new)
-            for c in orow:
-                col_index[c].discard(other)
-            for c in new:
-                col_index.setdefault(c, set()).add(other)
-            active[other] = new
-            heapq.heappush(heap, (len(new), other))
+                    orow[c] = w
+                else:
+                    del orow[c]
+                    col_index[c].discard(other)
+            orow = active[other] = _normalize_int_row(orow)
+            heapq.heappush(heap, (len(orow), other))
     return sorted([(max(row), row) for row in active if row] + short)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 from .exactalg import (CyclotomicField, DenseMatrix, QQ, bernoulli, check,
@@ -507,19 +508,16 @@ CHECKS = [
 ]
 
 
-def run_all(names=None, out=None) -> int:
-    """Run the invariant suites; returns the number of failures."""
-    import sys
-    out = out or sys.stdout
-    failures = 0
+def run_checks(names=None):
+    """Run the checks whose names hold one of the substrings names (every
+    check by default), in order, each to its end; yields (name, seconds,
+    message), message None where the check passed, else its failure."""
     for name, fn in CHECKS:
         if names and not any(s in name for s in names):
             continue
+        start, message = time.perf_counter(), None
         try:
             fn()
         except Exception as exc:  # report and continue
-            failures += 1
-            out.write("FAIL %s: %s\n" % (name, exc))
-        else:
-            out.write("PASS %s\n" % name)
-    return failures
+            message = str(exc)
+        yield name, time.perf_counter() - start, message

@@ -383,6 +383,37 @@ class TestVerifyAndDemos:
         assert code == cli.EXIT_VERIFY_FAILED
         assert "FAIL doomed.check" in text
 
+    def test_verify_json_names_every_check(self):
+        from periodpoly import verifysuite
+        code, text = run_cli(["verify", "--json"])
+        report = json.loads(text)
+        assert code == 0
+        assert list(report) == sorted(name for name, _ in verifysuite.CHECKS)
+        for entry in report.values():
+            assert (entry["status"], entry["message"]) == ("PASS", None)
+            assert entry["seconds"] >= 0
+
+    def test_verify_json_reports_a_failure_under_optimize(self):
+        # the forced failure is a status, a message and the exit code; the
+        # other checks of --only still run and pass
+        code = ("import sys\n"
+                "from fractions import Fraction\n"
+                "from periodpoly import cli, verifysuite\n"
+                "verifysuite.bernoulli = lambda n: Fraction(7)\n"
+                "sys.exit(cli.main(['verify', '--json', '--only', 'exactalg']))\n")
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path),
+                              timeout=300)
+        assert proc.returncode == cli.EXIT_VERIFY_FAILED
+        report = json.loads(proc.stdout)
+        assert sorted(report) == ["exactalg.bernoulli", "exactalg.cyclotomic",
+                                  "exactalg.kernels"]
+        failed = report.pop("exactalg.bernoulli")
+        assert failed["status"] == "FAIL" and failed["message"].strip()
+        assert all(e["status"] == "PASS" for e in report.values())
+
     def test_gamma06_demo(self):
         code, text = run_cli(["gamma06-demo"])
         assert code == 0

@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import random
@@ -370,6 +371,60 @@ class TestSparse:
             (6, {1: 4, 3: 3, 6: 3}), (7, {1: 4, 7: 3})]
         assert sparse_int_pivots(rows, reduce_fully=True) == \
             reference_sparse_int_pivots(rows, reduce_fully=True)
+
+    @pytest.mark.parametrize("presented", [False, True])
+    def test_input_rows_are_left_alone(self, presented):
+        # one dict object listed twice, as the rows and as the presented
+        # ones: the eliminator updates its own copies only
+        long_row, two_term = {0: 2, 1: 3, 4: 2, 6: 3}, {2: 3, 7: 2}
+        rows = [long_row, {1: 1, 2: 5, 4: 3}, long_row, {0: 1, 2: 2, 6: 2}]
+        folded = None
+        if presented:
+            folded = [(3, {1: 2, 3: -1}), (5, {0: 3, 5: -2})]
+        else:
+            rows[1:1] = [two_term, two_term]
+        before = copy.deepcopy((rows, folded))
+        unique = list({id(row): row for row in rows}.values())
+        expected = reference_sparse_int_pivots(unique + [row for _, row in folded or ()],
+                                               reduce_fully=True)
+        for reduce_fully in (True, False):
+            first = sparse_int_pivots(rows, reduce_fully=reduce_fully, folded=folded)
+            assert (rows, folded) == before
+            assert sparse_int_pivots(rows, reduce_fully=reduce_fully, folded=folded) == first
+            if reduce_fully:
+                assert first == expected
+            else:
+                assert_echelon_basis(first, expected)
+        assert sparse_int_rank(rows, folded=folded) == len(expected)
+        kernel = kernel_columns(rows, 8, folded=folded)
+        assert (rows, folded) == before
+        assert kernel == kernel_columns(copy.deepcopy(unique), 8, folded=copy.deepcopy(folded))
+        assert kernel_columns(rows, 8, folded=folded) == kernel
+        assert len(kernel) == 8 - len(expected)
+
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(data=st.data(), ncols=st.integers(3, 12))
+    def test_long_rows_with_large_entries_match_full_scan(self, data, ncols):
+        # entries up to 40 in size: most pivots do not divide the entries
+        # they clear, so the other row is scaled before the subtraction
+        entry = st.integers(-40, 40).filter(bool)
+        rows = data.draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry,
+                                                  min_size=3, max_size=min(8, ncols)),
+                                  max_size=12))
+        reduced = reference_sparse_int_pivots(rows, reduce_fully=True)
+        assert sparse_int_pivots(rows, reduce_fully=True) == reduced
+        assert sparse_int_rank(rows) == len(reduced)
+        assert_echelon_basis(sparse_int_pivots(rows), reduced)
+
+    def test_pivots_that_do_not_divide_the_entries_they_clear(self):
+        # the pivot 2 at column 4 clears 5 from the last row, which becomes
+        # {0: 3, 1: 5, 2: -2, 3: -4}; the pivot 3 at column 3 then clears -4
+        rows = [{0: 1, 1: 1, 4: 2}, {1: 1, 2: 2, 3: 3}, {0: 1, 2: 1, 3: 2, 4: 5}]
+        assert sparse_int_pivots(rows) == [
+            (2, {0: 9, 1: 19, 2: 2}), (3, {1: 1, 2: 2, 3: 3}), (4, {0: 1, 1: 1, 4: 2})]
+        reduced = sparse_int_pivots(rows, reduce_fully=True)
+        assert reduced == reference_sparse_int_pivots(rows, reduce_fully=True)
+        assert sparse_int_rank(rows) == len(reduced) == 3
 
     def test_reduced_column_basis_canonical(self):
         v1 = (Fraction(2), Fraction(0), Fraction(2))
