@@ -72,18 +72,6 @@ class QSeries:
             out[m * t - 1] = self.coeffs[m - 1]
         return QSeries(self.a0, out)
 
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * n
-        # a0 cross terms
-        for m in range(1, n + 1):
-            acc = self.a0 * other.coeffs[m - 1] + other.a0 * self.coeffs[m - 1]
-            for i in range(1, m):
-                if self.coeffs[i - 1] and other.coeffs[m - i - 1]:
-                    acc += self.coeffs[i - 1] * other.coeffs[m - i - 1]
-            out[m - 1] = acc
-        return QSeries(self.a0 * other.a0, out)
-
 
 def eta_product(factors: Sequence[tuple], order: int) -> QSeries:
     """q^(sum t r / 24) prod_n (1 - q^(t n))^r, expanded exactly.

@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
 from .exactalg import PeriodPolyError, scalar_to_str
-from .cosets import GAMMA0, GAMMA1, build_coset_space, coset_index, cusp_classes
+from .cosets import (GAMMA0, GAMMA1, _factor, build_coset_space, coset_index,
+                     cusp_classes)
 from .polyspace import (build_W, build_W_extended, build_coboundary_and_D,
                         coboundary_and_D_dimensions, w_dimensions, wtilde_dimension)
 from .hecke import (HeckeError, common_eigen_polynomial, delta_spec, delta_vee_spec,
                     hecke_matrix, theta_spec, universal_hecke_element,
-                    verified_hecke_element, witness_element)
+                    verified_hecke_element, witness_terms)
 from .analytic import (AnalyticError, NewformData, completed_lvalue,
                        eisenstein_period_demo, eta_product, manin_coefficient,
                        petersson_product)
@@ -34,31 +36,17 @@ EXIT_USAGE = 2
 EXIT_BAD_FILE = 3
 EXIT_VERIFY_FAILED = 5
 
-# Largest coset index a command builds unless --max-index says otherwise;
-# Gamma0(3000) has index 7200, Gamma1(1000) about 360,000.
-MAX_INDEX = 20000
-# Largest n of a universal element T~_n (an --n or an --eigen prime) unless
-# --max-n says otherwise; below it the largest Merel family, at n = 1980, has
-# 93,226 matrices.
+# Largest n of a T~_n built alone, without a coset space: the --n of
+# hecke-element and of eigenvalue.  Below it the largest Merel family, at
+# n = 1980, has 93,226 matrices, and hecke-element --n 1980 prints about 39 MB.
 MAX_N = 2000
 # Largest --terms of gamma02-relations, which builds that many eta-product
 # coefficients and sums that many terms per L-value: 2000 terms take about
 # 0.5 s, 4000 about 0.8 s, and the cost grows faster than linearly beyond.
 MAX_TERMS = 4000
-# Largest --weight.  The relation systems grow with the weight and the index
-# together: dims takes 0.02 s at level 1 and weight 40, 0.16 s at 80, 1.1 s
-# at 160 and 2.5 s at 200 (about w^3.5), and at level 11 (index 12) 0.84 s at
-# weight 40 and 11 s at 80 (one process under -O).  --max-index bounds the
-# index; this bounds the weight, far above the weights of the paper's
-# examples (at most 14).
-MAX_WEIGHT = 100
-# Largest index x (weight - 1)^3.5 a command builds: the cost grows with the
-# index and the weight together, so a small index still needs a bound below
-# MAX_WEIGHT.  dims takes 0.23 s at level 1 and weight 100 (9.65e6), 0.31 s
-# at level 2 and weight 72 (9.05e6), 2.0 s at level 11 and weight 50
-# (9.88e6), and at level 11 and weight 80 (5.3e7, refused) 11 s (one process
-# under -O).
-MAX_COST = 10 ** 7
+# Largest estimated work of a command that builds a coset space, in seconds
+# of one core of a 2-core VM under python -O; see _coset_space.
+MAX_WORK = 15.0
 
 
 class CliError(Exception):
@@ -121,20 +109,67 @@ def _matrix_doc(m) -> dict:
     }
 
 
-def _coset_space(args, kind, N, k):
-    """build_coset_space, refused before anything is built above --max-index
-    or above MAX_COST.  The index of Gamma0(N) and of Gamma1(N) is at least
-    N, so a level above the bound is refused before N is factored."""
-    if N > args.max_index:
-        raise CliError("%s(%d) has index at least %d, above --max-index %d"
-                       % (kind, N, N, args.max_index), EXIT_USAGE)
-    index = coset_index(kind, N)
-    if index > args.max_index:
-        raise CliError("%s(%d) has index %d, above --max-index %d"
-                       % (kind, N, index, args.max_index), EXIT_USAGE)
-    if index * (k - 1) ** 3.5 > MAX_COST:
-        raise CliError("%s(%d) at weight %d: index x (weight - 1)^3.5 is above %d"
-                       % (kind, N, k, MAX_COST), EXIT_USAGE)
+def _divisor_sum(n: int) -> int:
+    return math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in _factor(n))
+
+
+def _coset_space(kind, N, k, spaces=(), primes=(), eigen=False):
+    """build_coset_space(kind, N, k), refused with exit 2 before anything is
+    built when the command's estimated work is above MAX_WORK: the coset
+    space, each space in ``spaces`` ("dims" for the ranks of dims), each
+    T~_p in ``primes`` acting on it and, with ``eigen``, its eigenspace.
+
+    The index is at least N and sigma(p) at least p, and the work grows with
+    both, so the estimate is first made with those bounds: a huge level or
+    p is refused before it is factored."""
+    def work(index, sigma):
+        # seconds of a 2-core VM under -O, each term fitted on timings of its
+        # layer, with K = k - 1; inputs above 10^12, where every term is far
+        # above the bound, count as 10^12, so the estimate stays a float
+        index, K, N3 = min(index, 10 ** 12), min(k, 10 ** 12) - 1, min(N, 10 ** 12) ** 3
+        out = 1e-5 * index  # the coset space
+        for space in spaces:
+            # the relation systems; the second term takes the rise of the
+            # exponent of K at large weight
+            if space == "dims":
+                out += 2e-5 * index ** 1.1 * K + 6e-8 * index ** 1.4 * K ** 3.35
+                continue
+            out += 2.4e-6 * index ** 1.25 * K ** 2 + 4.5e-8 * index ** 1.6 * K ** 3.5
+            ext, half = space == "Wtilde", space in ("Wplus", "Wminus")
+            dim = index * K / (12 if half else 6)  # about dim W, or dim W+-
+            if primes:
+                out += 1.5e-7 * K ** 3.2  # the slash table of the weight
+            for p in primes:
+                # s bounds |supp T~_p| and c its classes mod N: the element,
+                # and each term folded (in Fractions on Wtilde)
+                s = 2.26 * sigma(min(p, 10 ** 12)) * math.log(p + 1)
+                c = min(s, N3)
+                out += s * (7e-6 + 4e-7 * K ** 2.25 + (2e-4 if ext else 0))
+                # each class resolved, and its block added, at every label
+                out += c * index ** 1.25 * (2.7e-7 + (1.7e-7 * (K + 2) ** 2 if ext
+                                                      else 2.8e-8 * K ** 2))
+                # the restriction to the subspace, and its about index
+                # min(c, index) blocks
+                out += 6.5e-8 * index ** 2 * K ** 2.8 / (7 if half else 1)
+                out += (1.4e-9 if ext else 9e-10) * index * min(c, index) * dim * K ** 3
+            if eigen and primes:
+                # the eigenspace: it took 2.2 s for T~_2 and 43 s for T~_3 on
+                # W+ of Gamma0(1000) at weight 4, which nothing here tells
+                # apart, so the term takes the dearer
+                out += 6e-8 * dim ** 3 * K
+        return out
+
+    acts = " with %s" % ", ".join("T~_%d" % p for p in primes) if primes else ""
+    if spaces and spaces != ("dims",):
+        acts += " on %s" % " and ".join(spaces)
+    for exact in (False, True):
+        index = coset_index(kind, N) if exact else N
+        estimate = work(index, _divisor_sum if exact else int)
+        if estimate > MAX_WORK:
+            at_least = "" if exact else "at least "
+            raise CliError("%s(%d) has index %s%d: at weight %d%s the estimated work is "
+                           "%s%.3g s, above %g s" % (kind, N, at_least, index, k, acts,
+                                                     at_least, estimate, MAX_WORK), EXIT_USAGE)
     return build_coset_space(kind, N, k)
 
 
@@ -151,7 +186,7 @@ def _sigma_for(args, kind, N, n):
 # subcommands
 
 def cmd_dims(args, out):
-    space = _coset_space(args, args.group, args.level, args.weight)
+    space = _coset_space(args.group, args.level, args.weight, ("dims",))
     w = args.weight - 2
     if space.size > 60:
         _progress("building relation systems at index %d ..." % space.size)
@@ -169,7 +204,7 @@ def cmd_dims(args, out):
 
 
 def cmd_cusps(args, out):
-    space = _coset_space(args, args.group, args.level, args.weight)
+    space = _coset_space(args.group, args.level, args.weight)
     cs = cusp_classes(space)
     _emit({
         "group": args.group, "level": args.level,
@@ -184,9 +219,11 @@ def cmd_cusps(args, out):
 
 
 def cmd_hecke_element(args, out):
-    t, y, den = verified_hecke_element(args.n)
+    t, runs, den = verified_hecke_element(args.n)
+    y = witness_terms(runs)
     _emit({"n": args.n, "verified": True, "terms": t.to_json(),
-           "witness_Y": witness_element(args.n, y, den).to_json()}, out)
+           "witness_Y": [{"matrix": list(m), "coeff": scalar_to_str(Fraction(y[m], den))}
+                         for m in sorted(y) if y[m]]}, out)
     return EXIT_OK
 
 
@@ -205,7 +242,7 @@ def _space_choice(args, space, w):
 
 def cmd_hecke_matrix(args, out):
     spec = _sigma_for(args, args.group, args.level, args.n)
-    space = _coset_space(args, args.group, args.level, args.weight)
+    space = _coset_space(args.group, args.level, args.weight, (args.space,), (args.n,))
     w = args.weight - 2
     sub = _space_choice(args, space, w)
     m = hecke_matrix(sub, universal_hecke_element(args.n), spec)
@@ -227,11 +264,13 @@ def _claim_output(path: str) -> bool:
 
 
 def cmd_eigenpoly(args, out):
-    space = _coset_space(args, args.group, args.level, args.weight)
     eigendata = _parse_eigen(args.eigen)
+    sign, parity = (1, "+") if args.parity == "plus" else (-1, "-")
+    space = _coset_space(args.group, args.level, args.weight,
+                         ("Wplus" if sign == 1 else "Wminus",), [p for p, _ in eigendata],
+                         eigen=True)
     created = bool(args.output) and _claim_output(args.output)
     try:
-        sign, parity = (1, "+") if args.parity == "plus" else (-1, "-")
         sub = build_W(space, args.weight - 2, sign)
         doc = common_eigen_polynomial(sub, eigendata, parity=parity).to_json()
         doc["parity"] = parity
@@ -261,8 +300,9 @@ def cmd_lvalue(args, out):
     return EXIT_OK
 
 
-def _eigen_polys_for(args, f: NewformData, eigendata):
-    space = _coset_space(args, GAMMA0, f.level, f.weight)
+def _eigen_polys_for(f: NewformData, eigendata):
+    space = _coset_space(GAMMA0, f.level, f.weight, ("Wplus", "Wminus"),
+                         [p for p, _ in eigendata], eigen=True)
     plus, minus = build_W(space, f.weight - 2, 1), build_W(space, f.weight - 2, -1)
     Pp = common_eigen_polynomial(plus, eigendata, parity="+")
     Pm = common_eigen_polynomial(minus, eigendata if minus.dim > 1 else [],
@@ -273,7 +313,7 @@ def _eigen_polys_for(args, f: NewformData, eigendata):
 def cmd_petersson(args, out):
     f = _load_form(args.form)
     eigendata = _parse_eigen(args.eigen)
-    Pp, Pm = _eigen_polys_for(args, f, eigendata)
+    Pp, Pm = _eigen_polys_for(f, eigendata)
     value, per_kappa = petersson_product(f, f, (Pp, Pm), (Pp, Pm), terms=args.terms)
     _emit({
         "level": f.level, "weight": f.weight,
@@ -291,9 +331,10 @@ def cmd_eigenvalue(args, out):
         level, weight = args.level, args.weight
     if level is None or weight is None:
         raise CliError("need --level and --weight (or --form)", EXIT_USAGE)
-    space = _coset_space(args, GAMMA0, level, weight)
-    Pp = common_eigen_polynomial(build_W(space, weight - 2, 1), _parse_eigen(args.eigen),
-                                 parity="+")
+    eigendata = _parse_eigen(args.eigen)
+    space = _coset_space(GAMMA0, level, weight, ("Wplus",), [p for p, _ in eigendata],
+                         eigen=True)
+    Pp = common_eigen_polynomial(build_W(space, weight - 2, 1), eigendata, parity="+")
     lam = manin_coefficient(Pp, universal_hecke_element(args.n))
     _emit({"level": level, "weight": weight, "n": args.n,
            "eigenvalue": scalar_to_str(lam)}, out)
@@ -378,28 +419,14 @@ class _Parser(argparse.ArgumentParser):
         raise CliError("%s: %s" % (self.prog, message), EXIT_USAGE)
 
 
-def _add_max_index(p):
-    p.add_argument("--max-index", type=int, default=MAX_INDEX,
-                   help="refuse (exit 2) a coset space of larger index; "
-                        "default %d" % MAX_INDEX)
-
-
-def _add_max_n(p):
-    p.add_argument("--max-n", type=int, default=MAX_N,
-                   help="refuse (exit 2) an --n or --eigen prime above this; "
-                        "default %d" % MAX_N)
-
-
 def _add_space(p):
     p.add_argument("--group", default=GAMMA0, choices=[GAMMA0, GAMMA1])
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--weight", type=int, required=True)
-    _add_max_index(p)
 
 
 def _add_hecke_element(p):
     p.add_argument("--n", type=int, required=True)
-    _add_max_n(p)
 
 
 def _add_hecke_matrix(p):
@@ -408,7 +435,6 @@ def _add_hecke_matrix(p):
     p.add_argument("--space", default="W",
                    choices=["W", "Wplus", "Wminus", "C", "Wtilde"])
     p.add_argument("--sigma", default="delta", choices=["delta", "delta-vee", "theta"])
-    _add_max_n(p)
 
 
 def _add_eigenpoly(p):
@@ -417,7 +443,6 @@ def _add_eigenpoly(p):
     p.add_argument("--eigen", action="append", metavar="p:lambda",
                    help="eigenvalue constraints; repeatable")
     p.add_argument("-o", "--output", default=None)
-    _add_max_n(p)
 
 
 def _add_lvalue(p):
@@ -430,8 +455,6 @@ def _add_petersson(p):
     p.add_argument("--form", required=True)
     p.add_argument("--eigen", action="append", metavar="p:lambda")
     p.add_argument("--terms", type=int, default=200)
-    _add_max_index(p)
-    _add_max_n(p)
 
 
 def _add_eigenvalue(p):
@@ -440,8 +463,6 @@ def _add_eigenvalue(p):
     p.add_argument("--weight", type=int, default=None)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eigen", action="append", metavar="p:lambda")
-    _add_max_index(p)
-    _add_max_n(p)
 
 
 def _add_verify(p):
@@ -497,26 +518,15 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def _check_args(args):
-    for name, low in (("level", 1), ("weight", 2), ("n", 1), ("terms", 1),
-                      ("max_index", 1), ("max_n", 1)):
+    for name, low in (("level", 1), ("weight", 2), ("n", 1), ("terms", 1)):
         value = getattr(args, name, None)
         if value is not None and value < low:
-            raise CliError("--%s must be >= %d, got %d"
-                           % (name.replace("_", "-"), low, value), EXIT_USAGE)
-    weight = getattr(args, "weight", None)
-    if weight is not None and weight > MAX_WEIGHT:
-        raise CliError("--weight %d is above %d, the largest weight built"
-                       % (weight, MAX_WEIGHT), EXIT_USAGE)
-    # every T~_n a command builds, refused before any element is built
-    max_n = getattr(args, "max_n", None)
-    if max_n is not None:
-        n = getattr(args, "n", None)
-        if n is not None and n > max_n:
-            raise CliError("--n %d is above --max-n %d" % (n, max_n), EXIT_USAGE)
-        for p, _ in _parse_eigen(getattr(args, "eigen", None)):
-            if p > max_n:
-                raise CliError("--eigen prime %d is above --max-n %d" % (p, max_n),
-                               EXIT_USAGE)
+            raise CliError("--%s must be >= %d, got %d" % (name, low, value), EXIT_USAGE)
+    _parse_eigen(getattr(args, "eigen", None))  # malformed --eigen data, before any file
+    # a T~_n built alone; every other size is bounded by _coset_space
+    if args.command in ("hecke-element", "eigenvalue") and args.n > MAX_N:
+        raise CliError("--n %d is above %d, the largest T~_n built alone"
+                       % (args.n, MAX_N), EXIT_USAGE)
 
 
 def _named_command(argv):

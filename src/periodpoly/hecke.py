@@ -276,13 +276,8 @@ def verify_hecke_property(cand: GroupRingElement, n: int):
     ok, y, den = hecke_identity(cand, n)
     if not ok:
         return False, Mat2(*y)
-    return True, witness_element(n, y, den)
-
-
-def witness_element(n: int, runs: Sequence[tuple], den: int) -> GroupRingElement:
-    """The witness Y of ``hecke_identity`` from its runs of den Y."""
-    return GroupRingElement(n, {Mat2(*m): Fraction(v, den)
-                                for m, v in witness_terms(runs).items()})
+    return True, GroupRingElement(n, {Mat2(*m): Fraction(v, den)
+                                      for m, v in witness_terms(y).items()})
 
 
 # ----------------------------------------------------------------------
@@ -400,8 +395,8 @@ def delta_vee_spec(kind: str, N: int, n: int) -> SigmaSpec:
     return SigmaSpec("delta_vee", kind, N, n)
 
 
-def theta_spec(kind: str, N: int, n: int, w_matrix: Optional[Mat2] = None) -> SigmaSpec:
-    return SigmaSpec("theta", kind, N, n, w_matrix=w_matrix)
+def theta_spec(kind: str, N: int, n: int) -> SigmaSpec:
+    return SigmaSpec("theta", kind, N, n)
 
 
 def diamond_spec(kind: str, N: int, d: int) -> SigmaSpec:

