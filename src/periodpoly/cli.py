@@ -141,7 +141,8 @@ def _coset_space(kind, N, k, spaces=(), primes=(), eigen=False):
                 out += 1.5e-7 * K ** 3.2  # the slash table of the weight
             for p in primes:
                 # s bounds |supp T~_p| and c its classes mod N: the element,
-                # and each term folded (in Fractions on Wtilde)
+                # and each term folded (on Wtilde its end columns over the
+                # scale L, whose size grows with p and the weight)
                 s = 2.26 * sigma(min(p, 10 ** 12)) * math.log(p + 1)
                 c = min(s, N3)
                 out += s * (7e-6 + 4e-7 * K ** 2.25 + (2e-4 if ext else 0))

@@ -27,8 +27,7 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from .exactalg import (DenseMatrix, PeriodPolyError, check,
-                       clear_denominators, eigen_columns,
-                       rows_to_int_sparse)
+                       clear_denominators, eigen_columns)
 from .cosets import CosetSpace, Mat2, MAT_I, MAT_S, MAT_T, GAMMA0, _xgcd
 # slash_poly stays importable as hecke.slash_poly, the name perfbench's
 # tracer rebinds and its self-tests read
@@ -494,12 +493,13 @@ class HeckeOperator:
 
     On the extended space X^-1 | M = (cX+d)^(w+1) / (aX+b) and
     X^(w+1) | M = (aX+b)^(w+1) / (cX+d) are split into a polynomial part
-    and a residue (see ``_over_linear``).  A residue at 0 is an X^(-1)
-    coordinate.  The residues at a pole x0 != 0 are summed per (target
-    label, x0) into one row of linear forms on the input coordinates, held
-    in ``poles``.  The image lies in the extended model iff every such row
-    vanishes, since the partial fraction decomposition is unique; ``apply``
-    raises HeckeError otherwise.
+    and a residue, times one integer scale L (see ``_over_linear``).  A
+    residue at 0 is an X^(-1) coordinate.  The residues at a pole x0 != 0
+    are summed per (target label, x0) into one integer row of linear forms
+    on the input coordinates, held in ``poles``.  The image lies in the
+    extended model iff every such row vanishes, since the partial fraction
+    decomposition is unique; ``apply`` raises HeckeError otherwise.  One gcd
+    with L puts the blocks, over den, and each pole row in lowest terms.
 
     ``norm`` is the largest absolute row sum of the integer map ``apply``
     computes, the pole rows included: no entry of an image, and no pole
@@ -513,6 +513,10 @@ class HeckeOperator:
         self.space, self.w, self.extended = space, w, extended
         ints, den = clear_denominators(list(t.coeffs.values()))
         n = w + 3 if extended else w + 1
+        # L clears every denominator of the end columns: a^(w+2), or b
+        # where a = 0, of each support matrix at each end
+        L = math.lcm(*(abs(x ** (w + 2) if x else y) for a, b, c, d in t.coeffs
+                       for x, y in ((a, b), (c, d)))) if extended else 1
         # target -> {source: block}, each block held flat, row by row
         folded = [{} for _ in range(space.size)]
         # (target, pole) -> {source coordinate: residue}
@@ -521,7 +525,8 @@ class HeckeOperator:
             hits = resolve_sigma_coset(space, None, members[0][0], spec)
             if hits is None:
                 continue
-            cols, poles = _fold_class(members, w, extended)
+            cols, poles = (_fold_class(members, w, L) if extended
+                           else (slash_columns(members, w), {}))
             flat = [v for row in zip(*cols) for v in row]
             for l, l2, s in hits:
                 f = 1 if s ** w == 1 else -1
@@ -530,16 +535,19 @@ class HeckeOperator:
                     row[l2 * n + j] = row.get(l2 * n + j, 0) + f * res
                 folded[l][l2] = list(map(operator.add if f == 1 else operator.sub,
                                          folded[l].get(l2) or [0] * (n * n), flat))
-        if extended:
-            scale = math.lcm(*(v.denominator for d in folded for b in d.values() for v in b))
-            folded = [{l2: [int(v * scale) for v in block] for l2, block in d.items()}
-                      for d in folded]
-            den *= scale
+        if L > 1:
+            # the lcm of the denominators of the blocks over den, in lowest
+            # terms, is L / g
+            g = math.gcd(L, *(v for d in folded for block in d.values() for v in block))
+            folded = [{l2: [v // g for v in block] for l2, block in d.items()} for d in folded]
+            den *= L // g
         self.den = den
         self.blocks = [[(l2, list(zip(*[iter(block)] * n)))
                         for l2, block in sorted(d.items()) if any(block)]
                        for d in folded]
-        self.poles = [row for row in rows_to_int_sparse(residues.values()) if row]
+        # each pole row in lowest terms
+        self.poles = [{i: v // g for i, v in row.items() if v} for row in residues.values()
+                      if any(row.values()) and (g := math.gcd(L, *row.values()))]
         # row i of a target: row i of each of its blocks
         rows = (sum(sum(map(abs, block[i * n:(i + 1) * n])) for block in d.values())
                 for d in folded for i in range(n))
@@ -593,48 +601,43 @@ def _support_classes(matrices, coeffs: Sequence, n: int, N: int) -> dict:
     return classes
 
 
-def _fold_class(members: Sequence[tuple], w: int, extended: bool) -> tuple:
-    """(the columns of sum c (X^j | M) over the (M, c) of a class, {(column,
-    x0): sum c residue}), the end columns and poles of Wtilde M by M."""
-    cols, poles = slash_columns(members, w), {}
-    if not extended:
-        return cols, poles
-    ends = [[0] * (w + 3) for _ in range(2)]
+def _fold_class(members: Sequence[tuple], w: int, L: int) -> tuple:
+    """(the columns of L sum c (X^j | M) over the (M, c) of a class on
+    Wtilde, {(column, pole): L sum c residue}), the ends M by M."""
+    cols = [[0] + [L * v for v in col] + [0] for col in slash_columns(members, w)]
+    cols, poles = [[0] * (w + 3)] + cols + [[0] * (w + 3)], {}
     for (a, b, c, d), coef in members:
         # X^-1 | M = (cX+d)^(w+1) / (aX+b), X^(w+1) | M = (aX+b)^(w+1) / (cX+d)
-        for e, (col, pole) in enumerate((_over_linear(_pow_linear(c, d, w + 1), a, b, w),
-                                         _over_linear(_pow_linear(a, b, w + 1), c, d, w))):
-            ends[e] = [u + coef * v for u, v in zip(ends[e], col)]
+        for j, (col, pole) in ((0, _over_linear(_pow_linear(c, d, w + 1), a, b, w, L)),
+                               (w + 2, _over_linear(_pow_linear(a, b, w + 1), c, d, w, L))):
+            cols[j] = [u + coef * v for u, v in zip(cols[j], col)]
             if pole:
-                poles[e * (w + 2), pole[0]] = poles.get((e * (w + 2), pole[0]), 0) + coef * pole[1]
-    return [ends[0]] + [[0] + col + [0] for col in cols] + [ends[1]], poles
+                poles[j, pole[0]] = poles.get((j, pole[0]), 0) + coef * pole[1]
+    return cols, poles
 
 
-def _over_linear(p: Sequence, a: int, b: int, w: int) -> tuple:
-    """p / (aX + b) for deg p <= w + 1, as (coordinates, pole).
+def _over_linear(p: Sequence, a: int, b: int, w: int, L: int) -> tuple:
+    """L p / (aX + b) for deg p <= w + 1 in integers, where a^(w+2), or b
+    where a = 0, divides L: (coordinates on X^(-1), ..., X^(w+1), pole).
 
-    The coordinates run over X^(-1), ..., X^(w+1).  With a = 0 they are
-    those of the polynomial p / b.  Otherwise synthetic division gives
-    p = (X - x0) q + R with x0 = -b/a, so p / (aX + b) is q / a plus the
-    residue R / a at x0.  At x0 = 0 the residue is the X^(-1) coordinate
-    and pole is None; at any other x0, pole is (x0, R / a).
+    With h_i = sum over j >= i of p_j (-b)^(j-i) a^(w+1-j) (homogeneous
+    Horner), X^(i-1) has (L / a^(w+2)) a^i h_i and the residue at x0 = -b/a
+    is (L / a^(w+2)) h_0: the X^(-1) coordinate where x0 = 0, with pole
+    None, else pole is ((-b, a) in lowest terms with a > 0, residue).
     """
-    col = [Fraction(0)] * (w + 3)
+    col, pole = [0] * (w + 3), None
     if a == 0:
-        for i, v in enumerate(p):
-            col[i + 1] = Fraction(v, b)
-        return col, None
-    x0 = Fraction(-b, a)
-    q = Fraction(0)
-    for i in range(len(p) - 1, 0, -1):
-        # q_(i-1) = p_i + x0 q_i is the coefficient of X^(i-1)
-        q = p[i] + x0 * q
-        col[i] = q / a
-    res = (p[0] + x0 * q) / a
-    if x0:
-        return col, (x0, res)
-    col[0] = res
-    return col, None
+        col[1:] = [L // b * v for v in p]
+    else:
+        powers = [a ** i for i in range(w + 3)]
+        s, h = L // powers[w + 2], 0
+        for i in range(len(p) - 1, -1, -1):
+            h = p[i] * powers[w + 1 - i] - b * h
+            col[i] = s * powers[i] * h
+        if b:
+            g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
+            pole, col[0] = ((-b // g, a // g), col[0]), 0
+    return col, pole
 
 
 def hecke_action(P, t: GroupRingElement, spec: SigmaSpec):

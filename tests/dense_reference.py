@@ -33,7 +33,11 @@ n = 1 mod N/n; everywhere else it is the reference for the integer engine.
 ``reference_operator`` is the compile of ``hecke.HeckeOperator`` as
 periodpoly wrote it before it grouped the support of T~_n by M mod N and
 resolved each class against every label at once: one resolution per
-(label, M) pair and one ``slash_poly`` call per unit vector.
+(label, M) pair and one ``slash_poly`` call per unit vector.  On Wtilde it
+owns the Fraction synthetic division, ``reference_over_linear``, which
+split the end columns before the engine took them over one integer scale;
+the lcm of the denominators of its blocks and of each pole row brings
+them to integers.
 
 ``reference_restricted_matrix`` is ``Subspace.restricted_matrix`` as
 periodpoly wrote it before it packed the basis columns into one vector:
@@ -57,8 +61,7 @@ from periodpoly.cosets import (GAMMA1, CosetSpace, Mat2, MAT_I, MAT_S, MAT_SINV,
 from periodpoly.exactalg import (DenseMatrix, _normalize_int_row, clear_denominators, poly_mul,
                                  rows_to_int_sparse)
 from periodpoly.hecke import (ONE_MINUS_S, GroupRingElement, HeckeError, SigmaSpec,
-                              _over_linear, gre_mul, hecke_identity, tn_infinity,
-                              torbit_canonical)
+                              gre_mul, hecke_identity, tn_infinity, torbit_canonical)
 from periodpoly.polyspace import (PolySpaceError, _label_rows, _pow_linear, eps_coordinates,
                                   slash_poly)
 
@@ -458,11 +461,38 @@ def _reference_slash_columns(M: Mat2, w: int, extended: bool) -> tuple:
             for j in range(w + 1)]
     if not extended:
         return cols, ()
-    first, pole_first = _over_linear(_pow_linear(M.c, M.d, w + 1), M.a, M.b, w)
-    last, pole_last = _over_linear(_pow_linear(M.a, M.b, w + 1), M.c, M.d, w)
+    first, pole_first = reference_over_linear(_pow_linear(M.c, M.d, w + 1), M.a, M.b, w)
+    last, pole_last = reference_over_linear(_pow_linear(M.a, M.b, w + 1), M.c, M.d, w)
     cols = [first] + [(0,) + col + (0,) for col in cols] + [last]
     poles = [(j,) + pole for j, pole in ((0, pole_first), (w + 2, pole_last)) if pole]
     return cols, poles
+
+
+def reference_over_linear(p, a: int, b: int, w: int) -> tuple:
+    """p / (aX + b) for deg p <= w + 1, as (coordinates, pole), in Fractions.
+
+    The coordinates run over X^(-1), ..., X^(w+1).  With a = 0 they are
+    those of the polynomial p / b.  Otherwise synthetic division gives
+    p = (X - x0) q + R with x0 = -b/a, so p / (aX + b) is q / a plus the
+    residue R / a at x0.  At x0 = 0 the residue is the X^(-1) coordinate
+    and pole is None; at any other x0, pole is (x0, R / a).
+    """
+    col = [Fraction(0)] * (w + 3)
+    if a == 0:
+        for i, v in enumerate(p):
+            col[i + 1] = Fraction(v, b)
+        return col, None
+    x0 = Fraction(-b, a)
+    q = Fraction(0)
+    for i in range(len(p) - 1, 0, -1):
+        # q_(i-1) = p_i + x0 q_i is the coefficient of X^(i-1)
+        q = p[i] + x0 * q
+        col[i] = q / a
+    res = (p[0] + x0 * q) / a
+    if x0:
+        return col, (x0, res)
+    col[0] = res
+    return col, None
 
 
 def reference_restricted_matrix(sub, apply, den: int = 1) -> DenseMatrix:
