@@ -487,81 +487,6 @@ def _normalize_int_row(row: dict) -> dict:
     return row
 
 
-def _tie_edges(rows) -> dict:
-    """x -> [(y, g)] for rows of one or two nonzeros: u x_a + v x_b = 0 as
-    x_b = -u/v x_a and x_a = -v/u x_b, u x_a = 0 as x_a = -x_a."""
-    edges: dict = {}
-    for row in rows:
-        pair = [*row.items()] * 2
-        for (a, u), (b, v) in zip(pair, pair[1:3]):
-            edges.setdefault(a, []).append((b, Fraction(-u, v) if u % v else -u // v))
-    return edges
-
-
-def _tie_classes(columns, edges) -> dict:
-    """c -> (root, f), x_c = f x_root, for the classes of the ties x_y = g x_x
-    of (y, g) in edges(x): each walked once from its least column, the root,
-    over increasing columns; f = 0 where a tie disagrees with the others."""
-    image: dict = {}
-    for c in columns:
-        if c in image:
-            continue
-        f, todo, ok = {c: 1}, [c], True
-        while todo:
-            x = todo.pop()
-            for y, g in edges(x):
-                if y not in f:
-                    f[y] = f[x] * g
-                    todo.append(y)
-                elif f[y] != f[x] * g:
-                    ok = False
-        for y, g in f.items():
-            image[y] = (c, g if ok else 0)
-    return image
-
-
-def _image_pivots(image: dict) -> list:
-    """The pivot rows (c, row) of a class map (``_tie_classes``): x_c in a
-    zero class, else den x_c - num x_root for f = num / den, primitive."""
-    pivots = []
-    for c, (r, f) in image.items():
-        if not f:
-            pivots.append((c, {c: 1}))
-        elif r != c:
-            num, den = f.numerator, f.denominator
-            pivots.append((c, {r: -num, c: den} if num < 0 else {r: num, c: -den}))
-    return pivots
-
-
-def _over_roots(row: dict, image: dict) -> dict:
-    """row over the roots of a class map, in integers and primitive."""
-    new, fractional = {}, False
-    for c, v in row.items():
-        if c in image:
-            c, f = image[c]
-            if not f:
-                continue
-            v *= f
-            fractional = fractional or type(v) is not int
-        new[c] = new.get(c, 0) + v
-    if fractional:
-        D = math.lcm(*(x.denominator for x in new.values()))
-        new = {c: int(x * D) for c, x in new.items()}
-    return _normalize_int_row({c: x for c, x in new.items() if x})
-
-
-def _two_term_pass(rows: list) -> tuple:
-    """Fold the rows with one or two nonzeros by substitution: their classes
-    (``_tie_classes``) give the pivot rows of these relations, and the
-    longer rows go over the roots.  ``sparse_int_pivots`` runs it on every
-    system that comes without a presentation: the chi rows, the spans C and
-    D, eigenspaces and solves (the period systems come presented)."""
-    edges = _tie_edges(row for row in rows if len(row) <= 2)
-    image = _tie_classes(sorted(edges), edges.__getitem__)
-    out = (_over_roots(row, image) for row in rows if len(row) > 2)
-    return _image_pivots(image), [row for row in out if row]
-
-
 def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False, folded=None) -> list:
     """Gauss elimination on sparse integer rows (dict col -> coeff).
 
@@ -570,17 +495,15 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False, folded=N
     only changes smaller columns, and every pivot stays the last column of
     its row.
 
-    The rows with one or two nonzeros are folded first: each class of
-    columns they tie is replaced by its least column, the root, in the
-    longer rows, and each other column c of it gets a pivot row on
-    {c, root}.  The period systems come presented: those pivot rows as
-    ``folded``, rows over roots only (``polyspace._presentations``; a row
-    holding a folded column is refused).  Every other system is folded
-    here (``_two_term_pass``).  The longer rows then go through one loop.
+    The period systems come presented (``polyspace._presentations``): the
+    pivot rows of their two-term relations as ``folded``, and rows over
+    the roots only (a row holding a folded column is refused).  The rows
+    of every system go through one loop as they are, each copied and made
+    primitive (``_normalize_int_row``).
 
     The loop takes the next pivot row from a heap: the remaining row with
     the fewest nonzeros, ties going to the smallest index (its position
-    among the longer rows).  The heap holds (len(row), index) lazily: a row
+    among the rows).  The heap holds (len(row), index) lazily: a row
     is pushed again each time it changes, and a popped entry is stale, and
     skipped, when its row is done or no longer has that length.  The
     smallest live entry is the minimum of (len, index) over the remaining
@@ -596,8 +519,8 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False, folded=N
     own dicts: the caller's rows and ``folded`` never change.
 
     With ``reduce_fully`` (Gauss-Jordan) it also clears its column from the
-    rows already chosen and from the two-term pivot rows, whose root is the
-    only column a longer row can share with them.  A pivot row holds no
+    rows already chosen and from the rows of ``folded``, whose root is the
+    only column a presented row can share with them.  A pivot row holds no
     earlier pivot column, so no clearing brings one back: at the end each
     pivot column is nonzero in its own row only.  That, with pivots at last
     columns and every row primitive with its least entry positive, is the
@@ -608,10 +531,9 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False, folded=N
     (``kernel_columns``).  Without ``reduce_fully`` only the number of
     pivot rows, the rank, is fixed.
     """
-    active, done = [r for r in rows if r], {c for c, _ in folded or ()}
-    # the loop updates rows in place: presented rows are copied, the
-    # two-term pass builds new ones
-    short, active = _two_term_pass(active) if folded is None else (folded, list(map(dict, active)))
+    short, done = folded or [], {c for c, _ in folded or ()}
+    # the loop updates rows in place, so it works on copies
+    active = [_normalize_int_row(dict(r)) for r in rows if r]
     check(not done or all(done.isdisjoint(row) for row in active),
           "a presented row holds a folded column, not only roots")
     remaining = set(range(len(active)))

@@ -19,8 +19,7 @@ from .exactalg import (DenseMatrix, ExactAlgebraError, PeriodPolyError, QQ, chec
                        clear_denominators, column_entries, eigen_columns, kernel_columns,
                        mult_columns, poly_mul, reduced_column_basis,
                        scalar_coords, scalar_from_str, scalar_to_str,
-                       sparse_int_rank, _image_pivots, _over_roots,
-                       _tie_classes, _tie_edges)
+                       sparse_int_rank, _normalize_int_row)
 from .cosets import (CosetSpace, Mat2, MAT_EPS, MAT_SINV, MAT_T, MAT_TINV, MAT_U,
                      MAT_U2, GAMMA0, build_coset_space, _unit_group_generators)
 
@@ -741,43 +740,119 @@ def _label_rows(space: CosetSpace, w: int, extended: bool, long_only: bool = Fal
         yield least, rows[0], rows[1]
 
 
-def _presentations(space: CosetSpace, w: int, extended: bool, signs=(0,)) -> list:
+def _tie_edges(rows) -> dict:
+    """x -> [(y, g)] for rows of one or two nonzeros: u x_a + v x_b = 0 as
+    x_b = -u/v x_a and x_a = -v/u x_b, u x_a = 0 as x_a = -x_a."""
+    edges: dict = {}
+    for row in rows:
+        pair = [*row.items()] * 2
+        for (a, u), (b, v) in zip(pair, pair[1:3]):
+            edges.setdefault(a, []).append((b, Fraction(-u, v) if u % v else -u // v))
+    return edges
+
+
+def _tie_classes(columns, edges) -> dict:
+    """c -> (root, f), x_c = f x_root, for the classes of the ties x_y = g x_x
+    of (y, g) in edges(x): each walked once from its least column, the root,
+    over increasing columns; f = 0 where ties disagree, as x_x = 0 x_x does."""
+    image: dict = {}
+    for c in columns:
+        if c in image:
+            continue
+        f, todo, ok = {c: 1}, [c], True
+        while todo:
+            x = todo.pop()
+            for y, g in edges(x):
+                if y not in f:
+                    f[y] = f[x] * g
+                    todo.append(y)
+                elif f[y] != f[x] * g:
+                    ok = False
+        for y, g in f.items():
+            image[y] = (c, g if ok else 0)
+    return image
+
+
+def _image_pivots(image) -> list:
+    """The pivot rows (c, row) of class map items (c, (root, f)): x_c in a
+    zero class, else den x_c - num x_root for f = num / den, primitive."""
+    pivots = []
+    for c, (r, f) in image:
+        if not f:
+            pivots.append((c, {c: 1}))
+        elif r != c:
+            num, den = f.numerator, f.denominator
+            pivots.append((c, {r: -num, c: den} if num < 0 else {r: num, c: -den}))
+    return pivots
+
+
+def _over_roots(rows, image: dict) -> list:
+    """The distinct nonzero rows over the roots of a class map, primitive."""
+    out: dict = {}
+    for row in rows:
+        new, fractional = {}, False
+        for c, v in row.items():
+            r, f = image[c]
+            if f:
+                v *= f
+                fractional = fractional or type(v) is not int
+                new[r] = new.get(r, 0) + v
+        if fractional:
+            D = math.lcm(*(x.denominator for x in new.values()))
+            new = {c: int(x * D) for c, x in new.items()}
+        new = _normalize_int_row({c: x for c, x in new.items() if x})
+        if new:
+            out.setdefault(frozenset(new.items()), new)
+    return list(out.values())
+
+
+def _presentations(space: CosetSpace, w: int, extended: bool, signs=(0,)):
     """Per sign, (folded, rows) for ``sparse_int_pivots``: the period system
-    of W, W+ or W- (sign 0, 1, -1), or of Wtilde, as its two-term pass folds
-    the S, eps and U rows, without writing the two-term rows.  The long U
-    rows are written once, at the least label of each U-orbit (Q =
-    P|(1+U+U^2) has Q|U = Q: Stein 2007, ch. 8; Cremona 1997, 2.2), those
-    left with two nonzeros or one where U fixes the label being ties.  The
-    other ties x_y = g x_x (``_tie_classes``) go from (l, j) to (l S^(-1),
-    m - j), m the last coordinate; to (eps(l), j) for P|eps = sign P; for
-    Wtilde from X^(-1) at l to X^(w+1) at l U^(-1) and from X^(w+1) at l to
-    X^(-1) at l U^(-2), so that tails chain along a cusp's T-cycle."""
+    of W, W+ or W- (sign 0, 1, -1), or of Wtilde, its two-term relations
+    folded into the pivot rows of their classes and its longer rows over the
+    roots, each once (Stein 2007, ch. 8).  The long U rows are written at
+    the least label of each U-orbit (Q = P|(1+U+U^2) has Q|U = Q); where U
+    fixes the label one can shrink to one or two nonzeros, a tie.  The other ties x_y = g x_x go
+    from (l, j) to (l S^(-1), m - j), m the last coordinate; for Wtilde from
+    X^(-1) at l to X^(w+1) at l U^(-1) and from X^(w+1) at l to X^(-1) at
+    l U^(-2), so that tails chain along a cusp's T-cycle.  For W+- the tie
+    x_k = sign t^w (-1)^j x_c of P|eps = sign P, c = (l, j), k = (eps(l), j),
+    t the label sign, is read at every c between the roots of c and k, and
+    the roots are walked again: the classes of W are walked once."""
     n, par = (w + 3, 1) if extended else (w + 1, -1)
     m = n - 1
-    sinv, uinv, u2inv = (space.tables[g] for g in ("Sinv", "Uinv", "U2inv"))
-    eps = eps_coordinates(space, w, False) if any(signs) else None
+    sinv, uinv, u2inv, eps = (space.tables[g] for g in ("Sinv", "Uinv", "U2inv", "eps"))
     rows = [row for _, _, u_rows in _label_rows(space, w, extended, True) for row in u_rows]
     ties = _tie_edges(row for row in rows if len(row) <= 2)
-    rows = [row for row in rows if len(row) > 2]
 
-    out = []
+    def edges(x):
+        l, j = divmod(x, n)
+        l1, s = sinv[l]
+        # the S row at (l, j) is x + e s x' = 0, e = -par (-1)^(w - j)
+        out = [(l1 * n + m - j, par * (-1) ** ((w - j) % 2) * s ** w)] + ties.get(x, [])
+        if extended and j in (0, m):  # the U rows in degrees 0 and w+3
+            l1, s = (uinv if j == 0 else u2inv)[l]
+            out.append((l1 * n + m - j, (-1) ** (w * (j == 0)) * s ** w))
+        return out
+
+    image = _tie_classes(range(space.size * n), edges)
+    rows = _over_roots((row for row in rows if len(row) > 2), image)
+    eps_ties: dict = {}  # root -> [(root', h)]: x_root' = h x_root where P|eps = P
+    for c in range(space.size * n) if any(signs) else ():
+        (l2, t), j = eps[c // n], c % n
+        (r, f), (rk, fk) = image[c], image[l2 * n + j]
+        u = (-1) ** j * t ** w * f
+        # a class tied to a zero class is zero: x_r = 0 x_r disagrees with x_r = x_r
+        eps_ties.setdefault(r, []).append(
+            (rk, Fraction(u, fk) if u % fk else u // fk) if u and fk else (r, 0))
     for sign in signs:
-        def edges(x, sign=sign):
-            l, j = divmod(x, n)
-            l1, s = sinv[l]
-            # the S row at (l, j) is x + e s x' = 0, e = -par (-1)^(w - j)
-            out = [(l1 * n + m - j, par * (-1) ** ((w - j) % 2) * s ** w)] + ties.get(x, [])
-            if sign:  # (P|eps)[x] = s P[k] = sign P[x]
-                out.append((eps[x][0], sign * eps[x][1]))
-            if extended and j in (0, m):  # the U rows in degrees 0 and w+3
-                l1, s = (uinv if j == 0 else u2inv)[l]
-                out.append((l1 * n + m - j, (-1) ** (w * (j == 0)) * s ** w))
-            return out
-
-        image = _tie_classes(range(space.size * n), edges)
-        presented = (_over_roots(row, image) for row in rows)
-        out.append((_image_pivots(image), [row for row in presented if row]))
-    return out
+        if not sign:
+            yield _image_pivots(image.items()), rows
+            continue
+        merged = _tie_classes(sorted(eps_ties), lambda r: [(y, sign * h) for y, h in eps_ties[r]])
+        yield (_image_pivots((c, (R, f * F)) for c, (r, f) in image.items()
+                             for R, F in (merged[r],)),
+               _over_roots(rows, merged))
 
 
 def _check_weight(space: CosetSpace, w: int) -> None:

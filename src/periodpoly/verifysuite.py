@@ -231,7 +231,8 @@ def check_eps_certificates():
 def check_signed_builds():
     """W+ and W- of ``build_W`` with a sign, against the span of P +- P|eps
     over W's basis vectors: neither side uses the eps rows or eps_split."""
-    for kind, N, k in ((GAMMA0, 37, 4), (GAMMA1, 13, 2)):
+    # Gamma1(13) at k = 3: odd weight with label signs -1, so eps ties read t^w = -1
+    for kind, N, k in ((GAMMA0, 37, 4), (GAMMA1, 13, 2), (GAMMA1, 13, 3)):
         space, w = build_coset_space(kind, N, k), k - 2
         vecs = build_W(space, w).vectors()
         where = "%s(%d), k = %d" % (kind, N, k)

@@ -18,10 +18,10 @@ eliminator before it presented the period systems over their two-term
 classes (``polyspace._presentations``): every S row, the U rows kept at
 the least label of each U-orbit and the short ones at every label, and
 one eps row per pair {m, eps(m)}.  ``reference_two_term_pass`` is the
-signed union-find that folded them, the two-term pass of the eliminator
-before one class walk (``exactalg._tie_classes``) served it and
-``polyspace._presentations``, which now reads that presentation off the
-coset tables.
+signed union-find that folded them, the two-term pass the eliminator had
+before ``polyspace._presentations`` became the only place that folds
+two-term relations, reading them off the coset tables with one class walk
+(``polyspace._tie_classes``) per space.
 
 ``reference_resolve_sigma_coset`` is the double-coset resolver as
 periodpoly wrote it before it read B = A M^vee entry by entry in integers:
