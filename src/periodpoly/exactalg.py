@@ -536,12 +536,22 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False, folded=N
     active = [_normalize_int_row(dict(r)) for r in rows if r]
     check(not done or all(done.isdisjoint(row) for row in active),
           "a presented row holds a folded column, not only roots")
-    remaining = set(range(len(active)))
-    heap = [(len(row), i) for i, row in enumerate(active)]
-    heapq.heapify(heap)
+    count = len(active)
     if reduce_fully:
         active += (dict(row) for _, row in short)
         short = []
+    _eliminate(active, count, reduce_fully)
+    return sorted([(max(row), row) for row in active if row] + short)
+
+
+def _eliminate(active: list, count: int, reduce_fully: bool) -> None:
+    """The loop of ``sparse_int_pivots`` on its own primitive rows, in
+    place: the first ``count`` rows are eliminated, the others (the folded
+    rows under ``reduce_fully``) only cleared.  At the end every nonzero row
+    of the first ``count`` is a pivot row."""
+    remaining = set(range(count))
+    heap = [(len(active[i]), i) for i in range(count)]
+    heapq.heapify(heap)
     col_index: dict = {}
     for i, row in enumerate(active):
         for c in row:
@@ -581,11 +591,20 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False, folded=N
                     col_index[c].discard(other)
             orow = active[other] = _normalize_int_row(orow)
             heapq.heappush(heap, (len(orow), other))
-    return sorted([(max(row), row) for row in active if row] + short)
 
 
-def sparse_int_rank(rows: Iterable[dict], folded=None) -> int:
-    return len(sparse_int_pivots(rows, folded=folded))
+def sparse_int_rank(rows: Iterable[dict], roots=None) -> int:
+    """The rank of sparse integer rows: the number of pivot rows of
+    ``sparse_int_pivots``, from its loop alone, with no pivot row sorted or
+    kept.  A presented period system (``polyspace._presentations``) passes
+    the set of roots of its classes; its rows must lie over them (a row
+    holding a folded column is refused), and the caller counts the folded
+    columns, ncols - len(roots), as pivots of their own."""
+    active = [_normalize_int_row(dict(r)) for r in rows if r]
+    check(roots is None or all(roots.issuperset(row) for row in active),
+          "a presented row holds a folded column, not only roots")
+    _eliminate(active, len(active), False)
+    return sum(1 for row in active if row)
 
 
 def kernel_columns(rows: Iterable[dict], ncols: int, field=QQ, folded=None) -> list:

@@ -689,55 +689,101 @@ def _zeta_spread(field) -> int:
 # ----------------------------------------------------------------------
 # relation systems
 
-def _label_rows(space: CosetSpace, w: int, extended: bool, long_only: bool = False):
+def _cleared_u(w: int, t: int, j: int) -> list:
+    """X^j, X^j|U or X^j|U^2 (t = 0, 2, 3) cleared by X(X-1), the only
+    denominators the U-action produces, j = -1, ..., w+1: X^j X(X-1),
+    (X-1)^(j+1) X^(w-j+1) and (-1)^j X (X-1)^(w-j+1), of degree <= w+3."""
+    if t == 0:
+        return [0] * (j + 1) + [-1, 1]
+    if t == 2:
+        return poly_mul(_pow_linear(1, -1, j + 1), _pow_linear(1, 0, w - j + 1))
+    return poly_mul([0, (-1) ** (j % 2)], _pow_linear(1, -1, w - j + 1))
+
+
+def _u_table(w: int, extended: bool) -> list:
+    """The U rows of ``_label_rows`` as tables of terms (t, j, v): for W the
+    matrices of U and U^2, row i the coefficient of X^i in P|(1+U+U^2); for
+    Wtilde that relation cleared by X(X-1) (``_cleared_u``), row d its
+    degree d = 0, ..., w+3, j counted from X^(-1)."""
+    if not extended:
+        units = [tuple(int(i == j) for i in range(w + 1)) for j in range(w + 1)]
+        um = [(t, [slash_poly(e, g, w) for e in units]) for t, g in ((2, MAT_U), (3, MAT_U2))]
+        return [[(0, i, 1)] + [(t, j, col[i]) for t, cols in um for j, col in enumerate(cols)
+                               if col[i]] for i in range(w + 1)]
+    table = [[] for _ in range(w + 4)]
+    for t in (0, 2, 3):
+        for j in range(-1, w + 2):
+            for deg, v in enumerate(_cleared_u(w, t, j)):
+                if v:
+                    table[deg].append((t, j + 1, v))
+    return table
+
+
+def _write_rows(table, at, out: list) -> None:
+    """Append the nonzero rows of a table of terms (t, j, v), each v s x at
+    column base + j for the t-th target (base, s) of at; the terms of a row
+    are summed only where two targets meet, at a label that S or U fixes."""
+    for terms in table:
+        row = {at[t][0] + j: v * at[t][1] for t, j, v in terms}
+        if len(row) < len(terms):
+            row = {}
+            for t, j, v in terms:
+                base, s = at[t]
+                row[base + j] = row.get(base + j, 0) + v * s
+            row = {c: v for c, v in row.items() if v}
+        if row:
+            out.append(row)
+
+
+def _label_rows(space: CosetSpace, w: int, extended: bool):
     """Per label l, in label order: whether l is the least label of its
     U-orbit, then the nonempty S rows and U rows of W, or of Wtilde when
-    ``extended``, at l; with ``long_only`` only the U rows of three terms or
-    more, at least labels.  A row is read off a table of terms (t, j, v),
-    each v s P[l'][j] for the t-th of the targets (l', s) = l, l S^(-1),
-    l U^(-1), l U^(-2), j counted from X^0, or from X^(-1) for Wtilde.  The
-    S rows read X^i|S = (-1)^(w-i) X^(w-i), the U rows of W the matrices of
-    U and U^2.  For Wtilde P|(1+U+U^2) is cleared by X(X-1), the only
-    denominators the U-action produces: X^j, X^j|U and X^j|U^2 become
-    X^j X(X-1), (X-1)^(j+1) X^(w-j+1) and (-1)^j X (X-1)^(w-j+1), of degree
-    <= w+3."""
+    ``extended``, at l: the whole system at every label, the certificate
+    of ``verify`` and the tests.  A row is read off a table of terms
+    (t, j, v), each v s P[l'][j] for the t-th of the targets (l', s) = l,
+    l S^(-1), l U^(-1), l U^(-2), j counted from X^0, or from X^(-1) for
+    Wtilde.  The S rows read X^i|S = (-1)^(w-i) X^(w-i), the U rows
+    ``_u_table``."""
     low, n = (-1, w + 3) if extended else (0, w + 1)
     s_table = [[(0, i - low, 1), (1, w - i - low, (-1) ** ((w - i) % 2))]
                for i in range(low, w + 1 - low)]
-    if extended:
-        u_table = [[] for _ in range(w + 4)]
-        for t in (0, 2, 3):
-            for j in range(-1, w + 2):
-                p = ([0] * (j + 1) + [-1, 1] if t == 0 else
-                     poly_mul(_pow_linear(1, -1, j + 1), _pow_linear(1, 0, w - j + 1)) if t == 2
-                     else poly_mul([0, (-1) ** (j % 2)], _pow_linear(1, -1, w - j + 1)))
-                for deg, v in enumerate(p):
-                    if v:
-                        u_table[deg].append((t, j + 1, v))
-    else:
-        units = [tuple(int(i == j) for i in range(w + 1)) for j in range(w + 1)]
-        um = [(t, [slash_poly(e, g, w) for e in units]) for t, g in ((2, MAT_U), (3, MAT_U2))]
-        u_table = [[(0, i, 1)] + [(t, j, col[i]) for t, cols in um for j, col in enumerate(cols)
-                                  if col[i]] for i in range(w + 1)]
-    if long_only:
-        s_table, u_table = [], [terms for terms in u_table if len(terms) > 2]
+    u_table = _u_table(w, extended)
     for l in range(space.size):
         acts = [space.tables[g][l] for g in ("Sinv", "Uinv", "U2inv")]
-        least = l <= min(acts[1][0], acts[2][0])
-        if long_only and not least:
-            continue
         at = [(l * n, 1)] + [(l2 * n, s ** w) for l2, s in acts]
         rows = ([], [])
-        for table, out in zip((s_table, u_table), rows):
-            for terms in table:
-                row: dict = {}
-                for t, j, v in terms:
-                    base, s = at[t]
-                    row[base + j] = row.get(base + j, 0) + v * s
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    out.append(row)
-        yield least, rows[0], rows[1]
+        _write_rows(s_table, at, rows[0])
+        _write_rows(u_table, at, rows[1])
+        yield l <= min(acts[1][0], acts[2][0]), rows[0], rows[1]
+
+
+def _orbit_rows(space: CosetSpace, w: int, extended: bool) -> list:
+    """The U rows of W, or of Wtilde, at the least label of each U-orbit:
+    Q = P|(1+U+U^2) has Q|U = Q, so the rows at one label of an orbit span
+    those at the other two (Stein 2007, ch. 8).  For W they are the rows of
+    ``_u_table``.  Wtilde's are W's rows plus its cusp tails: on the
+    interior columns its cleared identity X(X-1) Q + T = 0 is X(X-1) times
+    W's relation Q, and T comes from the columns X^(-1) and X^(w+1).  Its
+    degrees 0 and w+3 are ties (``_presentations``).  Its degrees
+    d = 1, ..., w+2, Q_(d-2) - Q_(d-1) + T_d = 0, have the partial sums
+    T_1 + ... + T_(i+1) - Q_i: they span the rows of the tail-only row
+    sum_(k=1)^(w+2) T_k = 0 and of Q_i + sum_(k=i+2)^(w+2) T_k = 0,
+    i = 0, ..., w, Q_i row i of W's table with j moved to j + 1."""
+    n, table = w + 1, _u_table(w, False)
+    if extended:
+        n = w + 3
+        tails = [(t, j + 1, _cleared_u(w, t, j)) for t in (0, 2, 3) for j in (-1, w + 1)]
+        table = [[(t, j + 1, v) for t, j, v in q]
+                 + [(t, j, sum(p[i + 2:w + 3])) for t, j, p in tails] for i, q in enumerate(table)]
+        table = [[term for term in terms if term[2]]
+                 for terms in table + [[(t, j, sum(p[1:w + 3])) for t, j, p in tails]]]
+    uinv, u2inv = space.tables["Uinv"], space.tables["U2inv"]
+    rows: list = []
+    for l in range(space.size):
+        (l2, s2), (l3, s3) = uinv[l], u2inv[l]
+        if l <= l2 and l <= l3:
+            _write_rows(table, ((l * n, 1), None, (l2 * n, s2 ** w), (l3 * n, s3 ** w)), rows)
+    return rows
 
 
 def _tie_edges(rows) -> dict:
@@ -751,11 +797,14 @@ def _tie_edges(rows) -> dict:
     return edges
 
 
-def _tie_classes(columns, edges) -> dict:
-    """c -> (root, f), x_c = f x_root, for the classes of the ties x_y = g x_x
-    of (y, g) in edges(x): each walked once from its least column, the root,
-    over increasing columns; f = 0 where ties disagree, as x_x = 0 x_x does."""
+def _tie_classes(columns, edges) -> tuple:
+    """(image, roots): image c -> (root, f), x_c = f x_root, for the classes
+    of the ties x_y = g x_x of (y, g) in edges(x), each walked once from its
+    least column, the root, over increasing columns; f = 0 where ties
+    disagree, as x_x = 0 x_x does.  roots is the set of roots of the
+    nonzero classes."""
     image: dict = {}
+    roots = set()
     for c in columns:
         if c in image:
             continue
@@ -768,22 +817,26 @@ def _tie_classes(columns, edges) -> dict:
                     todo.append(y)
                 elif f[y] != f[x] * g:
                     ok = False
+        if ok:
+            roots.add(c)
         for y, g in f.items():
             image[y] = (c, g if ok else 0)
-    return image
+    return image, roots
 
 
-def _image_pivots(image) -> list:
-    """The pivot rows (c, row) of class map items (c, (root, f)): x_c in a
+def _image_pivots(image: dict, merged=None):
+    """The pivot rows (c, row) of a class map c -> (root, f), taken on
+    through the class map ``merged`` of the roots where given: x_c in a
     zero class, else den x_c - num x_root for f = num / den, primitive."""
-    pivots = []
-    for c, (r, f) in image:
+    for c, (r, f) in image.items():
+        if merged is not None:
+            r, g = merged[r]
+            f *= g
         if not f:
-            pivots.append((c, {c: 1}))
+            yield c, {c: 1}
         elif r != c:
             num, den = f.numerator, f.denominator
-            pivots.append((c, {r: -num, c: den} if num < 0 else {r: num, c: -den}))
-    return pivots
+            yield c, ({r: -num, c: den} if num < 0 else {r: num, c: -den})
 
 
 def _over_roots(rows, image: dict) -> list:
@@ -807,22 +860,28 @@ def _over_roots(rows, image: dict) -> list:
 
 
 def _presentations(space: CosetSpace, w: int, extended: bool, signs=(0,)):
-    """Per sign, (folded, rows) for ``sparse_int_pivots``: the period system
-    of W, W+ or W- (sign 0, 1, -1), or of Wtilde, its two-term relations
-    folded into the pivot rows of their classes and its longer rows over the
-    roots, each once (Stein 2007, ch. 8).  The long U rows are written at
-    the least label of each U-orbit (Q = P|(1+U+U^2) has Q|U = Q); where U
-    fixes the label one can shrink to one or two nonzeros, a tie.  The other ties x_y = g x_x go
-    from (l, j) to (l S^(-1), m - j), m the last coordinate; for Wtilde from
-    X^(-1) at l to X^(w+1) at l U^(-1) and from X^(w+1) at l to X^(-1) at
-    l U^(-2), so that tails chain along a cusp's T-cycle.  For W+- the tie
-    x_k = sign t^w (-1)^j x_c of P|eps = sign P, c = (l, j), k = (eps(l), j),
-    t the label sign, is read at every c between the roots of c and k, and
-    the roots are walked again: the classes of W are walked once."""
+    """Per sign, (roots, folded, rows): the period system of W, W+ or W-
+    (sign 0, 1, -1), or of Wtilde, its two-term relations folded and its
+    longer rows over the roots of their classes, each row once (Stein 2007,
+    ch. 8).  roots is the set of roots of the nonzero classes, folded a
+    generator of the pivot rows of the other columns (``_image_pivots``),
+    for ``kernel_columns``: the rows lie over roots only, so the rank of the
+    system is ncols - len(roots) plus the rank of the rows.
+
+    The long U rows are written at the least label of each U-orbit
+    (``_orbit_rows``); for Wtilde they are W's U rows plus its cusp tails.
+    Where U fixes the label a row can shrink to one or two nonzeros, a tie.
+    The other ties x_y = g x_x go from (l, j) to (l S^(-1), m - j), m the
+    last coordinate; for Wtilde from X^(-1) at l to X^(w+1) at l U^(-1) and
+    from X^(w+1) at l to X^(-1) at l U^(-2), so that tails chain along a
+    cusp's T-cycle.  For W+- the tie x_k = sign t^w (-1)^j x_c of
+    P|eps = sign P, c = (l, j), k = (eps(l), j), t the label sign, is read
+    at every c between the roots of c and k, and the roots are walked
+    again: the classes of W are walked once."""
     n, par = (w + 3, 1) if extended else (w + 1, -1)
     m = n - 1
     sinv, uinv, u2inv, eps = (space.tables[g] for g in ("Sinv", "Uinv", "U2inv", "eps"))
-    rows = [row for _, _, u_rows in _label_rows(space, w, extended, True) for row in u_rows]
+    rows = _orbit_rows(space, w, extended)
     ties = _tie_edges(row for row in rows if len(row) <= 2)
 
     def edges(x):
@@ -835,7 +894,7 @@ def _presentations(space: CosetSpace, w: int, extended: bool, signs=(0,)):
             out.append((l1 * n + m - j, (-1) ** (w * (j == 0)) * s ** w))
         return out
 
-    image = _tie_classes(range(space.size * n), edges)
+    image, roots = _tie_classes(range(space.size * n), edges)
     rows = _over_roots((row for row in rows if len(row) > 2), image)
     eps_ties: dict = {}  # root -> [(root', h)]: x_root' = h x_root where P|eps = P
     for c in range(space.size * n) if any(signs) else ():
@@ -847,12 +906,11 @@ def _presentations(space: CosetSpace, w: int, extended: bool, signs=(0,)):
             (rk, Fraction(u, fk) if u % fk else u // fk) if u and fk else (r, 0))
     for sign in signs:
         if not sign:
-            yield _image_pivots(image.items()), rows
+            yield roots, _image_pivots(image), rows
             continue
-        merged = _tie_classes(sorted(eps_ties), lambda r: [(y, sign * h) for y, h in eps_ties[r]])
-        yield (_image_pivots((c, (R, f * F)) for c, (r, f) in image.items()
-                             for R, F in (merged[r],)),
-               _over_roots(rows, merged))
+        merged, merged_roots = _tie_classes(
+            sorted(eps_ties), lambda r: [(y, sign * h) for y, h in eps_ties[r]])
+        yield merged_roots, _image_pivots(image, merged), _over_roots(rows, merged)
 
 
 def _check_weight(space: CosetSpace, w: int) -> None:
@@ -871,20 +929,21 @@ def build_W(space: CosetSpace, w: int, sign: int = 0) -> Subspace:
         raise PolySpaceError("sign must be -1, 0 or 1, got %r" % (sign,))
     if space.degenerate:
         return Subspace.from_vectors(space, w, False, [])
-    (folded, rows), = _presentations(space, w, False, (sign,))
-    return Subspace(space, w, False, kernel_columns(rows, space.size * (w + 1), folded=folded))
+    (_, folded, rows), = _presentations(space, w, False, (sign,))
+    return Subspace(space, w, False,
+                    kernel_columns(rows, space.size * (w + 1), folded=list(folded)))
 
 
 def w_dimensions(space: CosetSpace, w: int) -> tuple:
-    """(dim W, dim W+, dim W-) by rank computations only.
-
-    Avoids materializing kernel bases; intended for large levels.
+    """(dim W, dim W+, dim W-) by rank computations only, for large levels:
+    each is the number of roots of its presentation, ncols less the columns
+    it folds, less the rank of its long rows (``_presentations``).  No
+    kernel basis and no pivot row of a folded column is built.
     """
     _check_weight(space, w)
     if space.degenerate:
         return (0, 0, 0)
-    ncols = space.size * (w + 1)
-    dim_w, dim_plus, dim_minus = (ncols - sparse_int_rank(rows, folded) for folded, rows
+    dim_w, dim_plus, dim_minus = (len(roots) - sparse_int_rank(rows, roots) for roots, _, rows
                                   in _presentations(space, w, False, (0, 1, -1)))
     if dim_plus + dim_minus != dim_w:
         raise PolySpaceError("eps eigenspace dimensions do not add up")
@@ -956,8 +1015,9 @@ def build_W_extended(space: CosetSpace, w: int) -> Subspace:
     _check_weight(space, w)
     if space.degenerate:
         return Subspace.from_vectors(space, w, True, [])
-    (folded, rows), = _presentations(space, w, True)
-    sub = Subspace(space, w, True, kernel_columns(rows, space.size * (w + 3), folded=folded))
+    (_, folded, rows), = _presentations(space, w, True)
+    sub = Subspace(space, w, True,
+                   kernel_columns(rows, space.size * (w + 3), folded=list(folded)))
     _check_tilde_columns(sub)
     if w == 0 and any(sum(v for k, v in vec.items() if k % (w + 3) == w + 2)
                       for _, vec in sub.columns):
@@ -966,12 +1026,14 @@ def build_W_extended(space: CosetSpace, w: int) -> Subspace:
 
 
 def wtilde_dimension(space: CosetSpace, w: int) -> int:
-    """dim Wtilde by a rank computation only (for large indices)."""
+    """dim Wtilde by a rank computation only, for large indices: the
+    number of roots of its presentation, W's U rows plus the cusp tails,
+    less the rank of its long rows (``w_dimensions``)."""
     _check_weight(space, w)
     if space.degenerate:
         return 0
-    (folded, rows), = _presentations(space, w, True)
-    return space.size * (w + 3) - sparse_int_rank(rows, folded)
+    (roots, _, rows), = _presentations(space, w, True)
+    return len(roots) - sparse_int_rank(rows, roots)
 
 
 # ----------------------------------------------------------------------

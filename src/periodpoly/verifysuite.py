@@ -20,7 +20,8 @@ from .cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_SINV, MAT_T, Mat2,
 from .polyspace import (PolyVector, Subspace, build_W, build_W_extended,
                         build_coboundary_and_D, chi_component, cminus_trivial,
                         eps_split, pair_braces, pair_induced, pair_vw,
-                        slash_poly, _label_rows, _tail_families)
+                        slash_poly, w_dimensions, wtilde_dimension, _label_rows,
+                        _tail_families)
 from .hecke import (GroupRingElement, HeckeOperator, ONE_MINUS_S, ONE_MINUS_T, delta_spec,
                     delta_vee_spec, gre_mul, hecke_action, hecke_matrix, theta_spec,
                     tn_infinity, torbit_canonical, universal_hecke_element,
@@ -201,8 +202,11 @@ def check_orbit_criterion_soundness():
 def check_kernel_certificates():
     """R B = 0 and dim = ncols - rank R for W and Wtilde, with R the S and U
     rows at every label, so the certificate does not rest on the U-orbit
-    argument that lets the builders keep one label's long U rows."""
-    for kind, N, k in ((GAMMA0, 37, 4), (GAMMA0, 12, 8), (GAMMA1, 11, 2)):
+    argument that lets the builders keep one label's long U rows, nor on
+    Wtilde's presentation as W's U rows plus tails.  Gamma0(13) has
+    elliptic points of orders 2 and 3, Gamma1(4) at k = 3 an irregular cusp."""
+    for kind, N, k in ((GAMMA0, 37, 4), (GAMMA0, 12, 8), (GAMMA1, 11, 2), (GAMMA0, 13, 4),
+                       (GAMMA1, 4, 3)):
         space = build_coset_space(kind, N, k)
         for extended, build in ((False, build_W), (True, build_W_extended)):
             sub = build(space, k - 2)
@@ -213,6 +217,18 @@ def check_kernel_certificates():
                       for _, vec in sub.columns for row in rows), "R B != 0 for " + where)
             check(sub.dim == sub.ambient - sparse_int_rank(rows),
                   "dim != ncols - rank R for " + where)
+
+
+def check_rank_dimensions():
+    """The rank-only dimensions of ``dims``, which build no pivot row of a
+    folded column, against the bases of W, W+, W- and Wtilde."""
+    for kind, N, k in ((GAMMA0, 13, 4), (GAMMA1, 4, 3), (GAMMA0, 37, 2)):
+        space, w = build_coset_space(kind, N, k), k - 2
+        got = (w_dimensions(space, w), wtilde_dimension(space, w))
+        want = (tuple(build_W(space, w, sign).dim for sign in (0, 1, -1)),
+                build_W_extended(space, w).dim)
+        check(got == want, "rank-only dimensions %s, bases %s on %s(%d), k = %d"
+              % (got, want, kind, N, k))
 
 
 def check_eps_certificates():
@@ -491,6 +507,7 @@ CHECKS = [
     ("polyspace.cminus_rule", check_cminus_classification),
     ("polyspace.chi_components", check_chi_components),
     ("polyspace.kernel_certificates", check_kernel_certificates),
+    ("polyspace.rank_dimensions", check_rank_dimensions),
     ("polyspace.eps_certificates", check_eps_certificates),
     ("polyspace.signed_builds", check_signed_builds),
     ("hecke.defining_identity", check_hecke_defining_identity),

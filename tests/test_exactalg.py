@@ -403,7 +403,9 @@ class TestSparse:
                 assert first == expected
             else:
                 assert_echelon_basis(first, expected)
-        assert sparse_int_rank(rows, folded=folded) == len(expected)
+        roots = set(range(8)).difference(c for c, _ in folded) if presented else None
+        assert len(folded or ()) + sparse_int_rank(rows, roots) == len(expected)
+        assert (rows, folded) == before
         kernel = kernel_columns(rows, 8, folded=folded)
         assert (rows, folded) == before
         assert kernel == kernel_columns(copy.deepcopy(unique), 8, folded=copy.deepcopy(folded))
@@ -642,7 +644,10 @@ class TestPresentation:
     the S, U and eps rows folded by the union-find two-term pass the
     eliminator had before: W, W+, W- and Wtilde of Gamma0(N), N <= 60,
     k = 2, 3, 4, 6 and Gamma1(N), 5 <= N <= 16, k = 2, 3, 4 (864 systems).
-    The presented rows are the reference's longer rows, each once."""
+    The presented rows of W, W+ and W- are the reference's longer rows,
+    each once.  Wtilde is presented as W's U rows plus its cusp tails, so
+    its rows and folded columns differ from the reference's on purpose: its
+    kernel is compared with the kernel of every S and U row at every label."""
 
     @staticmethod
     def as_set(pivots) -> set:
@@ -653,6 +658,14 @@ class TestPresentation:
         distinct = {frozenset(r.items()) for r in presented}
         assert len(distinct) == len(presented), where
         assert distinct == {frozenset(r.items()) for r in long_rows}, where
+
+    @staticmethod
+    def assert_over_roots(roots, folded, presented, ncols, where=None):
+        # every column is a root of a nonzero class or has a pivot row of
+        # its own, and the rows lie over the roots
+        assert len(roots) + len(folded) == ncols, where
+        assert roots.isdisjoint(c for c, _ in folded), where
+        assert all(roots.issuperset(row) for row in presented), where
 
     @pytest.mark.parametrize("kind,levels,k", PRESENTATION_GRID)
     def test_same_pivots_and_long_rows_as_the_two_term_pass(self, kind, levels, k):
@@ -665,9 +678,18 @@ class TestPresentation:
                 rows = reference_relation_rows(space, w, extended)
                 if sign:
                     rows = rows + reference_eps_rows(space, w, sign)
-                pivots, long_rows = reference_two_term_pass([r for r in rows if r])
-                (folded, presented), = _presentations(space, w, extended, (sign,))
+                (roots, folded, presented), = _presentations(space, w, extended, (sign,))
+                folded = list(folded)
                 where = (kind, N, k, extended, sign)
+                ncols = space.size * (w + (3 if extended else 1))
+                self.assert_over_roots(roots, folded, presented, ncols, where)
+                if extended:
+                    every = reference_wtilde_relation_rows(space, w)
+                    assert (kernel_columns(presented, ncols, folded=folded)
+                            == kernel_columns(every, ncols)), where
+                    systems += 1
+                    continue
+                pivots, long_rows = reference_two_term_pass([r for r in rows if r])
                 assert self.as_set(folded) == self.as_set(pivots), where
                 assert len(folded) == len(pivots), where
                 self.assert_same_rows_once(presented, long_rows, where)
@@ -677,6 +699,24 @@ class TestPresentation:
                 systems += 1
         assert systems == 4 * len(levels) * (1 if kind == GAMMA1 or k % 2 == 0 else 0)
 
+    @pytest.mark.parametrize("kind,levels,k", PRESENTATION_GRID)
+    def test_rank_only_dimensions_against_the_reference_rows(self, kind, levels, k):
+        """dims without any pivot row of a folded column: ncols less the
+        rank of the reference's S, U and eps rows."""
+        for N in levels:
+            space, w = build_coset_space(kind, N, k), k - 2
+            if space.degenerate:
+                continue
+            ncols = space.size * (w + 1)
+            rows = reference_relation_rows(space, w, False)
+            signed = [ncols - sparse_int_rank(rows + reference_eps_rows(space, w, sign))
+                      for sign in (1, -1)]
+            assert (polyspace.w_dimensions(space, w)
+                    == (ncols - sparse_int_rank(rows), *signed)), (kind, N, k)
+            assert (polyspace.wtilde_dimension(space, w)
+                    == space.size * (w + 3)
+                    - sparse_int_rank(reference_relation_rows(space, w, True))), (kind, N, k)
+
     @pytest.mark.parametrize("kind,N,k", [(GAMMA0, 13, 4), (GAMMA0, 37, 2), (GAMMA1, 7, 3)])
     def test_ties_of_any_coefficients_at_fixed_labels(self, kind, N, k, monkeypatch):
         """Where U fixes a label the ties may have any coefficients; the
@@ -684,45 +724,47 @@ class TestPresentation:
         and 5 x join the rows of the fixed labels, and the reference's
         two-term pass gets the same rows."""
         space, w = build_coset_space(kind, N, k), k - 2
-        real, n, size = polyspace._label_rows, w + 1, space.size * (w + 1)
+        real, n, size = polyspace._orbit_rows, w + 1, space.size * (w + 1)
         half = size // 2 // n * n
         ties = [{n: 2, half + n: 3}, {3 * n: 4, half + 3 * n: -6}, {5 * n: 5}]
-
-        def with_ties(space, w, extended, long_only=False):
-            yield from real(space, w, extended, long_only)
-            if long_only:
-                yield True, [], ties
-
-        monkeypatch.setattr(polyspace, "_label_rows", with_ties)
+        monkeypatch.setattr(polyspace, "_orbit_rows",
+                            lambda space, w, extended: real(space, w, extended) + ties)
         for sign in (0, 1):
             rows = reference_relation_rows(space, w, False) + ties
             if sign:
                 rows = rows + reference_eps_rows(space, w, sign)
             pivots, long_rows = reference_two_term_pass([r for r in rows if r])
-            (folded, presented), = _presentations(space, w, False, (sign,))
+            (roots, folded, presented), = _presentations(space, w, False, (sign,))
+            folded = list(folded)
             assert {2, 3} <= {abs(v) for _, r in pivots for v in r.values()}
             assert self.as_set(folded) == self.as_set(pivots)
             self.assert_same_rows_once(presented, long_rows)
+            self.assert_over_roots(roots, folded, presented, size)
 
     def test_long_row_with_a_folded_column_is_refused_under_optimize(self):
         # a presented row that still holds a folded column is refused by
-        # check(), which python -O keeps
+        # check(), which python -O keeps, on the kernel and the rank paths
         code = ("from periodpoly.cosets import GAMMA0, build_coset_space\n"
-                "from periodpoly.exactalg import CheckFailed, sparse_int_pivots\n"
+                "from periodpoly.exactalg import CheckFailed, sparse_int_pivots, sparse_int_rank\n"
                 "from periodpoly.polyspace import _presentations\n"
-                "(folded, rows), = _presentations(build_coset_space(GAMMA0, 37, 4), 2, False)\n"
+                "space = build_coset_space(GAMMA0, 37, 4)\n"
+                "(roots, folded, rows), = _presentations(space, 2, False)\n"
+                "folded = list(folded)\n"
                 "c = next(c for c, row in folded if len(row) == 2)\n"
                 "rows[0][c] = 1\n"
-                "try:\n"
-                "    sparse_int_pivots(rows, folded=folded)\n"
-                "except CheckFailed as exc:\n"
-                "    print('CheckFailed:', exc)\n")
+                "for run in (lambda: sparse_int_pivots(rows, folded=folded),\n"
+                "            lambda: sparse_int_rank(rows, roots)):\n"
+                "    try:\n"
+                "        run()\n"
+                "    except CheckFailed as exc:\n"
+                "        print('CheckFailed:', exc)\n")
         src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
         assert proc.returncode == 0
-        assert proc.stdout == "CheckFailed: a presented row holds a folded column, not only roots\n"
+        refusal = "CheckFailed: a presented row holds a folded column, not only roots\n"
+        assert proc.stdout == 2 * refusal
 
 
 class TestLabelRows:
