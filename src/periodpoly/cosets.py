@@ -204,11 +204,12 @@ class CosetSpace:
     # -- construction ---------------------------------------------------
 
     def _build(self):
-        """Labels, the identity label and every table, with two exact checks
-        kept under -O: the label count is the index, and S^2 = -I fixes every
-        label with the sign of -I.  S, T and eps read the rows (d, -c),
-        (c, c + d) and (-c, d) of a label (c, d) through one O(1) normal form
-        each; U and U^2 compose S and T, and the inverses take a sign."""
+        """Labels, the identity label and every table, with three exact checks
+        kept under -O: the label count is the index, and S^2 = -I and
+        U^3 = -I fix every label with the sign of -I.  S, T and eps read the
+        rows (d, -c), (c, c + d) and (-c, d) of a label (c, d) through one
+        O(1) normal form each; U and U^2 compose S and T, and the inverses
+        take a sign."""
         N = self.N
         if self.kind == GAMMA0:
             # g = N first: its point (0 : 1), or (0 : 0) at N = 1, is the least
@@ -234,12 +235,14 @@ class CosetSpace:
             tinv[j] = (i, s)
         U = _compose(T, S)
         U2 = _compose(U, U)
-        # S^2 = -I fixes every label with the sign of -I: +1 when -1 lies
+        # S^2 = U^3 = -I fix every label with the sign of -I: +1 when -1 lies
         # in the group, -1 on Gamma1(N) for N >= 3
         sign = 1 if self.kind == GAMMA0 or N <= 2 else -1
         J = tuple((l, sign) for l in range(self.size))
         check(_compose(S, S) == J, "S^2 = -I moves a label of %s(%d) or gives it a sign "
                                    "other than %+d" % (self.kind, N, sign))
+        check(_compose(U2, U) == J, "U^3 = -I moves a label of %s(%d) or gives it a sign "
+                                    "other than %+d" % (self.kind, N, sign))
         # g^(-1) = h J for the table h: S^(-1) = S J, U^(-1) = U^2 J, U^(-2) = U J
         Sinv, Uinv, U2inv = (h if sign == 1 else tuple((l, -s) for l, s in h)
                              for h in (S, U2, U))

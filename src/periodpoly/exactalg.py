@@ -415,7 +415,7 @@ class DenseMatrix:
         return all(not x for r in self.rows for x in r)
 
     def rank(self) -> int:
-        return len(sparse_int_pivots(self.int_rows())) // self.field.degree
+        return sparse_int_rank(self.int_rows()) // self.field.degree
 
     def int_rows(self) -> list:
         """The rows in integers over the real unknowns (``realified_rows``)."""
@@ -487,19 +487,14 @@ def _normalize_int_row(row: dict) -> dict:
     return row
 
 
-def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False, folded=None) -> list:
-    """Gauss elimination on sparse integer rows (dict col -> coeff).
-
-    Returns the pivot rows as (pivot_col, row_dict) sorted by pivot column.
-    The pivot of a row is its last column, so clearing it from another row
-    only changes smaller columns, and every pivot stays the last column of
-    its row.
-
-    The period systems come presented (``polyspace._presentations``): the
-    pivot rows of their two-term relations as ``folded``, and rows over
-    the roots only (a row holding a folded column is refused).  The rows
-    of every system go through one loop as they are, each copied and made
-    primitive (``_normalize_int_row``).
+def sparse_int_pivots(rows: Iterable[dict]) -> list:
+    """Gauss-Jordan elimination on sparse integer rows (dict col -> coeff):
+    the reduced echelon form of their row space, as the pivot rows
+    (pivot_col, row_dict) sorted by pivot column.  The pivot of a row is
+    its last column, so clearing it from another row only changes smaller
+    columns, and every pivot stays the last column of its row.  The rows
+    go through the loop (``_eliminate``) as they are, each copied and made
+    primitive (``_normalize_int_row``); the caller's rows never change.
 
     The loop takes the next pivot row from a heap: the remaining row with
     the fewest nonzeros, ties going to the smallest index (its position
@@ -509,48 +504,33 @@ def sparse_int_pivots(rows: Iterable[dict], reduce_fully: bool = False, folded=N
     smallest live entry is the minimum of (len, index) over the remaining
     rows, so the choice is the one a full scan would make.
 
-    The pivot row, entry pv at pc, then clears pc in place from each
-    remaining row that holds it: entry f at pc, the row becomes a * row -
-    q * (pivot row), a / q = pv / f in lowest terms with a > 0, so a = 1
-    where pv divides f; then primitive again (``_normalize_int_row`` keeps
-    the keys).  Only the pivot row's columns are visited, and only they
-    enter or leave ``col_index`` (column -> rows holding it): where a zero
-    becomes nonzero or an entry cancels, pc always.  The loop works on its
-    own dicts: the caller's rows and ``folded`` never change.
-
-    With ``reduce_fully`` (Gauss-Jordan) it also clears its column from the
-    rows already chosen and from the rows of ``folded``, whose root is the
-    only column a presented row can share with them.  A pivot row holds no
-    earlier pivot column, so no clearing brings one back: at the end each
-    pivot column is nonzero in its own row only.  That, with pivots at last
-    columns and every row primitive with its least entry positive, is the
-    row space's reduced echelon form, which is unique, whatever the order
-    of elimination.  The kernel vector of a free column f is then 1 at f
-    and zero above f and at the other free columns: the kernel vectors
-    already are the reduced column echelon basis of the kernel
-    (``kernel_columns``).  Without ``reduce_fully`` only the number of
-    pivot rows, the rank, is fixed.
+    The pivot row, entry pv at pc, then clears pc in place from each other
+    row that holds it, chosen or remaining: entry f at pc, the row becomes
+    a * row - q * (pivot row), a / q = pv / f in lowest terms with a > 0,
+    so a = 1 where pv divides f; then primitive again
+    (``_normalize_int_row`` keeps the keys).  Only the pivot row's columns
+    are visited, and only they enter or leave ``col_index`` (column ->
+    rows holding it): where a zero becomes nonzero or an entry cancels, pc
+    always.  A pivot row holds no earlier pivot column, so no clearing
+    brings one back: at the end each pivot column is nonzero in its own row
+    only.  That, with pivots at last columns and every row primitive with
+    its least entry positive, is the row space's reduced echelon form,
+    which is unique, whatever the order of elimination.  The kernel vector
+    of a free column f is then 1 at f and zero above f and at the other
+    free columns: the kernel vectors already are the reduced column echelon
+    basis of the kernel (``kernel_columns``).
     """
-    short, done = folded or [], {c for c, _ in folded or ()}
+    return sorted((max(row), row) for row in _eliminate(rows, True))
+
+
+def _eliminate(rows: Iterable[dict], jordan: bool) -> list:
+    """The pivot rows of the loop of ``sparse_int_pivots``.  A pivot clears
+    its column from the remaining rows, and with ``jordan`` from the rows
+    already chosen too; a rank needs only the first."""
     # the loop updates rows in place, so it works on copies
     active = [_normalize_int_row(dict(r)) for r in rows if r]
-    check(not done or all(done.isdisjoint(row) for row in active),
-          "a presented row holds a folded column, not only roots")
-    count = len(active)
-    if reduce_fully:
-        active += (dict(row) for _, row in short)
-        short = []
-    _eliminate(active, count, reduce_fully)
-    return sorted([(max(row), row) for row in active if row] + short)
-
-
-def _eliminate(active: list, count: int, reduce_fully: bool) -> None:
-    """The loop of ``sparse_int_pivots`` on its own primitive rows, in
-    place: the first ``count`` rows are eliminated, the others (the folded
-    rows under ``reduce_fully``) only cleared.  At the end every nonzero row
-    of the first ``count`` is a pivot row."""
-    remaining = set(range(count))
-    heap = [(len(active[i]), i) for i in range(count)]
+    remaining = set(range(len(active)))
+    heap = [(len(row), i) for i, row in enumerate(active)]
     heapq.heapify(heap)
     col_index: dict = {}
     for i, row in enumerate(active):
@@ -567,7 +547,7 @@ def _eliminate(active: list, count: int, reduce_fully: bool) -> None:
         pc = max(row)
         pv = row[pc]
         for other in list(col_index[pc]):
-            if other == best or not (reduce_fully or other in remaining):
+            if other == best or not (jordan or other in remaining):
                 continue
             orow = active[other]
             f = orow[pc]
@@ -591,23 +571,17 @@ def _eliminate(active: list, count: int, reduce_fully: bool) -> None:
                     col_index[c].discard(other)
             orow = active[other] = _normalize_int_row(orow)
             heapq.heappush(heap, (len(orow), other))
+    return [row for row in active if row]
 
 
-def sparse_int_rank(rows: Iterable[dict], roots=None) -> int:
+def sparse_int_rank(rows: Iterable[dict]) -> int:
     """The rank of sparse integer rows: the number of pivot rows of
-    ``sparse_int_pivots``, from its loop alone, with no pivot row sorted or
-    kept.  A presented period system (``polyspace._presentations``) passes
-    the set of roots of its classes; its rows must lie over them (a row
-    holding a folded column is refused), and the caller counts the folded
-    columns, ncols - len(roots), as pivots of their own."""
-    active = [_normalize_int_row(dict(r)) for r in rows if r]
-    check(roots is None or all(roots.issuperset(row) for row in active),
-          "a presented row holds a folded column, not only roots")
-    _eliminate(active, len(active), False)
-    return sum(1 for row in active if row)
+    ``sparse_int_pivots``, from its loop alone, each pivot clearing the
+    remaining rows only, with no pivot row sorted."""
+    return len(_eliminate(rows, False))
 
 
-def kernel_columns(rows: Iterable[dict], ncols: int, field=QQ, folded=None) -> list:
+def kernel_columns(rows: Iterable[dict], ncols: int, field=QQ) -> list:
     """Reduced column echelon basis of the kernel of integer rows over the
     ncols * d real unknowns of ``realified_rows``, as columns (den, vec):
     vec / den, vec an int dict over the real indices i * d + t, den least.
@@ -615,9 +589,9 @@ def kernel_columns(rows: Iterable[dict], ncols: int, field=QQ, folded=None) -> l
     With last-column pivots the kernel vector of a free real column f is 1
     at f and 0 at the other free columns and before f: the real kernel's
     echelon basis, {zeta^t b} over the field's echelon basis b.  The b are
-    the vectors free at a zeta^0 coordinate f = j * d.  folded: ``sparse_int_pivots``."""
+    the vectors free at a zeta^0 coordinate f = j * d."""
     d, pivot_cols, rows_with = field.degree, set(), {}
-    for pc, row in sparse_int_pivots(rows, reduce_fully=True, folded=folded):
+    for pc, row in sparse_int_pivots(rows):
         pivot_cols.add(pc)
         for c in row:
             if c != pc:
@@ -655,7 +629,7 @@ def reduced_column_basis(field, vectors: Sequence[dict], ambient: int) -> list:
         rows.append(dict(zip(entries, cleared[0])))
     d = field.degree
     cols = []
-    for pc, row in reversed(sparse_int_pivots(rows, reduce_fully=True)):
+    for pc, row in reversed(sparse_int_pivots(rows)):
         sign = 1 if row[pc] > 0 else -1
         cols.append((sign * row[pc], {(ambient - 1 - c) * d: sign * v for c, v in row.items()}))
     return cols

@@ -766,17 +766,19 @@ def _orbit_rows(space: CosetSpace, w: int, extended: bool) -> list:
     W's relation Q, and T comes from the columns X^(-1) and X^(w+1).  Its
     degrees 0 and w+3 are ties (``_presentations``).  Its degrees
     d = 1, ..., w+2, Q_(d-2) - Q_(d-1) + T_d = 0, have the partial sums
-    T_1 + ... + T_(i+1) - Q_i: they span the rows of the tail-only row
-    sum_(k=1)^(w+2) T_k = 0 and of Q_i + sum_(k=i+2)^(w+2) T_k = 0,
-    i = 0, ..., w, Q_i row i of W's table with j moved to j + 1."""
+    T_1 + ... + T_(i+1) - Q_i: they span the rows Q_i + sum_(k=i+2)^(w+2)
+    T_k = 0, i = 0, ..., w, Q_i row i of W's table with j moved to j + 1,
+    written here, and the tail-only row sum_(k=1)^(w+2) T_k = 0, the
+    identity at X = 1 less its degrees 0 and w+3: a sum of U-end ties,
+    which the classes hold as the label signs of U compose (U^3 = -I,
+    checked in ``CosetSpace._build``)."""
     n, table = w + 1, _u_table(w, False)
     if extended:
         n = w + 3
         tails = [(t, j + 1, _cleared_u(w, t, j)) for t in (0, 2, 3) for j in (-1, w + 1)]
-        table = [[(t, j + 1, v) for t, j, v in q]
-                 + [(t, j, sum(p[i + 2:w + 3])) for t, j, p in tails] for i, q in enumerate(table)]
-        table = [[term for term in terms if term[2]]
-                 for terms in table + [[(t, j, sum(p[1:w + 3])) for t, j, p in tails]]]
+        table = [[term for term in [(t, j + 1, v) for t, j, v in q]
+                  + [(t, j, sum(p[i + 2:w + 3])) for t, j, p in tails] if term[2]]
+                 for i, q in enumerate(table)]
     uinv, u2inv = space.tables["Uinv"], space.tables["U2inv"]
     rows: list = []
     for l in range(space.size):
@@ -824,21 +826,6 @@ def _tie_classes(columns, edges) -> tuple:
     return image, roots
 
 
-def _image_pivots(image: dict, merged=None):
-    """The pivot rows (c, row) of a class map c -> (root, f), taken on
-    through the class map ``merged`` of the roots where given: x_c in a
-    zero class, else den x_c - num x_root for f = num / den, primitive."""
-    for c, (r, f) in image.items():
-        if merged is not None:
-            r, g = merged[r]
-            f *= g
-        if not f:
-            yield c, {c: 1}
-        elif r != c:
-            num, den = f.numerator, f.denominator
-            yield c, ({r: -num, c: den} if num < 0 else {r: num, c: -den})
-
-
 def _over_roots(rows, image: dict) -> list:
     """The distinct nonzero rows over the roots of a class map, primitive."""
     out: dict = {}
@@ -860,13 +847,15 @@ def _over_roots(rows, image: dict) -> list:
 
 
 def _presentations(space: CosetSpace, w: int, extended: bool, signs=(0,)):
-    """Per sign, (roots, folded, rows): the period system of W, W+ or W-
-    (sign 0, 1, -1), or of Wtilde, its two-term relations folded and its
-    longer rows over the roots of their classes, each row once (Stein 2007,
-    ch. 8).  roots is the set of roots of the nonzero classes, folded a
-    generator of the pivot rows of the other columns (``_image_pivots``),
-    for ``kernel_columns``: the rows lie over roots only, so the rank of the
-    system is ncols - len(roots) plus the rank of the rows.
+    """Per sign, (roots, image, merged, rows): the period system of W, W+
+    or W- (sign 0, 1, -1), or of Wtilde, its two-term relations folded and
+    its longer rows over the roots of their classes, each row once (Stein
+    2007, ch. 8).  image is the class map c -> (root, f), x_c = f x_root,
+    of the two-term classes, merged None or, for W+-, the class map of
+    their roots over the eps ties, roots the set of roots of the nonzero
+    classes.  The rows lie over the roots only (checked here, under -O
+    too), so the rank of the system is ncols - len(roots) plus the rank of
+    the rows; its kernel is ``_presented_kernel``.
 
     The long U rows are written at the least label of each U-orbit
     (``_orbit_rows``); for Wtilde they are W's U rows plus its cusp tails.
@@ -905,12 +894,41 @@ def _presentations(space: CosetSpace, w: int, extended: bool, signs=(0,)):
         eps_ties.setdefault(r, []).append(
             (rk, Fraction(u, fk) if u % fk else u // fk) if u and fk else (r, 0))
     for sign in signs:
-        if not sign:
-            yield roots, _image_pivots(image), rows
-            continue
-        merged, merged_roots = _tie_classes(
-            sorted(eps_ties), lambda r: [(y, sign * h) for y, h in eps_ties[r]])
-        yield merged_roots, _image_pivots(image, merged), _over_roots(rows, merged)
+        merged, out_roots, out_rows = None, roots, rows
+        if sign:
+            merged, out_roots = _tie_classes(
+                sorted(eps_ties), lambda r: [(y, sign * h) for y, h in eps_ties[r]])
+            out_rows = _over_roots(rows, merged)
+        check(all(out_roots.issuperset(row) for row in out_rows),
+              "a presented row holds a folded column, not only roots")
+        yield out_roots, image, merged, out_rows
+
+
+def _presented_kernel(roots, image: dict, merged, rows) -> list:
+    """The kernel columns (``kernel_columns``) of a presented system
+    (``_presentations``) over all its columns: the kernel of the rows over
+    the roots, numbered in increasing order to keep last-column pivots and
+    so the unique reduced form, unfolded by x_c = f x_root at every column
+    c of a nonzero class (through ``merged`` where given), over the least
+    denominator.  A class lies above its root, where f = 1: the pivot."""
+    index = {r: i for i, r in enumerate(sorted(roots))}
+    members: dict = {}  # root index -> [(c, f)]
+    for c, (r, f) in image.items():
+        if merged is not None:
+            r, g = merged[r]
+            f *= g
+        if f:
+            members.setdefault(index[r], []).append((c, f))
+    out = []
+    for den, vec in kernel_columns([{index[c]: v for c, v in row.items()} for row in rows],
+                                   len(index)):
+        full = {c: f * v for i, v in vec.items() for c, f in members[i]}
+        if any(type(x) is not int for x in full.values()):
+            full = {c: Fraction(x) / den for c, x in full.items()}
+            den = math.lcm(*(x.denominator for x in full.values()))
+            full = {c: int(x * den) for c, x in full.items()}
+        out.append((den, full))
+    return out
 
 
 def _check_weight(space: CosetSpace, w: int) -> None:
@@ -929,9 +947,8 @@ def build_W(space: CosetSpace, w: int, sign: int = 0) -> Subspace:
         raise PolySpaceError("sign must be -1, 0 or 1, got %r" % (sign,))
     if space.degenerate:
         return Subspace.from_vectors(space, w, False, [])
-    (_, folded, rows), = _presentations(space, w, False, (sign,))
-    return Subspace(space, w, False,
-                    kernel_columns(rows, space.size * (w + 1), folded=list(folded)))
+    presentation, = _presentations(space, w, False, (sign,))
+    return Subspace(space, w, False, _presented_kernel(*presentation))
 
 
 def w_dimensions(space: CosetSpace, w: int) -> tuple:
@@ -943,7 +960,7 @@ def w_dimensions(space: CosetSpace, w: int) -> tuple:
     _check_weight(space, w)
     if space.degenerate:
         return (0, 0, 0)
-    dim_w, dim_plus, dim_minus = (len(roots) - sparse_int_rank(rows, roots) for roots, _, rows
+    dim_w, dim_plus, dim_minus = (len(roots) - sparse_int_rank(rows) for roots, _, _, rows
                                   in _presentations(space, w, False, (0, 1, -1)))
     if dim_plus + dim_minus != dim_w:
         raise PolySpaceError("eps eigenspace dimensions do not add up")
@@ -1015,9 +1032,8 @@ def build_W_extended(space: CosetSpace, w: int) -> Subspace:
     _check_weight(space, w)
     if space.degenerate:
         return Subspace.from_vectors(space, w, True, [])
-    (_, folded, rows), = _presentations(space, w, True)
-    sub = Subspace(space, w, True,
-                   kernel_columns(rows, space.size * (w + 3), folded=list(folded)))
+    presentation, = _presentations(space, w, True)
+    sub = Subspace(space, w, True, _presented_kernel(*presentation))
     _check_tilde_columns(sub)
     if w == 0 and any(sum(v for k, v in vec.items() if k % (w + 3) == w + 2)
                       for _, vec in sub.columns):
@@ -1032,8 +1048,8 @@ def wtilde_dimension(space: CosetSpace, w: int) -> int:
     _check_weight(space, w)
     if space.degenerate:
         return 0
-    (roots, _, rows), = _presentations(space, w, True)
-    return len(roots) - sparse_int_rank(rows, roots)
+    (roots, _, _, rows), = _presentations(space, w, True)
+    return len(roots) - sparse_int_rank(rows)
 
 
 # ----------------------------------------------------------------------

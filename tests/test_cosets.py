@@ -258,6 +258,19 @@ class TestBuild:
         with pytest.raises(CheckFailed, match=r"gamma0\(60\) or gives it a sign other than \+1"):
             CosetSpace(GAMMA0, 60, 2)
 
+    def test_flipped_t_sign_is_caught(self, monkeypatch):
+        # one T sign flipped: S^2 still holds, but U = T S takes the sign
+        # once or three times on the way round its orbit
+        tables = CosetSpace._gamma0_tables
+
+        def flip_one(self, blocks):
+            S, T, eps = tables(self, blocks)
+            return S, ((T[0][0], -T[0][1]),) + T[1:], eps
+        monkeypatch.setattr(CosetSpace, "_gamma0_tables", flip_one)
+        with pytest.raises(CheckFailed, match=r"U\^3 = -I moves a label of gamma0\(60\) "
+                                              r"or gives it a sign other than \+1"):
+            CosetSpace(GAMMA0, 60, 2)
+
     @pytest.mark.parametrize("kind, N", [(GAMMA0, N) for N in (1, 2, 12, 60, 97, 420)]
                              + [(GAMMA1, N) for N in (1, 2, 3, 4, 13, 20)])
     def test_inverse_tables_equal_compositions(self, kind, N):

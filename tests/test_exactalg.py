@@ -23,8 +23,8 @@ from periodpoly.exactalg import (ApproxComplex, Cyclotomic, CyclotomicField,
 from periodpoly import exactalg, polyspace
 from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_U2INV, MAT_UINV, build_coset_space,
                                dirichlet_characters)
-from periodpoly.polyspace import (_label_rows, _presentations, build_W, chi_component,
-                                  eps_coordinates)
+from periodpoly.polyspace import (_label_rows, _presentations, _presented_kernel, build_W,
+                                  chi_component, eps_coordinates)
 
 from dense_reference import (reference_column_basis, reference_eps_rows, reference_kernel_basis,
                              reference_two_term_pass,
@@ -250,15 +250,6 @@ def int_kernel(rows, ncols):
     return [tuple(column_entries(QQ, den, vec, ncols)) for den, vec in kernel_columns(rows, ncols)]
 
 
-def assert_echelon_basis(pivots, reduced):
-    """pivots is an echelon basis, last-column pivots, of the row space
-    whose reduced form (by the reference) is reduced."""
-    assert len(pivots) == len(reduced)
-    assert all(pc == max(row) for pc, row in pivots)
-    assert len({pc for pc, _ in pivots}) == len(pivots)
-    assert reference_sparse_int_pivots([row for _, row in pivots], reduce_fully=True) == reduced
-
-
 @st.composite
 def short_row_systems(draw):
     """Systems of mostly one- and two-term rows: chains, cycles with
@@ -322,25 +313,21 @@ class TestSparse:
         assert int_kernel(data.draw(st.permutations(rows)), ncols) == vecs
 
     @settings(derandomize=True, database=None, max_examples=300)
-    @given(data=st.data(), ncols=st.integers(1, 12), reduce_fully=st.booleans())
-    def test_heap_pivots_match_full_scan(self, data, ncols, reduce_fully):
-        # the reduced form is unique; without reduce_fully the rows are
-        # some echelon basis of the same row space
+    @given(data=st.data(), ncols=st.integers(1, 12))
+    def test_heap_pivots_match_full_scan(self, data, ncols):
+        # the reduced form is unique; the rank clears the remaining rows only
         entry = st.integers(-5, 5).filter(bool)
         rows = data.draw(st.lists(
             st.dictionaries(st.integers(0, ncols - 1), entry, max_size=5), max_size=16))
-        reduced = reference_sparse_int_pivots(rows, reduce_fully=True)
-        if reduce_fully:
-            assert sparse_int_pivots(rows, reduce_fully=True) == reduced
-        else:
-            assert_echelon_basis(sparse_int_pivots(rows), reduced)
+        reduced = reference_sparse_int_pivots(rows)
+        assert sparse_int_pivots(rows) == reduced
+        assert sparse_int_rank(rows) == len(reduced)
 
     @settings(derandomize=True, database=None, max_examples=300)
     @given(rows=short_row_systems())
     def test_two_term_relations_match_full_scan(self, rows):
-        reduced = reference_sparse_int_pivots(rows, reduce_fully=True)
-        assert sparse_int_pivots(rows, reduce_fully=True) == reduced
-        assert_echelon_basis(sparse_int_pivots(rows), reduced)
+        reduced = reference_sparse_int_pivots(rows)
+        assert sparse_int_pivots(rows) == reduced
         assert sparse_int_rank(rows) == len(reduced)
 
     def test_two_term_ratios(self):
@@ -349,20 +336,19 @@ class TestSparse:
         rows = [{0: 2, 1: -3}, {1: 1, 2: -2}, {3: 1, 4: 1}, {4: 1, 5: 1},
                 {5: 1, 3: -1}, {6: 1, 7: -1}, {7: 1, 6: 1}, {8: 5},
                 {0: 1, 2: 1, 9: 1}]
-        assert sparse_int_pivots(rows, reduce_fully=True) == [
+        assert sparse_int_pivots(rows) == [
             (1, {0: 2, 1: -3}), (2, {0: 1, 2: -3}), (4, {3: 1, 4: 1}),
             (5, {3: 1, 5: -1}), (6, {6: 1}), (7, {7: 1}), (8, {8: 1}),
             (9, {0: 4, 9: 3})]
-        assert sparse_int_pivots(rows, reduce_fully=True) == \
-            reference_sparse_int_pivots(rows, reduce_fully=True)
+        assert sparse_int_pivots(rows) == reference_sparse_int_pivots(rows)
 
     @pytest.mark.parametrize("rows", [[{0: 2}], [{0: 4, 3: 6}, {3: 2}]])
-    @pytest.mark.parametrize("reduce_fully", [False, True])
-    def test_rows_are_made_primitive_as_they_are_copied(self, rows, reduce_fully):
+    def test_rows_are_made_primitive_as_they_are_copied(self, rows):
         # a pivot row is primitive with its least entry positive even when
         # it enters the loop as it came, with nothing left to clear from it
-        assert (sparse_int_pivots(rows, reduce_fully=reduce_fully)
-                == reference_sparse_int_pivots(rows, reduce_fully=reduce_fully))
+        reduced = reference_sparse_int_pivots(rows)
+        assert sparse_int_pivots(rows) == reduced
+        assert sparse_int_rank(rows) == len(reduced)
 
     def test_root_of_a_two_term_row_becomes_a_long_pivot(self):
         # x5 = x2 folds to its root 2; the pivot at 4 leaves row 3 as
@@ -372,44 +358,31 @@ class TestSparse:
         rows = [{2: 1, 5: -1}, {1: 1, 2: 1, 7: 1}, {0: 1, 1: 1, 4: 1},
                 {0: 1, 4: 1, 5: 3}, {1: 1, 2: 1, 3: 1, 6: 1}]
         assert sparse_int_pivots(rows) == [
-            (2, {1: 1, 2: -3}), (4, {0: 1, 1: 1, 4: 1}), (5, {2: 1, 5: -1}),
-            (6, {1: 4, 3: 3, 6: 3}), (7, {1: 1, 2: 1, 7: 1})]
-        assert sparse_int_pivots(rows, reduce_fully=True) == [
             (2, {1: 1, 2: -3}), (4, {0: 1, 1: 1, 4: 1}), (5, {1: 1, 5: -3}),
             (6, {1: 4, 3: 3, 6: 3}), (7, {1: 4, 7: 3})]
-        assert sparse_int_pivots(rows, reduce_fully=True) == \
-            reference_sparse_int_pivots(rows, reduce_fully=True)
+        assert sparse_int_pivots(rows) == reference_sparse_int_pivots(rows)
+        assert sparse_int_rank(rows) == 5
 
-    @pytest.mark.parametrize("presented", [False, True])
-    def test_input_rows_are_left_alone(self, presented):
-        # one dict object listed twice, as the rows and as the presented
-        # ones: the eliminator updates its own copies only
-        long_row, two_term = {0: 2, 1: 3, 4: 2, 6: 3}, {2: 3, 7: 2}
+    @pytest.mark.parametrize("two_term", [False, True])
+    def test_input_rows_are_left_alone(self, two_term):
+        # one dict object listed twice: the eliminator updates its own
+        # copies only
+        long_row, short_row = {0: 2, 1: 3, 4: 2, 6: 3}, {2: 3, 7: 2}
         rows = [long_row, {1: 1, 2: 5, 4: 3}, long_row, {0: 1, 2: 2, 6: 2}]
-        folded = None
-        if presented:
-            folded = [(3, {1: 2, 3: -1}), (5, {0: 3, 5: -2})]
-        else:
-            rows[1:1] = [two_term, two_term]
-        before = copy.deepcopy((rows, folded))
+        if two_term:
+            rows[1:1] = [short_row, short_row]
+        before = copy.deepcopy(rows)
         unique = list({id(row): row for row in rows}.values())
-        expected = reference_sparse_int_pivots(unique + [row for _, row in folded or ()],
-                                               reduce_fully=True)
-        for reduce_fully in (True, False):
-            first = sparse_int_pivots(rows, reduce_fully=reduce_fully, folded=folded)
-            assert (rows, folded) == before
-            assert sparse_int_pivots(rows, reduce_fully=reduce_fully, folded=folded) == first
-            if reduce_fully:
-                assert first == expected
-            else:
-                assert_echelon_basis(first, expected)
-        roots = set(range(8)).difference(c for c, _ in folded) if presented else None
-        assert len(folded or ()) + sparse_int_rank(rows, roots) == len(expected)
-        assert (rows, folded) == before
-        kernel = kernel_columns(rows, 8, folded=folded)
-        assert (rows, folded) == before
-        assert kernel == kernel_columns(copy.deepcopy(unique), 8, folded=copy.deepcopy(folded))
-        assert kernel_columns(rows, 8, folded=folded) == kernel
+        expected = reference_sparse_int_pivots(unique)
+        first = sparse_int_pivots(rows)
+        assert rows == before
+        assert sparse_int_pivots(rows) == first == expected
+        assert sparse_int_rank(rows) == len(expected)
+        assert rows == before
+        kernel = kernel_columns(rows, 8)
+        assert rows == before
+        assert kernel == kernel_columns(copy.deepcopy(unique), 8)
+        assert kernel_columns(rows, 8) == kernel
         assert len(kernel) == 8 - len(expected)
 
     @settings(derandomize=True, database=None, max_examples=200)
@@ -421,19 +394,16 @@ class TestSparse:
         rows = data.draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry,
                                                   min_size=3, max_size=min(8, ncols)),
                                   max_size=12))
-        reduced = reference_sparse_int_pivots(rows, reduce_fully=True)
-        assert sparse_int_pivots(rows, reduce_fully=True) == reduced
+        reduced = reference_sparse_int_pivots(rows)
+        assert sparse_int_pivots(rows) == reduced
         assert sparse_int_rank(rows) == len(reduced)
-        assert_echelon_basis(sparse_int_pivots(rows), reduced)
 
     def test_pivots_that_do_not_divide_the_entries_they_clear(self):
         # the pivot 2 at column 4 clears 5 from the last row, which becomes
         # {0: 3, 1: 5, 2: -2, 3: -4}; the pivot 3 at column 3 then clears -4
         rows = [{0: 1, 1: 1, 4: 2}, {1: 1, 2: 2, 3: 3}, {0: 1, 2: 1, 3: 2, 4: 5}]
-        assert sparse_int_pivots(rows) == [
-            (2, {0: 9, 1: 19, 2: 2}), (3, {1: 1, 2: 2, 3: 3}), (4, {0: 1, 1: 1, 4: 2})]
-        reduced = sparse_int_pivots(rows, reduce_fully=True)
-        assert reduced == reference_sparse_int_pivots(rows, reduce_fully=True)
+        reduced = sparse_int_pivots(rows)
+        assert reduced == reference_sparse_int_pivots(rows)
         assert sparse_int_rank(rows) == len(reduced) == 3
 
     def test_reduced_column_basis_canonical(self):
@@ -460,8 +430,9 @@ class TestSparse:
         assert solve_columns(basis, [(K.one, K.one)]) is None
 
 
-def reference_sparse_int_pivots(rows, reduce_fully=False):
-    """The eliminator with the pivot row chosen by a scan of every remaining row."""
+def reference_sparse_int_pivots(rows):
+    """The eliminator with the pivot row chosen by a scan of every remaining
+    row, then the pivot rows reduced one by one: the reduced echelon form."""
     active = [_normalize_int_row(dict(r)) for r in rows if r]
     col_index = {}
     for i, row in enumerate(active):
@@ -496,26 +467,24 @@ def reference_sparse_int_pivots(rows, reduce_fully=False):
                 col_index.setdefault(c, set()).add(other)
             active[other] = new
         done.append((pc, row))
-    done.sort()
-    if reduce_fully:
-        by_col = {pc: dict(row) for pc, row in done}
-        for pc in sorted(by_col, reverse=True):
-            prow = by_col[pc]
-            pv = prow[pc]
-            for qc, qrow in by_col.items():
-                if qc == pc or pc not in qrow:
-                    continue
-                f = qrow[pc]
-                new = {c: v * pv for c, v in qrow.items()}
-                for c, v in prow.items():
-                    u = new.get(c, 0) - v * f
-                    if u:
-                        new[c] = u
-                    elif c in new:
-                        del new[c]
-                by_col[qc] = _normalize_int_row(new)
-        done = sorted(by_col.items())
-    return done
+    # then Gauss-Jordan: each pivot cleared from the other pivot rows
+    by_col = {pc: dict(row) for pc, row in done}
+    for pc in sorted(by_col, reverse=True):
+        prow = by_col[pc]
+        pv = prow[pc]
+        for qc, qrow in by_col.items():
+            if qc == pc or pc not in qrow:
+                continue
+            f = qrow[pc]
+            new = {c: v * pv for c, v in qrow.items()}
+            for c, v in prow.items():
+                u = new.get(c, 0) - v * f
+                if u:
+                    new[c] = u
+                elif c in new:
+                    del new[c]
+            by_col[qc] = _normalize_int_row(new)
+    return sorted(by_col.items())
 
 
 def relation_systems(kind, N, k, monkeypatch):
@@ -560,8 +529,8 @@ class TestRealSystems:
         assert all(any(len(r) <= 2 for r in rows) for rows in systems[:4])
         assert len(systems) > 4 or kind == GAMMA0  # the chi rows were seen
         for rows in systems:
-            reduced = reference_sparse_int_pivots(rows, reduce_fully=True)
-            assert sparse_int_pivots(rows, reduce_fully=True) == reduced
+            reduced = reference_sparse_int_pivots(rows)
+            assert sparse_int_pivots(rows) == reduced
             assert sparse_int_rank(rows) == len(reduced)
 
     @pytest.mark.parametrize("m", [5, 12])
@@ -617,8 +586,7 @@ class TestOrbitRows:
         assert (row_multiset(every_label_rows(space, w, extended))
                 == row_multiset(r for r in every if r))
         assert len(rows) < len(every)
-        assert (sparse_int_pivots(rows, reduce_fully=True)
-                == sparse_int_pivots(every, reduce_fully=True))
+        assert sparse_int_pivots(rows) == sparse_int_pivots(every)
 
     @pytest.mark.parametrize("kind,N,k", [(GAMMA0, 37, 4), (GAMMA1, 13, 3)])
     @pytest.mark.parametrize("extended", [False, True])
@@ -631,8 +599,7 @@ class TestOrbitRows:
             rows += s_rows + [r for r in u_rows if l not in orbit or len(r) <= 2]
         every = every_label_rows(space, w, extended)
         assert len(orbit) == 3
-        assert (sparse_int_pivots(rows, reduce_fully=True)
-                != sparse_int_pivots(every, reduce_fully=True))
+        assert sparse_int_pivots(rows) != sparse_int_pivots(every)
 
 
 PRESENTATION_GRID = ([(GAMMA0, range(1, 61), k) for k in (2, 3, 4, 6)]
@@ -648,6 +615,23 @@ class TestPresentation:
     each once.  Wtilde is presented as W's U rows plus its cusp tails, so
     its rows and folded columns differ from the reference's on purpose: its
     kernel is compared with the kernel of every S and U row at every label."""
+
+    @staticmethod
+    def folded_pivots(image, merged=None) -> list:
+        """The pivot rows (c, row) of the columns a presentation folds: x_c
+        in a zero class, else den x_c - num x_root for f = num / den,
+        primitive, the class map taken on through merged where given."""
+        out = []
+        for c, (r, f) in image.items():
+            if merged is not None:
+                r, g = merged[r]
+                f *= g
+            if not f:
+                out.append((c, {c: 1}))
+            elif r != c:
+                num, den = f.numerator, f.denominator
+                out.append((c, {r: -num, c: den} if num < 0 else {r: num, c: -den}))
+        return out
 
     @staticmethod
     def as_set(pivots) -> set:
@@ -678,15 +662,15 @@ class TestPresentation:
                 rows = reference_relation_rows(space, w, extended)
                 if sign:
                     rows = rows + reference_eps_rows(space, w, sign)
-                (roots, folded, presented), = _presentations(space, w, extended, (sign,))
-                folded = list(folded)
+                presentation, = _presentations(space, w, extended, (sign,))
+                roots, image, merged, presented = presentation
+                folded = self.folded_pivots(image, merged)
                 where = (kind, N, k, extended, sign)
                 ncols = space.size * (w + (3 if extended else 1))
                 self.assert_over_roots(roots, folded, presented, ncols, where)
                 if extended:
                     every = reference_wtilde_relation_rows(space, w)
-                    assert (kernel_columns(presented, ncols, folded=folded)
-                            == kernel_columns(every, ncols)), where
+                    assert _presented_kernel(*presentation) == kernel_columns(every, ncols), where
                     systems += 1
                     continue
                 pivots, long_rows = reference_two_term_pass([r for r in rows if r])
@@ -694,8 +678,7 @@ class TestPresentation:
                 assert len(folded) == len(pivots), where
                 self.assert_same_rows_once(presented, long_rows, where)
                 if systems % 7 == 0:
-                    assert (sparse_int_pivots(presented, reduce_fully=True, folded=folded)
-                            == sparse_int_pivots(rows, reduce_fully=True)), where
+                    assert _presented_kernel(*presentation) == kernel_columns(rows, ncols), where
                 systems += 1
         assert systems == 4 * len(levels) * (1 if kind == GAMMA1 or k % 2 == 0 else 0)
 
@@ -722,40 +705,48 @@ class TestPresentation:
         """Where U fixes a label the ties may have any coefficients; the
         spaces give only +-u x + -+u y and u x, so ties 2 x + 3 y, 4 x - 6 y
         and 5 x join the rows of the fixed labels, and the reference's
-        two-term pass gets the same rows."""
+        two-term pass gets the same rows.  The basis unfolds the kernel over
+        the roots by these fractional factors; it is the kernel of the
+        reference's rows with the ties."""
         space, w = build_coset_space(kind, N, k), k - 2
         real, n, size = polyspace._orbit_rows, w + 1, space.size * (w + 1)
         half = size // 2 // n * n
         ties = [{n: 2, half + n: 3}, {3 * n: 4, half + 3 * n: -6}, {5 * n: 5}]
         monkeypatch.setattr(polyspace, "_orbit_rows",
                             lambda space, w, extended: real(space, w, extended) + ties)
-        for sign in (0, 1):
+        for sign in (0, 1, -1):
             rows = reference_relation_rows(space, w, False) + ties
             if sign:
                 rows = rows + reference_eps_rows(space, w, sign)
             pivots, long_rows = reference_two_term_pass([r for r in rows if r])
-            (roots, folded, presented), = _presentations(space, w, False, (sign,))
-            folded = list(folded)
-            assert {2, 3} <= {abs(v) for _, r in pivots for v in r.values()}
+            (roots, image, merged, presented), = _presentations(space, w, False, (sign,))
+            folded = self.folded_pivots(image, merged)
+            coefficients = {abs(v) for _, r in pivots for v in r.values()}
+            assert sign == -1 or {2, 3} <= coefficients, coefficients
             assert self.as_set(folded) == self.as_set(pivots)
             self.assert_same_rows_once(presented, long_rows)
             self.assert_over_roots(roots, folded, presented, size)
+            assert build_W(space, w, sign).columns == kernel_columns(rows, size), sign
 
     def test_long_row_with_a_folded_column_is_refused_under_optimize(self):
-        # a presented row that still holds a folded column is refused by
-        # check(), which python -O keeps, on the kernel and the rank paths
-        code = ("from periodpoly.cosets import GAMMA0, build_coset_space\n"
-                "from periodpoly.exactalg import CheckFailed, sparse_int_pivots, sparse_int_rank\n"
-                "from periodpoly.polyspace import _presentations\n"
+        # a presented row that still holds a folded column, one of a class
+        # other than its root, is refused by the check of _presentations,
+        # which python -O keeps, on the basis and the rank paths of W and
+        # Wtilde
+        code = ("from periodpoly import polyspace\n"
+                "from periodpoly.cosets import GAMMA0, build_coset_space\n"
+                "from periodpoly.exactalg import CheckFailed\n"
+                "real = polyspace._over_roots\n"
+                "def over_roots(rows, image):\n"
+                "    out = real(rows, image)\n"
+                "    out[0][next(c for c, (r, _) in image.items() if r != c)] = 1\n"
+                "    return out\n"
+                "polyspace._over_roots = over_roots\n"
                 "space = build_coset_space(GAMMA0, 37, 4)\n"
-                "(roots, folded, rows), = _presentations(space, 2, False)\n"
-                "folded = list(folded)\n"
-                "c = next(c for c, row in folded if len(row) == 2)\n"
-                "rows[0][c] = 1\n"
-                "for run in (lambda: sparse_int_pivots(rows, folded=folded),\n"
-                "            lambda: sparse_int_rank(rows, roots)):\n"
+                "for run in (polyspace.build_W, polyspace.w_dimensions,\n"
+                "            polyspace.build_W_extended, polyspace.wtilde_dimension):\n"
                 "    try:\n"
-                "        run()\n"
+                "        run(space, 2)\n"
                 "    except CheckFailed as exc:\n"
                 "        print('CheckFailed:', exc)\n")
         src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -764,7 +755,7 @@ class TestPresentation:
                               text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
         assert proc.returncode == 0
         refusal = "CheckFailed: a presented row holds a folded column, not only roots\n"
-        assert proc.stdout == 2 * refusal
+        assert proc.stdout == 4 * refusal
 
 
 class TestLabelRows:

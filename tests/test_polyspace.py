@@ -244,8 +244,7 @@ class TestBuildW:
             rows = reference_eps_rows(space, w, sign)
             assert all(rows) and len(rows) == sum(
                 1 for p in pairs if len(p) == 2 or eps[min(p)][1] != sign)
-            assert (sparse_int_pivots(rows, reduce_fully=True)
-                    == sparse_int_pivots([r for r in full if r], reduce_fully=True))
+            assert sparse_int_pivots(rows) == sparse_int_pivots([r for r in full if r])
 
 
 def reference_tail_families(space, w):
@@ -487,7 +486,7 @@ class TestExtended:
         den, vec = columns[j]
         with pytest.raises(PolySpaceError, match=msg):
             ExtPolyVector.from_tilde_coords(sp, 2, column_entries(QQ, den, vec, Wt.ambient))
-        monkeypatch.setattr(polyspace, "kernel_columns", lambda rows, ncols, folded: columns)
+        monkeypatch.setattr(polyspace, "_presented_kernel", lambda *presentation: columns)
         with pytest.raises(PolySpaceError, match=msg):
             build_W_extended(sp, 2)
 
