@@ -342,12 +342,15 @@ class TestSparse:
             (9, {0: 4, 9: 3})]
         assert sparse_int_pivots(rows) == reference_sparse_int_pivots(rows)
 
-    @pytest.mark.parametrize("rows", [[{0: 2}], [{0: 4, 3: 6}, {3: 2}]])
+    @pytest.mark.parametrize("rows", [[{0: 2}], [{0: 4, 3: 6}, {3: 2}], [{1: -6, 4: 9}],
+                                      [{0: -4, 2: 6}, {5: -3}]])
     def test_rows_are_made_primitive_as_they_are_copied(self, rows):
         # a pivot row is primitive with its least entry positive even when
-        # it enters the loop as it came, with nothing left to clear from it
+        # it enters the loop as it came, with nothing left to clear from it;
+        # a row whose least entry is negative changes its sign
         reduced = reference_sparse_int_pivots(rows)
         assert sparse_int_pivots(rows) == reduced
+        assert all(row[min(row)] > 0 and math.gcd(*row.values()) == 1 for _, row in reduced)
         assert sparse_int_rank(rows) == len(reduced)
 
     def test_root_of_a_two_term_row_becomes_a_long_pivot(self):
