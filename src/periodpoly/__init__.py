@@ -13,8 +13,8 @@ from .cosets import (GAMMA0, GAMMA1, Character, CosetSpace, CuspSet, Mat2,
 from .polyspace import (ExtPolyVector, PolyVector, Subspace, build_W,
                         build_W_extended, build_coboundary_and_D, chi_component,
                         cminus_trivial, coboundary_and_D_dimensions, eps_split,
-                        pair_braces, pair_induced, pair_vw, slash_poly, w_dimensions,
-                        wtilde_dimension)
+                        pair_braces, pair_induced, pair_vw, period_dimensions, slash_poly,
+                        w_dimensions, wtilde_dimension)
 from .hecke import (GroupRingElement, HeckeOperator, SigmaSpec,
                     common_eigen_polynomial, delta_spec, delta_vee_spec,
                     diamond_spec, hecke_action, hecke_matrix, resolve_sigma_coset,

@@ -19,8 +19,7 @@ from fractions import Fraction
 from .exactalg import PeriodPolyError, scalar_to_str
 from .cosets import (GAMMA0, GAMMA1, _factor, build_coset_space, coset_index,
                      cusp_classes)
-from .polyspace import (build_W, build_W_extended, build_coboundary_and_D,
-                        coboundary_and_D_dimensions, w_dimensions, wtilde_dimension)
+from .polyspace import build_W, build_W_extended, build_coboundary_and_D, period_dimensions
 from .hecke import (HeckeError, common_eigen_polynomial, delta_spec, delta_vee_spec,
                     hecke_matrix, theta_spec, universal_hecke_element,
                     verified_hecke_element, witness_terms)
@@ -191,16 +190,11 @@ def cmd_dims(args, out):
     w = args.weight - 2
     if space.size > 60:
         _progress("building relation systems at index %d ..." % space.size)
-    dim_w, dim_plus, dim_minus = w_dimensions(space, w)
-    dim_c, dim_d = coboundary_and_D_dimensions(space, w)
-    dim_wt = wtilde_dimension(space, w)
-    _emit({
-        "group": args.group, "level": args.level, "weight": args.weight,
-        "index": space.index,
-        "dim_W": dim_w, "dim_W_plus": dim_plus, "dim_W_minus": dim_minus,
-        "dim_C": dim_c, "dim_D": dim_d, "dim_Wtilde": dim_wt,
-        "dim_S_inferred": (dim_w - dim_c) // 2,
-    }, out)
+    dims = dict(zip(("dim_W", "dim_W_plus", "dim_W_minus", "dim_C", "dim_D", "dim_Wtilde"),
+                    period_dimensions(space, w)))
+    _emit({"group": args.group, "level": args.level, "weight": args.weight,
+           "index": space.index, **dims, "dim_S_inferred": (dims["dim_W"] - dims["dim_C"]) // 2},
+          out)
     return EXIT_OK
 
 

@@ -499,7 +499,8 @@ class HeckeOperator:
     on the input coordinates, held in ``poles``.  The image lies in the
     extended model iff every such row vanishes, since the partial fraction
     decomposition is unique; ``apply`` raises HeckeError otherwise.  One gcd
-    with L puts the blocks, over den, and each pole row in lowest terms.
+    with L puts the blocks, over den, and each pole row in lowest terms;
+    rows of the same content are kept once.
 
     ``norm`` is the largest absolute row sum of the integer map ``apply``
     computes, the pole rows included: no entry of an image, and no pole
@@ -545,9 +546,10 @@ class HeckeOperator:
         self.blocks = [[(l2, list(zip(*[iter(block)] * n)))
                         for l2, block in sorted(d.items()) if any(block)]
                        for d in folded]
-        # each pole row in lowest terms
-        self.poles = [{i: v // g for i, v in row.items() if v} for row in residues.values()
-                      if any(row.values()) and (g := math.gcd(L, *row.values()))]
+        # each pole row in lowest terms, once: most (target, pole) pairs repeat a row
+        lowest = ({i: v // g for i, v in row.items() if v} for row in residues.values()
+                  for g in (math.gcd(L, *row.values()),))
+        self.poles = list({frozenset(row.items()): row for row in lowest if row}.values())
         # row i of a target: row i of each of its blocks
         rows = (sum(sum(map(abs, block[i * n:(i + 1) * n])) for block in d.values())
                 for d in folded for i in range(n))

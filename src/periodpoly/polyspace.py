@@ -19,7 +19,7 @@ from .exactalg import (DenseMatrix, ExactAlgebraError, PeriodPolyError, QQ, chec
                        clear_denominators, column_entries, eigen_columns, kernel_columns,
                        mult_columns, poly_mul, reduced_column_basis,
                        scalar_coords, scalar_from_str, scalar_to_str,
-                       sparse_int_rank, _normalize_int_row)
+                       sparse_int_rank, _eliminate, _normalize_int_row)
 from .cosets import (CosetSpace, Mat2, MAT_EPS, MAT_SINV, MAT_T, MAT_TINV, MAT_U,
                      MAT_U2, GAMMA0, build_coset_space, _unit_group_generators)
 
@@ -757,46 +757,32 @@ def _label_rows(space: CosetSpace, w: int, extended: bool):
         yield l <= min(acts[1][0], acts[2][0]), rows[0], rows[1]
 
 
-def _orbit_rows(space: CosetSpace, w: int, extended: bool) -> list:
-    """The U rows of W, or of Wtilde, at the least label of each U-orbit:
-    Q = P|(1+U+U^2) has Q|U = Q, so the rows at one label of an orbit span
-    those at the other two (Stein 2007, ch. 8).  For W they are the rows of
-    ``_u_table``.  Wtilde's are W's rows plus its cusp tails: on the
-    interior columns its cleared identity X(X-1) Q + T = 0 is X(X-1) times
-    W's relation Q, and T comes from the columns X^(-1) and X^(w+1).  Its
-    degrees 0 and w+3 are ties (``_presentations``).  Its degrees
-    d = 1, ..., w+2, Q_(d-2) - Q_(d-1) + T_d = 0, have the partial sums
-    T_1 + ... + T_(i+1) - Q_i: they span the rows Q_i + sum_(k=i+2)^(w+2)
-    T_k = 0, i = 0, ..., w, Q_i row i of W's table with j moved to j + 1,
-    written here, and the tail-only row sum_(k=1)^(w+2) T_k = 0, the
-    identity at X = 1 less its degrees 0 and w+3: a sum of U-end ties,
-    which the classes hold as the label signs of U compose (U^3 = -I,
-    checked in ``CosetSpace._build``)."""
-    n, table = w + 1, _u_table(w, False)
-    if extended:
-        n = w + 3
-        tails = [(t, j + 1, _cleared_u(w, t, j)) for t in (0, 2, 3) for j in (-1, w + 1)]
-        table = [[term for term in [(t, j + 1, v) for t, j, v in q]
-                  + [(t, j, sum(p[i + 2:w + 3])) for t, j, p in tails] if term[2]]
+def _orbit_rows(space: CosetSpace, w: int, tails: bool) -> list:
+    """The U rows of W at the least label of each U-orbit: Q = P|(1+U+U^2)
+    has Q|U = Q, so the rows at one label of an orbit span those at the
+    other two (Stein 2007, ch. 8).  Row i is Q_i of ``_u_table``, with
+    ``tails`` plus sum_(k=i+2)^(w+2) T_k over Wtilde's tail columns c,
+    keyed -1 - c, T the X^(-1) and X^(w+1) part of Wtilde's cleared
+    identity X(X-1) Q + T = 0.  Its degrees d = 1, ..., w+2,
+    Q_(d-2) - Q_(d-1) + T_d = 0, have the partial sums T_1 + ... + T_(i+1)
+    - Q_i: they span these rows and sum_(k=1)^(w+2) T_k = 0, a sum of its
+    U-end ties (degrees 0 and w+3) as the label signs of U compose
+    (U^3 = -I, checked in ``CosetSpace._build``)."""
+    n, nt, table = w + 1, w + 3, _u_table(w, False)
+    if tails:
+        ends = [(t, j, _cleared_u(w, t, j - 1)) for t in (0, 2, 3) for j in (0, w + 2)]
+        table = [q + [(t + 4, -j, v) for t, j, p in ends if (v := sum(p[i + 2:w + 3]))]
                  for i, q in enumerate(table)]
     uinv, u2inv = space.tables["Uinv"], space.tables["U2inv"]
     rows: list = []
     for l in range(space.size):
         (l2, s2), (l3, s3) = uinv[l], u2inv[l]
         if l <= l2 and l <= l3:
-            _write_rows(table, ((l * n, 1), None, (l2 * n, s2 ** w), (l3 * n, s3 ** w)), rows)
+            s2, s3 = s2 ** w, s3 ** w
+            _write_rows(table, ((l * n, 1), None, (l2 * n, s2), (l3 * n, s3),
+                                (-1 - l * nt, 1), None, (-1 - l2 * nt, s2), (-1 - l3 * nt, s3)),
+                        rows)
     return rows
-
-
-def _tie_edges(rows) -> dict:
-    """x -> [(y, g)] for rows of one or two nonzeros: u x_a + v x_b = 0 as
-    x_b = -u/v x_a and x_a = -v/u x_b, u x_a = 0 as x_a = -x_a."""
-    edges: dict = {}
-    for row in rows:
-        pair = [*row.items()] * 2
-        for (a, u), (b, v) in zip(pair, pair[1:3]):
-            edges.setdefault(a, []).append((b, Fraction(-u, v) if u % v else -u // v))
-    return edges
 
 
 def _tie_classes(columns, edges) -> tuple:
@@ -827,108 +813,96 @@ def _tie_classes(columns, edges) -> tuple:
 
 
 def _over_roots(rows, image: dict) -> list:
-    """The distinct nonzero rows over the roots of a class map, primitive."""
-    out: dict = {}
+    """The nonzero rows over the roots of a class map, primitive."""
+    out = []
     for row in rows:
-        new, fractional = {}, False
+        new: dict = {}
         for c, v in row.items():
             r, f = image[c]
             if f:
-                v *= f
-                fractional = fractional or type(v) is not int
-                new[r] = new.get(r, 0) + v
-        if fractional:
-            D = math.lcm(*(x.denominator for x in new.values()))
-            new = {c: int(x * D) for c, x in new.items()}
+                new[r] = new.get(r, 0) + v * f
         new = _normalize_int_row({c: x for c, x in new.items() if x})
         if new:
-            out.setdefault(frozenset(new.items()), new)
-    return list(out.values())
+            out.append(new)
+    return out
 
 
-def _presentations(space: CosetSpace, w: int, extended: bool, signs=(0,)):
+def _presentations(space: CosetSpace, w: int, signs=(0,), d_vectors=None):
     """Per sign, (roots, image, merged, rows): the period system of W, W+
-    or W- (sign 0, 1, -1), or of Wtilde, its two-term relations folded and
-    its longer rows over the roots of their classes, each row once (Stein
-    2007, ch. 8).  image is the class map c -> (root, f), x_c = f x_root,
-    of the two-term classes, merged None or, for W+-, the class map of
-    their roots over the eps ties, roots the set of roots of the nonzero
-    classes.  The rows lie over the roots only (checked here, under -O
-    too), so the rank of the system is ncols - len(roots) plus the rank of
-    the rows; its kernel is ``_presented_kernel``.
+    or W- (sign 0, 1, -1), its two-term relations folded and its longer
+    rows over the roots of their classes (Stein 2007, ch. 8).  image is the
+    class map c -> (root, f), x_c = f x_root, f = 0 or +-1, of the S ties
+    x + (-1)^(w - j) s x' = 0 between (l, j) and (l S^(-1), w - j), merged
+    None or, for W+-, the class map of their roots over the eps ties, roots
+    the set of roots of the nonzero classes.  The rows lie over the roots
+    only (checked here, under -O too), so the rank of the system is
+    ncols - len(roots) plus the rank of the rows; its kernel is
+    ``_presented_kernel``.  Every U row (``_orbit_rows``) is long: where U
+    fixes the label one can shrink to one or two nonzeros, but with its
+    cusp tail it is no tie of Wtilde.
 
-    The long U rows are written at the least label of each U-orbit
-    (``_orbit_rows``); for Wtilde they are W's U rows plus its cusp tails.
-    Where U fixes the label a row can shrink to one or two nonzeros, a tie.
-    The other ties x_y = g x_x go from (l, j) to (l S^(-1), m - j), m the
-    last coordinate; for Wtilde from X^(-1) at l to X^(w+1) at l U^(-1) and
-    from X^(w+1) at l to X^(-1) at l U^(-2), so that tails chain along a
-    cusp's T-cycle.  For W+- the tie x_k = sign t^w (-1)^j x_c of
-    P|eps = sign P, c = (l, j), k = (eps(l), j), t the label sign, is read
-    at every c between the roots of c and k, and the roots are walked
-    again: the classes of W are walked once."""
-    n, par = (w + 3, 1) if extended else (w + 1, -1)
-    m = n - 1
-    sinv, uinv, u2inv, eps = (space.tables[g] for g in ("Sinv", "Uinv", "U2inv", "eps"))
-    rows = _orbit_rows(space, w, extended)
-    ties = _tie_edges(row for row in rows if len(row) <= 2)
+    Given the D vectors ``d_vectors`` (``_coboundary_and_D_vectors``) sign
+    0 is Wtilde's system too, W's plus one column per family of D, keyed
+    -1 - m for m its least tail column, below every root: image takes a
+    tail column c, keyed -1 - c, to f times its family's, f = 1 at m, or to
+    zero in no family; W+- read the family columns as zero.  For W+- the
+    tie x_k = sign t^w (-1)^j x_c of P|eps = sign P, c = (l, j),
+    k = (eps(l), j), t the label sign, is read at every c between the
+    roots of c and k, and the roots are walked again: the classes of W are
+    walked once.  Half the signed rows repeat; they are kept once."""
+    n, sinv, eps = w + 1, space.tables["Sinv"], space.tables["eps"]
 
     def edges(x):
         l, j = divmod(x, n)
         l1, s = sinv[l]
-        # the S row at (l, j) is x + e s x' = 0, e = -par (-1)^(w - j)
-        out = [(l1 * n + m - j, par * (-1) ** ((w - j) % 2) * s ** w)] + ties.get(x, [])
-        if extended and j in (0, m):  # the U rows in degrees 0 and w+3
-            l1, s = (uinv if j == 0 else u2inv)[l]
-            out.append((l1 * n + m - j, (-1) ** (w * (j == 0)) * s ** w))
-        return out
+        return [(l1 * n + w - j, -(-1) ** ((w - j) % 2) * s ** w)]
 
     image, roots = _tie_classes(range(space.size * n), edges)
-    rows = _over_roots((row for row in rows if len(row) > 2), image)
+    if d_vectors is not None:
+        image.update({-1 - l * (w + 3) - j: (0, 0) for l in range(space.size) for j in (0, w + 2)})
+        for fam in d_vectors:
+            m = min(fam)
+            image.update({-1 - c: (-1 - m, v * fam[m]) for c, v in fam.items()})
+    families = {-1 - min(fam) for fam in d_vectors or ()}
+    rows = _over_roots(_orbit_rows(space, w, d_vectors is not None), image)
     eps_ties: dict = {}  # root -> [(root', h)]: x_root' = h x_root where P|eps = P
     for c in range(space.size * n) if any(signs) else ():
         (l2, t), j = eps[c // n], c % n
         (r, f), (rk, fk) = image[c], image[l2 * n + j]
         u = (-1) ** j * t ** w * f
         # a class tied to a zero class is zero: x_r = 0 x_r disagrees with x_r = x_r
-        eps_ties.setdefault(r, []).append(
-            (rk, Fraction(u, fk) if u % fk else u // fk) if u and fk else (r, 0))
+        eps_ties.setdefault(r, []).append((rk, u * fk) if u and fk else (r, 0))
     for sign in signs:
-        merged, out_roots, out_rows = None, roots, rows
+        merged, out_roots, out_rows = None, roots | families, rows
         if sign:
             merged, out_roots = _tie_classes(
                 sorted(eps_ties), lambda r: [(y, sign * h) for y, h in eps_ties[r]])
-            out_rows = _over_roots(rows, merged)
+            merged.update(dict.fromkeys(families, (0, 0)))
+            out_rows = list({frozenset(r.items()): r for r in _over_roots(rows, merged)}.values())
         check(all(out_roots.issuperset(row) for row in out_rows),
               "a presented row holds a folded column, not only roots")
         yield out_roots, image, merged, out_rows
 
 
-def _presented_kernel(roots, image: dict, merged, rows) -> list:
+def _presented_kernel(roots, image: dict, merged, rows, column=None) -> list:
     """The kernel columns (``kernel_columns``) of a presented system
-    (``_presentations``) over all its columns: the kernel of the rows over
-    the roots, numbered in increasing order to keep last-column pivots and
-    so the unique reduced form, unfolded by x_c = f x_root at every column
-    c of a nonzero class (through ``merged`` where given), over the least
-    denominator.  A class lies above its root, where f = 1: the pivot."""
-    index = {r: i for i, r in enumerate(sorted(roots))}
-    members: dict = {}  # root index -> [(c, f)]
+    (``_presentations``), column(c) the column of key c (c by default): the
+    kernel over the roots, numbered by increasing column to keep last-column
+    pivots and so the unique reduced form, unfolded by x_c = f x_root at
+    every column of a nonzero class (through ``merged`` where given).  A
+    class lies above its root, where f = 1: the pivot."""
+    column = column or (lambda c: c)
+    index = {r: i for i, r in enumerate(sorted(roots, key=column))}
+    members: dict = {}  # root index -> [(column, f)]
     for c, (r, f) in image.items():
-        if merged is not None:
+        if f and merged is not None:
             r, g = merged[r]
             f *= g
         if f:
-            members.setdefault(index[r], []).append((c, f))
-    out = []
-    for den, vec in kernel_columns([{index[c]: v for c, v in row.items()} for row in rows],
-                                   len(index)):
-        full = {c: f * v for i, v in vec.items() for c, f in members[i]}
-        if any(type(x) is not int for x in full.values()):
-            full = {c: Fraction(x) / den for c, x in full.items()}
-            den = math.lcm(*(x.denominator for x in full.values()))
-            full = {c: int(x * den) for c, x in full.items()}
-        out.append((den, full))
-    return out
+            members.setdefault(index[r], []).append((column(c), f))
+    return [(den, {c: f * v for i, v in vec.items() for c, f in members[i]})
+            for den, vec in kernel_columns([{index[c]: v for c, v in row.items()}
+                                            for row in rows], len(index))]
 
 
 def _check_weight(space: CosetSpace, w: int) -> None:
@@ -947,24 +921,26 @@ def build_W(space: CosetSpace, w: int, sign: int = 0) -> Subspace:
         raise PolySpaceError("sign must be -1, 0 or 1, got %r" % (sign,))
     if space.degenerate:
         return Subspace.from_vectors(space, w, False, [])
-    presentation, = _presentations(space, w, False, (sign,))
+    presentation, = _presentations(space, w, (sign,))
     return Subspace(space, w, False, _presented_kernel(*presentation))
 
 
-def w_dimensions(space: CosetSpace, w: int) -> tuple:
+def w_dimensions(space: CosetSpace, w: int, d_vectors=None) -> tuple:
     """(dim W, dim W+, dim W-) by rank computations only, for large levels:
-    each is the number of roots of its presentation, ncols less the columns
-    it folds, less the rank of its long rows (``_presentations``).  No
-    kernel basis and no pivot row of a folded column is built.
-    """
+    roots less the rank of the long rows (``_presentations``); given the D
+    vectors also dim Wtilde, from the same elimination, as a pivot, the last
+    column of its row, is a root of W wherever its row holds one."""
     _check_weight(space, w)
     if space.degenerate:
-        return (0, 0, 0)
-    dim_w, dim_plus, dim_minus = (len(roots) - sparse_int_rank(rows) for roots, _, _, rows
-                                  in _presentations(space, w, False, (0, 1, -1)))
+        return (0,) * (3 if d_vectors is None else 4)
+    (roots, _, _, rows), *signed = _presentations(space, w, (0, 1, -1), d_vectors)
+    pivots = _eliminate(rows, False)
+    dim_tilde = len(roots) - len(pivots)
+    dim_w = dim_tilde - len(d_vectors or ()) + sum(max(row) < 0 for row in pivots)
+    dim_plus, dim_minus = (len(r) - sparse_int_rank(rows) for r, _, _, rows in signed)
     if dim_plus + dim_minus != dim_w:
         raise PolySpaceError("eps eigenspace dimensions do not add up")
-    return (dim_w, dim_plus, dim_minus)
+    return (dim_w, dim_plus, dim_minus) + (() if d_vectors is None else (dim_tilde,))
 
 
 def _tail_families(space: CosetSpace, w: int) -> list:
@@ -975,15 +951,15 @@ def _tail_families(space: CosetSpace, w: int) -> list:
     regular cusps do, where the signs around the cycle multiply to +1 and
     -1 is not in the group.
     """
-    families = []
+    families, ttab = [], space.tables["T"]
     for cl in space.cusp_classes().classes:
         if w % 2 and not cl.regular:
             continue
         fam, l, c = {}, cl.representative, 1
         while l not in fam:
             fam[l] = c
-            l, s = space.signed_act(l, MAT_T, w)
-            c *= s
+            l, s = ttab[l]
+            c *= s ** w
         families.append(fam)
     return families
 
@@ -994,13 +970,13 @@ def _coboundary_and_D_vectors(space: CosetSpace, w: int) -> tuple:
     c_l1 at X^0 and -s1 c_l1 at X^w of l, the D vector c_l1 at the tail of
     l1 and (-1)^w s1 c_l1 at X^(-1) of l (``_tilde_ties``): only the labels
     of c's cusp and their S-images."""
-    n, nt = w + 1, w + 3
+    n, nt, stab, sinv = w + 1, w + 3, space.tables["S"], space.tables["Sinv"]
     cvecs, dvecs = [], []
     for fam in _tail_families(space, w):
         cvec, dvec = {}, {}
         for l1, c in fam.items():
-            l = space.tables["S"][l1][0]
-            s = space.signed_act(l, MAT_SINV, w)[1] * c
+            l = stab[l1][0]
+            s = sinv[l][1] ** w * c
             cvec[l1 * n] = cvec.get(l1 * n, 0) + c
             cvec[l * n + w] = cvec.get(l * n + w, 0) - s
             dvec[l1 * nt + w + 2], dvec[l * nt] = c, (-1) ** w * s
@@ -1016,24 +992,34 @@ def build_coboundary_and_D(space: CosetSpace, w: int) -> tuple:
                  for extended, vecs in zip((False, True), _coboundary_and_D_vectors(space, w)))
 
 
-def coboundary_and_D_dimensions(space: CosetSpace, w: int) -> tuple:
-    """(dim C, dim D): the ranks of the families of ``build_coboundary_and_D``."""
+def coboundary_and_D_dimensions(space: CosetSpace, w: int, vectors=None) -> tuple:
+    """(dim C, dim D): the ranks of the families of ``build_coboundary_and_D``,
+    or of their ``vectors`` where given (``_coboundary_and_D_vectors``)."""
     _check_weight(space, w)
     return tuple(sparse_int_rank([{c: v for c, v in vec.items() if v} for vec in vecs])
-                 for vecs in _coboundary_and_D_vectors(space, w))
+                 for vecs in vectors or _coboundary_and_D_vectors(space, w))
+
+
+def period_dimensions(space: CosetSpace, w: int) -> tuple:
+    """(dim W, dim W+, dim W-, dim C, dim D, dim Wtilde), one walk of the families."""
+    _check_weight(space, w)
+    vectors = _coboundary_and_D_vectors(space, w)
+    *dims, dim_tilde = w_dimensions(space, w, vectors[1])
+    return (*dims, *coboundary_and_D_dimensions(space, w, vectors), dim_tilde)
 
 
 def build_W_extended(space: CosetSpace, w: int) -> Subspace:
-    """The space Wtilde of period polynomials of all modular forms.
-
-    For k = 2 the constraint sum_A c_A = 0 is not imposed; it must emerge
-    from the kernel and is asserted after the fact.
-    """
+    """The space Wtilde of period polynomials of all modular forms: W's
+    presentation plus one column per family of D (``_presentations``), W's
+    (l, j) at Wtilde's (l, j + 1), a family at its least tail column.  For
+    k = 2, sum_A c_A = 0 is not imposed; it must emerge from the kernel and
+    is asserted after the fact."""
     _check_weight(space, w)
     if space.degenerate:
         return Subspace.from_vectors(space, w, True, [])
-    presentation, = _presentations(space, w, True)
-    sub = Subspace(space, w, True, _presented_kernel(*presentation))
+    presentation, = _presentations(space, w, (0,), _coboundary_and_D_vectors(space, w)[1])
+    sub = Subspace(space, w, True, _presented_kernel(
+        *presentation, lambda c: c + 2 * (c // (w + 1)) + 1 if c >= 0 else -1 - c))
     _check_tilde_columns(sub)
     if w == 0 and any(sum(v for k, v in vec.items() if k % (w + 3) == w + 2)
                       for _, vec in sub.columns):
@@ -1042,13 +1028,12 @@ def build_W_extended(space: CosetSpace, w: int) -> Subspace:
 
 
 def wtilde_dimension(space: CosetSpace, w: int) -> int:
-    """dim Wtilde by a rank computation only, for large indices: the
-    number of roots of its presentation, W's U rows plus the cusp tails,
-    less the rank of its long rows (``w_dimensions``)."""
+    """dim Wtilde by a rank computation only, for large indices: its roots,
+    W's and one per family of D, less the rank of its rows (``_presentations``)."""
     _check_weight(space, w)
     if space.degenerate:
         return 0
-    (roots, _, _, rows), = _presentations(space, w, True)
+    (roots, _, _, rows), = _presentations(space, w, (0,), _coboundary_and_D_vectors(space, w)[1])
     return len(roots) - sparse_int_rank(rows)
 
 

@@ -20,8 +20,8 @@ from .cosets import (GAMMA0, GAMMA1, MAT_I, MAT_S, MAT_SINV, MAT_T, Mat2,
 from .polyspace import (PolyVector, Subspace, build_W, build_W_extended,
                         build_coboundary_and_D, chi_component, cminus_trivial,
                         eps_split, pair_braces, pair_induced, pair_vw,
-                        slash_poly, w_dimensions, wtilde_dimension, _label_rows,
-                        _tail_families)
+                        period_dimensions, slash_poly, w_dimensions, wtilde_dimension,
+                        _label_rows, _tail_families)
 from .hecke import (GroupRingElement, HeckeOperator, ONE_MINUS_S, ONE_MINUS_T, delta_spec,
                     delta_vee_spec, gre_mul, hecke_action, hecke_matrix, theta_spec,
                     tn_infinity, torbit_canonical, universal_hecke_element,
@@ -203,10 +203,12 @@ def check_kernel_certificates():
     """R B = 0 and dim = ncols - rank R for W and Wtilde, with R the S and U
     rows at every label, so the certificate does not rest on the U-orbit
     argument that lets the builders keep one label's long U rows, nor on
-    Wtilde's presentation as W's U rows plus tails.  Gamma0(13) has
-    elliptic points of orders 2 and 3, Gamma1(4) at k = 3 an irregular cusp."""
+    the presentation of Wtilde.  Gamma0(13) has elliptic points of orders 2
+    and 3, Gamma1(4) at k = 3 an irregular cusp, Gamma0(7) at k = 2 a short
+    U row with a cusp tail, Gamma1(10) at k = 3 a family that is -1 at its
+    least tail column."""
     for kind, N, k in ((GAMMA0, 37, 4), (GAMMA0, 12, 8), (GAMMA1, 11, 2), (GAMMA0, 13, 4),
-                       (GAMMA1, 4, 3)):
+                       (GAMMA1, 4, 3), (GAMMA0, 7, 2), (GAMMA1, 10, 3)):
         space = build_coset_space(kind, N, k)
         for extended, build in ((False, build_W), (True, build_W_extended)):
             sub = build(space, k - 2)
@@ -220,15 +222,30 @@ def check_kernel_certificates():
 
 
 def check_rank_dimensions():
-    """The rank-only dimensions of ``dims``, which build no pivot row of a
-    folded column, against the bases of W, W+, W- and Wtilde."""
-    for kind, N, k in ((GAMMA0, 13, 4), (GAMMA1, 4, 3), (GAMMA0, 37, 2)):
+    """The rank-only dimensions of ``dims`` (``period_dimensions``: W and
+    Wtilde from one elimination), alone and together, against the bases."""
+    for kind, N, k in ((GAMMA0, 13, 4), (GAMMA1, 4, 3), (GAMMA0, 37, 2), (GAMMA0, 7, 2)):
         space, w = build_coset_space(kind, N, k), k - 2
-        got = (w_dimensions(space, w), wtilde_dimension(space, w))
-        want = (tuple(build_W(space, w, sign).dim for sign in (0, 1, -1)),
-                build_W_extended(space, w).dim)
-        check(got == want, "rank-only dimensions %s, bases %s on %s(%d), k = %d"
+        C, D = build_coboundary_and_D(space, w)
+        want = tuple(build_W(space, w, sign).dim for sign in (0, 1, -1)) + (
+            C.dim, D.dim, build_W_extended(space, w).dim)
+        got = (period_dimensions(space, w),
+               w_dimensions(space, w) + (C.dim, D.dim, wtilde_dimension(space, w)))
+        check(got == (want, want), "rank-only dimensions %s, bases %s on %s(%d), k = %d"
               % (got, want, kind, N, k))
+
+
+def check_extended_count():
+    """The paper's extended Eichler-Shimura count from the bases,
+    dim Wtilde = dim W + dim D - [k = 2], on Gamma0(N), N <= 20,
+    k = 2, 3, 4, 6 and Gamma1(N), N <= 10, k = 2, 3, 4."""
+    for kind, top, weights in ((GAMMA0, 20, (2, 3, 4, 6)), (GAMMA1, 10, (2, 3, 4))):
+        for N, k in ((N, k) for N in range(1, top + 1) for k in weights):
+            space, w = build_coset_space(kind, N, k), k - 2
+            dims = (build_W(space, w).dim, build_coboundary_and_D(space, w)[1].dim,
+                    build_W_extended(space, w).dim)
+            check(dims[2] == dims[0] + dims[1] - (k == 2), "(dim W, dim D, dim Wtilde) = %s "
+                  "on %s(%d), k = %d: not dim W + dim D - [k = 2]" % (dims, kind, N, k))
 
 
 def check_eps_certificates():
@@ -508,6 +525,7 @@ CHECKS = [
     ("polyspace.chi_components", check_chi_components),
     ("polyspace.kernel_certificates", check_kernel_certificates),
     ("polyspace.rank_dimensions", check_rank_dimensions),
+    ("polyspace.extended_count", check_extended_count),
     ("polyspace.eps_certificates", check_eps_certificates),
     ("polyspace.signed_builds", check_signed_builds),
     ("hecke.defining_identity", check_hecke_defining_identity),

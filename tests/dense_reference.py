@@ -287,8 +287,9 @@ def reference_eps_rows(space: CosetSpace, w: int, sign: int) -> list:
     return rows
 
 
-def reference_two_term_pass(rows: list) -> tuple:
-    """Fold the rows with one or two nonzeros by substitution.
+def reference_two_term_pass(rows: list, kept=()) -> tuple:
+    """Fold the rows with one or two nonzeros by substitution; the rows of
+    kept join the longer rows whatever their length.
 
     A signed union-find over their columns keeps x_c = f x_root, the root
     the least column of its class, f an int where the division is exact.
@@ -312,7 +313,7 @@ def reference_two_term_pass(rows: list) -> tuple:
             parent[node] = (c, acc)
         return c, acc
 
-    long_rows, seen = [], set()
+    long_rows, seen = list(kept), set()
     for row in rows:
         if len(row) > 2:
             long_rows.append(row)

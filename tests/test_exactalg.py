@@ -23,8 +23,9 @@ from periodpoly.exactalg import (ApproxComplex, Cyclotomic, CyclotomicField,
 from periodpoly import exactalg, polyspace
 from periodpoly.cosets import (GAMMA0, GAMMA1, MAT_U2INV, MAT_UINV, build_coset_space,
                                dirichlet_characters)
-from periodpoly.polyspace import (_label_rows, _presentations, _presented_kernel, build_W,
-                                  chi_component, eps_coordinates)
+from periodpoly.polyspace import (_coboundary_and_D_vectors, _label_rows, _presentations,
+                                  _presented_kernel, build_W, build_W_extended, chi_component,
+                                  eps_coordinates)
 
 from dense_reference import (reference_column_basis, reference_eps_rows, reference_kernel_basis,
                              reference_two_term_pass,
@@ -614,10 +615,12 @@ class TestPresentation:
     the S, U and eps rows folded by the union-find two-term pass the
     eliminator had before: W, W+, W- and Wtilde of Gamma0(N), N <= 60,
     k = 2, 3, 4, 6 and Gamma1(N), 5 <= N <= 16, k = 2, 3, 4 (864 systems).
-    The presented rows of W, W+ and W- are the reference's longer rows,
-    each once.  Wtilde is presented as W's U rows plus its cusp tails, so
-    its rows and folded columns differ from the reference's on purpose: its
-    kernel is compared with the kernel of every S and U row at every label."""
+    The presentation keeps every U row long, so the reference folds only
+    the S and eps rows and keeps the U rows of one or two nonzeros, at
+    labels that U fixes, among its longer rows.  The presented rows of W
+    are the reference's longer rows, those of W+ and W- each once.  Wtilde
+    is presented as W plus one column per family of D, so its kernel is
+    compared with the kernel of every S and U row at every label."""
 
     @staticmethod
     def folded_pivots(image, merged=None) -> list:
@@ -637,11 +640,25 @@ class TestPresentation:
         return out
 
     @staticmethod
+    def two_term_pass(space, w, rows, extra=()) -> tuple:
+        """The reference's pass over rows, with W's U rows of one or two
+        nonzeros, and the rows of extra, kept long."""
+        kept = [r for _, _, u_rows in _label_rows(space, w, False) for r in u_rows
+                if len(r) <= 2] + list(extra)
+        return reference_two_term_pass([r for r in rows if r and r not in kept], kept)
+
+    @staticmethod
     def as_set(pivots) -> set:
         return {(c, tuple(sorted(r.items()))) for c, r in pivots}
 
     @staticmethod
-    def assert_same_rows_once(presented, long_rows, where=None):
+    def assert_same_rows(presented, long_rows, sign, where=None):
+        """The reference's longer rows: each once for W+-, where half of
+        them repeat, and as they come for W, where a repeat is rare and
+        changes neither the rank nor the kernel."""
+        if not sign:
+            assert row_multiset(presented) == row_multiset(long_rows), where
+            return
         distinct = {frozenset(r.items()) for r in presented}
         assert len(distinct) == len(presented), where
         assert distinct == {frozenset(r.items()) for r in long_rows}, where
@@ -661,34 +678,39 @@ class TestPresentation:
             space, w = build_coset_space(kind, N, k), k - 2
             if space.degenerate:
                 continue
-            for extended, sign in ((False, 0), (False, 1), (False, -1), (True, 0)):
-                rows = reference_relation_rows(space, w, extended)
+            ncols = space.size * (w + 1)
+            for sign in (0, 1, -1):
+                rows = reference_relation_rows(space, w, False)
                 if sign:
                     rows = rows + reference_eps_rows(space, w, sign)
-                presentation, = _presentations(space, w, extended, (sign,))
+                presentation, = _presentations(space, w, (sign,))
                 roots, image, merged, presented = presentation
                 folded = self.folded_pivots(image, merged)
-                where = (kind, N, k, extended, sign)
-                ncols = space.size * (w + (3 if extended else 1))
+                where = (kind, N, k, sign)
                 self.assert_over_roots(roots, folded, presented, ncols, where)
-                if extended:
-                    every = reference_wtilde_relation_rows(space, w)
-                    assert _presented_kernel(*presentation) == kernel_columns(every, ncols), where
-                    systems += 1
-                    continue
-                pivots, long_rows = reference_two_term_pass([r for r in rows if r])
+                pivots, long_rows = self.two_term_pass(space, w, rows)
                 assert self.as_set(folded) == self.as_set(pivots), where
                 assert len(folded) == len(pivots), where
-                self.assert_same_rows_once(presented, long_rows, where)
+                self.assert_same_rows(presented, long_rows, sign, where)
                 if systems % 7 == 0:
                     assert _presented_kernel(*presentation) == kernel_columns(rows, ncols), where
                 systems += 1
+            # Wtilde: W's roots plus one per family of D, below every root
+            d_vectors = _coboundary_and_D_vectors(space, w)[1]
+            (roots, image, _, presented), = _presentations(space, w, (0,), d_vectors)
+            assert {r for r in roots if r < 0} == {-1 - min(vec) for vec in d_vectors}
+            assert all(roots.issuperset(row) for row in presented)
+            every = reference_wtilde_relation_rows(space, w)
+            assert (build_W_extended(space, w).columns
+                    == kernel_columns(every, space.size * (w + 3))), (kind, N, k)
+            systems += 1
         assert systems == 4 * len(levels) * (1 if kind == GAMMA1 or k % 2 == 0 else 0)
 
     @pytest.mark.parametrize("kind,levels,k", PRESENTATION_GRID)
     def test_rank_only_dimensions_against_the_reference_rows(self, kind, levels, k):
         """dims without any pivot row of a folded column: ncols less the
-        rank of the reference's S, U and eps rows."""
+        rank of the reference's S, U and eps rows; with the D vectors one
+        elimination gives dim W and dim Wtilde."""
         for N in levels:
             space, w = build_coset_space(kind, N, k), k - 2
             if space.degenerate:
@@ -697,37 +719,64 @@ class TestPresentation:
             rows = reference_relation_rows(space, w, False)
             signed = [ncols - sparse_int_rank(rows + reference_eps_rows(space, w, sign))
                       for sign in (1, -1)]
-            assert (polyspace.w_dimensions(space, w)
-                    == (ncols - sparse_int_rank(rows), *signed)), (kind, N, k)
-            assert (polyspace.wtilde_dimension(space, w)
-                    == space.size * (w + 3)
-                    - sparse_int_rank(reference_relation_rows(space, w, True))), (kind, N, k)
+            dims = (ncols - sparse_int_rank(rows), *signed)
+            dim_tilde = (space.size * (w + 3)
+                         - sparse_int_rank(reference_relation_rows(space, w, True)))
+            assert polyspace.w_dimensions(space, w) == dims, (kind, N, k)
+            assert polyspace.wtilde_dimension(space, w) == dim_tilde, (kind, N, k)
+            c_vectors, d_vectors = _coboundary_and_D_vectors(space, w)
+            assert (polyspace.w_dimensions(space, w, d_vectors)
+                    == (*dims, dim_tilde)), (kind, N, k)
+            assert (polyspace.period_dimensions(space, w)
+                    == (*dims, *polyspace.coboundary_and_D_dimensions(space, w), dim_tilde))
+
+    @pytest.mark.parametrize("N", [7, 13])
+    def test_short_u_row_with_a_tail_stays_long(self, N):
+        """At a label that U fixes, k = 2, W's U row 3 x = 0 carries a cusp
+        tail in Wtilde, so it stays a long row: folded as a tie it would
+        zero a class of Wtilde and cut dim Wtilde from 2 to 1."""
+        space = build_coset_space(GAMMA0, N, 2)
+        d_vectors = _coboundary_and_D_vectors(space, 0)[1]
+        short = [row for row in polyspace._orbit_rows(space, 0, True)
+                 if sum(c >= 0 for c in row) == 1]
+        assert len(short) == 2 and all(min(row) < 0 for row in short)
+        (_, image, _, presented), = _presentations(space, 0, (0,), d_vectors)
+        for row in short:
+            root, f = image[max(row)]
+            # a long row over the root of the class and a family column
+            assert f and any({k for k in r if k >= 0} == {root} and min(r) < 0
+                             for r in presented)
+        assert len(d_vectors) == 2
+        assert polyspace.w_dimensions(space, 0, d_vectors) == (1, 1, 0, 2)
+        assert polyspace.wtilde_dimension(space, 0) == build_W_extended(space, 0).dim == 2
+        every = reference_wtilde_relation_rows(space, 0)
+        assert build_W_extended(space, 0).columns == kernel_columns(every, space.size * 3)
 
     @pytest.mark.parametrize("kind,N,k", [(GAMMA0, 13, 4), (GAMMA0, 37, 2), (GAMMA1, 7, 3)])
     def test_ties_of_any_coefficients_at_fixed_labels(self, kind, N, k, monkeypatch):
-        """Where U fixes a label the ties may have any coefficients; the
-        spaces give only +-u x + -+u y and u x, so ties 2 x + 3 y, 4 x - 6 y
-        and 5 x join the rows of the fixed labels, and the reference's
-        two-term pass gets the same rows.  The basis unfolds the kernel over
-        the roots by these fractional factors; it is the kernel of the
-        reference's rows with the ties."""
+        """Where U fixes a label its rows of one or two nonzeros, ties to a
+        two-term pass, may have any coefficients; the spaces give only
+        +-u x + -+u y and u x, so rows 2 x + 3 y, 4 x - 6 y and 5 x join the
+        U rows, and the reference gets the same rows.  Like every U row they
+        stay long, over the roots of the S classes; the basis is the kernel
+        of the reference's rows with them."""
         space, w = build_coset_space(kind, N, k), k - 2
         real, n, size = polyspace._orbit_rows, w + 1, space.size * (w + 1)
         half = size // 2 // n * n
-        ties = [{n: 2, half + n: 3}, {3 * n: 4, half + 3 * n: -6}, {5 * n: 5}]
+        short = [{n: 2, half + n: 3}, {3 * n: 4, half + 3 * n: -6}, {5 * n: 5}]
         monkeypatch.setattr(polyspace, "_orbit_rows",
-                            lambda space, w, extended: real(space, w, extended) + ties)
+                            lambda space, w, tails: real(space, w, tails) + short)
         for sign in (0, 1, -1):
-            rows = reference_relation_rows(space, w, False) + ties
+            rows = reference_relation_rows(space, w, False) + short
             if sign:
                 rows = rows + reference_eps_rows(space, w, sign)
-            pivots, long_rows = reference_two_term_pass([r for r in rows if r])
-            (roots, image, merged, presented), = _presentations(space, w, False, (sign,))
+            pivots, long_rows = self.two_term_pass(space, w, rows, short)
+            (roots, image, merged, presented), = _presentations(space, w, (sign,))
             folded = self.folded_pivots(image, merged)
-            coefficients = {abs(v) for _, r in pivots for v in r.values()}
+            coefficients = {abs(v) for r in presented for v in r.values()}
             assert sign == -1 or {2, 3} <= coefficients, coefficients
             assert self.as_set(folded) == self.as_set(pivots)
-            self.assert_same_rows_once(presented, long_rows)
+            self.assert_same_rows(presented, long_rows, sign)
             self.assert_over_roots(roots, folded, presented, size)
             assert build_W(space, w, sign).columns == kernel_columns(rows, size), sign
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -454,6 +455,21 @@ class TestExtended:
         for column, msg in (({tail: 1}, "T-orbits"), ({0: 1}, "X\\^\\(-1\\)")):
             with pytest.raises(PolySpaceError, match=msg):
                 eps_split(Subspace(sp, 2, True, [(1, column)]))
+
+    def test_family_column_is_one_at_its_least_tail_column(self):
+        """At Gamma1(10), k = 3, two families of D are -1 at their least
+        tail column; Wtilde's column of a family is scaled to 1 there, so
+        its basis, columns in order, is the reduced one of every S and U
+        row at every label, the one built before Wtilde was presented as W
+        plus one column per family (the SHA-256 of its columns then)."""
+        sp = build_coset_space(GAMMA1, 10, 3)
+        assert [vec[min(vec)] for vec in _coboundary_and_D_vectors(sp, 1)[1]].count(-1) == 2
+        Wt = build_W_extended(sp, 1)
+        rows = [r for _, s_rows, u_rows in _label_rows(sp, 1, True) for r in s_rows + u_rows]
+        assert Wt.columns == kernel_columns(rows, Wt.ambient)
+        columns = repr([(den, sorted(vec.items())) for den, vec in Wt.columns]).encode()
+        assert (hashlib.sha256(columns).hexdigest()
+                == "56f2c43579648994aa01e5e2d2003cd2f1c17de9490d7a6899c781f828839b03")
 
     @staticmethod
     def broken_tie(Wt, kind):
